@@ -471,14 +471,14 @@ def _verify_report(report: dict, box: Box | None, args) -> bool:
         problem = shareability.ExtensionProblem(box, flags["party"], flags["m"])
         if verdict["shareable"]:
             ext = decode_box(report["witness"]["box"])
-            shareability.validate_extension(problem, ext)
+            try:
+                shareability.validate_extension(problem, ext)
+            except shareability.NotAnExtension:
+                return False
             return True
         cert = decode_lp_certificate(report["certificate"])
         outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=cert)
-        if verdict.get("folded"):
-            prog, _ = shareability.folded_extension_lp(problem)
-        else:
-            prog = shareability.extension_lp(problem)
+        prog, _ = shareability.folded_extension_lp(problem)
         return lp.verify_certificate(prog, outcome)
     if analysis == "incompat":
         pair = incompat.ObservablePair(flags["party"], flags["y0"], flags["y1"])

@@ -471,6 +471,9 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome) -> bool:
     cert = outcome.certificate
     if cert is None:
         return False
+    lengths = (len(cert.y_eq), len(cert.y_ineq), len(cert.y_lb), len(cert.y_ub))
+    if lengths != (len(lp.eqs), len(lp.ineqs), lp.num_vars, lp.num_vars):
+        return False
     if any(v < 0 for v in cert.y_ineq) or any(v < 0 for v in cert.y_lb):
         return False
     if any(v < 0 for v in cert.y_ub):

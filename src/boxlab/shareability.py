@@ -2,18 +2,23 @@
 
 A box is m-shareable with respect to one party when a symmetric
 (m+1)-party nonsignaling extension exists whose every copy-marginal is
-the box itself.  That existence question is one exact LP.  Shareable
-boxes admit local models on the restricted inputs (the copies' outputs
-serve as the hidden variable); local boxes extend to any number of
-copies.  Perfect cloning of one wing is the same question, which is why
-nonlocal boxes cannot be cloned, and the isotropic family's cloning
-ceiling sits at C = 1/2.
+the box itself.  That existence question is one exact LP, stated on
+orbit variables: one variable per class of extension entries that a
+permutation of the copies maps onto each other.  Folding is exact, not
+a relaxation: averaging any extension over the copy permutations gives
+a symmetric one with the same marginals, so an extension exists exactly
+when a symmetric one does, and a symmetric table is constant on orbits.
+Shareable boxes admit local models on the restricted inputs (the
+copies' outputs serve as the hidden variable); local boxes extend to
+any number of copies.  Perfect cloning of one wing is the same
+question, which is why nonlocal boxes cannot be cloned; the isotropic
+family's cloning ceiling, C = 1/2, is the optimum of the same LP with
+C as one more column.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -59,6 +64,10 @@ class NotUniqueMaximizer(BoxlabError):
     pass
 
 
+class UnexpectedLpStatus(BoxlabError):
+    """An exact LP ended in a status its formulation rules out."""
+
+
 @dataclass(frozen=True)
 class ExtensionProblem:
     """Ask for `copies` symmetric clones of one wing of a bipartite box."""
@@ -98,12 +107,9 @@ class ExtensionWitness:
     feasible: bool
     extension: Box | None = None
     certificate: lp.LpCertificate | None = None
-    folded: bool = False  # which formulation the certificate belongs to
-
-
-# above this many extension entries the LP folds the copy symmetry into
-# orbit variables instead of carrying explicit equality rows
-FOLD_THRESHOLD = 64
+    # the certificate belongs to folded_extension_lp; reports carry the
+    # flag so a reader knows which program to re-check it against
+    folded = True
 
 
 def _swap_slots(t: tuple, i: int, j: int) -> tuple:
@@ -114,19 +120,22 @@ def _swap_slots(t: tuple, i: int, j: int) -> tuple:
 
 def _marginal_templates(problem: ExtensionProblem):
     """Rows expressing each copy-marginal entry as a sum of extension
-    entries, other copies pinned to input 0.  Yields (row, (a, b, x, y))."""
+    entries, other copies pinned to input 0.  The base's two parties sit
+    on the (fixed, copy) slot pair in slot order, as validate_extension
+    reads the marginal.  Yields (row, (a, b, x, y))."""
     ext = problem.extension_scenario()
     fixed = problem.fixed_slot()
     slots = problem.copy_slots()
     X, Y = problem.base.scenario.inputs
     A, B = problem.base.scenario.outputs
     for slot in slots:
+        first, second = sorted((fixed, slot))
         others = [s for s in slots if s != slot]
         for x in range(X):
             for y in range(Y):
                 xs = [0] * ext.parties
-                xs[fixed] = x
-                xs[slot] = y
+                xs[first] = x
+                xs[second] = y
                 for a in range(A):
                     for b in range(B):
                         row = [ZERO] * ext.table_size
@@ -134,51 +143,12 @@ def _marginal_templates(problem: ExtensionProblem):
                             *(range(ext.outputs[s]) for s in others)
                         ):
                             outs = [0] * ext.parties
-                            outs[fixed] = a
-                            outs[slot] = b
+                            outs[first] = a
+                            outs[second] = b
                             for s, v in zip(others, rest):
                                 outs[s] = v
                             row[ext.flat_index(outs, xs)] += ONE
                         yield row, (a, b, x, y)
-
-
-def _symmetry_rows(problem: ExtensionProblem):
-    """Equality of the table under adjacent transpositions of copy slots
-    (inputs and outputs together); these generate the full symmetric group."""
-    ext = problem.extension_scenario()
-    slots = problem.copy_slots()
-    rows = []
-    for i, j in zip(slots, slots[1:]):
-        for xi, xs in enumerate(ext.input_tuples()):
-            for outs in ext.output_tuples():
-                flat = ext.flat_index(outs, xs)
-                swapped = ext.flat_index(_swap_slots(outs, i, j), _swap_slots(xs, i, j))
-                if flat < swapped:
-                    row = [ZERO] * ext.table_size
-                    row[flat] = ONE
-                    row[swapped] = -ONE
-                    rows.append(row)
-    return rows
-
-
-def extension_lp(problem: ExtensionProblem) -> lp.LinearProgram:
-    """Feasibility LP: nonnegativity, normalization, copy symmetry, exact
-    copy-marginals, and the nonsignaling trace conditions on the extension."""
-    ext = problem.extension_scenario()
-    if ext.table_size > EXTENSION_SIZE_CAP:
-        raise ExtensionTooLarge(
-            f"extension table has {ext.table_size} entries, cap {EXTENSION_SIZE_CAP}"
-        )
-    prog = lp.LinearProgram(ext.table_size)
-    for coeffs, rhs in polytope.normalization_rows(ext):
-        prog.add_eq(coeffs, rhs)
-    for row in _symmetry_rows(problem):
-        prog.add_eq(row, ZERO)
-    for row, (a, b, x, y) in _marginal_templates(problem):
-        prog.add_eq(row, problem.base.prob((a, b), (x, y)))
-    for coeffs, rhs in polytope.ns_equality_rows(ext):
-        prog.add_eq(coeffs, rhs)
-    return prog
 
 
 def _orbits(problem: ExtensionProblem):
@@ -203,35 +173,50 @@ def _orbits(problem: ExtensionProblem):
     return orbit_of, len(orbit_index)
 
 
-def folded_extension_lp(problem: ExtensionProblem):
-    """Same feasible set as extension_lp but with one variable per symmetry
-    orbit, making the symmetry rows unnecessary; duplicate folded rows are
-    dropped.  Returns (program, orbit index per flat table index)."""
+def _orbit_rows(problem: ExtensionProblem):
+    """The extension LP's equality rows on orbit variables: normalization,
+    exact copy-marginals and the nonsignaling trace conditions, folded and
+    with repeats dropped.  Returns (orbit index per flat table index,
+    orbit count, rows); each row is (coefficients, rhs, entry), where
+    entry is the base box's ((a, b), (x, y)) whose value a marginal row
+    takes as its rhs, and None for the other rows."""
     ext = problem.extension_scenario()
     if ext.table_size > EXTENSION_SIZE_CAP:
         raise ExtensionTooLarge(
             f"extension table has {ext.table_size} entries, cap {EXTENSION_SIZE_CAP}"
         )
     orbit_of, n_orbits = _orbits(problem)
-    prog = lp.LinearProgram(n_orbits)
+    rows = []
     seen = set()
 
-    def add_folded(coeffs, rhs):
+    def add(coeffs, rhs, entry=None):
         folded = [ZERO] * n_orbits
         for i, c in enumerate(coeffs):
             if c:
                 folded[orbit_of[i]] += c
-        key = (tuple(folded), rhs)
+        key = (tuple(folded), rhs, entry)
         if key not in seen:
             seen.add(key)
-            prog.add_eq(folded, rhs)
+            rows.append((folded, rhs, entry))
 
     for coeffs, rhs in polytope.normalization_rows(ext):
-        add_folded(coeffs, rhs)
+        add(coeffs, rhs)
     for row, (a, b, x, y) in _marginal_templates(problem):
-        add_folded(row, problem.base.prob((a, b), (x, y)))
+        entry = ((a, b), (x, y))
+        add(row, problem.base.prob(*entry), entry)
     for coeffs, rhs in polytope.ns_equality_rows(ext):
-        add_folded(coeffs, rhs)
+        add(coeffs, rhs)
+    return orbit_of, n_orbits, rows
+
+
+def folded_extension_lp(problem: ExtensionProblem):
+    """Feasibility LP for a symmetric extension, one variable per orbit
+    (the value every entry of that orbit takes).  Returns (program,
+    orbit index per flat table index)."""
+    orbit_of, n_orbits, rows = _orbit_rows(problem)
+    prog = lp.LinearProgram(n_orbits)
+    for coeffs, rhs, _ in rows:
+        prog.add_eq(coeffs, rhs)
     return prog, orbit_of
 
 
@@ -257,35 +242,24 @@ def validate_extension(problem: ExtensionProblem, extension: Box) -> None:
             raise NotAnExtension(f"marginal onto slot {slot} differs from the base")
 
 
-def use_folded_formulation(problem: ExtensionProblem) -> bool:
-    return problem.extension_scenario().table_size > FOLD_THRESHOLD
+def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
+    """Decide shareability with the orbit LP of folded_extension_lp.
 
-
-def is_m_shareable(problem: ExtensionProblem, fold: bool | None = None) -> ExtensionWitness:
-    """Decide shareability; a feasible witness is validated before return.
-
-    Larger instances fold the symmetry into orbit variables (same feasible
-    set, one representative per entry class); small ones keep the explicit
-    equality rows.  Pass fold= to force either formulation.
+    A feasible witness is unfolded into the full symmetric extension
+    table and validated before return; an infeasible one carries the
+    Farkas certificate of the orbit LP.  The orbit LP decides the same
+    question as the LP over the full table: symmetrizing any extension
+    over the copy permutations keeps its marginals.
     """
-    if fold is None:
-        fold = use_folded_formulation(problem)
-    if fold:
-        prog, orbit_of = folded_extension_lp(problem)
-        out = lp.solve(prog)
-        if out.status == lp.OPTIMAL:
-            table = [out.primal[o] for o in orbit_of]
-            ext = validate_box(table, problem.extension_scenario())
-            validate_extension(problem, ext)
-            return ExtensionWitness(True, extension=ext, folded=True)
-        assert out.status == lp.INFEASIBLE
-        return ExtensionWitness(False, certificate=out.certificate, folded=True)
-    out = lp.solve(extension_lp(problem))
+    prog, orbit_of = folded_extension_lp(problem)
+    out = lp.solve(prog)
     if out.status == lp.OPTIMAL:
-        ext = validate_box(out.primal, problem.extension_scenario())
+        table = [out.primal[o] for o in orbit_of]
+        ext = validate_box(table, problem.extension_scenario())
         validate_extension(problem, ext)
         return ExtensionWitness(True, extension=ext)
-    assert out.status == lp.INFEASIBLE
+    if out.status != lp.INFEASIBLE:
+        raise UnexpectedLpStatus(f"extension feasibility LP ended {out.status}")
     return ExtensionWitness(False, certificate=out.certificate)
 
 
@@ -412,70 +386,36 @@ def infinite_shareability_extension(model: LocalModel, m: int) -> Box:
 # cloning ceiling for the isotropic family
 
 
-def _simplest_between(lo: Fraction, hi: Fraction) -> Fraction:
-    """Smallest-denominator rational in [lo, hi] via Stern-Brocot descent."""
-    if lo > hi:
-        raise ValueError("empty interval")
-    fl = math.ceil(lo)
-    if fl <= hi:
-        return Fraction(fl)
-    n = math.floor(lo)
-    return n + 1 / _simplest_between(1 / (hi - n), 1 / (lo - n))
+def _iso_ceiling_lp() -> lp.LinearProgram:
+    """max C over 2-extensions toward Bob of isotropic-C, C in [0, 1].
 
-
-def _iso_ceiling_lp(c_floor: Fraction) -> lp.LinearProgram:
-    """max C over 2-extensions of isotropic-C, C in [c_floor, 1]; the
-    isotropic family is affine in C so C rides along as one LP variable."""
+    The orbit rows are those of the noise box (C = 0).  The isotropic
+    family is affine in C, so C rides along as one more column: each
+    marginal row's rhs moves from the noise entry to the PR entry as C
+    goes from 0 to 1.
+    """
     pr = make_isotropic(1)
-    noise = make_isotropic(0)
-    problem = ExtensionProblem(noise, "B", 2)
-    ext = problem.extension_scenario()
-    nv = ext.table_size + 1
-    c_var = ext.table_size
-    prog = lp.LinearProgram(nv)
-    obj = [ZERO] * nv
-    obj[c_var] = ONE
-    prog.set_objective(obj)
-    prog.set_bounds(c_var, c_floor, ONE)
-    for coeffs, rhs in polytope.normalization_rows(ext):
-        prog.add_eq(list(coeffs) + [ZERO], rhs)
-    for row in _symmetry_rows(problem):
-        prog.add_eq(list(row) + [ZERO], ZERO)
-    for row, (a, b, x, y) in _marginal_templates(problem):
-        pr_e = pr.prob((a, b), (x, y))
-        noise_e = noise.prob((a, b), (x, y))
-        prog.add_eq(list(row) + [noise_e - pr_e], noise_e)
-    for coeffs, rhs in polytope.ns_equality_rows(ext):
-        prog.add_eq(list(coeffs) + [ZERO], rhs)
+    _, n_orbits, rows = _orbit_rows(ExtensionProblem(make_isotropic(0), "B", 2))
+    prog = lp.LinearProgram(n_orbits + 1)
+    prog.set_objective([ZERO] * n_orbits + [ONE])
+    prog.set_bounds(n_orbits, ZERO, ONE)
+    for coeffs, rhs, entry in rows:
+        slope = rhs - pr.prob(*entry) if entry else ZERO
+        prog.add_eq(coeffs + [slope], rhs)
     return prog
 
 
-def isotropic_clone_ceiling(bisection_steps: int = 10) -> Fraction:
+def isotropic_clone_ceiling() -> Fraction:
     """Largest C for which isotropic-C is 2-shareable toward Bob.
 
-    Rational bisection brackets the threshold, the simplest rational in
-    the bracket is the candidate, and one parametric LP (maximize C over
-    valid extensions with C at least the candidate) confirms it exactly.
+    One exact LP over the orbit variables of the 2-extension plus C
+    itself, maximizing C; its dual certificate proves no larger C has a
+    symmetric extension, hence (by symmetrization) any extension.
     """
-
-    def feasible(c: Fraction) -> bool:
-        return is_m_shareable(ExtensionProblem(make_isotropic(c), "B", 2)).feasible
-
-    if feasible(ONE):
-        return ONE
-    lo, hi = ZERO, ONE  # feasible, infeasible
-    for _ in range(bisection_steps):
-        mid = (lo + hi) / 2
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    candidate = _simplest_between(lo, hi)
-    if not feasible(candidate):
-        candidate = lo
-    out = lp.solve(_iso_ceiling_lp(candidate))
-    assert out.status == lp.OPTIMAL and out.value == candidate
-    return candidate
+    out = lp.solve(_iso_ceiling_lp())
+    if out.status != lp.OPTIMAL:
+        raise UnexpectedLpStatus(f"clone ceiling LP ended {out.status}")
+    return out.value
 
 
 def cloning_shrink_factor(c) -> Fraction:

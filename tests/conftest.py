@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from boxlab import bell
+from boxlab import bell, shareability
 from boxlab.core import mix
 
 
@@ -39,3 +39,11 @@ def random_local_box(rng: random.Random, vertices):
         weights[rng.randrange(16)] = 1
         total = 1
     return mix(list(vertices), [Fraction(w, total) for w in weights])
+
+
+def asymmetric_giso(c):
+    """Generalized isotropic 2222 box that swapping A and B changes:
+    biased noise on Alice, uniform noise on Bob."""
+    return shareability.generalized_isotropic(
+        2, c, [Fraction(3, 4), Fraction(1, 4)], [Fraction(1, 2), Fraction(1, 2)]
+    )

@@ -2,9 +2,10 @@
 
 Everything here is deliberately coded from scratch: exact Gaussian
 elimination for vertex enumeration of small LPs, a coordinate
-parametrization of the 2222 nonsignaling polytope, and an alternative
-local-membership formulation.  None of it shares code with the package
-paths it cross-checks.
+parametrization of the 2222 nonsignaling polytope, an alternative
+local-membership formulation, and the symmetric-extension LP over the
+full table with explicit symmetry rows.  None of it shares code with the
+package paths it cross-checks.
 """
 
 from __future__ import annotations
@@ -175,3 +176,86 @@ def local_membership_alternative(box: Box) -> bool:
             prog.add_eq(coeffs, box.table[xi * n_out + oi])
     out = lp.solve(prog)
     return out.status == lp.OPTIMAL
+
+
+def unfolded_extension_lp(base: Box, shared_party: str, m: int) -> lp.LinearProgram:
+    """m-shareability of `base` as an LP over the full (m+1)-party table.
+
+    One variable per table entry, in the package's canonical order
+    (inputs outermost, last party fastest).  Rows: normalization per
+    input tuple, equality under each transposition of two adjacent copies
+    (these generate every copy permutation), the nonsignaling condition of every party (its input leaves the others'
+    marginal unchanged), and one row per copy-marginal entry with the
+    other copies at input 0.  Parties are (A, B copies...) toward B and
+    (A copies..., B) toward A; the base's party 0 is on the lower slot.
+    """
+    X, Y = base.scenario.inputs
+    A, B = base.scenario.outputs
+    if shared_party == "B":
+        ins, outs, fixed, copies = [X] + [Y] * m, [A] + [B] * m, 0, list(range(1, m + 1))
+    else:
+        ins, outs, fixed, copies = [X] * m + [Y], [A] * m + [B], m, list(range(m))
+    n_parties = m + 1
+    in_tuples = list(itertools.product(*(range(v) for v in ins)))
+    out_tuples = list(itertools.product(*(range(v) for v in outs)))
+    index = {}
+    for xs in in_tuples:
+        for os_ in out_tuples:
+            index[os_, xs] = len(index)
+    n = len(index)
+    prog = lp.LinearProgram(n)
+
+    def row_of(cells):
+        row = [ZERO] * n
+        for cell, coeff in cells:
+            row[index[cell]] += coeff
+        return row
+
+    for xs in in_tuples:
+        prog.add_eq(row_of(((os_, xs), ONE) for os_ in out_tuples), ONE)
+
+    def swap(t, i, j):
+        t = list(t)
+        t[i], t[j] = t[j], t[i]
+        return tuple(t)
+
+    for i, j in zip(copies, copies[1:]):
+        for (os_, xs), k in index.items():
+            other = (swap(os_, i, j), swap(xs, i, j))
+            if k < index[other]:
+                prog.add_eq(row_of((((os_, xs), ONE), (other, -ONE))), ZERO)
+
+    for k in range(n_parties):
+        for xs in in_tuples:
+            if xs[k] == 0:
+                continue
+            xs0 = xs[:k] + (0,) + xs[k + 1 :]
+            for os_ in out_tuples:
+                if os_[k] != 0:
+                    continue
+                cells = []
+                for a in range(outs[k]):
+                    o = os_[:k] + (a,) + os_[k + 1 :]
+                    cells.append(((o, xs), ONE))
+                    cells.append(((o, xs0), -ONE))
+                prog.add_eq(row_of(cells), ZERO)
+
+    for slot in copies:
+        lo, hi = sorted((fixed, slot))
+        for x in range(X):
+            for y in range(Y):
+                xs = [0] * n_parties
+                xs[lo], xs[hi] = x, y
+                for a in range(A):
+                    for b in range(B):
+                        cells = [
+                            ((os_, tuple(xs)), ONE)
+                            for os_ in out_tuples
+                            if (os_[lo], os_[hi]) == (a, b)
+                        ]
+                        prog.add_eq(row_of(cells), base.prob((a, b), (x, y)))
+    return prog
+
+
+def unfolded_extension_feasible(base: Box, shared_party: str, m: int) -> bool:
+    return lp.solve(unfolded_extension_lp(base, shared_party, m)).status == lp.OPTIMAL

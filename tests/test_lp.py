@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -157,6 +158,22 @@ class TestCertificateTampering:
         prog, out = self._optimal_outcome()
         tampered = LpOutcome(out.status, out.primal, out.value + 1, out.certificate)
         assert not verify_certificate(prog, tampered)
+
+    @pytest.mark.parametrize("field", ["y_eq", "y_ineq", "y_lb", "y_ub"])
+    def test_wrong_length_multipliers_rejected(self, field):
+        # one row of each family and a finite upper bound, so every
+        # multiplier vector has an entry to drop
+        prog = LinearProgram(2, [1, 1])
+        prog.add_eq([1, -1], 0)
+        prog.add_ineq([1, 2], 4)
+        prog.set_bounds(0, 0, 1)
+        out = solve(prog)
+        assert verify_certificate(prog, out)
+        values = getattr(out.certificate, field)
+        for wrong in (values[:-1], values + (F(0),)):
+            cert = dataclasses.replace(out.certificate, **{field: wrong})
+            tampered = LpOutcome(out.status, out.primal, out.value, cert)
+            assert verify_certificate(prog, tampered) is False
 
 
 def random_small_lp(rng: random.Random):

@@ -25,9 +25,11 @@ from boxlab.shareability import (
     ExtensionTooLarge,
     NotAnExtension,
     NotUniqueMaximizer,
+    UnexpectedLpStatus,
+    _iso_ceiling_lp,
     clone_feasibility,
     cloning_shrink_factor,
-    extension_lp,
+    folded_extension_lp,
     generalized_isotropic,
     generalized_pr,
     infinite_shareability_extension,
@@ -41,7 +43,8 @@ from boxlab.shareability import (
     unique_violator_decoupling,
     validate_extension,
 )
-from conftest import random_local_box
+from conftest import asymmetric_giso, random_local_box, random_ns_box
+from oracles import unfolded_extension_feasible
 
 SC22 = Scenario((2, 2), (2, 2))
 
@@ -58,7 +61,7 @@ class TestShareability:
         witness = is_m_shareable(problem)
         assert not witness.feasible
         outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=witness.certificate)
-        assert lp.verify_certificate(extension_lp(problem), outcome)
+        assert lp.verify_certificate(folded_extension_lp(problem)[0], outcome)
 
     def test_product_box_any_m(self):
         box = uniform_box(SC22)
@@ -88,6 +91,58 @@ class TestShareability:
         with pytest.raises(NotAnExtension):
             validate_extension(
                 ExtensionProblem(make_isotropic(F(1, 4)), "B", 2), w.extension
+            )
+
+    def test_unexpected_lp_status_raises(self, monkeypatch):
+        monkeypatch.setattr(lp, "solve", lambda prog: lp.LpOutcome(lp.UNBOUNDED))
+        with pytest.raises(UnexpectedLpStatus):
+            is_m_shareable(ExtensionProblem(make_isotropic(F(1, 2)), "B", 2))
+        with pytest.raises(UnexpectedLpStatus):
+            isotropic_clone_ceiling()
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_feasibility_matches_unfolded_oracle(self, ns_vertices, m):
+        # the oracle's full-table LP has 256 columns at m = 3 and takes
+        # seconds per solve, so m = 3 checks one box toward each party
+        rng = random.Random(97)
+        boxes = [
+            random_ns_box(rng, ns_vertices, nonlocal_bias=(i % 2) * 60)
+            for i in range(6)
+        ]
+        if m < 3:
+            cases = [(box, party) for box in boxes for party in "AB"]
+        else:
+            cases = [(boxes[1], "A"), (boxes[0], "B")]
+        verdicts = set()
+        for box, party in cases:
+            feasible = is_m_shareable(ExtensionProblem(box, party, m)).feasible
+            assert feasible == unfolded_extension_feasible(box, party, m)
+            verdicts.add(feasible)
+        # every NS box is its own 1-extension; from m = 2 = |Y| on the
+        # sample holds local (shareable) and nonlocal boxes
+        assert verdicts == ({True} if m == 1 else {True, False})
+
+
+class TestSharedPartyA:
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_asymmetric_box_toward_a(self, m):
+        box = asymmetric_giso(F(2, 5))
+        problem = ExtensionProblem(box, "A", m)
+        witness = is_m_shareable(problem)
+        assert witness.feasible
+        validate_extension(problem, witness.extension)
+        assert marginal(witness.extension, (0, m)) == box
+
+    @pytest.mark.parametrize("c", [F(2, 5), F(3, 5)])
+    def test_toward_a_equals_toward_b_of_swapped(self, c):
+        box = asymmetric_giso(c)
+        toward_a = is_m_shareable(ExtensionProblem(box, "A", 2))
+        toward_b = is_m_shareable(ExtensionProblem(permute_parties(box, (1, 0)), "B", 2))
+        assert toward_a.feasible == toward_b.feasible == (c <= F(1, 2))
+        if toward_a.feasible:
+            swapped = permute_parties(toward_a.extension, (2, 0, 1))
+            validate_extension(
+                ExtensionProblem(permute_parties(box, (1, 0)), "B", 2), swapped
             )
 
 
@@ -176,8 +231,23 @@ class TestCloning:
         ext5 = infinite_shareability_extension(is_local(box), 5)
         validate_extension(ExtensionProblem(box, "B", 5), ext5)
 
-    def test_ceiling_is_half(self):
+    def test_ceiling_is_half(self, monkeypatch):
+        # one exact LP decides it, backed by a checkable dual certificate
+        solves = []
+        real_solve = lp.solve
+
+        def counting_solve(prog):
+            solves.append(prog)
+            return real_solve(prog)
+
+        monkeypatch.setattr(lp, "solve", counting_solve)
         assert isotropic_clone_ceiling() == F(1, 2)
+        assert len(solves) == 1
+        prog = _iso_ceiling_lp()
+        out = real_solve(prog)
+        assert out.status == lp.OPTIMAL and out.value == F(1, 2)
+        assert out.certificate.kind == "dual"
+        assert lp.verify_certificate(prog, out)
 
     def test_shrink_factor(self):
         assert cloning_shrink_factor(F(3, 4)) == F(2, 3)
