@@ -19,6 +19,7 @@ C as one more column.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +47,7 @@ from .locality import LocalModel
 from .polytope import DeterministicStrategy
 
 EXTENSION_SIZE_CAP = 100_000
+CANONICAL_SEARCH_CAP = 10_000
 
 
 class BadParams(BoxlabError):
@@ -209,15 +211,65 @@ def _orbit_rows(problem: ExtensionProblem):
     return orbit_of, n_orbits, rows
 
 
+def _party_relabelings(inputs: int, outputs: int):
+    """Every local relabeling of one party as (pi, sigma): the relabeled
+    entry (a | x) reads the original entry (sigma[x][a] | pi[x])."""
+    perms = list(itertools.permutations(range(outputs)))
+    for pi in itertools.permutations(range(inputs)):
+        for sigma in itertools.product(perms, repeat=inputs):
+            yield pi, sigma
+
+
+def _canonical_problem(problem: ExtensionProblem):
+    """The same question for the base box's local relabeling with the
+    lexicographically greatest table, and the index in its extension table
+    of every index in this one's.  Relabeling each copy of a party alike
+    maps extensions onto extensions, so the answer is the same, and every
+    relabeling of a box gets one program and the same simplex pivots.
+    Above CANONICAL_SEARCH_CAP relabelings the problem is kept as is."""
+    sc = problem.base.scenario
+    (X, Y), (A, B) = sc.inputs, sc.outputs
+    count = math.factorial(X) * math.factorial(A) ** X * math.factorial(Y) * math.factorial(B) ** Y
+    if count > CANONICAL_SEARCH_CAP:
+        return problem, range(problem.extension_scenario().table_size)
+    table = problem.base.table
+    rank = {v: i for i, v in enumerate(sorted(set(table)))}
+    ranked = [rank[v] for v in table]
+    cells = list(itertools.product(range(X), range(Y), range(A), range(B)))
+    # flat index (x*Y + y)*A*B + a*B + b is one term per party
+    alice = [(g, [g[0][x] * Y * A * B + g[1][x][a] * B for x, _, a, _ in cells])
+             for g in _party_relabelings(X, A)]
+    bob = [(h, [h[0][y] * A * B + h[1][y][b] for _, y, _, b in cells])
+           for h in _party_relabelings(Y, B)]
+    _, ta, tb, g, h = max(
+        (([ranked[i + j] for i, j in zip(ta, tb)], ta, tb, g, h) for g, ta in alice for h, tb in bob),
+        key=lambda c: c[0],
+    )
+    canon = ExtensionProblem(
+        Box(sc, tuple(table[i + j] for i, j in zip(ta, tb))), problem.shared_party, problem.copies
+    )
+    ext = problem.extension_scenario()
+    m = problem.copies
+    per_slot = [g] + [h] * m if problem.shared_party == "B" else [g] * m + [h]
+    index_of = [0] * ext.table_size
+    for i, (xs, outs) in enumerate(itertools.product(ext.input_tuples(), ext.output_tuples())):
+        orig = ext.flat_index([p[1][x][a] for p, x, a in zip(per_slot, xs, outs)],
+                              [p[0][x] for p, x in zip(per_slot, xs)])
+        index_of[orig] = i
+    return canon, index_of
+
+
 def folded_extension_lp(problem: ExtensionProblem):
     """Feasibility LP for a symmetric extension, one variable per orbit
-    (the value every entry of that orbit takes).  Returns (program,
-    orbit index per flat table index)."""
-    orbit_of, n_orbits, rows = _orbit_rows(problem)
+    (the value every entry of that orbit takes).  The rows are those of
+    the base box's canonical relabeling (_canonical_problem).  Returns
+    (program, orbit index per flat table index of this problem)."""
+    canon, index_of = _canonical_problem(problem)
+    orbit_of, n_orbits, rows = _orbit_rows(canon)
     prog = lp.LinearProgram(n_orbits)
     for coeffs, rhs, _ in rows:
         prog.add_eq(coeffs, rhs)
-    return prog, orbit_of
+    return prog, [orbit_of[i] for i in index_of]
 
 
 def validate_extension(problem: ExtensionProblem, extension: Box) -> None:

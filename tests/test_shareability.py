@@ -14,6 +14,7 @@ from boxlab.core import (
     marginal,
     mix,
     permute_parties,
+    relabel,
     uniform_box,
 )
 from boxlab.isotropic import make_isotropic
@@ -26,6 +27,7 @@ from boxlab.shareability import (
     NotAnExtension,
     NotUniqueMaximizer,
     UnexpectedLpStatus,
+    _canonical_problem,
     _iso_ceiling_lp,
     clone_feasibility,
     cloning_shrink_factor,
@@ -144,6 +146,62 @@ class TestSharedPartyA:
             validate_extension(
                 ExtensionProblem(permute_parties(box, (1, 0)), "B", 2), swapped
             )
+
+
+def _random_relabeling(rng: random.Random, sc: Scenario):
+    ins = [tuple(rng.sample(range(x), x)) for x in sc.inputs]
+    outs = [
+        [tuple(rng.sample(range(a), a)) for _ in range(x)]
+        for x, a in zip(sc.inputs, sc.outputs)
+    ]
+    return ins, outs
+
+
+class TestCanonicalRelabeling:
+    @pytest.mark.parametrize(
+        "box, party, m",
+        [
+            (asymmetric_giso(F(2, 5)), "A", 2),
+            (asymmetric_giso(F(3, 5)), "B", 3),
+            (generalized_isotropic(3, F(2, 5)), "B", 2),
+            (generalized_isotropic(3, F(7, 10)), "A", 2),
+        ],
+    )
+    def test_relabelings_share_one_program(self, box, party, m):
+        # every local relabeling of the base box is solved as the same LP,
+        # so its verdict costs the same pivots; the witness still belongs
+        # to the relabeled problem
+        prog, _ = folded_extension_lp(ExtensionProblem(box, party, m))
+        rng = random.Random(11)
+        problems = [
+            ExtensionProblem(relabel(box, *_random_relabeling(rng, box.scenario)), party, m)
+            for _ in range(3)
+        ]
+        for problem in problems:
+            assert folded_extension_lp(problem)[0].eqs == prog.eqs
+        problem = problems[-1]
+        witness = is_m_shareable(problem)
+        if witness.feasible:
+            validate_extension(problem, witness.extension)
+        else:
+            outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=witness.certificate)
+            assert lp.verify_certificate(folded_extension_lp(problem)[0], outcome)
+
+    @pytest.mark.parametrize("c", [F(0), F(1, 2), F(3, 4), F(1)])
+    def test_isotropic_box_is_its_own_canonical_form(self, c):
+        problem = ExtensionProblem(make_isotropic(c), "B", 2)
+        canon, index_of = _canonical_problem(problem)
+        assert canon.base == problem.base
+        assert list(index_of) == list(range(problem.extension_scenario().table_size))
+
+    def test_large_alphabets_keep_their_labels(self):
+        # 4 outputs per party: over a million relabelings, no search
+        box = generalized_isotropic(4, F(1, 2))
+        problem = ExtensionProblem(box, "B", 1)
+        assert _canonical_problem(problem)[0] is problem
+        witness = is_m_shareable(problem)
+        assert witness.feasible
+        assert witness.extension == box
 
 
 class TestLocalModelFromExtension:
