@@ -15,21 +15,19 @@ from fractions import Fraction
 
 from . import lp, polytope
 from .core import (
+    BadParams,
     Box,
     Scenario,
     ScenarioMismatch,
     ZERO,
     ONE,
     box_from_function,
+    ensure,
     relabel,
     uniform_box,
 )
 
 CGLMP_DEFAULT_CAP = 4
-
-
-class BadParams(Exception):
-    pass
 
 
 def scenario_2222() -> Scenario:
@@ -138,7 +136,7 @@ def normalization_bounds(functional: BellFunctional) -> tuple[Fraction, Fraction
         for s in polytope.deterministic_strategies(functional.scenario)
     )
     out = polytope.max_over_ns(functional.scenario, functional.coefficients)
-    assert out.status == lp.OPTIMAL
+    ensure(out.status == lp.OPTIMAL, f"NS maximum LP ended {out.status}")
     return local, out.value + functional.offset
 
 
@@ -202,7 +200,7 @@ def unique_ns_maximizer(functional: BellFunctional):
     sc = functional.scenario
     base = polytope.ns_lp(sc)
     out = polytope.max_over_ns(sc, functional.coefficients)
-    assert out.status == lp.OPTIMAL
+    ensure(out.status == lp.OPTIMAL, f"NS maximum LP ended {out.status}")
     opt = out.value
     face_eq = (list(functional.coefficients), opt)
     point = []
@@ -213,7 +211,10 @@ def unique_ns_maximizer(functional: BellFunctional):
         obj_m = [ZERO] * sc.table_size
         obj_m[i] = -ONE
         lo = polytope.max_over_ns(sc, obj_m, extra_eqs=[face_eq])
-        assert hi.status == lp.OPTIMAL and lo.status == lp.OPTIMAL
+        ensure(
+            hi.status == lp.OPTIMAL and lo.status == lp.OPTIMAL,
+            f"optimal-face LPs ended {hi.status}, {lo.status}",
+        )
         if hi.value != -lo.value:
             return False, None
         point.append(hi.value)
@@ -252,7 +253,7 @@ def canonical_2222(box: Box) -> Box:
         if c.c00 >= 0 and c.c01 >= 0 and c.c10 >= 0:
             if best is None or cand.table < best.table:
                 best = cand
-    assert best is not None  # the sign pattern is always reachable
+    ensure(best is not None, "no relabeling reaches the canonical sign pattern")
     return best
 
 

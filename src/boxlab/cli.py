@@ -3,32 +3,33 @@
 Exit codes follow one contract across subcommands: 0 when the queried
 property holds (or the construction/verification succeeded), 1 when it
 fails or the LP is infeasible, 2 for usage, parse, or I/O errors.
-Reports embed enough certificate material that `boxlab verify` can
-re-check a verdict against the box file without re-running any solver.
+
+Each analysis is one entry of ANALYSES, which holds the function that
+runs it next to the function that re-checks its report; the `analyze`
+choices, box handling and the report's flags block all come from there.
+A report that carries a witness or an LP certificate is re-checked
+against the box file through it, without a solver; the other verdicts
+are recomputed.  `boxlab verify` exits 0 when the report's evidence proves
+its verdict for the box file, 1 when the evidence is wrong or proves
+another verdict, and 2 when the report or its box file is malformed,
+missing or stale.  It never ends in a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import bell, boxio, incompat, isotropic, locality, lp, polytope, shareability
-from .boxio import (
-    ParseError,
-    StaleDigest,
-    decode_box,
-    decode_lp_certificate,
-    encode_box,
-    encode_lp_certificate,
-    format_rational,
-    parse_rational,
-)
-from .core import Box, BoxlabError, Scenario, ZERO, is_nonsignaling
+from .boxio import Fields, ParseError, StaleDigest, format_rational, parse_rational
+from .core import Box, BoxlabError, ZERO, is_nonsignaling
 from .locality import LocalModel, NonlocalityCertificate
-from .polytope import DeterministicStrategy
 
 PROG = "boxlab"
 
@@ -40,50 +41,368 @@ def _rat_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog=PROG,
-        description="exact-rational analysis of nonsignaling correlation boxes",
+@dataclass(frozen=True)
+class Flag:
+    """One `analyze` option; every report stores all of them in "flags"."""
+
+    type: Callable  # int, str or _rat_arg (stored as p/q, or null when unset)
+    default: object
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+FLAGS = {
+    "m": Flag(int, 2, "copies for shareable"),
+    "party": Flag(str, "B", choices=("A", "B")),
+    "y0": Flag(int, 0),
+    "y1": Flag(int, 1),
+    "d": Flag(int, 3, "CGLMP output size"),
+    "epsilon": Flag(_rat_arg, None, "shrink noise p/q"),
+    "beta_grid": Flag(str, "0,1/4,1/2,3/4,1"),
+}
+
+
+def _encode_flag(flag: Flag, value):
+    return format_rational(value) if flag.type is _rat_arg and value is not None else value
+
+
+def _decode_flag(block: Fields, name: str, flag: Flag):
+    if flag.type is int:
+        return block.get(name, int)
+    if flag.type is _rat_arg:
+        return block.rational(name, optional=True)
+    return block.text(name, flag.choices)
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """How `analyze` runs one analysis and how `verify` re-checks its report.
+
+    run(box, flags) returns (exit code, verdict, evidence, lines); the
+    evidence joins the report's top level.  verify(report, box, flags)
+    decodes it and returns the verdict it proves for the box, or None.
+    Both see only the listed flags, plus out_box for transformed boxes.
+    """
+
+    run: Callable
+    verify: Callable
+    needs_box: bool = True
+    flags: tuple[str, ...] = ()
+
+
+def _flag_view(entry: Analysis, values: dict, out_box=None) -> argparse.Namespace:
+    return argparse.Namespace(out_box=out_box, **{k: values[k] for k in entry.flags})
+
+
+# ---------------------------------------------------------------------------
+# analyses: each run next to its verify
+
+
+def _recomputed(run):
+    """Verifier of a verdict that is recomputed from the box."""
+    return lambda report, box, flags: run(box, flags)[1]
+
+
+def _run_ns(box, flags):
+    ok, witness = is_nonsignaling(box, witness=True)
+    verdict = {"nonsignaling": ok}
+    if witness:
+        k, out_ctx, in_ctx, x0, x1, lhs, rhs = witness
+        verdict["witness"] = {
+            "party": k,
+            "other_outputs": list(out_ctx),
+            "other_inputs": list(in_ctx),
+            "inputs_compared": [x0, x1],
+            "traces": [format_rational(lhs), format_rational(rhs)],
+        }
+    lines = [f"nonsignaling: {ok}"]
+    if witness:
+        lines.append(f"violated trace condition: party {witness[0]}, {witness[1:5]}")
+    return (0 if ok else 1), verdict, {}, lines
+
+
+def _local_verdict(result) -> dict:
+    if isinstance(result, LocalModel):
+        return {"local": True, "model_size": len(result.strategies)}
+    return {"local": False, "violation": format_rational(result.violation)}
+
+
+def _run_local(box, flags):
+    result = locality.is_local(box)
+    if isinstance(result, LocalModel):
+        lines = [f"local: model with {len(result.strategies)} strategies"]
+        return 0, _local_verdict(result), {"witness": boxio.encode_local_model(result)}, lines
+    lines = [f"nonlocal: certificate violation {result.violation}"]
+    return 1, _local_verdict(result), {"certificate": boxio.encode_bell_certificate(result)}, lines
+
+
+def _locality_evidence(report: Fields, box: Box):
+    """The report's local model or Bell certificate if it holds for the box, else None."""
+    if "witness" in report:
+        model = boxio.decode_local_model(report.obj("witness", "local_model"), box.scenario)
+        weights = model.weights
+        valid = all(w >= 0 for w in weights) and sum(weights, ZERO) == 1 and model.reconstructs(box)
+        return model if valid else None
+    cert = boxio.decode_bell_certificate(report.obj("certificate", "bell_functional"), box.scenario)
+    f = cert.functional
+    valid = (
+        cert.violation > 0
+        and f.evaluate(box) == cert.violation
+        and all(f.evaluate(s.box()) <= 0 for s in polytope.deterministic_strategies(box.scenario))
     )
+    return cert if valid else None
+
+
+def _verify_local(report, box, flags):
+    result = _locality_evidence(report, box)
+    return None if result is None else _local_verdict(result)
+
+
+def _run_chsh(box, flags):
+    value = bell.chsh(box)
+    return (0 if value <= 0 else 1), {"chsh": format_rational(value)}, {}, [f"chsh = {value}"]
+
+
+def _run_cglmp(box, flags):
+    value = bell.cglmp(flags.d).evaluate(box)
+    verdict = {"d": flags.d, "cglmp": format_rational(value)}
+    return (0 if value <= 0 else 1), verdict, {}, [f"cglmp(d={flags.d}) = {value}"]
+
+
+def _shareable_verdict(flags, feasible: bool) -> dict:
+    folded = shareability.ExtensionWitness.folded
+    return {"m": flags.m, "party": flags.party, "shareable": feasible, "folded": folded}
+
+
+def _run_shareable(box, flags):
+    problem = shareability.ExtensionProblem(box, flags.party, flags.m)
+    witness = shareability.is_m_shareable(problem)
+    verdict = _shareable_verdict(flags, witness.feasible)
+    head = f"{flags.m}-shareable wrt {flags.party}"
+    if witness.feasible:
+        ext = boxio.encode_box(witness.extension)
+        return 0, verdict, {"witness": {"type": "extension_box", "box": ext}}, [f"{head}: yes"]
+    cert = {"type": "farkas", **boxio.encode_lp_certificate(witness.certificate)}
+    return 1, verdict, {"certificate": cert}, [f"{head}: no (Farkas certificate)"]
+
+
+def _verify_shareable(report, box, flags):
+    # the LP for another m can take minutes to build: check the verdict's
+    # copy of the flags before building anything
+    claimed = report.obj("verdict").data
+    if (claimed.get("m"), claimed.get("party")) != (flags.m, flags.party):
+        return None
+    problem = shareability.ExtensionProblem(box, flags.party, flags.m)
+    if "witness" in report:
+        extension = boxio.decode_box(report.obj("witness", "extension_box").obj("box"))
+        try:
+            shareability.validate_extension(problem, extension)
+        except shareability.NotAnExtension:
+            return None
+        return _shareable_verdict(flags, True)
+    cert = boxio.decode_lp_certificate(report.obj("certificate", "farkas"))
+    prog, _ = shareability.folded_extension_lp(problem)
+    if not lp.verify_certificate(prog, lp.LpOutcome(lp.INFEASIBLE, certificate=cert)):
+        return None
+    return _shareable_verdict(flags, False)
+
+
+def _pair(flags) -> incompat.ObservablePair:
+    return incompat.ObservablePair(flags.party, flags.y0, flags.y1)
+
+
+def _incompat_lp(box, flags) -> lp.LinearProgram:
+    return incompat.incompatibility_lp_for(incompat.restrict_to_pair(box, _pair(flags)))
+
+
+def _pair_flags(flags) -> dict:
+    return {"party": flags.party, "y0": flags.y0, "y1": flags.y1}
+
+
+def _incompat_verdict(flags, eta: Fraction) -> dict:
+    return {**_pair_flags(flags), "incompatibility": format_rational(eta), "compatible": eta == 0}
+
+
+def _run_incompat(box, flags):
+    out = lp.solve(_incompat_lp(box, flags))
+    eta = -out.value
+    lines = [f"inc[{flags.y0},{flags.y1}] = {eta}" + (" (compatible)" if eta == 0 else "")]
+    evidence = {"certificate": boxio.encode_lp_outcome(out)}
+    return (0 if eta == 0 else 1), _incompat_verdict(flags, eta), evidence, lines
+
+
+def _verify_incompat(report, box, flags):
+    out = boxio.decode_lp_outcome(report.obj("certificate", "lp_outcome"))
+    if out.status != lp.OPTIMAL or not lp.verify_certificate(_incompat_lp(box, flags), out):
+        return None
+    return _incompat_verdict(flags, -out.value)
+
+
+def _run_entropy(box, flags):
+    report = incompat.entropy_bound_check(box, _pair(flags))
+    verdict = {
+        **_pair_flags(flags),
+        "inc": format_rational(report.inc),
+        "bound": report.bound,
+        "entropy_y0": report.entropy_y0,
+        "entropy_y1": report.entropy_y1,
+        "holds": report.holds,
+    }
+    lines = [
+        f"inc = {report.inc}, h(inc/2) = {report.bound:.6f}",
+        f"H(b{flags.y0}) = {report.entropy_y0:.6f}, H(b{flags.y1}) = {report.entropy_y1:.6f}",
+        f"bound holds: {report.holds}",
+    ]
+    return (0 if report.holds else 1), verdict, {}, lines
+
+
+def _run_secrecy(box, flags):
+    result = locality.secrecy_content(box)
+    verdict = {"contains_secrecy": result.contains_secrecy}
+    if result.contains_secrecy:
+        evidence = {"certificate": boxio.encode_bell_certificate(result.certificate)}
+        return 0, verdict, evidence, ["contains secrecy: yes (nonlocal, Bell certificate attached)"]
+    evidence = {"witness": boxio.encode_local_model(result.local_model)}
+    return 1, verdict, evidence, ["contains secrecy: no (local model attached)"]
+
+
+def _verify_secrecy(report, box, flags):
+    result = _locality_evidence(report, box)
+    if result is None:
+        return None
+    return {"contains_secrecy": isinstance(result, NonlocalityCertificate)}
+
+
+def _transformed(out_box: Box, verdict: dict, lines: list, flags, name: str):
+    if flags.out_box:
+        boxio.write_box(flags.out_box, out_box, name)
+        lines.append(f"wrote {flags.out_box}")
+    return 0, verdict, {"output": {"type": "box", "box": boxio.encode_box(out_box)}}, lines
+
+
+def _verify_output(run):
+    """Verifier of a box transform: the report's output box is the recomputed one."""
+
+    def verify(report, box, flags):
+        claimed = boxio.decode_box(report.obj("output", "box").obj("box"))
+        _, verdict, evidence, _ = run(box, flags)
+        return verdict if boxio.encode_box(claimed) == evidence["output"]["box"] else None
+
+    return verify
+
+
+def _run_depolarize(box, flags):
+    out_box = isotropic.depolarize(box)
+    verdict = {
+        "chsh_before": format_rational(bell.chsh(box)),
+        "chsh_after": format_rational(bell.chsh(out_box)),
+    }
+    lines = [f"depolarized; chsh = {verdict['chsh_after']} (unchanged)"]
+    return _transformed(out_box, verdict, lines, flags, "depolarized")
+
+
+def _run_shrink(box, flags):
+    eps = flags.epsilon if flags.epsilon is not None else Fraction(1, 2)
+    out_box = isotropic.shrink(box, eps)
+    verdict = {
+        "epsilon": format_rational(eps),
+        "parameter_before": format_rational(isotropic.isotropic_parameter(box)),
+        "parameter_after": format_rational(isotropic.isotropic_parameter(out_box)),
+    }
+    lines = [f"shrunk C: {verdict['parameter_before']} -> {verdict['parameter_after']}"]
+    return _transformed(out_box, verdict, lines, flags, "shrunk")
+
+
+def _verify_shrink(report, box, flags):
+    eps = report.obj("verdict").rational("epsilon")
+    # an unset --epsilon means 1/2; reports written before "0" was stored
+    # as such also hold null for --epsilon 0
+    unset = flags.epsilon is None and eps in (0, Fraction(1, 2))
+    if flags.epsilon != eps and not unset:
+        return None
+    return _verify_output(_run_shrink)(report, box, argparse.Namespace(epsilon=eps, out_box=None))
+
+
+def _beta_grid(flags) -> list[Fraction]:
+    return [parse_rational(tok) for tok in flags.beta_grid.split(",")]
+
+
+def _monogamy_verdict(rows) -> dict:
+    grid = [{"beta": format_rational(b), "max_chsh_ac": format_rational(v)} for b, v in rows]
+    return {"grid": grid}
+
+
+def _run_monogamy_scan(box, flags):
+    rows, certificates = [], []
+    for beta in _beta_grid(flags):
+        out = lp.solve(shareability.monogamy_lp(beta))
+        rows.append((beta, out.value - 1))
+        certificates.append({"beta": format_rational(beta), **boxio.encode_lp_outcome(out)})
+    width = max(len(str(b)) for b, _ in rows)
+    lines = [f"{'beta':>{width}}  max chsh(A,C)"]
+    for beta, value in rows:
+        lines.append(f"{str(beta):>{width}}  {value}")
+    return 0, _monogamy_verdict(rows), {"certificates": certificates}, lines
+
+
+def _verify_monogamy_scan(report, box, flags):
+    betas = _beta_grid(flags)
+    claimed = [
+        (entry.rational("beta"), boxio.decode_lp_outcome(entry))
+        for entry in report.objs("certificates", "lp_outcome")
+    ]
+    if [beta for beta, _ in claimed] != betas:
+        return None
+    for beta, out in claimed:
+        prog = shareability.monogamy_lp(beta)
+        if out.status != lp.OPTIMAL or not lp.verify_certificate(prog, out):
+            return None
+    return _monogamy_verdict([(beta, out.value - 1) for beta, out in claimed])
+
+
+ANALYSES = {
+    "ns": Analysis(_run_ns, _recomputed(_run_ns)),
+    "local": Analysis(_run_local, _verify_local),
+    "chsh": Analysis(_run_chsh, _recomputed(_run_chsh)),
+    "cglmp": Analysis(_run_cglmp, _recomputed(_run_cglmp), flags=("d",)),
+    "shareable": Analysis(_run_shareable, _verify_shareable, flags=("m", "party")),
+    "incompat": Analysis(_run_incompat, _verify_incompat, flags=("party", "y0", "y1")),
+    "entropy": Analysis(_run_entropy, _recomputed(_run_entropy), flags=("party", "y0", "y1")),
+    "secrecy": Analysis(_run_secrecy, _verify_secrecy),
+    "depolarize": Analysis(_run_depolarize, _verify_output(_run_depolarize)),
+    "shrink": Analysis(_run_shrink, _verify_shrink, flags=("epsilon",)),
+    "monogamy-scan": Analysis(
+        _run_monogamy_scan, _verify_monogamy_scan, needs_box=False, flags=("beta_grid",)
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# parser and commands
+
+
+def build_parser() -> argparse.ArgumentParser:
+    description = "exact-rational analysis of nonsignaling correlation boxes"
+    parser = argparse.ArgumentParser(prog=PROG, description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     mk = sub.add_parser("make", help="construct a named box and write it out")
     mk.add_argument("kind", choices=["pr", "iso", "gpr", "giso", "polygamy"])
     mk.add_argument("--C", type=_rat_arg, default=None, help="isotropic weight p/q")
     mk.add_argument("--A", type=int, default=2, help="output alphabet size")
-    mk.add_argument(
-        "--pind",
-        default=None,
-        help="comma-separated single-party distribution for giso noise",
-    )
+    pind_help = "comma-separated single-party distribution for giso noise"
+    mk.add_argument("--pind", default=None, help=pind_help)
     mk.add_argument("--name", default=None)
     mk.add_argument("-o", "--output", default=None, help="box file (default stdout)")
 
     an = sub.add_parser("analyze", help="run one analysis on a box file")
-    an.add_argument(
-        "which",
-        choices=[
-            "ns",
-            "local",
-            "chsh",
-            "cglmp",
-            "shareable",
-            "incompat",
-            "entropy",
-            "secrecy",
-            "depolarize",
-            "shrink",
-            "monogamy-scan",
-        ],
-    )
-    an.add_argument("box", nargs="?", help="box file (not used by monogamy-scan)")
-    an.add_argument("--m", type=int, default=2, help="copies for shareable")
-    an.add_argument("--party", choices=["A", "B"], default="B")
-    an.add_argument("--y0", type=int, default=0)
-    an.add_argument("--y1", type=int, default=1)
-    an.add_argument("--d", type=int, default=3, help="CGLMP output size")
-    an.add_argument("--epsilon", type=_rat_arg, default=None, help="shrink noise p/q")
-    an.add_argument("--beta-grid", default="0,1/4,1/2,3/4,1", dest="beta_grid")
+    an.add_argument("which", choices=list(ANALYSES))
+    boxless = ", ".join(name for name, entry in ANALYSES.items() if not entry.needs_box)
+    an.add_argument("box", nargs="?", help=f"box file (not used by {boxless})")
+    for name, flag in FLAGS.items():
+        option = "--" + name.replace("_", "-")
+        an.add_argument(option, dest=name, type=flag.type, default=flag.default,
+                        choices=flag.choices, help=flag.help)
     an.add_argument("-o", "--report", default=None, help="write JSON report here")
     an.add_argument("--out-box", default=None, help="output box file for transforms")
 
@@ -91,72 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("report")
     vf.add_argument("--box", default=None, help="override the box file path")
     return parser
-
-
-# ---------------------------------------------------------------------------
-# witness encoding
-
-
-def _encode_model(model: LocalModel) -> dict:
-    return {
-        "type": "local_model",
-        "tables": [[list(t) for t in s.tables] for s in model.strategies],
-        "weights": [format_rational(w) for w in model.weights],
-    }
-
-
-def _decode_model(data: dict, scenario: Scenario) -> LocalModel:
-    strategies = tuple(
-        DeterministicStrategy(scenario, tuple(tuple(t) for t in tables))
-        for tables in data["tables"]
-    )
-    weights = tuple(parse_rational(t) for t in data["weights"])
-    return LocalModel(scenario, strategies, weights)
-
-
-def _encode_bell_certificate(cert: NonlocalityCertificate) -> dict:
-    f = cert.functional
-    return {
-        "type": "bell_functional",
-        "inputs": list(f.scenario.inputs),
-        "outputs": list(f.scenario.outputs),
-        "coefficients": [format_rational(v) for v in f.coefficients],
-        "offset": format_rational(f.offset),
-        "violation": format_rational(cert.violation),
-    }
-
-
-def _decode_bell_certificate(data: dict) -> NonlocalityCertificate:
-    scenario = Scenario(tuple(data["inputs"]), tuple(data["outputs"]))
-    functional = bell.BellFunctional(
-        scenario,
-        tuple(parse_rational(t) for t in data["coefficients"]),
-        parse_rational(data["offset"]),
-    )
-    return NonlocalityCertificate(functional, parse_rational(data["violation"]))
-
-
-def _encode_outcome(out: lp.LpOutcome) -> dict:
-    return {
-        "type": "lp_outcome",
-        "status": out.status,
-        "primal": [format_rational(v) for v in out.primal] if out.primal else None,
-        "value": format_rational(out.value) if out.value is not None else None,
-        "certificate": encode_lp_certificate(out.certificate),
-    }
-
-
-def _decode_outcome(data: dict) -> lp.LpOutcome:
-    return lp.LpOutcome(
-        data["status"],
-        tuple(parse_rational(t) for t in data["primal"]) if data["primal"] else None,
-        parse_rational(data["value"]) if data["value"] is not None else None,
-        decode_lp_certificate(data["certificate"]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# make
 
 
 def cmd_make(args) -> int:
@@ -186,217 +439,19 @@ def cmd_make(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# analyze
-
-
-def _analysis_ns(box, args):
-    ok, witness = is_nonsignaling(box, witness=True)
-    verdict = {"nonsignaling": ok}
-    if witness:
-        k, out_ctx, in_ctx, x0, x1, lhs, rhs = witness
-        verdict["witness"] = {
-            "party": k,
-            "other_outputs": list(out_ctx),
-            "other_inputs": list(in_ctx),
-            "inputs_compared": [x0, x1],
-            "traces": [format_rational(lhs), format_rational(rhs)],
-        }
-    lines = [f"nonsignaling: {ok}"]
-    if witness:
-        lines.append(f"violated trace condition: party {witness[0]}, {witness[1:5]}")
-    return (0 if ok else 1), verdict, {}, lines
-
-
-def _analysis_local(box, args):
-    result = locality.is_local(box)
-    if isinstance(result, LocalModel):
-        verdict = {"local": True, "model_size": len(result.strategies)}
-        extra = {"witness": _encode_model(result)}
-        lines = [f"local: model with {len(result.strategies)} strategies"]
-        return 0, verdict, extra, lines
-    verdict = {"local": False, "violation": format_rational(result.violation)}
-    extra = {"certificate": _encode_bell_certificate(result)}
-    lines = [f"nonlocal: certificate violation {result.violation}"]
-    return 1, verdict, extra, lines
-
-
-def _analysis_chsh(box, args):
-    value = bell.chsh(box)
-    verdict = {"chsh": format_rational(value)}
-    lines = [f"chsh = {value}"]
-    return (0 if value <= 0 else 1), verdict, {}, lines
-
-
-def _analysis_cglmp(box, args):
-    functional = bell.cglmp(args.d)
-    value = functional.evaluate(box)
-    verdict = {"d": args.d, "cglmp": format_rational(value)}
-    lines = [f"cglmp(d={args.d}) = {value}"]
-    return (0 if value <= 0 else 1), verdict, {}, lines
-
-
-def _analysis_shareable(box, args):
-    problem = shareability.ExtensionProblem(box, args.party, args.m)
-    witness = shareability.is_m_shareable(problem)
-    verdict = {
-        "m": args.m,
-        "party": args.party,
-        "shareable": witness.feasible,
-        "folded": witness.folded,
-    }
-    if witness.feasible:
-        extra = {"witness": {"type": "extension_box", "box": encode_box(witness.extension)}}
-        lines = [f"{args.m}-shareable wrt {args.party}: yes"]
-        return 0, verdict, extra, lines
-    extra = {
-        "certificate": {
-            "type": "farkas",
-            **encode_lp_certificate(witness.certificate),
-        }
-    }
-    lines = [f"{args.m}-shareable wrt {args.party}: no (Farkas certificate)"]
-    return 1, verdict, extra, lines
-
-
-def _analysis_incompat(box, args):
-    pair = incompat.ObservablePair(args.party, args.y0, args.y1)
-    restricted = incompat.restrict_to_pair(box, pair)
-    prog = incompat.incompatibility_lp_for(restricted)
-    out = lp.solve(prog)
-    eta = -out.value
-    verdict = {
-        "party": args.party,
-        "y0": args.y0,
-        "y1": args.y1,
-        "incompatibility": format_rational(eta),
-        "compatible": eta == 0,
-    }
-    extra = {"certificate": _encode_outcome(out)}
-    lines = [f"inc[{args.y0},{args.y1}] = {eta}" + (" (compatible)" if eta == 0 else "")]
-    return (0 if eta == 0 else 1), verdict, extra, lines
-
-
-def _analysis_entropy(box, args):
-    pair = incompat.ObservablePair(args.party, args.y0, args.y1)
-    report = incompat.entropy_bound_check(box, pair)
-    verdict = {
-        "party": args.party,
-        "y0": args.y0,
-        "y1": args.y1,
-        "inc": format_rational(report.inc),
-        "bound": report.bound,
-        "entropy_y0": report.entropy_y0,
-        "entropy_y1": report.entropy_y1,
-        "holds": report.holds,
-    }
-    lines = [
-        f"inc = {report.inc}, h(inc/2) = {report.bound:.6f}",
-        f"H(b{args.y0}) = {report.entropy_y0:.6f}, H(b{args.y1}) = {report.entropy_y1:.6f}",
-        f"bound holds: {report.holds}",
-    ]
-    return (0 if report.holds else 1), verdict, {}, lines
-
-
-def _analysis_secrecy(box, args):
-    verdict_obj = locality.secrecy_content(box)
-    verdict = {"contains_secrecy": verdict_obj.contains_secrecy}
-    if verdict_obj.contains_secrecy:
-        extra = {"certificate": _encode_bell_certificate(verdict_obj.certificate)}
-        lines = ["contains secrecy: yes (nonlocal, Bell certificate attached)"]
-        return 0, verdict, extra, lines
-    extra = {"witness": _encode_model(verdict_obj.local_model)}
-    lines = ["contains secrecy: no (local model attached)"]
-    return 1, verdict, extra, lines
-
-
-def _analysis_depolarize(box, args):
-    out_box = isotropic.depolarize(box)
-    verdict = {
-        "chsh_before": format_rational(bell.chsh(box)),
-        "chsh_after": format_rational(bell.chsh(out_box)),
-    }
-    extra = {"output": {"type": "box", "box": encode_box(out_box)}}
-    lines = [f"depolarized; chsh = {verdict['chsh_after']} (unchanged)"]
-    if args.out_box:
-        boxio.write_box(args.out_box, out_box, "depolarized")
-        lines.append(f"wrote {args.out_box}")
-    return 0, verdict, extra, lines
-
-
-def _analysis_shrink(box, args):
-    eps = args.epsilon if args.epsilon is not None else Fraction(1, 2)
-    out_box = isotropic.shrink(box, eps)
-    verdict = {
-        "epsilon": format_rational(eps),
-        "parameter_before": format_rational(isotropic.isotropic_parameter(box)),
-        "parameter_after": format_rational(isotropic.isotropic_parameter(out_box)),
-    }
-    extra = {"output": {"type": "box", "box": encode_box(out_box)}}
-    lines = [f"shrunk C: {verdict['parameter_before']} -> {verdict['parameter_after']}"]
-    if args.out_box:
-        boxio.write_box(args.out_box, out_box, "shrunk")
-        lines.append(f"wrote {args.out_box}")
-    return 0, verdict, extra, lines
-
-
-def _analysis_monogamy_scan(box, args):
-    betas = [parse_rational(tok) for tok in args.beta_grid.split(",")]
-    rows = []
-    certificates = []
-    for beta in betas:
-        prog = shareability.monogamy_lp(beta)
-        out = lp.solve(prog)
-        value = out.value - 1
-        rows.append((beta, value))
-        certificates.append(
-            {"beta": format_rational(beta), **_encode_outcome(out)}
-        )
-    width = max(len(str(b)) for b, _ in rows)
-    lines = [f"{'beta':>{width}}  max chsh(A,C)"]
-    for beta, value in rows:
-        lines.append(f"{str(beta):>{width}}  {value}")
-    verdict = {
-        "grid": [
-            {"beta": format_rational(b), "max_chsh_ac": format_rational(v)}
-            for b, v in rows
-        ]
-    }
-    return 0, verdict, {"certificates": certificates}, lines
-
-
-_ANALYSES = {
-    "ns": _analysis_ns,
-    "local": _analysis_local,
-    "chsh": _analysis_chsh,
-    "cglmp": _analysis_cglmp,
-    "shareable": _analysis_shareable,
-    "incompat": _analysis_incompat,
-    "entropy": _analysis_entropy,
-    "secrecy": _analysis_secrecy,
-    "depolarize": _analysis_depolarize,
-    "shrink": _analysis_shrink,
-    "monogamy-scan": _analysis_monogamy_scan,
-}
-
-
 def cmd_analyze(args) -> int:
-    needs_box = args.which != "monogamy-scan"
+    entry = ANALYSES[args.which]
     box = None
     box_meta = None
-    if needs_box:
+    if entry.needs_box:
         if not args.box:
             print(f"{PROG}: analyze {args.which} needs a box file", file=sys.stderr)
             return 2
         parsed = boxio.read_box(args.box)
         box = parsed.box
-        box_meta = {
-            "path": args.box,
-            "sha256": boxio.file_digest(args.box),
-            "name": parsed.name,
-        }
+        box_meta = {"path": args.box, "sha256": boxio.file_digest(args.box), "name": parsed.name}
     start = time.monotonic()
-    code, verdict, extra, lines = _ANALYSES[args.which](box, args)
+    code, verdict, evidence, lines = entry.run(box, _flag_view(entry, vars(args), args.out_box))
     elapsed = time.monotonic() - start
     for line in lines:
         print(line)
@@ -405,34 +460,19 @@ def cmd_analyze(args) -> int:
             "command": "analyze",
             "analysis": args.which,
             "box": box_meta,
-            "flags": {
-                "m": args.m,
-                "party": args.party,
-                "y0": args.y0,
-                "y1": args.y1,
-                "d": args.d,
-                "epsilon": format_rational(args.epsilon) if args.epsilon else None,
-                "beta_grid": args.beta_grid,
-            },
+            "flags": {name: _encode_flag(f, getattr(args, name)) for name, f in FLAGS.items()},
             "verdict": verdict,
             "timing_s": round(elapsed, 6),
+            **evidence,
         }
-        report.update(extra)
         boxio.write_report(args.report, report)
         print(f"report: {args.report}")
     return code
 
 
-# ---------------------------------------------------------------------------
-# verify
-
-
-def _locate_box(report: dict, report_path: str, override: str | None) -> str:
+def _locate_box(stored: str, report_path: str, override: str | None) -> str:
     if override:
         return override
-    stored = report.get("box", {}).get("path")
-    if stored is None:
-        raise ParseError("report carries no box reference")
     if os.path.exists(stored):
         return stored
     sibling = os.path.join(os.path.dirname(os.path.abspath(report_path)), stored)
@@ -441,90 +481,49 @@ def _locate_box(report: dict, report_path: str, override: str | None) -> str:
     raise ParseError(f"cannot locate box file {stored!r}")
 
 
-def _verify_local_like(report: dict, box: Box) -> bool:
-    if "witness" in report and report["witness"].get("type") == "local_model":
-        model = _decode_model(report["witness"], box.scenario)
-        if any(w < 0 for w in model.weights) or sum(model.weights, ZERO) != 1:
-            return False
-        return model.reconstructs(box)
-    cert = _decode_bell_certificate(report["certificate"])
-    if cert.functional.evaluate(box) != cert.violation or cert.violation <= 0:
+def _report_box(report: Fields, entry: Analysis, args) -> Box | None:
+    """The box the report was written for, read after checking its digest."""
+    if not entry.needs_box:
+        report.get("box", type(None))
+        return None
+    meta = report.obj("box")
+    stored, digest = meta.text("path"), meta.text("sha256")
+    name = meta.get("name", str, type(None))
+    path = _locate_box(stored, args.report, args.box)
+    if boxio.file_digest(path) != digest:
+        raise StaleDigest(f"box file {path} changed since the report was written")
+    parsed = boxio.read_box(path)
+    if parsed.name != name:
+        raise ParseError(f"report.box.name: {name!r}, but {path} names {parsed.name!r}")
+    return parsed.box
+
+
+def _same(proven, claimed) -> bool:
+    """Equal as JSON values; floats (entropies) within 1e-9."""
+    if type(proven) is not type(claimed):
         return False
-    strategies = polytope.deterministic_strategies(box.scenario)
-    return all(cert.functional.evaluate(s.box()) <= 0 for s in strategies)
-
-
-def _verify_report(report: dict, box: Box | None, args) -> bool:
-    analysis = report["analysis"]
-    flags = report.get("flags", {})
-    verdict = report["verdict"]
-    if analysis == "ns":
-        return is_nonsignaling(box) == verdict["nonsignaling"]
-    if analysis in ("local", "secrecy"):
-        return _verify_local_like(report, box)
-    if analysis == "chsh":
-        return bell.chsh(box) == parse_rational(verdict["chsh"])
-    if analysis == "cglmp":
-        f = bell.cglmp(verdict["d"])
-        return f.evaluate(box) == parse_rational(verdict["cglmp"])
-    if analysis == "shareable":
-        problem = shareability.ExtensionProblem(box, flags["party"], flags["m"])
-        if verdict["shareable"]:
-            ext = decode_box(report["witness"]["box"])
-            try:
-                shareability.validate_extension(problem, ext)
-            except shareability.NotAnExtension:
-                return False
-            return True
-        cert = decode_lp_certificate(report["certificate"])
-        outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=cert)
-        prog, _ = shareability.folded_extension_lp(problem)
-        return lp.verify_certificate(prog, outcome)
-    if analysis == "incompat":
-        pair = incompat.ObservablePair(flags["party"], flags["y0"], flags["y1"])
-        restricted = incompat.restrict_to_pair(box, pair)
-        prog = incompat.incompatibility_lp_for(restricted)
-        outcome = _decode_outcome(report["certificate"])
-        if not lp.verify_certificate(prog, outcome):
+    if isinstance(proven, dict):
+        if proven.keys() != claimed.keys():
             return False
-        return -outcome.value == parse_rational(verdict["incompatibility"])
-    if analysis == "entropy":
-        pair = incompat.ObservablePair(flags["party"], flags["y0"], flags["y1"])
-        rep = incompat.entropy_bound_check(box, pair)
-        return rep.inc == parse_rational(verdict["inc"]) and rep.holds == verdict["holds"]
-    if analysis == "depolarize":
-        out_box = decode_box(report["output"]["box"])
-        return isotropic.depolarize(box) == out_box
-    if analysis == "shrink":
-        eps = parse_rational(verdict["epsilon"])
-        out_box = decode_box(report["output"]["box"])
-        return isotropic.shrink(box, eps) == out_box
-    if analysis == "monogamy-scan":
-        for entry in report["certificates"]:
-            beta = parse_rational(entry["beta"])
-            outcome = _decode_outcome(entry)
-            if not lp.verify_certificate(shareability.monogamy_lp(beta), outcome):
-                return False
-        for entry, cert in zip(report["verdict"]["grid"], report["certificates"]):
-            outcome = _decode_outcome(cert)
-            if outcome.value - 1 != parse_rational(entry["max_chsh_ac"]):
-                return False
-        return True
-    raise ParseError(f"unknown analysis {analysis!r} in report")
+        return all(_same(v, claimed[k]) for k, v in proven.items())
+    if isinstance(proven, list):
+        return len(proven) == len(claimed) and all(map(_same, proven, claimed))
+    if type(proven) is float:
+        return math.isclose(proven, claimed, abs_tol=1e-9)
+    return proven == claimed
 
 
 def cmd_verify(args) -> int:
-    report = boxio.read_report(args.report)
-    box = None
-    if report.get("box") is not None:
-        path = _locate_box(report, args.report, args.box)
-        digest = boxio.file_digest(path)
-        if digest != report["box"]["sha256"]:
-            raise StaleDigest(
-                f"box file {path} changed since the report was written"
-            )
-        box = boxio.read_box(path).box
-    ok = _verify_report(report, box, args)
+    report = Fields(boxio.read_report(args.report), "report")
+    report.text("command", ("analyze",))
+    entry = ANALYSES[report.text("analysis", ANALYSES)]
+    block = report.obj("flags")
+    flags = _flag_view(entry, {name: _decode_flag(block, name, f) for name, f in FLAGS.items()})
+    claimed = report.obj("verdict").data
+    report.get("timing_s", int, float)
+    box = _report_box(report, entry, args)
+    proven = entry.verify(report, box, flags)
+    ok = proven is not None and _same(proven, claimed)
     print("verified" if ok else "verification FAILED")
     return 0 if ok else 1
 
@@ -554,10 +553,7 @@ def main(argv=None) -> int:
         if args.command == "analyze":
             return cmd_analyze(args)
         return cmd_verify(args)
-    except (ParseError, StaleDigest, OSError) as exc:
-        print(f"{PROG}: {exc}", file=sys.stderr)
-        return 2
-    except BoxlabError as exc:
+    except (BoxlabError, OSError) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 2
 

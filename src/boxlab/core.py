@@ -57,6 +57,23 @@ class ScenarioMismatch(BoxlabError):
     pass
 
 
+class BadParams(BoxlabError):
+    """A parameter outside the range a construction or analysis accepts."""
+
+
+class InternalError(BoxlabError):
+    """An exact computation broke a guarantee of its own construction, such
+    as a certificate that fails to re-verify or an LP status that its
+    formulation rules out.  Raised by explicit checks that `python -O`
+    keeps."""
+
+
+def ensure(condition: bool, message: str) -> None:
+    """Raise InternalError(message) unless condition holds."""
+    if not condition:
+        raise InternalError(message)
+
+
 def rat(value) -> Fraction:
     """Exact conversion to Fraction.
 

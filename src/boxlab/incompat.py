@@ -23,6 +23,7 @@ from .core import (
     ScenarioMismatch,
     ZERO,
     ONE,
+    ensure,
     is_nonsignaling,
     marginal,
     permute_parties,
@@ -131,7 +132,7 @@ def is_compatible(box: Box, pair: ObservablePair) -> CompatibilityWitness:
     if out.status == lp.OPTIMAL:
         joint = Box(_joint_scenario(restricted.scenario), tuple(out.primal))
         return CompatibilityWitness(True, joint=joint)
-    assert out.status == lp.INFEASIBLE
+    ensure(out.status == lp.INFEASIBLE, f"compatibility LP ended {out.status}")
     return CompatibilityWitness(False, certificate=out.certificate)
 
 
@@ -192,7 +193,7 @@ def incompatibility(box: Box, pair: ObservablePair) -> IncompatibilityResult:
     sc = restricted.scenario
     nw = _joint_scenario(sc).table_size
     out = lp.solve(incompatibility_lp_for(restricted))
-    assert out.status == lp.OPTIMAL
+    ensure(out.status == lp.OPTIMAL, f"incompatibility LP ended {out.status}")
     eta = -out.value
     w_part = tuple(out.primal[:nw])
     s_part = tuple(out.primal[nw:])

@@ -14,10 +14,12 @@ from fractions import Fraction
 
 from .bell import correlators, pr_box, scenario_2222
 from .core import (
+    BadParams,
     Box,
     BoxlabError,
     ScenarioMismatch,
     ZERO,
+    ensure,
     mix,
     rat,
     relabel,
@@ -28,10 +30,6 @@ _ID2 = (0, 1)
 _SW2 = (1, 0)
 
 
-class BadParam(BoxlabError):
-    pass
-
-
 class NotIsotropic(BoxlabError):
     pass
 
@@ -40,7 +38,7 @@ def make_isotropic(c) -> Box:
     """C * PR + (1 - C) * uniform noise; C = 1 is the PR box itself."""
     c = rat(c)
     if not 0 <= c <= 1:
-        raise BadParam(f"isotropic parameter must be in [0, 1], got {c}")
+        raise BadParams(f"isotropic parameter must be in [0, 1], got {c}")
     return mix([pr_box(), uniform_box(scenario_2222())], [c, 1 - c])
 
 
@@ -110,7 +108,7 @@ def shrink(box: Box, eps) -> Box:
     coin; sends isotropic C to isotropic (1 - eps) C."""
     eps = rat(eps)
     if not 0 <= eps <= 1:
-        raise BadParam(f"shrink noise must be in [0, 1], got {eps}")
+        raise BadParams(f"shrink noise must be in [0, 1], got {eps}")
     if not is_isotropic(box):
         raise NotIsotropic("shrink expects an isotropic box")
     half = Fraction(1, 2)
@@ -121,7 +119,10 @@ def shrink(box: Box, eps) -> Box:
             bob_sum = box.prob((a, 0), xs) + box.prob((a, 1), xs)
             table.append((1 - eps) * box.prob(outs, xs) + eps * half * bob_sum)
     out = Box(box.scenario, tuple(table))
-    assert isotropic_parameter(out) == (1 - eps) * isotropic_parameter(box)
+    ensure(
+        isotropic_parameter(out) == (1 - eps) * isotropic_parameter(box),
+        "shrinking did not scale the isotropic parameter by 1 - eps",
+    )
     return out
 
 

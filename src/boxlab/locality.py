@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import lp, polytope
 from .bell import BellFunctional, normalize
 from .core import (
+    BadParams,
     Box,
     BoxlabError,
     Scenario,
@@ -25,6 +26,7 @@ from .core import (
     SignalingBox,
     ZERO,
     ONE,
+    ensure,
     is_nonsignaling,
 )
 from .polytope import DeterministicStrategy
@@ -44,7 +46,16 @@ class ModelMismatch(BoxlabError):
 def strategy_cap(explicit: int | None = None) -> int:
     if explicit is not None:
         return explicit
-    return int(os.environ.get(STRATEGY_CAP_ENV, DEFAULT_STRATEGY_CAP))
+    text = os.environ.get(STRATEGY_CAP_ENV)
+    if text is None:
+        return DEFAULT_STRATEGY_CAP
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise BadParams(f"{STRATEGY_CAP_ENV} must be a positive integer, got {text!r}")
+    return cap
 
 
 @dataclass(frozen=True)
@@ -124,15 +135,15 @@ def is_local(box: Box, cap: int | None = None) -> LocalModel | NonlocalityCertif
             tuple(s for s, _ in pairs),
             tuple(w for _, w in pairs),
         )
-        assert model.reconstructs(box)
+        ensure(model.reconstructs(box), "local model does not reconstruct the box")
         return model
-    assert out.status == lp.INFEASIBLE
+    ensure(out.status == lp.INFEASIBLE, f"membership LP ended {out.status}")
     raw = BellFunctional(
         box.scenario, tuple(-y for y in out.certificate.y_eq), ZERO
     )
     functional = normalize(raw)
     violation = functional.evaluate(box)
-    assert violation > 0
+    ensure(violation > 0, "Bell functional from the Farkas vector is not violated")
     return NonlocalityCertificate(functional, violation)
 
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .core import BoxlabError, ensure
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -32,11 +34,11 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-class DimensionMismatch(Exception):
+class DimensionMismatch(BoxlabError):
     pass
 
 
-class LpFormatError(Exception):
+class LpFormatError(BoxlabError):
     pass
 
 
@@ -363,7 +365,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
                 tuple(y_ub),
             )
             out = LpOutcome(INFEASIBLE, certificate=cert)
-            assert verify_certificate(lp, out)
+            ensure(verify_certificate(lp, out), "bound-conflict certificate fails to verify")
             return out
 
     st = _standardize(lp)
@@ -378,14 +380,14 @@ def solve(lp: LinearProgram) -> LpOutcome:
             cost1[j] = -ONE
         costrow = _reduced_costs(rows, basis, cost1)
         status = _run_simplex(rows, costrow, basis, banned=set())
-        assert status == OPTIMAL  # phase 1 objective is bounded above by 0
+        ensure(status == OPTIMAL, f"phase 1 ended {status}; its objective is bounded by 0")
         if costrow[-1] != 0:  # max of -sum(artificials) is negative
             y = _row_multipliers(st, rows, basis, cost1)
             cert_rows = _partial_rows(lp, st, y)
             alpha = _column_products(lp, cert_rows)
             cert = _assemble_certificate(lp, st, "farkas", y, alpha)
             out = LpOutcome(INFEASIBLE, certificate=cert)
-            assert verify_certificate(lp, out)
+            ensure(verify_certificate(lp, out), "Farkas certificate fails to verify")
             return out
         _purge_artificials(st, rows, basis, art_cols)
 
@@ -420,7 +422,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
     alpha = _column_products(lp, cert_rows)
     cert = _assemble_certificate(lp, st, "dual", y, alpha)
     out = LpOutcome(OPTIMAL, tuple(primal), value, cert)
-    assert verify_certificate(lp, out)
+    ensure(verify_certificate(lp, out), "optimal solution and dual certificate fail to verify")
     return out
 
 

@@ -26,6 +26,7 @@ from fractions import Fraction
 from . import lp, polytope
 from .bell import BellFunctional, chsh_functional, unique_ns_maximizer
 from .core import (
+    BadParams,
     Box,
     BoxlabError,
     Scenario,
@@ -33,6 +34,7 @@ from .core import (
     ZERO,
     ONE,
     box_from_function,
+    ensure,
     is_nonsignaling,
     marginal,
     mix,
@@ -50,10 +52,6 @@ EXTENSION_SIZE_CAP = 100_000
 CANONICAL_SEARCH_CAP = 10_000
 
 
-class BadParams(BoxlabError):
-    pass
-
-
 class ExtensionTooLarge(BoxlabError):
     pass
 
@@ -64,10 +62,6 @@ class NotAnExtension(BoxlabError):
 
 class NotUniqueMaximizer(BoxlabError):
     pass
-
-
-class UnexpectedLpStatus(BoxlabError):
-    """An exact LP ended in a status its formulation rules out."""
 
 
 @dataclass(frozen=True)
@@ -310,8 +304,7 @@ def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
         ext = validate_box(table, problem.extension_scenario())
         validate_extension(problem, ext)
         return ExtensionWitness(True, extension=ext)
-    if out.status != lp.INFEASIBLE:
-        raise UnexpectedLpStatus(f"extension feasibility LP ended {out.status}")
+    ensure(out.status == lp.INFEASIBLE, f"extension feasibility LP ended {out.status}")
     return ExtensionWitness(False, certificate=out.certificate)
 
 
@@ -346,7 +339,7 @@ def local_model_from_extension(
     y_values[i]; the shared party answers deterministically from it, the
     other party answers with the conditional read off the extension,
     refined into deterministic strategies.  Reconstruction of the
-    restricted box (inputs sorted(set(y_values))) is exact and asserted.
+    restricted box (inputs sorted(set(y_values))) is exact and checked.
     """
     validate_extension(problem, extension)
     if problem.shared_party == "A":
@@ -409,7 +402,7 @@ def local_model_from_extension(
                 )
                 weights.append(wf)
     model = LocalModel(restricted.scenario, tuple(strategies), tuple(weights))
-    assert model.reconstructs(restricted)
+    ensure(model.reconstructs(restricted), "local model does not reconstruct the box")
     return model
 
 
@@ -465,8 +458,7 @@ def isotropic_clone_ceiling() -> Fraction:
     symmetric extension, hence (by symmetrization) any extension.
     """
     out = lp.solve(_iso_ceiling_lp())
-    if out.status != lp.OPTIMAL:
-        raise UnexpectedLpStatus(f"clone ceiling LP ended {out.status}")
+    ensure(out.status == lp.OPTIMAL, f"clone ceiling LP ended {out.status}")
     return out.value
 
 
@@ -528,7 +520,7 @@ def monogamy_tradeoff(beta) -> Fraction:
     """Largest CHSH(A,C) over tripartite binary nonsignaling boxes whose
     CHSH(A,B) is at least beta; at most 0 whenever beta is positive."""
     out = lp.solve(monogamy_lp(beta))
-    assert out.status == lp.OPTIMAL
+    ensure(out.status == lp.OPTIMAL, f"monogamy LP ended {out.status}")
     return out.value - 1
 
 
@@ -554,7 +546,10 @@ def unique_violator_decoupling(
     lo = polytope.max_over_ns(
         sc3, [-v for v in ac], extra_eqs=[(ab, ONE - f.offset)]
     )
-    assert hi.status == lp.OPTIMAL and lo.status == lp.OPTIMAL
+    ensure(
+        hi.status == lp.OPTIMAL and lo.status == lp.OPTIMAL,
+        f"decoupling LPs ended {hi.status}, {lo.status}",
+    )
     return hi.value + g.offset, -lo.value + g.offset
 
 

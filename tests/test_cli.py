@@ -1,8 +1,10 @@
 """The boxlab command line, run in process through cli.main."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from boxlab import boxio, cli, lp
 from conftest import asymmetric_giso
@@ -98,3 +100,152 @@ def test_unfolded_certificate_report_fails(tmp_path):
 
     rewrite(report, to_unfolded)
     assert run("verify", report) == 1
+
+
+# ---------------------------------------------------------------------------
+# every registered analysis over a small corpus, honest and tampered
+
+CORPUS = {
+    "pr": ["pr"],
+    "iso-1/2": ["iso", "--C", "1/2"],
+    "iso-3/4": ["iso", "--C", "3/4"],
+    "gpr-3": ["gpr", "--A", "3"],
+}
+
+
+@pytest.fixture(scope="session")
+def corpus(tmp_path_factory):
+    """(directory, {(box, analysis): report}) for every registered analysis
+    that applies to each corpus box, each report verified with exit 0.
+    Box files are referred to by absolute path."""
+    root = tmp_path_factory.mktemp("corpus")
+    reports = {}
+    for i, (name, make_args) in enumerate(CORPUS.items()):
+        box = root / f"box{i}.txt"
+        assert run("make", *make_args, "-o", box) == 0
+        for which, entry in cli.ANALYSES.items():
+            if not entry.needs_box and i:
+                continue
+            path = root / f"box{i}-{which}.json"
+            argv = ["analyze", which] + ([box] if entry.needs_box else []) + ["-o", path]
+            if run(*argv) == 2:
+                continue  # the analysis does not apply to this box
+            assert run("verify", path) == 0, (name, which)
+            reports[name, which] = boxio.read_report(path)
+    assert {which for _, which in reports} == set(cli.ANALYSES)
+    return root, reports
+
+
+def verify_tampered(corpus, key, edit) -> int:
+    root, reports = corpus
+    data = json.loads(json.dumps(reports[key]))
+    edit(data)
+    path = root / "tampered.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return run("verify", path)
+
+
+def json_paths(node, prefix=()):
+    """The path of every object member and list item in a JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from json_paths(v, prefix + (k,))
+
+
+def edit_at(path, value=None, delete=False):
+    def edit(data):
+        node = data
+        for k in path[:-1]:
+            node = node[k]
+        if delete:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value(node[path[-1]]) if callable(value) else value
+
+    return edit
+
+
+def bump(text):
+    return str(F(text) + 1)
+
+
+@pytest.mark.parametrize(
+    "key, edit, code",
+    [
+        (("iso-3/4", "shareable"), edit_at(["verdict"], delete=True), 2),
+        (("iso-3/4", "shareable"), edit_at(["flags"], delete=True), 2),
+        (("iso-3/4", "shareable"), edit_at(["certificate"], delete=True), 2),
+        (("pr", "chsh"), edit_at(["box"], delete=True), 2),
+        (("iso-1/2", "local"), edit_at(["witness", "tables", 0, 1, 0], 2), 2),
+        (("iso-1/2", "shareable"), edit_at(["flags", "m"], "2"), 2),
+        (("iso-3/4", "shareable"), edit_at(["certificate", "y_eq"], None), 2),
+        (("pr", "chsh"), edit_at(["analysis"], "bogus"), 2),
+        (("iso-1/2", "local"), edit_at(["witness", "weights", 0], bump), 1),
+        (("iso-3/4", "local"), edit_at(["certificate", "violation"], bump), 1),
+        (("gpr-3", "cglmp"), edit_at(["verdict", "d"], 4), 1),
+        (("pr", "monogamy-scan"), edit_at(["certificates", 1, "beta"], "1/8"), 1),
+    ],
+    ids=[
+        "deleted-verdict",
+        "deleted-flags",
+        "deleted-certificate",
+        "deleted-box",
+        "strategy-output-out-of-range",
+        "m-as-string",
+        "y_eq-null",
+        "unknown-analysis",
+        "bumped-weight",
+        "bumped-violation",
+        "verdict-d-differs-from-flag",
+        "certificate-beta-off-grid",
+    ],
+)
+def test_tampered_report_exit_code(corpus, key, edit, code):
+    assert verify_tampered(corpus, key, edit) == code
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_any_single_tamper_exits_1_or_2(corpus, data):
+    _, reports = corpus
+    key = data.draw(st.sampled_from(sorted(reports)), label="report")
+    report = reports[key]
+    path = data.draw(st.sampled_from(list(json_paths(report))), label="path")
+    op = data.draw(st.sampled_from(["delete", None, "x", 7, []]), label="op")
+    if op != "delete":
+        node = report
+        for k in path:
+            node = node[k]
+        assume(not (type(node) is type(op) and node == op))
+    edit = edit_at(path, delete=True) if op == "delete" else edit_at(path, op)
+    code = verify_tampered(corpus, key, edit)
+    # a wall time, and the flags an analysis does not read, may take any
+    # valid value without changing what the report claims
+    unread = path[0] == "flags" and len(path) == 2 and path[1] not in cli.ANALYSES[key[1]].flags
+    assert code in ((0, 1, 2) if path == ("timing_s",) or unread else (1, 2))
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[]", b"{}"])
+def test_unreadable_report_exits_2(tmp_path, content):
+    report = tmp_path / "report.json"
+    report.write_bytes(content)
+    assert run("verify", report) == 2
+
+
+def test_bad_cglmp_size_exits_2(tmp_path):
+    box = tmp_path / "box.txt"
+    assert run("make", "gpr", "--A", "5", "-o", box) == 0
+    assert run("analyze", "cglmp", box, "--d", "5") == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_strategy_cap_exits_2(tmp_path, monkeypatch, capsys, value):
+    box = tmp_path / "box.txt"
+    assert run("make", "pr", "-o", box) == 0
+    monkeypatch.setenv("BOXLAB_STRATEGY_CAP", value)
+    assert run("analyze", "local", box) == 2
+    assert "BOXLAB_STRATEGY_CAP" in capsys.readouterr().err

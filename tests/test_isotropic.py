@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from boxlab import bell
 from boxlab.bell import chsh, correlators, pr_box
+from boxlab.core import BadParams as BadParam
 from boxlab.core import Scenario, ScenarioMismatch, marginal, mix, uniform_box
 from boxlab.isotropic import (
-    BadParam,
     NotIsotropic,
     depolarize,
     equalize,

@@ -5,6 +5,7 @@ import pytest
 
 from boxlab import bell, lp
 from boxlab.bell import BellFunctional, chsh, chsh_functional, pr_box
+from boxlab.core import InternalError as UnexpectedLpStatus
 from boxlab.core import (
     Scenario,
     ScenarioMismatch,
@@ -26,7 +27,6 @@ from boxlab.shareability import (
     ExtensionTooLarge,
     NotAnExtension,
     NotUniqueMaximizer,
-    UnexpectedLpStatus,
     _canonical_problem,
     _iso_ceiling_lp,
     clone_feasibility,
