@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bell import BellFunctional
-from .core import Box, BoxlabError, Scenario, validate_box
+from .core import Box, BoxlabError, Scenario, rat, validate_box
 from .locality import LocalModel, NonlocalityCertificate
 from .lp import LpCertificate, LpOutcome
 from .polytope import DeterministicStrategy
@@ -36,8 +36,10 @@ class StaleDigest(BoxlabError):
 
 
 def parse_rational(token: str, line=None) -> Fraction:
+    """The exact value of p/q, an integer or a decimal such as 0.25, read
+    as `core.rat` reads strings (no exponent notation)."""
     try:
-        return Fraction(token)
+        return rat(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"cannot parse rational {token!r}", line) from None
 

@@ -79,13 +79,17 @@ def rat(value) -> Fraction:
 
     Accepts Fraction, int, and strings ("3/4", "0.25"; decimals convert
     exactly).  Floats are rejected: binary floats carry representation
-    error that would silently break the exactness contract.
+    error that would silently break the exactness contract.  Exponent
+    notation raises ValueError, like any malformed string: Fraction would
+    first expand "1e10000000" into a ten-million-digit integer.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation is not accepted: {value!r}")
         return Fraction(value)
     if isinstance(value, float):
         raise TypeError(

@@ -1,10 +1,20 @@
 """Exact linear programming over rationals.
 
-Two-phase primal simplex with Bland's anti-cycling rule on a dense
-Fraction tableau.  Every outcome carries an exactly checkable witness:
-an optimal solve returns the dual multipliers (strong duality holds with
-equality in exact arithmetic), an infeasible solve returns a Farkas
-vector combining the constraints into an impossible 0 <= negative.
+Two-phase primal simplex with Bland's anti-cycling rule.  The tableau
+holds each row, and the cost row, as Python int numerators over one
+positive denominator per row, divided by their common gcd after every
+elimination, so each entry is exactly the rational it stands for and
+Bland's rule sees the same values a Fraction tableau would.  A pivot
+reads the pivot row's nonzero columns once and updates only those in
+every other row; rows turn into Fractions only when the solution and
+the multipliers are read out.
+
+Every outcome carries an exactly checkable witness: an optimal solve
+returns the dual multipliers (strong duality holds with equality in
+exact arithmetic), an infeasible solve returns a Farkas vector
+combining the constraints into an impossible 0 <= negative.
+`verify_certificate` re-checks it in plain Fraction arithmetic against
+the original problem, sharing no code with the tableau.
 
 Problems are stated as
 
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .core import BoxlabError, ensure
@@ -105,74 +116,128 @@ class LpOutcome:
 
 # ---------------------------------------------------------------------------
 # simplex internals
+#
+# A tableau row is a list of int numerators (rhs last) over a positive
+# int denominator kept beside it; (row, den) is always in lowest terms.
 
 
-def _pivot(rows, costrow, basis, pr, pc):
+def _lowest_terms(row, den):
+    if den != 1:
+        g = gcd(den, *row)
+        if g != 1:
+            return [v // g for v in row], den // g
+    return row, den
+
+
+def _int_row(values):
+    """Numerators over one denominator for a sequence of Fractions."""
+    den = lcm(*(v.denominator for v in values if v))
+    return _lowest_terms([v.numerator * (den // v.denominator) if v else 0 for v in values], den)
+
+
+def _eliminate(row, den, prow, pden, pc, nz):
+    """row - (row[pc] / den) * prow, where prow has value 1 at pc
+    (prow[pc] == pden) and nz lists its nonzero columns.  Only those
+    columns change, unless the multiplier's denominator forces the whole
+    row onto a larger one.  May update `row` in place."""
+    a = row[pc]
+    if pden != 1:
+        g = gcd(a, pden)
+        if g != pden:
+            scale = pden // g
+            row = [v * scale for v in row]
+            den *= scale
+        a //= g
+    for j in nz:
+        row[j] -= a * prow[j]
+    return _lowest_terms(row, den)
+
+
+def _nonzeros(row):
+    return [j for j, v in enumerate(row) if v]
+
+
+def _pivot(st, pr, pc, cost=True):
+    """Make column pc basic in row pr; `cost=False` leaves the cost row."""
+    rows, dens = st.rows, st.dens
     prow = rows[pr]
-    piv = prow[pc]
-    if piv != 1:
-        prow = [v / piv for v in prow]
+    p = prow[pc]
+    if p != dens[pr]:  # entry is not 1 yet: divide the row by it
+        if p < 0:
+            prow = [-v for v in prow]
+            p = -p
+        g = gcd(*prow)
+        if g != 1:
+            prow = [v // g for v in prow]
+            p //= g
         rows[pr] = prow
+        dens[pr] = p
+    nz = _nonzeros(prow)
     for i, row in enumerate(rows):
-        if i == pr:
-            continue
-        f = row[pc]
-        if f:
-            rows[i] = [a - f * b if b else a for a, b in zip(row, prow)]
-    f = costrow[pc]
-    if f:
-        costrow[:] = [a - f * b if b else a for a, b in zip(costrow, prow)]
-    basis[pr] = pc
+        if i != pr and row[pc]:
+            rows[i], dens[i] = _eliminate(row, dens[i], prow, p, pc, nz)
+    if cost and st.cost[pc]:
+        st.cost, st.cost_den = _eliminate(st.cost, st.cost_den, prow, p, pc, nz)
+    st.basis[pr] = pc
 
 
-def _reduced_costs(rows, basis, cost):
-    """Cost row [reduced costs..., -objective] for the given basis."""
-    costrow = list(cost) + [ZERO]
-    for i, b in enumerate(basis):
-        f = costrow[b]
-        if f:
-            prow = rows[i]
-            costrow[:] = [a - f * p if p else a for a, p in zip(costrow, prow)]
-    return costrow
+def _set_cost(st, cost, cost_den):
+    """Cost row [reduced costs..., -objective] for the current basis, from
+    the cost vector cost / cost_den over all columns."""
+    row, den = _lowest_terms(list(cost) + [0], cost_den)
+    for i, b in enumerate(st.basis):
+        if row[b]:
+            prow = st.rows[i]
+            row, den = _eliminate(row, den, prow, st.dens[i], b, _nonzeros(prow))
+    st.cost, st.cost_den = row, den
 
 
-def _run_simplex(rows, costrow, basis, banned):
+def _run_simplex(st, banned):
     """Bland's rule: smallest eligible entering index, smallest basic
     index among minimal ratios.  Returns "optimal" or "unbounded"."""
-    ncols = len(costrow) - 1
+    rows, basis = st.rows, st.basis
+    ncols = len(st.columns)
     while True:
+        cost = st.cost
         pc = -1
         for j in range(ncols):
-            if costrow[j] > 0 and j not in banned:
+            if cost[j] > 0 and j not in banned:
                 pc = j
                 break
         if pc < 0:
             return OPTIMAL
+        # a row's ratio rhs / entry is the same over its own denominator
         pr = -1
-        best = None
+        best_rhs = best_a = 0
         best_var = -1
         for i, row in enumerate(rows):
             a = row[pc]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < best_var):
-                    pr, best, best_var = i, ratio, basis[i]
+                if pr >= 0:
+                    lhs, rhs = row[-1] * best_a, best_rhs * a
+                    if lhs > rhs or (lhs == rhs and basis[i] > best_var):
+                        continue
+                pr, best_rhs, best_a, best_var = i, row[-1], a, basis[i]
         if pr < 0:
             return UNBOUNDED
-        _pivot(rows, costrow, basis, pr, pc)
+        _pivot(st, pr, pc)
 
 
 @dataclass
 class _Standardized:
-    """z >= 0 form plus the bookkeeping to map witnesses back.
+    """z >= 0 form as an integer tableau, plus the bookkeeping to map
+    witnesses back.
 
     row_kinds / flips / unit_cols are indexed by original row id and never
     shrink; `active` lists the original rows still present in the tableau
-    (redundant equality rows found in phase 1 get dropped).
+    (redundant equality rows found in phase 1 get dropped).  rows, dens
+    and basis run in step over the tableau rows.
     """
 
     columns: list  # ("var", i) | ("neg", i) | ("slack", r) | ("art", r)
-    rows: list  # tableau rows, rhs last
+    rows: list  # int numerators per tableau row, rhs last
+    dens: list  # positive denominator per tableau row
+    basis: list  # basic column per tableau row
     row_kinds: list  # ("eq", j) | ("ineq", j) | ("ub", i)
     flips: list  # +1 / -1 per row
     unit_cols: list  # per original row: column that started as its unit vector
@@ -180,6 +245,8 @@ class _Standardized:
     var_cols: list  # per original var: ("single", col) | ("split", pos, neg)
     n_struct: int
     active: list = field(default_factory=list)
+    cost: list = field(default_factory=list)  # cost row numerators, -objective last
+    cost_den: int = 1
 
 
 def _standardize(lp: LinearProgram) -> _Standardized:
@@ -199,37 +266,19 @@ def _standardize(lp: LinearProgram) -> _Standardized:
             columns.append(("var", i))
             shift.append(lb)
 
-    raw_rows = []  # (dense z-coeffs, rhs, kind)
+    raw_rows = []  # (nonzero (var, coeff) terms, rhs after shifting, kind)
 
-    def z_coeffs(coeffs):
-        row = [ZERO] * len(columns)
-        off = ZERO
-        for i, c in enumerate(coeffs):
-            if not c:
-                continue
-            spec = var_cols[i]
-            if spec[0] == "single":
-                row[spec[1]] = c
-            else:
-                row[spec[1]] = c
-                row[spec[2]] = -c
-            off += c * shift[i]
-        return row, off
+    def add_row(terms, rhs, kind):
+        off = sum((c * shift[i] for i, c in terms if shift[i]), ZERO)
+        raw_rows.append((terms, rhs - off, kind))
 
     for j, (coeffs, rhs) in enumerate(lp.eqs):
-        row, off = z_coeffs(coeffs)
-        raw_rows.append((row, rhs - off, ("eq", j)))
+        add_row([(i, c) for i, c in enumerate(coeffs) if c], rhs, ("eq", j))
     for j, (coeffs, rhs) in enumerate(lp.ineqs):
-        row, off = z_coeffs(coeffs)
-        raw_rows.append((row, rhs - off, ("ineq", j)))
+        add_row([(i, c) for i, c in enumerate(coeffs) if c], rhs, ("ineq", j))
     for i in range(nv):
-        ub = lp.upper[i]
-        if ub is None:
-            continue
-        unit = [ZERO] * nv
-        unit[i] = ONE
-        row, off = z_coeffs(unit)
-        raw_rows.append((row, ub - off, ("ub", i)))
+        if lp.upper[i] is not None:
+            add_row([(i, ONE)], lp.upper[i], ("ub", i))
 
     n_struct = len(columns)
     m = len(raw_rows)
@@ -239,72 +288,71 @@ def _standardize(lp: LinearProgram) -> _Standardized:
         if kind[0] != "eq":
             slack_col[r] = len(columns)
             columns.append(("slack", r))
-    n_with_slack = len(columns)
+    flips = [-1 if rhs < 0 else 1 for _, rhs, _ in raw_rows]
+    # initial basis: feasible slacks where possible, artificials elsewhere
+    basis = []
+    for r in range(m):
+        if r in slack_col and flips[r] > 0:
+            basis.append(slack_col[r])
+        else:
+            basis.append(len(columns))
+            columns.append(("art", r))
 
     rows = []
-    flips = []
-    kinds = []
-    for r, (row, rhs, kind) in enumerate(raw_rows):
-        flip = -1 if rhs < 0 else 1
-        full = row + [ZERO] * (n_with_slack - n_struct)
+    dens = []
+    for r, (terms, rhs, _) in enumerate(raw_rows):
+        flip = flips[r]
+        den = lcm(rhs.denominator, *(c.denominator for _, c in terms))
+        full = [0] * (len(columns) + 1)
+        for i, c in terms:
+            v = flip * c.numerator * (den // c.denominator)
+            spec = var_cols[i]
+            full[spec[1]] = v
+            if spec[0] == "split":
+                full[spec[2]] = -v
         if r in slack_col:
-            full[slack_col[r]] = ONE
-        if flip < 0:
-            full = [-v for v in full]
-            rhs = -rhs
-        full.append(rhs)
+            full[slack_col[r]] = flip * den
+        if columns[basis[r]][0] == "art":
+            full[basis[r]] = den
+        full[-1] = flip * rhs.numerator * (den // rhs.denominator)
+        full, den = _lowest_terms(full, den)
         rows.append(full)
-        flips.append(flip)
-        kinds.append(kind)
+        dens.append(den)
 
-    st = _Standardized(
+    return _Standardized(
         columns=columns,
         rows=rows,
-        row_kinds=kinds,
+        dens=dens,
+        basis=basis,
+        row_kinds=[kind for _, _, kind in raw_rows],
         flips=flips,
-        unit_cols=[-1] * m,
+        unit_cols=list(basis),
         shift=shift,
         var_cols=var_cols,
         n_struct=n_struct,
+        active=list(range(m)),
     )
-    # initial basis: feasible slacks where possible, artificials elsewhere
-    basis = [-1] * m
-    for r in range(m):
-        if r in slack_col and flips[r] > 0:
-            basis[r] = slack_col[r]
-            st.unit_cols[r] = slack_col[r]
-    for r in range(m):
-        if basis[r] < 0:
-            col = len(st.columns)
-            st.columns.append(("art", r))
-            for rr, row in enumerate(st.rows):
-                row.insert(-1, ONE if rr == r else ZERO)
-            basis[r] = col
-            st.unit_cols[r] = col
-    st.basis = basis  # type: ignore[attr-defined]
-    st.active = list(range(m))
-    return st
 
 
-def _row_multipliers(st: _Standardized, rows, basis, cost) -> dict:
-    """y = c_B B^{-1}, keyed by original row id.
+def _multipliers(st: _Standardized, cost, cost_den):
+    """Row multipliers y = c_B B^{-1}, keyed by original row id, and the
+    column products alpha[i] = y . (column of x_i) in the original rows.
 
-    Each active original row contributed one unit column to the original
-    matrix (its artificial, or its slack when that started basic), so the
-    corresponding tableau column holds a column of B^{-1}.
+    The cost row holds c - c_B B^{-1} A, so on column j it reads c_j - y A_j.
+    Each active original row contributed one unit column to A (its
+    artificial, or its slack when that started basic), where y A_j is that
+    row's multiplier.  A variable's first column holds its coefficient in
+    each row times the row's flip, as y holds each multiplier, so the
+    flips cancel in y A_j.  Rows dropped as redundant have no multiplier:
+    their artificial's column stays zero in every remaining row.
     """
-    y = {}
-    cb = [cost[b] if b < len(cost) else ZERO for b in basis]
-    for orig in st.active:
-        uc = st.unit_cols[orig]
-        total = ZERO
-        for k, row in enumerate(rows):
-            if cb[k]:
-                v = row[uc]
-                if v:
-                    total += cb[k] * v
-        y[orig] = total
-    return y
+
+    def y_dot(col):
+        return Fraction(cost[col], cost_den) - Fraction(st.cost[col], st.cost_den)
+
+    y = {orig: y_dot(st.unit_cols[orig]) for orig in st.active}
+    alpha = [y_dot(spec[1]) for spec in st.var_cols]
+    return y, alpha
 
 
 def _assemble_certificate(lp, st, kind, y_by_origrow, alpha) -> LpCertificate:
@@ -345,9 +393,13 @@ def _column_products(lp, cert_rows):
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; the returned certificate always re-verifies.
 
-    Deterministic for identical inputs (fixed construction order and
-    Bland's pivot rule).  Raises no numerical exceptions: every status is
-    decided in exact arithmetic.
+    Runs the simplex on the integer-row tableau described in the module
+    docstring; every entry is the exact rational, so the pivots are those
+    of Bland's rule on the rational tableau.  Deterministic for identical
+    inputs (fixed construction order and Bland's pivot rule).  Raises no
+    numerical exceptions: every status is decided in exact arithmetic,
+    and `verify_certificate` re-checks each outcome in Fractions before
+    it is returned.
     """
     # trivially conflicting bounds need no simplex
     for i in range(lp.num_vars):
@@ -369,29 +421,23 @@ def solve(lp: LinearProgram) -> LpOutcome:
             return out
 
     st = _standardize(lp)
-    rows = st.rows
-    basis = st.basis  # type: ignore[attr-defined]
     ncols = len(st.columns)
     art_cols = {j for j, c in enumerate(st.columns) if c[0] == "art"}
 
     if art_cols:
-        cost1 = [ZERO] * ncols
-        for j in art_cols:
-            cost1[j] = -ONE
-        costrow = _reduced_costs(rows, basis, cost1)
-        status = _run_simplex(rows, costrow, basis, banned=set())
+        cost1 = [-1 if j in art_cols else 0 for j in range(ncols)]
+        _set_cost(st, cost1, 1)
+        status = _run_simplex(st, banned=set())
         ensure(status == OPTIMAL, f"phase 1 ended {status}; its objective is bounded by 0")
-        if costrow[-1] != 0:  # max of -sum(artificials) is negative
-            y = _row_multipliers(st, rows, basis, cost1)
-            cert_rows = _partial_rows(lp, st, y)
-            alpha = _column_products(lp, cert_rows)
+        if st.cost[-1] != 0:  # max of -sum(artificials) is negative
+            y, alpha = _multipliers(st, cost1, 1)
             cert = _assemble_certificate(lp, st, "farkas", y, alpha)
             out = LpOutcome(INFEASIBLE, certificate=cert)
             ensure(verify_certificate(lp, out), "Farkas certificate fails to verify")
             return out
-        _purge_artificials(st, rows, basis, art_cols)
+        _purge_artificials(st, art_cols)
 
-    cost2 = [ZERO] * len(st.columns)
+    cost2 = [ZERO] * ncols
     for i in range(lp.num_vars):
         c = lp.objective[i]
         if not c:
@@ -402,12 +448,13 @@ def solve(lp: LinearProgram) -> LpOutcome:
         else:
             cost2[spec[1]] = c
             cost2[spec[2]] = -c
-    costrow = _reduced_costs(rows, basis, cost2)
-    status = _run_simplex(rows, costrow, basis, banned=art_cols)
+    cost2, cost2_den = _int_row(cost2)
+    _set_cost(st, cost2, cost2_den)
+    status = _run_simplex(st, banned=art_cols)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
 
-    zvals = {b: rows[i][-1] for i, b in enumerate(basis)}
+    zvals = {b: Fraction(row[-1], den) for b, row, den in zip(st.basis, st.rows, st.dens)}
     primal = []
     for i in range(lp.num_vars):
         spec = st.var_cols[i]
@@ -417,9 +464,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
             primal.append(zvals.get(spec[1], ZERO) - zvals.get(spec[2], ZERO))
     value = sum((c * v for c, v in zip(lp.objective, primal) if c), ZERO)
 
-    y = _row_multipliers(st, rows, basis, cost2)
-    cert_rows = _partial_rows(lp, st, y)
-    alpha = _column_products(lp, cert_rows)
+    y, alpha = _multipliers(st, cost2, cost2_den)
     cert = _assemble_certificate(lp, st, "dual", y, alpha)
     out = LpOutcome(OPTIMAL, tuple(primal), value, cert)
     ensure(verify_certificate(lp, out), "optimal solution and dual certificate fail to verify")
@@ -442,26 +487,27 @@ def _partial_rows(lp, st, y_by_origrow):
     return y_eq, y_ineq, y_ub
 
 
-def _purge_artificials(st, rows, basis, art_cols):
+def _purge_artificials(st, art_cols):
     """Pivot basic artificials out after phase 1; a tableau row that is zero
     outside the artificial columns certifies that the original equality row
     owning the basic artificial is implied by the others, so both go."""
     r = 0
-    while r < len(rows):
-        if basis[r] in art_cols:
-            row = rows[r]
+    while r < len(st.rows):
+        if st.basis[r] in art_cols:
+            row = st.rows[r]
             pc = -1
             for j in range(len(st.columns)):
                 if j not in art_cols and row[j]:
                     pc = j
                     break
             if pc >= 0:
-                _pivot(rows, [ZERO] * (len(st.columns) + 1), basis, r, pc)
+                _pivot(st, r, pc, cost=False)
             else:
-                owner = st.columns[basis[r]][1]
+                owner = st.columns[st.basis[r]][1]
                 st.active.remove(owner)
-                del rows[r]
-                del basis[r]
+                del st.rows[r]
+                del st.dens[r]
+                del st.basis[r]
                 continue
         r += 1
 

@@ -464,12 +464,12 @@ def isotropic_clone_ceiling() -> Fraction:
 
 def cloning_shrink_factor(c) -> Fraction:
     """Ratio between the clones' best isotropic parameter and the original:
-    1/(2C), the ceiling divided by the starting parameter."""
+    the computed clone ceiling (1/2) divided by the starting parameter,
+    capped at 1."""
     c = rat(c)
     if not 0 < c <= 1:
         raise BadParams("shrink factor needs C in (0, 1]")
-    ceiling = Fraction(1, 2)
-    return min(ONE, ceiling / c)
+    return min(ONE, isotropic_clone_ceiling() / c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The boxlab command line, run in process through cli.main."""
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -249,3 +250,43 @@ def test_bad_strategy_cap_exits_2(tmp_path, monkeypatch, capsys, value):
     monkeypatch.setenv("BOXLAB_STRATEGY_CAP", value)
     assert run("analyze", "local", box) == 2
     assert "BOXLAB_STRATEGY_CAP" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# one rational grammar: exponent notation is refused before it is expanded
+
+HUGE_EXPONENT = "1e10000000"  # Fraction() spends about 15 s building 10**10000000
+
+
+def promptly(call) -> int:
+    start = time.perf_counter()
+    code = call()
+    assert time.perf_counter() - start < 2.0
+    return code
+
+
+def test_exponent_in_box_table_exits_2(tmp_path):
+    box = tmp_path / "box.txt"
+    assert run("make", "pr", "-o", box) == 0
+    head, table = box.read_text(encoding="utf-8").split("table:\n")
+    _, rest = table.split(" ", 1)
+    box.write_text(f"{head}table:\n{HUGE_EXPONENT} {rest}", encoding="utf-8")
+    assert promptly(lambda: run("analyze", "chsh", box)) == 2
+
+
+def test_exponent_in_report_field_exits_2(corpus):
+    edit = edit_at(["witness", "weights", 0], HUGE_EXPONENT)
+    assert promptly(lambda: verify_tampered(corpus, ("iso-1/2", "local"), edit)) == 2
+
+
+def test_exponent_flag_exits_2(tmp_path, capsys):
+    box = tmp_path / "box.txt"
+    assert run("make", "pr", "-o", box) == 0
+    assert promptly(lambda: run("analyze", "shrink", box, "--epsilon", "1e999999")) == 2
+    assert "1e999999" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token, value", [("3/4", F(3, 4)), ("-2", F(-2)), ("0.25", F(1, 4))])
+def test_rational_flag_grammar(token, value):
+    assert cli._rat_arg(token) == value
+    assert boxio.parse_rational(token) == value

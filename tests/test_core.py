@@ -74,6 +74,11 @@ class TestValidation:
         assert rat("0.5") == F(1, 2)
         assert rat("3/4") == F(3, 4)
 
+    @pytest.mark.parametrize("token", ["1e10000000", "2E-3", "1/1e9"])
+    def test_exponent_notation_rejected(self, token):
+        with pytest.raises(ValueError):
+            rat(token)
+
 
 class TestNonsignaling:
     def test_pr_box(self):

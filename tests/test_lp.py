@@ -206,3 +206,73 @@ def test_random_lps_match_brute_force(seed):
         if status == OPTIMAL:
             assert out.value == value
         assert verify_certificate(prog, out)
+
+
+def random_rational_lp(rng: random.Random):
+    """(program for solve, boxed twin for brute_force_lp) with the same
+    feasible set and objective.
+
+    Coefficients, right-hand sides and bounds are rationals with
+    denominators 2-7, so tableau rows start on different denominators.
+    Some variables are free: in the program they are boxed by two
+    inequality rows instead of bounds, which the twin states as bounds.
+    Equality rows pass through a point whose coordinates often sit on a
+    bound, so phase 1 often ends with an artificial basic at zero; some
+    come again scaled by a negative or positive rational, which the
+    simplex must drop as redundant, while the twin keeps one copy, as
+    vertex enumeration needs.
+    """
+
+    def rat():
+        return F(rng.randrange(-9, 10), rng.randrange(2, 8))
+
+    n = rng.choice([2] * 6 + [3] * 6 + [4] * 3)
+    objective = [rat() for _ in range(n)]
+    prog = LinearProgram(n, objective)
+    twin = LinearProgram(n, objective)
+    point = []
+    for i in range(n):
+        lo = rat()
+        hi = lo + F(rng.randrange(1, 13), rng.randrange(2, 8))
+        point.append(rng.choice([lo, lo, hi, (lo + hi) / 2]))
+        twin.set_bounds(i, lo, hi)
+        if rng.random() < 0.3:
+            prog.set_bounds(i, None, None)
+            unit = [0] * n
+            unit[i] = 1
+            prog.add_ineq(unit, hi)
+            unit[i] = -1
+            prog.add_ineq(unit, -lo)
+        else:
+            prog.set_bounds(i, lo, hi)
+    for _ in range(rng.randrange(1, 4)):
+        coeffs = [rat() if rng.random() < 0.8 else 0 for _ in range(n)]
+        at_point = sum(c * x for c, x in zip(coeffs, point))
+        if rng.random() < 0.4 and n >= 3:
+            rhs = at_point if rng.random() < 0.7 else rat()
+            for target in (prog, twin):
+                target.add_eq(coeffs, rhs)
+            if rng.random() < 0.6:
+                k = rng.choice([F(-1), F(2), F(-3, 5), F(7, 4)])
+                prog.add_eq([k * c for c in coeffs], k * rhs)
+        else:
+            rhs = at_point + rng.choice([0, 0, 1, -1]) * rat()
+            for target in (prog, twin):
+                target.add_ineq(coeffs, rhs)
+    return prog, twin
+
+
+@pytest.mark.parametrize("seed", [303, 404])
+def test_rational_lps_match_brute_force(seed):
+    rng = random.Random(seed)
+    statuses = set()
+    for _ in range(60):
+        prog, twin = random_rational_lp(rng)
+        out = solve(prog)
+        status, value = brute_force_lp(twin)
+        assert out.status == status, f"status mismatch on {prog.__dict__}"
+        if status == OPTIMAL:
+            assert out.value == value
+        assert verify_certificate(prog, out)
+        statuses.add(out.status)
+    assert statuses == {OPTIMAL, INFEASIBLE}
