@@ -24,7 +24,6 @@ from .core import (
     box_from_function,
     ensure,
     relabel,
-    uniform_box,
 )
 
 CGLMP_DEFAULT_CAP = 4
@@ -107,10 +106,6 @@ class BellFunctional:
         return total
 
 
-def evaluate(functional: BellFunctional, box: Box) -> Fraction:
-    return functional.evaluate(box)
-
-
 def chsh_functional() -> BellFunctional:
     """CHSH as an explicit coefficient table with offset -1."""
     sc = scenario_2222()
@@ -135,7 +130,7 @@ def normalization_bounds(functional: BellFunctional) -> tuple[Fraction, Fraction
         functional.evaluate(s.box())
         for s in polytope.deterministic_strategies(functional.scenario)
     )
-    out = polytope.max_over_ns(functional.scenario, functional.coefficients)
+    out = polytope.max_over_ns(functional.scenario, enumerate(functional.coefficients))
     ensure(out.status == lp.OPTIMAL, f"NS maximum LP ended {out.status}")
     return local, out.value + functional.offset
 
@@ -198,19 +193,13 @@ def unique_ns_maximizer(functional: BellFunctional):
     Returns (True, Box) when the face is a point, else (False, None).
     """
     sc = functional.scenario
-    base = polytope.ns_lp(sc)
-    out = polytope.max_over_ns(sc, functional.coefficients)
+    out = polytope.max_over_ns(sc, enumerate(functional.coefficients))
     ensure(out.status == lp.OPTIMAL, f"NS maximum LP ended {out.status}")
-    opt = out.value
-    face_eq = (list(functional.coefficients), opt)
+    face_eq = (list(enumerate(functional.coefficients)), out.value)
     point = []
     for i in range(sc.table_size):
-        obj = [ZERO] * sc.table_size
-        obj[i] = ONE
-        hi = polytope.max_over_ns(sc, obj, extra_eqs=[face_eq])
-        obj_m = [ZERO] * sc.table_size
-        obj_m[i] = -ONE
-        lo = polytope.max_over_ns(sc, obj_m, extra_eqs=[face_eq])
+        hi = polytope.max_over_ns(sc, [(i, ONE)], extra_eqs=[face_eq])
+        lo = polytope.max_over_ns(sc, [(i, -ONE)], extra_eqs=[face_eq])
         ensure(
             hi.status == lp.OPTIMAL and lo.status == lp.OPTIMAL,
             f"optimal-face LPs ended {hi.status}, {lo.status}",
@@ -275,7 +264,3 @@ def ns_vertices_2222() -> tuple[Box, ...]:
                     )
                 )
     return tuple(vertices)
-
-
-def uniform_2222() -> Box:
-    return uniform_box(scenario_2222())

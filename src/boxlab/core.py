@@ -190,10 +190,6 @@ class Box:
     def prob(self, outs: Sequence[int], xs: Sequence[int]) -> Fraction:
         return self.table[self.scenario.flat_index(outs, xs)]
 
-    def __getitem__(self, key) -> Fraction:
-        outs, xs = key
-        return self.prob(outs, xs)
-
 
 def validate_box(table: Iterable, scenario: Scenario) -> Box:
     """Check nonnegativity and exact per-input normalization; return the Box."""

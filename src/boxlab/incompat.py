@@ -21,7 +21,6 @@ from .core import (
     BoxlabError,
     Scenario,
     ScenarioMismatch,
-    ZERO,
     ONE,
     ensure,
     is_nonsignaling,
@@ -85,19 +84,17 @@ def _joint_scenario(restricted: Scenario) -> Scenario:
 
 def _joint_marginal_rows(restricted: Scenario):
     """Rows summing the joint table P'(a,b0,b1|x) down to each slice:
-    yields (row over joint entries, ('y0'|'y1', a, b, x))."""
+    yields ((index, coefficient) pairs over joint entries,
+    ('y0'|'y1', a, b, x))."""
     X = restricted.inputs[0]
     A, B = restricted.outputs
     joint = _joint_scenario(restricted)
     for x in range(X):
         for a in range(A):
             for b in range(B):
-                row0 = [ZERO] * joint.table_size
-                row1 = [ZERO] * joint.table_size
-                for other in range(B):
-                    # summing over b1 leaves the y0 observable, and vice versa
-                    row0[joint.flat_index((a, b, other), (x, 0, 0))] += ONE
-                    row1[joint.flat_index((a, other, b), (x, 0, 0))] += ONE
+                # summing over b1 leaves the y0 observable, and vice versa
+                row0 = [(joint.flat_index((a, b, other), (x, 0, 0)), ONE) for other in range(B)]
+                row1 = [(joint.flat_index((a, other, b), (x, 0, 0)), ONE) for other in range(B)]
                 yield row0, ("y0", a, b, x)
                 yield row1, ("y1", a, b, x)
 
@@ -169,20 +166,15 @@ def incompatibility_lp_for(restricted: Box) -> lp.LinearProgram:
     joint = _joint_scenario(sc)
     nw = joint.table_size
     ns_size = sc.table_size
-    prog = lp.LinearProgram(nw + ns_size)
+    prog = lp.LinearProgram(nw + ns_size, [(nw + oi, -ONE) for oi in range(sc.num_output_tuples)])
     for row, (side, a, b, x) in _joint_marginal_rows(sc):
         y = 0 if side == "y0" else 1
-        full = row + [ZERO] * ns_size
-        full[nw + sc.flat_index((a, b), (x, y))] = ONE
-        prog.add_eq(full, restricted.prob((a, b), (x, y)))
+        s_entry = (nw + sc.flat_index((a, b), (x, y)), ONE)
+        prog.add_eq(row + [s_entry], restricted.prob((a, b), (x, y)))
     for coeffs, rhs in polytope.ns_equality_rows(joint):
-        prog.add_eq(coeffs + [ZERO] * ns_size, rhs)
+        prog.add_eq(coeffs, rhs)
     for coeffs, rhs in polytope.ns_equality_rows(sc):
-        prog.add_eq([ZERO] * nw + coeffs, rhs)
-    obj = [ZERO] * (nw + ns_size)
-    for oi in range(sc.num_output_tuples):
-        obj[nw + oi] = -ONE
-    prog.set_objective(obj)
+        prog.add_eq([(nw + i, c) for i, c in coeffs], rhs)
     return prog
 
 

@@ -99,17 +99,15 @@ class SecrecyVerdict:
 
 def membership_lp(box: Box, strategies) -> lp.LinearProgram:
     """Weights over deterministic strategies matching every table entry."""
-    n = len(strategies)
-    size = box.scenario.table_size
     n_out = box.scenario.num_output_tuples
-    rows = [[ZERO] * n for _ in range(size)]
+    rows = [[] for _ in range(box.scenario.table_size)]
     for e, strat in enumerate(strategies):
         for xi, xs in enumerate(box.scenario.input_tuples()):
             outs = tuple(strat.tables[k][xs[k]] for k in range(box.scenario.parties))
-            rows[xi * n_out + box.scenario.output_index(outs)][e] = ONE
-    prog = lp.LinearProgram(n)
-    for i in range(size):
-        prog.add_eq(rows[i], box.table[i])
+            rows[xi * n_out + box.scenario.output_index(outs)].append((e, ONE))
+    prog = lp.LinearProgram(len(strategies))
+    for row, p in zip(rows, box.table):
+        prog.add_eq(row, p)
     return prog
 
 
@@ -150,21 +148,6 @@ def is_local(box: Box, cap: int | None = None) -> LocalModel | NonlocalityCertif
 def is_deterministic(box: Box) -> bool:
     """True when every conditional distribution is a point mass."""
     return all(v == 0 or v == 1 for v in box.table)
-
-
-def deterministic_box_tables(scenario: Scenario):
-    """All candidate deterministic tables: one output tuple per input tuple.
-    Unlike deterministic strategies these may be signaling."""
-    import itertools
-
-    n_out = scenario.num_output_tuples
-    for choice in itertools.product(
-        range(n_out), repeat=scenario.num_input_tuples
-    ):
-        table = [ZERO] * scenario.table_size
-        for xi, oi in enumerate(choice):
-            table[xi * n_out + oi] = ONE
-        yield Box(scenario, tuple(table))
 
 
 def eve_extension(box: Box, model: LocalModel) -> Box:

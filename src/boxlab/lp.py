@@ -26,6 +26,12 @@ Problems are stated as
 with lower bounds defaulting to 0, None meaning free below / unbounded
 above.  Internally variables are shifted or split to z >= 0, inequalities
 get slacks, and infeasible-start rows get artificial columns.
+
+Rows and the objective are sparse: any iterable of (column, coefficient)
+pairs, so a dense vector goes in as enumerate(vec).  LinearProgram checks
+every column against 0..num_vars-1, sums repeated columns and drops zero
+coefficients; it stores each row as a tuple of (column, Fraction) pairs
+in column order.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional
 
 from .core import BoxlabError, ensure
 
@@ -53,37 +59,36 @@ class LpFormatError(BoxlabError):
     pass
 
 
-def _vec(values, n: int) -> tuple[Fraction, ...]:
-    out = tuple(Fraction(v) for v in values)
-    if len(out) != n:
-        raise DimensionMismatch(f"vector has {len(out)} entries, expected {n}")
-    return out
-
-
 class LinearProgram:
     """Mutable builder for an exact LP; see module docstring for the form."""
 
-    def __init__(self, num_vars: int, objective: Optional[Sequence] = None):
+    def __init__(self, num_vars: int, objective: Iterable = ()):
         if num_vars < 1:
             raise LpFormatError("need at least one variable")
         self.num_vars = num_vars
-        self.objective: tuple[Fraction, ...] = (
-            _vec(objective, num_vars) if objective is not None else (ZERO,) * num_vars
-        )
-        self.eqs: list[tuple[tuple[Fraction, ...], Fraction]] = []
-        self.ineqs: list[tuple[tuple[Fraction, ...], Fraction]] = []
+        self.objective = self._row(objective)
+        self.eqs: list[tuple[tuple[tuple[int, Fraction], ...], Fraction]] = []
+        self.ineqs: list[tuple[tuple[tuple[int, Fraction], ...], Fraction]] = []
         self.lower: list[Optional[Fraction]] = [ZERO] * num_vars
         self.upper: list[Optional[Fraction]] = [None] * num_vars
 
-    def set_objective(self, coeffs: Sequence) -> None:
-        self.objective = _vec(coeffs, self.num_vars)
+    def _row(self, pairs: Iterable) -> tuple[tuple[int, Fraction], ...]:
+        summed: dict[int, Fraction] = {}
+        for col, c in pairs:
+            if not 0 <= col < self.num_vars:
+                raise DimensionMismatch(f"column {col} outside 0..{self.num_vars - 1}")
+            summed[col] = summed.get(col, ZERO) + Fraction(c)
+        return tuple(sorted((col, c) for col, c in summed.items() if c))
 
-    def add_eq(self, coeffs: Sequence, rhs) -> None:
-        self.eqs.append((_vec(coeffs, self.num_vars), Fraction(rhs)))
+    def set_objective(self, pairs: Iterable) -> None:
+        self.objective = self._row(pairs)
 
-    def add_ineq(self, coeffs: Sequence, rhs) -> None:
-        """coeffs . x <= rhs"""
-        self.ineqs.append((_vec(coeffs, self.num_vars), Fraction(rhs)))
+    def add_eq(self, pairs: Iterable, rhs) -> None:
+        self.eqs.append((self._row(pairs), Fraction(rhs)))
+
+    def add_ineq(self, pairs: Iterable, rhs) -> None:
+        """pairs . x <= rhs"""
+        self.ineqs.append((self._row(pairs), Fraction(rhs)))
 
     def set_bounds(self, i: int, lower=ZERO, upper=None) -> None:
         self.lower[i] = None if lower is None else Fraction(lower)
@@ -272,10 +277,10 @@ def _standardize(lp: LinearProgram) -> _Standardized:
         off = sum((c * shift[i] for i, c in terms if shift[i]), ZERO)
         raw_rows.append((terms, rhs - off, kind))
 
-    for j, (coeffs, rhs) in enumerate(lp.eqs):
-        add_row([(i, c) for i, c in enumerate(coeffs) if c], rhs, ("eq", j))
-    for j, (coeffs, rhs) in enumerate(lp.ineqs):
-        add_row([(i, c) for i, c in enumerate(coeffs) if c], rhs, ("ineq", j))
+    for j, (terms, rhs) in enumerate(lp.eqs):
+        add_row(terms, rhs, ("eq", j))
+    for j, (terms, rhs) in enumerate(lp.ineqs):
+        add_row(terms, rhs, ("ineq", j))
     for i in range(nv):
         if lp.upper[i] is not None:
             add_row([(i, ONE)], lp.upper[i], ("ub", i))
@@ -359,13 +364,11 @@ def _assemble_certificate(lp, st, kind, y_by_origrow, alpha) -> LpCertificate:
     """Map internal row multipliers and column products to the original
     constraint families.  alpha[i] is y . (column of x_i)."""
     y_eq, y_ineq, y_ub = _partial_rows(lp, st, y_by_origrow)
-    if kind == "farkas":
-        y_lb = [alpha[i] if lp.lower[i] is not None else ZERO for i in range(lp.num_vars)]
-    else:
-        y_lb = [
-            alpha[i] - lp.objective[i] if lp.lower[i] is not None else ZERO
-            for i in range(lp.num_vars)
-        ]
+    y_lb = list(alpha)
+    if kind == "dual":
+        for i, c in lp.objective:
+            y_lb[i] -= c
+    y_lb = [v if lp.lower[i] is not None else ZERO for i, v in enumerate(y_lb)]
     return LpCertificate(kind, tuple(y_eq), tuple(y_ineq), tuple(y_lb), tuple(y_ub))
 
 
@@ -374,16 +377,14 @@ def _column_products(lp, cert_rows):
     original-space multipliers (eq/ineq/ub families)."""
     y_eq, y_ineq, y_ub = cert_rows
     alpha = [ZERO] * lp.num_vars
-    for (coeffs, _), m in zip(lp.eqs, y_eq):
+    for (terms, _), m in zip(lp.eqs, y_eq):
         if m:
-            for i, c in enumerate(coeffs):
-                if c:
-                    alpha[i] += m * c
-    for (coeffs, _), m in zip(lp.ineqs, y_ineq):
+            for i, c in terms:
+                alpha[i] += m * c
+    for (terms, _), m in zip(lp.ineqs, y_ineq):
         if m:
-            for i, c in enumerate(coeffs):
-                if c:
-                    alpha[i] += m * c
+            for i, c in terms:
+                alpha[i] += m * c
     for i in range(lp.num_vars):
         if y_ub[i]:
             alpha[i] += y_ub[i]
@@ -438,15 +439,10 @@ def solve(lp: LinearProgram) -> LpOutcome:
         _purge_artificials(st, art_cols)
 
     cost2 = [ZERO] * ncols
-    for i in range(lp.num_vars):
-        c = lp.objective[i]
-        if not c:
-            continue
+    for i, c in lp.objective:
         spec = st.var_cols[i]
-        if spec[0] == "single":
-            cost2[spec[1]] = c
-        else:
-            cost2[spec[1]] = c
+        cost2[spec[1]] = c
+        if spec[0] == "split":
             cost2[spec[2]] = -c
     cost2, cost2_den = _int_row(cost2)
     _set_cost(st, cost2, cost2_den)
@@ -462,7 +458,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
             primal.append(zvals.get(spec[1], ZERO) + st.shift[i])
         else:
             primal.append(zvals.get(spec[1], ZERO) - zvals.get(spec[2], ZERO))
-    value = sum((c * v for c, v in zip(lp.objective, primal) if c), ZERO)
+    value = sum((c * primal[i] for i, c in lp.objective), ZERO)
 
     y, alpha = _multipliers(st, cost2, cost2_den)
     cert = _assemble_certificate(lp, st, "dual", y, alpha)
@@ -561,17 +557,18 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome) -> bool:
                 return False
             if lp.upper[i] is not None and x[i] > lp.upper[i]:
                 return False
-        for coeffs, rhs in lp.eqs:
-            if sum((c * v for c, v in zip(coeffs, x) if c), ZERO) != rhs:
+        for terms, rhs in lp.eqs:
+            if sum((c * x[i] for i, c in terms), ZERO) != rhs:
                 return False
-        for coeffs, rhs in lp.ineqs:
-            if sum((c * v for c, v in zip(coeffs, x) if c), ZERO) > rhs:
+        for terms, rhs in lp.ineqs:
+            if sum((c * x[i] for i, c in terms), ZERO) > rhs:
                 return False
-        if sum((c * v for c, v in zip(lp.objective, x) if c), ZERO) != outcome.value:
+        if sum((c * x[i] for i, c in lp.objective), ZERO) != outcome.value:
             return False
         # dual feasibility: stationarity per variable, then value equality
+        objective = dict(lp.objective)
         for i in range(lp.num_vars):
-            if alpha[i] - cert.y_lb[i] != lp.objective[i]:
+            if alpha[i] - cert.y_lb[i] != objective.get(i, ZERO):
                 return False
         return combined_rhs == outcome.value
 

@@ -23,9 +23,6 @@ class DeterministicStrategy:
     scenario: Scenario
     tables: tuple[tuple[int, ...], ...]
 
-    def output(self, party: int, x: int) -> int:
-        return self.tables[party][x]
-
     def box(self) -> Box:
         sc = self.scenario
         table = []
@@ -54,24 +51,19 @@ def deterministic_strategies(scenario: Scenario) -> list[DeterministicStrategy]:
     ]
 
 
-def normalization_rows(scenario: Scenario) -> list[tuple[list[Fraction], Fraction]]:
+def normalization_rows(scenario: Scenario) -> list[tuple[list[tuple[int, Fraction]], Fraction]]:
     n_out = scenario.num_output_tuples
-    size = scenario.table_size
-    rows = []
-    for xi in range(scenario.num_input_tuples):
-        coeffs = [ZERO] * size
-        for oi in range(n_out):
-            coeffs[xi * n_out + oi] = ONE
-        rows.append((coeffs, ONE))
-    return rows
+    return [
+        ([(xi * n_out + oi, ONE) for oi in range(n_out)], ONE)
+        for xi in range(scenario.num_input_tuples)
+    ]
 
 
-def ns_equality_rows(scenario: Scenario) -> list[tuple[list[Fraction], Fraction]]:
+def ns_equality_rows(scenario: Scenario) -> list[tuple[list[tuple[int, Fraction]], Fraction]]:
     """Trace conditions: summing out party k's output must not depend on
     x_k.  Consecutive input values are compared; transitivity covers the
     rest.  Right-hand sides are 0, so the rows also cut the NS *cone*."""
     sc = scenario
-    size = sc.table_size
     rows = []
     for k in range(sc.parties):
         if sc.inputs[k] < 2:
@@ -83,18 +75,18 @@ def ns_equality_rows(scenario: Scenario) -> list[tuple[list[Fraction], Fraction]
         for out_ctx in itertools.product(*other_out):
             for in_ctx in itertools.product(*other_in):
                 for x in range(sc.inputs[k] - 1):
-                    coeffs = [ZERO] * size
+                    coeffs = []
                     for ak in range(sc.outputs[k]):
                         outs = out_ctx[:k] + (ak,) + out_ctx[k:]
                         xs_lo = in_ctx[:k] + (x,) + in_ctx[k:]
                         xs_hi = in_ctx[:k] + (x + 1,) + in_ctx[k:]
-                        coeffs[sc.flat_index(outs, xs_lo)] += ONE
-                        coeffs[sc.flat_index(outs, xs_hi)] -= ONE
+                        coeffs.append((sc.flat_index(outs, xs_lo), ONE))
+                        coeffs.append((sc.flat_index(outs, xs_hi), -ONE))
                     rows.append((coeffs, ZERO))
     return rows
 
 
-def ns_lp(scenario: Scenario, objective=None) -> lp.LinearProgram:
+def ns_lp(scenario: Scenario, objective=()) -> lp.LinearProgram:
     """LP whose feasible set is the nonsignaling polytope in table coordinates."""
     prog = lp.LinearProgram(scenario.table_size, objective)
     for coeffs, rhs in normalization_rows(scenario):
@@ -105,12 +97,10 @@ def ns_lp(scenario: Scenario, objective=None) -> lp.LinearProgram:
 
 
 def max_over_ns(scenario: Scenario, coeffs, extra_eqs=()) -> lp.LpOutcome:
-    """Maximize a linear functional of the table over the NS polytope."""
+    """Maximize a linear functional of the table, given as (index,
+    coefficient) pairs, over the NS polytope."""
     prog = ns_lp(scenario, coeffs)
     for row, rhs in extra_eqs:
         prog.add_eq(row, rhs)
     return lp.solve(prog)
 
-
-def box_from_primal(scenario: Scenario, primal) -> Box:
-    return Box(scenario, tuple(primal[: scenario.table_size]))

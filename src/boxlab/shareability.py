@@ -134,7 +134,7 @@ def _marginal_templates(problem: ExtensionProblem):
                 xs[second] = y
                 for a in range(A):
                     for b in range(B):
-                        row = [ZERO] * ext.table_size
+                        row = []
                         for rest in itertools.product(
                             *(range(ext.outputs[s]) for s in others)
                         ):
@@ -143,7 +143,7 @@ def _marginal_templates(problem: ExtensionProblem):
                             outs[second] = b
                             for s, v in zip(others, rest):
                                 outs[s] = v
-                            row[ext.flat_index(outs, xs)] += ONE
+                            row.append((ext.flat_index(outs, xs), ONE))
                         yield row, (a, b, x, y)
 
 
@@ -173,27 +173,25 @@ def _orbit_rows(problem: ExtensionProblem):
     """The extension LP's equality rows on orbit variables: normalization,
     exact copy-marginals and the nonsignaling trace conditions, folded and
     with repeats dropped.  Returns (orbit index per flat table index,
-    orbit count, rows); each row is (coefficients, rhs, entry), where
-    entry is the base box's ((a, b), (x, y)) whose value a marginal row
-    takes as its rhs, and None for the other rows."""
+    orbit count, rows); each row is (coefficients, rhs, entry), where the
+    coefficients are (orbit, coefficient) pairs in orbit order without
+    zeros, and entry is the base box's ((a, b), (x, y)) whose value a
+    marginal row takes as its rhs, and None for the other rows."""
     ext = problem.extension_scenario()
-    if ext.table_size > EXTENSION_SIZE_CAP:
-        raise ExtensionTooLarge(
-            f"extension table has {ext.table_size} entries, cap {EXTENSION_SIZE_CAP}"
-        )
     orbit_of, n_orbits = _orbits(problem)
     rows = []
     seen = set()
 
     def add(coeffs, rhs, entry=None):
-        folded = [ZERO] * n_orbits
-        for i, c in enumerate(coeffs):
-            if c:
-                folded[orbit_of[i]] += c
-        key = (tuple(folded), rhs, entry)
+        folded: dict[int, Fraction] = {}
+        for i, c in coeffs:
+            o = orbit_of[i]
+            folded[o] = folded.get(o, ZERO) + c
+        row = tuple(sorted((o, c) for o, c in folded.items() if c))
+        key = (row, rhs, entry)
         if key not in seen:
             seen.add(key)
-            rows.append((folded, rhs, entry))
+            rows.append(key)
 
     for coeffs, rhs in polytope.normalization_rows(ext):
         add(coeffs, rhs)
@@ -257,7 +255,11 @@ def folded_extension_lp(problem: ExtensionProblem):
     """Feasibility LP for a symmetric extension, one variable per orbit
     (the value every entry of that orbit takes).  The rows are those of
     the base box's canonical relabeling (_canonical_problem).  Returns
-    (program, orbit index per flat table index of this problem)."""
+    (program, orbit index per flat table index of this problem).  The
+    table size is capped before any walk over the table."""
+    size = problem.extension_scenario().table_size
+    if size > EXTENSION_SIZE_CAP:
+        raise ExtensionTooLarge(f"extension table has {size} entries, cap {EXTENSION_SIZE_CAP}")
     canon, index_of = _canonical_problem(problem)
     orbit_of, n_orbits, rows = _orbit_rows(canon)
     prog = lp.LinearProgram(n_orbits)
@@ -441,12 +443,11 @@ def _iso_ceiling_lp() -> lp.LinearProgram:
     """
     pr = make_isotropic(1)
     _, n_orbits, rows = _orbit_rows(ExtensionProblem(make_isotropic(0), "B", 2))
-    prog = lp.LinearProgram(n_orbits + 1)
-    prog.set_objective([ZERO] * n_orbits + [ONE])
+    prog = lp.LinearProgram(n_orbits + 1, [(n_orbits, ONE)])
     prog.set_bounds(n_orbits, ZERO, ONE)
     for coeffs, rhs, entry in rows:
         slope = rhs - pr.prob(*entry) if entry else ZERO
-        prog.add_eq(coeffs + [slope], rhs)
+        prog.add_eq(coeffs + ((n_orbits, slope),), rhs)
     return prog
 
 
@@ -477,9 +478,10 @@ def cloning_shrink_factor(c) -> Fraction:
 
 
 def _pair_rows(sc3: Scenario, parties: tuple[int, int], functional: BellFunctional):
-    """Lift a bipartite functional's coefficients to the tripartite table:
-    marginal entries expand into sums with the absent parties' inputs at 0."""
-    coeffs = [ZERO] * sc3.table_size
+    """Lift a bipartite functional's coefficients to (index, coefficient)
+    pairs on the tripartite table: marginal entries expand into sums with
+    the absent parties' inputs at 0."""
+    coeffs = []
     i, j = parties
     others = [k for k in range(sc3.parties) if k not in parties]
     sub = functional.scenario
@@ -495,7 +497,7 @@ def _pair_rows(sc3: Scenario, parties: tuple[int, int], functional: BellFunction
                 outs[i], outs[j] = outs_sub
                 for k, v in zip(others, rest):
                     outs[k] = v
-                coeffs[sc3.flat_index(outs, xs)] += c
+                coeffs.append((sc3.flat_index(outs, xs), c))
     return coeffs
 
 
@@ -512,7 +514,7 @@ def monogamy_lp(beta) -> lp.LinearProgram:
     ac = _pair_rows(sc3, (0, 2), f)
     prog = polytope.ns_lp(sc3, ac)
     # chsh_AB >= beta, offset -1 folded into the right-hand side
-    prog.add_ineq([-v for v in ab], -(beta - f.offset))
+    prog.add_ineq([(k, -v) for k, v in ab], -(beta - f.offset))
     return prog
 
 
@@ -544,7 +546,7 @@ def unique_violator_decoupling(
     ac = _pair_rows(sc3, (0, 2), g)
     hi = polytope.max_over_ns(sc3, ac, extra_eqs=[(ab, ONE - f.offset)])
     lo = polytope.max_over_ns(
-        sc3, [-v for v in ac], extra_eqs=[(ab, ONE - f.offset)]
+        sc3, [(k, -v) for k, v in ac], extra_eqs=[(ab, ONE - f.offset)]
     )
     ensure(
         hi.status == lp.OPTIMAL and lo.status == lp.OPTIMAL,

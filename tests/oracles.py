@@ -64,9 +64,16 @@ def brute_force_lp(prog: lp.LinearProgram):
     assert all(
         prog.lower[i] is not None and prog.upper[i] is not None for i in range(n)
     )
+
+    def dense(pairs):
+        row = [Fraction(0)] * n
+        for i, c in pairs:
+            row[i] += c
+        return row
+
     ineq_rows = []
     for coeffs, rhs in prog.ineqs:
-        ineq_rows.append(([Fraction(c) for c in coeffs], Fraction(rhs)))
+        ineq_rows.append((dense(coeffs), Fraction(rhs)))
     for i in range(n):
         lo = [Fraction(0)] * n
         lo[i] = Fraction(-1)
@@ -74,9 +81,8 @@ def brute_force_lp(prog: lp.LinearProgram):
         hi = [Fraction(0)] * n
         hi[i] = Fraction(1)
         ineq_rows.append((hi, Fraction(prog.upper[i])))
-    eq_rows = [
-        ([Fraction(c) for c in coeffs], Fraction(rhs)) for coeffs, rhs in prog.eqs
-    ]
+    eq_rows = [(dense(coeffs), Fraction(rhs)) for coeffs, rhs in prog.eqs]
+    objective = dense(prog.objective)
     free = max(0, n - len(eq_rows))
     best = None
     for subset in itertools.combinations(range(len(ineq_rows)), free):
@@ -87,13 +93,26 @@ def brute_force_lp(prog: lp.LinearProgram):
         if sol is None or not _feasible(sol, eq_rows, ineq_rows):
             continue
         value = sum(
-            (Fraction(c) * v for c, v in zip(prog.objective, sol) if c), Fraction(0)
+            (Fraction(c) * v for c, v in zip(objective, sol) if c), Fraction(0)
         )
         if best is None or value > best:
             best = value
     if best is None:
         return "infeasible", None
     return "optimal", best
+
+
+def deterministic_box_tables(scenario: Scenario):
+    """All candidate deterministic tables: one output tuple per input tuple.
+    Unlike deterministic strategies these may be signaling."""
+    n_out = scenario.num_output_tuples
+    for choice in itertools.product(
+        range(n_out), repeat=scenario.num_input_tuples
+    ):
+        table = [ZERO] * scenario.table_size
+        for xi, oi in enumerate(choice):
+            table[xi * n_out + oi] = ONE
+        yield Box(scenario, tuple(table))
 
 
 def ns_vertices_2222_by_enumeration():
@@ -165,7 +184,7 @@ def local_membership_alternative(box: Box) -> bool:
     sc = box.scenario
     n_out = sc.num_output_tuples
     prog = lp.LinearProgram(n)
-    prog.add_eq([ONE] * n, ONE)
+    prog.add_eq(enumerate([ONE] * n), ONE)
     for xi, xs in enumerate(sc.input_tuples()):
         for oi in range(n_out - 1):
             coeffs = [ZERO] * n
@@ -173,7 +192,7 @@ def local_membership_alternative(box: Box) -> bool:
                 outs = tuple(strat.tables[k][xs[k]] for k in range(sc.parties))
                 if sc.output_index(outs) == oi:
                     coeffs[e] = ONE
-            prog.add_eq(coeffs, box.table[xi * n_out + oi])
+            prog.add_eq(enumerate(coeffs), box.table[xi * n_out + oi])
     out = lp.solve(prog)
     return out.status == lp.OPTIMAL
 
@@ -209,7 +228,7 @@ def unfolded_extension_lp(base: Box, shared_party: str, m: int) -> lp.LinearProg
         row = [ZERO] * n
         for cell, coeff in cells:
             row[index[cell]] += coeff
-        return row
+        return enumerate(row)
 
     for xs in in_tuples:
         prog.add_eq(row_of(((os_, xs), ONE) for os_ in out_tuples), ONE)

@@ -290,3 +290,21 @@ def test_exponent_flag_exits_2(tmp_path, capsys):
 def test_rational_flag_grammar(token, value):
     assert cli._rat_arg(token) == value
     assert boxio.parse_rational(token) == value
+
+
+# ---------------------------------------------------------------------------
+# the extension size cap holds before any walk over the extension table
+
+
+def test_shareable_above_size_cap_exits_2(tmp_path, capsys):
+    box = tmp_path / "box.txt"
+    assert run("make", "pr", "-o", box) == 0
+    assert promptly(lambda: run("analyze", "shareable", box, "--m", 12)) == 2
+    assert "cap" in capsys.readouterr().err
+
+
+def test_verify_above_size_cap_exits_2(corpus):
+    def to_m12(data):
+        data["flags"]["m"] = data["verdict"]["m"] = 12
+
+    assert promptly(lambda: verify_tampered(corpus, ("pr", "shareable"), to_m12)) == 2

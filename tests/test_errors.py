@@ -54,7 +54,7 @@ def test_solve_checks_its_certificate_under_python_O():
         if __debug__:
             sys.exit("not running under -O")
         lp.verify_certificate = lambda prog, outcome: False
-        prog = lp.LinearProgram(1, [1])
+        prog = lp.LinearProgram(1, enumerate([1]))
         prog.set_bounds(0, 0, 1)
         try:
             lp.solve(prog)

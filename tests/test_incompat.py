@@ -29,7 +29,6 @@ from boxlab.incompat import (
     restrict_to_pair,
 )
 from boxlab.isotropic import make_isotropic, shrink
-from boxlab.locality import deterministic_box_tables
 from boxlab.polytope import deterministic_strategies, ns_equality_rows
 from conftest import random_ns_box
 
@@ -130,7 +129,7 @@ class TestIncompatibility:
         # the incompatible part stays in the nonsignaling cone
         for coeffs, _ in ns_equality_rows(restricted.scenario):
             assert (
-                sum((c * v for c, v in zip(coeffs, r.incompatible_part) if c), ZERO)
+                sum((c * r.incompatible_part[i] for i, c in coeffs), ZERO)
                 == 0
             )
         if 0 < r.eta < 1:

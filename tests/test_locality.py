@@ -24,7 +24,6 @@ from boxlab.locality import (
     NonlocalityCertificate,
     StrategySpaceTooLarge,
     SecrecyVerdict,
-    deterministic_box_tables,
     eve_extension,
     is_deterministic,
     is_local,
@@ -32,7 +31,7 @@ from boxlab.locality import (
     secrecy_content,
 )
 from conftest import random_local_box, random_ns_box
-from oracles import local_membership_alternative
+from oracles import deterministic_box_tables, local_membership_alternative
 
 SC22 = Scenario((2, 2), (2, 2))
 

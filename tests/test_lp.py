@@ -19,8 +19,8 @@ from oracles import brute_force_lp
 
 class TestBasics:
     def test_max_x_below_one(self):
-        prog = LinearProgram(1, [1])
-        prog.add_ineq([1], 1)
+        prog = LinearProgram(1, enumerate([1]))
+        prog.add_ineq(enumerate([1]), 1)
         out = solve(prog)
         assert out.status == OPTIMAL
         assert out.value == 1
@@ -29,32 +29,32 @@ class TestBasics:
 
     def test_simple_infeasible_with_farkas(self):
         prog = LinearProgram(1)
-        prog.add_ineq([-1], -1)  # x >= 1
-        prog.add_ineq([1], 0)  # x <= 0
+        prog.add_ineq(enumerate([-1]), -1)  # x >= 1
+        prog.add_ineq(enumerate([1]), 0)  # x <= 0
         out = solve(prog)
         assert out.status == INFEASIBLE
         assert out.certificate.kind == "farkas"
         assert verify_certificate(prog, out)
 
     def test_unbounded(self):
-        prog = LinearProgram(2, [1, 0])
+        prog = LinearProgram(2, enumerate([1, 0]))
         out = solve(prog)
         assert out.status == UNBOUNDED
 
     def test_equalities_handled_directly(self):
-        prog = LinearProgram(3, [0, 0, 1])
-        prog.add_eq([1, 1, 1], 1)
-        prog.add_eq([1, -1, 0], 0)
+        prog = LinearProgram(3, enumerate([0, 0, 1]))
+        prog.add_eq(enumerate([1, 1, 1]), 1)
+        prog.add_eq(enumerate([1, -1, 0]), 0)
         out = solve(prog)
         assert out.status == OPTIMAL
         assert out.value == 1
         assert out.primal == (F(0), F(0), F(1))
 
     def test_free_variables(self):
-        prog = LinearProgram(2, [0, 1])
+        prog = LinearProgram(2, enumerate([0, 1]))
         prog.set_bounds(0, None, None)
-        prog.add_eq([1, 1], 5)
-        prog.add_ineq([0, 1], 3)
+        prog.add_eq(enumerate([1, 1]), 5)
+        prog.add_ineq(enumerate([0, 1]), 3)
         out = solve(prog)
         assert out.status == OPTIMAL
         assert out.value == 3
@@ -68,24 +68,24 @@ class TestBasics:
         assert verify_certificate(prog, out)
 
     def test_negative_lower_bounds(self):
-        prog = LinearProgram(1, [-1])
+        prog = LinearProgram(1, enumerate([-1]))
         prog.set_bounds(0, -3, 7)
         out = solve(prog)
         assert out.value == 3
         assert out.primal == (F(-3),)
 
     def test_redundant_equalities(self):
-        prog = LinearProgram(2, [1, 1])
-        prog.add_eq([1, 1], 1)
-        prog.add_eq([2, 2], 2)  # dependent, consistent
+        prog = LinearProgram(2, enumerate([1, 1]))
+        prog.add_eq(enumerate([1, 1]), 1)
+        prog.add_eq(enumerate([2, 2]), 2)  # dependent, consistent
         out = solve(prog)
         assert out.status == OPTIMAL
         assert out.value == 1
 
     def test_inconsistent_dependent_equalities(self):
         prog = LinearProgram(2)
-        prog.add_eq([1, 1], 1)
-        prog.add_eq([2, 2], 3)
+        prog.add_eq(enumerate([1, 1]), 1)
+        prog.add_eq(enumerate([2, 2]), 3)
         out = solve(prog)
         assert out.status == INFEASIBLE
         assert verify_certificate(prog, out)
@@ -93,16 +93,60 @@ class TestBasics:
     def test_dimension_mismatch(self):
         prog = LinearProgram(2)
         with pytest.raises(lp.DimensionMismatch):
-            prog.add_eq([1, 2, 3], 1)
+            prog.add_eq(enumerate([1, 2, 3]), 1)
+
+    @pytest.mark.parametrize("col", [2, 7, -1])
+    def test_column_out_of_range(self, col):
+        prog = LinearProgram(2)
+        with pytest.raises(lp.DimensionMismatch):
+            prog.add_eq([(0, 1), (col, 1)], 1)
+        with pytest.raises(lp.DimensionMismatch):
+            prog.add_ineq([(col, 1)], 1)
+        with pytest.raises(lp.DimensionMismatch):
+            prog.set_objective([(col, 1)])
+        with pytest.raises(lp.DimensionMismatch):
+            LinearProgram(2, [(col, 1)])
+        assert prog.eqs == [] and prog.ineqs == []
+
+    def test_zero_coefficients_not_stored(self):
+        prog = LinearProgram(3, enumerate([0, 2, 0]))
+        prog.add_eq(enumerate([0, F(1, 2), 0]), 1)
+        prog.add_ineq([(2, 3), (1, 0), (0, -1)], 0)
+        assert prog.objective == ((1, F(2)),)
+        assert prog.eqs == [(((1, F(1, 2)),), F(1))]
+        assert prog.ineqs == [(((0, F(-1)), (2, F(3))), F(0))]
+
+    def test_repeated_columns_summed(self):
+        prog = LinearProgram(2, [(1, 1)])
+        prog.add_eq([(1, 1), (0, 2), (1, F(1, 2)), (0, -2)], 3)
+        assert prog.eqs == [(((1, F(3, 2)),), F(3))]
+        out = solve(prog)
+        assert out.primal == (F(0), F(2))
+        assert verify_certificate(prog, out)
+
+    def test_empty_row_accepted(self):
+        prog = LinearProgram(1, [(0, 1)])
+        prog.add_ineq([(0, 1)], 1)
+        prog.add_eq([], 0)
+        prog.add_eq([(0, 1), (0, -1)], 0)  # cancels to an empty row
+        assert prog.eqs == [((), F(0)), ((), F(0))]
+        out = solve(prog)
+        assert out.status == OPTIMAL and out.value == 1
+        assert verify_certificate(prog, out)
+        # an empty row with a nonzero right-hand side states 0 = 1
+        prog.add_eq([], 1)
+        out = solve(prog)
+        assert out.status == INFEASIBLE
+        assert verify_certificate(prog, out)
 
 
 class TestAntiCycling:
     def test_beale_cycling_example_terminates(self):
         # classic degenerate instance that cycles under naive pivoting
-        prog = LinearProgram(4, [F(3, 4), -150, F(1, 50), -6])
-        prog.add_ineq([F(1, 4), -60, F(-1, 25), 9], 0)
-        prog.add_ineq([F(1, 2), -90, F(-1, 50), 3], 0)
-        prog.add_ineq([0, 0, 1, 0], 1)
+        prog = LinearProgram(4, enumerate([F(3, 4), -150, F(1, 50), -6]))
+        prog.add_ineq(enumerate([F(1, 4), -60, F(-1, 25), 9]), 0)
+        prog.add_ineq(enumerate([F(1, 2), -90, F(-1, 50), 3]), 0)
+        prog.add_ineq(enumerate([0, 0, 1, 0]), 1)
         out = solve(prog)
         assert out.status == OPTIMAL
         assert out.value == F(1, 20)
@@ -110,10 +154,10 @@ class TestAntiCycling:
 
     def test_determinism(self):
         def build():
-            prog = LinearProgram(3, [1, 2, -1])
-            prog.add_ineq([1, 1, 1], 4)
-            prog.add_ineq([1, -1, 0], 2)
-            prog.add_eq([0, 1, 1], 1)
+            prog = LinearProgram(3, enumerate([1, 2, -1]))
+            prog.add_ineq(enumerate([1, 1, 1]), 4)
+            prog.add_ineq(enumerate([1, -1, 0]), 2)
+            prog.add_eq(enumerate([0, 1, 1]), 1)
             return prog
 
         outs = [solve(build()) for _ in range(3)]
@@ -122,9 +166,9 @@ class TestAntiCycling:
 
 class TestCertificateTampering:
     def _optimal_outcome(self):
-        prog = LinearProgram(2, [1, 1])
-        prog.add_ineq([1, 2], 4)
-        prog.add_ineq([2, 1], 4)
+        prog = LinearProgram(2, enumerate([1, 1]))
+        prog.add_ineq(enumerate([1, 2]), 4)
+        prog.add_ineq(enumerate([2, 1]), 4)
         return prog, solve(prog)
 
     def test_round_trip(self):
@@ -140,8 +184,8 @@ class TestCertificateTampering:
 
     def test_tampered_farkas_sign(self):
         prog = LinearProgram(1)
-        prog.add_ineq([-1], -1)
-        prog.add_ineq([1], 0)
+        prog.add_ineq(enumerate([-1]), -1)
+        prog.add_ineq(enumerate([1]), 0)
         out = solve(prog)
         cert = out.certificate
         flipped = lp.LpCertificate(
@@ -163,9 +207,9 @@ class TestCertificateTampering:
     def test_wrong_length_multipliers_rejected(self, field):
         # one row of each family and a finite upper bound, so every
         # multiplier vector has an entry to drop
-        prog = LinearProgram(2, [1, 1])
-        prog.add_eq([1, -1], 0)
-        prog.add_ineq([1, 2], 4)
+        prog = LinearProgram(2, enumerate([1, 1]))
+        prog.add_eq(enumerate([1, -1]), 0)
+        prog.add_ineq(enumerate([1, 2]), 4)
         prog.set_bounds(0, 0, 1)
         out = solve(prog)
         assert verify_certificate(prog, out)
@@ -179,7 +223,7 @@ class TestCertificateTampering:
 def random_small_lp(rng: random.Random):
     """Bounded random LP: every variable boxed so brute force is exact."""
     n = rng.choice([2] * 8 + [3] * 6 + [4] * 4 + [5, 6])
-    prog = LinearProgram(n, [rng.randrange(-4, 5) for _ in range(n)])
+    prog = LinearProgram(n, enumerate([rng.randrange(-4, 5) for _ in range(n)]))
     for i in range(n):
         lo = rng.choice([0, 0, -1, -2])
         hi = lo + rng.randrange(1, 5)
@@ -189,9 +233,9 @@ def random_small_lp(rng: random.Random):
         coeffs = [rng.randrange(-3, 4) for _ in range(n)]
         rhs = rng.randrange(-4, 7)
         if rng.random() < 0.25 and n >= 3:
-            prog.add_eq(coeffs, rhs)
+            prog.add_eq(enumerate(coeffs), rhs)
         else:
-            prog.add_ineq(coeffs, rhs)
+            prog.add_ineq(enumerate(coeffs), rhs)
     return prog
 
 
@@ -228,8 +272,8 @@ def random_rational_lp(rng: random.Random):
 
     n = rng.choice([2] * 6 + [3] * 6 + [4] * 3)
     objective = [rat() for _ in range(n)]
-    prog = LinearProgram(n, objective)
-    twin = LinearProgram(n, objective)
+    prog = LinearProgram(n, enumerate(objective))
+    twin = LinearProgram(n, enumerate(objective))
     point = []
     for i in range(n):
         lo = rat()
@@ -240,9 +284,9 @@ def random_rational_lp(rng: random.Random):
             prog.set_bounds(i, None, None)
             unit = [0] * n
             unit[i] = 1
-            prog.add_ineq(unit, hi)
+            prog.add_ineq(enumerate(unit), hi)
             unit[i] = -1
-            prog.add_ineq(unit, -lo)
+            prog.add_ineq(enumerate(unit), -lo)
         else:
             prog.set_bounds(i, lo, hi)
     for _ in range(rng.randrange(1, 4)):
@@ -251,14 +295,14 @@ def random_rational_lp(rng: random.Random):
         if rng.random() < 0.4 and n >= 3:
             rhs = at_point if rng.random() < 0.7 else rat()
             for target in (prog, twin):
-                target.add_eq(coeffs, rhs)
+                target.add_eq(enumerate(coeffs), rhs)
             if rng.random() < 0.6:
                 k = rng.choice([F(-1), F(2), F(-3, 5), F(7, 4)])
-                prog.add_eq([k * c for c in coeffs], k * rhs)
+                prog.add_eq(enumerate([k * c for c in coeffs]), k * rhs)
         else:
             rhs = at_point + rng.choice([0, 0, 1, -1]) * rat()
             for target in (prog, twin):
-                target.add_ineq(coeffs, rhs)
+                target.add_ineq(enumerate(coeffs), rhs)
     return prog, twin
 
 
