@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp, polytope
-from .bell import chsh
 from .core import (
     Box,
     BoxlabError,
@@ -52,15 +51,20 @@ class ObservablePair:
             raise BadPair("the two observables must be distinct inputs")
 
 
+def _pair_at_bob(box: Box, pair: ObservablePair) -> Box:
+    """The bipartite box with the pair's party as Bob."""
+    if box.scenario.parties != 2:
+        raise ScenarioMismatch("observable pairs live on bipartite boxes")
+    return box if pair.party == "B" else permute_parties(box, (1, 0))
+
+
 def restrict_to_pair(box: Box, pair: ObservablePair) -> Box:
     """Restrict to the pair's two inputs on Bob's side, swapping parties
     first when the pair sits with Alice.  Result is a 2-Bob-input box with
     y=0 the pair's first observable."""
-    if box.scenario.parties != 2:
-        raise ScenarioMismatch("observable pairs live on bipartite boxes")
-    if not is_nonsignaling(box):
+    work = _pair_at_bob(box, pair)
+    if not is_nonsignaling(work):
         raise ScenarioMismatch("box must be nonsignaling")
-    work = box if pair.party == "B" else permute_parties(box, (1, 0))
     X, Y = work.scenario.inputs
     A, B = work.scenario.outputs
     if not (0 <= pair.y0 < Y and 0 <= pair.y1 < Y):
@@ -68,8 +72,7 @@ def restrict_to_pair(box: Box, pair: ObservablePair) -> Box:
     sub = Scenario((X, 2), (A, B))
     table = []
     for x in range(X):
-        for j, y in enumerate((pair.y0, pair.y1)):
-            del j
+        for y in (pair.y0, pair.y1):
             for a in range(A):
                 for b in range(B):
                     table.append(work.prob((a, b), (x, y)))
@@ -235,7 +238,7 @@ def entropy_bound_check(box: Box, pair: ObservablePair) -> EntropyBoundReport:
     Stated for binary outputs or binary inputs; anything else is out of
     scope.  inc is exact; the entropy comparison uses a 1e-12 slack.
     """
-    work = box if pair.party == "B" else permute_parties(box, (1, 0))
+    work = _pair_at_bob(box, pair)
     X, Y = work.scenario.inputs
     A, B = work.scenario.outputs
     if not (A == B == 2 or X == Y == 2):

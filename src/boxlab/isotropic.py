@@ -18,7 +18,6 @@ from .core import (
     Box,
     BoxlabError,
     ScenarioMismatch,
-    ZERO,
     ensure,
     mix,
     rat,

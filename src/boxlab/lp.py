@@ -21,10 +21,10 @@ Problems are stated as
     maximize  objective . x
     s.t.      eq:    E x  = f        (multipliers free)
               ineq:  G x <= h        (multipliers >= 0)
-              lower_i <= x_i <= upper_i
+              0 <= x_i <= upper_i
 
-with lower bounds defaulting to 0, None meaning free below / unbounded
-above.  Internally variables are shifted or split to z >= 0, inequalities
+with upper_i optional (None: unbounded above).  Every variable is
+nonnegative, so each is one tableau column; inequalities and upper bounds
 get slacks, and infeasible-start rows get artificial columns.
 
 Rows and the objective are sparse: any iterable of (column, coefficient)
@@ -69,7 +69,6 @@ class LinearProgram:
         self.objective = self._row(objective)
         self.eqs: list[tuple[tuple[tuple[int, Fraction], ...], Fraction]] = []
         self.ineqs: list[tuple[tuple[tuple[int, Fraction], ...], Fraction]] = []
-        self.lower: list[Optional[Fraction]] = [ZERO] * num_vars
         self.upper: list[Optional[Fraction]] = [None] * num_vars
 
     def _row(self, pairs: Iterable) -> tuple[tuple[int, Fraction], ...]:
@@ -80,9 +79,6 @@ class LinearProgram:
             summed[col] = summed.get(col, ZERO) + Fraction(c)
         return tuple(sorted((col, c) for col, c in summed.items() if c))
 
-    def set_objective(self, pairs: Iterable) -> None:
-        self.objective = self._row(pairs)
-
     def add_eq(self, pairs: Iterable, rhs) -> None:
         self.eqs.append((self._row(pairs), Fraction(rhs)))
 
@@ -90,9 +86,11 @@ class LinearProgram:
         """pairs . x <= rhs"""
         self.ineqs.append((self._row(pairs), Fraction(rhs)))
 
-    def set_bounds(self, i: int, lower=ZERO, upper=None) -> None:
-        self.lower[i] = None if lower is None else Fraction(lower)
-        self.upper[i] = None if upper is None else Fraction(upper)
+    def set_upper(self, i: int, upper) -> None:
+        """x_i <= upper"""
+        if not 0 <= i < self.num_vars:
+            raise DimensionMismatch(f"variable {i} outside 0..{self.num_vars - 1}")
+        self.upper[i] = Fraction(upper)
 
 
 @dataclass(frozen=True)
@@ -100,8 +98,8 @@ class LpCertificate:
     """Constraint multipliers: Farkas witness or optimal dual, by kind.
 
     y_eq is free-signed, the rest are nonnegative.  y_lb[i] multiplies
-    (-x_i <= -lower_i), y_ub[i] multiplies (x_i <= upper_i); entries for
-    absent bounds are zero.
+    (-x_i <= 0), y_ub[i] multiplies (x_i <= upper_i); y_ub[i] is zero
+    when x_i has no upper bound.
     """
 
     kind: str  # "farkas" | "dual"
@@ -230,8 +228,8 @@ def _run_simplex(st, banned):
 
 @dataclass
 class _Standardized:
-    """z >= 0 form as an integer tableau, plus the bookkeeping to map
-    witnesses back.
+    """The program as an integer tableau, plus the bookkeeping to map
+    witnesses back.  Column i is x_i for i < num_vars.
 
     row_kinds / flips / unit_cols are indexed by original row id and never
     shrink; `active` lists the original rows still present in the tableau
@@ -239,53 +237,29 @@ class _Standardized:
     and basis run in step over the tableau rows.
     """
 
-    columns: list  # ("var", i) | ("neg", i) | ("slack", r) | ("art", r)
+    columns: list  # ("var", i) | ("slack", r) | ("art", r)
     rows: list  # int numerators per tableau row, rhs last
     dens: list  # positive denominator per tableau row
     basis: list  # basic column per tableau row
     row_kinds: list  # ("eq", j) | ("ineq", j) | ("ub", i)
     flips: list  # +1 / -1 per row
     unit_cols: list  # per original row: column that started as its unit vector
-    shift: list  # per original var: lb used for shifting (0 for free)
-    var_cols: list  # per original var: ("single", col) | ("split", pos, neg)
-    n_struct: int
     active: list = field(default_factory=list)
     cost: list = field(default_factory=list)  # cost row numerators, -objective last
     cost_den: int = 1
 
 
 def _standardize(lp: LinearProgram) -> _Standardized:
-    nv = lp.num_vars
-    shift = []
-    var_cols = []
-    columns: list = []
-    for i in range(nv):
-        lb = lp.lower[i]
-        if lb is None:
-            var_cols.append(("split", len(columns), len(columns) + 1))
-            columns.append(("var", i))
-            columns.append(("neg", i))
-            shift.append(ZERO)
-        else:
-            var_cols.append(("single", len(columns)))
-            columns.append(("var", i))
-            shift.append(lb)
-
-    raw_rows = []  # (nonzero (var, coeff) terms, rhs after shifting, kind)
-
-    def add_row(terms, rhs, kind):
-        off = sum((c * shift[i] for i, c in terms if shift[i]), ZERO)
-        raw_rows.append((terms, rhs - off, kind))
-
+    columns: list = [("var", i) for i in range(lp.num_vars)]
+    raw_rows = []  # (nonzero (var, coeff) terms, rhs, kind)
     for j, (terms, rhs) in enumerate(lp.eqs):
-        add_row(terms, rhs, ("eq", j))
+        raw_rows.append((terms, rhs, ("eq", j)))
     for j, (terms, rhs) in enumerate(lp.ineqs):
-        add_row(terms, rhs, ("ineq", j))
-    for i in range(nv):
-        if lp.upper[i] is not None:
-            add_row([(i, ONE)], lp.upper[i], ("ub", i))
+        raw_rows.append((terms, rhs, ("ineq", j)))
+    for i, ub in enumerate(lp.upper):
+        if ub is not None:
+            raw_rows.append((((i, ONE),), ub, ("ub", i)))
 
-    n_struct = len(columns)
     m = len(raw_rows)
     # slack columns for every non-eq row
     slack_col = {}
@@ -310,11 +284,7 @@ def _standardize(lp: LinearProgram) -> _Standardized:
         den = lcm(rhs.denominator, *(c.denominator for _, c in terms))
         full = [0] * (len(columns) + 1)
         for i, c in terms:
-            v = flip * c.numerator * (den // c.denominator)
-            spec = var_cols[i]
-            full[spec[1]] = v
-            if spec[0] == "split":
-                full[spec[2]] = -v
+            full[i] = flip * c.numerator * (den // c.denominator)
         if r in slack_col:
             full[slack_col[r]] = flip * den
         if columns[basis[r]][0] == "art":
@@ -332,22 +302,19 @@ def _standardize(lp: LinearProgram) -> _Standardized:
         row_kinds=[kind for _, _, kind in raw_rows],
         flips=flips,
         unit_cols=list(basis),
-        shift=shift,
-        var_cols=var_cols,
-        n_struct=n_struct,
         active=list(range(m)),
     )
 
 
-def _multipliers(st: _Standardized, cost, cost_den):
+def _multipliers(lp, st: _Standardized, cost, cost_den):
     """Row multipliers y = c_B B^{-1}, keyed by original row id, and the
     column products alpha[i] = y . (column of x_i) in the original rows.
 
     The cost row holds c - c_B B^{-1} A, so on column j it reads c_j - y A_j.
     Each active original row contributed one unit column to A (its
     artificial, or its slack when that started basic), where y A_j is that
-    row's multiplier.  A variable's first column holds its coefficient in
-    each row times the row's flip, as y holds each multiplier, so the
+    row's multiplier.  A variable's column holds its coefficient in each
+    row times the row's flip, as y holds each multiplier, so the
     flips cancel in y A_j.  Rows dropped as redundant have no multiplier:
     their artificial's column stays zero in every remaining row.
     """
@@ -356,7 +323,7 @@ def _multipliers(st: _Standardized, cost, cost_den):
         return Fraction(cost[col], cost_den) - Fraction(st.cost[col], st.cost_den)
 
     y = {orig: y_dot(st.unit_cols[orig]) for orig in st.active}
-    alpha = [y_dot(spec[1]) for spec in st.var_cols]
+    alpha = [y_dot(i) for i in range(lp.num_vars)]
     return y, alpha
 
 
@@ -368,7 +335,6 @@ def _assemble_certificate(lp, st, kind, y_by_origrow, alpha) -> LpCertificate:
     if kind == "dual":
         for i, c in lp.objective:
             y_lb[i] -= c
-    y_lb = [v if lp.lower[i] is not None else ZERO for i, v in enumerate(y_lb)]
     return LpCertificate(kind, tuple(y_eq), tuple(y_ineq), tuple(y_lb), tuple(y_ub))
 
 
@@ -392,35 +358,20 @@ def _column_products(lp, cert_rows):
 
 
 def solve(lp: LinearProgram) -> LpOutcome:
-    """Solve exactly; the returned certificate always re-verifies.
+    """Solve exactly; an optimal or infeasible outcome's certificate
+    always re-verifies, an unbounded one carries none.
 
-    Runs the simplex on the integer-row tableau described in the module
-    docstring; every entry is the exact rational, so the pivots are those
-    of Bland's rule on the rational tableau.  Deterministic for identical
-    inputs (fixed construction order and Bland's pivot rule).  Raises no
-    numerical exceptions: every status is decided in exact arithmetic,
-    and `verify_certificate` re-checks each outcome in Fractions before
-    it is returned.
+    Every variable is one tableau column, nonnegative and capped by its
+    upper bound row when it has one; an upper bound below 0 is an
+    infeasible row like any other, answered by a Farkas certificate from
+    phase 1.  Runs the simplex on the integer-row tableau described in
+    the module docstring; every entry is the exact rational, so the
+    pivots are those of Bland's rule on the rational tableau.
+    Deterministic for identical inputs (fixed construction order and
+    Bland's pivot rule).  Raises no numerical exceptions: every status is
+    decided in exact arithmetic, and `verify_certificate` re-checks each
+    optimal or infeasible outcome in Fractions before it is returned.
     """
-    # trivially conflicting bounds need no simplex
-    for i in range(lp.num_vars):
-        lb, ub = lp.lower[i], lp.upper[i]
-        if lb is not None and ub is not None and lb > ub:
-            y_lb = [ZERO] * lp.num_vars
-            y_ub = [ZERO] * lp.num_vars
-            y_lb[i] = ONE
-            y_ub[i] = ONE
-            cert = LpCertificate(
-                "farkas",
-                (ZERO,) * len(lp.eqs),
-                (ZERO,) * len(lp.ineqs),
-                tuple(y_lb),
-                tuple(y_ub),
-            )
-            out = LpOutcome(INFEASIBLE, certificate=cert)
-            ensure(verify_certificate(lp, out), "bound-conflict certificate fails to verify")
-            return out
-
     st = _standardize(lp)
     ncols = len(st.columns)
     art_cols = {j for j, c in enumerate(st.columns) if c[0] == "art"}
@@ -431,7 +382,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
         status = _run_simplex(st, banned=set())
         ensure(status == OPTIMAL, f"phase 1 ended {status}; its objective is bounded by 0")
         if st.cost[-1] != 0:  # max of -sum(artificials) is negative
-            y, alpha = _multipliers(st, cost1, 1)
+            y, alpha = _multipliers(lp, st, cost1, 1)
             cert = _assemble_certificate(lp, st, "farkas", y, alpha)
             out = LpOutcome(INFEASIBLE, certificate=cert)
             ensure(verify_certificate(lp, out), "Farkas certificate fails to verify")
@@ -440,27 +391,18 @@ def solve(lp: LinearProgram) -> LpOutcome:
 
     cost2 = [ZERO] * ncols
     for i, c in lp.objective:
-        spec = st.var_cols[i]
-        cost2[spec[1]] = c
-        if spec[0] == "split":
-            cost2[spec[2]] = -c
+        cost2[i] = c
     cost2, cost2_den = _int_row(cost2)
     _set_cost(st, cost2, cost2_den)
     status = _run_simplex(st, banned=art_cols)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
 
-    zvals = {b: Fraction(row[-1], den) for b, row, den in zip(st.basis, st.rows, st.dens)}
-    primal = []
-    for i in range(lp.num_vars):
-        spec = st.var_cols[i]
-        if spec[0] == "single":
-            primal.append(zvals.get(spec[1], ZERO) + st.shift[i])
-        else:
-            primal.append(zvals.get(spec[1], ZERO) - zvals.get(spec[2], ZERO))
+    basic = {b: Fraction(row[-1], den) for b, row, den in zip(st.basis, st.rows, st.dens)}
+    primal = [basic.get(i, ZERO) for i in range(lp.num_vars)]
     value = sum((c * primal[i] for i, c in lp.objective), ZERO)
 
-    y, alpha = _multipliers(st, cost2, cost2_den)
+    y, alpha = _multipliers(lp, st, cost2, cost2_den)
     cert = _assemble_certificate(lp, st, "dual", y, alpha)
     out = LpOutcome(OPTIMAL, tuple(primal), value, cert)
     ensure(verify_certificate(lp, out), "optimal solution and dual certificate fail to verify")
@@ -509,9 +451,10 @@ def _purge_artificials(st, art_cols):
 
 
 def verify_certificate(lp: LinearProgram, outcome: LpOutcome) -> bool:
-    """Independent exact re-check of an outcome against the original LP."""
-    if outcome.status == UNBOUNDED:
-        return True
+    """Independent exact re-check of an outcome against the original LP.
+
+    An unbounded outcome carries no witness, so it never verifies.
+    """
     cert = outcome.certificate
     if cert is None:
         return False
@@ -523,8 +466,6 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome) -> bool:
     if any(v < 0 for v in cert.y_ub):
         return False
     for i in range(lp.num_vars):
-        if lp.lower[i] is None and cert.y_lb[i] != 0:
-            return False
         if lp.upper[i] is None and cert.y_ub[i] != 0:
             return False
     alpha = _column_products(lp, (cert.y_eq, cert.y_ineq, cert.y_ub))
@@ -536,8 +477,6 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome) -> bool:
     for i in range(lp.num_vars):
         if cert.y_ub[i]:
             combined_rhs += cert.y_ub[i] * lp.upper[i]
-        if cert.y_lb[i]:
-            combined_rhs -= cert.y_lb[i] * lp.lower[i]
 
     if outcome.status == INFEASIBLE:
         if cert.kind != "farkas":
@@ -553,9 +492,7 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome) -> bool:
         if len(x) != lp.num_vars:
             return False
         for i in range(lp.num_vars):
-            if lp.lower[i] is not None and x[i] < lp.lower[i]:
-                return False
-            if lp.upper[i] is not None and x[i] > lp.upper[i]:
+            if x[i] < 0 or (lp.upper[i] is not None and x[i] > lp.upper[i]):
                 return False
         for terms, rhs in lp.eqs:
             if sum((c * x[i] for i, c in terms), ZERO) != rhs:

@@ -41,7 +41,6 @@ from .core import (
     permute_parties,
     rat,
     relabel,
-    uniform_box,
     validate_box,
 )
 from .isotropic import make_isotropic
@@ -444,7 +443,7 @@ def _iso_ceiling_lp() -> lp.LinearProgram:
     pr = make_isotropic(1)
     _, n_orbits, rows = _orbit_rows(ExtensionProblem(make_isotropic(0), "B", 2))
     prog = lp.LinearProgram(n_orbits + 1, [(n_orbits, ONE)])
-    prog.set_bounds(n_orbits, ZERO, ONE)
+    prog.set_upper(n_orbits, ONE)
     for coeffs, rhs, entry in rows:
         slope = rhs - pr.prob(*entry) if entry else ZERO
         prog.add_eq(coeffs + ((n_orbits, slope),), rhs)

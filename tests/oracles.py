@@ -51,19 +51,19 @@ def _feasible(x, eq_rows, ineq_rows):
     return True
 
 
-def brute_force_lp(prog: lp.LinearProgram):
+def brute_force_lp(prog: lp.LinearProgram, bounds):
     """Exhaustive vertex enumeration for a small LP with finite bounds.
 
-    Equalities are always active; every (n - #eqs)-subset of inequality
-    and bound rows is intersected exactly and the optimum is the best
-    objective over feasible vertices.  Finite bounds on every variable
-    keep the feasible set a polytope, so "no vertex" means infeasible.
-    Returns ("optimal", value) or ("infeasible", None).
+    `prog` holds the rows and the objective over x, and bounds[i] is the
+    (lo, hi) of lo <= x_i <= hi; the bounds `prog` itself holds are not
+    read.  Equalities are always active; every (n - #eqs)-subset of
+    inequality and bound rows is intersected exactly and the optimum is
+    the best objective over feasible vertices.  Finite bounds on every
+    variable keep the feasible set a polytope, so "no vertex" means
+    infeasible.  Returns ("optimal", value) or ("infeasible", None).
     """
     n = prog.num_vars
-    assert all(
-        prog.lower[i] is not None and prog.upper[i] is not None for i in range(n)
-    )
+    assert len(bounds) == n
 
     def dense(pairs):
         row = [Fraction(0)] * n
@@ -74,13 +74,13 @@ def brute_force_lp(prog: lp.LinearProgram):
     ineq_rows = []
     for coeffs, rhs in prog.ineqs:
         ineq_rows.append((dense(coeffs), Fraction(rhs)))
-    for i in range(n):
+    for i, (lower, upper) in enumerate(bounds):
         lo = [Fraction(0)] * n
         lo[i] = Fraction(-1)
-        ineq_rows.append((lo, -Fraction(prog.lower[i])))
+        ineq_rows.append((lo, -Fraction(lower)))
         hi = [Fraction(0)] * n
         hi[i] = Fraction(1)
-        ineq_rows.append((hi, Fraction(prog.upper[i])))
+        ineq_rows.append((hi, Fraction(upper)))
     eq_rows = [(dense(coeffs), Fraction(rhs)) for coeffs, rhs in prog.eqs]
     objective = dense(prog.objective)
     free = max(0, n - len(eq_rows))

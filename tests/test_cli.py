@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from boxlab import boxio, cli, lp
+from boxlab.core import Scenario, uniform_box
 from conftest import asymmetric_giso
 from oracles import unfolded_extension_lp
 
@@ -235,6 +236,18 @@ def test_unreadable_report_exits_2(tmp_path, content):
     report = tmp_path / "report.json"
     report.write_bytes(content)
     assert run("verify", report) == 2
+
+
+@pytest.mark.parametrize("party", ["A", "B"])
+@pytest.mark.parametrize("parties", [1, 3])
+def test_entropy_on_non_bipartite_box_exits_2(tmp_path, capsys, parties, party):
+    box = tmp_path / "box.txt"
+    if parties == 3:
+        assert run("make", "polygamy", "-o", box) == 0
+    else:
+        boxio.write_box(str(box), uniform_box(Scenario((2,), (2,))))
+    assert run("analyze", "entropy", box, "--party", party) == 2
+    assert "bipartite" in capsys.readouterr().err
 
 
 def test_bad_cglmp_size_exits_2(tmp_path):

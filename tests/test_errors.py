@@ -28,6 +28,32 @@ def test_no_assert_in_package():
     assert found == []
 
 
+def _unused_imports(tree):
+    """Names a module imports at top level and never reads; names listed
+    in its __all__ count as read, since they are re-exported."""
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [(name, line) for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_import_in_package():
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in _unused_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == []
+
+
 def test_every_exception_is_one_boxlab_error():
     classes = [
         obj
@@ -55,7 +81,7 @@ def test_solve_checks_its_certificate_under_python_O():
             sys.exit("not running under -O")
         lp.verify_certificate = lambda prog, outcome: False
         prog = lp.LinearProgram(1, enumerate([1]))
-        prog.set_bounds(0, 0, 1)
+        prog.set_upper(0, 1)
         try:
             lp.solve(prog)
         except InternalError:

@@ -35,11 +35,15 @@ class TestBasics:
         assert out.status == INFEASIBLE
         assert out.certificate.kind == "farkas"
         assert verify_certificate(prog, out)
+        # an outcome with no evidence proves nothing, whatever its status
+        assert verify_certificate(prog, LpOutcome(UNBOUNDED)) is False
 
     def test_unbounded(self):
         prog = LinearProgram(2, enumerate([1, 0]))
         out = solve(prog)
         assert out.status == UNBOUNDED
+        # nothing in an unbounded outcome can be checked
+        assert verify_certificate(prog, out) is False
 
     def test_equalities_handled_directly(self):
         prog = LinearProgram(3, enumerate([0, 0, 1]))
@@ -50,29 +54,13 @@ class TestBasics:
         assert out.value == 1
         assert out.primal == (F(0), F(0), F(1))
 
-    def test_free_variables(self):
-        prog = LinearProgram(2, enumerate([0, 1]))
-        prog.set_bounds(0, None, None)
-        prog.add_eq(enumerate([1, 1]), 5)
-        prog.add_ineq(enumerate([0, 1]), 3)
-        out = solve(prog)
-        assert out.status == OPTIMAL
-        assert out.value == 3
-        assert out.primal == (F(2), F(3))
-
     def test_conflicting_bounds(self):
         prog = LinearProgram(2)
-        prog.set_bounds(1, 2, 1)
+        prog.set_upper(1, -1)
         out = solve(prog)
         assert out.status == INFEASIBLE
+        assert out.certificate.kind == "farkas"
         assert verify_certificate(prog, out)
-
-    def test_negative_lower_bounds(self):
-        prog = LinearProgram(1, enumerate([-1]))
-        prog.set_bounds(0, -3, 7)
-        out = solve(prog)
-        assert out.value == 3
-        assert out.primal == (F(-3),)
 
     def test_redundant_equalities(self):
         prog = LinearProgram(2, enumerate([1, 1]))
@@ -103,7 +91,7 @@ class TestBasics:
         with pytest.raises(lp.DimensionMismatch):
             prog.add_ineq([(col, 1)], 1)
         with pytest.raises(lp.DimensionMismatch):
-            prog.set_objective([(col, 1)])
+            prog.set_upper(col, 1)
         with pytest.raises(lp.DimensionMismatch):
             LinearProgram(2, [(col, 1)])
         assert prog.eqs == [] and prog.ineqs == []
@@ -210,7 +198,7 @@ class TestCertificateTampering:
         prog = LinearProgram(2, enumerate([1, 1]))
         prog.add_eq(enumerate([1, -1]), 0)
         prog.add_ineq(enumerate([1, 2]), 4)
-        prog.set_bounds(0, 0, 1)
+        prog.set_upper(0, 1)
         out = solve(prog)
         assert verify_certificate(prog, out)
         values = getattr(out.certificate, field)
@@ -220,51 +208,101 @@ class TestCertificateTampering:
             assert verify_certificate(prog, tampered) is False
 
 
+def nonnegative_program(objective, eqs, ineqs, bounds):
+    """The program `solve` takes for an LP over x, and the constant that
+    its optimal value is off by.
+
+    Rows and the objective are dense over x.  bounds[i] is (lo, hi) for
+    lo <= x_i <= hi, stated as x_i = lo + z_i with 0 <= z_i <= hi - lo, or
+    None for a free x_i, stated as x_i = pos_i - neg_i over two columns.
+    """
+    columns = []  # per x_i: its (column, sign) terms
+    for b in bounds:
+        start = sum(len(terms) for terms in columns)
+        columns.append([(start, 1)] if b is not None else [(start, 1), (start + 1, -1)])
+    offset = [b[0] if b is not None else 0 for b in bounds]
+
+    def pairs(coeffs):
+        return [(col, sign * c) for c, terms in zip(coeffs, columns) for col, sign in terms]
+
+    def shift(coeffs):
+        return sum(c * o for c, o in zip(coeffs, offset))
+
+    prog = LinearProgram(sum(len(terms) for terms in columns), pairs(objective))
+    for terms, b in zip(columns, bounds):
+        if b is not None:
+            prog.set_upper(terms[0][0], b[1] - b[0])
+    for coeffs, rhs in eqs:
+        prog.add_eq(pairs(coeffs), rhs - shift(coeffs))
+    for coeffs, rhs in ineqs:
+        prog.add_ineq(pairs(coeffs), rhs - shift(coeffs))
+    return prog, shift(objective)
+
+
+def original_program(objective, eqs, ineqs):
+    """The LP over x itself, for brute_force_lp beside its bounds."""
+    prog = LinearProgram(len(objective), enumerate(objective))
+    for coeffs, rhs in eqs:
+        prog.add_eq(enumerate(coeffs), rhs)
+    for coeffs, rhs in ineqs:
+        prog.add_ineq(enumerate(coeffs), rhs)
+    return prog
+
+
 def random_small_lp(rng: random.Random):
-    """Bounded random LP: every variable boxed so brute force is exact."""
+    """Bounded random LP: every variable boxed so brute force is exact.
+
+    Returns (program for solve, its constant, original LP, bounds): each
+    lo <= x_i <= hi goes to solve as x_i = lo + z_i.
+    """
     n = rng.choice([2] * 8 + [3] * 6 + [4] * 4 + [5, 6])
-    prog = LinearProgram(n, enumerate([rng.randrange(-4, 5) for _ in range(n)]))
-    for i in range(n):
+    objective = [rng.randrange(-4, 5) for _ in range(n)]
+    bounds = []
+    for _ in range(n):
         lo = rng.choice([0, 0, -1, -2])
-        hi = lo + rng.randrange(1, 5)
-        prog.set_bounds(i, lo, hi)
+        bounds.append((lo, lo + rng.randrange(1, 5)))
+    eqs, ineqs = [], []
     n_rows = rng.randrange(1, 4 if n > 4 else 5)
     for _ in range(n_rows):
         coeffs = [rng.randrange(-3, 4) for _ in range(n)]
         rhs = rng.randrange(-4, 7)
         if rng.random() < 0.25 and n >= 3:
-            prog.add_eq(enumerate(coeffs), rhs)
+            eqs.append((coeffs, rhs))
         else:
-            prog.add_ineq(enumerate(coeffs), rhs)
-    return prog
+            ineqs.append((coeffs, rhs))
+    prog, constant = nonnegative_program(objective, eqs, ineqs, bounds)
+    return prog, constant, original_program(objective, eqs, ineqs), bounds
 
 
 @pytest.mark.parametrize("seed", [101, 202])
 def test_random_lps_match_brute_force(seed):
     rng = random.Random(seed)
+    statuses = set()
     for _ in range(60):
-        prog = random_small_lp(rng)
+        prog, constant, original, bounds = random_small_lp(rng)
         out = solve(prog)
-        status, value = brute_force_lp(prog)
-        assert out.status == status, f"status mismatch on {prog.__dict__}"
+        status, value = brute_force_lp(original, bounds)
+        assert out.status == status, f"status mismatch on {original.__dict__}"
         if status == OPTIMAL:
-            assert out.value == value
+            assert out.value + constant == value
         assert verify_certificate(prog, out)
+        statuses.add(out.status)
+    assert statuses == {OPTIMAL, INFEASIBLE}
 
 
 def random_rational_lp(rng: random.Random):
-    """(program for solve, boxed twin for brute_force_lp) with the same
-    feasible set and objective.
+    """(program for solve, its constant, original LP, bounds) with the
+    same feasible set and objective up to the constant.
 
     Coefficients, right-hand sides and bounds are rationals with
     denominators 2-7, so tableau rows start on different denominators.
-    Some variables are free: in the program they are boxed by two
-    inequality rows instead of bounds, which the twin states as bounds.
-    Equality rows pass through a point whose coordinates often sit on a
-    bound, so phase 1 often ends with an artificial basic at zero; some
-    come again scaled by a negative or positive rational, which the
-    simplex must drop as redundant, while the twin keeps one copy, as
-    vertex enumeration needs.
+    A boxed x_i goes to solve as x_i = lo + z_i.  Some variables are free:
+    x_i = pos_i - neg_i, boxed by two inequality rows instead of bounds,
+    which the original LP states as bounds.  Equality rows pass through a
+    point whose coordinates often sit on a bound, so phase 1 often ends
+    with an artificial basic at zero; some come again scaled by a negative
+    or positive rational, which the simplex must drop as redundant, while
+    the original keeps one copy, as vertex enumeration needs.
     """
 
     def rat():
@@ -272,38 +310,41 @@ def random_rational_lp(rng: random.Random):
 
     n = rng.choice([2] * 6 + [3] * 6 + [4] * 3)
     objective = [rat() for _ in range(n)]
-    prog = LinearProgram(n, enumerate(objective))
-    twin = LinearProgram(n, enumerate(objective))
     point = []
+    bounds = []  # of the original LP
+    substituted = []  # (lo, hi) or None (free) for solve
+    eqs, ineqs = [], []  # of the original LP
+    solve_eqs, solve_ineqs = [], []
     for i in range(n):
         lo = rat()
         hi = lo + F(rng.randrange(1, 13), rng.randrange(2, 8))
         point.append(rng.choice([lo, lo, hi, (lo + hi) / 2]))
-        twin.set_bounds(i, lo, hi)
+        bounds.append((lo, hi))
         if rng.random() < 0.3:
-            prog.set_bounds(i, None, None)
+            substituted.append(None)
             unit = [0] * n
             unit[i] = 1
-            prog.add_ineq(enumerate(unit), hi)
+            solve_ineqs.append((list(unit), hi))
             unit[i] = -1
-            prog.add_ineq(enumerate(unit), -lo)
+            solve_ineqs.append((unit, -lo))
         else:
-            prog.set_bounds(i, lo, hi)
+            substituted.append((lo, hi))
     for _ in range(rng.randrange(1, 4)):
         coeffs = [rat() if rng.random() < 0.8 else 0 for _ in range(n)]
         at_point = sum(c * x for c, x in zip(coeffs, point))
         if rng.random() < 0.4 and n >= 3:
             rhs = at_point if rng.random() < 0.7 else rat()
-            for target in (prog, twin):
-                target.add_eq(enumerate(coeffs), rhs)
+            eqs.append((coeffs, rhs))
+            solve_eqs.append((coeffs, rhs))
             if rng.random() < 0.6:
                 k = rng.choice([F(-1), F(2), F(-3, 5), F(7, 4)])
-                prog.add_eq(enumerate([k * c for c in coeffs]), k * rhs)
+                solve_eqs.append(([k * c for c in coeffs], k * rhs))
         else:
             rhs = at_point + rng.choice([0, 0, 1, -1]) * rat()
-            for target in (prog, twin):
-                target.add_ineq(enumerate(coeffs), rhs)
-    return prog, twin
+            ineqs.append((coeffs, rhs))
+            solve_ineqs.append((coeffs, rhs))
+    prog, constant = nonnegative_program(objective, solve_eqs, solve_ineqs, substituted)
+    return prog, constant, original_program(objective, eqs, ineqs), bounds
 
 
 @pytest.mark.parametrize("seed", [303, 404])
@@ -311,12 +352,12 @@ def test_rational_lps_match_brute_force(seed):
     rng = random.Random(seed)
     statuses = set()
     for _ in range(60):
-        prog, twin = random_rational_lp(rng)
+        prog, constant, original, bounds = random_rational_lp(rng)
         out = solve(prog)
-        status, value = brute_force_lp(twin)
-        assert out.status == status, f"status mismatch on {prog.__dict__}"
+        status, value = brute_force_lp(original, bounds)
+        assert out.status == status, f"status mismatch on {original.__dict__}"
         if status == OPTIMAL:
-            assert out.value == value
+            assert out.value + constant == value
         assert verify_certificate(prog, out)
         statuses.add(out.status)
     assert statuses == {OPTIMAL, INFEASIBLE}
