@@ -1,12 +1,18 @@
 """Exact linear programming over rationals.
 
-Two-phase primal simplex with Bland's anti-cycling rule.  The tableau
-holds each row, and the cost row, as Python int numerators over one
-positive denominator per row, divided by their common gcd after every
-elimination, so each entry is exactly the rational it stands for and
-Bland's rule sees the same values a Fraction tableau would.  A pivot
-reads the pivot row's nonzero columns once and updates only those in
-every other row; rows turn into Fractions only when the solution and
+Two-phase primal simplex.  Before phase 1 a crash step pivots a sparse
+structural column into every mixed-sign equality row that starts with
+rhs 0 on its artificial (the nonsignaling rows of every box LP), which
+changes no rhs; a row with nothing outside the artificial columns is
+implied by the others and is dropped.  Both phases price by Dantzig's rule (largest
+reduced cost) and fall back to Bland's rule after a run of degenerate
+pivots, until the next nondegenerate one, so the simplex cannot cycle.
+The tableau holds each row, and the cost row, as Python int numerators
+over one positive denominator per row, divided by their common gcd after
+every elimination, so each entry is exactly the rational it stands for
+and the pivot rules see the same values a Fraction tableau would.  A
+pivot reads the pivot row's nonzero columns once and updates only those
+in every other row; rows turn into Fractions only when the solution and
 the multipliers are read out.
 
 Every outcome carries an exactly checkable witness: an optimal solve
@@ -49,6 +55,10 @@ ONE = Fraction(1)
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
+
+# consecutive degenerate pivots after which _run_simplex prices by Bland's
+# rule until the next nondegenerate pivot
+DEGENERATE_RUN = 20
 
 
 class DimensionMismatch(BoxlabError):
@@ -196,17 +206,33 @@ def _set_cost(st, cost, cost_den):
 
 
 def _run_simplex(st, banned):
-    """Bland's rule: smallest eligible entering index, smallest basic
-    index among minimal ratios.  Returns "optimal" or "unbounded"."""
+    """Dantzig's rule with a Bland fallback.  Returns "optimal" or
+    "unbounded".
+
+    The entering column is the one with the largest positive reduced cost
+    (lowest index on ties); the leaving row has the minimal ratio, the
+    smallest basic index among ties.  After DEGENERATE_RUN consecutive
+    degenerate pivots (pivot row rhs 0) the entering column becomes the
+    smallest eligible index, Bland's rule, until the next nondegenerate
+    pivot.  This terminates: Bland's rule cannot cycle, so every run of
+    degenerate pivots is finite, and every nondegenerate pivot strictly
+    raises the objective, so no basis recurs across one."""
     rows, basis = st.rows, st.basis
     ncols = len(st.columns)
+    degenerate = 0
     while True:
         cost = st.cost
         pc = -1
-        for j in range(ncols):
-            if cost[j] > 0 and j not in banned:
-                pc = j
-                break
+        if degenerate >= DEGENERATE_RUN:
+            for j in range(ncols):
+                if cost[j] > 0 and j not in banned:
+                    pc = j
+                    break
+        else:
+            best = 0
+            for j in range(ncols):
+                if cost[j] > best and j not in banned:
+                    pc, best = j, cost[j]
         if pc < 0:
             return OPTIMAL
         # a row's ratio rhs / entry is the same over its own denominator
@@ -223,6 +249,7 @@ def _run_simplex(st, banned):
                 pr, best_rhs, best_a, best_var = i, row[-1], a, basis[i]
         if pr < 0:
             return UNBOUNDED
+        degenerate = degenerate + 1 if best_rhs == 0 else 0
         _pivot(st, pr, pc)
 
 
@@ -233,8 +260,8 @@ class _Standardized:
 
     row_kinds / flips / unit_cols are indexed by original row id and never
     shrink; `active` lists the original rows still present in the tableau
-    (redundant equality rows found in phase 1 get dropped).  rows, dens
-    and basis run in step over the tableau rows.
+    (redundant equality rows found by the crash or after phase 1 get
+    dropped).  rows, dens and basis run in step over the tableau rows.
     """
 
     columns: list  # ("var", i) | ("slack", r) | ("art", r)
@@ -364,19 +391,25 @@ def solve(lp: LinearProgram) -> LpOutcome:
     Every variable is one tableau column, nonnegative and capped by its
     upper bound row when it has one; an upper bound below 0 is an
     infeasible row like any other, answered by a Farkas certificate from
-    phase 1.  Runs the simplex on the integer-row tableau described in
-    the module docstring; every entry is the exact rational, so the
-    pivots are those of Bland's rule on the rational tableau.
-    Deterministic for identical inputs (fixed construction order and
-    Bland's pivot rule).  Raises no numerical exceptions: every status is
-    decided in exact arithmetic, and `verify_certificate` re-checks each
-    optimal or infeasible outcome in Fractions before it is returned.
+    phase 1.  The crash step (`_crash`) first makes a structural column
+    basic in each mixed-sign equality row with rhs 0, then both phases run
+    `_run_simplex`: Dantzig pricing with a Bland fallback after
+    DEGENERATE_RUN consecutive degenerate pivots, which terminates (see
+    there).  Every tableau entry is the exact rational, so the pivots are
+    those the rules pick on the rational tableau, and the vertex and the
+    multipliers returned depend on them; the status and the optimal value
+    do not.  Deterministic for identical inputs (fixed construction order
+    and pivot rules, lowest index on every tie).  Raises no numerical
+    exceptions: every status is decided in exact arithmetic, and
+    `verify_certificate` re-checks each optimal or infeasible outcome in
+    Fractions before it is returned.
     """
     st = _standardize(lp)
     ncols = len(st.columns)
     art_cols = {j for j, c in enumerate(st.columns) if c[0] == "art"}
 
     if art_cols:
+        _crash(st, art_cols)
         cost1 = [-1 if j in art_cols else 0 for j in range(ncols)]
         _set_cost(st, cost1, 1)
         status = _run_simplex(st, banned=set())
@@ -425,10 +458,49 @@ def _partial_rows(lp, st, y_by_origrow):
     return y_eq, y_ineq, y_ub
 
 
+def _drop_row(st, r):
+    """Delete tableau row r, whose basic artificial's row is zero outside
+    the artificial columns: the original equality row owning that
+    artificial is implied by the others, so both go."""
+    st.active.remove(st.columns[st.basis[r]][1])
+    del st.rows[r]
+    del st.dens[r]
+    del st.basis[r]
+
+
+def _crash(st, art_cols):
+    """Pivot a structural column into the rows that start on an
+    artificial with rhs 0, before phase 1.
+
+    Each such row takes the column with a nonzero there and the fewest
+    nonzeros in the initial tableau (lowest index on ties); a row with
+    none outside the artificial columns is dropped.  The pivot row's rhs
+    is 0, so no rhs changes and the start stays feasible.  A row whose
+    entries all have one sign keeps its artificial: it forces each of its
+    columns to 0, so a column pivoted in there could never leave 0 (on
+    the local-membership LPs, whose zero table entries give such rows,
+    crashing them cost a fifth more pivots).
+    """
+    counts = [0] * len(st.columns)
+    for row in st.rows:
+        for j in _nonzeros(row[:-1]):
+            counts[j] += 1
+    r = 0
+    while r < len(st.rows):
+        row = st.rows[r]
+        if st.basis[r] in art_cols and row[-1] == 0:
+            candidates = [j for j in _nonzeros(row[:-1]) if j not in art_cols]
+            if not candidates:
+                _drop_row(st, r)
+                continue
+            if min(row[j] for j in candidates) < 0 < max(row[j] for j in candidates):
+                _pivot(st, r, min(candidates, key=counts.__getitem__), cost=False)
+        r += 1
+
+
 def _purge_artificials(st, art_cols):
-    """Pivot basic artificials out after phase 1; a tableau row that is zero
-    outside the artificial columns certifies that the original equality row
-    owning the basic artificial is implied by the others, so both go."""
+    """Pivot basic artificials out after phase 1, dropping rows that are
+    zero outside the artificial columns."""
     r = 0
     while r < len(st.rows):
         if st.basis[r] in art_cols:
@@ -441,11 +513,7 @@ def _purge_artificials(st, art_cols):
             if pc >= 0:
                 _pivot(st, r, pc, cost=False)
             else:
-                owner = st.columns[st.basis[r]][1]
-                st.active.remove(owner)
-                del st.rows[r]
-                del st.dens[r]
-                del st.basis[r]
+                _drop_row(st, r)
                 continue
         r += 1
 

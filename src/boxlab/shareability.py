@@ -616,6 +616,7 @@ def _single_party_product(sc: Scenario, dist_a, dist_b) -> Box:
 def generalized_isotropic(num_outputs: int, c, dist_a=None, dist_b=None) -> Box:
     """C times the generalized PR box plus (1-C) times a product of
     input-independent single-party distributions (uniform by default)."""
+    gpr = generalized_pr(num_outputs)  # checks num_outputs >= 2
     A = num_outputs
     c = rat(c)
     if not 0 <= c <= 1:
@@ -625,8 +626,7 @@ def generalized_isotropic(num_outputs: int, c, dist_a=None, dist_b=None) -> Box:
     db = [rat(v) for v in dist_b] if dist_b is not None else da
     for d in (da, db):
         if len(d) != A or any(v < 0 for v in d) or sum(d, ZERO) != 1:
-            raise BadParams(f"invalid single-party distribution {d}")
-    gpr = generalized_pr(A)
+            raise BadParams(f"invalid single-party distribution [{', '.join(map(str, d))}]")
     return mix([gpr, _single_party_product(gpr.scenario, da, db)], [c, 1 - c])
 
 

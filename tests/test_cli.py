@@ -250,6 +250,18 @@ def test_entropy_on_non_bipartite_box_exits_2(tmp_path, capsys, parties, party):
     assert "bipartite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind, alphabet", [("giso", 0), ("giso", 1), ("giso", -1), ("gpr", 0)])
+def test_bad_output_alphabet_exits_2(tmp_path, capsys, kind, alphabet):
+    assert run("make", kind, "--A", alphabet, "-o", tmp_path / "box.txt") == 2
+    assert "at least two outputs" in capsys.readouterr().err
+
+
+def test_bad_noise_distribution_shown_as_rationals(tmp_path, capsys):
+    argv = ("make", "giso", "--A", 2, "--pind", "1,1/2", "-o", tmp_path / "box.txt")
+    assert run(*argv) == 2
+    assert "invalid single-party distribution [1, 1/2]" in capsys.readouterr().err
+
+
 def test_bad_cglmp_size_exits_2(tmp_path):
     box = tmp_path / "box.txt"
     assert run("make", "gpr", "--A", "5", "-o", box) == 0

@@ -130,11 +130,7 @@ class TestBasics:
 
 class TestAntiCycling:
     def test_beale_cycling_example_terminates(self):
-        # classic degenerate instance that cycles under naive pivoting
-        prog = LinearProgram(4, enumerate([F(3, 4), -150, F(1, 50), -6]))
-        prog.add_ineq(enumerate([F(1, 4), -60, F(-1, 25), 9]), 0)
-        prog.add_ineq(enumerate([F(1, 2), -90, F(-1, 50), 3]), 0)
-        prog.add_ineq(enumerate([0, 0, 1, 0]), 1)
+        prog = beale_program()
         out = solve(prog)
         assert out.status == OPTIMAL
         assert out.value == F(1, 20)
@@ -361,3 +357,114 @@ def test_rational_lps_match_brute_force(seed):
         assert verify_certificate(prog, out)
         statuses.add(out.status)
     assert statuses == {OPTIMAL, INFEASIBLE}
+
+
+def random_homogeneous_lp(rng: random.Random):
+    """(program for solve, original LP, bounds) for an LP whose equality
+    rows are mostly right-hand side 0, like nonsignaling rows.
+
+    Independent base rows have a leading column that no earlier base row
+    uses; in about half the LPs the first has only negative entries, which
+    forces its support to 0.  The program for solve adds rows implied by
+    them, in shuffled order: exact and negated duplicates, sums of two
+    rows and an empty row, so the crash meets rows it must drop.  (A row
+    with entries of one sign keeps its artificial through the crash and
+    goes after phase 1, if at all.)  Rows with a positive right-hand
+    side (an equality that no base row implies, inequalities) and an
+    objective come on top; the original LP keeps only the independent
+    equalities, as vertex enumeration needs.
+    """
+    n = rng.randrange(3, 7)
+    order = list(range(n))
+    rng.shuffle(order)  # column of each leading position
+    base = []
+    for k in range(rng.randrange(1, min(n, 4))):
+        coeffs = [0] * n
+        negative = k == 0 and rng.random() < 0.5
+        coeffs[order[k]] = -1 if negative else rng.choice([1, -1, 2])
+        for pos in range(k + 1, n):
+            if rng.random() < 0.5:
+                coeffs[order[pos]] = -rng.randrange(1, 3) if negative else rng.choice([1, -1, F(1, 2)])
+        base.append(coeffs)
+    derived = [[0] * n]
+    for _ in range(rng.randrange(1, 4)):
+        kind = rng.choice(["same", "negated", "sum"])
+        row = rng.choice(base)
+        if kind == "negated":
+            row = [-c for c in row]
+        elif kind == "sum":
+            row = [c + d for c, d in zip(row, rng.choice(base))]
+        derived.append(row)
+    eqs = [(row, 0) for row in base]
+    support = rng.sample(range(n), rng.randrange(1, n + 1))
+    eqs.append(([1 if i in support else 0 for i in range(n)], rng.randrange(1, 4)))
+    ineqs = [
+        ([rng.randrange(-2, 3) for _ in range(n)], rng.randrange(1, 5))
+        for _ in range(rng.randrange(0, 3))
+    ]
+    objective = [rng.randrange(-3, 4) for _ in range(n)]
+    bounds = [(0, rng.randrange(1, 4)) for _ in range(n)]
+    solve_eqs = eqs + [(row, 0) for row in derived]
+    rng.shuffle(solve_eqs)
+    prog = original_program(objective, solve_eqs, ineqs)
+    for i, (_, hi) in enumerate(bounds):
+        prog.set_upper(i, hi)
+    return prog, original_program(objective, eqs, ineqs), bounds
+
+
+@pytest.mark.parametrize("seed", [505, 606])
+def test_homogeneous_lps_match_brute_force(seed, monkeypatch):
+    dropped = []
+    crash = lp._crash
+
+    def counting_crash(st, art_cols):
+        before = len(st.rows)
+        crash(st, art_cols)
+        dropped.append(before - len(st.rows))
+
+    monkeypatch.setattr(lp, "_crash", counting_crash)
+    rng = random.Random(seed)
+    statuses = set()
+    for _ in range(60):
+        prog, original, bounds = random_homogeneous_lp(rng)
+        out = solve(prog)
+        status, value = brute_force_lp(original, bounds)
+        assert out.status == status, f"status mismatch on {original.__dict__}"
+        if status == OPTIMAL:
+            assert out.value == value
+        assert verify_certificate(prog, out)
+        statuses.add(out.status)
+    assert statuses == {OPTIMAL, INFEASIBLE}
+    assert len(dropped) == 60 and max(dropped) > 0
+
+
+def beale_program():
+    # classic degenerate instance that cycles under naive pivoting
+    prog = LinearProgram(4, enumerate([F(3, 4), -150, F(1, 50), -6]))
+    prog.add_ineq(enumerate([F(1, 4), -60, F(-1, 25), 9]), 0)
+    prog.add_ineq(enumerate([F(1, 2), -90, F(-1, 50), 3]), 0)
+    prog.add_ineq(enumerate([0, 0, 1, 0]), 1)
+    return prog
+
+
+class PivotCap(Exception):
+    pass
+
+
+def test_beale_cycles_under_pure_dantzig(monkeypatch):
+    calls = []
+    pivot = lp._pivot
+
+    def capped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 200:
+            raise PivotCap
+        return pivot(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "_pivot", capped)
+    out = solve(beale_program())
+    assert out.value == F(1, 20) and len(calls) < 200
+    calls.clear()
+    monkeypatch.setattr(lp, "DEGENERATE_RUN", 10**9)
+    with pytest.raises(PivotCap):
+        solve(beale_program())

@@ -65,6 +65,19 @@ class TestShareability:
         outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=witness.certificate)
         assert lp.verify_certificate(folded_extension_lp(problem)[0], outcome)
 
+    def test_isotropic_four_shareable_exactly_up_to_half(self):
+        # the paper's bound: isotropic boxes are m-shareable for every m
+        # when C <= 1/2, and not even 2-shareable above it
+        half = ExtensionProblem(make_isotropic(F(1, 2)), "B", 4)
+        witness = is_m_shareable(half)
+        assert witness.feasible
+        validate_extension(half, witness.extension)
+        above = ExtensionProblem(make_isotropic(F(3, 5)), "B", 4)
+        witness = is_m_shareable(above)
+        assert not witness.feasible
+        outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=witness.certificate)
+        assert lp.verify_certificate(folded_extension_lp(above)[0], outcome)
+
     def test_product_box_any_m(self):
         box = uniform_box(SC22)
         for m in (1, 2, 3):
