@@ -9,7 +9,6 @@ deterministic strategies, the nonsignaling maximum from an exact LP.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +22,6 @@ from .core import (
     ONE,
     box_from_function,
     ensure,
-    relabel,
 )
 
 CGLMP_DEFAULT_CAP = 4
@@ -208,42 +206,6 @@ def unique_ns_maximizer(functional: BellFunctional):
             return False, None
         point.append(hi.value)
     return True, Box(sc, tuple(point))
-
-
-def relabelings_2222():
-    """All 64 local reversible relabelings of the 2222 scenario, as
-    (input_perms, output_perms) argument pairs for core.relabel."""
-    perms2 = ((0, 1), (1, 0))
-    out = []
-    for pin_a in perms2:
-        for pout_a in itertools.product(perms2, repeat=2):
-            for pin_b in perms2:
-                for pout_b in itertools.product(perms2, repeat=2):
-                    out.append(
-                        (
-                            [pin_a, pin_b],
-                            [list(pout_a), list(pout_b)],
-                        )
-                    )
-    return out
-
-
-def canonical_2222(box: Box) -> Box:
-    """Deterministic canonical form with C00, C01, C10 >= 0.
-
-    Exhausts the 64 local relabelings and returns the lexicographically
-    smallest table among those in the required sign pattern.
-    """
-    _require_2222(box)
-    best = None
-    for in_perms, out_perms in relabelings_2222():
-        cand = relabel(box, in_perms, out_perms)
-        c = correlators(cand)
-        if c.c00 >= 0 and c.c01 >= 0 and c.c10 >= 0:
-            if best is None or cand.table < best.table:
-                best = cand
-    ensure(best is not None, "no relabeling reaches the canonical sign pattern")
-    return best
 
 
 def ns_vertices_2222() -> tuple[Box, ...]:

@@ -137,7 +137,11 @@ def _run_local(box, flags):
 
 
 def _locality_evidence(report: Fields, box: Box):
-    """The report's local model or Bell certificate if it holds for the box, else None."""
+    """The report's local model or Bell certificate if it holds for the box, else None.
+
+    Refuses, as is_local does, a scenario with more deterministic
+    strategies than the cap: the certificate check enumerates them all."""
+    locality.check_strategy_space(box.scenario)
     if "witness" in report:
         model = boxio.decode_local_model(report.obj("witness", "local_model"), box.scenario)
         weights = model.weights

@@ -175,6 +175,8 @@ class PartySubset:
             raise ScenarioMismatch("party subset must be nonempty")
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
             raise ScenarioMismatch("party indices must be strictly increasing")
+        if self.indices[0] < 0:
+            raise ScenarioMismatch(f"party indices must be nonnegative, got {self.indices}")
 
 
 @dataclass(frozen=True)
@@ -223,40 +225,76 @@ def uniform_box(scenario: Scenario) -> Box:
     return Box(scenario, (p,) * scenario.table_size)
 
 
-def _context_tuples(scenario: Scenario, k: int, kind: str) -> Iterator[tuple[int, ...]]:
-    sizes = scenario.inputs if kind == "in" else scenario.outputs
-    return itertools.product(*(range(s) for i, s in enumerate(sizes) if i != k))
+def _party_subset(scenario: Scenario, subset: PartySubset | Sequence[int]) -> tuple[int, ...]:
+    if not isinstance(subset, PartySubset):
+        subset = PartySubset(tuple(subset))
+    if subset.indices[-1] >= scenario.parties:
+        raise ScenarioMismatch(f"party subset {subset.indices} out of range")
+    return subset.indices
 
 
-def _insert(ctx: tuple[int, ...], k: int, v: int) -> tuple[int, ...]:
-    return ctx[:k] + (v,) + ctx[k:]
+def _assignments(sizes: Sequence[int], parties: Sequence[int]):
+    """Every assignment of values to `parties`, in product order, with its
+    mixed-radix offset in a tuple over all of `sizes` whose other entries
+    are 0: yields (values, offset)."""
+    strides = [1] * len(sizes)
+    for i in range(len(sizes) - 2, -1, -1):
+        strides[i] = strides[i + 1] * sizes[i + 1]
+    for values in itertools.product(*(range(sizes[i]) for i in parties)):
+        yield values, sum(v * strides[i] for i, v in zip(parties, values))
+
+
+def marginal_indices(scenario: Scenario, keep: PartySubset | Sequence[int]):
+    """How each entry of the marginal on `keep` reads the table: the other
+    parties' inputs pinned to 0 and their outputs summed.  Yields
+    ((outs, xs), flat indices summed) per marginal entry, in the
+    marginal's table order; the indices ascend."""
+    keep = _party_subset(scenario, keep)
+    drop = [i for i in range(scenario.parties) if i not in keep]
+    n_out = scenario.num_output_tuples
+    summed = [offset for _, offset in _assignments(scenario.outputs, drop)]
+    entries = list(_assignments(scenario.outputs, keep))
+    for xs, x_offset in _assignments(scenario.inputs, keep):
+        for outs, out_offset in entries:
+            base = x_offset * n_out + out_offset
+            yield (outs, xs), [base + s for s in summed]
+
+
+def trace_indices(scenario: Scenario):
+    """The single-party trace conditions, which imply all subset ones: for
+    every party k with two or more inputs, every assignment of the other
+    parties' outputs and inputs, the sum over a_k must not depend on x_k.
+    Yields (k, other_outputs, other_inputs, per_x), per_x[x_k] listing the
+    flat indices summed over a_k, in party, output-context, input-context
+    order."""
+    n_out = scenario.num_output_tuples
+    for k in range(scenario.parties):
+        if scenario.inputs[k] < 2:
+            continue
+        others = [i for i in range(scenario.parties) if i != k]
+        own_outs = [offset for _, offset in _assignments(scenario.outputs, (k,))]
+        own_ins = [offset * n_out for _, offset in _assignments(scenario.inputs, (k,))]
+        in_ctxs = list(_assignments(scenario.inputs, others))
+        for out_ctx, out_offset in _assignments(scenario.outputs, others):
+            for in_ctx, x_offset in in_ctxs:
+                base = x_offset * n_out + out_offset
+                yield k, out_ctx, in_ctx, [[base + x + a for a in own_outs] for x in own_ins]
 
 
 def is_nonsignaling(box: Box, witness: bool = False):
-    """Check the single-party trace conditions, which imply all subset ones.
+    """Check the trace conditions of trace_indices.
 
-    For every party k, every assignment of the other parties' outputs and
-    inputs, and every pair of k-inputs, the sum over a_k must agree exactly.
     Returns True, or (True, None) / (False, witness-tuple) when witness=True.
     The witness is (party, other_outputs, other_inputs, x_k, x_k', lhs, rhs).
     """
-    sc = box.scenario
-    for k in range(sc.parties):
-        for out_ctx in _context_tuples(sc, k, "out"):
-            for in_ctx in _context_tuples(sc, k, "in"):
-                ref = None
-                ref_x = None
-                for xk in range(sc.inputs[k]):
-                    xs = _insert(in_ctx, k, xk)
-                    total = sum(
-                        (box.prob(_insert(out_ctx, k, ak), xs) for ak in range(sc.outputs[k])),
-                        ZERO,
-                    )
-                    if ref is None:
-                        ref, ref_x = total, xk
-                    elif total != ref:
-                        w = (k, out_ctx, in_ctx, ref_x, xk, ref, total)
-                        return (False, w) if witness else False
+    table = box.table
+    for k, out_ctx, in_ctx, per_x in trace_indices(box.scenario):
+        ref = sum((table[i] for i in per_x[0]), ZERO)
+        for xk in range(1, len(per_x)):
+            total = sum((table[i] for i in per_x[xk]), ZERO)
+            if total != ref:
+                w = (k, out_ctx, in_ctx, 0, xk, ref, total)
+                return (False, w) if witness else False
     return (True, None) if witness else True
 
 
@@ -267,14 +305,9 @@ def marginal(box: Box, subset: PartySubset | Sequence[int]) -> Box:
     pinned to 0 and the independence of that choice is asserted rather
     than averaged over, so signaling inputs fail loudly.
     """
-    if not isinstance(subset, PartySubset):
-        subset = PartySubset(tuple(subset))
     sc = box.scenario
-    keep = subset.indices
-    if any(i >= sc.parties for i in keep):
-        raise ScenarioMismatch(f"party subset {keep} out of range")
-    drop = [i for i in range(sc.parties) if i not in keep]
-    if not drop:
+    keep = _party_subset(sc, subset)
+    if len(keep) == sc.parties:
         return box
     ok, w = is_nonsignaling(box, witness=True)
     if not ok:
@@ -282,22 +315,26 @@ def marginal(box: Box, subset: PartySubset | Sequence[int]) -> Box:
     sub = Scenario(
         tuple(sc.inputs[i] for i in keep), tuple(sc.outputs[i] for i in keep)
     )
+    table = box.table
+    return Box(
+        sub,
+        tuple(sum((table[i] for i in idx), ZERO) for _, idx in marginal_indices(sc, keep)),
+    )
+
+
+def restrict_bob_inputs(box: Box, y_values: Sequence[int]) -> Box:
+    """Bipartite box keeping only the listed Bob inputs, in the listed
+    order, re-indexed from 0."""
+    (X, Y), n_out = box.scenario.inputs, box.scenario.num_output_tuples
+    ys = tuple(y_values)
+    if any(not 0 <= y < Y for y in ys):
+        raise ScenarioMismatch(f"Bob inputs {ys} out of range for {Y}")
     table = []
-    for xs_sub in sub.input_tuples():
-        xs = [0] * sc.parties
-        for pos, i in enumerate(keep):
-            xs[i] = xs_sub[pos]
-        for outs_sub in sub.output_tuples():
-            total = ZERO
-            for dropped in itertools.product(*(range(sc.outputs[i]) for i in drop)):
-                outs = [0] * sc.parties
-                for pos, i in enumerate(keep):
-                    outs[i] = outs_sub[pos]
-                for pos, i in enumerate(drop):
-                    outs[i] = dropped[pos]
-                total += box.prob(outs, xs)
-            table.append(total)
-    return Box(sub, tuple(table))
+    for x in range(X):
+        for y in ys:
+            start = (x * Y + y) * n_out
+            table.extend(box.table[start : start + n_out])
+    return Box(Scenario((X, len(ys)), box.scenario.outputs), tuple(table))
 
 
 def condition(box: Box, party: int, x_k: int, a_k: int) -> Box:
@@ -309,6 +346,8 @@ def condition(box: Box, party: int, x_k: int, a_k: int) -> Box:
     sc = box.scenario
     if sc.parties < 2:
         raise ScenarioMismatch("conditioning needs at least two parties")
+    if not 0 <= party < sc.parties:
+        raise ScenarioMismatch(f"party {party} out of range for {sc.parties} parties")
     pk = marginal(box, PartySubset((party,)))
     p = pk.prob((a_k,), (x_k,))
     if p == 0:
@@ -321,9 +360,9 @@ def condition(box: Box, party: int, x_k: int, a_k: int) -> Box:
     )
     table = []
     for xs_sub in sub.input_tuples():
-        xs = _insert(xs_sub, party, x_k)
+        xs = xs_sub[:party] + (x_k,) + xs_sub[party:]
         for outs_sub in sub.output_tuples():
-            outs = _insert(outs_sub, party, a_k)
+            outs = outs_sub[:party] + (a_k,) + outs_sub[party:]
             table.append(box.prob(outs, xs) / p)
     return validate_box(table, sub)
 
@@ -414,6 +453,15 @@ def identity_relabeling(scenario: Scenario):
         [tuple(range(a))] * x for x, a in zip(scenario.inputs, scenario.outputs)
     ]
     return in_perms, out_perms
+
+
+def party_relabelings(inputs: int, outputs: int):
+    """Every local relabeling of one party as (pi, sigma): the relabeled
+    entry (a | x) reads the original entry (sigma[x][a] | pi[x])."""
+    perms = list(itertools.permutations(range(outputs)))
+    for pi in itertools.permutations(range(inputs)):
+        for sigma in itertools.product(perms, repeat=inputs):
+            yield pi, sigma
 
 
 def mix(boxes: Sequence[Box], weights: Sequence) -> Box:

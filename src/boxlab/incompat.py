@@ -24,7 +24,9 @@ from .core import (
     ensure,
     is_nonsignaling,
     marginal,
+    marginal_indices,
     permute_parties,
+    restrict_bob_inputs,
 )
 
 ENTROPY_SLACK = 1e-12
@@ -65,18 +67,10 @@ def restrict_to_pair(box: Box, pair: ObservablePair) -> Box:
     work = _pair_at_bob(box, pair)
     if not is_nonsignaling(work):
         raise ScenarioMismatch("box must be nonsignaling")
-    X, Y = work.scenario.inputs
-    A, B = work.scenario.outputs
+    Y = work.scenario.inputs[1]
     if not (0 <= pair.y0 < Y and 0 <= pair.y1 < Y):
         raise BadPair(f"inputs {pair.y0},{pair.y1} out of range for {Y} observables")
-    sub = Scenario((X, 2), (A, B))
-    table = []
-    for x in range(X):
-        for y in (pair.y0, pair.y1):
-            for a in range(A):
-                for b in range(B):
-                    table.append(work.prob((a, b), (x, y)))
-    return Box(sub, tuple(table))
+    return restrict_bob_inputs(work, (pair.y0, pair.y1))
 
 
 def _joint_scenario(restricted: Scenario) -> Scenario:
@@ -86,20 +80,16 @@ def _joint_scenario(restricted: Scenario) -> Scenario:
 
 
 def _joint_marginal_rows(restricted: Scenario):
-    """Rows summing the joint table P'(a,b0,b1|x) down to each slice:
-    yields ((index, coefficient) pairs over joint entries,
-    ('y0'|'y1', a, b, x))."""
-    X = restricted.inputs[0]
-    A, B = restricted.outputs
+    """Rows summing the joint table P'(a,b0,b1|x) down to each slice of the
+    restricted box: the (0, 1) marginal of the joint table is the y=0
+    slice, the (0, 2) one the y=1 slice.  Yields ((index, coefficient)
+    pairs over joint entries, restricted entry ((a, b), (x, y))), the y=0
+    and y=1 rows of each (a, b, x) in turn."""
     joint = _joint_scenario(restricted)
-    for x in range(X):
-        for a in range(A):
-            for b in range(B):
-                # summing over b1 leaves the y0 observable, and vice versa
-                row0 = [(joint.flat_index((a, b, other), (x, 0, 0)), ONE) for other in range(B)]
-                row1 = [(joint.flat_index((a, other, b), (x, 0, 0)), ONE) for other in range(B)]
-                yield row0, ("y0", a, b, x)
-                yield row1, ("y1", a, b, x)
+    slices = zip(marginal_indices(joint, (0, 1)), marginal_indices(joint, (0, 2)))
+    for ((outs, (x, _)), row0), (_, row1) in slices:
+        yield [(i, ONE) for i in row0], (outs, (x, 0))
+        yield [(i, ONE) for i in row1], (outs, (x, 1))
 
 
 @dataclass(frozen=True)
@@ -116,9 +106,8 @@ def compatibility_lp(restricted: Box) -> lp.LinearProgram:
     to the pair, and what the CHSH identity confirms."""
     joint = _joint_scenario(restricted.scenario)
     prog = lp.LinearProgram(joint.table_size)
-    for row, (side, a, b, x) in _joint_marginal_rows(restricted.scenario):
-        y = 0 if side == "y0" else 1
-        prog.add_eq(row, restricted.prob((a, b), (x, y)))
+    for row, entry in _joint_marginal_rows(restricted.scenario):
+        prog.add_eq(row, restricted.prob(*entry))
     for coeffs, rhs in polytope.ns_equality_rows(joint):
         prog.add_eq(coeffs, rhs)
     return prog
@@ -170,10 +159,8 @@ def incompatibility_lp_for(restricted: Box) -> lp.LinearProgram:
     nw = joint.table_size
     ns_size = sc.table_size
     prog = lp.LinearProgram(nw + ns_size, [(nw + oi, -ONE) for oi in range(sc.num_output_tuples)])
-    for row, (side, a, b, x) in _joint_marginal_rows(sc):
-        y = 0 if side == "y0" else 1
-        s_entry = (nw + sc.flat_index((a, b), (x, y)), ONE)
-        prog.add_eq(row + [s_entry], restricted.prob((a, b), (x, y)))
+    for row, entry in _joint_marginal_rows(sc):
+        prog.add_eq(row + [(nw + sc.flat_index(*entry), ONE)], restricted.prob(*entry))
     for coeffs, rhs in polytope.ns_equality_rows(joint):
         prog.add_eq(coeffs, rhs)
     for coeffs, rhs in polytope.ns_equality_rows(sc):

@@ -58,6 +58,15 @@ def strategy_cap(explicit: int | None = None) -> int:
     return cap
 
 
+def check_strategy_space(scenario: Scenario, cap: int | None = None) -> None:
+    """Raise StrategySpaceTooLarge when enumerating the scenario's
+    deterministic strategies would pass the cap."""
+    count = polytope.strategy_count(scenario)
+    limit = strategy_cap(cap)
+    if count > limit:
+        raise StrategySpaceTooLarge(f"{count} deterministic strategies exceeds cap {limit}")
+
+
 @dataclass(frozen=True)
 class LocalModel:
     """Convex mixture of deterministic strategies reproducing a box."""
@@ -116,12 +125,7 @@ def is_local(box: Box, cap: int | None = None) -> LocalModel | NonlocalityCertif
     ok, w = is_nonsignaling(box, witness=True)
     if not ok:
         raise SignalingBox(w)
-    count = polytope.strategy_count(box.scenario)
-    limit = strategy_cap(cap)
-    if count > limit:
-        raise StrategySpaceTooLarge(
-            f"{count} deterministic strategies exceeds cap {limit}"
-        )
+    check_strategy_space(box.scenario, cap)
     strategies = polytope.deterministic_strategies(box.scenario)
     out = lp.solve(membership_lp(box, strategies))
     if out.status == lp.OPTIMAL:

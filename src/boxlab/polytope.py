@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Box, Scenario, ZERO, ONE
+from .core import Box, Scenario, ZERO, ONE, trace_indices
 from . import lp
 
 
@@ -60,29 +60,13 @@ def normalization_rows(scenario: Scenario) -> list[tuple[list[tuple[int, Fractio
 
 
 def ns_equality_rows(scenario: Scenario) -> list[tuple[list[tuple[int, Fraction]], Fraction]]:
-    """Trace conditions: summing out party k's output must not depend on
-    x_k.  Consecutive input values are compared; transitivity covers the
-    rest.  Right-hand sides are 0, so the rows also cut the NS *cone*."""
-    sc = scenario
+    """The trace conditions of core.trace_indices as rows: consecutive
+    input values are compared; transitivity covers the rest.  Right-hand
+    sides are 0, so the rows also cut the NS *cone*."""
     rows = []
-    for k in range(sc.parties):
-        if sc.inputs[k] < 2:
-            continue
-        other_out = [
-            list(range(sc.outputs[i])) for i in range(sc.parties) if i != k
-        ]
-        other_in = [list(range(sc.inputs[i])) for i in range(sc.parties) if i != k]
-        for out_ctx in itertools.product(*other_out):
-            for in_ctx in itertools.product(*other_in):
-                for x in range(sc.inputs[k] - 1):
-                    coeffs = []
-                    for ak in range(sc.outputs[k]):
-                        outs = out_ctx[:k] + (ak,) + out_ctx[k:]
-                        xs_lo = in_ctx[:k] + (x,) + in_ctx[k:]
-                        xs_hi = in_ctx[:k] + (x + 1,) + in_ctx[k:]
-                        coeffs.append((sc.flat_index(outs, xs_lo), ONE))
-                        coeffs.append((sc.flat_index(outs, xs_hi), -ONE))
-                    rows.append((coeffs, ZERO))
+    for _, _, _, per_x in trace_indices(scenario):
+        for lo, hi in zip(per_x, per_x[1:]):
+            rows.append(([c for i, j in zip(lo, hi) for c in ((i, ONE), (j, -ONE))], ZERO))
     return rows
 
 

@@ -37,10 +37,13 @@ from .core import (
     ensure,
     is_nonsignaling,
     marginal,
+    marginal_indices,
     mix,
+    party_relabelings,
     permute_parties,
     rat,
     relabel,
+    restrict_bob_inputs,
     validate_box,
 )
 from .isotropic import make_isotropic
@@ -113,39 +116,6 @@ def _swap_slots(t: tuple, i: int, j: int) -> tuple:
     return tuple(out)
 
 
-def _marginal_templates(problem: ExtensionProblem):
-    """Rows expressing each copy-marginal entry as a sum of extension
-    entries, other copies pinned to input 0.  The base's two parties sit
-    on the (fixed, copy) slot pair in slot order, as validate_extension
-    reads the marginal.  Yields (row, (a, b, x, y))."""
-    ext = problem.extension_scenario()
-    fixed = problem.fixed_slot()
-    slots = problem.copy_slots()
-    X, Y = problem.base.scenario.inputs
-    A, B = problem.base.scenario.outputs
-    for slot in slots:
-        first, second = sorted((fixed, slot))
-        others = [s for s in slots if s != slot]
-        for x in range(X):
-            for y in range(Y):
-                xs = [0] * ext.parties
-                xs[first] = x
-                xs[second] = y
-                for a in range(A):
-                    for b in range(B):
-                        row = []
-                        for rest in itertools.product(
-                            *(range(ext.outputs[s]) for s in others)
-                        ):
-                            outs = [0] * ext.parties
-                            outs[first] = a
-                            outs[second] = b
-                            for s, v in zip(others, rest):
-                                outs[s] = v
-                            row.append((ext.flat_index(outs, xs), ONE))
-                        yield row, (a, b, x, y)
-
-
 def _orbits(problem: ExtensionProblem):
     """Group table indices by the copy-permutation symmetry: entries whose
     (output, input) pairs on the copy slots agree as multisets share one
@@ -194,21 +164,15 @@ def _orbit_rows(problem: ExtensionProblem):
 
     for coeffs, rhs in polytope.normalization_rows(ext):
         add(coeffs, rhs)
-    for row, (a, b, x, y) in _marginal_templates(problem):
-        entry = ((a, b), (x, y))
-        add(row, problem.base.prob(*entry), entry)
+    # the base's two parties sit on the (fixed, copy) slot pair in slot
+    # order, as validate_extension reads the marginal
+    fixed = problem.fixed_slot()
+    for slot in problem.copy_slots():
+        for entry, idx in marginal_indices(ext, sorted((fixed, slot))):
+            add([(i, ONE) for i in idx], problem.base.prob(*entry), entry)
     for coeffs, rhs in polytope.ns_equality_rows(ext):
         add(coeffs, rhs)
     return orbit_of, n_orbits, rows
-
-
-def _party_relabelings(inputs: int, outputs: int):
-    """Every local relabeling of one party as (pi, sigma): the relabeled
-    entry (a | x) reads the original entry (sigma[x][a] | pi[x])."""
-    perms = list(itertools.permutations(range(outputs)))
-    for pi in itertools.permutations(range(inputs)):
-        for sigma in itertools.product(perms, repeat=inputs):
-            yield pi, sigma
 
 
 def _canonical_problem(problem: ExtensionProblem):
@@ -217,7 +181,17 @@ def _canonical_problem(problem: ExtensionProblem):
     of every index in this one's.  Relabeling each copy of a party alike
     maps extensions onto extensions, so the answer is the same, and every
     relabeling of a box gets one program and the same simplex pivots.
-    Above CANONICAL_SEARCH_CAP relabelings the problem is kept as is."""
+    Above CANONICAL_SEARCH_CAP relabelings the problem is kept as is.
+
+    What the search buys is a cost independent of labels, and the
+    shareability-ladder benchmark cannot see it: its boxes are cheap
+    under any labeling, and without the search its tasks_per_s rises
+    (80.5 to 89.8).  It shows on 3322 at m=3 toward B.  Two seeded
+    five-strategy local mixtures under three labelings each took
+    2,578-2,811 pivots (23-28 s) with the search and 1,024-14,629
+    pivots (7.5-233 s) without it; two other mixtures took 1,462 and
+    6,024 pivots with it, under every labeling, and 1,023-1,089 and
+    1,682-11,834 pivots (up to 171 s) without it (Python 3.11, 2 vCPUs)."""
     sc = problem.base.scenario
     (X, Y), (A, B) = sc.inputs, sc.outputs
     count = math.factorial(X) * math.factorial(A) ** X * math.factorial(Y) * math.factorial(B) ** Y
@@ -229,9 +203,9 @@ def _canonical_problem(problem: ExtensionProblem):
     cells = list(itertools.product(range(X), range(Y), range(A), range(B)))
     # flat index (x*Y + y)*A*B + a*B + b is one term per party
     alice = [(g, [g[0][x] * Y * A * B + g[1][x][a] * B for x, _, a, _ in cells])
-             for g in _party_relabelings(X, A)]
+             for g in party_relabelings(X, A)]
     bob = [(h, [h[0][y] * A * B + h[1][y][b] for _, y, _, b in cells])
-           for h in _party_relabelings(Y, B)]
+           for h in party_relabelings(Y, B)]
     _, ta, tb, g, h = max(
         (([ranked[i + j] for i, j in zip(ta, tb)], ta, tb, g, h) for g, ta in alice for h, tb in bob),
         key=lambda c: c[0],
@@ -315,21 +289,6 @@ def clone_feasibility(box: Box, m: int) -> ExtensionWitness:
     return is_m_shareable(ExtensionProblem(box, "B", m))
 
 
-def restrict_bob_inputs(box: Box, y_values) -> Box:
-    """Bipartite box keeping only the listed Bob inputs, re-indexed."""
-    X, _ = box.scenario.inputs
-    A, B = box.scenario.outputs
-    ys = tuple(y_values)
-    sub = Scenario((X, len(ys)), (A, B))
-    table = []
-    for x in range(X):
-        for j in range(len(ys)):
-            for a in range(A):
-                for b in range(B):
-                    table.append(box.prob((a, b), (x, ys[j])))
-    return Box(sub, tuple(table))
-
-
 def local_model_from_extension(
     problem: ExtensionProblem, extension: Box, y_values=None
 ) -> LocalModel:
@@ -380,9 +339,9 @@ def local_model_from_extension(
     strategies = []
     weights = []
     alice_functions = list(itertools.product(range(A), repeat=X))
+    copies = marginal(extension, range(1, m + 1))
     for bs in itertools.product(range(B), repeat=m):
-        xs = (0,) + y_values
-        w = sum((extension.prob((a,) + bs, xs) for a in range(A)), ZERO)
+        w = copies.prob(bs, y_values)
         if not w:
             continue
         # Alice's conditional response for each of her inputs
@@ -478,26 +437,9 @@ def cloning_shrink_factor(c) -> Fraction:
 
 def _pair_rows(sc3: Scenario, parties: tuple[int, int], functional: BellFunctional):
     """Lift a bipartite functional's coefficients to (index, coefficient)
-    pairs on the tripartite table: marginal entries expand into sums with
-    the absent parties' inputs at 0."""
-    coeffs = []
-    i, j = parties
-    others = [k for k in range(sc3.parties) if k not in parties]
-    sub = functional.scenario
-    for xs_sub in sub.input_tuples():
-        xs = [0] * sc3.parties
-        xs[i], xs[j] = xs_sub
-        for outs_sub in sub.output_tuples():
-            c = functional.coefficients[sub.flat_index(outs_sub, xs_sub)]
-            if not c:
-                continue
-            for rest in itertools.product(*(range(sc3.outputs[k]) for k in others)):
-                outs = [0] * sc3.parties
-                outs[i], outs[j] = outs_sub
-                for k, v in zip(others, rest):
-                    outs[k] = v
-                coeffs.append((sc3.flat_index(outs, xs), c))
-    return coeffs
+    pairs on the tripartite table, through the pair's marginal entries."""
+    entries = marginal_indices(sc3, parties)
+    return [(i, c) for c, (_, idx) in zip(functional.coefficients, entries) if c for i in idx]
 
 
 def monogamy_lp(beta) -> lp.LinearProgram:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from boxlab import bell, shareability
-from boxlab.core import mix
+from boxlab.core import mix, party_relabelings, relabel
 
 
 @pytest.fixture(scope="session")
@@ -47,3 +47,33 @@ def asymmetric_giso(c):
     return shareability.generalized_isotropic(
         2, c, [Fraction(3, 4), Fraction(1, 4)], [Fraction(1, 2), Fraction(1, 2)]
     )
+
+
+def relabelings_2222():
+    """All 64 local reversible relabelings of the 2222 scenario, as
+    (input_perms, output_perms) argument pairs for core.relabel.  Every
+    permutation of two outputs is its own inverse, so sigma serves as the
+    output permutation table directly."""
+    per_party = list(party_relabelings(2, 2))
+    return [
+        ([pi_a, pi_b], [list(sigma_a), list(sigma_b)])
+        for pi_a, sigma_a in per_party
+        for pi_b, sigma_b in per_party
+    ]
+
+
+def canonical_2222(box):
+    """Deterministic canonical form with C00, C01, C10 >= 0.
+
+    Exhausts the 64 local relabelings and returns the lexicographically
+    smallest table among those in the required sign pattern.
+    """
+    best = None
+    for in_perms, out_perms in relabelings_2222():
+        cand = relabel(box, in_perms, out_perms)
+        c = bell.correlators(cand)
+        if c.c00 >= 0 and c.c01 >= 0 and c.c10 >= 0:
+            if best is None or cand.table < best.table:
+                best = cand
+    assert best is not None, "no relabeling reaches the canonical sign pattern"
+    return best

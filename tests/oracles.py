@@ -3,9 +3,10 @@
 Everything here is deliberately coded from scratch: exact Gaussian
 elimination for vertex enumeration of small LPs, a coordinate
 parametrization of the 2222 nonsignaling polytope, an alternative
-local-membership formulation, and the symmetric-extension LP over the
-full table with explicit symmetry rows.  None of it shares code with the
-package paths it cross-checks.
+local-membership formulation, the symmetric-extension LP over the
+full table with explicit symmetry rows, and marginals and trace
+conditions read off one dense pass over the table.  None of it shares
+code with the package paths it cross-checks.
 """
 
 from __future__ import annotations
@@ -171,6 +172,69 @@ def ns_vertices_2222_by_enumeration():
     sc = Scenario((2, 2), (2, 2))
     # cells iterate (x, y) outermost then (a, b): matches canonical order
     return {Box(sc, flat) for flat in vertices}
+
+
+def _digits(index, sizes):
+    """Mixed-radix digits of index, the first size most significant."""
+    digits = []
+    for size in reversed(sizes):
+        index, d = divmod(index, size)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+def _dense_entries(box: Box):
+    """(outs, xs, probability) of every table entry, decoded from its flat
+    position by plain mixed-radix arithmetic."""
+    sc = box.scenario
+    n_out = 1
+    for size in sc.outputs:
+        n_out *= size
+    for flat, p in enumerate(box.table):
+        xi, oi = divmod(flat, n_out)
+        yield _digits(oi, sc.outputs), _digits(xi, sc.inputs), p
+
+
+def marginal_dense(box: Box, keep) -> dict:
+    """The marginal on the parties in `keep` as {(outs, xs): probability}
+    over every kept (outs, xs), found in one pass over the table: each
+    entry whose dropped parties' inputs are all 0 adds to the entry it
+    projects onto."""
+    sc = box.scenario
+    keep = tuple(keep)
+    drop = [i for i in range(sc.parties) if i not in keep]
+    table = {
+        (outs, xs): ZERO
+        for xs in itertools.product(*(range(sc.inputs[i]) for i in keep))
+        for outs in itertools.product(*(range(sc.outputs[i]) for i in keep))
+    }
+    for outs, xs, p in _dense_entries(box):
+        if all(xs[i] == 0 for i in drop):
+            key = (tuple(outs[i] for i in keep), tuple(xs[i] for i in keep))
+            table[key] += p
+    return table
+
+
+def trace_violation_dense(box: Box):
+    """The first violated single-party trace condition, or None.
+
+    Sums the table over each party's output in one pass into
+    {(k, other outputs, other inputs, x_k): total}, then scans parties in
+    order, each party's contexts in lexicographic (outputs, inputs) order,
+    and x_k upward, comparing with x_k = 0.  A violation is reported as
+    (k, other_outputs, other_inputs, 0, x_k, total at 0, total at x_k)."""
+    sc = box.scenario
+    sums: dict = {}
+    for outs, xs, p in _dense_entries(box):
+        for k in range(sc.parties):
+            key = (k, outs[:k] + outs[k + 1 :], xs[:k] + xs[k + 1 :], xs[k])
+            sums[key] = sums.get(key, ZERO) + p
+    for key in sorted(sums):
+        k, out_ctx, in_ctx, xk = key
+        ref = sums[k, out_ctx, in_ctx, 0]
+        if sums[key] != ref:
+            return (k, out_ctx, in_ctx, 0, xk, ref, sums[key])
+    return None
 
 
 def local_membership_alternative(box: Box) -> bool:

@@ -8,7 +8,6 @@ from boxlab import bell, lp, polytope
 from boxlab.bell import (
     BadParams,
     BellFunctional,
-    canonical_2222,
     cglmp,
     cglmp_raw,
     chsh,
@@ -21,7 +20,7 @@ from boxlab.bell import (
 )
 from boxlab.core import Scenario, ScenarioMismatch, mix, relabel, uniform_box
 from boxlab.isotropic import make_isotropic
-from conftest import random_ns_box
+from conftest import canonical_2222, random_ns_box, relabelings_2222
 from oracles import ns_vertices_2222_by_enumeration
 
 
@@ -68,7 +67,7 @@ class TestChsh:
 class TestCglmp:
     def test_d2_matches_chsh_up_to_relabeling(self, ns_vertices):
         f2 = cglmp(2)
-        relabelings = bell.relabelings_2222()
+        relabelings = relabelings_2222()
         matches = [
             rl
             for rl in relabelings
@@ -170,7 +169,7 @@ class TestVerticesAndCanonicalForm:
         rng = random.Random(11)
         box = random_ns_box(rng, ns_vertices)
         canon = canonical_2222(box)
-        for rl in random.Random(12).sample(bell.relabelings_2222(), 8):
+        for rl in random.Random(12).sample(relabelings_2222(), 8):
             assert canonical_2222(relabel(box, *rl)) == canon
 
 

@@ -318,7 +318,31 @@ def test_rational_flag_grammar(token, value):
 
 
 # ---------------------------------------------------------------------------
-# the extension size cap holds before any walk over the extension table
+# the size caps hold before any walk over the strategies or the extension table
+
+
+@pytest.mark.parametrize("which", ["local", "secrecy"])
+def test_verify_above_strategy_cap_exits_2(corpus, tmp_path, which):
+    # 8822 has 2^8 * 2^8 = 65,536 deterministic strategies, over the cap;
+    # a hand-written Bell certificate must not make verify enumerate them.
+    # It reads 4 P(a=1 | x=0) - 1: 1 on the uniform box, and positive only
+    # on the strategies in the second half of the enumeration order.
+    sc = Scenario((8, 8), (2, 2))
+    box = tmp_path / "box.txt"
+    boxio.write_box(box, uniform_box(sc), "uniform")
+    assert promptly(lambda: run("analyze", which, box)) == 2
+    report = json.loads(json.dumps(corpus[1]["pr", which]))
+    report["box"] = {"path": str(box), "sha256": boxio.file_digest(box), "name": "uniform"}
+    report["certificate"].update(
+        inputs=[8, 8],
+        outputs=[2, 2],
+        coefficients=["0", "0", "4", "4"] + ["0"] * (sc.table_size - 4),
+        offset="-1",
+        violation="1",
+    )
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(report), encoding="utf-8")
+    assert promptly(lambda: run("verify", path)) == 2
 
 
 def test_shareable_above_size_cap_exits_2(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxlab import bell
+from boxlab.polytope import ns_equality_rows
 from boxlab.core import (
     BadPermutation,
     Box,
@@ -29,6 +31,8 @@ from boxlab.core import (
     uniform_box,
     validate_box,
 )
+from conftest import relabelings_2222
+from oracles import marginal_dense, trace_violation_dense
 
 SC22 = Scenario((2, 2), (2, 2))
 
@@ -129,6 +133,13 @@ class TestMarginal:
             PartySubset((1, 1))
         with pytest.raises(ScenarioMismatch):
             PartySubset(())
+        with pytest.raises(ScenarioMismatch):
+            PartySubset((-1, 0))
+
+    @pytest.mark.parametrize("keep", [(-1,), (-2, 1), (2,), (0, 2)])
+    def test_party_out_of_range(self, keep):
+        with pytest.raises(ScenarioMismatch):
+            marginal(bell.pr_box(), keep)
 
 
 class TestCondition:
@@ -161,6 +172,11 @@ class TestCondition:
             for b in (0, 1):
                 expected.append(pr.prob((1, b), (1, y)) + F(1, 4))
         assert list(got.table) == expected
+
+    @pytest.mark.parametrize("party", [-1, -2, 2])
+    def test_party_out_of_range(self, party):
+        with pytest.raises(ScenarioMismatch):
+            condition(bell.pr_box(), party, 0, 0)
 
     def test_zero_probability_condition(self):
         det = box_from_function(SC22, lambda outs, xs: 1 if outs == (0, 0) else 0)
@@ -208,7 +224,7 @@ class TestRelabel:
 
     def test_relabel_preserves_nonsignaling(self, ns_vertices):
         rng = random.Random(3)
-        for rl in random.Random(1).sample(bell.relabelings_2222(), 10):
+        for rl in random.Random(1).sample(relabelings_2222(), 10):
             box = ns_vertices[rng.randrange(24)]
             assert is_nonsignaling(relabel(box, *rl))
 
@@ -297,5 +313,94 @@ def test_nonsignaling_closed_under_mixing(p, q, w):
 @settings(max_examples=20, deadline=None)
 @given(p=small_ns_boxes(), idx=st.integers(0, 63))
 def test_nonsignaling_invariant_under_relabel(p, idx):
-    in_p, out_p = bell.relabelings_2222()[idx]
+    in_p, out_p = relabelings_2222()[idx]
     assert is_nonsignaling(relabel(p, in_p, out_p))
+
+
+# ---------------------------------------------------------------------------
+# marginals and trace conditions against the dense oracle, beyond 2222
+
+ORACLE_SCENARIOS = [
+    Scenario((2, 2), (2, 2)),
+    Scenario((3, 2), (2, 3)),
+    Scenario((3, 3), (2, 2)),
+    Scenario((2, 2, 2), (2, 2, 2)),
+    Scenario((3, 2, 1), (2, 3, 2)),
+    Scenario((1, 3, 2), (3, 2, 2)),
+]
+
+
+def seeded_ns_box(rng, sc):
+    """Random rational mixture of three random deterministic strategies,
+    tensored with the PR box when the scenario has a 2222 pair in front."""
+    parts = []
+    for _ in range(3):
+        responses = [[rng.randrange(a) for _ in range(x)] for x, a in zip(sc.inputs, sc.outputs)]
+        parts.append(
+            box_from_function(
+                sc,
+                lambda outs, xs, r=responses: int(all(r[k][x] == o for k, (o, x) in enumerate(zip(outs, xs)))),
+            )
+        )
+    if sc == Scenario((2, 2, 2), (2, 2, 2)):
+        parts.append(tensor(bell.pr_box(), uniform_box(Scenario((2,), (2,)))))
+    weights = [rng.randrange(1, 6) for _ in parts]
+    return mix(parts, [F(w, sum(weights)) for w in weights])
+
+
+def seeded_signaling_box(rng, sc):
+    """A seeded NS box with some mass moved between two output tuples of
+    one input tuple: still normalized, signaling unless the move happens
+    to keep every trace condition."""
+    box = seeded_ns_box(rng, sc)
+    n_out = sc.num_output_tuples
+    xi = rng.randrange(sc.num_input_tuples)
+    block = box.table[xi * n_out : (xi + 1) * n_out]
+    src = rng.choice([i for i, v in enumerate(block) if v])
+    dst = rng.choice([i for i in range(n_out) if i != src])
+    moved = block[src] * F(rng.randrange(1, 4), 4)
+    table = list(box.table)
+    table[xi * n_out + src] -= moved
+    table[xi * n_out + dst] += moved
+    return validate_box(table, sc)
+
+
+def oracle_boxes():
+    rng = random.Random(2005)
+    return [
+        (make(rng, sc), sc) for sc in ORACLE_SCENARIOS for make in (seeded_ns_box, seeded_signaling_box) * 4
+    ]
+
+
+def subsets(parties):
+    return [keep for r in range(1, parties + 1) for keep in itertools.combinations(range(parties), r)]
+
+
+def test_nonsignaling_witness_matches_dense_oracle():
+    outcomes = []
+    for box, sc in oracle_boxes():
+        want = trace_violation_dense(box)
+        assert is_nonsignaling(box, witness=True) == (want is None, want)
+        assert is_nonsignaling(box) == (want is None)
+        outcomes.append(want is None)
+    assert 0 < sum(outcomes) < len(outcomes)  # both verdicts occur
+
+
+def test_marginal_matches_dense_oracle():
+    for box, sc in oracle_boxes():
+        signaling = trace_violation_dense(box)
+        for keep in subsets(sc.parties):
+            if signaling is not None and len(keep) < sc.parties:
+                with pytest.raises(SignalingBox) as err:
+                    marginal(box, keep)
+                assert err.value.witness == signaling
+                continue
+            m = marginal(box, keep)
+            got = {(outs, xs): m.prob(outs, xs) for xs in m.scenario.input_tuples() for outs in m.scenario.output_tuples()}
+            assert got == marginal_dense(box, keep)
+
+
+def test_ns_rows_vanish_exactly_on_nonsignaling_boxes():
+    for box, sc in oracle_boxes():
+        values = [sum((c * box.table[i] for i, c in coeffs), F(0)) for coeffs, _ in ns_equality_rows(sc)]
+        assert all(v == 0 for v in values) == (trace_violation_dense(box) is None)

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from boxlab import bell
-from boxlab.bell import canonical_2222, chsh, pr_box
+from boxlab.bell import chsh, pr_box
 from boxlab.core import (
     Scenario,
     ZERO,
@@ -30,7 +30,7 @@ from boxlab.incompat import (
 )
 from boxlab.isotropic import make_isotropic, shrink
 from boxlab.polytope import deterministic_strategies, ns_equality_rows
-from conftest import random_ns_box
+from conftest import canonical_2222, random_ns_box
 
 SC22 = Scenario((2, 2), (2, 2))
 PAIR = ObservablePair("B", 0, 1)
