@@ -348,6 +348,11 @@ def condition(box: Box, party: int, x_k: int, a_k: int) -> Box:
         raise ScenarioMismatch("conditioning needs at least two parties")
     if not 0 <= party < sc.parties:
         raise ScenarioMismatch(f"party {party} out of range for {sc.parties} parties")
+    if not (0 <= x_k < sc.inputs[party] and 0 <= a_k < sc.outputs[party]):
+        raise ScenarioMismatch(
+            f"party {party} has {sc.inputs[party]} inputs and {sc.outputs[party]} outputs,"
+            f" got x={x_k}, a={a_k}"
+        )
     pk = marginal(box, PartySubset((party,)))
     p = pk.prob((a_k,), (x_k,))
     if p == 0:

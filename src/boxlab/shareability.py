@@ -18,8 +18,10 @@ C as one more column.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -116,79 +118,142 @@ def _swap_slots(t: tuple, i: int, j: int) -> tuple:
     return tuple(out)
 
 
-def _orbits(problem: ExtensionProblem):
-    """Group table indices by the copy-permutation symmetry: entries whose
-    (output, input) pairs on the copy slots agree as multisets share one
-    orbit.  Returns (orbit index per flat table index, orbit count)."""
-    ext = problem.extension_scenario()
-    slots = problem.copy_slots()
-    fixed = problem.fixed_slot()
-    orbit_of = []
-    orbit_index: dict = {}
-    for xs in ext.input_tuples():
-        for outs in ext.output_tuples():
-            key = (
-                outs[fixed],
-                xs[fixed],
-                tuple(sorted((outs[s], xs[s]) for s in slots)),
-            )
-            if key not in orbit_index:
-                orbit_index[key] = len(orbit_index)
-            orbit_of.append(orbit_index[key])
-    return orbit_of, len(orbit_index)
+def _arrangements(items) -> int:
+    """The number of distinct orderings of the multiset `items`."""
+    n = math.factorial(len(items))
+    for count in Counter(items).values():
+        n //= math.factorial(count)
+    return n
 
 
 def _orbit_rows(problem: ExtensionProblem):
     """The extension LP's equality rows on orbit variables: normalization,
-    exact copy-marginals and the nonsignaling trace conditions, folded and
-    with repeats dropped.  Returns (orbit index per flat table index,
-    orbit count, rows); each row is (coefficients, rhs, entry), where the
-    coefficients are (orbit, coefficient) pairs in orbit order without
-    zeros, and entry is the base box's ((a, b), (x, y)) whose value a
-    marginal row takes as its rhs, and None for the other rows."""
-    ext = problem.extension_scenario()
-    orbit_of, n_orbits = _orbits(problem)
+    exact copy-marginals and the nonsignaling trace conditions.  Returns
+    (orbit number per orbit key, rows); the key of entry (outs, xs) is
+    (outs[fixed], xs[fixed], the copies' sorted (output, input) pairs), and
+    each row is (coefficients, rhs, entry), where the coefficients are
+    (orbit, integer coefficient) pairs in orbit order without zeros, and
+    entry is the base box's ((a, b), (x, y)) whose value a marginal row
+    takes as its rhs, and None for the other rows.
+
+    Nothing walks the extension table.  An orbit is the fixed party's
+    (output, input) plus a multiset of m copy (output, input) pairs, so
+    there are F * C(K + m - 1, m) of them, F and K the fixed and the
+    copy party's (output, input) pair counts (A*X*C(B*Y + m - 1, m)
+    toward B).  Each row is emitted once from representatives:
+      - normalization: one row per input orbit (the fixed input and the
+        copies' input multiset); an orbit's coefficient counts the
+        copy-output assignments that reach it, a multinomial;
+      - marginals: the (fixed, first copy) pair only; the other copies
+        sit at input 0, and an orbit's coefficient counts their output
+        assignments;
+      - trace conditions: the fixed party and the first copy only, one
+        per context multiset and consecutive pair of traced inputs.
+    The other copies' marginal and trace rows are these rows moved by a
+    copy permutation, so they fold onto them.  Distinct representatives
+    give distinct rows, so nothing needs deduplicating.
+
+    The numbering and the row order are those of folding every row of the
+    full-table LP in table order and dropping repeats (the oracle
+    tests.oracles.walked_orbit_rows), because each orbit and context is
+    placed by its first member in table order.  An orbit's first member
+    has its copy inputs ascending and, within equal inputs, its copy
+    outputs ascending, and orbits are numbered by (inputs, outputs) of
+    that member.  A trace context's first member has its copy pairs
+    sorted by (output, input), and contexts come in (outputs, inputs)
+    order of that member.  Keeping the walk's order keeps the programs,
+    pivots and certificates of the walk."""
+    X, Y = problem.base.scenario.inputs
+    A, B = problem.base.scenario.outputs
+    m = problem.copies
+    toward_b = problem.shared_party == "B"
+    (f_ins, f_outs), (c_ins, c_outs) = ((X, A), (Y, B)) if toward_b else ((Y, B), (X, A))
+
+    def place(fixed, copies):
+        # one value per extension slot, in slot order
+        return (fixed,) + copies if toward_b else copies + (fixed,)
+
+    def split(pairs):
+        return tuple(o for o, _ in pairs), tuple(i for _, i in pairs)
+
+    by_output = [(o, i) for o in range(c_outs) for i in range(c_ins)]
+    by_input = sorted(by_output, key=lambda p: (p[1], p[0]))
+    firsts = []
+    for f_in in range(f_ins):
+        for f_out in range(f_outs):
+            for pairs in itertools.combinations_with_replacement(by_input, m):
+                outs, ins = split(pairs)
+                key = (f_out, f_in, tuple(sorted(pairs)))
+                firsts.append((place(f_in, ins), place(f_out, outs), key))
+    firsts.sort()
+    index = {key: n for n, (_, _, key) in enumerate(firsts)}
+
     rows = []
-    seen = set()
+    # orderings of an orbit's copy pairs over orderings of their inputs:
+    # the copy-output strings on one copy-input string that reach it
+    for _, group in itertools.groupby(enumerate(firsts), key=lambda f: f[1][0]):
+        coeffs = tuple(
+            (n, _arrangements(pairs) // _arrangements(split(pairs)[1]))
+            for n, (_, _, (_, _, pairs)) in group
+        )
+        rows.append((coeffs, ONE, None))
 
-    def add(coeffs, rhs, entry=None):
-        folded: dict[int, Fraction] = {}
-        for i, c in coeffs:
-            o = orbit_of[i]
-            folded[o] = folded.get(o, ZERO) + c
-        row = tuple(sorted((o, c) for o, c in folded.items() if c))
-        key = (row, rhs, entry)
-        if key not in seen:
-            seen.add(key)
-            rows.append(key)
+    # base flat index (x*Y + y)*A*B + a*B + b is the product order
+    table = problem.base.table
+    cells = itertools.product(range(X), range(Y), range(A), range(B))
+    for p, (x, y, a, b) in zip(table, cells):
+        (f_out, f_in), pair = ((a, x), (b, y)) if toward_b else ((b, y), (a, x))
+        coeffs = sorted(
+            (index[f_out, f_in, tuple(sorted((pair,) + tuple((o, 0) for o in rest)))],
+             _arrangements(rest))
+            for rest in itertools.combinations_with_replacement(range(c_outs), m - 1)
+        )
+        rows.append((tuple(coeffs), p, ((a, b), (x, y))))
 
-    for coeffs, rhs in polytope.normalization_rows(ext):
-        add(coeffs, rhs)
-    # the base's two parties sit on the (fixed, copy) slot pair in slot
-    # order, as validate_extension reads the marginal
-    fixed = problem.fixed_slot()
-    for slot in problem.copy_slots():
-        for entry, idx in marginal_indices(ext, sorted((fixed, slot))):
-            add([(i, ONE) for i in idx], problem.base.prob(*entry), entry)
-    for coeffs, rhs in polytope.ns_equality_rows(ext):
-        add(coeffs, rhs)
-    return orbit_of, n_orbits, rows
+    def fixed_trace():
+        for pairs in itertools.combinations_with_replacement(by_output, m):
+            yield split(pairs), [[index[a, x, pairs] for a in range(f_outs)] for x in range(f_ins)]
+
+    def copy_trace():
+        for f_in in range(f_ins):
+            for f_out in range(f_outs):
+                for rest in itertools.combinations_with_replacement(by_output, m - 1):
+                    outs, ins = split(rest)
+                    per_y = [
+                        [index[f_out, f_in, tuple(sorted(rest + ((o, y),)))] for o in range(c_outs)]
+                        for y in range(c_ins)
+                    ]
+                    yield (place(f_out, outs), place(f_in, ins)), per_y
+
+    # the traced parties in slot order, as polytope.ns_equality_rows takes them
+    for contexts in (fixed_trace, copy_trace) if toward_b else (copy_trace, fixed_trace):
+        for _, per_x in sorted(contexts()):
+            for lo, hi in zip(per_x, per_x[1:]):
+                coeffs = sorted([(i, 1) for i in lo] + [(j, -1) for j in hi])
+                rows.append((tuple(coeffs), ZERO, None))
+    return index, rows
 
 
 def _canonical_problem(problem: ExtensionProblem):
     """The same question for the base box's local relabeling with the
-    lexicographically greatest table, and the index in its extension table
-    of every index in this one's.  Relabeling each copy of a party alike
-    maps extensions onto extensions, so the answer is the same, and every
-    relabeling of a box gets one program and the same simplex pivots.
-    Above CANONICAL_SEARCH_CAP relabelings the problem is kept as is.
+    lexicographically greatest table, and that relabeling as (g, h), one
+    core.party_relabelings entry for each of the base's parties: entry
+    (a, b | x, y) of the canonical base is entry (g[1][x][a],
+    h[1][y][b] | g[0][x], h[0][y]) of this one.  Relabeling each copy of
+    a party alike maps extensions onto extensions, so the answer is the
+    same, and every relabeling of a box gets one program and the same
+    simplex pivots.  Above CANONICAL_SEARCH_CAP relabelings the problem
+    is kept as is, with relabeling None.  Candidates are compared with
+    the best so far cell by cell, up to the first differing cell, and
+    only a strictly greater one replaces it, so the first greatest wins.
 
     What the search buys is a cost independent of labels, and the
     shareability-ladder benchmark cannot see it: its boxes are cheap
     under any labeling, and without the search its tasks_per_s rises
-    (80.5 to 89.8).  It shows on 3322 at m=3 toward B.  Two seeded
-    five-strategy local mixtures under three labelings each took
-    2,578-2,811 pivots (23-28 s) with the search and 1,024-14,629
+    (116.0 to 128.2, medians of six alternated runs each, rows built
+    from orbit representatives).  It shows on 3322 at m=3 toward B.
+    Two seeded five-strategy local mixtures under three labelings each
+    took 2,578-2,811 pivots (23-28 s) with the search and 1,024-14,629
     pivots (7.5-233 s) without it; two other mixtures took 1,462 and
     6,024 pivots with it, under every labeling, and 1,023-1,089 and
     1,682-11,834 pivots (up to 171 s) without it (Python 3.11, 2 vCPUs)."""
@@ -196,7 +261,7 @@ def _canonical_problem(problem: ExtensionProblem):
     (X, Y), (A, B) = sc.inputs, sc.outputs
     count = math.factorial(X) * math.factorial(A) ** X * math.factorial(Y) * math.factorial(B) ** Y
     if count > CANONICAL_SEARCH_CAP:
-        return problem, range(problem.extension_scenario().table_size)
+        return problem, None
     table = problem.base.table
     rank = {v: i for i, v in enumerate(sorted(set(table)))}
     ranked = [rank[v] for v in table]
@@ -206,43 +271,70 @@ def _canonical_problem(problem: ExtensionProblem):
              for g in party_relabelings(X, A)]
     bob = [(h, [h[0][y] * A * B + h[1][y][b] for _, y, _, b in cells])
            for h in party_relabelings(Y, B)]
-    _, ta, tb, g, h = max(
-        (([ranked[i + j] for i, j in zip(ta, tb)], ta, tb, g, h) for g, ta in alice for h, tb in bob),
-        key=lambda c: c[0],
-    )
+    best, best_ranks = None, [-1] * len(cells)
+    for g, ta in alice:
+        for h, tb in bob:
+            for i, j, r in zip(ta, tb, best_ranks):
+                if ranked[i + j] != r:
+                    if ranked[i + j] > r:
+                        best, best_ranks = (ta, tb, g, h), [ranked[i + j] for i, j in zip(ta, tb)]
+                    break
+    ta, tb, g, h = best
     canon = ExtensionProblem(
         Box(sc, tuple(table[i + j] for i, j in zip(ta, tb))), problem.shared_party, problem.copies
     )
+    return canon, (g, h)
+
+
+def _unfold(problem: ExtensionProblem, relabeling, index, values) -> tuple:
+    """The full extension table of `problem` from one value per orbit of
+    its canonical problem (_canonical_problem's relabeling; index as from
+    _orbit_rows): every entry of the canonical table takes its orbit's
+    value, and the relabeling is undone.  Only a feasible witness is
+    unfolded, so an infeasible verdict never walks the extension table."""
     ext = problem.extension_scenario()
+    fixed, slots = problem.fixed_slot(), problem.copy_slots()
+    table = tuple(
+        values[index[outs[fixed], xs[fixed], tuple(sorted((outs[s], xs[s]) for s in slots))]]
+        for xs in ext.input_tuples()
+        for outs in ext.output_tuples()
+    )
+    if relabeling is None:
+        return table
+    g, h = relabeling
     m = problem.copies
-    per_slot = [g] + [h] * m if problem.shared_party == "B" else [g] * m + [h]
-    index_of = [0] * ext.table_size
-    for i, (xs, outs) in enumerate(itertools.product(ext.input_tuples(), ext.output_tuples())):
-        orig = ext.flat_index([p[1][x][a] for p, x, a in zip(per_slot, xs, outs)],
-                              [p[0][x] for p, x in zip(per_slot, xs)])
-        index_of[orig] = i
-    return canon, index_of
+    in_perms, out_perms = [], []
+    for pi, sigma in [g] + [h] * m if problem.shared_party == "B" else [g] * m + [h]:
+        inverse = [0] * len(pi)
+        for x, old in enumerate(pi):
+            inverse[old] = x
+        in_perms.append(inverse)
+        out_perms.append([sigma[x] for x in inverse])
+    return relabel(Box(ext, table), in_perms, out_perms).table
 
 
 def folded_extension_lp(problem: ExtensionProblem):
     """Feasibility LP for a symmetric extension, one variable per orbit
     (the value every entry of that orbit takes).  The rows are those of
     the base box's canonical relabeling (_canonical_problem).  Returns
-    (program, orbit index per flat table index of this problem).  The
-    table size is capped before any walk over the table."""
+    (program, unfold), where unfold(values) is the full extension table
+    of this problem whose entries take the values of their orbits.  The
+    table size is capped before anything is built."""
     size = problem.extension_scenario().table_size
     if size > EXTENSION_SIZE_CAP:
         raise ExtensionTooLarge(f"extension table has {size} entries, cap {EXTENSION_SIZE_CAP}")
-    canon, index_of = _canonical_problem(problem)
-    orbit_of, n_orbits, rows = _orbit_rows(canon)
-    prog = lp.LinearProgram(n_orbits)
+    canon, relabeling = _canonical_problem(problem)
+    index, rows = _orbit_rows(canon)
+    prog = lp.LinearProgram(len(index))
     for coeffs, rhs, _ in rows:
         prog.add_eq(coeffs, rhs)
-    return prog, [orbit_of[i] for i in index_of]
+    return prog, functools.partial(_unfold, problem, relabeling, index)
 
 
 def validate_extension(problem: ExtensionProblem, extension: Box) -> None:
-    """Raise NotAnExtension unless symmetric, nonsignaling, and marginal-exact."""
+    """Raise NotAnExtension unless symmetric, nonsignaling, and marginal-exact.
+    Signaling is checked once; each copy-marginal is then read through
+    core.marginal_indices."""
     ext = problem.extension_scenario()
     if extension.scenario != ext:
         raise NotAnExtension("extension scenario mismatch")
@@ -257,9 +349,12 @@ def validate_extension(problem: ExtensionProblem, extension: Box) -> None:
     if not is_nonsignaling(extension):
         raise NotAnExtension("extension is signaling")
     fixed = problem.fixed_slot()
+    table = extension.table
     for slot in slots:
         pair = (fixed, slot) if fixed < slot else (slot, fixed)
-        if marginal(extension, pair) != problem.base:
+        entries = marginal_indices(ext, pair)
+        if any(sum((table[i] for i in idx), ZERO) != p
+               for (_, idx), p in zip(entries, problem.base.table)):
             raise NotAnExtension(f"marginal onto slot {slot} differs from the base")
 
 
@@ -272,11 +367,10 @@ def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
     question as the LP over the full table: symmetrizing any extension
     over the copy permutations keeps its marginals.
     """
-    prog, orbit_of = folded_extension_lp(problem)
+    prog, unfold = folded_extension_lp(problem)
     out = lp.solve(prog)
     if out.status == lp.OPTIMAL:
-        table = [out.primal[o] for o in orbit_of]
-        ext = validate_box(table, problem.extension_scenario())
+        ext = validate_box(unfold(out.primal), problem.extension_scenario())
         validate_extension(problem, ext)
         return ExtensionWitness(True, extension=ext)
     ensure(out.status == lp.INFEASIBLE, f"extension feasibility LP ended {out.status}")
@@ -400,7 +494,8 @@ def _iso_ceiling_lp() -> lp.LinearProgram:
     goes from 0 to 1.
     """
     pr = make_isotropic(1)
-    _, n_orbits, rows = _orbit_rows(ExtensionProblem(make_isotropic(0), "B", 2))
+    index, rows = _orbit_rows(ExtensionProblem(make_isotropic(0), "B", 2))
+    n_orbits = len(index)
     prog = lp.LinearProgram(n_orbits + 1, [(n_orbits, ONE)])
     prog.set_upper(n_orbits, ONE)
     for coeffs, rhs, entry in rows:

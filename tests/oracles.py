@@ -4,8 +4,9 @@ Everything here is deliberately coded from scratch: exact Gaussian
 elimination for vertex enumeration of small LPs, a coordinate
 parametrization of the 2222 nonsignaling polytope, an alternative
 local-membership formulation, the symmetric-extension LP over the
-full table with explicit symmetry rows, and marginals and trace
-conditions read off one dense pass over the table.  None of it shares
+full table with explicit symmetry rows, the orbit LP's rows found by
+folding every row of that table, and marginals and trace conditions
+read off one dense pass over the table.  None of it shares
 code with the package paths it cross-checks.
 """
 
@@ -342,3 +343,54 @@ def unfolded_extension_lp(base: Box, shared_party: str, m: int) -> lp.LinearProg
 
 def unfolded_extension_feasible(base: Box, shared_party: str, m: int) -> bool:
     return lp.solve(unfolded_extension_lp(base, shared_party, m)).status == lp.OPTIMAL
+
+
+def walked_orbit_rows(problem):
+    """The orbit LP's rows by walking the whole extension table: every
+    row of the full-table LP (normalization, copy-marginals, trace
+    conditions) folded onto orbits and deduplicated in walk order.
+
+    Orbits are numbered as the walk first meets them; entries whose
+    copy (output, input) pairs agree as multisets share one.  Returns
+    (orbit index per flat table index, orbit count, rows), each row
+    (coefficients, rhs, entry) as in shareability._orbit_rows."""
+    from boxlab import polytope
+    from boxlab.core import marginal_indices
+
+    ext = problem.extension_scenario()
+    slots = problem.copy_slots()
+    fixed = problem.fixed_slot()
+    orbit_of = []
+    orbit_index: dict = {}
+    for xs in ext.input_tuples():
+        for outs in ext.output_tuples():
+            key = (
+                outs[fixed],
+                xs[fixed],
+                tuple(sorted((outs[s], xs[s]) for s in slots)),
+            )
+            if key not in orbit_index:
+                orbit_index[key] = len(orbit_index)
+            orbit_of.append(orbit_index[key])
+    rows = []
+    seen = set()
+
+    def add(coeffs, rhs, entry=None):
+        folded: dict[int, Fraction] = {}
+        for i, c in coeffs:
+            o = orbit_of[i]
+            folded[o] = folded.get(o, ZERO) + c
+        row = tuple(sorted((o, c) for o, c in folded.items() if c))
+        key = (row, rhs, entry)
+        if key not in seen:
+            seen.add(key)
+            rows.append(key)
+
+    for coeffs, rhs in polytope.normalization_rows(ext):
+        add(coeffs, rhs)
+    for slot in slots:
+        for entry, idx in marginal_indices(ext, sorted((fixed, slot))):
+            add([(i, ONE) for i in idx], problem.base.prob(*entry), entry)
+    for coeffs, rhs in polytope.ns_equality_rows(ext):
+        add(coeffs, rhs)
+    return orbit_of, len(orbit_index), rows

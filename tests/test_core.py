@@ -178,6 +178,11 @@ class TestCondition:
         with pytest.raises(ScenarioMismatch):
             condition(bell.pr_box(), party, 0, 0)
 
+    @pytest.mark.parametrize("party, x_k, a_k", [(0, 2, 0), (0, 0, 2), (1, -1, 0)])
+    def test_input_or_output_out_of_range(self, party, x_k, a_k):
+        with pytest.raises(ScenarioMismatch):
+            condition(bell.pr_box(), party, x_k, a_k)
+
     def test_zero_probability_condition(self):
         det = box_from_function(SC22, lambda outs, xs: 1 if outs == (0, 0) else 0)
         with pytest.raises(ZeroProbabilityCondition):

@@ -1,9 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from boxlab import bell, lp
+from boxlab import bell, core, lp, shareability
 from boxlab.bell import BellFunctional, chsh, chsh_functional, pr_box
 from boxlab.core import InternalError as UnexpectedLpStatus
 from boxlab.core import (
@@ -11,6 +12,7 @@ from boxlab.core import (
     ScenarioMismatch,
     ZERO,
     ONE,
+    box_from_function,
     is_nonsignaling,
     marginal,
     mix,
@@ -29,6 +31,8 @@ from boxlab.shareability import (
     NotUniqueMaximizer,
     _canonical_problem,
     _iso_ceiling_lp,
+    _orbit_rows,
+    _unfold,
     clone_feasibility,
     cloning_shrink_factor,
     folded_extension_lp,
@@ -46,7 +50,7 @@ from boxlab.shareability import (
     validate_extension,
 )
 from conftest import asymmetric_giso, random_local_box, random_ns_box
-from oracles import unfolded_extension_feasible
+from oracles import unfolded_extension_feasible, walked_orbit_rows
 
 SC22 = Scenario((2, 2), (2, 2))
 
@@ -107,6 +111,31 @@ class TestShareability:
             validate_extension(
                 ExtensionProblem(make_isotropic(F(1, 4)), "B", 2), w.extension
             )
+
+    def test_validation_checks_signaling_once(self, monkeypatch):
+        box = make_isotropic(F(1, 2))
+        problem = ExtensionProblem(box, "B", 4)
+        extension = infinite_shareability_extension(is_local(box), 4)
+        calls = []
+
+        def counting(real):
+            def wrapped(*args, **kwargs):
+                calls.append(args[0])
+                return real(*args, **kwargs)
+            return wrapped
+
+        # marginal() calls the one in core, validate_extension its own import
+        monkeypatch.setattr(core, "is_nonsignaling", counting(core.is_nonsignaling))
+        monkeypatch.setattr(shareability, "is_nonsignaling", counting(shareability.is_nonsignaling))
+        validate_extension(problem, extension)
+        assert calls == [extension]
+
+    def test_validate_rejects_signaling_extension(self):
+        # symmetric under the copy swap, but Alice's input moves Bob's outputs
+        sc = ExtensionProblem(make_isotropic(F(1, 2)), "B", 2).extension_scenario()
+        signaling = box_from_function(sc, lambda outs, xs: 1 if outs == (0, xs[0], xs[0]) else 0)
+        with pytest.raises(NotAnExtension, match="signaling"):
+            validate_extension(ExtensionProblem(make_isotropic(F(1, 2)), "B", 2), signaling)
 
     def test_unexpected_lp_status_raises(self, monkeypatch):
         monkeypatch.setattr(lp, "solve", lambda prog: lp.LpOutcome(lp.UNBOUNDED))
@@ -203,9 +232,14 @@ class TestCanonicalRelabeling:
     @pytest.mark.parametrize("c", [F(0), F(1, 2), F(3, 4), F(1)])
     def test_isotropic_box_is_its_own_canonical_form(self, c):
         problem = ExtensionProblem(make_isotropic(c), "B", 2)
-        canon, index_of = _canonical_problem(problem)
+        canon, relabeling = _canonical_problem(problem)
         assert canon.base == problem.base
-        assert list(index_of) == list(range(problem.extension_scenario().table_size))
+        identity = ((0, 1), ((0, 1), (0, 1)))
+        assert relabeling == (identity, identity)
+        # unfolding leaves every entry in place
+        index, _ = _orbit_rows(canon)
+        orbits = range(len(index))
+        assert _unfold(problem, relabeling, index, orbits) == _unfold(problem, None, index, orbits)
 
     def test_large_alphabets_keep_their_labels(self):
         # 4 outputs per party: over a million relabelings, no search
@@ -215,6 +249,48 @@ class TestCanonicalRelabeling:
         witness = is_m_shareable(problem)
         assert witness.feasible
         assert witness.extension == box
+
+
+def _skewed_local_box(sc: Scenario, rng: random.Random):
+    """Mixture of up to four deterministic strategies with weights 1..4,
+    so the marginal right-hand sides differ from entry to entry."""
+    strategies = deterministic_strategies(sc)
+    picked = rng.sample(strategies, min(4, len(strategies)))
+    weights = range(1, len(picked) + 1)
+    return mix([s.box() for s in picked], [F(w, sum(weights)) for w in weights])
+
+
+# (X, Y, A, B): 2222, then each alphabet in turn at 1 and at 3, then two mixed
+ORBIT_ALPHABETS = [(2, 2, 2, 2)] + [
+    tuple(size if k == i else 2 for k in range(4)) for i in range(4) for size in (1, 3)
+] + [(1, 3, 3, 2), (3, 2, 1, 3)]
+
+
+class TestOrbitRows:
+    def _check(self, problem):
+        orbit_of, n_orbits, rows = walked_orbit_rows(problem)
+        index, got = _orbit_rows(problem)
+        assert len(index) == n_orbits
+        assert got == rows
+        # the orbits carry the walk's numbering, entry by entry
+        assert list(_unfold(problem, None, index, range(n_orbits))) == orbit_of
+        (X, Y), (A, B) = problem.base.scenario.inputs, problem.base.scenario.outputs
+        fixed, copy = (A * X, B * Y) if problem.shared_party == "B" else (B * Y, A * X)
+        assert n_orbits == fixed * math.comb(copy + problem.copies - 1, problem.copies)
+
+    @pytest.mark.parametrize("party", "AB")
+    @pytest.mark.parametrize("alphabets", ORBIT_ALPHABETS)
+    def test_rows_match_the_walk(self, alphabets, party):
+        X, Y, A, B = alphabets
+        sc = Scenario((X, Y), (A, B))
+        box = _skewed_local_box(sc, random.Random(str(alphabets)))
+        for m in (1, 2, 3):
+            self._check(ExtensionProblem(box, party, m))
+
+    @pytest.mark.parametrize("party", "AB")
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_rows_match_the_walk_for_more_copies(self, m, party):
+        self._check(ExtensionProblem(_skewed_local_box(SC22, random.Random(m)), party, m))
 
 
 class TestLocalModelFromExtension:
@@ -319,6 +395,19 @@ class TestCloning:
         assert out.status == lp.OPTIMAL and out.value == F(1, 2)
         assert out.certificate.kind == "dual"
         assert lp.verify_certificate(prog, out)
+
+    def test_ceiling_program_matches_the_walk(self):
+        # the noise box's walked rows, with C as one more column
+        _, n, rows = walked_orbit_rows(ExtensionProblem(make_isotropic(0), "B", 2))
+        pr = make_isotropic(1)
+        walked = lp.LinearProgram(n + 1, [(n, ONE)])
+        walked.set_upper(n, ONE)
+        for coeffs, rhs, entry in rows:
+            walked.add_eq(coeffs + ((n, rhs - pr.prob(*entry) if entry else ZERO),), rhs)
+        prog = _iso_ceiling_lp()
+        assert (prog.num_vars, prog.objective, prog.eqs, prog.ineqs, prog.upper) == (
+            walked.num_vars, walked.objective, walked.eqs, walked.ineqs, walked.upper
+        )
 
     def test_shrink_factor(self):
         assert cloning_shrink_factor(F(3, 4)) == F(2, 3)
