@@ -5,6 +5,8 @@ the convention used throughout the package: value <= 0 on every local
 box, maximum exactly 1 over the nonsignaling polytope.  Normalization is
 computed, not hard-coded: the local bound comes from enumerating
 deterministic strategies, the nonsignaling maximum from an exact LP.
+The functions that solve import lp and polytope themselves, so CHSH and
+the isotropic family load neither.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lp, polytope
 from .core import (
     BadParams,
     Box,
@@ -124,6 +125,8 @@ def normalization_bounds(functional: BellFunctional) -> tuple[Fraction, Fraction
     The local bound is the maximum over all deterministic strategy boxes;
     the NS maximum comes from one LP over the nonsignaling polytope.
     """
+    from . import lp, polytope
+
     local = max(
         functional.evaluate(s.box())
         for s in polytope.deterministic_strategies(functional.scenario)
@@ -190,6 +193,8 @@ def unique_ns_maximizer(functional: BellFunctional):
     computes min and max of every table coordinate on the optimal face.
     Returns (True, Box) when the face is a point, else (False, None).
     """
+    from . import lp, polytope
+
     sc = functional.scenario
     out = polytope.max_over_ns(sc, enumerate(functional.coefficients))
     ensure(out.status == lp.OPTIMAL, f"NS maximum LP ended {out.status}")
@@ -211,6 +216,8 @@ def unique_ns_maximizer(functional: BellFunctional):
 def ns_vertices_2222() -> tuple[Box, ...]:
     """The 24 vertices of the 2222 nonsignaling polytope: 16 deterministic
     boxes and the 8 PR-box relabelings a + b = xy + ax + by + g (mod 2)."""
+    from . import polytope
+
     sc = scenario_2222()
     vertices = [s.box() for s in polytope.deterministic_strategies(sc)]
     for alpha in (0, 1):

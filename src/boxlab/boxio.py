@@ -5,6 +5,10 @@ and the table flat in canonical order, one input block per line.  Values
 are exact rational strings; decimals are accepted on input and converted
 exactly, canonical output never contains floats.  Reports are JSON with
 embedded certificates and the SHA-256 of the box file they refer to.
+
+Only core is imported at the top: each certificate decoder imports the
+module whose type it builds, so reading a box or a malformed report
+loads no analysis module (see cli).
 """
 
 from __future__ import annotations
@@ -13,12 +17,13 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .bell import BellFunctional
 from .core import Box, BoxlabError, Scenario, rat, validate_box
-from .locality import LocalModel, NonlocalityCertificate
-from .lp import LpCertificate, LpOutcome
-from .polytope import DeterministicStrategy
+
+if TYPE_CHECKING:
+    from .locality import LocalModel, NonlocalityCertificate
+    from .lp import LpCertificate, LpOutcome
 
 BOX_MAGIC = "BOXLAB-BOX 1"
 REPORT_MAGIC = "BOXLAB-REPORT 1"
@@ -236,6 +241,8 @@ def encode_lp_certificate(cert: LpCertificate) -> dict:
 
 
 def decode_lp_certificate(data: dict | Fields) -> LpCertificate:
+    from .lp import LpCertificate
+
     f = _fields(data, "certificate")
     return LpCertificate(
         f.text("kind", ("farkas", "dual")),
@@ -255,6 +262,9 @@ def encode_local_model(model: LocalModel) -> dict:
 
 
 def decode_local_model(data: Fields, scenario: Scenario) -> LocalModel:
+    from .locality import LocalModel
+    from .polytope import DeterministicStrategy
+
     tables = data.get("tables", list)
     weights = data.rationals("weights")
     if len(weights) != len(tables):
@@ -290,6 +300,9 @@ def encode_bell_certificate(cert: NonlocalityCertificate) -> dict:
 
 def decode_bell_certificate(data: Fields, scenario: Scenario) -> NonlocalityCertificate:
     """The certificate, which must be a functional on the given scenario."""
+    from .bell import BellFunctional
+    from .locality import NonlocalityCertificate
+
     claimed = Scenario(data.integers("inputs"), data.integers("outputs"))
     coefficients = data.rationals("coefficients")
     if claimed != scenario or len(coefficients) != scenario.table_size:
@@ -309,6 +322,8 @@ def encode_lp_outcome(out: LpOutcome) -> dict:
 
 
 def decode_lp_outcome(data: Fields) -> LpOutcome:
+    from .lp import LpOutcome
+
     return LpOutcome(
         data.text("status"),
         data.rationals("primal", optional=True),

@@ -13,6 +13,13 @@ are recomputed.  `boxlab verify` exits 0 when the report's evidence proves
 its verdict for the box file, 1 when the evidence is wrong or proves
 another verdict, and 2 when the report or its box file is malformed,
 missing or stale.  It never ends in a traceback.
+
+Every command runs in a process of its own, which compiles each module
+it imports unless cached bytecode is at hand.  So this module imports
+only core and boxio at the top, and each analysis imports the modules
+it calls inside its run and verify functions: `analyze ns` loads no
+analysis module, and a report that fails to parse is refused before
+any is loaded.
 """
 
 from __future__ import annotations
@@ -24,12 +31,14 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from . import bell, boxio, incompat, isotropic, locality, lp, polytope, shareability
+from . import boxio
 from .boxio import Fields, ParseError, StaleDigest, format_rational, parse_rational
 from .core import Box, BoxlabError, ZERO, is_nonsignaling
-from .locality import LocalModel, NonlocalityCertificate
+
+if TYPE_CHECKING:
+    from . import incompat, lp
 
 PROG = "boxlab"
 
@@ -122,14 +131,18 @@ def _run_ns(box, flags):
 
 
 def _local_verdict(result) -> dict:
-    if isinstance(result, LocalModel):
+    from . import locality
+
+    if isinstance(result, locality.LocalModel):
         return {"local": True, "model_size": len(result.strategies)}
     return {"local": False, "violation": format_rational(result.violation)}
 
 
 def _run_local(box, flags):
+    from . import locality
+
     result = locality.is_local(box)
-    if isinstance(result, LocalModel):
+    if isinstance(result, locality.LocalModel):
         lines = [f"local: model with {len(result.strategies)} strategies"]
         return 0, _local_verdict(result), {"witness": boxio.encode_local_model(result)}, lines
     lines = [f"nonlocal: certificate violation {result.violation}"]
@@ -141,6 +154,8 @@ def _locality_evidence(report: Fields, box: Box):
 
     Refuses, as is_local does, a scenario with more deterministic
     strategies than the cap: the certificate check enumerates them all."""
+    from . import locality, polytope
+
     locality.check_strategy_space(box.scenario)
     if "witness" in report:
         model = boxio.decode_local_model(report.obj("witness", "local_model"), box.scenario)
@@ -163,22 +178,30 @@ def _verify_local(report, box, flags):
 
 
 def _run_chsh(box, flags):
+    from . import bell
+
     value = bell.chsh(box)
     return (0 if value <= 0 else 1), {"chsh": format_rational(value)}, {}, [f"chsh = {value}"]
 
 
 def _run_cglmp(box, flags):
+    from . import bell
+
     value = bell.cglmp(flags.d).evaluate(box)
     verdict = {"d": flags.d, "cglmp": format_rational(value)}
     return (0 if value <= 0 else 1), verdict, {}, [f"cglmp(d={flags.d}) = {value}"]
 
 
 def _shareable_verdict(flags, feasible: bool) -> dict:
+    from . import shareability
+
     folded = shareability.ExtensionWitness.folded
     return {"m": flags.m, "party": flags.party, "shareable": feasible, "folded": folded}
 
 
 def _run_shareable(box, flags):
+    from . import shareability
+
     problem = shareability.ExtensionProblem(box, flags.party, flags.m)
     witness = shareability.is_m_shareable(problem)
     verdict = _shareable_verdict(flags, witness.feasible)
@@ -196,6 +219,8 @@ def _verify_shareable(report, box, flags):
     claimed = report.obj("verdict").data
     if (claimed.get("m"), claimed.get("party")) != (flags.m, flags.party):
         return None
+    from . import lp, shareability
+
     problem = shareability.ExtensionProblem(box, flags.party, flags.m)
     if "witness" in report:
         extension = boxio.decode_box(report.obj("witness", "extension_box").obj("box"))
@@ -212,11 +237,25 @@ def _verify_shareable(report, box, flags):
 
 
 def _pair(flags) -> incompat.ObservablePair:
+    from . import incompat
+
     return incompat.ObservablePair(flags.party, flags.y0, flags.y1)
 
 
 def _incompat_lp(box, flags) -> lp.LinearProgram:
+    from . import incompat
+
     return incompat.incompatibility_lp_for(incompat.restrict_to_pair(box, _pair(flags)))
+
+
+def _certified_inc(report, box, flags) -> Fraction | None:
+    """The incompatibility that the report's LP outcome proves for the box, or None."""
+    from . import lp
+
+    out = boxio.decode_lp_outcome(report.obj("certificate", "lp_outcome"))
+    if out.status != lp.OPTIMAL or not lp.verify_certificate(_incompat_lp(box, flags), out):
+        return None
+    return -out.value
 
 
 def _pair_flags(flags) -> dict:
@@ -228,6 +267,8 @@ def _incompat_verdict(flags, eta: Fraction) -> dict:
 
 
 def _run_incompat(box, flags):
+    from . import lp
+
     out = lp.solve(_incompat_lp(box, flags))
     eta = -out.value
     lines = [f"inc[{flags.y0},{flags.y1}] = {eta}" + (" (compatible)" if eta == 0 else "")]
@@ -236,31 +277,47 @@ def _run_incompat(box, flags):
 
 
 def _verify_incompat(report, box, flags):
-    out = boxio.decode_lp_outcome(report.obj("certificate", "lp_outcome"))
-    if out.status != lp.OPTIMAL or not lp.verify_certificate(_incompat_lp(box, flags), out):
-        return None
-    return _incompat_verdict(flags, -out.value)
+    eta = _certified_inc(report, box, flags)
+    return None if eta is None else _incompat_verdict(flags, eta)
+
+
+def _entropy_verdict(flags, result) -> dict:
+    return {
+        **_pair_flags(flags),
+        "inc": format_rational(result.inc),
+        "bound": result.bound,
+        "entropy_y0": result.entropy_y0,
+        "entropy_y1": result.entropy_y1,
+        "holds": result.holds,
+    }
 
 
 def _run_entropy(box, flags):
-    report = incompat.entropy_bound_check(box, _pair(flags))
-    verdict = {
-        **_pair_flags(flags),
-        "inc": format_rational(report.inc),
-        "bound": report.bound,
-        "entropy_y0": report.entropy_y0,
-        "entropy_y1": report.entropy_y1,
-        "holds": report.holds,
-    }
+    from . import incompat, lp
+
+    out = lp.solve(_incompat_lp(box, flags))
+    result = incompat.entropy_bound(box, _pair(flags), -out.value)
     lines = [
-        f"inc = {report.inc}, h(inc/2) = {report.bound:.6f}",
-        f"H(b{flags.y0}) = {report.entropy_y0:.6f}, H(b{flags.y1}) = {report.entropy_y1:.6f}",
-        f"bound holds: {report.holds}",
+        f"inc = {result.inc}, h(inc/2) = {result.bound:.6f}",
+        f"H(b{flags.y0}) = {result.entropy_y0:.6f}, H(b{flags.y1}) = {result.entropy_y1:.6f}",
+        f"bound holds: {result.holds}",
     ]
-    return (0 if report.holds else 1), verdict, {}, lines
+    evidence = {"certificate": boxio.encode_lp_outcome(out)}
+    return (0 if result.holds else 1), _entropy_verdict(flags, result), evidence, lines
+
+
+def _verify_entropy(report, box, flags):
+    from . import incompat
+
+    inc = _certified_inc(report, box, flags)
+    if inc is None:
+        return None
+    return _entropy_verdict(flags, incompat.entropy_bound(box, _pair(flags), inc))
 
 
 def _run_secrecy(box, flags):
+    from . import locality
+
     result = locality.secrecy_content(box)
     verdict = {"contains_secrecy": result.contains_secrecy}
     if result.contains_secrecy:
@@ -271,10 +328,12 @@ def _run_secrecy(box, flags):
 
 
 def _verify_secrecy(report, box, flags):
+    from . import locality
+
     result = _locality_evidence(report, box)
     if result is None:
         return None
-    return {"contains_secrecy": isinstance(result, NonlocalityCertificate)}
+    return {"contains_secrecy": isinstance(result, locality.NonlocalityCertificate)}
 
 
 def _transformed(out_box: Box, verdict: dict, lines: list, flags, name: str):
@@ -296,6 +355,8 @@ def _verify_output(run):
 
 
 def _run_depolarize(box, flags):
+    from . import bell, isotropic
+
     out_box = isotropic.depolarize(box)
     verdict = {
         "chsh_before": format_rational(bell.chsh(box)),
@@ -306,6 +367,8 @@ def _run_depolarize(box, flags):
 
 
 def _run_shrink(box, flags):
+    from . import isotropic
+
     eps = flags.epsilon if flags.epsilon is not None else Fraction(1, 2)
     out_box = isotropic.shrink(box, eps)
     verdict = {
@@ -337,6 +400,8 @@ def _monogamy_verdict(rows) -> dict:
 
 
 def _run_monogamy_scan(box, flags):
+    from . import lp, shareability
+
     rows, certificates = [], []
     for beta in _beta_grid(flags):
         out = lp.solve(shareability.monogamy_lp(beta))
@@ -357,6 +422,8 @@ def _verify_monogamy_scan(report, box, flags):
     ]
     if [beta for beta, _ in claimed] != betas:
         return None
+    from . import lp, shareability
+
     for beta, out in claimed:
         prog = shareability.monogamy_lp(beta)
         if out.status != lp.OPTIMAL or not lp.verify_certificate(prog, out):
@@ -371,7 +438,7 @@ ANALYSES = {
     "cglmp": Analysis(_run_cglmp, _recomputed(_run_cglmp), flags=("d",)),
     "shareable": Analysis(_run_shareable, _verify_shareable, flags=("m", "party")),
     "incompat": Analysis(_run_incompat, _verify_incompat, flags=("party", "y0", "y1")),
-    "entropy": Analysis(_run_entropy, _recomputed(_run_entropy), flags=("party", "y0", "y1")),
+    "entropy": Analysis(_run_entropy, _verify_entropy, flags=("party", "y0", "y1")),
     "secrecy": Analysis(_run_secrecy, _verify_secrecy),
     "depolarize": Analysis(_run_depolarize, _verify_output(_run_depolarize)),
     "shrink": Analysis(_run_shrink, _verify_shrink, flags=("epsilon",)),
@@ -418,21 +485,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_make(args) -> int:
     if args.kind == "pr":
+        from . import bell
+
         box, default_name = bell.pr_box(), "pr"
     elif args.kind == "iso":
+        from . import isotropic
+
         c = args.C if args.C is not None else Fraction(1, 2)
         box, default_name = isotropic.make_isotropic(c), f"iso-{c}"
-    elif args.kind == "gpr":
-        box, default_name = shareability.generalized_pr(args.A), f"gpr-{args.A}"
-    elif args.kind == "giso":
-        c = args.C if args.C is not None else Fraction(1, 2)
-        dist = None
-        if args.pind:
-            dist = [parse_rational(tok) for tok in args.pind.split(",")]
-        box = shareability.generalized_isotropic(args.A, c, dist)
-        default_name = f"giso-{args.A}-{c}"
     else:
-        box, default_name = shareability.polygamy_example(), "polygamy"
+        from . import shareability
+
+        if args.kind == "gpr":
+            box, default_name = shareability.generalized_pr(args.A), f"gpr-{args.A}"
+        elif args.kind == "giso":
+            c = args.C if args.C is not None else Fraction(1, 2)
+            dist = None
+            if args.pind:
+                dist = [parse_rational(tok) for tok in args.pind.split(",")]
+            box = shareability.generalized_isotropic(args.A, c, dist)
+            default_name = f"giso-{args.A}-{c}"
+        else:
+            box, default_name = shareability.polygamy_example(), "polygamy"
     text = boxio.dumps_box(box, args.name or default_name)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -281,6 +281,21 @@ def trace_indices(scenario: Scenario):
                 yield k, out_ctx, in_ctx, [[base + x + a for a in own_outs] for x in own_ins]
 
 
+def swap_indices(scenario: Scenario, i: int, j: int) -> list[int]:
+    """The flat-index permutation that exchanges parties i and j, which
+    must have the same alphabets: entry k with the two parties' outputs
+    and inputs swapped sits at index perm[k]."""
+    if (scenario.inputs[i], scenario.outputs[i]) != (scenario.inputs[j], scenario.outputs[j]):
+        raise ScenarioMismatch(f"parties {i} and {j} have different alphabets")
+    # with i and j swapped in the party order, the product order is unchanged
+    # (equal alphabets) and each offset lands on the swapped entry
+    order = list(range(scenario.parties))
+    order[i], order[j] = j, i
+    n_out = scenario.num_output_tuples
+    outs = [offset for _, offset in _assignments(scenario.outputs, order)]
+    return [x * n_out + o for _, x in _assignments(scenario.inputs, order) for o in outs]
+
+
 def is_nonsignaling(box: Box, witness: bool = False):
     """Check the trace conditions of trace_indices.
 

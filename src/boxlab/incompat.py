@@ -219,12 +219,9 @@ class EntropyBoundReport:
         return self.holds_y0 and self.holds_y1
 
 
-def entropy_bound_check(box: Box, pair: ObservablePair) -> EntropyBoundReport:
-    """Check H(b0) and H(b1) against h(inc/2).
-
-    Stated for binary outputs or binary inputs; anything else is out of
-    scope.  inc is exact; the entropy comparison uses a 1e-12 slack.
-    """
+def _entropy_scope(box: Box, pair: ObservablePair) -> Box:
+    """The box with the pair's party as Bob; OutOfScope unless the bound
+    is stated for it (binary outputs or binary inputs)."""
     work = _pair_at_bob(box, pair)
     X, Y = work.scenario.inputs
     A, B = work.scenario.outputs
@@ -232,7 +229,13 @@ def entropy_bound_check(box: Box, pair: ObservablePair) -> EntropyBoundReport:
         raise OutOfScope(
             "entropy bounds are stated for binary outputs or binary inputs"
         )
-    inc = incompatibility(box, pair).eta
+    return work
+
+
+def entropy_bound(box: Box, pair: ObservablePair, inc: Fraction) -> EntropyBoundReport:
+    """Check H(b0) and H(b1) against h(inc/2), for inc the pair's
+    incompatibility as computed, or certified, elsewhere."""
+    work = _entropy_scope(box, pair)
     bound = binary_entropy(float(inc) / 2)
     h0 = output_entropy(work, 1, pair.y0)
     h1 = output_entropy(work, 1, pair.y1)
@@ -244,3 +247,14 @@ def entropy_bound_check(box: Box, pair: ObservablePair) -> EntropyBoundReport:
         h0 >= bound - ENTROPY_SLACK,
         h1 >= bound - ENTROPY_SLACK,
     )
+
+
+def entropy_bound_check(box: Box, pair: ObservablePair) -> EntropyBoundReport:
+    """Check H(b0) and H(b1) against h(inc/2).
+
+    Stated for binary outputs or binary inputs; anything else is out of
+    scope, and refused before inc is computed.  inc is exact; the entropy
+    comparison uses a 1e-12 slack.
+    """
+    _entropy_scope(box, pair)
+    return entropy_bound(box, pair, incompatibility(box, pair).eta)

@@ -46,6 +46,7 @@ from .core import (
     rat,
     relabel,
     restrict_bob_inputs,
+    swap_indices,
     validate_box,
 )
 from .isotropic import make_isotropic
@@ -110,12 +111,6 @@ class ExtensionWitness:
     # the certificate belongs to folded_extension_lp; reports carry the
     # flag so a reader knows which program to re-check it against
     folded = True
-
-
-def _swap_slots(t: tuple, i: int, j: int) -> tuple:
-    out = list(t)
-    out[i], out[j] = out[j], out[i]
-    return tuple(out)
 
 
 def _arrangements(items) -> int:
@@ -333,23 +328,20 @@ def folded_extension_lp(problem: ExtensionProblem):
 
 def validate_extension(problem: ExtensionProblem, extension: Box) -> None:
     """Raise NotAnExtension unless symmetric, nonsignaling, and marginal-exact.
-    Signaling is checked once; each copy-marginal is then read through
-    core.marginal_indices."""
+    Symmetry compares the table with its image under core.swap_indices for
+    each adjacent slot pair; signaling is checked once; each copy-marginal
+    is then read through core.marginal_indices."""
     ext = problem.extension_scenario()
     if extension.scenario != ext:
         raise NotAnExtension("extension scenario mismatch")
     slots = problem.copy_slots()
+    table = extension.table
     for i, j in zip(slots, slots[1:]):
-        for xs in ext.input_tuples():
-            for outs in ext.output_tuples():
-                if extension.prob(outs, xs) != extension.prob(
-                    _swap_slots(outs, i, j), _swap_slots(xs, i, j)
-                ):
-                    raise NotAnExtension(f"not symmetric under swapping slots {i},{j}")
+        if any(table[k] != table[p] for k, p in enumerate(swap_indices(ext, i, j))):
+            raise NotAnExtension(f"not symmetric under swapping slots {i},{j}")
     if not is_nonsignaling(extension):
         raise NotAnExtension("extension is signaling")
     fixed = problem.fixed_slot()
-    table = extension.table
     for slot in slots:
         pair = (fixed, slot) if fixed < slot else (slot, fixed)
         entries = marginal_indices(ext, pair)
@@ -629,10 +621,14 @@ def polygamy_example() -> Box:
 
 
 def generalized_pr(num_outputs: int) -> Box:
-    """Two inputs per party, outputs mod-A correlated: a - b = xy (mod A)."""
+    """Two inputs per party, outputs mod-A correlated: a - b = xy (mod A).
+    Its 4 A^2 entries are capped like an extension table's, before any is
+    built."""
     if num_outputs < 2:
         raise BadParams("need at least two outputs")
     A = num_outputs
+    if 4 * A * A > EXTENSION_SIZE_CAP:
+        raise BadParams(f"{A} outputs make a table of {4 * A * A} entries, cap {EXTENSION_SIZE_CAP}")
     sc = Scenario((2, 2), (A, A))
     return box_from_function(
         sc,

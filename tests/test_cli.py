@@ -1,8 +1,12 @@
 """The boxlab command line, run in process through cli.main."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -190,6 +194,9 @@ def bump(text):
         (("iso-3/4", "local"), edit_at(["certificate", "violation"], bump), 1),
         (("gpr-3", "cglmp"), edit_at(["verdict", "d"], 4), 1),
         (("pr", "monogamy-scan"), edit_at(["certificates", 1, "beta"], "1/8"), 1),
+        (("pr", "entropy"), edit_at(["certificate"], delete=True), 2),
+        (("iso-3/4", "entropy"), edit_at(["certificate", "value"], bump), 1),
+        (("iso-3/4", "entropy"), edit_at(["verdict", "inc"], bump), 1),
     ],
     ids=[
         "deleted-verdict",
@@ -204,6 +211,9 @@ def bump(text):
         "bumped-violation",
         "verdict-d-differs-from-flag",
         "certificate-beta-off-grid",
+        "entropy-without-certificate",
+        "entropy-bumped-lp-value",
+        "entropy-bumped-inc",
     ],
 )
 def test_tampered_report_exit_code(corpus, key, edit, code):
@@ -238,6 +248,19 @@ def test_unreadable_report_exits_2(tmp_path, content):
     assert run("verify", report) == 2
 
 
+def test_entropy_verify_checks_the_certificate_without_solving(corpus, monkeypatch):
+    root, reports = corpus
+    report = reports["iso-3/4", "entropy"]
+    assert report["certificate"]["type"] == "lp_outcome"
+    assert F(report["verdict"]["inc"]) == -F(report["certificate"]["value"]) == F(1, 2)
+
+    def no_solve(prog):
+        raise AssertionError("verify solved an LP")
+
+    monkeypatch.setattr(lp, "solve", no_solve)
+    assert verify_tampered(corpus, ("iso-3/4", "entropy"), lambda data: None) == 0
+
+
 @pytest.mark.parametrize("party", ["A", "B"])
 @pytest.mark.parametrize("parties", [1, 3])
 def test_entropy_on_non_bipartite_box_exits_2(tmp_path, capsys, parties, party):
@@ -254,6 +277,72 @@ def test_entropy_on_non_bipartite_box_exits_2(tmp_path, capsys, parties, party):
 def test_bad_output_alphabet_exits_2(tmp_path, capsys, kind, alphabet):
     assert run("make", kind, "--A", alphabet, "-o", tmp_path / "box.txt") == 2
     assert "at least two outputs" in capsys.readouterr().err
+
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def in_fresh_process(*argv, timeout=60):
+    """Run `python -c` calling cli.main(argv) in a new interpreter; returns
+    (exit code, the boxlab modules loaded, wall time)."""
+    code = (
+        "import json, sys\n"
+        "from boxlab import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('boxlab'))]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+    elapsed = time.perf_counter() - start
+    exit_code, modules = json.loads(proc.stdout.splitlines()[-1])
+    return exit_code, {m.removeprefix("boxlab.") for m in modules}, elapsed
+
+
+@pytest.mark.parametrize("kind", ["gpr", "giso"])
+def test_make_above_size_cap_exits_2(tmp_path, kind):
+    # a separate process with a timeout: without the cap the 4 * 10^10-entry
+    # table is built until the machine runs out of memory
+    argv = ("make", kind, "--A", 100000, "-o", tmp_path / "box.txt")
+    code, _, elapsed = in_fresh_process(*argv, timeout=5)
+    assert code == 2
+    assert elapsed < 2.0
+
+
+# ---------------------------------------------------------------------------
+# each command loads only the modules its code path calls
+
+FRONT_END = {"boxlab", "core", "boxio", "cli"}
+ANALYSIS_MODULES = {"bell", "incompat", "isotropic", "locality", "lp", "polytope", "shareability"}
+
+
+def test_analyze_ns_loads_only_the_front_end(corpus):
+    code, modules, _ = in_fresh_process("analyze", "ns", corpus[0] / "box0.txt")
+    assert (code, modules) == (0, FRONT_END)
+
+
+def test_analyze_chsh_adds_only_bell(corpus):
+    code, modules, _ = in_fresh_process("analyze", "chsh", corpus[0] / "box0.txt")
+    assert (code, modules) == (1, FRONT_END | {"bell"})
+
+
+def test_analyze_incompat_loads_no_locality_module(corpus):
+    code, modules, _ = in_fresh_process("analyze", "incompat", corpus[0] / "box0.txt")
+    assert code == 1
+    assert modules >= {"incompat", "lp"}
+    assert not modules & {"locality", "shareability", "bell"}
+
+
+@pytest.mark.parametrize("key", [("iso-3/4", "shareable"), ("iso-1/2", "local"), ("pr", "entropy")])
+def test_verify_of_unparsable_report_loads_no_analysis_module(corpus, key):
+    root, reports = corpus
+    data = json.loads(json.dumps(reports[key]))
+    del data["verdict"]
+    path = root / f"no-verdict-{key[1]}.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, modules, _ = in_fresh_process("verify", path)
+    assert (code, modules) == (2, FRONT_END)
 
 
 def test_bad_noise_distribution_shown_as_rationals(tmp_path, capsys):

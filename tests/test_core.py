@@ -27,6 +27,7 @@ from boxlab.core import (
     permute_parties,
     rat,
     relabel,
+    swap_indices,
     tensor,
     uniform_box,
     validate_box,
@@ -211,6 +212,22 @@ class TestTensorAndPermute:
     def test_permute_rejects_non_permutation(self):
         with pytest.raises(BadPermutation):
             permute_parties(bell.pr_box(), (0, 0))
+
+    @pytest.mark.parametrize(
+        "inputs, outputs, i, j",
+        [((2, 3, 3), (2, 2, 2), 1, 2), ((3, 2, 2, 2), (2, 3, 3, 3), 1, 3), ((2, 2, 2), (3, 3, 3), 0, 2)],
+    )
+    def test_swap_indices_match_permute_parties(self, inputs, outputs, i, j):
+        sc = Scenario(inputs, outputs)
+        numbered = Box(sc, tuple(range(sc.table_size)))
+        order = list(range(sc.parties))
+        order[i], order[j] = j, i
+        perm = swap_indices(sc, i, j)
+        assert tuple(numbered.table[p] for p in perm) == permute_parties(numbered, order).table
+
+    def test_swap_indices_need_equal_alphabets(self):
+        with pytest.raises(ScenarioMismatch):
+            swap_indices(Scenario((2, 3), (2, 2)), 0, 1)
 
 
 class TestRelabel:

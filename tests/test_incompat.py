@@ -22,6 +22,7 @@ from boxlab.incompat import (
     ObservablePair,
     OutOfScope,
     binary_entropy,
+    entropy_bound,
     entropy_bound_check,
     incompatibility,
     is_compatible,
@@ -193,6 +194,20 @@ class TestEntropyBounds:
         box = uniform_box(Scenario((3, 3), (3, 3)))
         with pytest.raises(OutOfScope):
             entropy_bound_check(box, ObservablePair("B", 0, 1))
+        with pytest.raises(OutOfScope):
+            entropy_bound(box, ObservablePair("B", 0, 1), F(0))
+
+    @pytest.mark.parametrize("party", ["A", "B"])
+    def test_bound_from_a_given_inc(self, party):
+        # the check is the bound at the computed inc; a larger inc can break it
+        pair = ObservablePair(party, 0, 1)
+        box = make_isotropic(F(3, 4))
+        inc = incompatibility(box, pair).eta
+        assert entropy_bound(box, pair, inc) == entropy_bound_check(box, pair)
+        det00 = deterministic_strategies(SC22)[0].box()
+        tight = mix([pr_box(), det00], [F(1, 2), F(1, 2)])
+        assert entropy_bound(tight, pair, F(1, 2)).holds
+        assert not entropy_bound(tight, pair, F(3, 4)).holds
 
     def test_binary_inputs_larger_outputs_in_scope(self, ns_vertices):
         from boxlab.shareability import generalized_isotropic

@@ -130,6 +130,19 @@ class TestShareability:
         validate_extension(problem, extension)
         assert calls == [extension]
 
+    @pytest.mark.parametrize("party", ["A", "B"])
+    def test_validate_rejects_copy_asymmetry_at_every_slot_pair(self, party):
+        # copy slot s answers 0 up to slot k and 1 after it, whatever the
+        # inputs: symmetric under every earlier adjacent swap, not under (k, k+1)
+        problem = ExtensionProblem(make_isotropic(F(1, 2)), party, 4)
+        sc, slots = problem.extension_scenario(), problem.copy_slots()
+        for k, (i, j) in enumerate(zip(slots, slots[1:])):
+            late = set(slots[k + 1 :])
+            wanted = tuple(int(s in late) if s in slots else 0 for s in range(sc.parties))
+            table = box_from_function(sc, lambda outs, xs, w=wanted: 1 if outs == w else 0)
+            with pytest.raises(NotAnExtension, match=f"slots {i},{j}$"):
+                validate_extension(problem, table)
+
     def test_validate_rejects_signaling_extension(self):
         # symmetric under the copy swap, but Alice's input moves Bob's outputs
         sc = ExtensionProblem(make_isotropic(F(1, 2)), "B", 2).extension_scenario()
