@@ -3,8 +3,10 @@
 Functionals here are affine in the box table and, once normalized, obey
 the convention used throughout the package: value <= 0 on every local
 box, maximum exactly 1 over the nonsignaling polytope.  Normalization is
-computed, not hard-coded: the local bound comes from enumerating
-deterministic strategies, the nonsignaling maximum from an exact LP.
+computed, not hard-coded: the local bound is the largest sum of the
+coefficients at the table entries a deterministic strategy fires
+(`polytope.strategy_columns`), taken in integers over the coefficients'
+common denominator; the nonsignaling maximum comes from an exact LP.
 The functions that solve import lp and polytope themselves, so CHSH and
 the isotropic family load neither.
 """
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .core import (
     BadParams,
@@ -119,21 +122,33 @@ def chsh_functional() -> BellFunctional:
     return BellFunctional(sc, tuple(coeffs), -ONE)
 
 
+def local_bound(functional: BellFunctional) -> Fraction:
+    """Maximum of the functional over the deterministic strategy boxes,
+    exactly: a strategy box holds 1 at the entries of its
+    `polytope.strategy_columns` row and 0 elsewhere, so its value is the
+    offset plus the coefficients there, summed as integer numerators
+    over the coefficients' common denominator."""
+    from . import polytope
+
+    coeffs = functional.coefficients
+    den = lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    best = max(sum(map(nums.__getitem__, cols)) for cols in polytope.strategy_columns(functional.scenario))
+    return functional.offset + Fraction(best, den)
+
+
 def normalization_bounds(functional: BellFunctional) -> tuple[Fraction, Fraction]:
     """(local bound, nonsignaling maximum) of the functional, exactly.
 
-    The local bound is the maximum over all deterministic strategy boxes;
-    the NS maximum comes from one LP over the nonsignaling polytope.
+    The local bound is `local_bound`, the maximum over the deterministic
+    strategy boxes read through the scenario's strategy index table; the
+    NS maximum comes from one LP over the nonsignaling polytope.
     """
     from . import lp, polytope
 
-    local = max(
-        functional.evaluate(s.box())
-        for s in polytope.deterministic_strategies(functional.scenario)
-    )
     out = polytope.max_over_ns(functional.scenario, enumerate(functional.coefficients))
     ensure(out.status == lp.OPTIMAL, f"NS maximum LP ended {out.status}")
-    return local, out.value + functional.offset
+    return local_bound(functional), out.value + functional.offset
 
 
 def normalize(functional: BellFunctional) -> BellFunctional:

@@ -154,7 +154,7 @@ def _locality_evidence(report: Fields, box: Box):
 
     Refuses, as is_local does, a scenario with more deterministic
     strategies than the cap: the certificate check enumerates them all."""
-    from . import locality, polytope
+    from . import bell, locality
 
     locality.check_strategy_space(box.scenario)
     if "witness" in report:
@@ -167,7 +167,7 @@ def _locality_evidence(report: Fields, box: Box):
     valid = (
         cert.violation > 0
         and f.evaluate(box) == cert.violation
-        and all(f.evaluate(s.box()) <= 0 for s in polytope.deterministic_strategies(box.scenario))
+        and bell.local_bound(f) <= 0
     )
     return cert if valid else None
 

@@ -11,6 +11,7 @@ public message an eavesdropper could hold.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,17 +107,29 @@ class SecrecyVerdict:
     certificate: NonlocalityCertificate | None = None
 
 
-def membership_lp(box: Box, strategies) -> lp.LinearProgram:
-    """Weights over deterministic strategies matching every table entry."""
-    n_out = box.scenario.num_output_tuples
-    rows = [[] for _ in range(box.scenario.table_size)]
-    for e, strat in enumerate(strategies):
-        for xi, xs in enumerate(box.scenario.input_tuples()):
-            outs = tuple(strat.tables[k][xs[k]] for k in range(box.scenario.parties))
-            rows[xi * n_out + box.scenario.output_index(outs)].append((e, ONE))
-    prog = lp.LinearProgram(len(strategies))
-    for row, p in zip(rows, box.table):
-        prog.add_eq(row, p)
+@functools.lru_cache(maxsize=16)
+def _membership_rows(scenario: Scenario) -> tuple:
+    """Per table entry, the row summing the weights of the strategies
+    that set it to 1, as LinearProgram stores it."""
+    rows = [[] for _ in range(scenario.table_size)]
+    for e, cols in enumerate(polytope.strategy_columns(scenario)):
+        term = (e, ONE)
+        for k in cols:
+            rows[k].append(term)
+    return tuple(map(tuple, rows))
+
+
+def membership_lp(box: Box) -> lp.LinearProgram:
+    """Weights over the deterministic strategies, in
+    deterministic_strategies order, matching every table entry.
+
+    The rows depend only on the scenario: they are built once per
+    scenario from `polytope.strategy_columns`, already in LinearProgram's
+    canonical form (ascending strategy indices, coefficient 1), and each
+    box adds only its table as the right-hand sides."""
+    sc = box.scenario
+    prog = lp.LinearProgram(polytope.strategy_count(sc))
+    prog.eqs.extend(zip(_membership_rows(sc), box.table))
     return prog
 
 
@@ -126,9 +139,9 @@ def is_local(box: Box, cap: int | None = None) -> LocalModel | NonlocalityCertif
     if not ok:
         raise SignalingBox(w)
     check_strategy_space(box.scenario, cap)
-    strategies = polytope.deterministic_strategies(box.scenario)
-    out = lp.solve(membership_lp(box, strategies))
+    out = lp.solve(membership_lp(box))
     if out.status == lp.OPTIMAL:
+        strategies = polytope.deterministic_strategies(box.scenario)
         pairs = [
             (s, w) for s, w in zip(strategies, out.primal) if w
         ]

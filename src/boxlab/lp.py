@@ -19,8 +19,11 @@ Every outcome carries an exactly checkable witness: an optimal solve
 returns the dual multipliers (strong duality holds with equality in
 exact arithmetic), an infeasible solve returns a Farkas vector
 combining the constraints into an impossible 0 <= negative.
-`verify_certificate` re-checks it in plain Fraction arithmetic against
-the original problem, sharing no code with the tableau.
+`verify_certificate` re-checks it against the original problem in
+integers, sharing no code with the tableau: the multipliers go over one
+common denominator, the problem's coefficients, right-hand sides and
+upper bounds over another, the primal over a third, and every equation
+and inequality of the check is compared between the scaled numerators.
 
 Problems are stated as
 
@@ -37,7 +40,10 @@ Rows and the objective are sparse: any iterable of (column, coefficient)
 pairs, so a dense vector goes in as enumerate(vec).  LinearProgram checks
 every column against 0..num_vars-1, sums repeated columns and drops zero
 coefficients; it stores each row as a tuple of (column, Fraction) pairs
-in column order.
+in column order, and every value goes through `core.rat`, so a float
+raises TypeError.  A caller holding rows already in that form (the
+nonsignaling and local-membership rows, built once per scenario) may
+append (row, rhs) pairs to `eqs` or `ineqs` directly.
 """
 
 from __future__ import annotations
@@ -47,10 +53,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .core import BoxlabError, ensure
+from .core import BoxlabError, ensure, rat
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+_RATIONAL = (int, Fraction)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -86,21 +94,21 @@ class LinearProgram:
         for col, c in pairs:
             if not 0 <= col < self.num_vars:
                 raise DimensionMismatch(f"column {col} outside 0..{self.num_vars - 1}")
-            summed[col] = summed.get(col, ZERO) + Fraction(c)
+            summed[col] = summed.get(col, ZERO) + rat(c)
         return tuple(sorted((col, c) for col, c in summed.items() if c))
 
     def add_eq(self, pairs: Iterable, rhs) -> None:
-        self.eqs.append((self._row(pairs), Fraction(rhs)))
+        self.eqs.append((self._row(pairs), rat(rhs)))
 
     def add_ineq(self, pairs: Iterable, rhs) -> None:
         """pairs . x <= rhs"""
-        self.ineqs.append((self._row(pairs), Fraction(rhs)))
+        self.ineqs.append((self._row(pairs), rat(rhs)))
 
     def set_upper(self, i: int, upper) -> None:
         """x_i <= upper"""
         if not 0 <= i < self.num_vars:
             raise DimensionMismatch(f"variable {i} outside 0..{self.num_vars - 1}")
-        self.upper[i] = Fraction(upper)
+        self.upper[i] = rat(upper)
 
 
 @dataclass(frozen=True)
@@ -365,25 +373,6 @@ def _assemble_certificate(lp, st, kind, y_by_origrow, alpha) -> LpCertificate:
     return LpCertificate(kind, tuple(y_eq), tuple(y_ineq), tuple(y_lb), tuple(y_ub))
 
 
-def _column_products(lp, cert_rows):
-    """alpha[i] = sum over rows of multiplier * coefficient of x_i, using
-    original-space multipliers (eq/ineq/ub families)."""
-    y_eq, y_ineq, y_ub = cert_rows
-    alpha = [ZERO] * lp.num_vars
-    for (terms, _), m in zip(lp.eqs, y_eq):
-        if m:
-            for i, c in terms:
-                alpha[i] += m * c
-    for (terms, _), m in zip(lp.ineqs, y_ineq):
-        if m:
-            for i, c in terms:
-                alpha[i] += m * c
-    for i in range(lp.num_vars):
-        if y_ub[i]:
-            alpha[i] += y_ub[i]
-    return alpha
-
-
 def solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; an optimal or infeasible outcome's certificate
     always re-verifies, an unbounded one carries none.
@@ -401,8 +390,8 @@ def solve(lp: LinearProgram) -> LpOutcome:
     do not.  Deterministic for identical inputs (fixed construction order
     and pivot rules, lowest index on every tie).  Raises no numerical
     exceptions: every status is decided in exact arithmetic, and
-    `verify_certificate` re-checks each optimal or infeasible outcome in
-    Fractions before it is returned.
+    `verify_certificate` re-checks each optimal or infeasible outcome
+    exactly before it is returned.
     """
     st = _standardize(lp)
     ncols = len(st.columns)
@@ -518,63 +507,101 @@ def _purge_artificials(st, art_cols):
         r += 1
 
 
+def _over(values, den):
+    """Integer numerators of rationals over a common multiple `den` of
+    their denominators."""
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
 def verify_certificate(lp: LinearProgram, outcome: LpOutcome) -> bool:
     """Independent exact re-check of an outcome against the original LP.
 
-    An unbounded outcome carries no witness, so it never verifies.
+    The multipliers are scaled to integers over their common denominator
+    D, the problem's coefficients, right-hand sides and upper bounds over
+    theirs, L, and the primal over its own, XD; column products and the
+    combined right-hand side are then sums over D * L, the row sums over
+    L * XD, and every comparison is between ints.  An unbounded outcome
+    carries no witness, and a multiplier, primal entry or value that is
+    not an int or a Fraction is no exact witness, so neither verifies.
     """
     cert = outcome.certificate
     if cert is None:
         return False
+    n = lp.num_vars
     lengths = (len(cert.y_eq), len(cert.y_ineq), len(cert.y_lb), len(cert.y_ub))
-    if lengths != (len(lp.eqs), len(lp.ineqs), lp.num_vars, lp.num_vars):
+    if lengths != (len(lp.eqs), len(lp.ineqs), n, n):
+        return False
+    multipliers = [*cert.y_eq, *cert.y_ineq, *cert.y_lb, *cert.y_ub]
+    if not all(isinstance(v, _RATIONAL) for v in multipliers):
         return False
     if any(v < 0 for v in cert.y_ineq) or any(v < 0 for v in cert.y_lb):
         return False
     if any(v < 0 for v in cert.y_ub):
         return False
-    for i in range(lp.num_vars):
+    for i in range(n):
         if lp.upper[i] is None and cert.y_ub[i] != 0:
             return False
-    alpha = _column_products(lp, (cert.y_eq, cert.y_ineq, cert.y_ub))
-    combined_rhs = ZERO
-    for (_, rhs), m in zip(lp.eqs, cert.y_eq):
-        combined_rhs += m * rhs
-    for (_, rhs), m in zip(lp.ineqs, cert.y_ineq):
-        combined_rhs += m * rhs
-    for i in range(lp.num_vars):
-        if cert.y_ub[i]:
-            combined_rhs += cert.y_ub[i] * lp.upper[i]
+
+    D = lcm(*(v.denominator for v in multipliers))
+    y = _over(multipliers, D)
+    y_rows, y_lb, y_ub = y[: -2 * n], y[-2 * n : -n], y[-n:]
+    rows = lp.eqs + lp.ineqs
+    L = lcm(
+        *(c.denominator for terms, _ in rows for _, c in terms),
+        *(rhs.denominator for _, rhs in rows),
+        *(u.denominator for u in lp.upper if u is not None),
+        *(c.denominator for _, c in lp.objective),
+    )
+    rhs_l = _over([rhs for _, rhs in rows], L)
+    upper = [None if u is None else u.numerator * (L // u.denominator) for u in lp.upper]
+
+    # alpha[i] = y . (column of x_i) and the combined rhs, both over D * L
+    alpha = [0] * n
+    combined = 0
+    for (terms, _), h, m in zip(rows, rhs_l, y_rows):
+        if m:
+            for i, c in terms:
+                alpha[i] += m * c.numerator * (L // c.denominator)
+            combined += m * h
+    for i, m in enumerate(y_ub):
+        if m:
+            alpha[i] += m * L
+            combined += m * upper[i]
 
     if outcome.status == INFEASIBLE:
         if cert.kind != "farkas":
             return False
-        if any(alpha[i] - cert.y_lb[i] != 0 for i in range(lp.num_vars)):
+        if any(alpha[i] != y_lb[i] * L for i in range(n)):
             return False
-        return combined_rhs < 0
+        return combined < 0
 
     if outcome.status == OPTIMAL:
         if cert.kind != "dual" or outcome.primal is None:
             return False
-        x = outcome.primal
-        if len(x) != lp.num_vars:
+        value = outcome.value
+        if len(outcome.primal) != n or not isinstance(value, _RATIONAL):
             return False
-        for i in range(lp.num_vars):
-            if x[i] < 0 or (lp.upper[i] is not None and x[i] > lp.upper[i]):
+        if not all(isinstance(v, _RATIONAL) for v in outcome.primal):
+            return False
+        XD = lcm(*(v.denominator for v in outcome.primal))
+        x = _over(outcome.primal, XD)
+        for i in range(n):
+            if x[i] < 0 or (upper[i] is not None and x[i] * L > upper[i] * XD):
                 return False
-        for terms, rhs in lp.eqs:
-            if sum((c * x[i] for i, c in terms), ZERO) != rhs:
-                return False
-        for terms, rhs in lp.ineqs:
-            if sum((c * x[i] for i, c in terms), ZERO) > rhs:
-                return False
-        if sum((c * x[i] for i, c in lp.objective), ZERO) != outcome.value:
+        # row sums over L * XD
+        sums = [sum(c.numerator * (L // c.denominator) * x[i] for i, c in terms) for terms, _ in rows]
+        bounds = [h * XD for h in rhs_l]
+        ne = len(lp.eqs)
+        if sums[:ne] != bounds[:ne] or any(s > b for s, b in zip(sums[ne:], bounds[ne:])):
+            return False
+        objective = [0] * n
+        for i, c in lp.objective:
+            objective[i] = c.numerator * (L // c.denominator)
+        if sum(c * v for c, v in zip(objective, x)) * value.denominator != value.numerator * L * XD:
             return False
         # dual feasibility: stationarity per variable, then value equality
-        objective = dict(lp.objective)
-        for i in range(lp.num_vars):
-            if alpha[i] - cert.y_lb[i] != objective.get(i, ZERO):
-                return False
-        return combined_rhs == outcome.value
+        if any(alpha[i] - y_lb[i] * L != objective[i] * D for i in range(n)):
+            return False
+        return combined * value.denominator == value.numerator * D * L
 
     return False

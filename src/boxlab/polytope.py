@@ -4,10 +4,16 @@ Shared plumbing for the modules that optimize over box polytopes: the
 local polytope is the convex hull of deterministic strategy boxes, the
 nonsignaling polytope is cut out by normalization plus the single-party
 trace equalities.  Constraint rows are indexed to match Box.table order.
+
+What depends only on the scenario is built once per scenario and held in
+a small least-recently-used cache: the table entries each strategy fires
+at (`strategy_columns`), and the nonsignaling rows in LinearProgram's
+canonical form.  Both are tuples, so no caller can change them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,6 +57,26 @@ def deterministic_strategies(scenario: Scenario) -> list[DeterministicStrategy]:
     ]
 
 
+@functools.lru_cache(maxsize=16)
+def strategy_columns(scenario: Scenario) -> tuple[tuple[int, ...], ...]:
+    """Per strategy, in deterministic_strategies order, the flat table
+    index of the entry its box sets to 1 under each input tuple, in
+    input-tuple order."""
+    n_out = scenario.num_output_tuples
+    inputs = list(scenario.input_tuples())
+    # per party and response table, its share of the output index under
+    # each input tuple: output value times the party's mixed-radix stride
+    per_party = []
+    stride = n_out
+    for k, (x, a) in enumerate(zip(scenario.inputs, scenario.outputs)):
+        stride //= a
+        per_party.append(
+            [tuple(t[xs[k]] * stride for xs in inputs) for t in itertools.product(range(a), repeat=x)]
+        )
+    base = tuple(xi * n_out for xi in range(len(inputs)))
+    return tuple(tuple(map(sum, zip(base, *combo))) for combo in itertools.product(*per_party))
+
+
 def normalization_rows(scenario: Scenario) -> list[tuple[list[tuple[int, Fraction]], Fraction]]:
     n_out = scenario.num_output_tuples
     return [
@@ -70,13 +96,21 @@ def ns_equality_rows(scenario: Scenario) -> list[tuple[list[tuple[int, Fraction]
     return rows
 
 
+@functools.lru_cache(maxsize=16)
+def _ns_rows(scenario: Scenario) -> tuple:
+    """Normalization and trace rows as LinearProgram stores them."""
+    prog = lp.LinearProgram(scenario.table_size)
+    for coeffs, rhs in normalization_rows(scenario) + ns_equality_rows(scenario):
+        prog.add_eq(coeffs, rhs)
+    return tuple(prog.eqs)
+
+
 def ns_lp(scenario: Scenario, objective=()) -> lp.LinearProgram:
-    """LP whose feasible set is the nonsignaling polytope in table coordinates."""
+    """LP whose feasible set is the nonsignaling polytope in table
+    coordinates.  Each call returns a new program with its own row lists,
+    so a caller may add rows to it."""
     prog = lp.LinearProgram(scenario.table_size, objective)
-    for coeffs, rhs in normalization_rows(scenario):
-        prog.add_eq(coeffs, rhs)
-    for coeffs, rhs in ns_equality_rows(scenario):
-        prog.add_eq(coeffs, rhs)
+    prog.eqs.extend(_ns_rows(scenario))
     return prog
 
 

@@ -3,13 +3,35 @@ from fractions import Fraction
 
 import pytest
 
-from boxlab import bell, shareability
+from boxlab import bell, lp, shareability
 from boxlab.core import mix, party_relabelings, relabel
+from oracles import verify_certificate_fractions
 
 
 @pytest.fixture(scope="session")
 def ns_vertices():
     return bell.ns_vertices_2222()
+
+
+@pytest.fixture
+def both_verifiers(monkeypatch):
+    """Route every lp.verify_certificate call, including the re-check
+    inside lp.solve, through the integer check and the Fraction oracle,
+    failing the test when they disagree.  Yields the list of verdicts
+    compared so far."""
+    compared = []
+    integer_check = lp.verify_certificate
+
+    def checked(prog, outcome):
+        got = integer_check(prog, outcome)
+        expected = verify_certificate_fractions(prog, outcome)
+        if got != expected:
+            raise AssertionError(f"integer check says {got}, Fraction oracle {expected}: {outcome}")
+        compared.append(got)
+        return got
+
+    monkeypatch.setattr(lp, "verify_certificate", checked)
+    yield compared
 
 
 def random_ns_box(rng: random.Random, vertices, nonlocal_bias=0, interior=False):

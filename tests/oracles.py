@@ -6,7 +6,9 @@ parametrization of the 2222 nonsignaling polytope, an alternative
 local-membership formulation, the symmetric-extension LP over the
 full table with explicit symmetry rows, the orbit LP's rows found by
 folding every row of that table, and marginals and trace conditions
-read off one dense pass over the table.  None of it shares
+read off one dense pass over the table, local bounds of Bell
+functionals from every strategy box built entry by entry, and the LP
+certificate check in plain Fraction arithmetic.  None of it shares
 code with the package paths it cross-checks.
 """
 
@@ -115,6 +117,87 @@ def deterministic_box_tables(scenario: Scenario):
         for xi, oi in enumerate(choice):
             table[xi * n_out + oi] = ONE
         yield Box(scenario, tuple(table))
+
+
+def local_bound_by_enumeration(functional) -> Fraction:
+    """Maximum of a Bell functional over the deterministic strategy boxes,
+    each box built entry by entry from per-party response tables and
+    evaluated in Fractions."""
+    sc = functional.scenario
+    per_party = [list(itertools.product(range(a), repeat=x)) for x, a in zip(sc.inputs, sc.outputs)]
+    best = None
+    for tables in itertools.product(*per_party):
+        value = functional.offset
+        for xs in itertools.product(*(range(x) for x in sc.inputs)):
+            for outs in itertools.product(*(range(a) for a in sc.outputs)):
+                if all(outs[k] == tables[k][xs[k]] for k in range(sc.parties)):
+                    value += functional.coefficients[sc.flat_index(outs, xs)]
+        if best is None or value > best:
+            best = value
+    return best
+
+
+def verify_certificate_fractions(prog: lp.LinearProgram, outcome: lp.LpOutcome) -> bool:
+    """The LP certificate check in plain Fraction arithmetic: column
+    products, combined right-hand side, row sums and objective summed as
+    Fractions, against which the package's integer check is compared."""
+    cert = outcome.certificate
+    if cert is None:
+        return False
+    n = prog.num_vars
+    lengths = (len(cert.y_eq), len(cert.y_ineq), len(cert.y_lb), len(cert.y_ub))
+    if lengths != (len(prog.eqs), len(prog.ineqs), n, n):
+        return False
+    if any(v < 0 for v in cert.y_ineq) or any(v < 0 for v in cert.y_lb):
+        return False
+    if any(v < 0 for v in cert.y_ub):
+        return False
+    for i in range(n):
+        if prog.upper[i] is None and cert.y_ub[i] != 0:
+            return False
+    alpha = [ZERO] * n
+    combined_rhs = ZERO
+    for (terms, rhs), m in zip(prog.eqs + prog.ineqs, [*cert.y_eq, *cert.y_ineq]):
+        if m:
+            for i, c in terms:
+                alpha[i] += m * c
+            combined_rhs += m * rhs
+    for i in range(n):
+        if cert.y_ub[i]:
+            alpha[i] += cert.y_ub[i]
+            combined_rhs += cert.y_ub[i] * prog.upper[i]
+
+    if outcome.status == lp.INFEASIBLE:
+        if cert.kind != "farkas":
+            return False
+        if any(alpha[i] - cert.y_lb[i] != 0 for i in range(n)):
+            return False
+        return combined_rhs < 0
+
+    if outcome.status == lp.OPTIMAL:
+        if cert.kind != "dual" or outcome.primal is None:
+            return False
+        x = outcome.primal
+        if len(x) != n:
+            return False
+        for i in range(n):
+            if x[i] < 0 or (prog.upper[i] is not None and x[i] > prog.upper[i]):
+                return False
+        for terms, rhs in prog.eqs:
+            if sum((c * x[i] for i, c in terms), ZERO) != rhs:
+                return False
+        for terms, rhs in prog.ineqs:
+            if sum((c * x[i] for i, c in terms), ZERO) > rhs:
+                return False
+        if sum((c * x[i] for i, c in prog.objective), ZERO) != outcome.value:
+            return False
+        objective = dict(prog.objective)
+        for i in range(n):
+            if alpha[i] - cert.y_lb[i] != objective.get(i, ZERO):
+                return False
+        return combined_rhs == outcome.value
+
+    return False
 
 
 def ns_vertices_2222_by_enumeration():

@@ -21,7 +21,7 @@ from boxlab.bell import (
 from boxlab.core import Scenario, ScenarioMismatch, mix, relabel, uniform_box
 from boxlab.isotropic import make_isotropic
 from conftest import canonical_2222, random_ns_box, relabelings_2222
-from oracles import ns_vertices_2222_by_enumeration
+from oracles import local_bound_by_enumeration, ns_vertices_2222_by_enumeration
 
 
 class TestCorrelators:
@@ -128,6 +128,46 @@ class TestEvaluate:
     def test_scenario_mismatch(self):
         with pytest.raises(ScenarioMismatch):
             chsh_functional().evaluate(uniform_box(Scenario((2,), (2,))))
+
+
+class TestLocalBound:
+    @pytest.mark.parametrize(
+        "sc",
+        [
+            Scenario((2, 2), (2, 2)),
+            Scenario((3, 3), (2, 2)),
+            Scenario((2, 2), (3, 3)),
+            Scenario((2, 3), (3, 2)),
+            Scenario((2, 2, 2), (2, 2, 2)),
+        ],
+        ids=str,
+    )
+    def test_matches_box_enumeration(self, sc):
+        rng = random.Random(sc.table_size * 7 + sc.parties)
+        for _ in range(6):
+            coeffs = tuple(F(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(sc.table_size))
+            offset = F(rng.randrange(-9, 10), rng.randrange(1, 6))
+            f = BellFunctional(sc, coeffs, offset)
+            assert bell.local_bound(f) == local_bound_by_enumeration(f)
+
+    def test_named_functionals(self):
+        assert bell.local_bound(chsh_functional()) == 0
+        assert bell.local_bound(cglmp_raw(3)) == 2 == local_bound_by_enumeration(cglmp_raw(3))
+
+    def test_ns_lp_calls_do_not_share_rows(self):
+        sc = Scenario((2, 2), (2, 2))
+        first = polytope.ns_lp(sc)
+        expected = list(first.eqs)
+        first.eqs[0] = ((), F(1))
+        first.add_eq([(0, 1)], 1)
+        first.add_ineq([(1, 1)], 0)
+        second = polytope.ns_lp(sc, [(0, 1)])
+        assert second.eqs == expected and second.ineqs == []
+        fresh = lp.LinearProgram(sc.table_size)
+        for coeffs, rhs in polytope.normalization_rows(sc) + polytope.ns_equality_rows(sc):
+            fresh.add_eq(coeffs, rhs)
+        assert expected == fresh.eqs
+        assert polytope.max_over_ns(sc, enumerate(chsh_functional().coefficients)).value == 2
 
 
 class TestNormalize:

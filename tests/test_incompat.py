@@ -33,6 +33,9 @@ from boxlab.isotropic import make_isotropic, shrink
 from boxlab.polytope import deterministic_strategies, ns_equality_rows
 from conftest import canonical_2222, random_ns_box
 
+# every certificate these tests produce is checked by both verifiers
+pytestmark = pytest.mark.usefixtures("both_verifiers")
+
 SC22 = Scenario((2, 2), (2, 2))
 PAIR = ObservablePair("B", 0, 1)
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from boxlab import bell, locality, polytope
+from boxlab import bell, locality, lp, polytope
 from boxlab.bell import chsh, pr_box
 from boxlab.core import (
     Scenario,
@@ -33,7 +33,48 @@ from boxlab.locality import (
 from conftest import random_local_box, random_ns_box
 from oracles import deterministic_box_tables, local_membership_alternative
 
+# every certificate these tests produce is checked by both verifiers
+pytestmark = pytest.mark.usefixtures("both_verifiers")
+
 SC22 = Scenario((2, 2), (2, 2))
+TABLE_SCENARIOS = [SC22, Scenario((3, 3), (2, 2)), Scenario((2, 2), (3, 3)), Scenario((2, 2, 2), (2, 2, 2))]
+
+
+class TestStrategyColumns:
+    @pytest.mark.parametrize("sc", TABLE_SCENARIOS, ids=str)
+    def test_matches_strategy_box_support(self, sc):
+        columns = polytope.strategy_columns(sc)
+        strategies = polytope.deterministic_strategies(sc)
+        assert len(columns) == len(strategies) == polytope.strategy_count(sc)
+        for cols, strat in zip(columns, strategies):
+            table = strat.box().table
+            assert len(cols) == sc.num_input_tuples
+            assert sorted(cols) == [k for k, v in enumerate(table) if v]
+            assert all(table[k] == 1 for k in cols)
+
+    def test_table_is_one_immutable_object_per_scenario(self):
+        columns = polytope.strategy_columns(SC22)
+        assert polytope.strategy_columns(Scenario((2, 2), (2, 2))) is columns
+        assert isinstance(columns, tuple) and all(isinstance(c, tuple) for c in columns)
+
+    @pytest.mark.parametrize("sc", TABLE_SCENARIOS[:3], ids=str)
+    def test_membership_rows_match_strategy_boxes(self, sc):
+        box = uniform_box(sc)
+        strategies = polytope.deterministic_strategies(sc)
+        expected = lp.LinearProgram(len(strategies))
+        for k, p in enumerate(box.table):
+            expected.add_eq([(e, s.box().table[k]) for e, s in enumerate(strategies)], p)
+        assert locality.membership_lp(box).eqs == expected.eqs
+
+    def test_membership_lp_calls_do_not_share_rows(self):
+        first = locality.membership_lp(pr_box())
+        expected = list(first.eqs)
+        first.eqs[0] = ((), F(1))
+        first.add_eq([(0, 1)], 1)
+        first.add_ineq([(1, 1)], 0)
+        second = locality.membership_lp(pr_box())
+        assert second.eqs == expected and second.ineqs == []
+        assert locality.membership_lp(uniform_box(SC22)).eqs[0][0] == expected[0][0]
 
 
 class TestIsLocal:

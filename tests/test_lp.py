@@ -14,7 +14,10 @@ from boxlab.lp import (
     solve,
     verify_certificate,
 )
-from oracles import brute_force_lp
+from oracles import brute_force_lp, verify_certificate_fractions
+
+# every certificate these tests produce is checked by both verifiers
+pytestmark = pytest.mark.usefixtures("both_verifiers")
 
 
 class TestBasics:
@@ -468,3 +471,138 @@ def test_beale_cycles_under_pure_dantzig(monkeypatch):
     monkeypatch.setattr(lp, "DEGENERATE_RUN", 10**9)
     with pytest.raises(PivotCap):
         solve(beale_program())
+
+
+class TestRationalInputsOnly:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda prog: prog.add_eq([(0, 0.1)], 1),
+            lambda prog: prog.add_eq([(0, 1)], 0.3),
+            lambda prog: prog.add_ineq([(0, 0.5)], 1),
+            lambda prog: prog.add_ineq([(0, 1)], 0.5),
+            lambda prog: prog.set_upper(0, 0.5),
+        ],
+    )
+    def test_float_row_rhs_or_bound_raises(self, build):
+        prog = LinearProgram(1)
+        with pytest.raises(TypeError):
+            build(prog)
+        assert prog.eqs == [] and prog.ineqs == [] and prog.upper == [None]
+
+    def test_float_objective_raises(self):
+        with pytest.raises(TypeError):
+            LinearProgram(1, [(0, 0.25)])
+
+    def test_exact_values_are_stored_as_fractions(self):
+        prog = LinearProgram(2, [(1, "1/2")])
+        prog.add_eq([(0, "1/10"), (1, 2)], "3/10")
+        prog.set_upper(1, 3)
+        assert prog.objective == ((1, F(1, 2)),)
+        assert prog.eqs == [(((0, F(1, 10)), (1, F(2))), F(3, 10))]
+        assert prog.upper == [None, F(3)]
+
+
+def fractional_program(ineq_rhs):
+    """Coefficients, right-hand sides and the upper bound of x_1 all
+    fractional; x_0 and x_2 have no upper bound.  Optimal, with a
+    fractional primal, at ineq_rhs 1/3 (x_1 at its bound) and 2/5 (the
+    inequality tight); infeasible at 1/11, with every multiplier family
+    nonzero in its Farkas vector."""
+    prog = LinearProgram(3, [(0, F(3, 2)), (1, F(2, 3)), (2, F(-1, 5))])
+    prog.add_eq([(0, F(2, 3)), (1, F(3, 7)), (2, F(1, 4))], F(5, 7))
+    prog.add_ineq([(0, F(3, 5)), (1, F(-1, 6)), (2, F(2, 9))], ineq_rhs)
+    prog.set_upper(1, F(3, 4))
+    return prog
+
+
+def tampered(out, **changes):
+    fields = {k: v for k, v in changes.items() if k in ("primal", "value", "status")}
+    cert = dataclasses.replace(
+        out.certificate, **{k: v for k, v in changes.items() if k not in fields}
+    )
+    return dataclasses.replace(out, certificate=cert, **fields)
+
+
+def bumped(values, k, delta):
+    return values[:k] + (values[k] + delta,) + values[k + 1 :]
+
+
+def tampers(out, prog):
+    """Named tampered copies of an optimal or infeasible outcome, each of
+    which breaks the certificate."""
+    cert = out.certificate
+    unbounded = prog.upper.index(None)
+    yield "y_eq+1/7", tampered(out, y_eq=bumped(cert.y_eq, 0, F(1, 7)))
+    yield "negative y_lb", tampered(out, y_lb=bumped(cert.y_lb, 0, -cert.y_lb[0] - F(1, 3)))
+    yield "y_ub on unbounded x", tampered(out, y_ub=bumped(cert.y_ub, unbounded, F(1, 2)))
+    yield "kind", tampered(out, kind="dual" if cert.kind == "farkas" else "farkas")
+    for field in ("y_eq", "y_ineq", "y_lb", "y_ub"):
+        yield f"truncated {field}", tampered(out, **{field: getattr(cert, field)[:-1]})
+    if out.status == OPTIMAL:
+        yield "truncated primal", tampered(out, primal=out.primal[:-1])
+        yield "primal+1/13", tampered(out, primal=bumped(out.primal, 0, F(1, 13)))
+        for n in (2, 3, 7):
+            yield f"value+1/{n}", tampered(out, value=out.value + F(1, n))
+    else:
+        yield "status", tampered(out, status=OPTIMAL)
+
+
+class TestIntegerCheck:
+    @pytest.mark.parametrize("ineq_rhs", [F(1, 3), F(2, 5), F(1, 11)])
+    def test_fractional_program_verifies_in_both(self, ineq_rhs):
+        prog = fractional_program(ineq_rhs)
+        out = solve(prog)
+        assert out.status == (INFEASIBLE if ineq_rhs == F(1, 11) else OPTIMAL)
+        values = [*out.certificate.y_eq, *out.certificate.y_ineq, *out.certificate.y_ub, *(out.primal or ())]
+        assert any(v.denominator > 1 for v in values)
+        assert verify_certificate(prog, out) is True
+        assert verify_certificate_fractions(prog, out) is True
+
+    @pytest.mark.parametrize("ineq_rhs", [F(1, 3), F(2, 5), F(1, 11)])
+    def test_tampers_rejected_by_both(self, ineq_rhs):
+        prog = fractional_program(ineq_rhs)
+        out = solve(prog)
+        names = []
+        for name, bad in tampers(out, prog):
+            assert verify_certificate(prog, bad) is False, name
+            assert verify_certificate_fractions(prog, bad) is False, name
+            names.append(name)
+        assert len(names) >= 9
+
+    def test_non_rational_witness_rejected(self):
+        prog = fractional_program(F(1, 3))
+        out = solve(prog)
+        assert verify_certificate(prog, tampered(out, value=float(out.value))) is False
+        y_eq = (float(out.certificate.y_eq[0]),)
+        assert verify_certificate(prog, tampered(out, y_eq=y_eq)) is False
+
+    @pytest.mark.parametrize("seed", [505, 606])
+    def test_random_rational_tampers_agree(self, seed):
+        rng = random.Random(seed)
+        checked = 0
+        for _ in range(40):
+            prog = random_rational_lp(rng)[0]
+            out = solve(prog)
+            assert verify_certificate(prog, out) and verify_certificate_fractions(prog, out)
+            cert = out.certificate
+            for field in ("y_eq", "y_ineq", "y_lb", "y_ub"):
+                values = getattr(cert, field)
+                if values:
+                    k = rng.randrange(len(values))
+                    delta = F(rng.choice([-1, 1]), rng.randrange(2, 12))
+                    bad = tampered(out, **{field: bumped(values, k, delta)})
+                    assert verify_certificate(prog, bad) == verify_certificate_fractions(prog, bad)
+                    checked += 1
+            if out.status == OPTIMAL:
+                k = rng.randrange(len(out.primal))
+                bad = tampered(out, primal=bumped(out.primal, k, F(1, rng.randrange(2, 12))))
+                assert verify_certificate(prog, bad) == verify_certificate_fractions(prog, bad)
+                checked += 1
+        assert checked > 100
+
+    def test_solver_outcomes_reach_the_oracle(self, both_verifiers):
+        before = len(both_verifiers)
+        solve(fractional_program(F(1, 3)))
+        solve(fractional_program(F(1, 11)))
+        assert both_verifiers[before:] == [True, True]

@@ -52,6 +52,9 @@ from boxlab.shareability import (
 from conftest import asymmetric_giso, random_local_box, random_ns_box
 from oracles import unfolded_extension_feasible, walked_orbit_rows
 
+# every certificate these tests produce is checked by both verifiers
+pytestmark = pytest.mark.usefixtures("both_verifiers")
+
 SC22 = Scenario((2, 2), (2, 2))
 
 
