@@ -5,11 +5,11 @@ Submodules:
     lp            exact simplex with Farkas / dual certificates
     polytope      deterministic strategies, nonsignaling constraint rows
     bell          CHSH, CGLMP, normalization, unique maximizers
-    locality      local models, nonlocality certificates, secrecy content
-    shareability  symmetric extensions, cloning, monogamy, polygamy
+    locality      local models, nonlocality certificates, Eve's extension
+    shareability  symmetric extensions (cloning), monogamy, box families
     isotropic     the isotropic family, depolarization, shrinking
-    incompat      joint measurability, incompatibility, entropy bounds
-    boxio, cli    file formats and the command line front end
+    incompat      incompatibility (zero: jointly measurable), entropy bounds
+    boxio, cli    file formats, the command line, secrecy as nonlocality
 """
 
 from .core import Box, Scenario

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Callable
 
 from . import boxio
 from .boxio import Fields, ParseError, StaleDigest, format_rational, parse_rational
-from .core import Box, BoxlabError, ZERO, is_nonsignaling
+from .core import Box, BoxlabError, ScenarioMismatch, ZERO, is_nonsignaling
 
 if TYPE_CHECKING:
     from . import incompat, lp
@@ -315,25 +315,22 @@ def _verify_entropy(report, box, flags):
     return _entropy_verdict(flags, incompat.entropy_bound(box, _pair(flags), inc))
 
 
-def _run_secrecy(box, flags):
-    from . import locality
+def _secrecy_verdict(local_verdict: dict) -> dict:
+    return {"contains_secrecy": not local_verdict["local"]}
 
-    result = locality.secrecy_content(box)
-    verdict = {"contains_secrecy": result.contains_secrecy}
-    if result.contains_secrecy:
-        evidence = {"certificate": boxio.encode_bell_certificate(result.certificate)}
-        return 0, verdict, evidence, ["contains secrecy: yes (nonlocal, Bell certificate attached)"]
-    evidence = {"witness": boxio.encode_local_model(result.local_model)}
-    return 1, verdict, evidence, ["contains secrecy: no (local model attached)"]
+
+def _run_secrecy(box, flags):
+    """`local` read the other way round: secrecy exactly when nonlocal."""
+    if box.scenario.parties != 2:
+        raise ScenarioMismatch("secrecy content is defined for bipartite boxes")
+    code, verdict, evidence, _ = _run_local(box, flags)
+    line = "yes (nonlocal, Bell certificate attached)" if code else "no (local model attached)"
+    return 1 - code, _secrecy_verdict(verdict), evidence, [f"contains secrecy: {line}"]
 
 
 def _verify_secrecy(report, box, flags):
-    from . import locality
-
-    result = _locality_evidence(report, box)
-    if result is None:
-        return None
-    return {"contains_secrecy": isinstance(result, locality.NonlocalityCertificate)}
+    verdict = _verify_local(report, box, flags)
+    return None if verdict is None else _secrecy_verdict(verdict)
 
 
 def _transformed(out_box: Box, verdict: dict, lines: list, flags, name: str):

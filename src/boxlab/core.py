@@ -387,20 +387,6 @@ def condition(box: Box, party: int, x_k: int, a_k: int) -> Box:
     return validate_box(table, sub)
 
 
-def tensor(box1: Box, box2: Box) -> Box:
-    """Product box on the concatenated scenario (box1's parties first)."""
-    s1, s2 = box1.scenario, box2.scenario
-    sc = Scenario(s1.inputs + s2.inputs, s1.outputs + s2.outputs)
-    n1 = s1.parties
-    table = []
-    for xs in sc.input_tuples():
-        for outs in sc.output_tuples():
-            table.append(
-                box1.prob(outs[:n1], xs[:n1]) * box2.prob(outs[n1:], xs[n1:])
-            )
-    return Box(sc, tuple(table))
-
-
 def permute_parties(box: Box, perm: Sequence[int]) -> Box:
     """Reorder parties: party i of the result is party perm[i] of the input."""
     sc = box.scenario
@@ -464,15 +450,6 @@ def relabel(
             old_outs = tuple(inv_out[k][xs[k]][outs[k]] for k in range(sc.parties))
             table.append(box.prob(old_outs, old_xs))
     return Box(sc, tuple(table))
-
-
-def identity_relabeling(scenario: Scenario):
-    """The trivial (do-nothing) relabeling arguments for relabel()."""
-    in_perms = [tuple(range(x)) for x in scenario.inputs]
-    out_perms = [
-        [tuple(range(a))] * x for x, a in zip(scenario.inputs, scenario.outputs)
-    ]
-    return in_perms, out_perms
 
 
 def party_relabelings(inputs: int, outputs: int):

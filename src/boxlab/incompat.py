@@ -3,9 +3,12 @@
 Two inputs of one party are compatible when a joint table reproduces
 both conditional slices.  When they are not, the box still splits as
 eta * (incompatible nonsignaling part) + (1 - eta) * (compatible part),
-and the least such eta measures the incompatibility.  In the all-binary
-scenario that minimum is exactly the (clamped) CHSH value, and it lower
-bounds the output entropies: H(b) >= h(eta / 2).
+and the least such eta measures the incompatibility.  One LP answers
+both questions: the pair is compatible exactly when eta == 0, and then
+IncompatibilityResult.joint_witness is the joint table; when eta > 0,
+the LP's dual certificate proves that no joint table exists.  In the
+all-binary scenario the minimum is exactly the (clamped) CHSH value,
+and it lower bounds the output entropies: H(b) >= h(eta / 2).
 """
 
 from __future__ import annotations
@@ -93,39 +96,6 @@ def _joint_marginal_rows(restricted: Scenario):
 
 
 @dataclass(frozen=True)
-class CompatibilityWitness:
-    compatible: bool
-    joint: Box | None = None  # P'(a, b0, b1 | x) as a 3-party box, trivial inputs
-    certificate: lp.LpCertificate | None = None
-
-
-def compatibility_lp(restricted: Box) -> lp.LinearProgram:
-    """Marginal equalities alone are satisfiable input by input, so the
-    joint table must additionally be nonsignaling (its (b0,b1) marginal
-    independent of x); that is what makes this two-shareability restricted
-    to the pair, and what the CHSH identity confirms."""
-    joint = _joint_scenario(restricted.scenario)
-    prog = lp.LinearProgram(joint.table_size)
-    for row, entry in _joint_marginal_rows(restricted.scenario):
-        prog.add_eq(row, restricted.prob(*entry))
-    for coeffs, rhs in polytope.ns_equality_rows(joint):
-        prog.add_eq(coeffs, rhs)
-    return prog
-
-
-def is_compatible(box: Box, pair: ObservablePair) -> CompatibilityWitness:
-    """Joint-distribution feasibility for the pair: a witness table or an
-    exact Farkas certificate that none exists."""
-    restricted = restrict_to_pair(box, pair)
-    out = lp.solve(compatibility_lp(restricted))
-    if out.status == lp.OPTIMAL:
-        joint = Box(_joint_scenario(restricted.scenario), tuple(out.primal))
-        return CompatibilityWitness(True, joint=joint)
-    ensure(out.status == lp.INFEASIBLE, f"compatibility LP ended {out.status}")
-    return CompatibilityWitness(False, certificate=out.certificate)
-
-
-@dataclass(frozen=True)
 class IncompatibilityResult:
     """Optimal split of the restricted box into eta * incompatible +
     (1-eta) * compatible, all parts exact and subnormalized as stored."""
@@ -134,7 +104,7 @@ class IncompatibilityResult:
     scenario: Scenario  # the restricted (X, 2) bipartite scenario
     incompatible_part: tuple[Fraction, ...]  # mass eta, nonsignaling cone
     compatible_part: tuple[Fraction, ...]  # mass 1 - eta, jointly extendable
-    joint_witness: tuple[Fraction, ...]  # extension of the compatible part
+    joint_witness: tuple[Fraction, ...]  # P'(a, b0, b1 | x) of the compatible part
 
     def incompatible_box(self) -> Box | None:
         if self.eta == 0:
@@ -153,7 +123,9 @@ def incompatibility_lp_for(restricted: Box) -> lp.LinearProgram:
     """Variables: the joint-extension table W of the compatible part, then
     the subnormalized incompatible box S.  marginals(W) + S matches the
     restricted box entrywise, both blocks sit in their nonsignaling cones,
-    and the objective is -eta (eta = S's input-independent total mass)."""
+    and the objective is -eta (eta = S's input-independent total mass).
+    W's (b0, b1) marginal must not depend on x, or the slices could be
+    matched input by input."""
     sc = restricted.scenario
     joint = _joint_scenario(sc)
     nw = joint.table_size

@@ -1,12 +1,13 @@
-"""Local-polytope membership, local models, and the secrecy equivalence.
+"""Local-polytope membership, local models, and the eavesdropper they give.
 
 A box is local when it is a convex mixture of deterministic strategies.
 Membership is one exact LP over strategy weights; feasibility yields an
 explicit LocalModel, infeasibility yields a Farkas vector that, after
 normalization, is a Bell functional violated by the box.  Secrecy content
-reduces to this decision: a bipartite box contains secrecy exactly when
-it is nonlocal, and for local boxes the hidden variable doubles as the
-public message an eavesdropper could hold.
+is this decision: a bipartite box contains secrecy exactly when it is
+nonlocal, and for a local box the model's hidden variable is a message an
+eavesdropper can hold (eve_extension), so the command line's `secrecy`
+analysis is `is_local` with the verdict read the other way round.
 """
 
 from __future__ import annotations
@@ -100,13 +101,6 @@ class NonlocalityCertificate:
     violation: Fraction
 
 
-@dataclass(frozen=True)
-class SecrecyVerdict:
-    contains_secrecy: bool
-    local_model: LocalModel | None = None
-    certificate: NonlocalityCertificate | None = None
-
-
 @functools.lru_cache(maxsize=16)
 def _membership_rows(scenario: Scenario) -> tuple:
     """Per table entry, the row summing the weights of the strategies
@@ -162,11 +156,6 @@ def is_local(box: Box, cap: int | None = None) -> LocalModel | NonlocalityCertif
     return NonlocalityCertificate(functional, violation)
 
 
-def is_deterministic(box: Box) -> bool:
-    """True when every conditional distribution is a point mass."""
-    return all(v == 0 or v == 1 for v in box.table)
-
-
 def eve_extension(box: Box, model: LocalModel) -> Box:
     """Adjoin an eavesdropper who outputs the hidden variable.
 
@@ -182,15 +171,10 @@ def eve_extension(box: Box, model: LocalModel) -> Box:
     pairs = [(s, w) for s, w in zip(model.strategies, model.weights) if w]
     sc = box.scenario
     ext = Scenario(sc.inputs + (1,), sc.outputs + (len(pairs),))
-    table = []
-    for xs in ext.input_tuples():
-        for outs in ext.output_tuples():
-            strat, w = pairs[outs[-1]]
-            expected = tuple(
-                strat.tables[k][xs[k]] for k in range(sc.parties)
-            )
-            table.append(w if outs[:-1] == expected else ZERO)
-    return Box(ext, tuple(table))
+    strategies = tuple(
+        DeterministicStrategy(ext, s.tables + ((e,),)) for e, (s, _) in enumerate(pairs)
+    )
+    return LocalModel(ext, strategies, tuple(w for _, w in pairs)).box()
 
 
 def lopc_distribution(box: Box, model: LocalModel) -> dict:
@@ -212,19 +196,3 @@ def lopc_distribution(box: Box, model: LocalModel) -> dict:
                 key = ((a, x), (b, y), e)
                 dist[key] = dist.get(key, ZERO) + w * inv_inputs
     return dist
-
-
-def secrecy_content(box: Box, cap: int | None = None) -> SecrecyVerdict:
-    """Result: a bipartite box contains secrecy iff it is nonlocal.
-
-    Local: the returned model is the eavesdropper's strategy (she learns
-    the hidden variable, which renders the conditional box a product).
-    Nonlocal: the Bell certificate witnesses that every nonsignaling
-    extension leaves Eve short of the conditional-product condition.
-    """
-    if box.scenario.parties != 2:
-        raise ScenarioMismatch("secrecy content is defined for bipartite boxes")
-    verdict = is_local(box, cap)
-    if isinstance(verdict, LocalModel):
-        return SecrecyVerdict(False, local_model=verdict)
-    return SecrecyVerdict(True, certificate=verdict)

@@ -341,32 +341,30 @@ def _standardize(lp: LinearProgram) -> _Standardized:
     )
 
 
-def _multipliers(lp, st: _Standardized, cost, cost_den):
-    """Row multipliers y = c_B B^{-1}, keyed by original row id, and the
-    column products alpha[i] = y . (column of x_i) in the original rows.
+def _certificate(lp, st: _Standardized, kind, cost, cost_den) -> LpCertificate:
+    """The "farkas" or "dual" certificate read off the final cost row of the
+    phase whose cost vector was cost / cost_den.
 
-    The cost row holds c - c_B B^{-1} A, so on column j it reads c_j - y A_j.
-    Each active original row contributed one unit column to A (its
-    artificial, or its slack when that started basic), where y A_j is that
-    row's multiplier.  A variable's column holds its coefficient in each
-    row times the row's flip, as y holds each multiplier, so the
-    flips cancel in y A_j.  Rows dropped as redundant have no multiplier:
-    their artificial's column stays zero in every remaining row.
+    That row holds c - c_B B^{-1} A, so on column j it reads c_j - y A_j for
+    the row multipliers y = c_B B^{-1}: one integer difference over
+    cost_den * st.cost_den.  Each active original row's unit column (its
+    artificial, or its starting slack) gives its multiplier; times the
+    row's flip, that multiplies its constraint.  On x_i's column the flips
+    cancel, and y A_i multiplies (-x_i <= 0), less c_i for a dual.  Rows
+    dropped as redundant get no multiplier: their artificial's column
+    stays zero in every remaining row.
     """
+    den = cost_den * st.cost_den
 
     def y_dot(col):
-        return Fraction(cost[col], cost_den) - Fraction(st.cost[col], st.cost_den)
+        return Fraction(cost[col] * st.cost_den - st.cost[col] * cost_den, den)
 
-    y = {orig: y_dot(st.unit_cols[orig]) for orig in st.active}
-    alpha = [y_dot(i) for i in range(lp.num_vars)]
-    return y, alpha
-
-
-def _assemble_certificate(lp, st, kind, y_by_origrow, alpha) -> LpCertificate:
-    """Map internal row multipliers and column products to the original
-    constraint families.  alpha[i] is y . (column of x_i)."""
-    y_eq, y_ineq, y_ub = _partial_rows(lp, st, y_by_origrow)
-    y_lb = list(alpha)
+    y_eq, y_ineq, y_ub = [ZERO] * len(lp.eqs), [ZERO] * len(lp.ineqs), [ZERO] * lp.num_vars
+    family = {"eq": y_eq, "ineq": y_ineq, "ub": y_ub}
+    for orig in st.active:
+        fam, idx = st.row_kinds[orig]
+        family[fam][idx] = st.flips[orig] * y_dot(st.unit_cols[orig])
+    y_lb = [y_dot(i) for i in range(lp.num_vars)]
     if kind == "dual":
         for i, c in lp.objective:
             y_lb[i] -= c
@@ -404,9 +402,7 @@ def solve(lp: LinearProgram) -> LpOutcome:
         status = _run_simplex(st, banned=set())
         ensure(status == OPTIMAL, f"phase 1 ended {status}; its objective is bounded by 0")
         if st.cost[-1] != 0:  # max of -sum(artificials) is negative
-            y, alpha = _multipliers(lp, st, cost1, 1)
-            cert = _assemble_certificate(lp, st, "farkas", y, alpha)
-            out = LpOutcome(INFEASIBLE, certificate=cert)
+            out = LpOutcome(INFEASIBLE, certificate=_certificate(lp, st, "farkas", cost1, 1))
             ensure(verify_certificate(lp, out), "Farkas certificate fails to verify")
             return out
         _purge_artificials(st, art_cols)
@@ -424,27 +420,10 @@ def solve(lp: LinearProgram) -> LpOutcome:
     primal = [basic.get(i, ZERO) for i in range(lp.num_vars)]
     value = sum((c * primal[i] for i, c in lp.objective), ZERO)
 
-    y, alpha = _multipliers(lp, st, cost2, cost2_den)
-    cert = _assemble_certificate(lp, st, "dual", y, alpha)
+    cert = _certificate(lp, st, "dual", cost2, cost2_den)
     out = LpOutcome(OPTIMAL, tuple(primal), value, cert)
     ensure(verify_certificate(lp, out), "optimal solution and dual certificate fail to verify")
     return out
-
-
-def _partial_rows(lp, st, y_by_origrow):
-    y_eq = [ZERO] * len(lp.eqs)
-    y_ineq = [ZERO] * len(lp.ineqs)
-    y_ub = [ZERO] * lp.num_vars
-    for orig, yv in y_by_origrow.items():
-        m = st.flips[orig] * yv
-        fam, idx = st.row_kinds[orig]
-        if fam == "eq":
-            y_eq[idx] = m
-        elif fam == "ineq":
-            y_ineq[idx] = m
-        else:
-            y_ub[idx] = m
-    return y_eq, y_ineq, y_ub
 
 
 def _drop_row(st, r):

@@ -10,10 +10,16 @@ a symmetric one with the same marginals, so an extension exists exactly
 when a symmetric one does, and a symmetric table is constant on orbits.
 Shareable boxes admit local models on the restricted inputs (the
 copies' outputs serve as the hidden variable); local boxes extend to
-any number of copies.  Perfect cloning of one wing is the same
-question, which is why nonlocal boxes cannot be cloned; the isotropic
-family's cloning ceiling, C = 1/2, is the optimum of the same LP with
-C as one more column.
+any number of copies, built as one more LocalModel whose every copy
+replays Bob's table.  Perfect cloning of Bob's wing into m copies is
+the same question, is_m_shareable(ExtensionProblem(box, "B", m)),
+which is why nonlocal boxes cannot be cloned; the isotropic family's
+cloning ceiling, C = 1/2, is the optimum of the same LP with C as one
+more column.
+
+Monogamy and the box families live here too.  Functions that call
+bell, isotropic or locality import them inside, so deciding
+shareability loads none of those modules.
 """
 
 from __future__ import annotations
@@ -24,9 +30,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import lp, polytope
-from .bell import BellFunctional, chsh_functional, unique_ns_maximizer
 from .core import (
     BadParams,
     Box,
@@ -49,9 +55,11 @@ from .core import (
     swap_indices,
     validate_box,
 )
-from .isotropic import make_isotropic
-from .locality import LocalModel
 from .polytope import DeterministicStrategy
+
+if TYPE_CHECKING:
+    from .bell import BellFunctional
+    from .locality import LocalModel
 
 EXTENSION_SIZE_CAP = 100_000
 CANONICAL_SEARCH_CAP = 10_000
@@ -369,12 +377,6 @@ def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
     return ExtensionWitness(False, certificate=out.certificate)
 
 
-def clone_feasibility(box: Box, m: int) -> ExtensionWitness:
-    """Perfect cloning of Bob's wing into m copies is exactly m-shareability:
-    infeasibility certifies that no perfect cloning machine can act here."""
-    return is_m_shareable(ExtensionProblem(box, "B", m))
-
-
 def local_model_from_extension(
     problem: ExtensionProblem, extension: Box, y_values=None
 ) -> LocalModel:
@@ -387,6 +389,8 @@ def local_model_from_extension(
     refined into deterministic strategies.  Reconstruction of the
     restricted box (inputs sorted(set(y_values))) is exact and checked.
     """
+    from .locality import LocalModel
+
     validate_extension(problem, extension)
     if problem.shared_party == "A":
         swapped = ExtensionProblem(
@@ -455,22 +459,19 @@ def local_model_from_extension(
 def infinite_shareability_extension(model: LocalModel, m: int) -> Box:
     """Extend a local bipartite box to m copies of Bob by replaying the
     model's Bob response in every copy; valid for every m."""
+    from .locality import LocalModel
+
     if model.scenario.parties != 2:
         raise ScenarioMismatch("need a bipartite local model")
     if m < 1:
         raise BadParams("need at least one copy")
     X, Y = model.scenario.inputs
-    ext = Scenario((X,) + (Y,) * m, (model.scenario.outputs[0],) + (model.scenario.outputs[1],) * m)
-    table = [ZERO] * ext.table_size
-    n_out = ext.num_output_tuples
-    for strat, w in zip(model.strategies, model.weights):
-        if not w:
-            continue
-        fa, fb = strat.tables
-        for xi, xs in enumerate(ext.input_tuples()):
-            outs = (fa[xs[0]],) + tuple(fb[y] for y in xs[1:])
-            table[xi * n_out + ext.output_index(outs)] += w
-    return Box(ext, tuple(table))
+    A, B = model.scenario.outputs
+    ext = Scenario((X,) + (Y,) * m, (A,) + (B,) * m)
+    strategies = tuple(
+        DeterministicStrategy(ext, (s.tables[0],) + (s.tables[1],) * m) for s in model.strategies
+    )
+    return LocalModel(ext, strategies, model.weights).box()
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +486,8 @@ def _iso_ceiling_lp() -> lp.LinearProgram:
     marginal row's rhs moves from the noise entry to the PR entry as C
     goes from 0 to 1.
     """
+    from .isotropic import make_isotropic
+
     pr = make_isotropic(1)
     index, rows = _orbit_rows(ExtensionProblem(make_isotropic(0), "B", 2))
     n_orbits = len(index)
@@ -533,6 +536,8 @@ def monogamy_lp(beta) -> lp.LinearProgram:
     """Maximize the linear part of CHSH(A,C) over tripartite binary
     nonsignaling boxes with CHSH(A,B) >= beta; add the -1 offset back to
     the optimal value to read off the CHSH tradeoff."""
+    from .bell import chsh_functional
+
     beta = rat(beta)
     if not -1 <= beta <= 1:
         raise BadParams(f"beta must be in [-1, 1], got {beta}")
@@ -559,6 +564,8 @@ def unique_violator_decoupling(
 ) -> tuple[Fraction, Fraction]:
     """(max, min) of g on the Alice-Clare marginal when Alice-Bob sit at
     f's unique nonsignaling maximum; equality means Clare decoupled."""
+    from .bell import unique_ns_maximizer
+
     unique, _ = unique_ns_maximizer(f)
     if not unique:
         raise NotUniqueMaximizer("functional has no unique NS maximizer")

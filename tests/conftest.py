@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from boxlab import bell, lp, shareability
-from boxlab.core import mix, party_relabelings, relabel
+from boxlab.core import Box, Scenario, mix, party_relabelings, relabel
 from oracles import verify_certificate_fractions
 
 
@@ -32,6 +32,30 @@ def both_verifiers(monkeypatch):
 
     monkeypatch.setattr(lp, "verify_certificate", checked)
     yield compared
+
+
+def tensor(box1: Box, box2: Box) -> Box:
+    """Product box on the concatenated scenario (box1's parties first)."""
+    s1, s2 = box1.scenario, box2.scenario
+    sc = Scenario(s1.inputs + s2.inputs, s1.outputs + s2.outputs)
+    n1 = s1.parties
+    table = []
+    for xs in sc.input_tuples():
+        for outs in sc.output_tuples():
+            table.append(box1.prob(outs[:n1], xs[:n1]) * box2.prob(outs[n1:], xs[n1:]))
+    return Box(sc, tuple(table))
+
+
+def identity_relabeling(scenario: Scenario):
+    """The trivial (do-nothing) relabeling arguments for relabel()."""
+    in_perms = [tuple(range(x)) for x in scenario.inputs]
+    out_perms = [[tuple(range(a))] * x for x, a in zip(scenario.inputs, scenario.outputs)]
+    return in_perms, out_perms
+
+
+def is_deterministic(box: Box) -> bool:
+    """True when every conditional distribution is a point mass."""
+    return all(v == 0 or v == 1 for v in box.table)
 
 
 def random_ns_box(rng: random.Random, vertices, nonlocal_bias=0, interior=False):

@@ -7,8 +7,9 @@ local-membership formulation, the symmetric-extension LP over the
 full table with explicit symmetry rows, the orbit LP's rows found by
 folding every row of that table, and marginals and trace conditions
 read off one dense pass over the table, local bounds of Bell
-functionals from every strategy box built entry by entry, and the LP
-certificate check in plain Fraction arithmetic.  None of it shares
+functionals from every strategy box built entry by entry, the LP
+certificate check in plain Fraction arithmetic, and compatibility of
+two observables as feasibility of a joint table.  None of it shares
 code with the package paths it cross-checks.
 """
 
@@ -477,3 +478,27 @@ def walked_orbit_rows(problem):
     for coeffs, rhs in polytope.ns_equality_rows(ext):
         add(coeffs, rhs)
     return orbit_of, len(orbit_index), rows
+
+
+def compatibility_lp(restricted: Box) -> lp.LinearProgram:
+    """Feasibility of a joint table W(a, b0, b1 | x) for a box whose Bob
+    has the two inputs of the pair (incompat.restrict_to_pair): summing
+    out b1 gives the y=0 slice, summing out b0 the y=1 slice, and the
+    (b0, b1) marginal is the same for every x.  Without that last
+    condition the slices could be matched input by input.  Variables in
+    (x, a, b0, b1) order."""
+    X = restricted.scenario.inputs[0]
+    A, B = restricted.scenario.outputs
+    cells = list(itertools.product(range(X), range(A), range(B), range(B)))
+    index = {cell: i for i, cell in enumerate(cells)}
+    prog = lp.LinearProgram(len(cells))
+    for x, a, b in itertools.product(range(X), range(A), range(B)):
+        prog.add_eq([(index[x, a, b, o], ONE) for o in range(B)], restricted.prob((a, b), (x, 0)))
+        prog.add_eq([(index[x, a, o, b], ONE) for o in range(B)], restricted.prob((a, b), (x, 1)))
+    for x, b0, b1 in itertools.product(range(1, X), range(B), range(B)):
+        prog.add_eq(
+            [(index[x, a, b0, b1], ONE) for a in range(A)]
+            + [(index[0, a, b0, b1], -ONE) for a in range(A)],
+            ZERO,
+        )
+    return prog

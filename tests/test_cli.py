@@ -327,6 +327,16 @@ def test_analyze_chsh_adds_only_bell(corpus):
     assert (code, modules) == (1, FRONT_END | {"bell"})
 
 
+def test_analyze_shareable_loads_no_bell_isotropic_or_locality(corpus):
+    code, modules, _ = in_fresh_process("analyze", "shareable", corpus[0] / "box0.txt")
+    assert (code, modules) == (1, FRONT_END | {"lp", "polytope", "shareability"})
+
+
+def test_analyze_monogamy_scan_adds_only_bell_to_shareable(corpus):
+    code, modules, _ = in_fresh_process("analyze", "monogamy-scan")
+    assert (code, modules) == (0, FRONT_END | {"lp", "polytope", "shareability", "bell"})
+
+
 def test_analyze_incompat_loads_no_locality_module(corpus):
     code, modules, _ = in_fresh_process("analyze", "incompat", corpus[0] / "box0.txt")
     assert code == 1

@@ -20,7 +20,6 @@ from boxlab.core import (
     ZeroProbabilityCondition,
     box_from_function,
     condition,
-    identity_relabeling,
     is_nonsignaling,
     marginal,
     mix,
@@ -28,11 +27,10 @@ from boxlab.core import (
     rat,
     relabel,
     swap_indices,
-    tensor,
     uniform_box,
     validate_box,
 )
-from conftest import relabelings_2222
+from conftest import identity_relabeling, relabelings_2222, tensor
 from oracles import marginal_dense, trace_violation_dense
 
 SC22 = Scenario((2, 2), (2, 2))

@@ -4,9 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from boxlab import bell
+from boxlab import bell, lp
 from boxlab.bell import chsh, pr_box
 from boxlab.core import (
+    Box,
     Scenario,
     ZERO,
     box_from_function,
@@ -17,7 +18,6 @@ from boxlab.core import (
 )
 from boxlab.incompat import (
     BadPair,
-    CompatibilityWitness,
     EntropyBoundReport,
     ObservablePair,
     OutOfScope,
@@ -25,13 +25,13 @@ from boxlab.incompat import (
     entropy_bound,
     entropy_bound_check,
     incompatibility,
-    is_compatible,
     output_entropy,
     restrict_to_pair,
 )
 from boxlab.isotropic import make_isotropic, shrink
 from boxlab.polytope import deterministic_strategies, ns_equality_rows
 from conftest import canonical_2222, random_ns_box
+from oracles import compatibility_lp
 
 # every certificate these tests produce is checked by both verifiers
 pytestmark = pytest.mark.usefixtures("both_verifiers")
@@ -40,11 +40,40 @@ SC22 = Scenario((2, 2), (2, 2))
 PAIR = ObservablePair("B", 0, 1)
 
 
+def oracle_compatible(box, pair) -> bool:
+    """Whether the oracle's joint-table LP is feasible for the pair."""
+    return lp.solve(compatibility_lp(restrict_to_pair(box, pair))).status == lp.OPTIMAL
+
+
+def assert_joint_witness(box, pair):
+    """The pair is compatible, and the incompatibility LP's joint_witness
+    is a nonsignaling joint table with the two slices as marginals."""
+    r = incompatibility(box, pair)
+    assert r.eta == 0
+    restricted = restrict_to_pair(box, pair)
+    X = restricted.scenario.inputs[0]
+    A, B = restricted.scenario.outputs
+    joint = Box(Scenario((X, 1, 1), (A, B, B)), r.joint_witness)
+    assert is_nonsignaling(joint)
+    for x in range(X):
+        for a in range(A):
+            for b in range(B):
+                s0 = sum((joint.prob((a, b, o), (x, 0, 0)) for o in range(B)), ZERO)
+                s1 = sum((joint.prob((a, o, b), (x, 0, 0)) for o in range(B)), ZERO)
+                assert s0 == restricted.prob((a, b), (x, 0))
+                assert s1 == restricted.prob((a, b), (x, 1))
+
+
 class TestIsCompatible:
+    """A pair is compatible exactly when its incompatibility is 0; the
+    incompatibility LP's joint_witness is then the joint table."""
+
     def test_pr_incompatible(self):
-        witness = is_compatible(pr_box(), PAIR)
-        assert not witness.compatible
-        assert witness.certificate is not None
+        assert incompatibility(pr_box(), PAIR).eta == 1
+        # no joint table exists, and the oracle LP has a Farkas certificate
+        out = lp.solve(compatibility_lp(restrict_to_pair(pr_box(), PAIR)))
+        assert out.status == lp.INFEASIBLE
+        assert out.certificate.kind == "farkas"
 
     def test_deterministic_observable_compatible_with_all(self):
         # b0 is a point mass: P(b|y=0) = delta(b=1), b1 unbiased
@@ -55,36 +84,21 @@ class TestIsCompatible:
             else F(1, 4),
         )
         assert is_nonsignaling(box)
-        witness = is_compatible(box, PAIR)
-        assert witness.compatible
-        # the witness joint really has the two slices as marginals
-        joint = witness.joint
-        restricted = restrict_to_pair(box, PAIR)
-        for x in (0, 1):
-            for a in (0, 1):
-                for b in (0, 1):
-                    s0 = sum(
-                        (joint.prob((a, b, o), (x, 0, 0)) for o in (0, 1)), ZERO
-                    )
-                    s1 = sum(
-                        (joint.prob((a, o, b), (x, 0, 0)) for o in (0, 1)), ZERO
-                    )
-                    assert s0 == restricted.prob((a, b), (x, 0))
-                    assert s1 == restricted.prob((a, b), (x, 1))
+        assert_joint_witness(box, PAIR)
 
     def test_product_box_compatible(self):
-        assert is_compatible(uniform_box(SC22), PAIR).compatible
+        assert_joint_witness(uniform_box(SC22), PAIR)
 
     def test_alice_side_pair(self):
         pair_a = ObservablePair("A", 0, 1)
-        assert not is_compatible(pr_box(), pair_a).compatible
-        assert is_compatible(uniform_box(SC22), pair_a).compatible
+        assert incompatibility(pr_box(), pair_a).eta == 1
+        assert_joint_witness(uniform_box(SC22), pair_a)
 
     def test_bad_pair(self):
         with pytest.raises(BadPair):
             ObservablePair("B", 1, 1)
         with pytest.raises(BadPair):
-            is_compatible(pr_box(), ObservablePair("B", 0, 5))
+            incompatibility(pr_box(), ObservablePair("B", 0, 5))
 
 
 class TestIncompatibility:
@@ -119,9 +133,7 @@ class TestIncompatibility:
         rng = random.Random(72)
         for i in range(12):
             box = random_ns_box(rng, ns_vertices, nonlocal_bias=(i % 2) * 65)
-            r = incompatibility(box, PAIR)
-            w = is_compatible(box, PAIR)
-            assert (r.eta == 0) == w.compatible
+            assert (incompatibility(box, PAIR).eta == 0) == oracle_compatible(box, PAIR)
 
     def test_decomposition_reconstructs(self, ns_vertices):
         rng = random.Random(73)
@@ -138,7 +150,7 @@ class TestIncompatibility:
             )
         if 0 < r.eta < 1:
             assert is_nonsignaling(r.incompatible_box())
-            assert is_compatible(r.compatible_box(), PAIR).compatible
+            assert oracle_compatible(r.compatible_box(), PAIR)
 
     def test_monotone_under_shrink(self):
         for c in (F(3, 4), F(1)):

@@ -4,11 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from boxlab import bell, locality, lp, polytope
+from boxlab import bell, boxio, cli, locality, lp, polytope
 from boxlab.bell import chsh, pr_box
 from boxlab.core import (
     Scenario,
-    ScenarioMismatch,
     ZERO,
     box_from_function,
     condition,
@@ -23,14 +22,11 @@ from boxlab.locality import (
     ModelMismatch,
     NonlocalityCertificate,
     StrategySpaceTooLarge,
-    SecrecyVerdict,
     eve_extension,
-    is_deterministic,
     is_local,
     lopc_distribution,
-    secrecy_content,
 )
-from conftest import random_local_box, random_ns_box
+from conftest import is_deterministic, random_local_box, random_ns_box
 from oracles import deterministic_box_tables, local_membership_alternative
 
 # every certificate these tests produce is checked by both verifiers
@@ -213,29 +209,45 @@ class TestEveExtension:
             eve_extension(pr_box(), model)
 
 
+def analyze_secrecy(tmp_path, box):
+    """(exit code, report) of `boxlab analyze secrecy -o` on the box, after
+    `boxlab verify` accepted the report."""
+    path, report = tmp_path / "box.txt", tmp_path / "secrecy.json"
+    boxio.write_box(str(path), box)
+    code = cli.main(["analyze", "secrecy", str(path), "-o", str(report)])
+    assert cli.main(["verify", str(report)]) == 0
+    return code, boxio.read_report(report)
+
+
 class TestSecrecy:
-    def test_pr_contains_secrecy(self):
-        verdict = secrecy_content(pr_box())
-        assert verdict.contains_secrecy
-        assert verdict.certificate is not None
-        assert verdict.local_model is None
+    """A bipartite box contains secrecy exactly when it is nonlocal; the
+    command line's `secrecy` analysis is `is_local` read that way round."""
 
-    def test_product_box_no_secrecy(self):
-        box = uniform_box(SC22)
-        verdict = secrecy_content(box)
-        assert not verdict.contains_secrecy
-        assert verdict.local_model.reconstructs(box)
+    def test_pr_contains_secrecy(self, tmp_path):
+        code, report = analyze_secrecy(tmp_path, pr_box())
+        assert (code, report["verdict"]) == (0, {"contains_secrecy": True})
+        assert report["certificate"]["type"] == "bell_functional"
+        assert "witness" not in report
 
-    def test_isotropic_three_quarters(self):
-        assert secrecy_content(make_isotropic(F(3, 4))).contains_secrecy
+    def test_product_box_no_secrecy(self, tmp_path):
+        code, report = analyze_secrecy(tmp_path, uniform_box(SC22))
+        assert (code, report["verdict"]) == (1, {"contains_secrecy": False})
+        # verify accepted the model, so it reconstructs the box
+        assert report["witness"]["type"] == "local_model"
+        assert "certificate" not in report
 
-    def test_matches_is_local(self, ns_vertices):
+    def test_isotropic_three_quarters(self, tmp_path):
+        code, report = analyze_secrecy(tmp_path, make_isotropic(F(3, 4)))
+        assert (code, report["verdict"]) == (0, {"contains_secrecy": True})
+
+    def test_matches_is_local(self, ns_vertices, tmp_path):
         rng = random.Random(41)
         for i in range(20):
             box = random_ns_box(rng, ns_vertices, nonlocal_bias=(i % 2) * 60)
-            verdict = secrecy_content(box)
+            code, report = analyze_secrecy(tmp_path, box)
             local = isinstance(is_local(box), LocalModel)
-            assert verdict.contains_secrecy == (not local)
+            assert report["verdict"]["contains_secrecy"] == (not local)
+            assert code == (1 if local else 0)
 
     def test_lopc_distribution_is_conditionally_product(self):
         box = make_isotropic(F(1, 2))
@@ -259,8 +271,8 @@ class TestSecrecy:
                     )
                     assert pab * pe == pa * pb
 
-    def test_bipartite_only(self):
-        from boxlab.shareability import polygamy_example
-
-        with pytest.raises(ScenarioMismatch):
-            secrecy_content(polygamy_example())
+    def test_bipartite_only(self, tmp_path, capsys):
+        box = tmp_path / "polygamy.txt"
+        assert cli.main(["make", "polygamy", "-o", str(box)]) == 0
+        assert cli.main(["analyze", "secrecy", str(box)]) == 2
+        assert "bipartite" in capsys.readouterr().err

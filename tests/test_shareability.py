@@ -33,7 +33,6 @@ from boxlab.shareability import (
     _iso_ceiling_lp,
     _orbit_rows,
     _unfold,
-    clone_feasibility,
     cloning_shrink_factor,
     folded_extension_lp,
     generalized_isotropic,
@@ -49,7 +48,7 @@ from boxlab.shareability import (
     unique_violator_decoupling,
     validate_extension,
 )
-from conftest import asymmetric_giso, random_local_box, random_ns_box
+from conftest import asymmetric_giso, random_local_box, random_ns_box, tensor
 from oracles import unfolded_extension_feasible, walked_orbit_rows
 
 # every certificate these tests produce is checked by both verifiers
@@ -382,13 +381,15 @@ class TestInfiniteShareability:
 
 
 class TestCloning:
+    """Perfect cloning of Bob's wing into m copies is m-shareability toward B."""
+
     def test_pr_box_not_cloneable(self):
-        witness = clone_feasibility(pr_box(), 2)
+        witness = is_m_shareable(ExtensionProblem(pr_box(), "B", 2))
         assert not witness.feasible
 
     def test_local_box_cloneable_many_times(self):
         box = make_isotropic(F(1, 2))
-        assert clone_feasibility(box, 3).feasible
+        assert is_m_shareable(ExtensionProblem(box, "B", 3)).feasible
         # for larger m, replaying the local model's Bob response clones
         # without any LP, and the result validates as a 5-extension
         ext5 = infinite_shareability_extension(is_local(box), 5)
@@ -458,8 +459,6 @@ class TestMonogamy:
         lam = F(2, 3)
         pr = pr_box()
         noise1 = uniform_box(Scenario((2,), (2,)))
-        from boxlab.core import tensor
-
         t1 = tensor(pr, noise1)  # A,B share PR; C noise
         t2 = permute_parties(tensor(pr, noise1), (0, 2, 1))  # A,C share PR
         box = mix([t1, t2], [lam, 1 - lam])
