@@ -7,13 +7,13 @@ changes no rhs; a row with nothing outside the artificial columns is
 implied by the others and is dropped.  Both phases price by Dantzig's rule (largest
 reduced cost) and fall back to Bland's rule after a run of degenerate
 pivots, until the next nondegenerate one, so the simplex cannot cycle.
-The tableau holds each row, and the cost row, as Python int numerators
-over one positive denominator per row, divided by their common gcd after
-every elimination, so each entry is exactly the rational it stands for
-and the pivot rules see the same values a Fraction tableau would.  A
-pivot reads the pivot row's nonzero columns once and updates only those
-in every other row; rows turn into Fractions only when the solution and
-the multipliers are read out.
+The tableau holds each row, and the cost row, as a dict from column to
+Python int numerator, zeros left out, over one positive denominator per
+row, divided by their common gcd after every elimination, so each entry
+is exactly the rational it stands for and the pivot rules see the same
+values a Fraction tableau would.  A pivot updates only the rows holding
+the pivot column, and in each only the pivot row's columns; rows turn
+into Fractions only when the solution and the multipliers are read out.
 
 Every outcome carries an exactly checkable witness: an optimal solve
 returns the dual multipliers (strong duality holds with equality in
@@ -41,9 +41,11 @@ pairs, so a dense vector goes in as enumerate(vec).  LinearProgram checks
 every column against 0..num_vars-1, sums repeated columns and drops zero
 coefficients; it stores each row as a tuple of (column, Fraction) pairs
 in column order, and every value goes through `core.rat`, so a float
-raises TypeError.  A caller holding rows already in that form (the
-nonsignaling and local-membership rows, built once per scenario) may
-append (row, rhs) pairs to `eqs` or `ineqs` directly.
+raises TypeError.  A caller holding rows already in that form, with an
+int allowed for a Fraction coefficient (the nonsignaling and
+local-membership rows, built once per scenario, and the integer orbit
+rows of the folded extension LP), may append (row, rhs) pairs to `eqs`
+or `ineqs` directly.
 """
 
 from __future__ import annotations
@@ -78,15 +80,19 @@ class LpFormatError(BoxlabError):
 
 
 class LinearProgram:
-    """Mutable builder for an exact LP; see module docstring for the form."""
+    """Mutable builder for an exact LP; see module docstring for the form.
+
+    A stored row coefficient is an int or a Fraction: add_eq and add_ineq
+    store Fractions, rows appended directly may hold ints.  Right-hand
+    sides, upper bounds and the objective are Fractions."""
 
     def __init__(self, num_vars: int, objective: Iterable = ()):
         if num_vars < 1:
             raise LpFormatError("need at least one variable")
         self.num_vars = num_vars
         self.objective = self._row(objective)
-        self.eqs: list[tuple[tuple[tuple[int, Fraction], ...], Fraction]] = []
-        self.ineqs: list[tuple[tuple[tuple[int, Fraction], ...], Fraction]] = []
+        self.eqs: list[tuple[tuple[tuple[int, int | Fraction], ...], Fraction]] = []
+        self.ineqs: list[tuple[tuple[tuple[int, int | Fraction], ...], Fraction]] = []
         self.upper: list[Optional[Fraction]] = [None] * num_vars
 
     def _row(self, pairs: Iterable) -> tuple[tuple[int, Fraction], ...]:
@@ -138,44 +144,42 @@ class LpOutcome:
 # ---------------------------------------------------------------------------
 # simplex internals
 #
-# A tableau row is a list of int numerators (rhs last) over a positive
-# int denominator kept beside it; (row, den) is always in lowest terms.
+# A tableau row is a dict {column: int numerator} of its nonzero entries,
+# the rhs under key len(st.columns), over a positive int denominator kept
+# beside it; (row, den) is always in lowest terms.  Dict order is not
+# column order, so every rule that breaks ties by column index compares
+# the indices itself.
 
 
 def _lowest_terms(row, den):
     if den != 1:
-        g = gcd(den, *row)
+        g = gcd(den, *row.values())
         if g != 1:
-            return [v // g for v in row], den // g
+            return {j: v // g for j, v in row.items()}, den // g
     return row, den
 
 
-def _int_row(values):
-    """Numerators over one denominator for a sequence of Fractions."""
-    den = lcm(*(v.denominator for v in values if v))
-    return _lowest_terms([v.numerator * (den // v.denominator) if v else 0 for v in values], den)
-
-
-def _eliminate(row, den, prow, pden, pc, nz):
+def _eliminate(row, den, prow, pden, pc):
     """row - (row[pc] / den) * prow, where prow has value 1 at pc
-    (prow[pc] == pden) and nz lists its nonzero columns.  Only those
-    columns change, unless the multiplier's denominator forces the whole
-    row onto a larger one.  May update `row` in place."""
+    (prow[pc] == pden).  Only prow's columns change, unless the
+    multiplier's denominator forces the whole row onto a larger one.
+    May update `row` in place."""
     a = row[pc]
     if pden != 1:
         g = gcd(a, pden)
         if g != pden:
             scale = pden // g
-            row = [v * scale for v in row]
+            row = {j: v * scale for j, v in row.items()}
             den *= scale
         a //= g
-    for j in nz:
-        row[j] -= a * prow[j]
+    get = row.get
+    for j, v in prow.items():
+        w = get(j, 0) - a * v
+        if w:
+            row[j] = w
+        else:  # a * v != 0, so j was in row
+            del row[j]
     return _lowest_terms(row, den)
-
-
-def _nonzeros(row):
-    return [j for j, v in enumerate(row) if v]
 
 
 def _pivot(st, pr, pc, cost=True):
@@ -185,31 +189,29 @@ def _pivot(st, pr, pc, cost=True):
     p = prow[pc]
     if p != dens[pr]:  # entry is not 1 yet: divide the row by it
         if p < 0:
-            prow = [-v for v in prow]
+            prow = {j: -v for j, v in prow.items()}
             p = -p
-        g = gcd(*prow)
+        g = gcd(*prow.values())
         if g != 1:
-            prow = [v // g for v in prow]
+            prow = {j: v // g for j, v in prow.items()}
             p //= g
         rows[pr] = prow
         dens[pr] = p
-    nz = _nonzeros(prow)
     for i, row in enumerate(rows):
-        if i != pr and row[pc]:
-            rows[i], dens[i] = _eliminate(row, dens[i], prow, p, pc, nz)
-    if cost and st.cost[pc]:
-        st.cost, st.cost_den = _eliminate(st.cost, st.cost_den, prow, p, pc, nz)
+        if i != pr and pc in row:
+            rows[i], dens[i] = _eliminate(row, dens[i], prow, p, pc)
+    if cost and pc in st.cost:
+        st.cost, st.cost_den = _eliminate(st.cost, st.cost_den, prow, p, pc)
     st.basis[pr] = pc
 
 
 def _set_cost(st, cost, cost_den):
-    """Cost row [reduced costs..., -objective] for the current basis, from
-    the cost vector cost / cost_den over all columns."""
-    row, den = _lowest_terms(list(cost) + [0], cost_den)
+    """Cost row {reduced costs..., rhs: -objective} for the current basis,
+    from the cost vector cost / cost_den, a dict of nonzero columns."""
+    row, den = _lowest_terms(dict(cost), cost_den)
     for i, b in enumerate(st.basis):
-        if row[b]:
-            prow = st.rows[i]
-            row, den = _eliminate(row, den, prow, st.dens[i], b, _nonzeros(prow))
+        if b in row:
+            row, den = _eliminate(row, den, st.rows[i], st.dens[i], b)
     st.cost, st.cost_den = row, den
 
 
@@ -226,21 +228,18 @@ def _run_simplex(st, banned):
     degenerate pivots is finite, and every nondegenerate pivot strictly
     raises the objective, so no basis recurs across one."""
     rows, basis = st.rows, st.basis
-    ncols = len(st.columns)
+    rhs_col = len(st.columns)
+    skip = {*banned, rhs_col}
     degenerate = 0
     while True:
-        cost = st.cost
         pc = -1
         if degenerate >= DEGENERATE_RUN:
-            for j in range(ncols):
-                if cost[j] > 0 and j not in banned:
-                    pc = j
-                    break
+            pc = min((j for j, v in st.cost.items() if v > 0 and j not in skip), default=-1)
         else:
             best = 0
-            for j in range(ncols):
-                if cost[j] > best and j not in banned:
-                    pc, best = j, cost[j]
+            for j, v in st.cost.items():
+                if (v > best or (v == best and j < pc)) and j not in skip:
+                    pc, best = j, v
         if pc < 0:
             return OPTIMAL
         # a row's ratio rhs / entry is the same over its own denominator
@@ -248,13 +247,14 @@ def _run_simplex(st, banned):
         best_rhs = best_a = 0
         best_var = -1
         for i, row in enumerate(rows):
-            a = row[pc]
+            a = row.get(pc, 0)
             if a > 0:
+                b = row.get(rhs_col, 0)
                 if pr >= 0:
-                    lhs, rhs = row[-1] * best_a, best_rhs * a
+                    lhs, rhs = b * best_a, best_rhs * a
                     if lhs > rhs or (lhs == rhs and basis[i] > best_var):
                         continue
-                pr, best_rhs, best_a, best_var = i, row[-1], a, basis[i]
+                pr, best_rhs, best_a, best_var = i, b, a, basis[i]
         if pr < 0:
             return UNBOUNDED
         degenerate = degenerate + 1 if best_rhs == 0 else 0
@@ -273,14 +273,14 @@ class _Standardized:
     """
 
     columns: list  # ("var", i) | ("slack", r) | ("art", r)
-    rows: list  # int numerators per tableau row, rhs last
+    rows: list  # per tableau row, {column: int numerator}, rhs at len(columns)
     dens: list  # positive denominator per tableau row
     basis: list  # basic column per tableau row
     row_kinds: list  # ("eq", j) | ("ineq", j) | ("ub", i)
     flips: list  # +1 / -1 per row
     unit_cols: list  # per original row: column that started as its unit vector
     active: list = field(default_factory=list)
-    cost: list = field(default_factory=list)  # cost row numerators, -objective last
+    cost: dict = field(default_factory=dict)  # cost row, -objective at len(columns)
     cost_den: int = 1
 
 
@@ -317,16 +317,15 @@ def _standardize(lp: LinearProgram) -> _Standardized:
     for r, (terms, rhs, _) in enumerate(raw_rows):
         flip = flips[r]
         den = lcm(rhs.denominator, *(c.denominator for _, c in terms))
-        full = [0] * (len(columns) + 1)
-        for i, c in terms:
-            full[i] = flip * c.numerator * (den // c.denominator)
+        row = {i: flip * c.numerator * (den // c.denominator) for i, c in terms}
         if r in slack_col:
-            full[slack_col[r]] = flip * den
+            row[slack_col[r]] = flip * den
         if columns[basis[r]][0] == "art":
-            full[basis[r]] = den
-        full[-1] = flip * rhs.numerator * (den // rhs.denominator)
-        full, den = _lowest_terms(full, den)
-        rows.append(full)
+            row[basis[r]] = den
+        if rhs:
+            row[len(columns)] = flip * rhs.numerator * (den // rhs.denominator)
+        row, den = _lowest_terms(row, den)
+        rows.append(row)
         dens.append(den)
 
     return _Standardized(
@@ -357,7 +356,7 @@ def _certificate(lp, st: _Standardized, kind, cost, cost_den) -> LpCertificate:
     den = cost_den * st.cost_den
 
     def y_dot(col):
-        return Fraction(cost[col] * st.cost_den - st.cost[col] * cost_den, den)
+        return Fraction(cost.get(col, 0) * st.cost_den - st.cost.get(col, 0) * cost_den, den)
 
     y_eq, y_ineq, y_ub = [ZERO] * len(lp.eqs), [ZERO] * len(lp.ineqs), [ZERO] * lp.num_vars
     family = {"eq": y_eq, "ineq": y_ineq, "ub": y_ub}
@@ -392,31 +391,31 @@ def solve(lp: LinearProgram) -> LpOutcome:
     exactly before it is returned.
     """
     st = _standardize(lp)
-    ncols = len(st.columns)
+    rhs_col = len(st.columns)
     art_cols = {j for j, c in enumerate(st.columns) if c[0] == "art"}
 
     if art_cols:
         _crash(st, art_cols)
-        cost1 = [-1 if j in art_cols else 0 for j in range(ncols)]
+        cost1 = dict.fromkeys(art_cols, -1)
         _set_cost(st, cost1, 1)
         status = _run_simplex(st, banned=set())
         ensure(status == OPTIMAL, f"phase 1 ended {status}; its objective is bounded by 0")
-        if st.cost[-1] != 0:  # max of -sum(artificials) is negative
+        if rhs_col in st.cost:  # max of -sum(artificials) is negative
             out = LpOutcome(INFEASIBLE, certificate=_certificate(lp, st, "farkas", cost1, 1))
             ensure(verify_certificate(lp, out), "Farkas certificate fails to verify")
             return out
         _purge_artificials(st, art_cols)
 
-    cost2 = [ZERO] * ncols
-    for i, c in lp.objective:
-        cost2[i] = c
-    cost2, cost2_den = _int_row(cost2)
+    # the objective's coefficients are in lowest terms, so over the lcm of
+    # their denominators their numerators share no factor with it
+    cost2_den = lcm(*(c.denominator for _, c in lp.objective))
+    cost2 = {i: c.numerator * (cost2_den // c.denominator) for i, c in lp.objective}
     _set_cost(st, cost2, cost2_den)
     status = _run_simplex(st, banned=art_cols)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
 
-    basic = {b: Fraction(row[-1], den) for b, row, den in zip(st.basis, st.rows, st.dens)}
+    basic = {b: Fraction(row.get(rhs_col, 0), den) for b, row, den in zip(st.basis, st.rows, st.dens)}
     primal = [basic.get(i, ZERO) for i in range(lp.num_vars)]
     value = sum((c * primal[i] for i, c in lp.objective), ZERO)
 
@@ -449,15 +448,16 @@ def _crash(st, art_cols):
     the local-membership LPs, whose zero table entries give such rows,
     crashing them cost a fifth more pivots).
     """
-    counts = [0] * len(st.columns)
+    rhs_col = len(st.columns)
+    counts = [0] * (rhs_col + 1)
     for row in st.rows:
-        for j in _nonzeros(row[:-1]):
+        for j in row:
             counts[j] += 1
     r = 0
     while r < len(st.rows):
         row = st.rows[r]
-        if st.basis[r] in art_cols and row[-1] == 0:
-            candidates = [j for j in _nonzeros(row[:-1]) if j not in art_cols]
+        if st.basis[r] in art_cols and rhs_col not in row:
+            candidates = sorted(j for j in row if j not in art_cols)
             if not candidates:
                 _drop_row(st, r)
                 continue
@@ -469,15 +469,11 @@ def _crash(st, art_cols):
 def _purge_artificials(st, art_cols):
     """Pivot basic artificials out after phase 1, dropping rows that are
     zero outside the artificial columns."""
+    skip = {*art_cols, len(st.columns)}
     r = 0
     while r < len(st.rows):
         if st.basis[r] in art_cols:
-            row = st.rows[r]
-            pc = -1
-            for j in range(len(st.columns)):
-                if j not in art_cols and row[j]:
-                    pc = j
-                    break
+            pc = min((j for j in st.rows[r] if j not in skip), default=-1)
             if pc >= 0:
                 _pivot(st, r, pc, cost=False)
             else:

@@ -322,15 +322,17 @@ def folded_extension_lp(problem: ExtensionProblem):
     the base box's canonical relabeling (_canonical_problem).  Returns
     (program, unfold), where unfold(values) is the full extension table
     of this problem whose entries take the values of their orbits.  The
-    table size is capped before anything is built."""
+    table size is capped before anything is built.  The rows of
+    _orbit_rows are already in LinearProgram's stored form (ascending
+    orbits, nonzero int coefficients, Fraction right-hand sides), so they
+    are appended to `eqs` directly, as they come."""
     size = problem.extension_scenario().table_size
     if size > EXTENSION_SIZE_CAP:
         raise ExtensionTooLarge(f"extension table has {size} entries, cap {EXTENSION_SIZE_CAP}")
     canon, relabeling = _canonical_problem(problem)
     index, rows = _orbit_rows(canon)
     prog = lp.LinearProgram(len(index))
-    for coeffs, rhs, _ in rows:
-        prog.add_eq(coeffs, rhs)
+    prog.eqs.extend((coeffs, rhs) for coeffs, rhs, _ in rows)
     return prog, functools.partial(_unfold, problem, relabeling, index)
 
 

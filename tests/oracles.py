@@ -68,7 +68,8 @@ def brute_force_lp(prog: lp.LinearProgram, bounds):
     infeasible.  Returns ("optimal", value) or ("infeasible", None).
     """
     n = prog.num_vars
-    assert len(bounds) == n
+    if len(bounds) != n:
+        raise ValueError(f"{len(bounds)} bounds for {n} variables")
 
     def dense(pairs):
         row = [Fraction(0)] * n

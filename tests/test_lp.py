@@ -1,10 +1,12 @@
 import dataclasses
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
-from boxlab import lp
+from boxlab import lp, shareability
+from boxlab.isotropic import make_isotropic
 from boxlab.lp import (
     INFEASIBLE,
     OPTIMAL,
@@ -471,6 +473,113 @@ def test_beale_cycles_under_pure_dantzig(monkeypatch):
     monkeypatch.setattr(lp, "DEGENERATE_RUN", 10**9)
     with pytest.raises(PivotCap):
         solve(beale_program())
+
+
+def test_brute_force_oracle_rejects_wrong_bound_count():
+    with pytest.raises(ValueError):
+        brute_force_lp(LinearProgram(2), [(0, 1)])
+
+
+# ---------------------------------------------------------------------------
+# the sparse tableau: row invariants, pivot counts, index order on ties
+
+
+def checked_pivots(monkeypatch):
+    """Route lp._pivot through a check that, after every pivot, each
+    tableau row and the cost row store no zero, have a positive
+    denominator and are in lowest terms, and the pivot column is the
+    pivot row's unit column.  Returns the list of pivot columns so far;
+    past 5,000 of them the test fails, so a kernel that cycles stops."""
+    columns = []
+    pivot = lp._pivot
+
+    def checked(st, pr, pc, cost=True):
+        pivot(st, pr, pc, cost)
+        columns.append(pc)
+        assert len(columns) <= 5000, "pivot cap reached"
+        for row, den in [*zip(st.rows, st.dens), (st.cost, st.cost_den)]:
+            assert 0 not in row.values()
+            assert den > 0 and gcd(den, *row.values()) == 1
+        assert st.rows[pr][pc] == st.dens[pr]
+        assert not any(pc in row for i, row in enumerate(st.rows) if i != pr)
+
+    monkeypatch.setattr(lp, "_pivot", checked)
+    return columns
+
+
+@pytest.mark.parametrize("seed", [505, 606])
+def test_homogeneous_lp_rows_stay_sparse_and_reduced(seed, monkeypatch):
+    pivots = checked_pivots(monkeypatch)
+    rng = random.Random(seed)
+    for _ in range(60):
+        prog = random_homogeneous_lp(rng)[0]
+        assert verify_certificate(prog, solve(prog))
+    assert len(pivots) > 100
+
+
+def test_pivot_counts_pinned(monkeypatch):
+    # the dense-row kernel took these pivots, crash included; the sparse
+    # one must pick the same columns and rows
+    pivots = checked_pivots(monkeypatch)
+    assert solve(beale_program()).value == F(1, 20)
+    assert len(pivots) == 24
+    pivots.clear()
+    problem = shareability.ExtensionProblem(make_isotropic(F(3, 5)), "B", 4)
+    prog, _ = shareability.folded_extension_lp(problem)
+    assert solve(prog).status == INFEASIBLE
+    assert len(pivots) == 233
+
+
+def tie_tableau(cost):
+    """max cost . x over 0 <= x_0, x_1 <= 1, both bounds as slack rows,
+    with the cost dict's keys in the given order."""
+    return lp._Standardized(
+        columns=[("var", 0), ("var", 1), ("slack", 0), ("slack", 1)],
+        rows=[{0: 1, 2: 1, 4: 1}, {1: 1, 3: 1, 4: 1}],
+        dens=[1, 1],
+        basis=[2, 3],
+        row_kinds=[("ub", 0), ("ub", 1)],
+        flips=[1, 1],
+        unit_cols=[2, 3],
+        active=[0, 1],
+        cost=cost,
+    )
+
+
+def test_dantzig_tie_takes_lowest_index(monkeypatch):
+    pivots = checked_pivots(monkeypatch)
+    st = tie_tableau({1: 1, 0: 1})
+    assert lp._run_simplex(st, banned=set()) == OPTIMAL
+    assert pivots == [0, 1] and st.cost == {2: -1, 3: -1, 4: -2}
+
+
+def test_bland_takes_lowest_eligible_index(monkeypatch):
+    pivots = checked_pivots(monkeypatch)
+    monkeypatch.setattr(lp, "DEGENERATE_RUN", 0)
+    assert lp._run_simplex(tie_tableau({1: 2, 0: 1}), banned=set()) == OPTIMAL
+    assert pivots == [0, 1]
+    pivots.clear()
+    monkeypatch.setattr(lp, "DEGENERATE_RUN", 20)
+    assert lp._run_simplex(tie_tableau({1: 2, 0: 1}), banned=set()) == OPTIMAL
+    assert pivots == [1, 0]
+
+
+def test_crash_tie_takes_lowest_index(monkeypatch):
+    pivots = checked_pivots(monkeypatch)
+    # x_2 - x_1 = 0 on artificial column 3, x_2 stored first: both
+    # candidates have one nonzero, so the lower index enters
+    st = lp._Standardized(
+        columns=[("var", 0), ("var", 1), ("var", 2), ("art", 0)],
+        rows=[{2: 1, 1: -1, 3: 1}],
+        dens=[1],
+        basis=[3],
+        row_kinds=[("eq", 0)],
+        flips=[1],
+        unit_cols=[3],
+        active=[0],
+    )
+    lp._crash(st, {3})
+    assert pivots == [1] and st.basis == [1]
 
 
 class TestRationalInputsOnly:
