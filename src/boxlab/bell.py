@@ -8,7 +8,8 @@ coefficients at the table entries a deterministic strategy fires
 (`polytope.strategy_columns`), taken in integers over the coefficients'
 common denominator; the nonsignaling maximum comes from an exact LP.
 The functions that solve import lp and polytope themselves, so CHSH and
-the isotropic family load neither.
+the isotropic family load neither.  `cglmp` builds no family member
+past CGLMP_CAP outputs, to keep its normalizing LP desk-scale.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .core import (
     ensure,
 )
 
-CGLMP_DEFAULT_CAP = 4
+CGLMP_CAP = 4
 
 
 def scenario_2222() -> Scenario:
@@ -190,14 +191,11 @@ def cglmp_raw(d: int) -> BellFunctional:
     return BellFunctional(sc, tuple(coeffs), ZERO)
 
 
-def cglmp(d: int, cap: int = CGLMP_DEFAULT_CAP) -> BellFunctional:
-    """Normalized CGLMP functional (local bound 0, NS max 1).
-
-    d is capped to keep the normalizing LPs desk-scale; pass a larger cap
-    explicitly to go beyond.
-    """
-    if d > cap:
-        raise BadParams(f"d={d} above cap {cap}; raise cap explicitly if intended")
+def cglmp(d: int) -> BellFunctional:
+    """Normalized CGLMP functional (local bound 0, NS max 1), for d up to
+    CGLMP_CAP."""
+    if d > CGLMP_CAP:
+        raise BadParams(f"d={d} above cap {CGLMP_CAP}")
     return normalize(cglmp_raw(d))
 
 

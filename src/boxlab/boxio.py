@@ -107,13 +107,9 @@ def loads_box(text: str) -> BoxFile:
         raise ParseError(f"bad scenario header: {exc}") from None
     if len(inputs) != parties or len(outputs) != parties:
         raise ParseError("scenario header sizes disagree with parties count")
-    scenario = Scenario(inputs, outputs)
-    if len(table_tokens) != scenario.table_size:
-        raise ParseError(
-            f"table has {len(table_tokens)} values, scenario needs {scenario.table_size}"
-        )
+    # validate_box checks the value count against the scenario
     values = [parse_rational(tok, ln) for tok, ln in table_tokens]
-    return BoxFile(validate_box(values, scenario), header.get("name"))
+    return BoxFile(validate_box(values, Scenario(inputs, outputs)), header.get("name"))
 
 
 def write_box(path: str, box: Box, name: str | None = None) -> None:
@@ -339,9 +335,10 @@ def dumps_report(report: dict) -> str:
 
 
 def loads_report(text: str) -> dict:
+    # a ValueError: malformed JSON, or an integer longer than int() reads
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"report is not valid JSON: {exc}") from None
     if not isinstance(data, dict) or data.get("format") != REPORT_MAGIC:
         raise ParseError(f"missing report magic {REPORT_MAGIC!r}")

@@ -7,9 +7,11 @@ fails or the LP is infeasible, 2 for usage, parse, or I/O errors.
 Each analysis is one entry of ANALYSES, which holds the function that
 runs it next to the function that re-checks its report; the `analyze`
 choices, box handling and the report's flags block all come from there.
-A report that carries a witness or an LP certificate is re-checked
-against the box file through it, without a solver; the other verdicts
-are recomputed.  `boxlab verify` exits 0 when the report's evidence proves
+A report that carries a witness or a certificate is re-checked against
+the box file through it; the other verdicts are recomputed.  Only two
+verifies solve an LP: a Bell certificate (`local`, `secrecy`) must be
+normalized, which takes its NS maximum, and `cglmp` recomputes its
+functional.  `boxlab verify` exits 0 when the report's evidence proves
 its verdict for the box file, 1 when the evidence is wrong or proves
 another verdict, and 2 when the report or its box file is malformed,
 missing or stale.  It never ends in a traceback.
@@ -152,8 +154,9 @@ def _run_local(box, flags):
 def _locality_evidence(report: Fields, box: Box):
     """The report's local model or Bell certificate if it holds for the box, else None.
 
-    Refuses, as is_local does, a scenario with more deterministic
-    strategies than the cap: the certificate check enumerates them all."""
+    The functional must be normalized (local bound 0, NS maximum 1), the
+    scale of its violation; that takes one LP.  Refuses, as is_local does,
+    a scenario over the strategy cap: the local bound enumerates them."""
     from . import bell, locality
 
     locality.check_strategy_space(box.scenario)
@@ -167,7 +170,7 @@ def _locality_evidence(report: Fields, box: Box):
     valid = (
         cert.violation > 0
         and f.evaluate(box) == cert.violation
-        and bell.local_bound(f) <= 0
+        and bell.normalization_bounds(f) == (0, 1)
     )
     return cert if valid else None
 
@@ -377,16 +380,6 @@ def _run_shrink(box, flags):
     return _transformed(out_box, verdict, lines, flags, "shrunk")
 
 
-def _verify_shrink(report, box, flags):
-    eps = report.obj("verdict").rational("epsilon")
-    # an unset --epsilon means 1/2; reports written before "0" was stored
-    # as such also hold null for --epsilon 0
-    unset = flags.epsilon is None and eps in (0, Fraction(1, 2))
-    if flags.epsilon != eps and not unset:
-        return None
-    return _verify_output(_run_shrink)(report, box, argparse.Namespace(epsilon=eps, out_box=None))
-
-
 def _beta_grid(flags) -> list[Fraction]:
     return [parse_rational(tok) for tok in flags.beta_grid.split(",")]
 
@@ -438,7 +431,7 @@ ANALYSES = {
     "entropy": Analysis(_run_entropy, _verify_entropy, flags=("party", "y0", "y1")),
     "secrecy": Analysis(_run_secrecy, _verify_secrecy),
     "depolarize": Analysis(_run_depolarize, _verify_output(_run_depolarize)),
-    "shrink": Analysis(_run_shrink, _verify_shrink, flags=("epsilon",)),
+    "shrink": Analysis(_run_shrink, _verify_output(_run_shrink), flags=("epsilon",)),
     "monogamy-scan": Analysis(
         _run_monogamy_scan, _verify_monogamy_scan, needs_box=False, flags=("beta_grid",)
     ),

@@ -68,6 +68,13 @@ class InternalError(BoxlabError):
     keeps."""
 
 
+def count_text(n: int) -> str:
+    """A positive count n in decimal, or as the power of two it reaches
+    where str() would refuse it: a count worked out from alphabet sizes
+    can pass Python's limit on the digits of an int-to-str conversion."""
+    return str(n) if n.bit_length() < 10_000 else f"at least 2**{n.bit_length() - 1}"
+
+
 def ensure(condition: bool, message: str) -> None:
     """Raise InternalError(message) unless condition holds."""
     if not condition:
@@ -164,22 +171,6 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class PartySubset:
-    """Strictly increasing, nonempty set of party indices (0-based)."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if not self.indices:
-            raise ScenarioMismatch("party subset must be nonempty")
-        if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
-            raise ScenarioMismatch("party indices must be strictly increasing")
-        if self.indices[0] < 0:
-            raise ScenarioMismatch(f"party indices must be nonnegative, got {self.indices}")
-
-
-@dataclass(frozen=True)
 class Box:
     """A validated conditional probability table over a scenario.
 
@@ -198,7 +189,7 @@ def validate_box(table: Iterable, scenario: Scenario) -> Box:
     entries = tuple(rat(v) for v in table)
     if len(entries) != scenario.table_size:
         raise ScenarioMismatch(
-            f"table has {len(entries)} entries, scenario needs {scenario.table_size}"
+            f"table has {len(entries)} entries, scenario needs {count_text(scenario.table_size)}"
         )
     for i, v in enumerate(entries):
         if v < 0:
@@ -225,12 +216,12 @@ def uniform_box(scenario: Scenario) -> Box:
     return Box(scenario, (p,) * scenario.table_size)
 
 
-def _party_subset(scenario: Scenario, subset: PartySubset | Sequence[int]) -> tuple[int, ...]:
-    if not isinstance(subset, PartySubset):
-        subset = PartySubset(tuple(subset))
-    if subset.indices[-1] >= scenario.parties:
-        raise ScenarioMismatch(f"party subset {subset.indices} out of range")
-    return subset.indices
+def _party_subset(scenario: Scenario, subset: Sequence[int]) -> tuple[int, ...]:
+    keep = tuple(int(i) for i in subset)
+    increasing = all(a < b for a, b in zip(keep, keep[1:]))
+    if not (keep and increasing and 0 <= keep[0] and keep[-1] < scenario.parties):
+        raise ScenarioMismatch(f"party subset {keep} is not increasing in 0..{scenario.parties - 1}")
+    return keep
 
 
 def _assignments(sizes: Sequence[int], parties: Sequence[int]):
@@ -244,7 +235,7 @@ def _assignments(sizes: Sequence[int], parties: Sequence[int]):
         yield values, sum(v * strides[i] for i, v in zip(parties, values))
 
 
-def marginal_indices(scenario: Scenario, keep: PartySubset | Sequence[int]):
+def marginal_indices(scenario: Scenario, keep: Sequence[int]):
     """How each entry of the marginal on `keep` reads the table: the other
     parties' inputs pinned to 0 and their outputs summed.  Yields
     ((outs, xs), flat indices summed) per marginal entry, in the
@@ -313,7 +304,7 @@ def is_nonsignaling(box: Box, witness: bool = False):
     return (True, None) if witness else True
 
 
-def marginal(box: Box, subset: PartySubset | Sequence[int]) -> Box:
+def marginal(box: Box, subset: Sequence[int]) -> Box:
     """Marginal box on a subset of parties.
 
     Defined only for nonsignaling boxes: the traced parties' inputs are
@@ -368,7 +359,7 @@ def condition(box: Box, party: int, x_k: int, a_k: int) -> Box:
             f"party {party} has {sc.inputs[party]} inputs and {sc.outputs[party]} outputs,"
             f" got x={x_k}, a={a_k}"
         )
-    pk = marginal(box, PartySubset((party,)))
+    pk = marginal(box, (party,))
     p = pk.prob((a_k,), (x_k,))
     if p == 0:
         raise ZeroProbabilityCondition(

@@ -8,19 +8,20 @@ is this decision: a bipartite box contains secrecy exactly when it is
 nonlocal, and for a local box the model's hidden variable is a message an
 eavesdropper can hold (eve_extension), so the command line's `secrecy`
 analysis is `is_local` with the verdict read the other way round.
+
+Enumerating the strategies is the cost: no scenario with more than
+STRATEGY_CAP of them is decided or checked.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp, polytope
 from .bell import BellFunctional, normalize
 from .core import (
-    BadParams,
     Box,
     BoxlabError,
     Scenario,
@@ -28,13 +29,13 @@ from .core import (
     SignalingBox,
     ZERO,
     ONE,
+    count_text,
     ensure,
     is_nonsignaling,
 )
 from .polytope import DeterministicStrategy
 
-DEFAULT_STRATEGY_CAP = 10000
-STRATEGY_CAP_ENV = "BOXLAB_STRATEGY_CAP"
+STRATEGY_CAP = 10_000
 
 
 class StrategySpaceTooLarge(BoxlabError):
@@ -45,28 +46,14 @@ class ModelMismatch(BoxlabError):
     pass
 
 
-def strategy_cap(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    text = os.environ.get(STRATEGY_CAP_ENV)
-    if text is None:
-        return DEFAULT_STRATEGY_CAP
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise BadParams(f"{STRATEGY_CAP_ENV} must be a positive integer, got {text!r}")
-    return cap
-
-
-def check_strategy_space(scenario: Scenario, cap: int | None = None) -> None:
-    """Raise StrategySpaceTooLarge when enumerating the scenario's
-    deterministic strategies would pass the cap."""
+def check_strategy_space(scenario: Scenario) -> None:
+    """Raise StrategySpaceTooLarge when the scenario has more than
+    STRATEGY_CAP deterministic strategies."""
     count = polytope.strategy_count(scenario)
-    limit = strategy_cap(cap)
-    if count > limit:
-        raise StrategySpaceTooLarge(f"{count} deterministic strategies exceeds cap {limit}")
+    if count > STRATEGY_CAP:
+        raise StrategySpaceTooLarge(
+            f"{count_text(count)} deterministic strategies exceeds cap {STRATEGY_CAP}"
+        )
 
 
 @dataclass(frozen=True)
@@ -127,12 +114,12 @@ def membership_lp(box: Box) -> lp.LinearProgram:
     return prog
 
 
-def is_local(box: Box, cap: int | None = None) -> LocalModel | NonlocalityCertificate:
+def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
     """Decide local-polytope membership with an explicit witness either way."""
     ok, w = is_nonsignaling(box, witness=True)
     if not ok:
         raise SignalingBox(w)
-    check_strategy_space(box.scenario, cap)
+    check_strategy_space(box.scenario)
     out = lp.solve(membership_lp(box))
     if out.status == lp.OPTIMAL:
         strategies = polytope.deterministic_strategies(box.scenario)

@@ -79,7 +79,13 @@ class NotUniqueMaximizer(BoxlabError):
 
 @dataclass(frozen=True)
 class ExtensionProblem:
-    """Ask for `copies` symmetric clones of one wing of a bipartite box."""
+    """Ask for `copies` symmetric clones of one wing of a bipartite box.
+
+    Refused before anything is built when the extension table passes
+    EXTENSION_SIZE_CAP entries.  A copy with two or more (input, output)
+    pairs at least doubles the table, so m is first held to log2 of the
+    cap: that keeps the check cheap for any m, and caps copies that add
+    no entries."""
 
     base: Box
     shared_party: str  # "A" | "B"
@@ -92,6 +98,12 @@ class ExtensionProblem:
             raise BadParams("shared_party must be 'A' or 'B'")
         if self.copies < 1:
             raise BadParams("need at least one copy")
+        (X, Y), (A, B) = self.base.scenario.inputs, self.base.scenario.outputs
+        fixed, copy = (X * A, Y * B) if self.shared_party == "B" else (Y * B, X * A)
+        m, most = self.copies, EXTENSION_SIZE_CAP.bit_length() - 1
+        if m > most or fixed * copy**m > EXTENSION_SIZE_CAP:
+            cap = f"the cap of {EXTENSION_SIZE_CAP} table entries and {most} copies"
+            raise ExtensionTooLarge(f"m={m}: the extension is over {cap}")
         if not is_nonsignaling(self.base):
             raise ScenarioMismatch("base box must be nonsignaling")
 
@@ -321,14 +333,11 @@ def folded_extension_lp(problem: ExtensionProblem):
     (the value every entry of that orbit takes).  The rows are those of
     the base box's canonical relabeling (_canonical_problem).  Returns
     (program, unfold), where unfold(values) is the full extension table
-    of this problem whose entries take the values of their orbits.  The
-    table size is capped before anything is built.  The rows of
+    of this problem whose entries take the values of their orbits; the
+    problem's table size was capped when it was made.  The rows of
     _orbit_rows are already in LinearProgram's stored form (ascending
     orbits, nonzero int coefficients, Fraction right-hand sides), so they
     are appended to `eqs` directly, as they come."""
-    size = problem.extension_scenario().table_size
-    if size > EXTENSION_SIZE_CAP:
-        raise ExtensionTooLarge(f"extension table has {size} entries, cap {EXTENSION_SIZE_CAP}")
     canon, relabeling = _canonical_problem(problem)
     index, rows = _orbit_rows(canon)
     prog = lp.LinearProgram(len(index))
@@ -637,7 +646,7 @@ def generalized_pr(num_outputs: int) -> Box:
         raise BadParams("need at least two outputs")
     A = num_outputs
     if 4 * A * A > EXTENSION_SIZE_CAP:
-        raise BadParams(f"{A} outputs make a table of {4 * A * A} entries, cap {EXTENSION_SIZE_CAP}")
+        raise BadParams(f"{A} outputs make a table over the cap of {EXTENSION_SIZE_CAP} entries")
     sc = Scenario((2, 2), (A, A))
     return box_from_function(
         sc,

@@ -179,6 +179,17 @@ def bump(text):
     return str(F(text) + 1)
 
 
+def rescale_bell_certificate(data):
+    # twice the normalized functional: still 0 at most on every local box
+    # and still equal to the violation on the box, now on a scale whose
+    # nonsignaling maximum is 2
+    cert = data["certificate"]
+    cert["coefficients"] = [str(2 * F(c)) for c in cert["coefficients"]]
+    for key in ("offset", "violation"):
+        cert[key] = str(2 * F(cert[key]))
+    data["verdict"]["violation"] = "2"
+
+
 @pytest.mark.parametrize(
     "key, edit, code",
     [
@@ -197,6 +208,7 @@ def bump(text):
         (("pr", "entropy"), edit_at(["certificate"], delete=True), 2),
         (("iso-3/4", "entropy"), edit_at(["certificate", "value"], bump), 1),
         (("iso-3/4", "entropy"), edit_at(["verdict", "inc"], bump), 1),
+        (("pr", "local"), rescale_bell_certificate, 1),
     ],
     ids=[
         "deleted-verdict",
@@ -214,6 +226,7 @@ def bump(text):
         "entropy-without-certificate",
         "entropy-bumped-lp-value",
         "entropy-bumped-inc",
+        "bell-certificate-doubled",
     ],
 )
 def test_tampered_report_exit_code(corpus, key, edit, code):
@@ -367,14 +380,6 @@ def test_bad_cglmp_size_exits_2(tmp_path):
     assert run("analyze", "cglmp", box, "--d", "5") == 2
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3"])
-def test_bad_strategy_cap_exits_2(tmp_path, monkeypatch, capsys, value):
-    box = tmp_path / "box.txt"
-    assert run("make", "pr", "-o", box) == 0
-    monkeypatch.setenv("BOXLAB_STRATEGY_CAP", value)
-    assert run("analyze", "local", box) == 2
-    assert "BOXLAB_STRATEGY_CAP" in capsys.readouterr().err
-
 
 # ---------------------------------------------------------------------------
 # one rational grammar: exponent notation is refused before it is expanded
@@ -444,15 +449,87 @@ def test_verify_above_strategy_cap_exits_2(corpus, tmp_path, which):
     assert promptly(lambda: run("verify", path)) == 2
 
 
+OVERSIZED_M = (12, 10_000, 1_000_000)
+
+
 def test_shareable_above_size_cap_exits_2(tmp_path, capsys):
     box = tmp_path / "box.txt"
     assert run("make", "pr", "-o", box) == 0
-    assert promptly(lambda: run("analyze", "shareable", box, "--m", 12)) == 2
-    assert "cap" in capsys.readouterr().err
+    # a Bob with one input and one output adds no table entries: only the
+    # cap on the copies refuses him
+    trivial_bob = tmp_path / "trivial-bob.txt"
+    boxio.write_box(trivial_bob, uniform_box(Scenario((2, 1), (2, 1))), "trivial-bob")
+    for path, m in [(box, m) for m in OVERSIZED_M] + [(trivial_bob, 1_000_000)]:
+        assert promptly(lambda: run("analyze", "shareable", path, "--m", m)) == 2
+        err = capsys.readouterr().err
+        assert f"m={m}" in err and "cap" in err
 
 
 def test_verify_above_size_cap_exits_2(corpus):
-    def to_m12(data):
-        data["flags"]["m"] = data["verdict"]["m"] = 12
+    # a Farkas certificate (pr) and an extension witness (iso 1/2)
+    for key in [("pr", "shareable"), ("iso-1/2", "shareable")]:
+        for m in OVERSIZED_M:
 
-    assert promptly(lambda: verify_tampered(corpus, ("pr", "shareable"), to_m12)) == 2
+            def to_m(data):
+                data["flags"]["m"] = data["verdict"]["m"] = m
+
+            assert promptly(lambda: verify_tampered(corpus, key, to_m)) == 2
+
+
+# ---------------------------------------------------------------------------
+# an integer past Python's int-to-str digit limit, read or worked out from
+# alphabet sizes, is refused with exit 2 and never ends in a traceback
+
+HUGE_SIZE = 10**2999  # 3,000 digits: readable, but the product of two is not printable
+
+
+def refused(capsys, call) -> bool:
+    return call() == 2 and capsys.readouterr().err.startswith("boxlab: ")
+
+
+def test_huge_integer_in_report_exits_2(corpus, capsys):
+    root, reports = corpus
+    text = json.dumps({**reports["pr", "chsh"], "note": "HUGE"})
+    path = root / "huge-integer.json"
+    path.write_text(text.replace('"HUGE"', "9" * 5000), encoding="utf-8")
+    assert refused(capsys, lambda: run("verify", path))
+
+
+def test_huge_sizes_in_box_file_exit_2(tmp_path, capsys):
+    box = tmp_path / "box.txt"
+    header = f"BOXLAB-BOX 1\nparties: 2\ninputs: {HUGE_SIZE} {HUGE_SIZE}\noutputs: 2 2\n"
+    box.write_text(header + "table:\n1/4 1/4 1/4 1/4\n", encoding="utf-8")
+    assert refused(capsys, lambda: run("analyze", "ns", box))
+
+
+def test_huge_sizes_in_shareable_witness_exit_2(corpus, capsys):
+    edit = edit_at(["witness", "box", "inputs"], [HUGE_SIZE] * 3)
+    assert refused(capsys, lambda: verify_tampered(corpus, ("iso-1/2", "shareable"), edit))
+
+
+def test_huge_strategy_count_exits_2(tmp_path, capsys):
+    # 2^20000 deterministic strategies on a 40,000-entry table
+    box = tmp_path / "box.txt"
+    rows = "1 0\n" * 20_000
+    box.write_text(f"BOXLAB-BOX 1\nparties: 2\ninputs: 20000 1\noutputs: 2 1\ntable:\n{rows}",
+                   encoding="utf-8")
+    assert refused(capsys, lambda: run("analyze", "local", box))
+
+
+def test_huge_output_count_exits_2(tmp_path, capsys):
+    assert refused(capsys, lambda: run("make", "gpr", "--A", HUGE_SIZE, "-o", tmp_path / "box.txt"))
+
+
+# ---------------------------------------------------------------------------
+# shrink's --epsilon: unset means 1/2, and 0 is stored as "0"
+
+
+@pytest.mark.parametrize("option, epsilon", [(["--epsilon", "0"], "0"), ([], "1/2")],
+                         ids=["zero", "unset"])
+def test_shrink_round_trip(tmp_path, option, epsilon):
+    box = tmp_path / "box.txt"
+    report = tmp_path / "report.json"
+    assert run("make", "iso", "--C", "3/4", "-o", box) == 0
+    assert run("analyze", "shrink", box, *option, "-o", report) == 0
+    assert boxio.read_report(report)["verdict"]["epsilon"] == epsilon
+    assert run("verify", report) == 0

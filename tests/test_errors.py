@@ -57,6 +57,19 @@ def test_no_unused_import_in_package():
     assert found == []
 
 
+def test_no_environment_read_in_package():
+    # every limit is a module constant, which no environment variable moves
+    names = {"environ", "environb", "getenv", "getenvb"}
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in names
+        or isinstance(node, ast.ImportFrom) and any(a.name in names for a in node.names)
+    ]
+    assert found == []
+
+
 def test_every_exception_is_one_boxlab_error():
     classes = [
         obj

@@ -117,14 +117,10 @@ class TestIsLocal:
             assert ours == local_membership_alternative(box)
 
     def test_strategy_cap(self):
+        # 4^4 * 4^4 = 65,536 deterministic strategies, over the cap
         big = uniform_box(Scenario((4, 4), (4, 4)))
         with pytest.raises(StrategySpaceTooLarge):
-            is_local(big, cap=100)
-
-    def test_cap_env_override(self, monkeypatch):
-        monkeypatch.setenv(locality.STRATEGY_CAP_ENV, "3")
-        with pytest.raises(StrategySpaceTooLarge):
-            is_local(make_isotropic(F(1, 2)))
+            is_local(big)
 
     def test_signaling_box_rejected(self):
         sig = box_from_function(SC22, lambda outs, xs: 1 if outs == (0, xs[0]) else 0)

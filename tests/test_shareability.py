@@ -107,6 +107,35 @@ class TestShareability:
         with pytest.raises(ExtensionTooLarge):
             is_m_shareable(ExtensionProblem(big, "B", 4))
 
+    @pytest.mark.parametrize("party", ["A", "B"])
+    @pytest.mark.parametrize(
+        "inputs, outputs", [((2, 2), (2, 2)), ((1, 1), (2, 2)), ((3, 2), (2, 3)), ((2, 1), (4, 2))]
+    )
+    def test_size_cap_is_the_table_size(self, inputs, outputs, party):
+        # every copy party here has two or more (input, output) pairs, so
+        # a problem is refused exactly when its extension table passes the cap
+        box = uniform_box(Scenario(inputs, outputs))
+        (X, Y), (A, B) = inputs, outputs
+        for m in range(1, 20):
+            if party == "B":
+                ext = Scenario((X,) + (Y,) * m, (A,) + (B,) * m)
+            else:
+                ext = Scenario((X,) * m + (Y,), (A,) * m + (B,))
+            fits = ext.table_size <= shareability.EXTENSION_SIZE_CAP
+            try:
+                assert ExtensionProblem(box, party, m).extension_scenario() == ext
+            except ExtensionTooLarge:
+                assert not fits, m
+            else:
+                assert fits, m
+
+    def test_copy_party_without_choices_is_capped_in_m(self):
+        # its copies add no table entries; m stops at log2 of the cap
+        box = uniform_box(Scenario((2, 1), (2, 1)))
+        assert is_m_shareable(ExtensionProblem(box, "B", 16)).feasible
+        with pytest.raises(ExtensionTooLarge, match="m=17"):
+            ExtensionProblem(box, "B", 17)
+
     def test_validate_rejects_wrong_marginal(self):
         w = is_m_shareable(ExtensionProblem(make_isotropic(F(1, 2)), "B", 2))
         with pytest.raises(NotAnExtension):
