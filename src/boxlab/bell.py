@@ -14,13 +14,13 @@ past CGLMP_CAP outputs, to keep its normalizing LP desk-scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .core import (
     BadParams,
     Box,
+    Frozen,
     Scenario,
     ScenarioMismatch,
     ZERO,
@@ -44,12 +44,13 @@ def pr_box() -> Box:
     )
 
 
-@dataclass(frozen=True)
-class Correlators:
-    c00: Fraction
-    c01: Fraction
-    c10: Fraction
-    c11: Fraction
+class Correlators(Frozen):
+    def __init__(self, c00: Fraction, c01: Fraction, c10: Fraction, c11: Fraction):
+        d = self.__dict__
+        d["c00"] = c00
+        d["c01"] = c01
+        d["c10"] = c10
+        d["c11"] = c11
 
     def as_tuple(self):
         return (self.c00, self.c01, self.c10, self.c11)
@@ -86,8 +87,7 @@ def chsh(box: Box) -> Fraction:
     return (c.c00 + c.c01 + c.c10 - c.c11) / 2 - 1
 
 
-@dataclass(frozen=True)
-class BellFunctional:
+class BellFunctional(Frozen):
     """Affine functional on boxes: coefficients . table + offset.
 
     Coefficients are indexed like Box.table.  Normalized functionals have
@@ -95,9 +95,11 @@ class BellFunctional:
     that and normalization_bounds() to inspect the raw bounds.
     """
 
-    scenario: Scenario
-    coefficients: tuple[Fraction, ...]
-    offset: Fraction = ZERO
+    def __init__(self, scenario: Scenario, coefficients: tuple, offset: Fraction = ZERO):
+        d = self.__dict__
+        d["scenario"] = scenario
+        d["coefficients"] = coefficients
+        d["offset"] = offset
 
     def evaluate(self, box: Box) -> Fraction:
         if box.scenario != self.scenario:

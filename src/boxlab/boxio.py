@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .core import Box, BoxlabError, Scenario, rat, validate_box
+from .core import Box, BoxlabError, Frozen, Scenario, rat, validate_box
 
 if TYPE_CHECKING:
     from .locality import LocalModel, NonlocalityCertificate
@@ -53,10 +52,11 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class BoxFile:
-    box: Box
-    name: str | None = None
+class BoxFile(Frozen):
+    def __init__(self, box: Box, name: str | None = None):
+        d = self.__dict__
+        d["box"] = box
+        d["name"] = name
 
 
 def dumps_box(box: Box, name: str | None = None) -> str:

@@ -21,7 +21,11 @@ it imports unless cached bytecode is at hand.  So this module imports
 only core and boxio at the top, and each analysis imports the modules
 it calls inside its run and verify functions: `analyze ns` loads no
 analysis module, and a report that fails to parse is refused before
-any is loaded.
+any is loaded.  For the same reason every record (Flag, Analysis, Box,
+LpOutcome, ...) subclasses `core.Frozen` and no module imports
+`dataclasses`: that import loads `inspect` with `dis`, `ast` and
+`tokenize`, and each decorated class compiles its methods through
+`exec`, together about 20 ms of each process.
 """
 
 from __future__ import annotations
@@ -31,13 +35,12 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable
 
 from . import boxio
 from .boxio import Fields, ParseError, StaleDigest, format_rational, parse_rational
-from .core import Box, BoxlabError, ScenarioMismatch, ZERO, is_nonsignaling
+from .core import Box, BoxlabError, Frozen, ScenarioMismatch, ZERO, is_nonsignaling
 
 if TYPE_CHECKING:
     from . import incompat, lp
@@ -52,14 +55,17 @@ def _rat_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(Frozen):
     """One `analyze` option; every report stores all of them in "flags"."""
 
-    type: Callable  # int, str or _rat_arg (stored as p/q, or null when unset)
-    default: object
-    help: str | None = None
-    choices: tuple[str, ...] | None = None
+    def __init__(
+        self, type: Callable, default, help: str | None = None, choices: tuple | None = None
+    ):
+        d = self.__dict__
+        d["type"] = type  # int, str or _rat_arg (stored as p/q, or null when unset)
+        d["default"] = default
+        d["help"] = help
+        d["choices"] = choices
 
 
 FLAGS = {
@@ -85,8 +91,7 @@ def _decode_flag(block: Fields, name: str, flag: Flag):
     return block.text(name, flag.choices)
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(Frozen):
     """How `analyze` runs one analysis and how `verify` re-checks its report.
 
     run(box, flags) returns (exit code, verdict, evidence, lines); the
@@ -95,10 +100,12 @@ class Analysis:
     Both see only the listed flags, plus out_box for transformed boxes.
     """
 
-    run: Callable
-    verify: Callable
-    needs_box: bool = True
-    flags: tuple[str, ...] = ()
+    def __init__(self, run: Callable, verify: Callable, needs_box: bool = True, flags: tuple = ()):
+        d = self.__dict__
+        d["run"] = run
+        d["verify"] = verify
+        d["needs_box"] = needs_box
+        d["flags"] = flags
 
 
 def _flag_view(entry: Analysis, values: dict, out_box=None) -> argparse.Namespace:

@@ -4,13 +4,17 @@ A box is a table P(a_1..a_n | x_1..x_n) of Fraction entries stored flat in
 canonical mixed-radix order: input tuples outermost (party 1 most
 significant), output tuples innermost (party 1 most significant).  All
 operations are pure and exact; nothing in this module ever rounds.
+
+`Frozen` is the base of every boxlab record (Scenario, Box, LpOutcome,
+...): immutable, compared and hashed by value, with a dataclass-style
+repr.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Iterator, Sequence
 
 ZERO = Fraction(0)
@@ -105,22 +109,49 @@ def rat(value) -> Fraction:
     raise TypeError(f"cannot convert {type(value).__name__} to Fraction")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Frozen:
+    """Base of an immutable record.  A subclass's __init__ writes its fields
+    into self.__dict__ in field order; after that no attribute can be set
+    or deleted.  Two records are equal when they are of the same class
+    with equal fields, and the hash and repr read the fields in order, as
+    a frozen dataclass's would.  The fields stay in __dict__, without
+    __slots__, so a record pickles to the bytes its dataclass did.
+    Records avoid `dataclasses` for start-up time (see the cli module)."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Scenario(Frozen):
     """n parties, each with an input alphabet size and an output alphabet size."""
 
-    inputs: tuple[int, ...]
-    outputs: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(int(v) for v in self.inputs))
-        object.__setattr__(self, "outputs", tuple(int(v) for v in self.outputs))
-        if len(self.inputs) != len(self.outputs):
+    def __init__(self, inputs: Iterable[int], outputs: Iterable[int]):
+        inputs = tuple(int(v) for v in inputs)
+        outputs = tuple(int(v) for v in outputs)
+        if len(inputs) != len(outputs):
             raise ScenarioMismatch("inputs and outputs lists differ in length")
-        if len(self.inputs) < 1:
+        if len(inputs) < 1:
             raise ScenarioMismatch("need at least one party")
-        if any(v < 1 for v in self.inputs) or any(v < 1 for v in self.outputs):
+        if any(v < 1 for v in inputs) or any(v < 1 for v in outputs):
             raise ScenarioMismatch("alphabet sizes must be >= 1")
+        d = self.__dict__
+        d["inputs"] = inputs
+        d["outputs"] = outputs
 
     @property
     def parties(self) -> int:
@@ -170,15 +201,16 @@ class Scenario:
         return self.input_index(xs) * self.num_output_tuples + self.output_index(outs)
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Frozen):
     """A validated conditional probability table over a scenario.
 
     Immutable; construct through validate_box() or the from_function helper.
     """
 
-    scenario: Scenario
-    table: tuple[Fraction, ...]
+    def __init__(self, scenario: Scenario, table: tuple[Fraction, ...]):
+        d = self.__dict__
+        d["scenario"] = scenario
+        d["table"] = table
 
     def prob(self, outs: Sequence[int], xs: Sequence[int]) -> Fraction:
         return self.table[self.scenario.flat_index(outs, xs)]
@@ -292,14 +324,18 @@ def is_nonsignaling(box: Box, witness: bool = False):
 
     Returns True, or (True, None) / (False, witness-tuple) when witness=True.
     The witness is (party, other_outputs, other_inputs, x_k, x_k', lhs, rhs).
+    The sums compare as integers over the table's common denominator;
+    only a witness's two traces become Fractions.
     """
-    table = box.table
+    den = lcm(*{v.denominator for v in box.table})
+    nums = [v.numerator * (den // v.denominator) for v in box.table]
+    at = nums.__getitem__
     for k, out_ctx, in_ctx, per_x in trace_indices(box.scenario):
-        ref = sum((table[i] for i in per_x[0]), ZERO)
+        ref = sum(map(at, per_x[0]))
         for xk in range(1, len(per_x)):
-            total = sum((table[i] for i in per_x[xk]), ZERO)
+            total = sum(map(at, per_x[xk]))
             if total != ref:
-                w = (k, out_ctx, in_ctx, 0, xk, ref, total)
+                w = (k, out_ctx, in_ctx, 0, xk, Fraction(ref, den), Fraction(total, den))
                 return (False, w) if witness else False
     return (True, None) if witness else True
 

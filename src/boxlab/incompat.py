@@ -14,13 +14,13 @@ and it lower bounds the output entropies: H(b) >= h(eta / 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp, polytope
 from .core import (
     Box,
     BoxlabError,
+    Frozen,
     Scenario,
     ScenarioMismatch,
     ONE,
@@ -43,17 +43,16 @@ class OutOfScope(BoxlabError):
     pass
 
 
-@dataclass(frozen=True)
-class ObservablePair:
-    party: str  # "A" | "B"
-    y0: int = 0
-    y1: int = 1
-
-    def __post_init__(self):
-        if self.party not in ("A", "B"):
+class ObservablePair(Frozen):
+    def __init__(self, party: str, y0: int = 0, y1: int = 1):
+        if party not in ("A", "B"):
             raise BadPair("party must be 'A' or 'B'")
-        if self.y0 == self.y1:
+        if y0 == y1:
             raise BadPair("the two observables must be distinct inputs")
+        d = self.__dict__
+        d["party"] = party
+        d["y0"] = y0
+        d["y1"] = y1
 
 
 def _pair_at_bob(box: Box, pair: ObservablePair) -> Box:
@@ -95,16 +94,19 @@ def _joint_marginal_rows(restricted: Scenario):
         yield [(i, ONE) for i in row1], (outs, (x, 1))
 
 
-@dataclass(frozen=True)
-class IncompatibilityResult:
+class IncompatibilityResult(Frozen):
     """Optimal split of the restricted box into eta * incompatible +
     (1-eta) * compatible, all parts exact and subnormalized as stored."""
 
-    eta: Fraction
-    scenario: Scenario  # the restricted (X, 2) bipartite scenario
-    incompatible_part: tuple[Fraction, ...]  # mass eta, nonsignaling cone
-    compatible_part: tuple[Fraction, ...]  # mass 1 - eta, jointly extendable
-    joint_witness: tuple[Fraction, ...]  # P'(a, b0, b1 | x) of the compatible part
+    def __init__(
+        self, eta: Fraction, scenario: Scenario, incompatible_part, compatible_part, joint_witness
+    ):
+        d = self.__dict__
+        d["eta"] = eta
+        d["scenario"] = scenario  # the restricted (X, 2) bipartite scenario
+        d["incompatible_part"] = incompatible_part  # mass eta, nonsignaling cone
+        d["compatible_part"] = compatible_part  # mass 1 - eta, jointly extendable
+        d["joint_witness"] = joint_witness  # P'(a, b0, b1 | x) of the compatible part
 
     def incompatible_box(self) -> Box | None:
         if self.eta == 0:
@@ -177,14 +179,17 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
-@dataclass(frozen=True)
-class EntropyBoundReport:
-    inc: Fraction
-    bound: float  # h(inc / 2)
-    entropy_y0: float
-    entropy_y1: float
-    holds_y0: bool
-    holds_y1: bool
+class EntropyBoundReport(Frozen):
+    def __init__(
+        self, inc: Fraction, bound: float, entropy_y0: float, entropy_y1: float, holds_y0, holds_y1
+    ):
+        d = self.__dict__
+        d["inc"] = inc
+        d["bound"] = bound  # h(inc / 2)
+        d["entropy_y0"] = entropy_y0
+        d["entropy_y1"] = entropy_y1
+        d["holds_y0"] = holds_y0
+        d["holds_y1"] = holds_y1
 
     @property
     def holds(self) -> bool:

@@ -16,7 +16,6 @@ STRATEGY_CAP of them is decided or checked.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp, polytope
@@ -24,6 +23,7 @@ from .bell import BellFunctional, normalize
 from .core import (
     Box,
     BoxlabError,
+    Frozen,
     Scenario,
     ScenarioMismatch,
     SignalingBox,
@@ -56,13 +56,14 @@ def check_strategy_space(scenario: Scenario) -> None:
         )
 
 
-@dataclass(frozen=True)
-class LocalModel:
+class LocalModel(Frozen):
     """Convex mixture of deterministic strategies reproducing a box."""
 
-    scenario: Scenario
-    strategies: tuple[DeterministicStrategy, ...]
-    weights: tuple[Fraction, ...]
+    def __init__(self, scenario: Scenario, strategies: tuple, weights: tuple):
+        d = self.__dict__
+        d["scenario"] = scenario
+        d["strategies"] = strategies
+        d["weights"] = weights
 
     def box(self) -> Box:
         table = [ZERO] * self.scenario.table_size
@@ -79,13 +80,14 @@ class LocalModel:
         return self.box() == box
 
 
-@dataclass(frozen=True)
-class NonlocalityCertificate:
+class NonlocalityCertificate(Frozen):
     """Normalized Bell functional separating a box from the local polytope:
     at most 0 on every deterministic strategy, strictly positive on the box."""
 
-    functional: BellFunctional
-    violation: Fraction
+    def __init__(self, functional: BellFunctional, violation: Fraction):
+        d = self.__dict__
+        d["functional"] = functional
+        d["violation"] = violation
 
 
 @functools.lru_cache(maxsize=16)

@@ -50,12 +50,11 @@ or `ineqs` directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .core import BoxlabError, ensure, rat
+from .core import BoxlabError, Frozen, ensure, rat
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -117,8 +116,7 @@ class LinearProgram:
         self.upper[i] = rat(upper)
 
 
-@dataclass(frozen=True)
-class LpCertificate:
+class LpCertificate(Frozen):
     """Constraint multipliers: Farkas witness or optimal dual, by kind.
 
     y_eq is free-signed, the rest are nonnegative.  y_lb[i] multiplies
@@ -126,19 +124,22 @@ class LpCertificate:
     when x_i has no upper bound.
     """
 
-    kind: str  # "farkas" | "dual"
-    y_eq: tuple[Fraction, ...]
-    y_ineq: tuple[Fraction, ...]
-    y_lb: tuple[Fraction, ...]
-    y_ub: tuple[Fraction, ...]
+    def __init__(self, kind: str, y_eq: tuple, y_ineq: tuple, y_lb: tuple, y_ub: tuple):
+        d = self.__dict__
+        d["kind"] = kind  # "farkas" | "dual"
+        d["y_eq"] = y_eq
+        d["y_ineq"] = y_ineq
+        d["y_lb"] = y_lb
+        d["y_ub"] = y_ub
 
 
-@dataclass(frozen=True)
-class LpOutcome:
-    status: str
-    primal: Optional[tuple[Fraction, ...]] = None
-    value: Optional[Fraction] = None
-    certificate: Optional[LpCertificate] = None
+class LpOutcome(Frozen):
+    def __init__(self, status: str, primal=None, value=None, certificate=None):
+        d = self.__dict__
+        d["status"] = status
+        d["primal"] = primal
+        d["value"] = value
+        d["certificate"] = certificate
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +262,6 @@ def _run_simplex(st, banned):
         _pivot(st, pr, pc)
 
 
-@dataclass
 class _Standardized:
     """The program as an integer tableau, plus the bookkeeping to map
     witnesses back.  Column i is x_i for i < num_vars.
@@ -272,16 +272,20 @@ class _Standardized:
     dropped).  rows, dens and basis run in step over the tableau rows.
     """
 
-    columns: list  # ("var", i) | ("slack", r) | ("art", r)
-    rows: list  # per tableau row, {column: int numerator}, rhs at len(columns)
-    dens: list  # positive denominator per tableau row
-    basis: list  # basic column per tableau row
-    row_kinds: list  # ("eq", j) | ("ineq", j) | ("ub", i)
-    flips: list  # +1 / -1 per row
-    unit_cols: list  # per original row: column that started as its unit vector
-    active: list = field(default_factory=list)
-    cost: dict = field(default_factory=dict)  # cost row, -objective at len(columns)
-    cost_den: int = 1
+    def __init__(
+        self, columns, rows, dens, basis, row_kinds, flips, unit_cols,
+        active=None, cost=None, cost_den=1,
+    ):
+        self.columns = columns  # ("var", i) | ("slack", r) | ("art", r)
+        self.rows = rows  # per tableau row, {column: int numerator}, rhs at len(columns)
+        self.dens = dens  # positive denominator per tableau row
+        self.basis = basis  # basic column per tableau row
+        self.row_kinds = row_kinds  # ("eq", j) | ("ineq", j) | ("ub", i)
+        self.flips = flips  # +1 / -1 per row
+        self.unit_cols = unit_cols  # per original row: column that started as its unit vector
+        self.active = [] if active is None else active
+        self.cost = {} if cost is None else cost  # cost row, -objective at len(columns)
+        self.cost_den = cost_den
 
 
 def _standardize(lp: LinearProgram) -> _Standardized:

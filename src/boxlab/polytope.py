@@ -15,19 +15,19 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Box, Scenario, ZERO, ONE, trace_indices
+from .core import Box, Frozen, Scenario, ZERO, ONE, trace_indices
 from . import lp
 
 
-@dataclass(frozen=True)
-class DeterministicStrategy:
+class DeterministicStrategy(Frozen):
     """Per party, a response table mapping each input to a fixed output."""
 
-    scenario: Scenario
-    tables: tuple[tuple[int, ...], ...]
+    def __init__(self, scenario: Scenario, tables: tuple[tuple[int, ...], ...]):
+        d = self.__dict__
+        d["scenario"] = scenario
+        d["tables"] = tables
 
     def box(self) -> Box:
         sc = self.scenario

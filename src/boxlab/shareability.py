@@ -28,7 +28,6 @@ import functools
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -37,6 +36,7 @@ from .core import (
     BadParams,
     Box,
     BoxlabError,
+    Frozen,
     Scenario,
     ScenarioMismatch,
     ZERO,
@@ -77,8 +77,7 @@ class NotUniqueMaximizer(BoxlabError):
     pass
 
 
-@dataclass(frozen=True)
-class ExtensionProblem:
+class ExtensionProblem(Frozen):
     """Ask for `copies` symmetric clones of one wing of a bipartite box.
 
     Refused before anything is built when the extension table passes
@@ -87,25 +86,25 @@ class ExtensionProblem:
     cap: that keeps the check cheap for any m, and caps copies that add
     no entries."""
 
-    base: Box
-    shared_party: str  # "A" | "B"
-    copies: int
-
-    def __post_init__(self):
-        if self.base.scenario.parties != 2:
+    def __init__(self, base: Box, shared_party: str, copies: int):
+        if base.scenario.parties != 2:
             raise ScenarioMismatch("extension problems start from bipartite boxes")
-        if self.shared_party not in ("A", "B"):
+        if shared_party not in ("A", "B"):
             raise BadParams("shared_party must be 'A' or 'B'")
-        if self.copies < 1:
+        if copies < 1:
             raise BadParams("need at least one copy")
-        (X, Y), (A, B) = self.base.scenario.inputs, self.base.scenario.outputs
-        fixed, copy = (X * A, Y * B) if self.shared_party == "B" else (Y * B, X * A)
-        m, most = self.copies, EXTENSION_SIZE_CAP.bit_length() - 1
+        (X, Y), (A, B) = base.scenario.inputs, base.scenario.outputs
+        fixed, copy = (X * A, Y * B) if shared_party == "B" else (Y * B, X * A)
+        m, most = copies, EXTENSION_SIZE_CAP.bit_length() - 1
         if m > most or fixed * copy**m > EXTENSION_SIZE_CAP:
             cap = f"the cap of {EXTENSION_SIZE_CAP} table entries and {most} copies"
             raise ExtensionTooLarge(f"m={m}: the extension is over {cap}")
-        if not is_nonsignaling(self.base):
+        if not is_nonsignaling(base):
             raise ScenarioMismatch("base box must be nonsignaling")
+        d = self.__dict__
+        d["base"] = base
+        d["shared_party"] = shared_party  # "A" | "B"
+        d["copies"] = copies
 
     def extension_scenario(self) -> Scenario:
         X, Y = self.base.scenario.inputs
@@ -123,14 +122,16 @@ class ExtensionProblem:
         return 0 if self.shared_party == "B" else self.copies
 
 
-@dataclass(frozen=True)
-class ExtensionWitness:
-    feasible: bool
-    extension: Box | None = None
-    certificate: lp.LpCertificate | None = None
+class ExtensionWitness(Frozen):
     # the certificate belongs to folded_extension_lp; reports carry the
     # flag so a reader knows which program to re-check it against
     folded = True
+
+    def __init__(self, feasible: bool, extension: Box | None = None, certificate=None):
+        d = self.__dict__
+        d["feasible"] = feasible
+        d["extension"] = extension
+        d["certificate"] = certificate
 
 
 def _arrangements(items) -> int:

@@ -293,16 +293,19 @@ def test_bad_output_alphabet_exits_2(tmp_path, capsys, kind, alphabet):
 
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
+SLOW_STDLIB = ("dataclasses", "inspect")
 
 
 def in_fresh_process(*argv, timeout=60):
     """Run `python -c` calling cli.main(argv) in a new interpreter; returns
-    (exit code, the boxlab modules loaded, wall time)."""
+    (exit code, the boxlab modules loaded plus whichever of SLOW_STDLIB
+    is loaded, wall time)."""
     code = (
         "import json, sys\n"
         "from boxlab import cli\n"
         "code = cli.main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('boxlab'))]))\n"
+        f"slow = [m for m in {SLOW_STDLIB!r} if m in sys.modules]\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('boxlab')) + slow]))\n"
     )
     env = {**os.environ, "PYTHONPATH": SRC}
     start = time.perf_counter()
@@ -355,6 +358,17 @@ def test_analyze_incompat_loads_no_locality_module(corpus):
     assert code == 1
     assert modules >= {"incompat", "lp"}
     assert not modules & {"locality", "shareability", "bell"}
+
+
+@pytest.mark.parametrize("which", ["ns", "local", "shareable", "incompat"])
+def test_analyze_and_verify_load_neither_dataclasses_nor_inspect(corpus, which):
+    # records are core.Frozen subclasses; either module costs each process
+    # its import chain (dataclasses loads inspect, dis, ast and tokenize)
+    report = corpus[0] / f"fresh-{which}.json"
+    code, modules, _ = in_fresh_process("analyze", which, corpus[0] / "box0.txt", "-o", report)
+    assert code in (0, 1) and not modules & set(SLOW_STDLIB)
+    code, modules, _ = in_fresh_process("verify", report)
+    assert code == 0 and not modules & set(SLOW_STDLIB)
 
 
 @pytest.mark.parametrize("key", [("iso-3/4", "shareable"), ("iso-1/2", "local"), ("pr", "entropy")])

@@ -421,3 +421,92 @@ def test_ns_rows_vanish_exactly_on_nonsignaling_boxes():
     for box, sc in oracle_boxes():
         values = [sum((c * box.table[i] for i, c in coeffs), F(0)) for coeffs, _ in ns_equality_rows(sc)]
         assert all(v == 0 for v in values) == (trace_violation_dense(box) is None)
+
+
+def test_nonsignaling_matches_fraction_sum_oracle():
+    # the integer trace sums against the oracle's Fraction sums, on boxes
+    # whose entries have many coprime denominators, so the common
+    # denominator is large and the moved mass is small
+    rng = random.Random(508)
+    outcomes = []
+    for sc in (Scenario((2, 2), (2, 2)), Scenario((3, 3), (2, 2)), Scenario((2, 2, 2), (2, 2, 2))):
+        for _ in range(6):
+            parts = [seeded_ns_box(rng, sc) for _ in range(3)]
+            weights = [F(1, p) for p in rng.sample([3, 5, 7, 11, 13, 17, 19, 23], 2)]
+            box = mix(parts, [*weights, 1 - sum(weights)])
+            for candidate in (box, seeded_signaling_box(rng, sc)):
+                want = trace_violation_dense(candidate)
+                assert is_nonsignaling(candidate, witness=True) == (want is None, want)
+                if want is not None:
+                    assert all(type(v) is F for v in want[5:])
+                outcomes.append(want is None)
+    assert 0 < sum(outcomes) < len(outcomes)
+
+
+def record_samples():
+    """One record of each Frozen class, as the analyses return them."""
+    from boxlab import boxio, cli, lp, polytope
+    from boxlab.incompat import ObservablePair, entropy_bound_check, incompatibility
+    from boxlab.isotropic import make_isotropic
+    from boxlab.locality import is_local
+    from boxlab.shareability import ExtensionProblem, is_m_shareable
+
+    pr = bell.pr_box()
+    pair = ObservablePair("B")
+    prog = lp.LinearProgram(1, enumerate([1]))
+    prog.set_upper(0, 1)
+    return [
+        pr.scenario,
+        pr,
+        boxio.BoxFile(pr, "pr"),
+        cli.FLAGS["m"],
+        cli.ANALYSES["local"],
+        lp.solve(prog),
+        lp.solve(prog).certificate,
+        polytope.deterministic_strategies(SC22)[5],
+        bell.correlators(pr),
+        bell.chsh_functional(),
+        is_local(uniform_box(SC22)),
+        is_local(pr),
+        ExtensionProblem(pr, "B", 2),
+        is_m_shareable(ExtensionProblem(make_isotropic(F(1, 2)), "B", 2)),
+        is_m_shareable(ExtensionProblem(pr, "B", 2)),
+        pair,
+        incompatibility(pr, pair),
+        entropy_bound_check(pr, pair),
+    ]
+
+
+def test_records():
+    import pickle
+
+    from boxlab.core import Frozen
+
+    class Twin(Frozen):
+        pass
+
+    samples = record_samples()
+    assert len({type(r) for r in samples}) == 17
+    for record in samples:
+        name = next(iter(vars(record)))
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.unknown = None
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        rebuilt = type(record)(**vars(record))
+        assert rebuilt == record and hash(rebuilt) == hash(record) and rebuilt is not record
+        assert pickle.loads(pickle.dumps(record)) == record
+        changed = object.__new__(type(record))
+        changed.__dict__.update(vars(record), **{name: object()})
+        assert changed != record
+        twin = object.__new__(Twin)
+        twin.__dict__.update(vars(record))
+        assert twin != record and record != twin
+    halves = "1 0 0 1 1 0 0 1 1 0 0 1 0 1 1 0".split()
+    table = ", ".join(f"Fraction({h}, {1 + int(h)})" for h in halves)
+    assert repr(bell.pr_box()) == f"Box(scenario=Scenario(inputs=(2, 2), outputs=(2, 2)), table=({table}))"
+    assert repr(samples[14]) == (
+        f"ExtensionWitness(feasible=False, extension=None, certificate={samples[14].certificate!r})"
+    )

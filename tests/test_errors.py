@@ -70,6 +70,19 @@ def test_no_environment_read_in_package():
     assert found == []
 
 
+def test_no_dataclasses_import_in_package():
+    # records subclass core.Frozen: importing dataclasses loads inspect and
+    # its chain, and every decorated class compiles its methods through exec
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert found == []
+
+
 def test_every_exception_is_one_boxlab_error():
     classes = [
         obj

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction as F
 from math import gcd
@@ -204,7 +203,7 @@ class TestCertificateTampering:
         assert verify_certificate(prog, out)
         values = getattr(out.certificate, field)
         for wrong in (values[:-1], values + (F(0),)):
-            cert = dataclasses.replace(out.certificate, **{field: wrong})
+            cert = replaced(out.certificate, {field: wrong})
             tampered = LpOutcome(out.status, out.primal, out.value, cert)
             assert verify_certificate(prog, tampered) is False
 
@@ -625,12 +624,15 @@ def fractional_program(ineq_rhs):
     return prog
 
 
+def replaced(record, changes):
+    """A copy of a record, made through its constructor, with the fields
+    named in `changes` set to the given values; other names are ignored."""
+    return type(record)(**{k: changes.get(k, v) for k, v in vars(record).items()})
+
+
 def tampered(out, **changes):
-    fields = {k: v for k, v in changes.items() if k in ("primal", "value", "status")}
-    cert = dataclasses.replace(
-        out.certificate, **{k: v for k, v in changes.items() if k not in fields}
-    )
-    return dataclasses.replace(out, certificate=cert, **fields)
+    """A copy of an outcome with outcome or certificate fields changed."""
+    return replaced(out, {**changes, "certificate": replaced(out.certificate, changes)})
 
 
 def bumped(values, k, delta):
