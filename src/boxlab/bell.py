@@ -2,14 +2,18 @@
 
 Functionals here are affine in the box table and, once normalized, obey
 the convention used throughout the package: value <= 0 on every local
-box, maximum exactly 1 over the nonsignaling polytope.  Normalization is
-computed, not hard-coded: the local bound is the largest sum of the
+box, maximum exactly 1 over the nonsignaling polytope.  CHSH and CGLMP
+are normalized in closed form, from their known local bounds and
+nonsignaling maxima; the tests check both against the LP.  `normalize`
+serves the functionals found at run time, such as the Farkas vectors of
+`locality.is_local`: their local bound is the largest sum of the
 coefficients at the table entries a deterministic strategy fires
 (`polytope.strategy_columns`), taken in integers over the coefficients'
-common denominator; the nonsignaling maximum comes from an exact LP.
-The functions that solve import lp and polytope themselves, so CHSH and
-the isotropic family load neither.  `cglmp` builds no family member
-past CGLMP_CAP outputs, to keep its normalizing LP desk-scale.
+common denominator, and their nonsignaling maximum comes from an exact
+LP.  The functions that solve import lp and polytope themselves, so
+CHSH, CGLMP and the isotropic family load neither.  `cglmp` builds no
+family member past CGLMP_CAP outputs, the largest d at which the tests
+check its closed form against the LP.
 """
 
 from __future__ import annotations
@@ -44,28 +48,11 @@ def pr_box() -> Box:
     )
 
 
-class Correlators(Frozen):
-    def __init__(self, c00: Fraction, c01: Fraction, c10: Fraction, c11: Fraction):
-        d = self.__dict__
-        d["c00"] = c00
-        d["c01"] = c01
-        d["c10"] = c10
-        d["c11"] = c11
-
-    def as_tuple(self):
-        return (self.c00, self.c01, self.c10, self.c11)
-
-
-def _require_2222(box: Box):
+def correlators(box: Box) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(C00, C01, C10, C11), exactly, where
+    C_xy = P(00|xy) + P(11|xy) - P(01|xy) - P(10|xy)."""
     if box.scenario != scenario_2222():
-        raise ScenarioMismatch(
-            f"need a 2-party binary-input/output box, got {box.scenario}"
-        )
-
-
-def correlators(box: Box) -> Correlators:
-    """C_xy = P(00|xy) + P(11|xy) - P(01|xy) - P(10|xy), exactly."""
-    _require_2222(box)
+        raise ScenarioMismatch(f"need a 2-party binary-input/output box, got {box.scenario}")
     vals = []
     for x in (0, 1):
         for y in (0, 1):
@@ -75,7 +62,7 @@ def correlators(box: Box) -> Correlators:
                     p = box.prob((a, b), (x, y))
                     c += p if a == b else -p
             vals.append(c)
-    return Correlators(*vals)
+    return tuple(vals)
 
 
 def chsh(box: Box) -> Fraction:
@@ -83,8 +70,8 @@ def chsh(box: Box) -> Fraction:
 
     At most 0 on local boxes, exactly 1 at the nonsignaling maximum.
     """
-    c = correlators(box)
-    return (c.c00 + c.c01 + c.c10 - c.c11) / 2 - 1
+    c00, c01, c10, c11 = correlators(box)
+    return (c00 + c01 + c10 - c11) / 2 - 1
 
 
 class BellFunctional(Frozen):
@@ -167,7 +154,7 @@ def normalize(functional: BellFunctional) -> BellFunctional:
 
 def cglmp_raw(d: int) -> BellFunctional:
     """CGLMP functional for two inputs and d outputs, in probability form
-    (local bound 2), before normalization."""
+    (local bound 2, nonsignaling maximum 4), before normalization."""
     if d < 2:
         raise BadParams("CGLMP needs at least two outputs")
     sc = Scenario((2, 2), (d, d))
@@ -195,10 +182,13 @@ def cglmp_raw(d: int) -> BellFunctional:
 
 def cglmp(d: int) -> BellFunctional:
     """Normalized CGLMP functional (local bound 0, NS max 1), for d up to
-    CGLMP_CAP."""
+    CGLMP_CAP: the raw functional halved, with offset -1.  Its local
+    bound is 2 and its nonsignaling maximum 4 for every d (Collins et
+    al., PRL 88, 040404, 2002; Barrett et al., PRA 71, 022101, 2005)."""
     if d > CGLMP_CAP:
         raise BadParams(f"d={d} above cap {CGLMP_CAP}")
-    return normalize(cglmp_raw(d))
+    raw = cglmp_raw(d)
+    return BellFunctional(raw.scenario, tuple(c / 2 for c in raw.coefficients), -ONE)
 
 
 def unique_ns_maximizer(functional: BellFunctional):

@@ -7,14 +7,17 @@ fails or the LP is infeasible, 2 for usage, parse, or I/O errors.
 Each analysis is one entry of ANALYSES, which holds the function that
 runs it next to the function that re-checks its report; the `analyze`
 choices, box handling and the report's flags block all come from there.
-A report that carries a witness or a certificate is re-checked against
-the box file through it; the other verdicts are recomputed.  Only two
-verifies solve an LP: a Bell certificate (`local`, `secrecy`) must be
-normalized, which takes its NS maximum, and `cglmp` recomputes its
-functional.  `boxlab verify` exits 0 when the report's evidence proves
-its verdict for the box file, 1 when the evidence is wrong or proves
-another verdict, and 2 when the report or its box file is malformed,
-missing or stale.  It never ends in a traceback.
+A run answers its question through the analysis module that owns it
+(`incompat.incompatibility`, `shareability.monogamy_tradeoff`, ...), so
+this module solves no LP itself.  A report that carries a witness or a
+certificate is re-checked against the box file through it; the other
+verdicts are recomputed.  Only the verify of a Bell certificate
+(`local`, `secrecy`) still solves an LP: the certificate must be
+normalized, which takes its NS maximum.  `boxlab verify` exits 0 when
+the report's evidence proves its verdict for the box file, 1 when the
+evidence is wrong or proves another verdict, and 2 when the report or
+its box file is malformed, missing or stale.  It never ends in a
+traceback.
 
 Every command runs in a process of its own, which compiles each module
 it imports unless cached bytecode is at hand.  So this module imports
@@ -43,7 +46,7 @@ from .boxio import Fields, ParseError, StaleDigest, format_rational, parse_ratio
 from .core import Box, BoxlabError, Frozen, ScenarioMismatch, ZERO, is_nonsignaling
 
 if TYPE_CHECKING:
-    from . import incompat, lp
+    from . import incompat
 
 PROG = "boxlab"
 
@@ -252,20 +255,15 @@ def _pair(flags) -> incompat.ObservablePair:
     return incompat.ObservablePair(flags.party, flags.y0, flags.y1)
 
 
-def _incompat_lp(box, flags) -> lp.LinearProgram:
-    from . import incompat
-
-    return incompat.incompatibility_lp_for(incompat.restrict_to_pair(box, _pair(flags)))
-
-
 def _certified_inc(report, box, flags) -> Fraction | None:
     """The incompatibility that the report's LP outcome proves for the box, or None."""
-    from . import lp
+    from . import incompat, lp
 
     out = boxio.decode_lp_outcome(report.obj("certificate", "lp_outcome"))
-    if out.status != lp.OPTIMAL or not lp.verify_certificate(_incompat_lp(box, flags), out):
+    if out.status != lp.OPTIMAL:
         return None
-    return -out.value
+    prog = incompat.incompatibility_lp_for(incompat.restrict_to_pair(box, _pair(flags)))
+    return -out.value if lp.verify_certificate(prog, out) else None
 
 
 def _pair_flags(flags) -> dict:
@@ -277,12 +275,12 @@ def _incompat_verdict(flags, eta: Fraction) -> dict:
 
 
 def _run_incompat(box, flags):
-    from . import lp
+    from . import incompat
 
-    out = lp.solve(_incompat_lp(box, flags))
-    eta = -out.value
+    result = incompat.incompatibility(box, _pair(flags))
+    eta = result.eta
     lines = [f"inc[{flags.y0},{flags.y1}] = {eta}" + (" (compatible)" if eta == 0 else "")]
-    evidence = {"certificate": boxio.encode_lp_outcome(out)}
+    evidence = {"certificate": boxio.encode_lp_outcome(result.outcome)}
     return (0 if eta == 0 else 1), _incompat_verdict(flags, eta), evidence, lines
 
 
@@ -303,16 +301,18 @@ def _entropy_verdict(flags, result) -> dict:
 
 
 def _run_entropy(box, flags):
-    from . import incompat, lp
+    from . import incompat
 
-    out = lp.solve(_incompat_lp(box, flags))
-    result = incompat.entropy_bound(box, _pair(flags), -out.value)
+    pair = _pair(flags)
+    incompat.entropy_scope(box, pair)  # refused before the LP is solved
+    inc = incompat.incompatibility(box, pair)
+    result = incompat.entropy_bound(box, pair, inc.eta)
     lines = [
         f"inc = {result.inc}, h(inc/2) = {result.bound:.6f}",
         f"H(b{flags.y0}) = {result.entropy_y0:.6f}, H(b{flags.y1}) = {result.entropy_y1:.6f}",
         f"bound holds: {result.holds}",
     ]
-    evidence = {"certificate": boxio.encode_lp_outcome(out)}
+    evidence = {"certificate": boxio.encode_lp_outcome(inc.outcome)}
     return (0 if result.holds else 1), _entropy_verdict(flags, result), evidence, lines
 
 
@@ -397,12 +397,12 @@ def _monogamy_verdict(rows) -> dict:
 
 
 def _run_monogamy_scan(box, flags):
-    from . import lp, shareability
+    from . import shareability
 
     rows, certificates = [], []
     for beta in _beta_grid(flags):
-        out = lp.solve(shareability.monogamy_lp(beta))
-        rows.append((beta, out.value - 1))
+        value, out = shareability.monogamy_tradeoff(beta)
+        rows.append((beta, value))
         certificates.append({"beta": format_rational(beta), **boxio.encode_lp_outcome(out)})
     width = max(len(str(b)) for b, _ in rows)
     lines = [f"{'beta':>{width}}  max chsh(A,C)"]

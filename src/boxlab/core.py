@@ -137,12 +137,19 @@ class Frozen:
         return f"{type(self).__qualname__}({fields})"
 
 
+def _alphabet_size(v) -> int:
+    # no int(v): it would turn 2.7 into 2, True into 1 and "3" into 3
+    if type(v) is not int:
+        raise ScenarioMismatch(f"alphabet sizes must be ints, got {v!r}")
+    return v
+
+
 class Scenario(Frozen):
     """n parties, each with an input alphabet size and an output alphabet size."""
 
     def __init__(self, inputs: Iterable[int], outputs: Iterable[int]):
-        inputs = tuple(int(v) for v in inputs)
-        outputs = tuple(int(v) for v in outputs)
+        inputs = tuple(map(_alphabet_size, inputs))
+        outputs = tuple(map(_alphabet_size, outputs))
         if len(inputs) != len(outputs):
             raise ScenarioMismatch("inputs and outputs lists differ in length")
         if len(inputs) < 1:
@@ -304,19 +311,29 @@ def trace_indices(scenario: Scenario):
                 yield k, out_ctx, in_ctx, [[base + x + a for a in own_outs] for x in own_ins]
 
 
-def swap_indices(scenario: Scenario, i: int, j: int) -> list[int]:
-    """The flat-index permutation that exchanges parties i and j, which
-    must have the same alphabets: entry k with the two parties' outputs
-    and inputs swapped sits at index perm[k]."""
-    if (scenario.inputs[i], scenario.outputs[i]) != (scenario.inputs[j], scenario.outputs[j]):
-        raise ScenarioMismatch(f"parties {i} and {j} have different alphabets")
-    # with i and j swapped in the party order, the product order is unchanged
-    # (equal alphabets) and each offset lands on the swapped entry
-    order = list(range(scenario.parties))
-    order[i], order[j] = j, i
+def party_order_indices(scenario: Scenario, order: Sequence[int]) -> list[int]:
+    """The gather map that reorders parties: party i of the reordered
+    table is party order[i] of this one, and entry k of the reordered
+    table is entry indices[k] of this one.  The assignments walk the
+    parties in the new order, so they come in the reordered table's
+    product order, each with its offset in this one."""
+    order = tuple(order)
+    if sorted(order) != list(range(scenario.parties)):
+        raise BadPermutation(f"{order} is not a permutation of the parties")
     n_out = scenario.num_output_tuples
     outs = [offset for _, offset in _assignments(scenario.outputs, order)]
     return [x * n_out + o for _, x in _assignments(scenario.inputs, order) for o in outs]
+
+
+def swap_indices(scenario: Scenario, i: int, j: int) -> list[int]:
+    """party_order_indices for the transposition of parties i and j, which
+    must have the same alphabets, so that the swapped table lives on the
+    same scenario."""
+    if (scenario.inputs[i], scenario.outputs[i]) != (scenario.inputs[j], scenario.outputs[j]):
+        raise ScenarioMismatch(f"parties {i} and {j} have different alphabets")
+    order = list(range(scenario.parties))
+    order[i], order[j] = j, i
+    return party_order_indices(scenario, order)
 
 
 def is_nonsignaling(box: Box, witness: bool = False):
@@ -417,22 +434,9 @@ def condition(box: Box, party: int, x_k: int, a_k: int) -> Box:
 def permute_parties(box: Box, perm: Sequence[int]) -> Box:
     """Reorder parties: party i of the result is party perm[i] of the input."""
     sc = box.scenario
-    perm = tuple(perm)
-    if sorted(perm) != list(range(sc.parties)):
-        raise BadPermutation(f"{perm} is not a permutation of the parties")
-    sub = Scenario(
-        tuple(sc.inputs[p] for p in perm), tuple(sc.outputs[p] for p in perm)
-    )
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    table = []
-    for xs in sub.input_tuples():
-        old_xs = tuple(xs[inv[j]] for j in range(sc.parties))
-        for outs in sub.output_tuples():
-            old_outs = tuple(outs[inv[j]] for j in range(sc.parties))
-            table.append(box.prob(old_outs, old_xs))
-    return Box(sub, tuple(table))
+    table = tuple(map(box.table.__getitem__, party_order_indices(sc, perm)))
+    sub = Scenario(tuple(sc.inputs[p] for p in perm), tuple(sc.outputs[p] for p in perm))
+    return Box(sub, table)
 
 
 def _check_perm(p: Sequence[int], size: int, what: str):

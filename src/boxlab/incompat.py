@@ -6,9 +6,13 @@ eta * (incompatible nonsignaling part) + (1 - eta) * (compatible part),
 and the least such eta measures the incompatibility.  One LP answers
 both questions: the pair is compatible exactly when eta == 0, and then
 IncompatibilityResult.joint_witness is the joint table; when eta > 0,
-the LP's dual certificate proves that no joint table exists.  In the
-all-binary scenario the minimum is exactly the (clamped) CHSH value,
-and it lower bounds the output entropies: H(b) >= h(eta / 2).
+the LP's dual certificate proves that no joint table exists.  The
+result carries the LP outcome it was decided with, so a report can
+store the certificate without solving again.  In the all-binary
+scenario the minimum is exactly the (clamped) CHSH value, and it lower
+bounds the output entropies: H(b) >= h(eta / 2).  `incompatibility` is
+the only function that solves for eta; the entropy check and the
+command line read it from there.
 """
 
 from __future__ import annotations
@@ -96,10 +100,13 @@ def _joint_marginal_rows(restricted: Scenario):
 
 class IncompatibilityResult(Frozen):
     """Optimal split of the restricted box into eta * incompatible +
-    (1-eta) * compatible, all parts exact and subnormalized as stored."""
+    (1-eta) * compatible, all parts exact and subnormalized as stored,
+    with the LP outcome that decided it: its dual certificate proves eta
+    against incompatibility_lp_for."""
 
     def __init__(
-        self, eta: Fraction, scenario: Scenario, incompatible_part, compatible_part, joint_witness
+        self, eta: Fraction, scenario: Scenario, incompatible_part, compatible_part, joint_witness,
+        outcome,
     ):
         d = self.__dict__
         d["eta"] = eta
@@ -107,18 +114,7 @@ class IncompatibilityResult(Frozen):
         d["incompatible_part"] = incompatible_part  # mass eta, nonsignaling cone
         d["compatible_part"] = compatible_part  # mass 1 - eta, jointly extendable
         d["joint_witness"] = joint_witness  # P'(a, b0, b1 | x) of the compatible part
-
-    def incompatible_box(self) -> Box | None:
-        if self.eta == 0:
-            return None
-        return Box(self.scenario, tuple(v / self.eta for v in self.incompatible_part))
-
-    def compatible_box(self) -> Box | None:
-        if self.eta == 1:
-            return None
-        return Box(
-            self.scenario, tuple(v / (1 - self.eta) for v in self.compatible_part)
-        )
+        d["outcome"] = outcome  # optimal, value -eta
 
 
 def incompatibility_lp_for(restricted: Box) -> lp.LinearProgram:
@@ -154,7 +150,7 @@ def incompatibility(box: Box, pair: ObservablePair) -> IncompatibilityResult:
     w_part = tuple(out.primal[:nw])
     s_part = tuple(out.primal[nw:])
     com_part = tuple(restricted.table[i] - s_part[i] for i in range(sc.table_size))
-    return IncompatibilityResult(eta, sc, s_part, com_part, w_part)
+    return IncompatibilityResult(eta, sc, s_part, com_part, w_part, out)
 
 
 def output_entropy(box: Box, party: int, x: int) -> float:
@@ -196,7 +192,7 @@ class EntropyBoundReport(Frozen):
         return self.holds_y0 and self.holds_y1
 
 
-def _entropy_scope(box: Box, pair: ObservablePair) -> Box:
+def entropy_scope(box: Box, pair: ObservablePair) -> Box:
     """The box with the pair's party as Bob; OutOfScope unless the bound
     is stated for it (binary outputs or binary inputs)."""
     work = _pair_at_bob(box, pair)
@@ -212,7 +208,7 @@ def _entropy_scope(box: Box, pair: ObservablePair) -> Box:
 def entropy_bound(box: Box, pair: ObservablePair, inc: Fraction) -> EntropyBoundReport:
     """Check H(b0) and H(b1) against h(inc/2), for inc the pair's
     incompatibility as computed, or certified, elsewhere."""
-    work = _entropy_scope(box, pair)
+    work = entropy_scope(box, pair)
     bound = binary_entropy(float(inc) / 2)
     h0 = output_entropy(work, 1, pair.y0)
     h1 = output_entropy(work, 1, pair.y1)
@@ -233,5 +229,5 @@ def entropy_bound_check(box: Box, pair: ObservablePair) -> EntropyBoundReport:
     scope, and refused before inc is computed.  inc is exact; the entropy
     comparison uses a 1e-12 slack.
     """
-    _entropy_scope(box, pair)
+    entropy_scope(box, pair)
     return entropy_bound(box, pair, incompatibility(box, pair).eta)

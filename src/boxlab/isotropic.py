@@ -51,14 +51,14 @@ def is_isotropic(box: Box) -> bool:
                 pa = box.prob((a, 0), (x, y)) + box.prob((a, 1), (x, y))
                 if pa != Fraction(1, 2):
                     return False
-    c = correlators(box)
-    return c.c00 == c.c01 == c.c10 == -c.c11 and c.c00 >= 0
+    c00, c01, c10, c11 = correlators(box)
+    return c00 == c01 == c10 == -c11 and c00 >= 0
 
 
 def isotropic_parameter(box: Box) -> Fraction:
     if not is_isotropic(box):
         raise NotIsotropic("box is not in the isotropic family")
-    return correlators(box).c00
+    return correlators(box)[0]
 
 
 # The eight depolarizing operations as relabel() arguments.  Output flips
@@ -124,13 +124,3 @@ def shrink(box: Box, eps) -> Box:
     )
     return out
 
-
-def equalize(box_ab: Box, box_ac: Box) -> tuple[Box, Box]:
-    """Shrink the stronger of two isotropic boxes until the parameters match."""
-    c1 = isotropic_parameter(box_ab)
-    c2 = isotropic_parameter(box_ac)
-    if c1 == c2:
-        return box_ab, box_ac
-    if c1 > c2:
-        return shrink(box_ab, 1 - c2 / c1), box_ac
-    return box_ab, shrink(box_ac, 1 - c1 / c2)

@@ -25,7 +25,6 @@ from .core import (
     BoxlabError,
     Frozen,
     Scenario,
-    ScenarioMismatch,
     SignalingBox,
     ZERO,
     ONE,
@@ -165,23 +164,3 @@ def eve_extension(box: Box, model: LocalModel) -> Box:
     )
     return LocalModel(ext, strategies, tuple(w for _, w in pairs)).box()
 
-
-def lopc_distribution(box: Box, model: LocalModel) -> dict:
-    """Joint no-input distribution over ((a,x), (b,y), e) with uniform
-    inputs; the classical object an LOPC protocol would distribute."""
-    if box.scenario.parties != 2:
-        raise ScenarioMismatch("LOPC materialization is defined for two parties")
-    if not model.reconstructs(box):
-        raise ModelMismatch("model does not reproduce the box")
-    X, Y = box.scenario.inputs
-    pairs = [(s, w) for s, w in zip(model.strategies, model.weights) if w]
-    dist = {}
-    inv_inputs = Fraction(1, X * Y)
-    for e, (strat, w) in enumerate(pairs):
-        for x in range(X):
-            for y in range(Y):
-                a = strat.tables[0][x]
-                b = strat.tables[1][y]
-                key = ((a, x), (b, y), e)
-                dist[key] = dist.get(key, ZERO) + w * inv_inputs
-    return dist

@@ -523,16 +523,6 @@ def isotropic_clone_ceiling() -> Fraction:
     return out.value
 
 
-def cloning_shrink_factor(c) -> Fraction:
-    """Ratio between the clones' best isotropic parameter and the original:
-    the computed clone ceiling (1/2) divided by the starting parameter,
-    capped at 1."""
-    c = rat(c)
-    if not 0 < c <= 1:
-        raise BadParams("shrink factor needs C in (0, 1]")
-    return min(ONE, isotropic_clone_ceiling() / c)
-
-
 # ---------------------------------------------------------------------------
 # monogamy
 
@@ -563,12 +553,13 @@ def monogamy_lp(beta) -> lp.LinearProgram:
     return prog
 
 
-def monogamy_tradeoff(beta) -> Fraction:
+def monogamy_tradeoff(beta) -> tuple[Fraction, lp.LpOutcome]:
     """Largest CHSH(A,C) over tripartite binary nonsignaling boxes whose
-    CHSH(A,B) is at least beta; at most 0 whenever beta is positive."""
+    CHSH(A,B) is at least beta, at most 0 whenever beta is positive, and
+    the outcome of monogamy_lp(beta) whose certificate proves it."""
     out = lp.solve(monogamy_lp(beta))
     ensure(out.status == lp.OPTIMAL, f"monogamy LP ended {out.status}")
-    return out.value - 1
+    return out.value - 1, out
 
 
 def unique_violator_decoupling(
@@ -657,29 +648,21 @@ def generalized_pr(num_outputs: int) -> Box:
     )
 
 
-def _single_party_product(sc: Scenario, dist_a, dist_b) -> Box:
-    table = []
-    for _ in sc.input_tuples():
-        for outs in sc.output_tuples():
-            table.append(dist_a[outs[0]] * dist_b[outs[1]])
-    return validate_box(table, sc)
-
-
-def generalized_isotropic(num_outputs: int, c, dist_a=None, dist_b=None) -> Box:
-    """C times the generalized PR box plus (1-C) times a product of
-    input-independent single-party distributions (uniform by default)."""
+def generalized_isotropic(num_outputs: int, c, dist=None) -> Box:
+    """C times the generalized PR box plus (1-C) times noise in which each
+    party draws its output, whatever its input, from the single-party
+    distribution `dist` (uniform by default)."""
     gpr = generalized_pr(num_outputs)  # checks num_outputs >= 2
     A = num_outputs
     c = rat(c)
     if not 0 <= c <= 1:
         raise BadParams(f"weight must be in [0, 1], got {c}")
-    uniform = [Fraction(1, A)] * A
-    da = [rat(v) for v in dist_a] if dist_a is not None else uniform
-    db = [rat(v) for v in dist_b] if dist_b is not None else da
-    for d in (da, db):
-        if len(d) != A or any(v < 0 for v in d) or sum(d, ZERO) != 1:
-            raise BadParams(f"invalid single-party distribution [{', '.join(map(str, d))}]")
-    return mix([gpr, _single_party_product(gpr.scenario, da, db)], [c, 1 - c])
+    d = [rat(v) for v in dist] if dist is not None else [Fraction(1, A)] * A
+    if len(d) != A or any(v < 0 for v in d) or sum(d, ZERO) != 1:
+        raise BadParams(f"invalid single-party distribution [{', '.join(map(str, d))}]")
+    sc = gpr.scenario
+    noise = [d[a] * d[b] for _ in sc.input_tuples() for a, b in sc.output_tuples()]
+    return mix([gpr, validate_box(noise, sc)], [c, 1 - c])
 
 
 def shared_shift_symmetrize(box: Box) -> Box:

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from boxlab import bell, lp, shareability
-from boxlab.core import Box, Scenario, mix, party_relabelings, relabel
+from boxlab import bell, lp
+from boxlab.core import Box, Scenario, mix, party_relabelings, relabel, uniform_box
 from oracles import verify_certificate_fractions
 
 
@@ -88,11 +88,12 @@ def random_local_box(rng: random.Random, vertices):
 
 
 def asymmetric_giso(c):
-    """Generalized isotropic 2222 box that swapping A and B changes:
-    biased noise on Alice, uniform noise on Bob."""
-    return shareability.generalized_isotropic(
-        2, c, [Fraction(3, 4), Fraction(1, 4)], [Fraction(1, 2), Fraction(1, 2)]
-    )
+    """Isotropic-like 2222 box that swapping A and B changes: C times the
+    PR box plus (1 - C) times biased noise on Alice and uniform noise on
+    Bob."""
+    one = Scenario((2,), (2,))
+    alice = Box(one, (Fraction(3, 4), Fraction(1, 4)) * 2)
+    return mix([bell.pr_box(), tensor(alice, uniform_box(one))], [c, 1 - c])
 
 
 def relabelings_2222():
@@ -117,8 +118,8 @@ def canonical_2222(box):
     best = None
     for in_perms, out_perms in relabelings_2222():
         cand = relabel(box, in_perms, out_perms)
-        c = bell.correlators(cand)
-        if c.c00 >= 0 and c.c01 >= 0 and c.c10 >= 0:
+        c00, c01, c10, _ = bell.correlators(cand)
+        if c00 >= 0 and c01 >= 0 and c10 >= 0:
             if best is None or cand.table < best.table:
                 best = cand
     assert best is not None, "no relabeling reaches the canonical sign pattern"

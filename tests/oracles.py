@@ -8,8 +8,9 @@ full table with explicit symmetry rows, the orbit LP's rows found by
 folding every row of that table, and marginals and trace conditions
 read off one dense pass over the table, local bounds of Bell
 functionals from every strategy box built entry by entry, the LP
-certificate check in plain Fraction arithmetic, and compatibility of
-two observables as feasibility of a joint table.  None of it shares
+certificate check in plain Fraction arithmetic, compatibility of two
+observables as feasibility of a joint table, and parties reordered
+coordinate by coordinate.  None of it shares
 code with the package paths it cross-checks.
 """
 
@@ -258,6 +259,24 @@ def ns_vertices_2222_by_enumeration():
     sc = Scenario((2, 2), (2, 2))
     # cells iterate (x, y) outermost then (a, b): matches canonical order
     return {Box(sc, flat) for flat in vertices}
+
+
+def permute_parties_walk(box: Box, perm) -> Box:
+    """Reorder parties coordinate by coordinate: entry (outs, xs) of the
+    result, whose party i is party perm[i] of the box, reads the box at
+    the outputs and inputs put back in the box's party order."""
+    sc = box.scenario
+    sub = Scenario(tuple(sc.inputs[p] for p in perm), tuple(sc.outputs[p] for p in perm))
+    inv = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inv[p] = i
+    table = []
+    for xs in sub.input_tuples():
+        old_xs = tuple(xs[inv[j]] for j in range(sc.parties))
+        for outs in sub.output_tuples():
+            old_outs = tuple(outs[inv[j]] for j in range(sc.parties))
+            table.append(box.prob(old_outs, old_xs))
+    return Box(sub, tuple(table))
 
 
 def _digits(index, sizes):

@@ -26,16 +26,16 @@ from oracles import local_bound_by_enumeration, ns_vertices_2222_by_enumeration
 
 class TestCorrelators:
     def test_pr(self):
-        assert correlators(pr_box()).as_tuple() == (F(1), F(1), F(1), F(-1))
+        assert correlators(pr_box()) == (F(1), F(1), F(1), F(-1))
 
     def test_uniform(self):
-        assert correlators(uniform_box(Scenario((2, 2), (2, 2)))).as_tuple() == (
+        assert correlators(uniform_box(Scenario((2, 2), (2, 2)))) == (
             F(0),
         ) * 4
 
     def test_isotropic_family(self):
         for c in (F(0), F(1, 3), F(7, 10), F(1)):
-            assert correlators(make_isotropic(c)).as_tuple() == (c, c, c, -c)
+            assert correlators(make_isotropic(c)) == (c, c, c, -c)
 
     def test_scenario_mismatch(self):
         with pytest.raises(ScenarioMismatch):
@@ -84,6 +84,13 @@ class TestCglmp:
         local, ns_max = normalization_bounds(cglmp(3))
         assert (local, ns_max) == (0, 1)
 
+    @pytest.mark.parametrize("d", range(2, bell.CGLMP_CAP + 1))
+    def test_closed_form_matches_the_lp(self, d):
+        # the closed form takes local bound 2 and NS maximum 4 for every d;
+        # normalize finds both by strategy enumeration and an LP
+        assert normalization_bounds(cglmp_raw(d)) == (2, 4)
+        assert cglmp(d) == normalize(cglmp_raw(d))
+
     def test_d3_uniform_noise_negative(self):
         value = cglmp(3).evaluate(uniform_box(Scenario((2, 2), (3, 3))))
         assert value == -1
@@ -101,7 +108,7 @@ class TestUniqueMaximizer:
         unique, box = unique_ns_maximizer(chsh_functional())
         assert unique
         assert box == pr_box()
-        assert correlators(box).as_tuple() == (F(1), F(1), F(1), F(-1))
+        assert correlators(box) == (F(1), F(1), F(1), F(-1))
 
     def test_zero_functional_not_unique(self):
         sc = Scenario((2, 2), (2, 2))
@@ -197,8 +204,8 @@ class TestVerticesAndCanonicalForm:
         for _ in range(15):
             box = random_ns_box(rng, ns_vertices, nonlocal_bias=20)
             canon = canonical_2222(box)
-            c = correlators(canon)
-            assert c.c00 >= 0 and c.c01 >= 0 and c.c10 >= 0
+            c00, c01, c10, _ = correlators(canon)
+            assert c00 >= 0 and c01 >= 0 and c10 >= 0
 
     def test_canonical_form_deterministic(self, ns_vertices):
         rng = random.Random(10)

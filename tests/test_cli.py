@@ -343,6 +343,15 @@ def test_analyze_chsh_adds_only_bell(corpus):
     assert (code, modules) == (1, FRONT_END | {"bell"})
 
 
+def test_analyze_and_verify_cglmp_add_only_bell(corpus, tmp_path):
+    # the functional is normalized in closed form: neither command solves an LP
+    report = tmp_path / "cglmp.json"
+    code, modules, _ = in_fresh_process("analyze", "cglmp", "--d", "2", corpus[0] / "box0.txt", "-o", report)
+    assert (code, modules) == (0, FRONT_END | {"bell"})
+    code, modules, _ = in_fresh_process("verify", report)
+    assert (code, modules) == (0, FRONT_END | {"bell"})
+
+
 def test_analyze_shareable_loads_no_bell_isotropic_or_locality(corpus):
     code, modules, _ = in_fresh_process("analyze", "shareable", corpus[0] / "box0.txt")
     assert (code, modules) == (1, FRONT_END | {"lp", "polytope", "shareability"})

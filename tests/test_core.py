@@ -30,7 +30,7 @@ from boxlab.core import (
     validate_box,
 )
 from conftest import identity_relabeling, relabelings_2222, tensor
-from oracles import marginal_dense, trace_violation_dense
+from oracles import marginal_dense, permute_parties_walk, trace_violation_dense
 
 SC22 = Scenario((2, 2), (2, 2))
 
@@ -80,6 +80,14 @@ class TestValidation:
     def test_exponent_notation_rejected(self, token):
         with pytest.raises(ValueError):
             rat(token)
+
+    @pytest.mark.parametrize("size", [2.7, 2.0, True, False, "3"])
+    def test_alphabet_sizes_must_be_ints(self, size):
+        # int() would have read these as 2, 2, 1, 0 and 3
+        with pytest.raises(ScenarioMismatch, match="ints"):
+            Scenario((size, 2), (2, 2))
+        with pytest.raises(ScenarioMismatch, match="ints"):
+            Scenario((2, 2), (2, size))
 
 
 class TestNonsignaling:
@@ -224,6 +232,20 @@ class TestTensorAndPermute:
         with pytest.raises(ScenarioMismatch):
             swap_indices(Scenario((2, 3), (2, 2)), 0, 1)
 
+    def test_permute_parties_matches_coordinate_walk(self):
+        # each party gets its own (inputs, outputs) pair, so a map that
+        # confuses two parties changes the scenario or the table; distinct
+        # entries make every misplaced one visible
+        rng = random.Random(1617)
+        pairs = [(x, a) for x in (1, 2, 3) for a in (1, 2, 3)]
+        for parties in (1, 2, 3):
+            for _ in range(4):
+                alphabets = rng.sample(pairs, parties)
+                sc = Scenario([x for x, _ in alphabets], [a for _, a in alphabets])
+                numbered = Box(sc, tuple(F(i) for i in range(sc.table_size)))
+                for order in itertools.permutations(range(parties)):
+                    assert permute_parties(numbered, order) == permute_parties_walk(numbered, order)
+
 
 class TestRelabel:
     def test_identity_is_noop(self):
@@ -236,8 +258,7 @@ class TestRelabel:
         in_p, out_p = identity_relabeling(SC22)
         out_p = [out_p[0], [(0, 1), (1, 0)]]
         flipped = relabel(pr, in_p, out_p)
-        c = bell.correlators(flipped)
-        assert c.as_tuple() == (F(1), F(-1), F(1), F(1))
+        assert bell.correlators(flipped) == (F(1), F(-1), F(1), F(1))
 
     def test_relabel_preserves_nonsignaling(self, ns_vertices):
         rng = random.Random(3)
@@ -464,7 +485,7 @@ def record_samples():
         lp.solve(prog),
         lp.solve(prog).certificate,
         polytope.deterministic_strategies(SC22)[5],
-        bell.correlators(pr),
+        bell.cglmp(3),
         bell.chsh_functional(),
         is_local(uniform_box(SC22)),
         is_local(pr),
@@ -486,7 +507,8 @@ def test_records():
         pass
 
     samples = record_samples()
-    assert len({type(r) for r in samples}) == 17
+    records = {cls for cls in Frozen.__subclasses__() if cls.__module__.startswith("boxlab.")}
+    assert {type(r) for r in samples} == records and len(records) == 16
     for record in samples:
         name = next(iter(vars(record)))
         with pytest.raises(AttributeError):

@@ -83,6 +83,19 @@ def test_no_dataclasses_import_in_package():
     assert found == []
 
 
+def test_cli_solves_no_lp():
+    # each question is solved by one function of the analysis module that
+    # owns it, and the command line calls that function
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "solve"
+        or isinstance(node, ast.ImportFrom) and any(a.name == "solve" for a in node.names)
+    ]
+    assert found == []
+
+
 def test_every_exception_is_one_boxlab_error():
     classes = [
         obj

@@ -25,6 +25,7 @@ from boxlab.incompat import (
     entropy_bound,
     entropy_bound_check,
     incompatibility,
+    incompatibility_lp_for,
     output_entropy,
     restrict_to_pair,
 )
@@ -148,9 +149,16 @@ class TestIncompatibility:
                 sum((c * r.incompatible_part[i] for i, c in coeffs), ZERO)
                 == 0
             )
-        if 0 < r.eta < 1:
-            assert is_nonsignaling(r.incompatible_box())
-            assert oracle_compatible(r.compatible_box(), PAIR)
+        assert 0 < r.eta < 1
+        # normalized, the incompatible part is a nonsignaling box and the
+        # compatible part a box whose pair is compatible
+        incompatible = Box(r.scenario, tuple(v / r.eta for v in r.incompatible_part))
+        compatible = Box(r.scenario, tuple(v / (1 - r.eta) for v in r.compatible_part))
+        assert is_nonsignaling(incompatible)
+        assert oracle_compatible(compatible, PAIR)
+        # and the result carries the outcome that proves eta
+        assert r.outcome.status == lp.OPTIMAL and -r.outcome.value == r.eta
+        assert lp.verify_certificate(incompatibility_lp_for(restricted), r.outcome)
 
     def test_monotone_under_shrink(self):
         for c in (F(3, 4), F(1)):

@@ -11,7 +11,6 @@ from boxlab.core import Scenario, ScenarioMismatch, marginal, mix, uniform_box
 from boxlab.isotropic import (
     NotIsotropic,
     depolarize,
-    equalize,
     is_isotropic,
     isotropic_parameter,
     make_isotropic,
@@ -71,8 +70,8 @@ class TestDepolarize:
         for v in ns_vertices:
             out = depolarize(v)
             assert chsh(out) == chsh(v)
-            c = correlators(out)
-            assert c.c00 == c.c01 == c.c10 == -c.c11
+            c00, c01, c10, c11 = correlators(out)
+            assert c00 == c01 == c10 == -c11
 
     def test_random_boxes_unbiased_marginals(self, ns_vertices):
         rng = random.Random(51)
@@ -119,21 +118,6 @@ class TestShrink:
     def test_rejects_bad_epsilon(self):
         with pytest.raises(BadParam):
             shrink(make_isotropic(F(1, 2)), F(3, 2))
-
-
-class TestEqualize:
-    def test_reduces_larger_parameter(self):
-        a, b = equalize(make_isotropic(F(3, 4)), make_isotropic(F(1, 2)))
-        assert isotropic_parameter(a) == isotropic_parameter(b) == F(1, 2)
-        assert chsh(a) == chsh(b)
-
-    def test_equal_inputs_unchanged(self):
-        box = make_isotropic(F(1, 3))
-        assert equalize(box, box) == (box, box)
-
-    def test_other_order(self):
-        a, b = equalize(make_isotropic(F(1, 5)), make_isotropic(F(4, 5)))
-        assert isotropic_parameter(a) == isotropic_parameter(b) == F(1, 5)
 
 
 class TestLocalityThreshold:

@@ -24,7 +24,6 @@ from boxlab.locality import (
     StrategySpaceTooLarge,
     eve_extension,
     is_local,
-    lopc_distribution,
 )
 from conftest import is_deterministic, random_local_box, random_ns_box
 from oracles import deterministic_box_tables, local_membership_alternative
@@ -244,28 +243,6 @@ class TestSecrecy:
             local = isinstance(is_local(box), LocalModel)
             assert report["verdict"]["contains_secrecy"] == (not local)
             assert code == (1 if local else 0)
-
-    def test_lopc_distribution_is_conditionally_product(self):
-        box = make_isotropic(F(1, 2))
-        model = is_local(box)
-        dist = lopc_distribution(box, model)
-        assert sum(dist.values(), ZERO) == 1
-        # P(AB|E) factorizes for every hidden value
-        keys_e = {e for (_, _, e) in dist}
-        for e in keys_e:
-            pe = sum((v for (A, B, ee), v in dist.items() if ee == e), ZERO)
-            for A in {k[0] for k in dist}:
-                for B in {k[1] for k in dist}:
-                    pab = dist.get((A, B, e), ZERO)
-                    pa = sum(
-                        (v for (Ai, _, ee), v in dist.items() if Ai == A and ee == e),
-                        ZERO,
-                    )
-                    pb = sum(
-                        (v for (_, Bi, ee), v in dist.items() if Bi == B and ee == e),
-                        ZERO,
-                    )
-                    assert pab * pe == pa * pb
 
     def test_bipartite_only(self, tmp_path, capsys):
         box = tmp_path / "polygamy.txt"

@@ -33,7 +33,6 @@ from boxlab.shareability import (
     _iso_ceiling_lp,
     _orbit_rows,
     _unfold,
-    cloning_shrink_factor,
     folded_extension_lp,
     generalized_isotropic,
     generalized_pr,
@@ -41,6 +40,7 @@ from boxlab.shareability import (
     is_m_shareable,
     isotropic_clone_ceiling,
     local_model_from_extension,
+    monogamy_lp,
     monogamy_tradeoff,
     polygamy_example,
     restrict_bob_inputs,
@@ -455,28 +455,25 @@ class TestCloning:
             walked.num_vars, walked.objective, walked.eqs, walked.ineqs, walked.upper
         )
 
-    def test_shrink_factor(self):
-        assert cloning_shrink_factor(F(3, 4)) == F(2, 3)
-        assert cloning_shrink_factor(F(1, 2)) == 1
-        assert cloning_shrink_factor(1) == F(1, 2)
-        with pytest.raises(BadParams):
-            cloning_shrink_factor(0)
-
 
 class TestMonogamy:
     def test_corner_values(self):
-        assert monogamy_tradeoff(-1) == 1
-        assert monogamy_tradeoff(1) == -1
+        assert monogamy_tradeoff(-1)[0] == 1
+        assert monogamy_tradeoff(1)[0] == -1
 
     def test_tradeoff_is_minus_beta(self):
         # the tripartite nonsignaling set satisfies chsh_AB + chsh_AC <= 0
         # with equality reachable by mixing two PR pairings
         for beta in (F(-1, 2), F(0), F(1, 10), F(1, 4), F(3, 4)):
-            assert monogamy_tradeoff(beta) == -beta
+            value, out = monogamy_tradeoff(beta)
+            assert value == -beta
+            # the outcome proves the value against a fresh program
+            assert out.value - 1 == value
+            assert lp.verify_certificate(monogamy_lp(beta), out)
 
     def test_nonincreasing(self):
         grid = [F(-1), F(-1, 2), F(0), F(1, 2), F(1)]
-        values = [monogamy_tradeoff(b) for b in grid]
+        values = [monogamy_tradeoff(b)[0] for b in grid]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_beta_out_of_range(self):
