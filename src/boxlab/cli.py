@@ -303,16 +303,13 @@ def _entropy_verdict(flags, result) -> dict:
 def _run_entropy(box, flags):
     from . import incompat
 
-    pair = _pair(flags)
-    incompat.entropy_scope(box, pair)  # refused before the LP is solved
-    inc = incompat.incompatibility(box, pair)
-    result = incompat.entropy_bound(box, pair, inc.eta)
+    result = incompat.entropy_bound_check(box, _pair(flags))  # scope checked before the LP
     lines = [
         f"inc = {result.inc}, h(inc/2) = {result.bound:.6f}",
         f"H(b{flags.y0}) = {result.entropy_y0:.6f}, H(b{flags.y1}) = {result.entropy_y1:.6f}",
         f"bound holds: {result.holds}",
     ]
-    evidence = {"certificate": boxio.encode_lp_outcome(inc.outcome)}
+    evidence = {"certificate": boxio.encode_lp_outcome(result.outcome)}
     return (0 if result.holds else 1), _entropy_verdict(flags, result), evidence, lines
 
 

@@ -11,8 +11,8 @@ result carries the LP outcome it was decided with, so a report can
 store the certificate without solving again.  In the all-binary
 scenario the minimum is exactly the (clamped) CHSH value, and it lower
 bounds the output entropies: H(b) >= h(eta / 2).  `incompatibility` is
-the only function that solves for eta; the entropy check and the
-command line read it from there.
+the only function that solves for eta; `entropy_bound_check` reads it
+from there, for the command line too.
 """
 
 from __future__ import annotations
@@ -51,6 +51,8 @@ class ObservablePair(Frozen):
     def __init__(self, party: str, y0: int = 0, y1: int = 1):
         if party not in ("A", "B"):
             raise BadPair("party must be 'A' or 'B'")
+        if type(y0) is not int or type(y1) is not int:
+            raise BadPair(f"observable inputs must be ints, got {y0!r} and {y1!r}")
         if y0 == y1:
             raise BadPair("the two observables must be distinct inputs")
         d = self.__dict__
@@ -177,7 +179,8 @@ def binary_entropy(p: float) -> float:
 
 class EntropyBoundReport(Frozen):
     def __init__(
-        self, inc: Fraction, bound: float, entropy_y0: float, entropy_y1: float, holds_y0, holds_y1
+        self, inc: Fraction, bound: float, entropy_y0: float, entropy_y1: float, holds_y0, holds_y1,
+        outcome=None,
     ):
         d = self.__dict__
         d["inc"] = inc
@@ -186,6 +189,7 @@ class EntropyBoundReport(Frozen):
         d["entropy_y1"] = entropy_y1
         d["holds_y0"] = holds_y0
         d["holds_y1"] = holds_y1
+        d["outcome"] = outcome  # the LP outcome that proves inc, when solved here
 
     @property
     def holds(self) -> bool:
@@ -205,29 +209,28 @@ def entropy_scope(box: Box, pair: ObservablePair) -> Box:
     return work
 
 
-def entropy_bound(box: Box, pair: ObservablePair, inc: Fraction) -> EntropyBoundReport:
+def entropy_bound(
+    box: Box, pair: ObservablePair, inc: Fraction, outcome=None
+) -> EntropyBoundReport:
     """Check H(b0) and H(b1) against h(inc/2), for inc the pair's
-    incompatibility as computed, or certified, elsewhere."""
+    incompatibility as computed, or certified, elsewhere; `outcome` is
+    the LP outcome that proves inc, if any, kept in the report."""
     work = entropy_scope(box, pair)
     bound = binary_entropy(float(inc) / 2)
     h0 = output_entropy(work, 1, pair.y0)
     h1 = output_entropy(work, 1, pair.y1)
-    return EntropyBoundReport(
-        inc,
-        bound,
-        h0,
-        h1,
-        h0 >= bound - ENTROPY_SLACK,
-        h1 >= bound - ENTROPY_SLACK,
-    )
+    holds = (h0 >= bound - ENTROPY_SLACK, h1 >= bound - ENTROPY_SLACK)
+    return EntropyBoundReport(inc, bound, h0, h1, *holds, outcome)
 
 
 def entropy_bound_check(box: Box, pair: ObservablePair) -> EntropyBoundReport:
     """Check H(b0) and H(b1) against h(inc/2).
 
     Stated for binary outputs or binary inputs; anything else is out of
-    scope, and refused before inc is computed.  inc is exact; the entropy
-    comparison uses a 1e-12 slack.
+    scope, and refused before inc is computed.  inc is exact, and the
+    report carries the outcome of incompatibility that proves it; the
+    entropy comparison uses a 1e-12 slack.
     """
     entropy_scope(box, pair)
-    return entropy_bound(box, pair, incompatibility(box, pair).eta)
+    inc = incompatibility(box, pair)
+    return entropy_bound(box, pair, inc.eta, inc.outcome)

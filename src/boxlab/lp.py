@@ -44,8 +44,8 @@ in column order, and every value goes through `core.rat`, so a float
 raises TypeError.  A caller holding rows already in that form, with an
 int allowed for a Fraction coefficient (the nonsignaling and
 local-membership rows, built once per scenario, and the integer orbit
-rows of the folded extension LP), may append (row, rhs) pairs to `eqs`
-or `ineqs` directly.
+rows of the folded extension LP, once per scenario, party and m), may
+append (row, rhs) pairs to `eqs` or `ineqs` directly.
 """
 
 from __future__ import annotations

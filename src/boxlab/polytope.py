@@ -8,7 +8,10 @@ trace equalities.  Constraint rows are indexed to match Box.table order.
 What depends only on the scenario is built once per scenario and held in
 a small least-recently-used cache: the table entries each strategy fires
 at (`strategy_columns`), and the nonsignaling rows in LinearProgram's
-canonical form.  Both are tuples, so no caller can change them.
+canonical form.  The membership rows of `locality` and the orbit rows
+of `shareability` (per scenario, shared party and m) are cached alike:
+three row sets built once, to which a box adds only right-hand sides.
+All are tuples, so no caller can change them.
 """
 
 from __future__ import annotations

@@ -8,14 +8,18 @@ permutation of the copies maps onto each other.  Folding is exact, not
 a relaxation: averaging any extension over the copy permutations gives
 a symmetric one with the same marginals, so an extension exists exactly
 when a symmetric one does, and a symmetric table is constant on orbits.
-Shareable boxes admit local models on the restricted inputs (the
-copies' outputs serve as the hidden variable); local boxes extend to
-any number of copies, built as one more LocalModel whose every copy
-replays Bob's table.  Perfect cloning of Bob's wing into m copies is
-the same question, is_m_shareable(ExtensionProblem(box, "B", m)),
-which is why nonlocal boxes cannot be cloned; the isotropic family's
-cloning ceiling, C = 1/2, is the optimum of the same LP with C as one
-more column.
+The rows depend only on the shape (base scenario, shared party, m) and
+are built once per shape; a box supplies only the marginal rows'
+right-hand sides, from the table of its canonical relabeling, and a
+witness is unfolded by reading each entry's labels through that
+relabeling.  Shareable boxes admit local models on the restricted
+inputs (the copies' outputs serve as the hidden variable); local boxes
+extend to any number of copies, built as one more LocalModel whose
+every copy replays Bob's table.  Perfect cloning of Bob's wing into m
+copies is the same question, is_m_shareable(ExtensionProblem(box, "B",
+m)), which is why nonlocal boxes cannot be cloned; the isotropic
+family's cloning ceiling, C = 1/2, is the optimum of the same LP with C
+as one more column.
 
 Monogamy and the box families live here too.  Functions that call
 bell, isotropic or locality import them inside, so deciding
@@ -29,6 +33,7 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from . import lp, polytope
@@ -91,6 +96,8 @@ class ExtensionProblem(Frozen):
             raise ScenarioMismatch("extension problems start from bipartite boxes")
         if shared_party not in ("A", "B"):
             raise BadParams("shared_party must be 'A' or 'B'")
+        if type(copies) is not int:
+            raise BadParams(f"copies must be an int, got {copies!r}")
         if copies < 1:
             raise BadParams("need at least one copy")
         (X, Y), (A, B) = base.scenario.inputs, base.scenario.outputs
@@ -142,15 +149,18 @@ def _arrangements(items) -> int:
     return n
 
 
-def _orbit_rows(problem: ExtensionProblem):
-    """The extension LP's equality rows on orbit variables: normalization,
-    exact copy-marginals and the nonsignaling trace conditions.  Returns
-    (orbit number per orbit key, rows); the key of entry (outs, xs) is
-    (outs[fixed], xs[fixed], the copies' sorted (output, input) pairs), and
-    each row is (coefficients, rhs, entry), where the coefficients are
-    (orbit, integer coefficient) pairs in orbit order without zeros, and
-    entry is the base box's ((a, b), (x, y)) whose value a marginal row
-    takes as its rhs, and None for the other rows.
+@functools.lru_cache(maxsize=16)
+def _orbit_rows(scenario: Scenario, shared_party: str, copies: int):
+    """The extension LP's equality rows on orbit variables for one shape
+    (base scenario, shared party, copies), built once per shape and held
+    in a small least-recently-used cache like polytope._ns_rows.  Returns
+    (index, normalization, marginals, traces), all read-only: the orbit
+    number per orbit key ((outs[fixed], xs[fixed]), the copies' sorted
+    (output, input) pairs) of entry (outs, xs); the normalization and
+    trace rows as (coefficients, rhs) pairs; and the coefficients alone of
+    each copy-marginal row, one per base table entry in table order, whose
+    rhs is that entry of the box.  Coefficients are (orbit, integer
+    coefficient) pairs in orbit order without zeros.
 
     Nothing walks the extension table.  An orbit is the fixed party's
     (output, input) plus a multiset of m copy (output, input) pairs, so
@@ -179,10 +189,10 @@ def _orbit_rows(problem: ExtensionProblem):
     sorted by (output, input), and contexts come in (outputs, inputs)
     order of that member.  Keeping the walk's order keeps the programs,
     pivots and certificates of the walk."""
-    X, Y = problem.base.scenario.inputs
-    A, B = problem.base.scenario.outputs
-    m = problem.copies
-    toward_b = problem.shared_party == "B"
+    X, Y = scenario.inputs
+    A, B = scenario.outputs
+    m = copies
+    toward_b = shared_party == "B"
     (f_ins, f_outs), (c_ins, c_outs) = ((X, A), (Y, B)) if toward_b else ((Y, B), (X, A))
 
     def place(fixed, copies):
@@ -195,155 +205,142 @@ def _orbit_rows(problem: ExtensionProblem):
     by_output = [(o, i) for o in range(c_outs) for i in range(c_ins)]
     by_input = sorted(by_output, key=lambda p: (p[1], p[0]))
     firsts = []
-    for f_in in range(f_ins):
-        for f_out in range(f_outs):
-            for pairs in itertools.combinations_with_replacement(by_input, m):
-                outs, ins = split(pairs)
-                key = (f_out, f_in, tuple(sorted(pairs)))
-                firsts.append((place(f_in, ins), place(f_out, outs), key))
+    for f_out, f_in in itertools.product(range(f_outs), range(f_ins)):
+        for pairs in itertools.combinations_with_replacement(by_input, m):
+            outs, ins = split(pairs)
+            key = ((f_out, f_in), tuple(sorted(pairs)))
+            firsts.append((place(f_in, ins), place(f_out, outs), key))
     firsts.sort()
     index = {key: n for n, (_, _, key) in enumerate(firsts)}
 
-    rows = []
+    normalization = []
     # orderings of an orbit's copy pairs over orderings of their inputs:
     # the copy-output strings on one copy-input string that reach it
     for _, group in itertools.groupby(enumerate(firsts), key=lambda f: f[1][0]):
         coeffs = tuple(
             (n, _arrangements(pairs) // _arrangements(split(pairs)[1]))
-            for n, (_, _, (_, _, pairs)) in group
+            for n, (_, _, (_, pairs)) in group
         )
-        rows.append((coeffs, ONE, None))
+        normalization.append((coeffs, ONE))
 
     # base flat index (x*Y + y)*A*B + a*B + b is the product order
-    table = problem.base.table
-    cells = itertools.product(range(X), range(Y), range(A), range(B))
-    for p, (x, y, a, b) in zip(table, cells):
-        (f_out, f_in), pair = ((a, x), (b, y)) if toward_b else ((b, y), (a, x))
-        coeffs = sorted(
-            (index[f_out, f_in, tuple(sorted((pair,) + tuple((o, 0) for o in rest)))],
+    marginals = []
+    for x, y, a, b in itertools.product(range(X), range(Y), range(A), range(B)):
+        fixed, pair = ((a, x), (b, y)) if toward_b else ((b, y), (a, x))
+        marginals.append(tuple(sorted(
+            (index[fixed, tuple(sorted((pair,) + tuple((o, 0) for o in rest)))],
              _arrangements(rest))
             for rest in itertools.combinations_with_replacement(range(c_outs), m - 1)
-        )
-        rows.append((tuple(coeffs), p, ((a, b), (x, y))))
+        )))
 
     def fixed_trace():
         for pairs in itertools.combinations_with_replacement(by_output, m):
-            yield split(pairs), [[index[a, x, pairs] for a in range(f_outs)] for x in range(f_ins)]
+            yield split(pairs), [[index[(a, x), pairs] for a in range(f_outs)] for x in range(f_ins)]
 
     def copy_trace():
-        for f_in in range(f_ins):
-            for f_out in range(f_outs):
-                for rest in itertools.combinations_with_replacement(by_output, m - 1):
-                    outs, ins = split(rest)
-                    per_y = [
-                        [index[f_out, f_in, tuple(sorted(rest + ((o, y),)))] for o in range(c_outs)]
-                        for y in range(c_ins)
-                    ]
-                    yield (place(f_out, outs), place(f_in, ins)), per_y
+        for fixed in itertools.product(range(f_outs), range(f_ins)):
+            for rest in itertools.combinations_with_replacement(by_output, m - 1):
+                outs, ins = split(rest)
+                per_y = [
+                    [index[fixed, tuple(sorted(rest + ((o, y),)))] for o in range(c_outs)]
+                    for y in range(c_ins)
+                ]
+                yield (place(fixed[0], outs), place(fixed[1], ins)), per_y
 
+    traces = []
     # the traced parties in slot order, as polytope.ns_equality_rows takes them
     for contexts in (fixed_trace, copy_trace) if toward_b else (copy_trace, fixed_trace):
         for _, per_x in sorted(contexts()):
             for lo, hi in zip(per_x, per_x[1:]):
                 coeffs = sorted([(i, 1) for i in lo] + [(j, -1) for j in hi])
-                rows.append((tuple(coeffs), ZERO, None))
-    return index, rows
+                traces.append((tuple(coeffs), ZERO))
+    return MappingProxyType(index), tuple(normalization), tuple(marginals), tuple(traces)
 
 
 def _canonical_problem(problem: ExtensionProblem):
-    """The same question for the base box's local relabeling with the
-    lexicographically greatest table, and that relabeling as (g, h), one
-    core.party_relabelings entry for each of the base's parties: entry
-    (a, b | x, y) of the canonical base is entry (g[1][x][a],
-    h[1][y][b] | g[0][x], h[0][y]) of this one.  Relabeling each copy of
-    a party alike maps extensions onto extensions, so the answer is the
-    same, and every relabeling of a box gets one program and the same
-    simplex pivots.  Above CANONICAL_SEARCH_CAP relabelings the problem
-    is kept as is, with relabeling None.  Candidates are compared with
-    the best so far cell by cell, up to the first differing cell, and
-    only a strictly greater one replaces it, so the first greatest wins.
+    """The base box's local relabeling with the lexicographically greatest
+    table, as (table, fixed, copy): the relabeled table, and for the fixed
+    and the copy party a map from each original (output, input) label to
+    its relabeled one.  Relabeling each copy of a party alike maps
+    extensions onto extensions, so the answer is the same, and every
+    relabeling of a box gets one program and the same simplex pivots.
+    Above CANONICAL_SEARCH_CAP relabelings (core.party_relabelings of both
+    parties) the table is kept and the maps are the identity.  Candidates
+    are compared with the best so far cell by cell, up to the first
+    differing cell, and only a strictly greater one replaces it, so the
+    first greatest wins.
 
-    What the search buys is a cost independent of labels, and the
-    shareability-ladder benchmark cannot see it: its boxes are cheap
-    under any labeling, and without the search its tasks_per_s rises
-    (116.0 to 128.2, medians of six alternated runs each, rows built
-    from orbit representatives).  It shows on 3322 at m=3 toward B.
-    Two seeded five-strategy local mixtures under three labelings each
-    took 2,578-2,811 pivots (23-28 s) with the search and 1,024-14,629
-    pivots (7.5-233 s) without it; two other mixtures took 1,462 and
-    6,024 pivots with it, under every labeling, and 1,023-1,089 and
-    1,682-11,834 pivots (up to 171 s) without it (Python 3.11, 2 vCPUs)."""
+    What the search buys is a cost independent of labels, which the
+    shareability-ladder benchmark cannot see: its boxes are cheap under
+    any labeling (without the search its tasks_per_s rose from 116.0 to
+    128.2).  On 3322 at m=3 toward B, four seeded five-strategy local
+    mixtures under three labelings each took 1,462-6,024 pivots with the
+    search, the same under every labeling of a mixture, and 1,023-14,629
+    pivots (up to 233 s) without it (Python 3.11, 2 vCPUs)."""
     sc = problem.base.scenario
     (X, Y), (A, B) = sc.inputs, sc.outputs
-    count = math.factorial(X) * math.factorial(A) ** X * math.factorial(Y) * math.factorial(B) ** Y
-    if count > CANONICAL_SEARCH_CAP:
-        return problem, None
     table = problem.base.table
-    rank = {v: i for i, v in enumerate(sorted(set(table)))}
-    ranked = [rank[v] for v in table]
-    cells = list(itertools.product(range(X), range(Y), range(A), range(B)))
-    # flat index (x*Y + y)*A*B + a*B + b is one term per party
-    alice = [(g, [g[0][x] * Y * A * B + g[1][x][a] * B for x, _, a, _ in cells])
-             for g in party_relabelings(X, A)]
-    bob = [(h, [h[0][y] * A * B + h[1][y][b] for _, y, _, b in cells])
-           for h in party_relabelings(Y, B)]
-    best, best_ranks = None, [-1] * len(cells)
-    for g, ta in alice:
-        for h, tb in bob:
-            for i, j, r in zip(ta, tb, best_ranks):
-                if ranked[i + j] != r:
-                    if ranked[i + j] > r:
-                        best, best_ranks = (ta, tb, g, h), [ranked[i + j] for i, j in zip(ta, tb)]
-                    break
-    ta, tb, g, h = best
-    canon = ExtensionProblem(
-        Box(sc, tuple(table[i + j] for i, j in zip(ta, tb))), problem.shared_party, problem.copies
-    )
-    return canon, (g, h)
+    # each party's identity relabeling, in core.party_relabelings' form
+    g, h = (range(X), (range(A),) * X), (range(Y), (range(B),) * Y)
+    count = math.factorial(X) * math.factorial(A) ** X * math.factorial(Y) * math.factorial(B) ** Y
+    if count <= CANONICAL_SEARCH_CAP:
+        rank = {v: i for i, v in enumerate(sorted(set(table)))}
+        ranked = [rank[v] for v in table]
+        cells = list(itertools.product(range(X), range(Y), range(A), range(B)))
+        # flat index (x*Y + y)*A*B + a*B + b is one term per party
+        alice = [(ga, [ga[0][x] * Y * A * B + ga[1][x][a] * B for x, _, a, _ in cells])
+                 for ga in party_relabelings(X, A)]
+        bob = [(hb, [hb[0][y] * A * B + hb[1][y][b] for _, y, _, b in cells])
+               for hb in party_relabelings(Y, B)]
+        best, best_ranks = None, [-1] * len(cells)
+        for ga, ta in alice:
+            for hb, tb in bob:
+                for i, j, r in zip(ta, tb, best_ranks):
+                    if ranked[i + j] != r:
+                        if ranked[i + j] > r:
+                            best = (ta, tb, ga, hb)
+                            best_ranks = [ranked[i + j] for i, j in zip(ta, tb)]
+                        break
+        ta, tb, g, h = best
+        table = tuple(table[i + j] for i, j in zip(ta, tb))
+    # relabeled entry (a | x) reads the original (sigma[x][a] | pi[x])
+    of_a, of_b = ({(s[a], p): (a, x) for x, (p, s) in enumerate(zip(*r)) for a in range(len(s))}
+                  for r in (g, h))
+    return (table, of_a, of_b) if problem.shared_party == "B" else (table, of_b, of_a)
 
 
-def _unfold(problem: ExtensionProblem, relabeling, index, values) -> tuple:
-    """The full extension table of `problem` from one value per orbit of
-    its canonical problem (_canonical_problem's relabeling; index as from
-    _orbit_rows): every entry of the canonical table takes its orbit's
-    value, and the relabeling is undone.  Only a feasible witness is
-    unfolded, so an infeasible verdict never walks the extension table."""
+def _unfold(problem: ExtensionProblem, fixed, copy, index, values) -> tuple:
+    """The full extension table of `problem` in one pass: each entry
+    takes the value of the orbit (index from _orbit_rows) of its labels
+    read through _canonical_problem's maps, `fixed` for the fixed party
+    and `copy` for each copy.  Only a feasible witness is unfolded, so an
+    infeasible verdict never walks the extension table."""
     ext = problem.extension_scenario()
-    fixed, slots = problem.fixed_slot(), problem.copy_slots()
-    table = tuple(
-        values[index[outs[fixed], xs[fixed], tuple(sorted((outs[s], xs[s]) for s in slots))]]
+    f, slots = problem.fixed_slot(), problem.copy_slots()
+    return tuple(
+        values[index[fixed[outs[f], xs[f]], tuple(sorted(copy[outs[s], xs[s]] for s in slots))]]
         for xs in ext.input_tuples()
         for outs in ext.output_tuples()
     )
-    if relabeling is None:
-        return table
-    g, h = relabeling
-    m = problem.copies
-    in_perms, out_perms = [], []
-    for pi, sigma in [g] + [h] * m if problem.shared_party == "B" else [g] * m + [h]:
-        inverse = [0] * len(pi)
-        for x, old in enumerate(pi):
-            inverse[old] = x
-        in_perms.append(inverse)
-        out_perms.append([sigma[x] for x in inverse])
-    return relabel(Box(ext, table), in_perms, out_perms).table
 
 
 def folded_extension_lp(problem: ExtensionProblem):
     """Feasibility LP for a symmetric extension, one variable per orbit
-    (the value every entry of that orbit takes).  The rows are those of
-    the base box's canonical relabeling (_canonical_problem).  Returns
-    (program, unfold), where unfold(values) is the full extension table
-    of this problem whose entries take the values of their orbits; the
-    problem's table size was capped when it was made.  The rows of
-    _orbit_rows are already in LinearProgram's stored form (ascending
-    orbits, nonzero int coefficients, Fraction right-hand sides), so they
-    are appended to `eqs` directly, as they come."""
-    canon, relabeling = _canonical_problem(problem)
-    index, rows = _orbit_rows(canon)
+    (the value every entry of that orbit takes), and unfold(values), the
+    full extension table of this problem whose entries take the values
+    of their orbits; the table size was capped when the problem was made.
+    The rows are the cached _orbit_rows of the problem's shape, already
+    in LinearProgram's stored form (ascending orbits, nonzero int
+    coefficients), so they go into `eqs` as they come; the marginal rows
+    take their right-hand sides from the table of the base box's
+    canonical relabeling (_canonical_problem), in table order."""
+    table, fixed, copy = _canonical_problem(problem)
+    index, normalization, marginals, traces = _orbit_rows(
+        problem.base.scenario, problem.shared_party, problem.copies
+    )
     prog = lp.LinearProgram(len(index))
-    prog.eqs.extend((coeffs, rhs) for coeffs, rhs, _ in rows)
-    return prog, functools.partial(_unfold, problem, relabeling, index)
+    prog.eqs.extend(itertools.chain(normalization, zip(marginals, table), traces))
+    return prog, functools.partial(_unfold, problem, fixed, copy, index)
 
 
 def validate_extension(problem: ExtensionProblem, extension: Box) -> None:
@@ -493,21 +490,21 @@ def infinite_shareability_extension(model: LocalModel, m: int) -> Box:
 def _iso_ceiling_lp() -> lp.LinearProgram:
     """max C over 2-extensions toward Bob of isotropic-C, C in [0, 1].
 
-    The orbit rows are those of the noise box (C = 0).  The isotropic
-    family is affine in C, so C rides along as one more column: each
-    marginal row's rhs moves from the noise entry to the PR entry as C
-    goes from 0 to 1.
+    The isotropic family is affine in C, so C rides along as one more
+    column on the orbit rows of the 2222 shape: each marginal row's rhs
+    is the noise entry (C = 0), and C's coefficient in it is the noise
+    entry minus the PR entry, so the row asks for the isotropic-C entry.
     """
     from .isotropic import make_isotropic
 
-    pr = make_isotropic(1)
-    index, rows = _orbit_rows(ExtensionProblem(make_isotropic(0), "B", 2))
+    noise, pr = make_isotropic(0), make_isotropic(1)
+    index, normalization, marginals, traces = _orbit_rows(noise.scenario, "B", 2)
     n_orbits = len(index)
     prog = lp.LinearProgram(n_orbits + 1, [(n_orbits, ONE)])
     prog.set_upper(n_orbits, ONE)
-    for coeffs, rhs, entry in rows:
-        slope = rhs - pr.prob(*entry) if entry else ZERO
-        prog.add_eq(coeffs + ((n_orbits, slope),), rhs)
+    rows = [(c + ((n_orbits, p - q),), p) for c, p, q in zip(marginals, noise.table, pr.table)]
+    for coeffs, rhs in itertools.chain(normalization, rows, traces):
+        prog.add_eq(coeffs, rhs)
     return prog
 
 

@@ -9,8 +9,10 @@ folding every row of that table, and marginals and trace conditions
 read off one dense pass over the table, local bounds of Bell
 functionals from every strategy box built entry by entry, the LP
 certificate check in plain Fraction arithmetic, compatibility of two
-observables as feasibility of a joint table, and parties reordered
-coordinate by coordinate.  None of it shares
+observables as feasibility of a joint table, parties reordered
+coordinate by coordinate, and the canonical relabeling of an extension
+problem found by trying every relabeling, with its witness unfolded
+through core.relabel.  None of it shares
 code with the package paths it cross-checks.
 """
 
@@ -20,7 +22,7 @@ import itertools
 from fractions import Fraction
 
 from boxlab import lp
-from boxlab.core import Box, Scenario, ZERO, ONE
+from boxlab.core import Box, Scenario, ZERO, ONE, relabel
 
 
 def _solve_fraction_square(matrix, rhs):
@@ -457,7 +459,10 @@ def walked_orbit_rows(problem):
     Orbits are numbered as the walk first meets them; entries whose
     copy (output, input) pairs agree as multisets share one.  Returns
     (orbit index per flat table index, orbit count, rows), each row
-    (coefficients, rhs, entry) as in shareability._orbit_rows."""
+    (coefficients, rhs, entry): coefficients are (orbit, coefficient)
+    pairs in orbit order without zeros, and entry is the base box's
+    ((a, b), (x, y)) whose value a marginal row takes as its rhs, and
+    None for the other rows."""
     from boxlab import polytope
     from boxlab.core import marginal_indices
 
@@ -498,6 +503,57 @@ def walked_orbit_rows(problem):
     for coeffs, rhs in polytope.ns_equality_rows(ext):
         add(coeffs, rhs)
     return orbit_of, len(orbit_index), rows
+
+
+def _inverse(perm):
+    inverse = [0] * len(perm)
+    for new, old in enumerate(perm):
+        inverse[old] = new
+    return inverse
+
+
+def canonical_relabeling(base: Box):
+    """The bipartite box's local relabeling with the lexicographically
+    greatest table, by trying every one through core.relabel: returns
+    (table, (g, h)), g and h one (pi, sigma) per party, where entry
+    (a, b | x, y) of the table is entry (g[1][x][a], h[1][y][b] | g[0][x],
+    h[0][y]) of the box.  Of equal tables the first wins, with Alice's
+    relabeling varying slowest and each party's pi before its sigma."""
+    (X, Y), (A, B) = base.scenario.inputs, base.scenario.outputs
+
+    def party(inputs, outputs):
+        perms = list(itertools.permutations(range(outputs)))
+        return [(pi, sigma) for pi in itertools.permutations(range(inputs))
+                for sigma in itertools.product(perms, repeat=inputs)]
+
+    def relabeled(g, h):
+        # relabel's output permutation maps the device's output to the reported one
+        outs = [[_inverse(sigma) for sigma in g[1]], [_inverse(sigma) for sigma in h[1]]]
+        return relabel(base, [g[0], h[0]], outs).table
+
+    tables = ((relabeled(g, h), (g, h)) for g in party(X, A) for h in party(Y, B))
+    return max(tables, key=lambda pair: pair[0])
+
+
+def unfold_by_relabeling(problem, relabeling, values) -> tuple:
+    """The extension table of `problem` from one value per orbit of the
+    problem on the base box relabeled by `relabeling` (as
+    canonical_relabeling returns it, or None for no relabeling), built
+    table first: every entry of the relabeled problem's extension table
+    takes the value of its walked orbit (walked_orbit_rows), and
+    core.relabel then undoes the relabeling on every party, each copy
+    alike, through inverted permutations."""
+    table = tuple(values[o] for o in walked_orbit_rows(problem)[0])
+    if relabeling is None:
+        return table
+    g, h = relabeling
+    m = problem.copies
+    in_perms, out_perms = [], []
+    for pi, sigma in [g] + [h] * m if problem.shared_party == "B" else [g] * m + [h]:
+        inverse = _inverse(pi)
+        in_perms.append(inverse)
+        out_perms.append([sigma[x] for x in inverse])
+    return relabel(Box(problem.extension_scenario(), table), in_perms, out_perms).table
 
 
 def compatibility_lp(restricted: Box) -> lp.LinearProgram:

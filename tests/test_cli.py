@@ -274,6 +274,26 @@ def test_entropy_verify_checks_the_certificate_without_solving(corpus, monkeypat
     assert verify_tampered(corpus, ("iso-3/4", "entropy"), lambda data: None) == 0
 
 
+def test_entropy_runs_through_the_library_check(tmp_path, monkeypatch):
+    # one composition of scope, incompatibility and bound: the report's
+    # certificate is the outcome that entropy_bound_check returned
+    from boxlab import incompat
+
+    box, report = tmp_path / "box.txt", tmp_path / "report.json"
+    assert run("make", "iso", "--C", "3/4", "-o", box) == 0
+    real, results = incompat.entropy_bound_check, []
+
+    def recording(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(incompat, "entropy_bound_check", recording)
+    assert run("analyze", "entropy", box, "-o", report) == 0
+    (result,) = results
+    assert boxio.read_report(report)["certificate"] == boxio.encode_lp_outcome(result.outcome)
+    assert run("verify", report) == 0
+
+
 @pytest.mark.parametrize("party", ["A", "B"])
 @pytest.mark.parametrize("parties", [1, 3])
 def test_entropy_on_non_bipartite_box_exits_2(tmp_path, capsys, parties, party):

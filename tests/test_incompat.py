@@ -101,6 +101,14 @@ class TestIsCompatible:
         with pytest.raises(BadPair):
             incompatibility(pr_box(), ObservablePair("B", 0, 5))
 
+    @pytest.mark.parametrize(
+        "y0, y1", [(0, True), (False, 1), (0, 1.0), (0.0, 1), ("0", 1), (0, None)], ids=repr
+    )
+    def test_inputs_must_be_ints(self, y0, y1):
+        # no bool taken as 0 or 1, no float or string slicing a table
+        with pytest.raises(BadPair, match="must be ints"):
+            ObservablePair("B", y0, y1)
+
 
 class TestIncompatibility:
     def test_pr_is_one(self):
@@ -225,12 +233,23 @@ class TestEntropyBounds:
         # the check is the bound at the computed inc; a larger inc can break it
         pair = ObservablePair(party, 0, 1)
         box = make_isotropic(F(3, 4))
-        inc = incompatibility(box, pair).eta
-        assert entropy_bound(box, pair, inc) == entropy_bound_check(box, pair)
+        result = incompatibility(box, pair)
+        assert entropy_bound(box, pair, result.eta, result.outcome) == entropy_bound_check(box, pair)
+        # an inc certified elsewhere comes without an outcome
+        assert entropy_bound(box, pair, result.eta).outcome is None
         det00 = deterministic_strategies(SC22)[0].box()
         tight = mix([pr_box(), det00], [F(1, 2), F(1, 2)])
         assert entropy_bound(tight, pair, F(1, 2)).holds
         assert not entropy_bound(tight, pair, F(3, 4)).holds
+
+    @pytest.mark.parametrize("party", ["A", "B"])
+    def test_report_carries_the_outcome_that_proves_inc(self, party):
+        pair = ObservablePair(party, 0, 1)
+        for box in (pr_box(), make_isotropic(F(3, 4)), uniform_box(SC22)):
+            report = entropy_bound_check(box, pair)
+            assert report.outcome.status == lp.OPTIMAL and -report.outcome.value == report.inc
+            prog = incompatibility_lp_for(restrict_to_pair(box, pair))
+            assert lp.verify_certificate(prog, report.outcome)
 
     def test_binary_inputs_larger_outputs_in_scope(self, ns_vertices):
         from boxlab.shareability import generalized_isotropic

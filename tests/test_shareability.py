@@ -49,7 +49,12 @@ from boxlab.shareability import (
     validate_extension,
 )
 from conftest import asymmetric_giso, random_local_box, random_ns_box, tensor
-from oracles import unfolded_extension_feasible, walked_orbit_rows
+from oracles import (
+    canonical_relabeling,
+    unfold_by_relabeling,
+    unfolded_extension_feasible,
+    walked_orbit_rows,
+)
 
 # every certificate these tests produce is checked by both verifiers
 pytestmark = pytest.mark.usefixtures("both_verifiers")
@@ -276,23 +281,58 @@ class TestCanonicalRelabeling:
     @pytest.mark.parametrize("c", [F(0), F(1, 2), F(3, 4), F(1)])
     def test_isotropic_box_is_its_own_canonical_form(self, c):
         problem = ExtensionProblem(make_isotropic(c), "B", 2)
-        canon, relabeling = _canonical_problem(problem)
-        assert canon.base == problem.base
-        identity = ((0, 1), ((0, 1), (0, 1)))
-        assert relabeling == (identity, identity)
-        # unfolding leaves every entry in place
-        index, _ = _orbit_rows(canon)
-        orbits = range(len(index))
-        assert _unfold(problem, relabeling, index, orbits) == _unfold(problem, None, index, orbits)
+        table, fixed, copy = _canonical_problem(problem)
+        assert table == problem.base.table
+        assert fixed == copy == _identity_labels(2, 2)
+        # unfolding leaves every entry in place: each reads its own orbit
+        index = _orbit_rows(SC22, "B", 2)[0]
+        orbit_of = walked_orbit_rows(problem)[0]
+        assert list(_unfold(problem, fixed, copy, index, range(len(index)))) == orbit_of
 
     def test_large_alphabets_keep_their_labels(self):
         # 4 outputs per party: over a million relabelings, no search
         box = generalized_isotropic(4, F(1, 2))
         problem = ExtensionProblem(box, "B", 1)
-        assert _canonical_problem(problem)[0] is problem
+        table, fixed, copy = _canonical_problem(problem)
+        assert table is box.table
+        assert fixed == copy == _identity_labels(2, 4)
         witness = is_m_shareable(problem)
         assert witness.feasible
         assert witness.extension == box
+
+
+def _identity_labels(inputs, outputs):
+    return {(a, x): (a, x) for x in range(inputs) for a in range(outputs)}
+
+
+class TestUnfold:
+    """The one-pass unfold against the table-first one it replaced: the
+    canonical problem's extension table, then core.relabel."""
+
+    def _check(self, problem, relabeling):
+        table, fixed, copy = _canonical_problem(problem)
+        index = _orbit_rows(problem.base.scenario, problem.shared_party, problem.copies)[0]
+        # distinct values, so every entry must read its own orbit
+        values = range(len(index))
+        assert _unfold(problem, fixed, copy, index, values) == unfold_by_relabeling(
+            problem, relabeling, values
+        )
+        return table
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("party", "AB")
+    def test_maps_match_the_relabeling(self, party, m):
+        rng = random.Random(f"unfold {party} {m}")
+        for sc in (SC22, Scenario((3, 2), (2, 2)), Scenario((2, 2), (2, 3))):
+            box = relabel(_skewed_local_box(sc, rng), *_random_relabeling(rng, sc))
+            table, relabeling = canonical_relabeling(box)
+            assert self._check(ExtensionProblem(box, party, m), relabeling) == table
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("party", "AB")
+    def test_over_the_cap_keeps_the_labels(self, party, m):
+        box = generalized_isotropic(4, F(1, 2))
+        assert self._check(ExtensionProblem(box, party, m), None) is box.table
 
 
 def _skewed_local_box(sc: Scenario, rng: random.Random):
@@ -313,14 +353,24 @@ ORBIT_ALPHABETS = [(2, 2, 2, 2)] + [
 class TestOrbitRows:
     def _check(self, problem):
         orbit_of, n_orbits, rows = walked_orbit_rows(problem)
-        index, got = _orbit_rows(problem)
+        base, party, m = problem.base, problem.shared_party, problem.copies
+        index, normalization, marginals, traces = _orbit_rows(base.scenario, party, m)
         assert len(index) == n_orbits
-        assert got == rows
+        # the walk's rows, with the box's table filled in as marginal rhs
+        filled = normalization + tuple(zip(marginals, base.table)) + traces
+        assert filled == tuple((coeffs, rhs) for coeffs, rhs, _ in rows)
+        # one marginal row per base entry, in table order
+        sc = base.scenario
+        entries = [(outs, xs) for xs in sc.input_tuples() for outs in sc.output_tuples()]
+        nones = [None] * len(normalization), [None] * len(traces)
+        assert [entry for _, _, entry in rows] == nones[0] + entries + nones[1]
         # the orbits carry the walk's numbering, entry by entry
-        assert list(_unfold(problem, None, index, range(n_orbits))) == orbit_of
-        (X, Y), (A, B) = problem.base.scenario.inputs, problem.base.scenario.outputs
-        fixed, copy = (A * X, B * Y) if problem.shared_party == "B" else (B * Y, A * X)
-        assert n_orbits == fixed * math.comb(copy + problem.copies - 1, problem.copies)
+        (X, Y), (A, B) = sc.inputs, sc.outputs
+        alice, bob = _identity_labels(X, A), _identity_labels(Y, B)
+        labels = (alice, bob) if party == "B" else (bob, alice)
+        assert list(_unfold(problem, *labels, index, range(n_orbits))) == orbit_of
+        fixed, copy = (A * X, B * Y) if party == "B" else (B * Y, A * X)
+        assert n_orbits == fixed * math.comb(copy + m - 1, m)
 
     @pytest.mark.parametrize("party", "AB")
     @pytest.mark.parametrize("alphabets", ORBIT_ALPHABETS)
@@ -335,6 +385,52 @@ class TestOrbitRows:
     @pytest.mark.parametrize("m", [4, 5])
     def test_rows_match_the_walk_for_more_copies(self, m, party):
         self._check(ExtensionProblem(_skewed_local_box(SC22, random.Random(m)), party, m))
+
+    def test_one_build_per_shape(self):
+        _orbit_rows.cache_clear()
+        boxes = (make_isotropic(F(1, 2)), asymmetric_giso(F(3, 5)))
+        problems = [ExtensionProblem(box, "B", 3) for box in boxes]
+        progs = [folded_extension_lp(problem)[0] for problem in problems]
+        info = _orbit_rows.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        normalization, marginals, traces = _orbit_rows(SC22, "B", 3)[1:]
+        first, second = (prog.eqs for prog in progs)
+        # the very same coefficient tuples, not equal copies
+        assert len(first) == len(second)
+        assert all(a is b for (a, _), (b, _) in zip(first, second))
+        # the programs differ only in the marginal right-hand sides, each
+        # the table of the base box's canonical relabeling
+        for prog, problem in zip(progs, problems):
+            table = _canonical_problem(problem)[0]
+            assert prog.eqs == [*normalization, *zip(marginals, table), *traces]
+        differ = [k for k, (a, b) in enumerate(zip(first, second)) if a != b]
+        assert differ and all(len(normalization) <= k < len(normalization) + 16 for k in differ)
+
+    def test_cached_rows_are_read_only(self):
+        problem = ExtensionProblem(make_isotropic(F(1, 2)), "A", 2)
+        rows = _orbit_rows(SC22, "A", 2)
+        index, normalization, marginals, traces = rows
+        key = next(iter(index))
+        with pytest.raises(TypeError):
+            index[key] = 0
+        with pytest.raises(TypeError):
+            del index[key]
+        assert all(type(part) is tuple for part in rows[1:])
+        assert all(type(row) is tuple and type(row[0]) is tuple for row in normalization + traces)
+        assert all(type(coeffs) is tuple for coeffs in marginals)
+        # a program's row list is its own: changing it leaves the cache alone
+        prog, _ = folded_extension_lp(problem)
+        want = list(prog.eqs)
+        prog.eqs.clear()
+        prog.add_eq([(0, 1)], 1)
+        assert _orbit_rows(SC22, "A", 2) == rows
+        assert folded_extension_lp(problem)[0].eqs == want
+
+
+@pytest.mark.parametrize("copies", [True, False, 2.0, "2", F(2), None], ids=repr)
+def test_copies_must_be_ints(copies):
+    with pytest.raises(BadParams, match="copies must be an int"):
+        ExtensionProblem(make_isotropic(F(1, 2)), "B", copies)
 
 
 class TestLocalModelFromExtension:
