@@ -1,7 +1,7 @@
 """boxlab: exact-rational analysis of nonsignaling correlation boxes.
 
 Submodules:
-    core          scenarios, boxes, marginals, conditioning, relabeling
+    core          scenarios, boxes, marginals, relabeling
     lp            exact simplex with Farkas / dual certificates
     polytope      deterministic strategies, nonsignaling constraint rows
     bell          CHSH, CGLMP, normalization, unique maximizers

@@ -45,10 +45,6 @@ class SignalingBox(BoxlabError):
         super().__init__(f"box is signaling: {witness}")
 
 
-class ZeroProbabilityCondition(BoxlabError):
-    pass
-
-
 class BadPermutation(BoxlabError):
     pass
 
@@ -394,41 +390,6 @@ def restrict_bob_inputs(box: Box, y_values: Sequence[int]) -> Box:
             start = (x * Y + y) * n_out
             table.extend(box.table[start : start + n_out])
     return Box(Scenario((X, len(ys)), box.scenario.outputs), tuple(table))
-
-
-def condition(box: Box, party: int, x_k: int, a_k: int) -> Box:
-    """Box on the remaining parties given party k saw (x_k, a_k).
-
-    Requires P(a_k | x_k) > 0; the box must be nonsignaling for that
-    marginal to be well defined (checked via marginal()).
-    """
-    sc = box.scenario
-    if sc.parties < 2:
-        raise ScenarioMismatch("conditioning needs at least two parties")
-    if not 0 <= party < sc.parties:
-        raise ScenarioMismatch(f"party {party} out of range for {sc.parties} parties")
-    if not (0 <= x_k < sc.inputs[party] and 0 <= a_k < sc.outputs[party]):
-        raise ScenarioMismatch(
-            f"party {party} has {sc.inputs[party]} inputs and {sc.outputs[party]} outputs,"
-            f" got x={x_k}, a={a_k}"
-        )
-    pk = marginal(box, (party,))
-    p = pk.prob((a_k,), (x_k,))
-    if p == 0:
-        raise ZeroProbabilityCondition(
-            f"P(a={a_k} | x={x_k}) = 0 for party {party}"
-        )
-    keep = [i for i in range(sc.parties) if i != party]
-    sub = Scenario(
-        tuple(sc.inputs[i] for i in keep), tuple(sc.outputs[i] for i in keep)
-    )
-    table = []
-    for xs_sub in sub.input_tuples():
-        xs = xs_sub[:party] + (x_k,) + xs_sub[party:]
-        for outs_sub in sub.output_tuples():
-            outs = outs_sub[:party] + (a_k,) + outs_sub[party:]
-            table.append(box.prob(outs, xs) / p)
-    return validate_box(table, sub)
 
 
 def permute_parties(box: Box, perm: Sequence[int]) -> Box:

@@ -78,6 +78,15 @@ class LocalModel(Frozen):
     def reconstructs(self, box: Box) -> bool:
         return self.box() == box
 
+    def adjoin(self, inputs, outputs, tables) -> LocalModel:
+        """The model with parties of alphabet sizes `inputs` and `outputs`
+        appended, which strategy k answers by the response tables tables[k]."""
+        sc = self.scenario
+        ext = Scenario(sc.inputs + tuple(inputs), sc.outputs + tuple(outputs))
+        pairs = zip(self.strategies, tables)
+        strategies = tuple(DeterministicStrategy(ext, s.tables + tuple(t)) for s, t in pairs)
+        return LocalModel(ext, strategies, self.weights)
+
 
 class NonlocalityCertificate(Frozen):
     """Normalized Bell functional separating a box from the local polytope:
@@ -147,20 +156,17 @@ def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
 def eve_extension(box: Box, model: LocalModel) -> Box:
     """Adjoin an eavesdropper who outputs the hidden variable.
 
-    Eve has a single trivial input; her output is the index of the model
-    strategy that fired.  Conditioned on her output the remaining box is
-    the corresponding deterministic product, so the extension satisfies
-    the no-secrecy condition by construction and stays nonsignaling.
+    Eve has a single trivial input; her output is the index of the
+    strategy of positive weight that fired: she is adjoined to the model.
+    Conditioned on her output the remaining box is that deterministic
+    product, so the extension satisfies the no-secrecy condition by
+    construction and stays nonsignaling.
     """
     if model.scenario != box.scenario:
         raise ModelMismatch("model and box scenarios differ")
     if not model.reconstructs(box):
         raise ModelMismatch("model does not reproduce the box")
     pairs = [(s, w) for s, w in zip(model.strategies, model.weights) if w]
-    sc = box.scenario
-    ext = Scenario(sc.inputs + (1,), sc.outputs + (len(pairs),))
-    strategies = tuple(
-        DeterministicStrategy(ext, s.tables + ((e,),)) for e, (s, _) in enumerate(pairs)
-    )
-    return LocalModel(ext, strategies, tuple(w for _, w in pairs)).box()
+    live = LocalModel(box.scenario, *zip(*pairs))
+    return live.adjoin((1,), (len(pairs),), [((e,),) for e in range(len(pairs))]).box()
 

@@ -12,6 +12,12 @@ canonical form.  The membership rows of `locality` and the orbit rows
 of `shareability` (per scenario, shared party and m) are cached alike:
 three row sets built once, to which a box adds only right-hand sides.
 All are tuples, so no caller can change them.
+
+Two builders state a marginal of a larger table, both through
+`core.marginal_indices`: `lift` reads a functional of the marginal as
+a row (the rows of `shareability.monogamy_lp`), and `marginal_rows`
+pins the marginal to a box (the decoupling LP's pin, and the
+copy-marginal check of `shareability.validate_extension`).
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .core import Box, Frozen, Scenario, ZERO, ONE, trace_indices
+from .core import Box, Frozen, Scenario, ZERO, ONE, marginal_indices, trace_indices
 from . import lp
 
 
@@ -97,6 +103,20 @@ def ns_equality_rows(scenario: Scenario) -> list[tuple[list[tuple[int, Fraction]
         for lo, hi in zip(per_x, per_x[1:]):
             rows.append(([c for i, j in zip(lo, hi) for c in ((i, ONE), (j, -ONE))], ZERO))
     return rows
+
+
+def lift(scenario: Scenario, parties, coefficients) -> list[tuple[int, Fraction]]:
+    """Coefficients of a functional on the marginal on `parties`, in its
+    table order, as nonzero (index, coefficient) pairs on the full table."""
+    entries = marginal_indices(scenario, parties)
+    return [(i, c) for c, (_, idx) in zip(coefficients, entries) if c for i in idx]
+
+
+def marginal_rows(scenario: Scenario, parties, box: Box) -> list[tuple[list[tuple[int, Fraction]], Fraction]]:
+    """Per entry of the marginal on `parties`, in its table order, the
+    equality row (coefficients, rhs) setting it to that entry of `box`."""
+    entries = marginal_indices(scenario, parties)
+    return [([(i, ONE) for i in idx], p) for (_, idx), p in zip(entries, box.table)]
 
 
 @functools.lru_cache(maxsize=16)

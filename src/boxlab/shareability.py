@@ -21,9 +21,12 @@ m)), which is why nonlocal boxes cannot be cloned; the isotropic
 family's cloning ceiling, C = 1/2, is the optimum of the same LP with C
 as one more column.
 
-Monogamy and the box families live here too.  Functions that call
-bell, isotropic or locality import them inside, so deciding
-shareability loads none of those modules.
+Monogamy and the box families live here too.  The monogamy LP lifts
+CHSH onto the AB and AC pairs of a tripartite table (polytope.lift),
+and the decoupling LP pins the AB marginal to a functional's unique
+maximizer (polytope.marginal_rows).  Functions that call bell,
+isotropic or locality import them inside, so deciding shareability
+loads none of those modules.
 """
 
 from __future__ import annotations
@@ -50,12 +53,10 @@ from .core import (
     ensure,
     is_nonsignaling,
     marginal,
-    marginal_indices,
     mix,
     party_relabelings,
     permute_parties,
     rat,
-    relabel,
     restrict_bob_inputs,
     swap_indices,
     validate_box,
@@ -347,7 +348,8 @@ def validate_extension(problem: ExtensionProblem, extension: Box) -> None:
     """Raise NotAnExtension unless symmetric, nonsignaling, and marginal-exact.
     Symmetry compares the table with its image under core.swap_indices for
     each adjacent slot pair; signaling is checked once; each copy-marginal
-    is then read through core.marginal_indices."""
+    is then checked against polytope.marginal_rows, the rows that pin a
+    marginal to the base box."""
     ext = problem.extension_scenario()
     if extension.scenario != ext:
         raise NotAnExtension("extension scenario mismatch")
@@ -360,10 +362,8 @@ def validate_extension(problem: ExtensionProblem, extension: Box) -> None:
         raise NotAnExtension("extension is signaling")
     fixed = problem.fixed_slot()
     for slot in slots:
-        pair = (fixed, slot) if fixed < slot else (slot, fixed)
-        entries = marginal_indices(ext, pair)
-        if any(sum((table[i] for i in idx), ZERO) != p
-               for (_, idx), p in zip(entries, problem.base.table)):
+        rows = polytope.marginal_rows(ext, sorted((fixed, slot)), problem.base)
+        if any(sum((c * table[i] for i, c in row), ZERO) != p for row, p in rows):
             raise NotAnExtension(f"marginal onto slot {slot} differs from the base")
 
 
@@ -466,21 +466,16 @@ def local_model_from_extension(
 
 
 def infinite_shareability_extension(model: LocalModel, m: int) -> Box:
-    """Extend a local bipartite box to m copies of Bob by replaying the
-    model's Bob response in every copy; valid for every m."""
-    from .locality import LocalModel
-
+    """Extend a local bipartite box to m copies of Bob, for any int m >= 1,
+    by adjoining m - 1 parties to the model that replay its Bob response
+    (LocalModel.adjoin)."""
     if model.scenario.parties != 2:
         raise ScenarioMismatch("need a bipartite local model")
-    if m < 1:
-        raise BadParams("need at least one copy")
-    X, Y = model.scenario.inputs
-    A, B = model.scenario.outputs
-    ext = Scenario((X,) + (Y,) * m, (A,) + (B,) * m)
-    strategies = tuple(
-        DeterministicStrategy(ext, (s.tables[0],) + (s.tables[1],) * m) for s in model.strategies
-    )
-    return LocalModel(ext, strategies, model.weights).box()
+    if type(m) is not int or m < 1:
+        raise BadParams(f"copies must be an int of at least 1, got {m!r}")
+    (_, Y), (_, B) = model.scenario.inputs, model.scenario.outputs
+    tables = [(s.tables[1],) * (m - 1) for s in model.strategies]
+    return model.adjoin((Y,) * (m - 1), (B,) * (m - 1), tables).box()
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +519,6 @@ def isotropic_clone_ceiling() -> Fraction:
 # monogamy
 
 
-def _pair_rows(sc3: Scenario, parties: tuple[int, int], functional: BellFunctional):
-    """Lift a bipartite functional's coefficients to (index, coefficient)
-    pairs on the tripartite table, through the pair's marginal entries."""
-    entries = marginal_indices(sc3, parties)
-    return [(i, c) for c, (_, idx) in zip(functional.coefficients, entries) if c for i in idx]
-
-
 def monogamy_lp(beta) -> lp.LinearProgram:
     """Maximize the linear part of CHSH(A,C) over tripartite binary
     nonsignaling boxes with CHSH(A,B) >= beta; add the -1 offset back to
@@ -542,9 +530,8 @@ def monogamy_lp(beta) -> lp.LinearProgram:
         raise BadParams(f"beta must be in [-1, 1], got {beta}")
     sc3 = Scenario((2, 2, 2), (2, 2, 2))
     f = chsh_functional()
-    ab = _pair_rows(sc3, (0, 1), f)
-    ac = _pair_rows(sc3, (0, 2), f)
-    prog = polytope.ns_lp(sc3, ac)
+    ab = polytope.lift(sc3, (0, 1), f.coefficients)
+    prog = polytope.ns_lp(sc3, polytope.lift(sc3, (0, 2), f.coefficients))
     # chsh_AB >= beta, offset -1 folded into the right-hand side
     prog.add_ineq([(k, -v) for k, v in ab], -(beta - f.offset))
     return prog
@@ -562,31 +549,26 @@ def monogamy_tradeoff(beta) -> tuple[Fraction, lp.LpOutcome]:
 def unique_violator_decoupling(
     f: BellFunctional, g: BellFunctional
 ) -> tuple[Fraction, Fraction]:
-    """(max, min) of g on the Alice-Clare marginal when Alice-Bob sit at
-    f's unique nonsignaling maximum; equality means Clare decoupled."""
+    """(max, min) of g on the Alice-Clare marginal when the Alice-Bob
+    marginal is pinned (polytope.marginal_rows) to the box at which f
+    attains its nonsignaling maximum, which must be unique; equality
+    means Clare decoupled, however f is scaled or shifted."""
     from .bell import unique_ns_maximizer
 
-    unique, _ = unique_ns_maximizer(f)
+    unique, maximizer = unique_ns_maximizer(f)
     if not unique:
         raise NotUniqueMaximizer("functional has no unique NS maximizer")
-    fa, fb = f.scenario.inputs
-    ga, gc = g.scenario.inputs
-    if (fa, f.scenario.outputs[0]) != (ga, g.scenario.outputs[0]):
+    (fx, fy), (fa, fb) = f.scenario.inputs, f.scenario.outputs
+    (gx, gz), (ga, gc) = g.scenario.inputs, g.scenario.outputs
+    if (fx, fa) != (gx, ga):
         raise ScenarioMismatch("f and g disagree on Alice's alphabets")
-    sc3 = Scenario(
-        (fa, f.scenario.inputs[1], gc),
-        (f.scenario.outputs[0], f.scenario.outputs[1], g.scenario.outputs[1]),
-    )
-    ab = _pair_rows(sc3, (0, 1), f)
-    ac = _pair_rows(sc3, (0, 2), g)
-    hi = polytope.max_over_ns(sc3, ac, extra_eqs=[(ab, ONE - f.offset)])
-    lo = polytope.max_over_ns(
-        sc3, [(k, -v) for k, v in ac], extra_eqs=[(ab, ONE - f.offset)]
-    )
-    ensure(
-        hi.status == lp.OPTIMAL and lo.status == lp.OPTIMAL,
-        f"decoupling LPs ended {hi.status}, {lo.status}",
-    )
+    sc3 = Scenario((fx, fy, gz), (fa, fb, gc))
+    pinned = polytope.marginal_rows(sc3, (0, 1), maximizer)
+    ac = polytope.lift(sc3, (0, 2), g.coefficients)
+    hi = polytope.max_over_ns(sc3, ac, extra_eqs=pinned)
+    lo = polytope.max_over_ns(sc3, [(k, -v) for k, v in ac], extra_eqs=pinned)
+    ok = hi.status == lo.status == lp.OPTIMAL
+    ensure(ok, f"decoupling LPs ended {hi.status}, {lo.status}")
     return hi.value + g.offset, -lo.value + g.offset
 
 
@@ -661,22 +643,3 @@ def generalized_isotropic(num_outputs: int, c, dist=None) -> Box:
     noise = [d[a] * d[b] for _ in sc.input_tuples() for a, b in sc.output_tuples()]
     return mix([gpr, validate_box(noise, sc)], [c, 1 - c])
 
-
-def shared_shift_symmetrize(box: Box) -> Box:
-    """Average over a shared uniform shift r: both outputs move by r mod A.
-
-    Fixes the generalized PR box, makes single-party marginals uniform,
-    and maps any output-product noise to shift-invariant noise (uniform
-    over each diagonal a - b = const, not a product in general).
-    """
-    sc = box.scenario
-    if sc.parties != 2 or sc.outputs[0] != sc.outputs[1]:
-        raise ScenarioMismatch("need a bipartite box with equal output alphabets")
-    A = sc.outputs[0]
-    in_perms = [tuple(range(v)) for v in sc.inputs]
-    variants = []
-    for r in range(A):
-        tau = tuple((v + r) % A for v in range(A))
-        out_perms = [[tau] * sc.inputs[0], [tau] * sc.inputs[1]]
-        variants.append(relabel(box, in_perms, out_perms))
-    return mix(variants, [Fraction(1, A)] * A)

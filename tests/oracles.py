@@ -14,6 +14,11 @@ coordinate by coordinate, and the canonical relabeling of an extension
 problem found by trying every relabeling, with its witness unfolded
 through core.relabel.  None of it shares
 code with the package paths it cross-checks.
+
+Two constructions that no package path uses live here too, for the
+tests that build boxes with them: `condition`, a box conditioned on one
+party's outcome, and `shared_shift_symmetrize`, a bipartite box
+averaged over a shared shift of both outputs.
 """
 
 from __future__ import annotations
@@ -22,7 +27,18 @@ import itertools
 from fractions import Fraction
 
 from boxlab import lp
-from boxlab.core import Box, Scenario, ZERO, ONE, relabel
+from boxlab.core import (
+    Box,
+    BoxlabError,
+    Scenario,
+    ScenarioMismatch,
+    ZERO,
+    ONE,
+    marginal,
+    mix,
+    relabel,
+    validate_box,
+)
 
 
 def _solve_fraction_square(matrix, rhs):
@@ -578,3 +594,62 @@ def compatibility_lp(restricted: Box) -> lp.LinearProgram:
             ZERO,
         )
     return prog
+
+
+class ZeroProbabilityCondition(BoxlabError):
+    pass
+
+
+def condition(box: Box, party: int, x_k: int, a_k: int) -> Box:
+    """Box on the remaining parties given party k saw (x_k, a_k).
+
+    Requires P(a_k | x_k) > 0; the box must be nonsignaling for that
+    marginal to be well defined (checked via marginal()).
+    """
+    sc = box.scenario
+    if sc.parties < 2:
+        raise ScenarioMismatch("conditioning needs at least two parties")
+    if not 0 <= party < sc.parties:
+        raise ScenarioMismatch(f"party {party} out of range for {sc.parties} parties")
+    if not (0 <= x_k < sc.inputs[party] and 0 <= a_k < sc.outputs[party]):
+        raise ScenarioMismatch(
+            f"party {party} has {sc.inputs[party]} inputs and {sc.outputs[party]} outputs,"
+            f" got x={x_k}, a={a_k}"
+        )
+    pk = marginal(box, (party,))
+    p = pk.prob((a_k,), (x_k,))
+    if p == 0:
+        raise ZeroProbabilityCondition(
+            f"P(a={a_k} | x={x_k}) = 0 for party {party}"
+        )
+    keep = [i for i in range(sc.parties) if i != party]
+    sub = Scenario(
+        tuple(sc.inputs[i] for i in keep), tuple(sc.outputs[i] for i in keep)
+    )
+    table = []
+    for xs_sub in sub.input_tuples():
+        xs = xs_sub[:party] + (x_k,) + xs_sub[party:]
+        for outs_sub in sub.output_tuples():
+            outs = outs_sub[:party] + (a_k,) + outs_sub[party:]
+            table.append(box.prob(outs, xs) / p)
+    return validate_box(table, sub)
+
+
+def shared_shift_symmetrize(box: Box) -> Box:
+    """Average over a shared uniform shift r: both outputs move by r mod A.
+
+    Fixes the generalized PR box, makes single-party marginals uniform,
+    and maps any output-product noise to shift-invariant noise (uniform
+    over each diagonal a - b = const, not a product in general).
+    """
+    sc = box.scenario
+    if sc.parties != 2 or sc.outputs[0] != sc.outputs[1]:
+        raise ScenarioMismatch("need a bipartite box with equal output alphabets")
+    A = sc.outputs[0]
+    in_perms = [tuple(range(v)) for v in sc.inputs]
+    variants = []
+    for r in range(A):
+        tau = tuple((v + r) % A for v in range(A))
+        out_perms = [[tau] * sc.inputs[0], [tau] * sc.inputs[1]]
+        variants.append(relabel(box, in_perms, out_perms))
+    return mix(variants, [Fraction(1, A)] * A)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -576,3 +578,40 @@ def test_shrink_round_trip(tmp_path, option, epsilon):
     assert run("analyze", "shrink", box, *option, "-o", report) == 0
     assert boxio.read_report(report)["verdict"]["epsilon"] == epsilon
     assert run("verify", report) == 0
+
+
+# ---------------------------------------------------------------------------
+# README's examples, run as README gives them
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_readme_command(line, tmp_path):
+    """A README command line `PYTHONPATH=src python -m boxlab.cli ...`, run
+    from the root of the checkout with its /tmp/ paths moved into tmp_path."""
+    env, *argv = shlex.split(line)
+    assert env == "PYTHONPATH=src" and argv[:3] == ["python", "-m", "boxlab.cli"], line
+    argv = [sys.executable, *argv[1:3], *(a.replace("/tmp/", f"{tmp_path}/") for a in argv[3:])]
+    return subprocess.run(argv, cwd=ROOT, env={**os.environ, "PYTHONPATH": "src"},
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_readme_examples_hold(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [b.splitlines() for b in re.findall(r"```sh\n(.*?)```", readme, re.S) if "boxlab.cli" in b]
+    assert len(blocks) == 2
+    procs = [run_readme_command(line, tmp_path) for line in blocks[0] + blocks[1]]
+    # make, analyze local, verify; make, analyze shareable, verify
+    assert [p.returncode for p in procs] == [0, 1, 0, 0, 0, 0], [p.stderr for p in procs]
+    flat = " ".join(readme.split())
+    for promise, proc in [
+        ("The analysis prints `nonlocal: certificate violation 1` and exits 1", procs[1]),
+        ("`verify` prints `verified` and exits 0", procs[2]),
+        ("the analysis prints `2-shareable wrt B: yes` and exits 0", procs[4]),
+    ]:
+        assert promise in flat
+        assert re.search(r"`([^`]*)` and exits", promise)[1] in proc.stdout
+    # the exit-code section's example, on the PR box the first block wrote
+    command, message = re.search(r"`(analyze cglmp /tmp/pr\.txt)` exits 2 with `([^`]*)`", flat).groups()
+    proc = run_readme_command(f"PYTHONPATH=src python -m boxlab.cli {command}", tmp_path)
+    assert proc.returncode == 2 and message in proc.stderr

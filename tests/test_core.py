@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boxlab import bell
-from boxlab.polytope import ns_equality_rows
+from boxlab.polytope import lift, marginal_rows, ns_equality_rows
 from boxlab.core import (
     BadPermutation,
     Box,
@@ -16,9 +16,7 @@ from boxlab.core import (
     ScenarioMismatch,
     SignalingBox,
     WeightError,
-    ZeroProbabilityCondition,
     box_from_function,
-    condition,
     is_nonsignaling,
     marginal,
     mix,
@@ -30,7 +28,13 @@ from boxlab.core import (
     validate_box,
 )
 from conftest import identity_relabeling, relabelings_2222, tensor
-from oracles import marginal_dense, permute_parties_walk, trace_violation_dense
+from oracles import (
+    ZeroProbabilityCondition,
+    condition,
+    marginal_dense,
+    permute_parties_walk,
+    trace_violation_dense,
+)
 
 SC22 = Scenario((2, 2), (2, 2))
 
@@ -436,6 +440,44 @@ def test_marginal_matches_dense_oracle():
             m = marginal(box, keep)
             got = {(outs, xs): m.prob(outs, xs) for xs in m.scenario.input_tuples() for outs in m.scenario.output_tuples()}
             assert got == marginal_dense(box, keep)
+
+
+def marginal_cases():
+    """(box, keep, the kept parties' scenario, its table as marginal_dense
+    reads it) for seeded NS boxes in tripartite scenarios whose parties
+    have distinct alphabets, on every increasing party subset."""
+    rng = random.Random(1806)
+    for sc in (Scenario((3, 2, 1), (2, 3, 2)), Scenario((1, 3, 2), (3, 2, 2))):
+        for _ in range(3):
+            box = seeded_ns_box(rng, sc)
+            for keep in subsets(sc.parties):
+                sub = Scenario([sc.inputs[i] for i in keep], [sc.outputs[i] for i in keep])
+                dense = marginal_dense(box, keep)
+                yield box, keep, sub, [dense[outs, xs] for xs in sub.input_tuples() for outs in sub.output_tuples()]
+
+
+def row_value(row, box):
+    return sum((c * box.table[i] for i, c in row), F(0))
+
+
+def test_lift_matches_dense_oracle():
+    rng = random.Random(508)
+    for box, keep, sub, dense in marginal_cases():
+        # each marginal entry alone, then a seeded combination with zeros
+        for k in range(sub.table_size):
+            unit = [F(int(j == k)) for j in range(sub.table_size)]
+            assert row_value(lift(box.scenario, keep, unit), box) == dense[k]
+        coeffs = [F(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in dense]
+        row = lift(box.scenario, keep, coeffs)
+        assert all(c for _, c in row)
+        assert row_value(row, box) == sum((c * p for c, p in zip(coeffs, dense)), F(0))
+
+
+def test_marginal_rows_match_dense_oracle():
+    for box, keep, sub, dense in marginal_cases():
+        rows = marginal_rows(box.scenario, keep, Box(sub, tuple(dense)))
+        assert [rhs for _, rhs in rows] == dense
+        assert [row_value(row, box) for row, _ in rows] == dense
 
 
 def test_ns_rows_vanish_exactly_on_nonsignaling_boxes():

@@ -10,7 +10,6 @@ from boxlab.core import (
     Scenario,
     ZERO,
     box_from_function,
-    condition,
     is_nonsignaling,
     marginal,
     mix,
@@ -26,7 +25,7 @@ from boxlab.locality import (
     is_local,
 )
 from conftest import is_deterministic, random_local_box, random_ns_box
-from oracles import deterministic_box_tables, local_membership_alternative
+from oracles import condition, deterministic_box_tables, local_membership_alternative
 
 # every certificate these tests produce is checked by both verifiers
 pytestmark = pytest.mark.usefixtures("both_verifiers")
@@ -162,6 +161,20 @@ class TestDeterminismImpliesLocality:
         for _ in range(5):
             box = strategies[rng.randrange(len(strategies))].box()
             assert isinstance(is_local(box), LocalModel)
+
+
+class TestAdjoin:
+    def test_marginal_on_own_parties_is_the_model_box(self, ns_vertices):
+        # two parties with alphabets of their own, answered by seeded tables
+        rng = random.Random(1807)
+        for box in [make_isotropic(F(1, 2))] + [random_local_box(rng, ns_vertices) for _ in range(4)]:
+            model = is_local(box)
+            tables = [((rng.randrange(3), rng.randrange(3)), (rng.randrange(2),)) for _ in model.strategies]
+            ext = model.adjoin((2, 1), (3, 2), tables)
+            assert ext.scenario == Scenario((2, 2, 2, 1), (2, 2, 3, 2))
+            assert ext.weights == model.weights
+            assert is_nonsignaling(ext.box())
+            assert marginal(ext.box(), (0, 1)) == model.box()
 
 
 class TestEveExtension:

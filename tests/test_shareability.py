@@ -44,13 +44,13 @@ from boxlab.shareability import (
     monogamy_tradeoff,
     polygamy_example,
     restrict_bob_inputs,
-    shared_shift_symmetrize,
     unique_violator_decoupling,
     validate_extension,
 )
 from conftest import asymmetric_giso, random_local_box, random_ns_box, tensor
 from oracles import (
     canonical_relabeling,
+    shared_shift_symmetrize,
     unfold_by_relabeling,
     unfolded_extension_feasible,
     walked_orbit_rows,
@@ -504,6 +504,12 @@ class TestInfiniteShareability:
             ext = infinite_shareability_extension(model, 3)
             validate_extension(ExtensionProblem(box, "B", 3), ext)
 
+    @pytest.mark.parametrize("m", [True, 2.0, "2", 0, None])
+    def test_copy_count_must_be_a_positive_int(self, m):
+        # a bool is an int to `<`, and a float or str would reach the scenario
+        with pytest.raises(BadParams):
+            infinite_shareability_extension(is_local(make_isotropic(F(1, 2))), m)
+
 
 class TestCloning:
     """Perfect cloning of Bob's wing into m copies is m-shareability toward B."""
@@ -576,6 +582,28 @@ class TestMonogamy:
         with pytest.raises(BadParams):
             monogamy_tradeoff(F(3, 2))
 
+    def test_rows_read_chsh_of_the_two_pairs(self):
+        # seeded mixtures of a PR box on AB, one on AC and two deterministic
+        # strategies, so the two pairs' CHSH values differ
+        rng = random.Random(1808)
+        sc3 = Scenario((2, 2, 2), (2, 2, 2))
+        pr_ab = tensor(pr_box(), uniform_box(Scenario((2,), (2,))))
+        parts = [pr_ab, permute_parties(pr_ab, (0, 2, 1))]
+        boxes = []
+        for _ in range(6):
+            chosen = parts + [s.box() for s in rng.sample(deterministic_strategies(sc3), 2)]
+            weights = [rng.randrange(1, 6) for _ in chosen]
+            boxes.append(mix(chosen, [F(w, sum(weights)) for w in weights]))
+        assert any(chsh(marginal(b, (0, 1))) != chsh(marginal(b, (0, 2))) for b in boxes)
+        for beta in (F(-1), F(-1, 2), F(0), F(1, 4), F(1)):
+            prog = monogamy_lp(beta)
+            [(row, rhs)] = prog.ineqs
+            assert rhs == -(beta + 1)  # -chsh_AB - 1 <= -beta - 1
+            for box in boxes:
+                ac, ab = (sum((c * box.table[i] for i, c in pairs), ZERO) for pairs in (prog.objective, row))
+                assert ac - 1 == chsh(marginal(box, (0, 2)))
+                assert -ab - 1 == chsh(marginal(box, (0, 1)))
+
     def test_tightness_construction(self):
         # lambda PR_AB + (1-lambda) PR_AC realizes the -beta tradeoff line
         lam = F(2, 3)
@@ -604,17 +632,30 @@ class TestUniqueViolatorDecoupling:
             chsh_functional(), self._correlator_functional()
         ) == (0, 0)
 
-    def test_cglmp3_match_probability_pinned(self):
-        # P(c = a at the first inputs): pinned at 1/3 because the unique
-        # maximizer has uniform Alice marginals, whatever Clare outputs
-        f3 = bell.cglmp(3)
+    def _match_functional(self):
+        # P(c = a at the first inputs), with three outputs
         sc = Scenario((2, 2), (3, 3))
         coeffs = [ZERO] * sc.table_size
         for a in range(3):
             coeffs[sc.flat_index((a, a), (0, 0))] = ONE
-        g = BellFunctional(sc, tuple(coeffs), ZERO)
-        hi, lo = unique_violator_decoupling(f3, g)
+        return BellFunctional(sc, tuple(coeffs), ZERO)
+
+    def test_cglmp3_match_probability_pinned(self):
+        # pinned at 1/3 because the unique maximizer has uniform Alice
+        # marginals, whatever Clare outputs
+        hi, lo = unique_violator_decoupling(bell.cglmp(3), self._match_functional())
         assert hi == lo == F(1, 3)
+
+    def test_raw_cglmp3_pins_its_maximizer(self):
+        # the raw functional peaks at 4, not 1, at the same maximizer
+        assert unique_violator_decoupling(bell.cglmp_raw(3), self._match_functional()) == (F(1, 3), F(1, 3))
+
+    def test_doubled_chsh_pins_its_maximizer(self):
+        # doubling coefficients and offset keeps the maximizer, the PR box,
+        # and moves the maximum to 2
+        f = chsh_functional()
+        doubled = BellFunctional(f.scenario, tuple(2 * c for c in f.coefficients), 2 * f.offset)
+        assert unique_violator_decoupling(doubled, self._correlator_functional()) == (0, 0)
 
     def test_constant_functional_trivially_pinned(self):
         sc = Scenario((2, 2), (2, 2))
