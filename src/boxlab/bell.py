@@ -6,7 +6,8 @@ box, maximum exactly 1 over the nonsignaling polytope.  CHSH and CGLMP
 are normalized in closed form, from their known local bounds and
 nonsignaling maxima; the tests check both against the LP.  `normalize`
 serves the functionals found at run time, such as the Farkas vectors of
-`locality.is_local`: their local bound is the largest sum of the
+`locality.is_local`, which are supported on the spanning entries of
+`polytope.spanning_entries`: their local bound is the largest sum of the
 coefficients at the table entries a deterministic strategy fires
 (`polytope.strategy_columns`), taken in integers over the coefficients'
 common denominator, and their nonsignaling maximum comes from an exact

@@ -1,13 +1,16 @@
 """Local-polytope membership, local models, and the eavesdropper they give.
 
 A box is local when it is a convex mixture of deterministic strategies.
-Membership is one exact LP over strategy weights; feasibility yields an
-explicit LocalModel, infeasibility yields a Farkas vector that, after
-normalization, is a Bell functional violated by the box.  Secrecy content
-is this decision: a bipartite box contains secrecy exactly when it is
-nonlocal, and for a local box the model's hidden variable is a message an
-eavesdropper can hold (eve_extension), so the command line's `secrecy`
-analysis is `is_local` with the verdict read the other way round.
+Membership is one exact LP over strategy weights, with one row per
+spanning entry (`polytope.spanning_entries`): these entries fix every
+nonsignaling table, so weights that match a nonsignaling box there match
+all of it.  Feasibility yields an explicit LocalModel, infeasibility a
+Farkas vector that, after normalization, is a Bell functional violated
+by the box.  Secrecy content is this decision: a bipartite box contains
+secrecy exactly when it is nonlocal, and for a local box the model's
+hidden variable is a message an eavesdropper can hold (eve_extension),
+so the command line's `secrecy` analysis is `is_local` with the verdict
+read the other way round.
 
 Enumerating the strategies is the cost: no scenario with more than
 STRATEGY_CAP of them is decided or checked.
@@ -100,54 +103,57 @@ class NonlocalityCertificate(Frozen):
 
 @functools.lru_cache(maxsize=16)
 def _membership_rows(scenario: Scenario) -> tuple:
-    """Per table entry, the row summing the weights of the strategies
-    that set it to 1, as LinearProgram stores it."""
+    """Per spanning entry (`polytope.spanning_entries`), the row summing
+    the weights of the strategies that set it to 1, as LinearProgram
+    stores it."""
     rows = [[] for _ in range(scenario.table_size)]
     for e, cols in enumerate(polytope.strategy_columns(scenario)):
         term = (e, ONE)
         for k in cols:
             rows[k].append(term)
-    return tuple(map(tuple, rows))
+    return tuple(tuple(rows[k]) for k in polytope.spanning_entries(scenario))
 
 
 def membership_lp(box: Box) -> lp.LinearProgram:
     """Weights over the deterministic strategies, in
-    deterministic_strategies order, matching every table entry.
+    deterministic_strategies order, matching the box on its spanning
+    entries: prod_k (X_k(A_k-1)+1) rows, 9 of 16 in 2222, 16 of 36 in 3322.
 
-    The rows depend only on the scenario: they are built once per
-    scenario from `polytope.strategy_columns`, already in LinearProgram's
+    That decides a nonsignaling box: the spanning entries fix every
+    nonsignaling table, mixtures of strategy boxes included, so weights
+    w >= 0 matching the box there reproduce all of it, with total weight
+    1 from the entries at input 0.  The rows are built once per scenario
+    from `polytope.strategy_columns`, already in LinearProgram's
     canonical form (ascending strategy indices, coefficient 1), and each
-    box adds only its table as the right-hand sides."""
+    box adds only its table at those entries as the right-hand sides."""
     sc = box.scenario
     prog = lp.LinearProgram(polytope.strategy_count(sc))
-    prog.eqs.extend(zip(_membership_rows(sc), box.table))
+    rhs = [box.table[k] for k in polytope.spanning_entries(sc)]
+    prog.eqs.extend(zip(_membership_rows(sc), rhs))
     return prog
 
 
 def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
-    """Decide local-polytope membership with an explicit witness either way."""
+    """Decide local-polytope membership with an explicit witness either
+    way: a model, checked to reconstruct the whole box, or the membership
+    LP's Farkas vector, zero off the spanning entries, normalized."""
+    sc = box.scenario
     ok, w = is_nonsignaling(box, witness=True)
     if not ok:
         raise SignalingBox(w)
-    check_strategy_space(box.scenario)
+    check_strategy_space(sc)
     out = lp.solve(membership_lp(box))
     if out.status == lp.OPTIMAL:
-        strategies = polytope.deterministic_strategies(box.scenario)
-        pairs = [
-            (s, w) for s, w in zip(strategies, out.primal) if w
-        ]
-        model = LocalModel(
-            box.scenario,
-            tuple(s for s, _ in pairs),
-            tuple(w for _, w in pairs),
-        )
+        strategies = polytope.deterministic_strategies(sc)
+        pairs = [(s, w) for s, w in zip(strategies, out.primal) if w]
+        model = LocalModel(sc, *zip(*pairs))
         ensure(model.reconstructs(box), "local model does not reconstruct the box")
         return model
     ensure(out.status == lp.INFEASIBLE, f"membership LP ended {out.status}")
-    raw = BellFunctional(
-        box.scenario, tuple(-y for y in out.certificate.y_eq), ZERO
-    )
-    functional = normalize(raw)
+    coefficients = [ZERO] * sc.table_size
+    for k, y in zip(polytope.spanning_entries(sc), out.certificate.y_eq):
+        coefficients[k] = -y
+    functional = normalize(BellFunctional(sc, tuple(coefficients), ZERO))
     violation = functional.evaluate(box)
     ensure(violation > 0, "Bell functional from the Farkas vector is not violated")
     return NonlocalityCertificate(functional, violation)

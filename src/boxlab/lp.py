@@ -42,10 +42,12 @@ every column against 0..num_vars-1, sums repeated columns and drops zero
 coefficients; it stores each row as a tuple of (column, Fraction) pairs
 in column order, and every value goes through `core.rat`, so a float
 raises TypeError.  A caller holding rows already in that form, with an
-int allowed for a Fraction coefficient (the nonsignaling and
-local-membership rows, built once per scenario, and the integer orbit
-rows of the folded extension LP, once per scenario, party and m), may
-append (row, rhs) pairs to `eqs` or `ineqs` directly.
+int allowed for a Fraction coefficient, may append (row, rhs) pairs to
+`eqs` or `ineqs` directly.  Three do, each from rows cached per shape:
+`polytope.ns_lp` the nonsignaling rows, `locality.membership_lp` the
+local-membership rows at the spanning entries (once per scenario), and
+`shareability.folded_extension_lp` the integer orbit rows (once per
+scenario, party and m).
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ trace equalities.  Constraint rows are indexed to match Box.table order.
 
 What depends only on the scenario is built once per scenario and held in
 a small least-recently-used cache: the table entries each strategy fires
-at (`strategy_columns`), and the nonsignaling rows in LinearProgram's
+at (`strategy_columns`), the entries that fix a nonsignaling table
+(`spanning_entries`), and the nonsignaling rows in LinearProgram's
 canonical form.  The membership rows of `locality` and the orbit rows
 of `shareability` (per scenario, shared party and m) are cached alike:
 three row sets built once, to which a box adds only right-hand sides.
@@ -84,6 +85,24 @@ def strategy_columns(scenario: Scenario) -> tuple[tuple[int, ...], ...]:
         )
     base = tuple(xi * n_out for xi in range(len(inputs)))
     return tuple(tuple(map(sum, zip(base, *combo))) for combo in itertools.product(*per_party))
+
+
+@functools.lru_cache(maxsize=16)
+def spanning_entries(scenario: Scenario) -> tuple[int, ...]:
+    """Flat indices, in table order, of the entries (outs, xs) with
+    x_k = 0 or a_k < A_k - 1 for every party k, prod_k (X_k(A_k-1)+1) of
+    them (Collins and Gisin).  Two nonsignaling tables equal there are
+    equal: per party, the last output at an input x > 0 is the sum over
+    all outputs at input 0 less the other outputs at x."""
+    n_out = scenario.num_output_tuples
+    last = [a - 1 for a in scenario.outputs]
+    outputs = list(scenario.output_tuples())
+    return tuple(
+        xi * n_out + oi
+        for xi, xs in enumerate(scenario.input_tuples())
+        for oi, outs in enumerate(outputs)
+        if all(x == 0 or a < top for x, a, top in zip(xs, outs, last))
+    )
 
 
 def normalization_rows(scenario: Scenario) -> list[tuple[list[tuple[int, Fraction]], Fraction]]:

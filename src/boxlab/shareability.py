@@ -83,14 +83,21 @@ class NotUniqueMaximizer(BoxlabError):
     pass
 
 
-class ExtensionProblem(Frozen):
-    """Ask for `copies` symmetric clones of one wing of a bipartite box.
+def _check_extension_size(fixed: int, copy: int, m: int) -> None:
+    """Raise ExtensionTooLarge when a wing of `fixed` (input, output)
+    pairs next to m copies of one of `copy` pairs makes a table over
+    EXTENSION_SIZE_CAP entries.  A copy with two or more pairs at least
+    doubles the table, so m is first held to log2 of the cap: that keeps
+    the check cheap for any m, and caps copies that add no entries."""
+    most = EXTENSION_SIZE_CAP.bit_length() - 1
+    if m > most or fixed * copy**m > EXTENSION_SIZE_CAP:
+        cap = f"the cap of {EXTENSION_SIZE_CAP} table entries and {most} copies"
+        raise ExtensionTooLarge(f"m={m}: the extension is over {cap}")
 
-    Refused before anything is built when the extension table passes
-    EXTENSION_SIZE_CAP entries.  A copy with two or more (input, output)
-    pairs at least doubles the table, so m is first held to log2 of the
-    cap: that keeps the check cheap for any m, and caps copies that add
-    no entries."""
+
+class ExtensionProblem(Frozen):
+    """Ask for `copies` symmetric clones of one wing of a bipartite box,
+    refused by _check_extension_size before anything is built."""
 
     def __init__(self, base: Box, shared_party: str, copies: int):
         if base.scenario.parties != 2:
@@ -103,10 +110,7 @@ class ExtensionProblem(Frozen):
             raise BadParams("need at least one copy")
         (X, Y), (A, B) = base.scenario.inputs, base.scenario.outputs
         fixed, copy = (X * A, Y * B) if shared_party == "B" else (Y * B, X * A)
-        m, most = copies, EXTENSION_SIZE_CAP.bit_length() - 1
-        if m > most or fixed * copy**m > EXTENSION_SIZE_CAP:
-            cap = f"the cap of {EXTENSION_SIZE_CAP} table entries and {most} copies"
-            raise ExtensionTooLarge(f"m={m}: the extension is over {cap}")
+        _check_extension_size(fixed, copy, copies)
         if not is_nonsignaling(base):
             raise ScenarioMismatch("base box must be nonsignaling")
         d = self.__dict__
@@ -468,12 +472,13 @@ def local_model_from_extension(
 def infinite_shareability_extension(model: LocalModel, m: int) -> Box:
     """Extend a local bipartite box to m copies of Bob, for any int m >= 1,
     by adjoining m - 1 parties to the model that replay its Bob response
-    (LocalModel.adjoin)."""
+    (LocalModel.adjoin), within the cap of _check_extension_size."""
     if model.scenario.parties != 2:
         raise ScenarioMismatch("need a bipartite local model")
     if type(m) is not int or m < 1:
         raise BadParams(f"copies must be an int of at least 1, got {m!r}")
-    (_, Y), (_, B) = model.scenario.inputs, model.scenario.outputs
+    (X, Y), (A, B) = model.scenario.inputs, model.scenario.outputs
+    _check_extension_size(X * A, Y * B, m)
     tables = [(s.tables[1],) * (m - 1) for s in model.strategies]
     return model.adjoin((Y,) * (m - 1), (B,) * (m - 1), tables).box()
 
@@ -555,13 +560,15 @@ def unique_violator_decoupling(
     means Clare decoupled, however f is scaled or shifted."""
     from .bell import unique_ns_maximizer
 
-    unique, maximizer = unique_ns_maximizer(f)
-    if not unique:
-        raise NotUniqueMaximizer("functional has no unique NS maximizer")
+    if f.scenario.parties != 2 or g.scenario.parties != 2:
+        raise ScenarioMismatch("f and g must both be bipartite")
     (fx, fy), (fa, fb) = f.scenario.inputs, f.scenario.outputs
     (gx, gz), (ga, gc) = g.scenario.inputs, g.scenario.outputs
     if (fx, fa) != (gx, ga):
         raise ScenarioMismatch("f and g disagree on Alice's alphabets")
+    unique, maximizer = unique_ns_maximizer(f)
+    if not unique:
+        raise NotUniqueMaximizer("functional has no unique NS maximizer")
     sc3 = Scenario((fx, fy, gz), (fa, fb, gc))
     pinned = polytope.marginal_rows(sc3, (0, 1), maximizer)
     ac = polytope.lift(sc3, (0, 2), g.coefficients)

@@ -1,9 +1,10 @@
 """Independent oracles the test suite checks the package against.
 
 Everything here is deliberately coded from scratch: exact Gaussian
-elimination for vertex enumeration of small LPs, a coordinate
-parametrization of the 2222 nonsignaling polytope, an alternative
-local-membership formulation, the symmetric-extension LP over the
+elimination for vertex enumeration of small LPs and for the rank of a
+set of rows, a coordinate parametrization of the 2222 nonsignaling
+polytope, the local-membership LP over every table entry and an
+alternative formulation of it, the symmetric-extension LP over the
 full table with explicit symmetry rows, the orbit LP's rows found by
 folding every row of that table, and marginals and trace conditions
 read off one dense pass over the table, local bounds of Bell
@@ -63,6 +64,24 @@ def _solve_fraction_square(matrix, rhs):
                 f = a[r][col]
                 a[r] = [x - f * y if y else x for x, y in zip(a[r], pr)]
     return [a[r][n] for r in range(n)]
+
+
+def fraction_rank(rows) -> int:
+    """Rank of dense rows by exact Fraction elimination."""
+    a = [list(map(Fraction, row)) for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        pr = a[rank]
+        for r in range(rank + 1, len(a)):
+            if a[r][col]:
+                f = a[r][col] / pr[col]
+                a[r] = [x - f * y for x, y in zip(a[r], pr)]
+        rank += 1
+    return rank
 
 
 def _feasible(x, eq_rows, ineq_rows):
@@ -358,6 +377,19 @@ def trace_violation_dense(box: Box):
         if sums[key] != ref:
             return (k, out_ctx, in_ctx, 0, xk, ref, sums[key])
     return None
+
+
+def full_membership_lp(box: Box) -> lp.LinearProgram:
+    """Weights over the deterministic strategies, in
+    deterministic_strategies order, matching the box at every table
+    entry: one row per entry, read off the strategy boxes."""
+    from boxlab import polytope
+
+    tables = [s.box().table for s in polytope.deterministic_strategies(box.scenario)]
+    prog = lp.LinearProgram(len(tables))
+    for k, p in enumerate(box.table):
+        prog.add_eq([(e, t[k]) for e, t in enumerate(tables)], p)
+    return prog
 
 
 def local_membership_alternative(box: Box) -> bool:

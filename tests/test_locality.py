@@ -25,7 +25,14 @@ from boxlab.locality import (
     is_local,
 )
 from conftest import is_deterministic, random_local_box, random_ns_box
-from oracles import condition, deterministic_box_tables, local_membership_alternative
+from oracles import (
+    condition,
+    deterministic_box_tables,
+    fraction_rank,
+    full_membership_lp,
+    local_bound_by_enumeration,
+    local_membership_alternative,
+)
 
 # every certificate these tests produce is checked by both verifiers
 pytestmark = pytest.mark.usefixtures("both_verifiers")
@@ -53,12 +60,14 @@ class TestStrategyColumns:
 
     @pytest.mark.parametrize("sc", TABLE_SCENARIOS[:3], ids=str)
     def test_membership_rows_match_strategy_boxes(self, sc):
-        box = uniform_box(sc)
-        strategies = polytope.deterministic_strategies(sc)
-        expected = lp.LinearProgram(len(strategies))
-        for k, p in enumerate(box.table):
-            expected.add_eq([(e, s.box().table[k]) for e, s in enumerate(strategies)], p)
-        assert locality.membership_lp(box).eqs == expected.eqs
+        # the full-table rows at the spanning entries, right-hand sides
+        # included: every strategy weighted differently, so entries differ
+        strategies = [s.box() for s in polytope.deterministic_strategies(sc)]
+        n = len(strategies)
+        box = mix(strategies, [F(2 * e + 1, n * n) for e in range(n)])
+        full = full_membership_lp(box).eqs
+        expected = [full[k] for k in polytope.spanning_entries(sc)]
+        assert locality.membership_lp(box).eqs == expected
 
     def test_membership_lp_calls_do_not_share_rows(self):
         first = locality.membership_lp(pr_box())
@@ -69,6 +78,63 @@ class TestStrategyColumns:
         second = locality.membership_lp(pr_box())
         assert second.eqs == expected and second.ineqs == []
         assert locality.membership_lp(uniform_box(SC22)).eqs[0][0] == expected[0][0]
+
+
+def pr_like(sc):
+    """For parties that all have A outputs: uniform over the outputs that
+    sum to x_0 x_1 mod A.  Nonsignaling, and nonlocal."""
+    A, n = sc.outputs[0], sc.parties
+    return box_from_function(
+        sc, lambda outs, xs: F(1, A ** (n - 1)) if sum(outs) % A == xs[0] * xs[1] % A else 0
+    )
+
+
+class TestSpanningEntries:
+    @pytest.mark.parametrize("sc", TABLE_SCENARIOS, ids=str)
+    def test_collins_gisin_count_in_table_order(self, sc):
+        entries = polytope.spanning_entries(sc)
+        count = 1
+        for x, a in zip(sc.inputs, sc.outputs):
+            count *= x * (a - 1) + 1
+        assert len(entries) == count
+        expected = sorted(
+            sc.flat_index(outs, xs)
+            for xs in itertools.product(*map(range, sc.inputs))
+            for outs in itertools.product(*map(range, sc.outputs))
+            if all(x == 0 or a < top - 1 for x, a, top in zip(xs, outs, sc.outputs))
+        )
+        assert entries == tuple(expected)
+
+    @pytest.mark.parametrize("sc", TABLE_SCENARIOS, ids=str)
+    def test_rows_span_every_membership_row(self, sc):
+        tables = [s.box().table for s in polytope.deterministic_strategies(sc)]
+        rows = [[t[k] for t in tables] for k in range(sc.table_size)]
+        entries = polytope.spanning_entries(sc)
+        assert fraction_rank([rows[k] for k in entries]) == len(entries) == fraction_rank(rows)
+
+    @pytest.mark.parametrize("sc", TABLE_SCENARIOS, ids=str)
+    def test_verdicts_match_full_table_lp(self, sc):
+        # seeded mixtures of pr_like and local noise, from t = 0 (local)
+        # to t = 1 (nonlocal), so both sides of the boundary are met
+        rng = random.Random(1901)
+        strategies = [s.box() for s in polytope.deterministic_strategies(sc)]
+        entries = set(polytope.spanning_entries(sc))
+        seen = set()
+        for i in range(7):
+            picks = [uniform_box(sc)] + rng.sample(strategies, 3)
+            ws = [rng.randrange(1, 5) for _ in picks]
+            noise = mix(picks, [F(w, sum(ws)) for w in ws])
+            box = mix([pr_like(sc), noise], [F(i, 6), 1 - F(i, 6)])
+            result = is_local(box)
+            local = isinstance(result, LocalModel)
+            seen.add(local)
+            assert lp.solve(full_membership_lp(box)).status == (lp.OPTIMAL if local else lp.INFEASIBLE)
+            assert local_membership_alternative(box) == local
+            if not local:
+                f = result.functional
+                assert all(c == 0 for k, c in enumerate(f.coefficients) if k not in entries)
+                assert local_bound_by_enumeration(f) <= 0 < f.evaluate(box) == result.violation
+        assert seen == {True, False}
 
 
 class TestIsLocal:

@@ -510,6 +510,14 @@ class TestInfiniteShareability:
         with pytest.raises(BadParams):
             infinite_shareability_extension(is_local(make_isotropic(F(1, 2))), m)
 
+    @pytest.mark.parametrize("m", [8, 20])
+    def test_size_cap_before_building(self, m):
+        # 4 * 4^8 entries pass the cap of ExtensionProblem; m = 20 passes
+        # its bound on m itself, before any table size is computed
+        model = is_local(make_isotropic(F(1, 2)))
+        with pytest.raises(ExtensionTooLarge, match=f"m={m}"):
+            infinite_shareability_extension(model, m)
+
 
 class TestCloning:
     """Perfect cloning of Bob's wing into m copies is m-shareability toward B."""
@@ -667,6 +675,21 @@ class TestUniqueViolatorDecoupling:
         zero = BellFunctional(sc, (ZERO,) * sc.table_size, ZERO)
         with pytest.raises(NotUniqueMaximizer):
             unique_violator_decoupling(zero, self._correlator_functional())
+
+    def test_refuses_other_shapes_before_any_lp(self, monkeypatch):
+        solves = []
+        monkeypatch.setattr(lp, "solve", lambda *args: solves.append(args))
+        tri = Scenario((1, 1, 1), (2, 1, 1))
+        tripartite = BellFunctional(tri, (ONE, ZERO), ZERO)
+        three_outputs = self._match_functional()
+        for f, g in [
+            (tripartite, self._correlator_functional()),
+            (chsh_functional(), tripartite),
+            (chsh_functional(), three_outputs),
+        ]:
+            with pytest.raises(ScenarioMismatch):
+                unique_violator_decoupling(f, g)
+        assert solves == []
 
 
 class TestPolygamyExample:
