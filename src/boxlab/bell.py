@@ -133,7 +133,10 @@ def normalization_bounds(functional: BellFunctional) -> tuple[Fraction, Fraction
 
     The local bound is `local_bound`, the maximum over the deterministic
     strategy boxes read through the scenario's strategy index table; the
-    NS maximum comes from one LP over the nonsignaling polytope.
+    NS maximum comes from one LP over the nonsignaling polytope
+    (`polytope.max_over_ns`), whose phase one is cached per scenario, so
+    after the first functional of a scenario it pivots only on the
+    objective.
     """
     from . import lp, polytope
 
@@ -198,17 +201,21 @@ def unique_ns_maximizer(functional: BellFunctional):
     Maximizes the functional, then pins the optimum as an equality and
     computes min and max of every table coordinate on the optimal face.
     Returns (True, Box) when the face is a point, else (False, None).
+    The face's phase one runs once (`lp.Start`), and each of its up to
+    2 * table_size LPs pivots only on its own objective from there.
     """
     from . import lp, polytope
 
     sc = functional.scenario
     out = polytope.max_over_ns(sc, enumerate(functional.coefficients))
     ensure(out.status == lp.OPTIMAL, f"NS maximum LP ended {out.status}")
-    face_eq = (list(enumerate(functional.coefficients)), out.value)
+    face = polytope.ns_lp(sc)
+    face.add_eq(enumerate(functional.coefficients), out.value)
+    start = lp.Start(face)
     point = []
     for i in range(sc.table_size):
-        hi = polytope.max_over_ns(sc, [(i, ONE)], extra_eqs=[face_eq])
-        lo = polytope.max_over_ns(sc, [(i, -ONE)], extra_eqs=[face_eq])
+        hi = lp.solve(face.with_objective([(i, ONE)]), start)
+        lo = lp.solve(face.with_objective([(i, -ONE)]), start)
         ensure(
             hi.status == lp.OPTIMAL and lo.status == lp.OPTIMAL,
             f"optimal-face LPs ended {hi.status}, {lo.status}",

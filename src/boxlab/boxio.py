@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -41,11 +42,18 @@ class StaleDigest(BoxlabError):
 
 def parse_rational(token: str, line=None) -> Fraction:
     """The exact value of p/q, an integer or a decimal such as 0.25, read
-    as `core.rat` reads strings (no exponent notation)."""
+    as `core.rat` reads strings (no exponent notation).  The error echoes
+    at most 40 characters of the token and its length, and names Python's
+    limit on int-str conversions when that limit is what refused it."""
     try:
         return rat(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"cannot parse rational {token!r}", line) from None
+    except (ValueError, ZeroDivisionError) as exc:
+        shown = repr(token) if len(token) <= 40 else f"{token[:40]!r}... ({len(token)} characters)"
+        if "integer string conversion" in str(exc):
+            limit = sys.get_int_max_str_digits()
+            message = f"rational {shown} is past Python's {limit}-digit limit on int-str conversions"
+            raise ParseError(message, line) from None
+        raise ParseError(f"cannot parse rational {shown}", line) from None
 
 
 def format_rational(value: Fraction) -> str:

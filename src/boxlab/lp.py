@@ -15,6 +15,16 @@ values a Fraction tableau would.  A pivot updates only the rows holding
 the pivot column, and in each only the pivot row's columns; rows turn
 into Fractions only when the solution and the multipliers are read out.
 
+Phase one (standardization, the crash, phase 1 and pivoting the
+artificials out) reads only the constraints, never the objective.  Its
+result is a `Start`: the feasible tableau it ends on, or the Farkas
+outcome proving the constraints infeasible, which holds for every
+objective.  `solve(prog, start)` runs phase two on a copy of a start
+built from a program with the same eqs, ineqs, upper bounds and
+num_vars (`LinearProgram.with_objective` makes one), so programs that
+differ only in their objective share one phase one and each returns
+what a cold `solve(prog)` returns; a cold solve builds its own start.
+
 Every outcome carries an exactly checkable witness: an optimal solve
 returns the dual multipliers (strong duality holds with equality in
 exact arithmetic), an infeasible solve returns a Farkas vector
@@ -47,7 +57,10 @@ int allowed for a Fraction coefficient, may append (row, rhs) pairs to
 `polytope.ns_lp` the nonsignaling rows, `locality.membership_lp` the
 local-membership rows at the spanning entries (once per scenario), and
 `shareability.folded_extension_lp` the integer orbit rows (once per
-scenario, party and m).
+scenario, party and m).  Only the nonsignaling LP keeps its objective
+out of its rows and right-hand sides, so only its start is cached
+(`polytope.max_over_ns`); the membership and orbit LPs move their
+right-hand sides with the box and run phase one each time.
 """
 
 from __future__ import annotations
@@ -116,6 +129,13 @@ class LinearProgram:
         if not 0 <= i < self.num_vars:
             raise DimensionMismatch(f"variable {i} outside 0..{self.num_vars - 1}")
         self.upper[i] = rat(upper)
+
+    def with_objective(self, objective: Iterable) -> LinearProgram:
+        """A new program with these constraints, in row lists of its own,
+        maximizing `objective`: one `Start` of either serves both."""
+        prog = LinearProgram(self.num_vars, objective)
+        prog.eqs, prog.ineqs, prog.upper = list(self.eqs), list(self.ineqs), list(self.upper)
+        return prog
 
 
 class LpCertificate(Frozen):
@@ -376,9 +396,65 @@ def _certificate(lp, st: _Standardized, kind, cost, cost_den) -> LpCertificate:
     return LpCertificate(kind, tuple(y_eq), tuple(y_ineq), tuple(y_lb), tuple(y_ub))
 
 
-def solve(lp: LinearProgram) -> LpOutcome:
+class Start:
+    """Phase one of a program: its tableau once every artificial has left
+    the basis, or the Farkas outcome proving its constraints infeasible.
+
+    Built from the constraints alone (`_standardize`, `_crash`, phase 1,
+    `_purge_artificials`), never from the objective, so one start serves
+    every program with the same eqs, ineqs, upper bounds and num_vars,
+    whatever it maximizes.  `solve` reads a start and never changes it.
+    """
+
+    def __init__(self, lp: LinearProgram):
+        self.num_vars = lp.num_vars
+        self.eqs, self.ineqs, self.upper = tuple(lp.eqs), tuple(lp.ineqs), tuple(lp.upper)
+        st = _standardize(lp)
+        self.art_cols = {j for j, c in enumerate(st.columns) if c[0] == "art"}
+        self.infeasible = None
+        if self.art_cols:
+            _crash(st, self.art_cols)
+            cost1 = dict.fromkeys(self.art_cols, -1)
+            _set_cost(st, cost1, 1)
+            status = _run_simplex(st, banned=set())
+            ensure(status == OPTIMAL, f"phase 1 ended {status}; its objective is bounded by 0")
+            if len(st.columns) in st.cost:  # max of -sum(artificials) is negative
+                cert = _certificate(lp, st, "farkas", cost1, 1)
+                self.infeasible = LpOutcome(INFEASIBLE, certificate=cert)
+            else:
+                _purge_artificials(st, self.art_cols)
+            st.cost, st.cost_den = {}, 1
+        self.tableau = st
+
+    def check(self, lp: LinearProgram) -> None:
+        """Raise LpFormatError unless `lp` has this start's constraints."""
+        same = (
+            lp.num_vars == self.num_vars
+            and tuple(lp.eqs) == self.eqs
+            and tuple(lp.ineqs) == self.ineqs
+            and tuple(lp.upper) == self.upper
+        )
+        if not same:
+            raise LpFormatError("start was built from other constraints")
+
+    def copy(self) -> _Standardized:
+        """The tableau with rows, denominators, basis and active rows of its
+        own; the columns and per-row bookkeeping are shared, never written."""
+        st = self.tableau
+        return _Standardized(
+            st.columns, [dict(row) for row in st.rows], list(st.dens), list(st.basis),
+            st.row_kinds, st.flips, st.unit_cols, list(st.active),
+        )
+
+
+def solve(lp: LinearProgram, start: Optional[Start] = None) -> LpOutcome:
     """Solve exactly; an optimal or infeasible outcome's certificate
     always re-verifies, an unbounded one carries none.
+
+    A `start` of a program with `lp`'s constraints (LpFormatError before
+    any pivot otherwise) skips phase one: phase two runs on a copy of its
+    tableau, or its Farkas outcome is returned, so the outcome is the one
+    a cold solve returns.
 
     Every variable is one tableau column, nonnegative and capped by its
     upper bound row when it has one; an upper bound below 0 is an
@@ -396,28 +472,23 @@ def solve(lp: LinearProgram) -> LpOutcome:
     `verify_certificate` re-checks each optimal or infeasible outcome
     exactly before it is returned.
     """
-    st = _standardize(lp)
+    cold = start is None
+    if cold:
+        start = Start(lp)
+    else:
+        start.check(lp)
+    if start.infeasible is not None:
+        ensure(verify_certificate(lp, start.infeasible), "Farkas certificate fails to verify")
+        return start.infeasible
+
+    st = start.tableau if cold else start.copy()  # a cold start is this call's alone
     rhs_col = len(st.columns)
-    art_cols = {j for j, c in enumerate(st.columns) if c[0] == "art"}
-
-    if art_cols:
-        _crash(st, art_cols)
-        cost1 = dict.fromkeys(art_cols, -1)
-        _set_cost(st, cost1, 1)
-        status = _run_simplex(st, banned=set())
-        ensure(status == OPTIMAL, f"phase 1 ended {status}; its objective is bounded by 0")
-        if rhs_col in st.cost:  # max of -sum(artificials) is negative
-            out = LpOutcome(INFEASIBLE, certificate=_certificate(lp, st, "farkas", cost1, 1))
-            ensure(verify_certificate(lp, out), "Farkas certificate fails to verify")
-            return out
-        _purge_artificials(st, art_cols)
-
     # the objective's coefficients are in lowest terms, so over the lcm of
     # their denominators their numerators share no factor with it
     cost2_den = lcm(*(c.denominator for _, c in lp.objective))
     cost2 = {i: c.numerator * (cost2_den // c.denominator) for i, c in lp.objective}
     _set_cost(st, cost2, cost2_den)
-    status = _run_simplex(st, banned=art_cols)
+    status = _run_simplex(st, banned=start.art_cols)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
 

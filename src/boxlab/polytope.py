@@ -8,11 +8,16 @@ trace equalities.  Constraint rows are indexed to match Box.table order.
 What depends only on the scenario is built once per scenario and held in
 a small least-recently-used cache: the table entries each strategy fires
 at (`strategy_columns`), the entries that fix a nonsignaling table
-(`spanning_entries`), and the nonsignaling rows in LinearProgram's
-canonical form.  The membership rows of `locality` and the orbit rows
-of `shareability` (per scenario, shared party and m) are cached alike:
-three row sets built once, to which a box adds only right-hand sides.
-All are tuples, so no caller can change them.
+(`spanning_entries`), the nonsignaling rows in LinearProgram's
+canonical form, and the nonsignaling LP's phase one (`lp.Start`), from
+which `max_over_ns` solves every objective.  The membership rows of
+`locality` and the orbit rows of `shareability` (per scenario, shared
+party and m) are cached alike: three row sets built once, to which a
+box adds only right-hand sides.  The rows are tuples, and `lp.solve`
+pivots on a copy of a start, never on the start itself.  A start
+for a face of the polytope (`bell.unique_ns_maximizer`,
+`shareability.unique_violator_decoupling`) depends on a functional or a
+box and lives for one call.
 
 Two builders state a marginal of a larger table, both through
 `core.marginal_indices`: `lift` reads a functional of the marginal as
@@ -156,11 +161,14 @@ def ns_lp(scenario: Scenario, objective=()) -> lp.LinearProgram:
     return prog
 
 
-def max_over_ns(scenario: Scenario, coeffs, extra_eqs=()) -> lp.LpOutcome:
-    """Maximize a linear functional of the table, given as (index,
-    coefficient) pairs, over the NS polytope."""
-    prog = ns_lp(scenario, coeffs)
-    for row, rhs in extra_eqs:
-        prog.add_eq(row, rhs)
-    return lp.solve(prog)
+@functools.lru_cache(maxsize=16)
+def _ns_start(scenario: Scenario) -> lp.Start:
+    """Phase one of the nonsignaling LP, which every objective shares."""
+    return lp.Start(ns_lp(scenario))
 
+
+def max_over_ns(scenario: Scenario, coeffs) -> lp.LpOutcome:
+    """Maximize a linear functional of the table, given as (index,
+    coefficient) pairs, over the NS polytope, from the scenario's cached
+    phase one."""
+    return lp.solve(ns_lp(scenario, coeffs), _ns_start(scenario))

@@ -557,7 +557,8 @@ def unique_violator_decoupling(
     """(max, min) of g on the Alice-Clare marginal when the Alice-Bob
     marginal is pinned (polytope.marginal_rows) to the box at which f
     attains its nonsignaling maximum, which must be unique; equality
-    means Clare decoupled, however f is scaled or shifted."""
+    means Clare decoupled, however f is scaled or shifted.  The max and
+    the min share the pinned LP's phase one (`lp.Start`)."""
     from .bell import unique_ns_maximizer
 
     if f.scenario.parties != 2 or g.scenario.parties != 2:
@@ -570,10 +571,13 @@ def unique_violator_decoupling(
     if not unique:
         raise NotUniqueMaximizer("functional has no unique NS maximizer")
     sc3 = Scenario((fx, fy, gz), (fa, fb, gc))
-    pinned = polytope.marginal_rows(sc3, (0, 1), maximizer)
+    pinned = polytope.ns_lp(sc3)
+    for row, rhs in polytope.marginal_rows(sc3, (0, 1), maximizer):
+        pinned.add_eq(row, rhs)
+    start = lp.Start(pinned)
     ac = polytope.lift(sc3, (0, 2), g.coefficients)
-    hi = polytope.max_over_ns(sc3, ac, extra_eqs=pinned)
-    lo = polytope.max_over_ns(sc3, [(k, -v) for k, v in ac], extra_eqs=pinned)
+    hi = lp.solve(pinned.with_objective(ac), start)
+    lo = lp.solve(pinned.with_objective([(k, -v) for k, v in ac]), start)
     ok = hi.status == lo.status == lp.OPTIMAL
     ensure(ok, f"decoupling LPs ended {hi.status}, {lo.status}")
     return hi.value + g.offset, -lo.value + g.offset

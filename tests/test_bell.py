@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -175,6 +176,56 @@ class TestLocalBound:
             fresh.add_eq(coeffs, rhs)
         assert expected == fresh.eqs
         assert polytope.max_over_ns(sc, enumerate(chsh_functional().coefficients)).value == 2
+
+
+NS_START_SCENARIOS = [
+    Scenario((2, 2), (2, 2)),
+    Scenario((3, 3), (2, 2)),
+    Scenario((2, 2), (3, 3)),
+    Scenario((2, 2, 2), (2, 2, 2)),
+]
+
+
+class TestNsStart:
+    @pytest.mark.parametrize("sc", NS_START_SCENARIOS, ids=str)
+    def test_outcomes_equal_cold_solves_in_either_order(self, sc):
+        # a solve that pivoted the cached start's own rows would leave the
+        # next one another basis to start from
+        rng = random.Random(sc.table_size)
+        functionals = [[(i, rng.randrange(-5, 6)) for i in range(sc.table_size)] for _ in range(8)]
+        cold = [lp.solve(polytope.ns_lp(sc, f)) for f in functionals]
+        forward = [polytope.max_over_ns(sc, f) for f in functionals]
+        backward = [polytope.max_over_ns(sc, f) for f in reversed(functionals)][::-1]
+        assert forward == cold == backward
+        assert [pickle.dumps(out) for out in forward] == [pickle.dumps(out) for out in cold]
+        assert [pickle.dumps(out) for out in backward] == [pickle.dumps(out) for out in cold]
+
+    def test_phase_one_once_per_feasible_region(self, monkeypatch):
+        crashes, pivots = [], []
+        crash, pivot = lp._crash, lp._pivot
+
+        def counting_crash(st, art_cols):
+            crashes.append(len(pivots))
+            crash(st, art_cols)
+            crashes[-1] = len(pivots) - crashes[-1]
+
+        def counting_pivot(*args, **kwargs):
+            pivots.append(None)
+            pivot(*args, **kwargs)
+
+        monkeypatch.setattr(lp, "_crash", counting_crash)
+        monkeypatch.setattr(lp, "_pivot", counting_pivot)
+        polytope._ns_start.cache_clear()
+        # one phase one for the NS polytope, one for the optimal face; every
+        # table coordinate used to take a phase one of its own, 606 pivots
+        assert unique_ns_maximizer(chsh_functional()) == (True, pr_box())
+        assert len(crashes) == 2 and len(pivots) == 48
+        crashes.clear()
+        assert normalize(cglmp_raw(3)) == cglmp(3)
+        assert len(crashes) == 1 and crashes[0] > 0
+        crashes.clear()
+        assert normalize(cglmp(3)) == cglmp(3)
+        assert crashes == []
 
 
 class TestNormalize:

@@ -540,6 +540,16 @@ def test_huge_integer_in_report_exits_2(corpus, capsys):
     assert refused(capsys, lambda: run("verify", path))
 
 
+def test_huge_violation_error_line_is_short(corpus, capsys):
+    # 5,001 digits: a well-formed integer, refused by the conversion limit
+    edit = edit_at(["certificate", "violation"], "9" * 5001)
+    assert verify_tampered(corpus, ("pr", "local"), edit) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("boxlab: ") and "Traceback" not in err
+    assert len(err.encode()) < 200
+    assert "5001 characters" in err and f"{sys.get_int_max_str_digits()}-digit limit" in err
+
+
 def test_huge_sizes_in_box_file_exit_2(tmp_path, capsys):
     box = tmp_path / "box.txt"
     header = f"BOXLAB-BOX 1\nparties: 2\ninputs: {HUGE_SIZE} {HUGE_SIZE}\noutputs: 2 2\n"
