@@ -133,14 +133,13 @@ def membership_lp(box: Box) -> lp.LinearProgram:
     return prog
 
 
-def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
-    """Decide local-polytope membership with an explicit witness either
-    way: a model, checked to reconstruct the whole box, or the membership
-    LP's Farkas vector, zero off the spanning entries, normalized."""
+def local_model(box: Box) -> LocalModel | lp.LpOutcome:
+    """The membership LP's answer for a nonsignaling box, refused like
+    is_local above STRATEGY_CAP strategies: a LocalModel of the strategies
+    of positive weight, checked to reconstruct the whole box, or the
+    INFEASIBLE LpOutcome, whose Farkas vector is zero off the spanning
+    entries.  Nothing here normalizes: is_m_shareable needs only a model."""
     sc = box.scenario
-    ok, w = is_nonsignaling(box, witness=True)
-    if not ok:
-        raise SignalingBox(w)
     check_strategy_space(sc)
     out = lp.solve(membership_lp(box))
     if out.status == lp.OPTIMAL:
@@ -150,8 +149,22 @@ def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
         ensure(model.reconstructs(box), "local model does not reconstruct the box")
         return model
     ensure(out.status == lp.INFEASIBLE, f"membership LP ended {out.status}")
+    return out
+
+
+def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
+    """Decide local-polytope membership with an explicit witness either
+    way: local_model's model, or its Farkas vector normalized into a Bell
+    functional that the box violates."""
+    sc = box.scenario
+    ok, w = is_nonsignaling(box, witness=True)
+    if not ok:
+        raise SignalingBox(w)
+    found = local_model(box)
+    if isinstance(found, LocalModel):
+        return found
     coefficients = [ZERO] * sc.table_size
-    for k, y in zip(polytope.spanning_entries(sc), out.certificate.y_eq):
+    for k, y in zip(polytope.spanning_entries(sc), found.certificate.y_eq):
         coefficients[k] = -y
     functional = normalize(BellFunctional(sc, tuple(coefficients), ZERO))
     violation = functional.evaluate(box)

@@ -2,8 +2,11 @@
 
 A box is m-shareable with respect to one party when a symmetric
 (m+1)-party nonsignaling extension exists whose every copy-marginal is
-the box itself.  That existence question is one exact LP, stated on
-orbit variables: one variable per class of extension entries that a
+the box itself.  A local box is shareable to every m: each copy replays
+the shared party's deterministic answer.  So is_m_shareable first asks
+locality.local_model, and a model gives the extension with no further
+LP.  Any other box is decided by one exact LP, stated on orbit
+variables: one variable per class of extension entries that a
 permutation of the copies maps onto each other.  Folding is exact, not
 a relaxation: averaging any extension over the copy permutations gives
 a symmetric one with the same marginals, so an extension exists exactly
@@ -13,20 +16,18 @@ are built once per shape; a box supplies only the marginal rows'
 right-hand sides, from the table of its canonical relabeling, and a
 witness is unfolded by reading each entry's labels through that
 relabeling.  Shareable boxes admit local models on the restricted
-inputs (the copies' outputs serve as the hidden variable); local boxes
-extend to any number of copies, built as one more LocalModel whose
-every copy replays Bob's table.  Perfect cloning of Bob's wing into m
-copies is the same question, is_m_shareable(ExtensionProblem(box, "B",
-m)), which is why nonlocal boxes cannot be cloned; the isotropic
-family's cloning ceiling, C = 1/2, is the optimum of the same LP with C
-as one more column.
+inputs (the copies' outputs serve as the hidden variable).  Perfect
+cloning of Bob's wing into m copies is the same question,
+is_m_shareable(ExtensionProblem(box, "B", m)), which is why nonlocal
+boxes cannot be cloned; the isotropic family's cloning ceiling, C =
+1/2, is the optimum of the orbit LP with C as one more column.
 
 Monogamy and the box families live here too.  The monogamy LP lifts
 CHSH onto the AB and AC pairs of a tripartite table (polytope.lift),
 and the decoupling LP pins the AB marginal to a functional's unique
 maximizer (polytope.marginal_rows).  Functions that call bell,
-isotropic or locality import them inside, so deciding shareability
-loads none of those modules.
+isotropic or locality import them inside, so checking a shareability
+report loads none of those modules.
 """
 
 from __future__ import annotations
@@ -83,21 +84,13 @@ class NotUniqueMaximizer(BoxlabError):
     pass
 
 
-def _check_extension_size(fixed: int, copy: int, m: int) -> None:
-    """Raise ExtensionTooLarge when a wing of `fixed` (input, output)
-    pairs next to m copies of one of `copy` pairs makes a table over
-    EXTENSION_SIZE_CAP entries.  A copy with two or more pairs at least
-    doubles the table, so m is first held to log2 of the cap: that keeps
-    the check cheap for any m, and caps copies that add no entries."""
-    most = EXTENSION_SIZE_CAP.bit_length() - 1
-    if m > most or fixed * copy**m > EXTENSION_SIZE_CAP:
-        cap = f"the cap of {EXTENSION_SIZE_CAP} table entries and {most} copies"
-        raise ExtensionTooLarge(f"m={m}: the extension is over {cap}")
-
-
 class ExtensionProblem(Frozen):
     """Ask for `copies` symmetric clones of one wing of a bipartite box,
-    refused by _check_extension_size before anything is built."""
+    refused before anything is built when the extension table would have
+    over EXTENSION_SIZE_CAP entries.  A copy with two or more (input,
+    output) pairs at least doubles the table, so m is first held to log2
+    of the cap: that keeps the check cheap for any m, and caps copies that
+    add no entries."""
 
     def __init__(self, base: Box, shared_party: str, copies: int):
         if base.scenario.parties != 2:
@@ -110,7 +103,10 @@ class ExtensionProblem(Frozen):
             raise BadParams("need at least one copy")
         (X, Y), (A, B) = base.scenario.inputs, base.scenario.outputs
         fixed, copy = (X * A, Y * B) if shared_party == "B" else (Y * B, X * A)
-        _check_extension_size(fixed, copy, copies)
+        most = EXTENSION_SIZE_CAP.bit_length() - 1
+        if copies > most or fixed * copy**copies > EXTENSION_SIZE_CAP:
+            cap = f"the cap of {EXTENSION_SIZE_CAP} table entries and {most} copies"
+            raise ExtensionTooLarge(f"m={copies}: the extension is over {cap}")
         if not is_nonsignaling(base):
             raise ScenarioMismatch("base box must be nonsignaling")
         d = self.__dict__
@@ -275,13 +271,16 @@ def _canonical_problem(problem: ExtensionProblem):
     differing cell, and only a strictly greater one replaces it, so the
     first greatest wins.
 
-    What the search buys is a cost independent of labels, which the
-    shareability-ladder benchmark cannot see: its boxes are cheap under
-    any labeling (without the search its tasks_per_s rose from 116.0 to
-    128.2).  On 3322 at m=3 toward B, four seeded five-strategy local
-    mixtures under three labelings each took 1,462-6,024 pivots with the
-    search, the same under every labeling of a mixture, and 1,023-14,629
-    pivots (up to 233 s) without it (Python 3.11, 2 vCPUs)."""
+    What the search buys is a cost independent of labels, and fewer
+    pivots in total.  Local boxes never reach it (is_m_shareable's model
+    path).  Nine nonlocal 3322 boxes at m=3 toward B (half a PR-type box
+    on inputs 0 and 1, input 2 answering like input 0, plus half a
+    seeded four-strategy mixture), each under its own labels and two
+    seeded relabelings, took 701-4,463 pivots with the search, the same
+    under every labeling, 47,415 in all; without it 505-8,388, 57,798 in
+    all (+22%; Python 3.11, 2 vCPUs).  The relabelings that reach the
+    greatest table form the box's stabilizer, which a fold by the box's
+    own symmetries reads from this same loop."""
     sc = problem.base.scenario
     (X, Y), (A, B) = sc.inputs, sc.outputs
     table = problem.base.table
@@ -372,22 +371,35 @@ def validate_extension(problem: ExtensionProblem, extension: Box) -> None:
 
 
 def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
-    """Decide shareability with the orbit LP of folded_extension_lp.
+    """Decide shareability, with a witness validated before return.
 
-    A feasible witness is unfolded into the full symmetric extension
-    table and validated before return; an infeasible one carries the
-    Farkas certificate of the orbit LP.  The orbit LP decides the same
-    question as the LP over the full table: symmetrizing any extension
-    over the copy permutations keeps its marginals.
+    A base box within locality.STRATEGY_CAP strategies goes first to
+    locality.local_model.  A model gives the extension, every copy
+    replaying the shared party's table (LocalModel.adjoin; toward A,
+    core.permute_parties then moves Bob to the last slot).  Otherwise the
+    orbit LP of folded_extension_lp decides: a feasible witness is
+    unfolded into the full symmetric extension table, and an infeasible
+    one carries the orbit LP's Farkas certificate.
     """
-    prog, unfold = folded_extension_lp(problem)
-    out = lp.solve(prog)
-    if out.status == lp.OPTIMAL:
+    from .locality import STRATEGY_CAP, LocalModel, local_model
+
+    sc, m = problem.base.scenario, problem.copies
+    model = local_model(problem.base) if polytope.strategy_count(sc) <= STRATEGY_CAP else None
+    if isinstance(model, LocalModel):
+        k = 0 if problem.shared_party == "A" else 1
+        tables = [(s.tables[k],) * (m - 1) for s in model.strategies]
+        ext = model.adjoin((sc.inputs[k],) * (m - 1), (sc.outputs[k],) * (m - 1), tables).box()
+        if k == 0:
+            ext = permute_parties(ext, (0, *range(2, m + 1), 1))
+    else:
+        prog, unfold = folded_extension_lp(problem)
+        out = lp.solve(prog)
+        if out.status != lp.OPTIMAL:
+            ensure(out.status == lp.INFEASIBLE, f"extension feasibility LP ended {out.status}")
+            return ExtensionWitness(False, certificate=out.certificate)
         ext = validate_box(unfold(out.primal), problem.extension_scenario())
-        validate_extension(problem, ext)
-        return ExtensionWitness(True, extension=ext)
-    ensure(out.status == lp.INFEASIBLE, f"extension feasibility LP ended {out.status}")
-    return ExtensionWitness(False, certificate=out.certificate)
+    validate_extension(problem, ext)
+    return ExtensionWitness(True, extension=ext)
 
 
 def local_model_from_extension(
@@ -406,25 +418,13 @@ def local_model_from_extension(
 
     validate_extension(problem, extension)
     if problem.shared_party == "A":
-        swapped = ExtensionProblem(
-            permute_parties(problem.base, (1, 0)), "B", problem.copies
-        )
-        order = (problem.copies,) + tuple(range(problem.copies))
-        model = local_model_from_extension(
-            swapped, permute_parties(extension, order), y_values
-        )
-        sc_sw = Scenario(
-            (model.scenario.inputs[1], model.scenario.inputs[0]),
-            (model.scenario.outputs[1], model.scenario.outputs[0]),
-        )
-        return LocalModel(
-            sc_sw,
-            tuple(
-                DeterministicStrategy(sc_sw, (s.tables[1], s.tables[0]))
-                for s in model.strategies
-            ),
-            model.weights,
-        )
+        m = problem.copies
+        swapped = ExtensionProblem(permute_parties(problem.base, (1, 0)), "B", m)
+        swapped_ext = permute_parties(extension, (m, *range(m)))
+        model = local_model_from_extension(swapped, swapped_ext, y_values)
+        sc_sw = Scenario(model.scenario.inputs[::-1], model.scenario.outputs[::-1])
+        strategies = tuple(DeterministicStrategy(sc_sw, s.tables[::-1]) for s in model.strategies)
+        return LocalModel(sc_sw, strategies, model.weights)
 
     m = problem.copies
     X, Y = problem.base.scenario.inputs
@@ -467,20 +467,6 @@ def local_model_from_extension(
     model = LocalModel(restricted.scenario, tuple(strategies), tuple(weights))
     ensure(model.reconstructs(restricted), "local model does not reconstruct the box")
     return model
-
-
-def infinite_shareability_extension(model: LocalModel, m: int) -> Box:
-    """Extend a local bipartite box to m copies of Bob, for any int m >= 1,
-    by adjoining m - 1 parties to the model that replay its Bob response
-    (LocalModel.adjoin), within the cap of _check_extension_size."""
-    if model.scenario.parties != 2:
-        raise ScenarioMismatch("need a bipartite local model")
-    if type(m) is not int or m < 1:
-        raise BadParams(f"copies must be an int of at least 1, got {m!r}")
-    (X, Y), (A, B) = model.scenario.inputs, model.scenario.outputs
-    _check_extension_size(X * A, Y * B, m)
-    tables = [(s.tables[1],) * (m - 1) for s in model.strategies]
-    return model.adjoin((Y,) * (m - 1), (B,) * (m - 1), tables).box()
 
 
 # ---------------------------------------------------------------------------

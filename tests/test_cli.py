@@ -374,9 +374,21 @@ def test_analyze_and_verify_cglmp_add_only_bell(corpus, tmp_path):
     assert (code, modules) == (0, FRONT_END | {"bell"})
 
 
-def test_analyze_shareable_loads_no_bell_isotropic_or_locality(corpus):
+def test_analyze_shareable_loads_locality_and_bell_not_isotropic(corpus):
+    # the membership LP comes first, and locality imports bell at its top
     code, modules, _ = in_fresh_process("analyze", "shareable", corpus[0] / "box0.txt")
-    assert (code, modules) == (1, FRONT_END | {"lp", "polytope", "shareability"})
+    assert (code, modules) == (1, FRONT_END | {"lp", "polytope", "bell", "locality", "shareability"})
+
+
+@pytest.mark.parametrize("name, shareable", [("iso-1/2", True), ("iso-3/4", False)])
+def test_verify_shareable_loads_neither_locality_nor_bell(corpus, name, shareable):
+    # a witness is checked by validate_extension, a Farkas vector against
+    # the orbit LP: neither needs the membership LP
+    root, reports = corpus
+    assert reports[name, "shareable"]["verdict"]["shareable"] is shareable
+    report = root / f"box{list(CORPUS).index(name)}-shareable.json"
+    code, modules, _ = in_fresh_process("verify", report)
+    assert (code, modules) == (0, FRONT_END | {"lp", "polytope", "shareability"})
 
 
 def test_analyze_monogamy_scan_adds_only_bell_to_shareable(corpus):
@@ -625,3 +637,12 @@ def test_readme_examples_hold(tmp_path):
     command, message = re.search(r"`(analyze cglmp /tmp/pr\.txt)` exits 2 with `([^`]*)`", flat).groups()
     proc = run_readme_command(f"PYTHONPATH=src python -m boxlab.cli {command}", tmp_path)
     assert proc.returncode == 2 and message in proc.stderr
+
+
+def test_readme_claim_ledger_names_registered_analyses():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    ledger = readme.split("## The paper's claims", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in ledger.splitlines() if line.startswith("| ")][1:]
+    assert len(rows) >= 3
+    named = {name for row in rows for name in re.findall(r"`analyze ([a-z-]+)", row)}
+    assert named and named <= set(cli.ANALYSES)

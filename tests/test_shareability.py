@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from boxlab import bell, core, lp, shareability
+from boxlab import bell, core, locality, lp, polytope, shareability
 from boxlab.bell import BellFunctional, chsh, chsh_functional, pr_box
 from boxlab.core import InternalError as UnexpectedLpStatus
 from boxlab.core import (
@@ -19,6 +20,7 @@ from boxlab.core import (
     permute_parties,
     relabel,
     uniform_box,
+    validate_box,
 )
 from boxlab.isotropic import make_isotropic
 from boxlab.locality import LocalModel, NonlocalityCertificate, is_local
@@ -36,7 +38,6 @@ from boxlab.shareability import (
     folded_extension_lp,
     generalized_isotropic,
     generalized_pr,
-    infinite_shareability_extension,
     is_m_shareable,
     isotropic_clone_ceiling,
     local_model_from_extension,
@@ -151,7 +152,7 @@ class TestShareability:
     def test_validation_checks_signaling_once(self, monkeypatch):
         box = make_isotropic(F(1, 2))
         problem = ExtensionProblem(box, "B", 4)
-        extension = infinite_shareability_extension(is_local(box), 4)
+        extension = is_m_shareable(problem).extension
         calls = []
 
         def counting(real):
@@ -335,11 +336,11 @@ class TestUnfold:
         assert self._check(ExtensionProblem(box, party, m), None) is box.table
 
 
-def _skewed_local_box(sc: Scenario, rng: random.Random):
-    """Mixture of up to four deterministic strategies with weights 1..4,
-    so the marginal right-hand sides differ from entry to entry."""
+def _skewed_local_box(sc: Scenario, rng: random.Random, k: int = 4):
+    """Mixture of up to k deterministic strategies with weights 1..k, so
+    the marginal right-hand sides differ from entry to entry."""
     strategies = deterministic_strategies(sc)
-    picked = rng.sample(strategies, min(4, len(strategies)))
+    picked = rng.sample(strategies, min(k, len(strategies)))
     weights = range(1, len(picked) + 1)
     return mix([s.box() for s in picked], [F(w, sum(weights)) for w in weights])
 
@@ -466,57 +467,59 @@ class TestLocalModelFromExtension:
     def test_not_an_extension(self):
         box = make_isotropic(F(1, 2))
         problem = ExtensionProblem(box, "B", 2)
-        wrong = infinite_shareability_extension(
-            is_local(uniform_box(SC22)), 2
-        )
+        wrong = is_m_shareable(ExtensionProblem(uniform_box(SC22), "B", 2)).extension
         with pytest.raises(NotAnExtension):
             local_model_from_extension(problem, wrong)
 
 
 class TestInfiniteShareability:
+    """A local box is m-shareable for every m: is_m_shareable builds the
+    extension from its local model, each copy replaying the shared
+    party's table."""
+
     def test_isotropic_half_extends_everywhere(self):
         box = make_isotropic(F(1, 2))
-        model = is_local(box)
-        assert isinstance(model, LocalModel)
-        for m in (2, 3, 4):
-            ext = infinite_shareability_extension(model, m)
-            validate_extension(ExtensionProblem(box, "B", m), ext)
+        for party in "AB":
+            for m in (2, 3, 4):
+                problem = ExtensionProblem(box, party, m)
+                validate_extension(problem, is_m_shareable(problem).extension)
 
     def test_deterministic_box(self):
         strat = deterministic_strategies(SC22)[5]
-        model = is_local(strat.box())
-        ext = infinite_shareability_extension(model, 3)
-        assert all(v in (ZERO, ONE) for v in ext.table)
-        validate_extension(ExtensionProblem(strat.box(), "B", 3), ext)
+        for party in "AB":
+            problem = ExtensionProblem(strat.box(), party, 3)
+            ext = is_m_shareable(problem).extension
+            assert all(v in (ZERO, ONE) for v in ext.table)
+            validate_extension(problem, ext)
 
     def test_copy_marginal_is_base(self):
         box = mix([make_isotropic(F(1, 3)), uniform_box(SC22)], [F(1, 2), F(1, 2)])
-        model = is_local(box)
-        ext = infinite_shareability_extension(model, 2)
+        ext = is_m_shareable(ExtensionProblem(box, "B", 2)).extension
         assert marginal(ext, (0, 1)) == box
+        ext = is_m_shareable(ExtensionProblem(box, "A", 2)).extension
+        assert marginal(ext, (1, 2)) == box
 
     def test_random_models_round_trip(self, ns_vertices):
         rng = random.Random(61)
         for _ in range(10):
             box = random_local_box(rng, ns_vertices)
-            model = is_local(box)
-            assert isinstance(model, LocalModel)
-            ext = infinite_shareability_extension(model, 3)
-            validate_extension(ExtensionProblem(box, "B", 3), ext)
+            assert isinstance(is_local(box), LocalModel)
+            for party in "AB":
+                problem = ExtensionProblem(box, party, 3)
+                validate_extension(problem, is_m_shareable(problem).extension)
 
     @pytest.mark.parametrize("m", [True, 2.0, "2", 0, None])
     def test_copy_count_must_be_a_positive_int(self, m):
         # a bool is an int to `<`, and a float or str would reach the scenario
         with pytest.raises(BadParams):
-            infinite_shareability_extension(is_local(make_isotropic(F(1, 2))), m)
+            ExtensionProblem(make_isotropic(F(1, 2)), "B", m)
 
     @pytest.mark.parametrize("m", [8, 20])
     def test_size_cap_before_building(self, m):
-        # 4 * 4^8 entries pass the cap of ExtensionProblem; m = 20 passes
-        # its bound on m itself, before any table size is computed
-        model = is_local(make_isotropic(F(1, 2)))
+        # 4 * 4^8 entries pass the cap; m = 20 passes its bound on m
+        # itself, before any table size is computed
         with pytest.raises(ExtensionTooLarge, match=f"m={m}"):
-            infinite_shareability_extension(model, m)
+            ExtensionProblem(make_isotropic(F(1, 2)), "B", m)
 
 
 class TestCloning:
@@ -529,10 +532,11 @@ class TestCloning:
     def test_local_box_cloneable_many_times(self):
         box = make_isotropic(F(1, 2))
         assert is_m_shareable(ExtensionProblem(box, "B", 3)).feasible
-        # for larger m, replaying the local model's Bob response clones
-        # without any LP, and the result validates as a 5-extension
-        ext5 = infinite_shareability_extension(is_local(box), 5)
-        validate_extension(ExtensionProblem(box, "B", 5), ext5)
+        # for larger m too, replaying the local model's Bob response clones
+        # after the membership LP alone, and the result validates as a
+        # 5-extension
+        problem = ExtensionProblem(box, "B", 5)
+        validate_extension(problem, is_m_shareable(problem).extension)
 
     def test_ceiling_is_half(self, monkeypatch):
         # one exact LP decides it, backed by a checkable dual certificate
@@ -774,3 +778,114 @@ class TestGeneralizedBoxes:
             generalized_pr(1)
         with pytest.raises(BadParams):
             generalized_isotropic(3, F(1, 2), [F(1, 2), F(1, 2)])
+
+
+def _pr_type(sc: Scenario):
+    """PR correlations on inputs 0 and 1 and outputs 0 and 1, every input
+    above 1 answering like input 0: a nonlocal box of the scenario."""
+    X, Y = sc.inputs
+    table = [ZERO] * sc.table_size
+    for x, y, a, b in itertools.product(range(X), range(Y), range(2), range(2)):
+        if (a + b) % 2 == (x == 1) * (y == 1):
+            table[sc.flat_index((a, b), (x, y))] = F(1, 2)
+    return validate_box(table, sc)
+
+
+class _Calls:
+    """Counts is_m_shareable's LPs: every program lp.solve gets, and the
+    problems folded_extension_lp is asked for."""
+
+    def __init__(self, mp):
+        self.solved, self.folded = [], []
+        solve, fold = lp.solve, shareability.folded_extension_lp
+
+        def counting_solve(prog, start=None):
+            self.solved.append(prog)
+            return solve(prog, start)
+
+        def counting_fold(problem):
+            self.folded.append(problem)
+            return fold(problem)
+
+        mp.setattr(lp, "solve", counting_solve)
+        mp.setattr(shareability, "folded_extension_lp", counting_fold)
+
+
+# 2222, 2322, 3322 and 2233, as (inputs, outputs)
+ONE_PATH_SCENARIOS = [
+    Scenario((2, 2), (2, 2)), Scenario((2, 3), (2, 2)),
+    Scenario((3, 3), (2, 2)), Scenario((2, 2), (3, 3)),
+]
+# at m = 3 the orbit LP alone takes 1.5-50 s on a seeded box of these,
+# local (the stall the model path removes) or nonlocal (the rung still open)
+SLOW_ORBIT_LP_AT_THREE = ONE_PATH_SCENARIOS[2:]
+
+
+class TestOnePath:
+    """A base box the membership LP finds local is decided by its model;
+    any other goes on to the orbit LP, as it did alone."""
+
+    def _boxes(self, sc):
+        rng = random.Random(f"one path {sc.inputs} {sc.outputs}")
+        local = _skewed_local_box(sc, rng, 3)
+        nonlocal_ = mix([_pr_type(sc), _skewed_local_box(sc, rng, 3)], [F(3, 4), F(1, 4)])
+        assert isinstance(is_local(local), LocalModel)
+        assert isinstance(is_local(nonlocal_), NonlocalityCertificate)
+        return local, nonlocal_
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("sc", ONE_PATH_SCENARIOS, ids=str)
+    def test_verdict_is_the_orbit_lps(self, sc, m, monkeypatch):
+        slow = m == 3 and sc in SLOW_ORBIT_LP_AT_THREE
+        local, nonlocal_ = self._boxes(sc)
+        for box in (local, nonlocal_)[: 1 if slow else 2]:
+            for party in "AB":
+                problem = ExtensionProblem(box, party, m)
+                with monkeypatch.context() as mp:
+                    calls = _Calls(mp)
+                    witness = is_m_shareable(problem)
+                assert calls.solved[0].eqs == locality.membership_lp(box).eqs
+                prog = None if slow else folded_extension_lp(problem)[0]
+                if box is local:
+                    assert witness.feasible and calls.folded == [] and len(calls.solved) == 1
+                    if prog is not None:
+                        assert lp.solve(prog).status == lp.OPTIMAL
+                else:
+                    # the verdict is the orbit LP's: its program was solved second
+                    assert calls.folded == [problem] and len(calls.solved) == 2
+                    assert calls.solved[1].eqs == prog.eqs
+                if witness.feasible:
+                    validate_extension(problem, witness.extension)
+                else:
+                    outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=witness.certificate)
+                    assert lp.verify_certificate(prog, outcome)
+                if m == 1 or (m == 2 and sc.table_size == 16):
+                    assert witness.feasible == unfolded_extension_feasible(box, party, m)
+                # local boxes are shareable to every m; the nonlocal ones are
+                # nonlocal on inputs 0 and 1 alone, so shareable only to m = 1
+                assert witness.feasible == (box is local or m == 1)
+
+    @pytest.mark.parametrize("party", "AB")
+    def test_above_the_strategy_cap_only_the_orbit_lp(self, party, monkeypatch):
+        # 2^14 * 2 = 32,768 strategies: no membership LP is tried
+        sc = Scenario((14, 1), (2, 2))
+        assert polytope.strategy_count(sc) > locality.STRATEGY_CAP
+        problem = ExtensionProblem(uniform_box(sc), party, 2)
+        calls = _Calls(monkeypatch)
+        witness = is_m_shareable(problem)
+        assert witness.feasible
+        assert calls.folded == [problem] and len(calls.solved) == 1
+        assert calls.solved[0].eqs == folded_extension_lp(problem)[0].eqs
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("party", "AB")
+    def test_local_3322_mixture_at_three_copies(self, party, seed, monkeypatch):
+        # the orbit LP took up to 26,573 pivots and minutes on such boxes;
+        # the model decides them with one membership LP
+        sc = Scenario((3, 3), (2, 2))
+        box = _skewed_local_box(sc, random.Random(seed), 5)
+        problem = ExtensionProblem(box, party, 3)
+        calls = _Calls(monkeypatch)
+        witness = is_m_shareable(problem)
+        assert witness.feasible and calls.folded == [] and len(calls.solved) == 1
+        validate_extension(problem, witness.extension)
