@@ -56,8 +56,8 @@ int allowed for a Fraction coefficient, may append (row, rhs) pairs to
 `eqs` or `ineqs` directly.  Three do, each from rows cached per shape:
 `polytope.ns_lp` the nonsignaling rows, `locality.membership_lp` the
 local-membership rows at the spanning entries (once per scenario), and
-`shareability.folded_extension_lp` the integer orbit rows (once per
-scenario, party and m).  Only the nonsignaling LP keeps its objective
+`shareability.folded_extension_lp` the integer orbit rows, folded by
+the box's stabilizer (once per scenario, party, m and stabilizer).  Only the nonsignaling LP keeps its objective
 out of its rows and right-hand sides, so only its start is cached
 (`polytope.max_over_ns`); the membership and orbit LPs move their
 right-hand sides with the box and run phase one each time.

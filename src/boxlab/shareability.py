@@ -11,16 +11,23 @@ permutation of the copies maps onto each other.  Folding is exact, not
 a relaxation: averaging any extension over the copy permutations gives
 a symmetric one with the same marginals, so an extension exists exactly
 when a symmetric one does, and a symmetric table is constant on orbits.
-The rows depend only on the shape (base scenario, shared party, m) and
-are built once per shape; a box supplies only the marginal rows'
-right-hand sides, from the table of its canonical relabeling, and a
-witness is unfolded by reading each entry's labels through that
-relabeling.  Shareable boxes admit local models on the restricted
-inputs (the copies' outputs serve as the hidden variable).  Perfect
-cloning of Bob's wing into m copies is the same question,
-is_m_shareable(ExtensionProblem(box, "B", m)), which is why nonlocal
-boxes cannot be cloned; the isotropic family's cloning ceiling, C =
-1/2, is the optimum of the orbit LP with C as one more column.
+The same argument folds the orbits once more, by the box's stabilizer
+G: the pairs of local relabelings (one of Alice's, one of Bob's,
+applied alike to every copy) that leave the canonical table unchanged.
+Each element of G maps a symmetric nonsignaling extension of the box
+onto another one, so averaging over G gives a G-invariant extension,
+constant on the classes of orbits that G maps onto each other.  The
+rows depend only on the shape (base scenario, shared party, m) and G,
+and are built once per shape and G; a box supplies only the marginal
+rows' right-hand sides, from the table of its canonical relabeling,
+and a witness is unfolded through the class map and then by reading
+each entry's labels through that relabeling.  Shareable boxes admit
+local models on the restricted inputs (the copies' outputs serve as the
+hidden variable).  Perfect cloning of Bob's wing into m copies is the
+same question, is_m_shareable(ExtensionProblem(box, "B", m)), which is
+why nonlocal boxes cannot be cloned; the isotropic family's cloning
+ceiling, C = 1/2, is the optimum of the orbit LP, folded by the PR
+box's stabilizer, with C as one more column.
 
 Monogamy and the box families live here too.  The monogamy LP lifts
 CHSH onto the AB and AC pairs of a tripartite table (polytope.lift),
@@ -260,16 +267,27 @@ def _orbit_rows(scenario: Scenario, shared_party: str, copies: int):
 
 def _canonical_problem(problem: ExtensionProblem):
     """The base box's local relabeling with the lexicographically greatest
-    table, as (table, fixed, copy): the relabeled table, and for the fixed
-    and the copy party a map from each original (output, input) label to
-    its relabeled one.  Relabeling each copy of a party alike maps
-    extensions onto extensions, so the answer is the same, and every
-    relabeling of a box gets one program and the same simplex pivots.
-    Above CANONICAL_SEARCH_CAP relabelings (core.party_relabelings of both
-    parties) the table is kept and the maps are the identity.  Candidates
-    are compared with the best so far cell by cell, up to the first
-    differing cell, and only a strictly greater one replaces it, so the
-    first greatest wins.
+    table, and that table's stabilizer, as (table, fixed, copy, group):
+    the relabeled table; for the fixed and the copy party a map from each
+    original (output, input) label to its relabeled one; and the sorted
+    tuple of every (fixed map, copy map) pair, each as its sorted (label,
+    image) pairs on relabeled labels, that leaves the table unchanged.
+    Relabeling each copy of a party alike maps extensions onto
+    extensions, so the answer is the same, and every relabeling of a box
+    gets one program and the same simplex pivots.  Above
+    CANONICAL_SEARCH_CAP relabelings (core.party_relabelings of both
+    parties) the table is kept, the maps are the identity, and so is the
+    only element of the group.  Candidates are compared with the best so
+    far cell by cell, up to the first differing cell, and only a strictly
+    greater one replaces it, so the first greatest wins.
+
+    The same loop collects the stabilizer: the relabelings phi that tie
+    the final best phi_best on every cell, listed afresh whenever a
+    strictly greater table appears.  Each phi maps a relabeled cell to the
+    original cell it reads, and psi = phi_best^-1 . phi fixes the relabeled
+    table T': T'(psi(c)) = T(phi(c)) = T(phi_best(c)) = T'(c).  The group
+    of such psi is the stabilizer of T', which the box's labels do not
+    change, so every relabeling of a box shares one key of _folded_rows.
 
     What the search buys is a cost independent of labels, and fewer
     pivots in total.  Local boxes never reach it (is_m_shareable's model
@@ -278,9 +296,8 @@ def _canonical_problem(problem: ExtensionProblem):
     seeded four-strategy mixture), each under its own labels and two
     seeded relabelings, took 701-4,463 pivots with the search, the same
     under every labeling, 47,415 in all; without it 505-8,388, 57,798 in
-    all (+22%; Python 3.11, 2 vCPUs).  The relabelings that reach the
-    greatest table form the box's stabilizer, which a fold by the box's
-    own symmetries reads from this same loop."""
+    all (+22%; Python 3.11, 2 vCPUs).  It also finds the stabilizer that
+    folded_extension_lp folds by, at no extra comparisons."""
     sc = problem.base.scenario
     (X, Y), (A, B) = sc.inputs, sc.outputs
     table = problem.base.table
@@ -296,29 +313,47 @@ def _canonical_problem(problem: ExtensionProblem):
                  for ga in party_relabelings(X, A)]
         bob = [(hb, [hb[0][y] * A * B + hb[1][y][b] for _, y, _, b in cells])
                for hb in party_relabelings(Y, B)]
-        best, best_ranks = None, [-1] * len(cells)
+        best, best_ranks, ties = None, [-1] * len(cells), []
         for ga, ta in alice:
             for hb, tb in bob:
                 for i, j, r in zip(ta, tb, best_ranks):
                     if ranked[i + j] != r:
                         if ranked[i + j] > r:
-                            best = (ta, tb, ga, hb)
+                            best, ties = (ta, tb, ga, hb), [(ga, hb)]
                             best_ranks = [ranked[i + j] for i, j in zip(ta, tb)]
                         break
+                else:
+                    ties.append((ga, hb))
         ta, tb, g, h = best
         table = tuple(table[i + j] for i, j in zip(ta, tb))
-    # relabeled entry (a | x) reads the original (sigma[x][a] | pi[x])
-    of_a, of_b = ({(s[a], p): (a, x) for x, (p, s) in enumerate(zip(*r)) for a in range(len(s))}
-                  for r in (g, h))
-    return (table, of_a, of_b) if problem.shared_party == "B" else (table, of_b, of_a)
+    else:
+        ties = [(g, h)]
+
+    def of(r):
+        # relabeled entry (a | x) reads the original (sigma[x][a] | pi[x])
+        return {(s[a], p): (a, x) for x, (p, s) in enumerate(zip(*r)) for a in range(len(s))}
+
+    of_a, of_b = of(g), of(h)
+    # psi = phi_best^-1 . phi on each party's canonical labels, as the
+    # sorted (label, image) pairs of a map
+    group = tuple(sorted(
+        tuple(tuple(sorted((label, best_of[orig]) for orig, label in of(r).items()))
+              for r, best_of in ((ga, of_a), (hb, of_b)))
+        for ga, hb in ties
+    ))
+    if problem.shared_party == "A":
+        of_a, of_b = of_b, of_a
+        group = tuple(sorted((pb, pa) for pa, pb in group))
+    return table, of_a, of_b, group
 
 
 def _unfold(problem: ExtensionProblem, fixed, copy, index, values) -> tuple:
     """The full extension table of `problem` in one pass: each entry
-    takes the value of the orbit (index from _orbit_rows) of its labels
-    read through _canonical_problem's maps, `fixed` for the fixed party
-    and `copy` for each copy.  Only a feasible witness is unfolded, so an
-    infeasible verdict never walks the extension table."""
+    takes the value of the orbit or class (index from _orbit_rows or
+    _folded_rows) of its labels read through _canonical_problem's maps,
+    `fixed` for the fixed party and `copy` for each copy.  Only a
+    feasible witness is unfolded, so an infeasible verdict never walks
+    the extension table."""
     ext = problem.extension_scenario()
     f, slots = problem.fixed_slot(), problem.copy_slots()
     return tuple(
@@ -328,22 +363,88 @@ def _unfold(problem: ExtensionProblem, fixed, copy, index, values) -> tuple:
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _folded_rows(scenario: Scenario, shared_party: str, copies: int, group: tuple):
+    """The orbit LP's rows for one shape folded by `group`, a stabilizer
+    as _canonical_problem returns it, held in a small cache like
+    _orbit_rows.  Returns (index, count, normalization, marginals,
+    traces): the class number per orbit key, the number of classes, the
+    normalization and trace rows as (coefficients, rhs) pairs, and the
+    copy-marginal rows at the base's polytope.spanning_entries only, as
+    (coefficients, entries) pairs whose rhs is the box's value at each of
+    those flat indices.  Both marginals are nonsignaling, so equal at the
+    spanning entries they are equal everywhere.
+
+    With a trivial group the rows are _orbit_rows' own tuples.  Otherwise
+    a union-find merges the orbits each element maps onto each other (the
+    fixed party's map on its label, the copy party's on every copy's
+    label); classes are numbered by their least orbit, each row's
+    coefficients are summed per class, and zero rows and repeats go: a
+    trace row up to its sign, a marginal row when its coefficients repeat
+    one of an earlier entry, whose entries it then joins."""
+    index, normalization, marginals, traces = _orbit_rows(scenario, shared_party, copies)
+    spanning = polytope.spanning_entries(scenario)
+    if len(group) == 1:
+        return index, len(index), normalization, tuple((marginals[e], (e,)) for e in spanning), traces
+    keys = list(index)
+    root = list(range(len(keys)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for fixed_map, copy_map in group:
+        f, c = dict(fixed_map), dict(copy_map)
+        for n, (label, pairs) in enumerate(keys):
+            i, j = find(n), find(index[f[label], tuple(sorted(c[p] for p in pairs))])
+            root[max(i, j)] = min(i, j)
+    number: dict[int, int] = {}
+    class_of = [number.setdefault(find(n), len(number)) for n in range(len(keys))]
+
+    def fold(coeffs):
+        summed: dict[int, int] = {}
+        for orbit, c in coeffs:
+            k = class_of[orbit]
+            summed[k] = summed.get(k, 0) + c
+        return tuple(sorted((k, c) for k, c in summed.items() if c))
+
+    def signed(coeffs):
+        return tuple((k, -c) for k, c in coeffs) if coeffs and coeffs[0][1] < 0 else coeffs
+
+    folded: dict[tuple, list] = {}
+    for e in spanning:
+        folded.setdefault(fold(marginals[e]), []).append(e)
+    return (
+        MappingProxyType(dict(zip(keys, class_of))),
+        len(number),
+        tuple((coeffs, ONE) for coeffs in dict.fromkeys(fold(c) for c, _ in normalization)),
+        tuple((coeffs, tuple(entries)) for coeffs, entries in folded.items()),
+        tuple((coeffs, ZERO) for coeffs in dict.fromkeys(signed(fold(c)) for c, _ in traces) if coeffs),
+    )
+
+
 def folded_extension_lp(problem: ExtensionProblem):
-    """Feasibility LP for a symmetric extension, one variable per orbit
-    (the value every entry of that orbit takes), and unfold(values), the
-    full extension table of this problem whose entries take the values
-    of their orbits; the table size was capped when the problem was made.
-    The rows are the cached _orbit_rows of the problem's shape, already
-    in LinearProgram's stored form (ascending orbits, nonzero int
+    """Feasibility LP for a symmetric extension, one variable per class
+    of orbits that the base box's stabilizer merges (per orbit when it
+    is trivial), and unfold(values), the full extension table of this
+    problem whose entries take the values of their classes; the table
+    size was capped when the problem was made.  The rows are the cached
+    _folded_rows of the problem's shape and stabilizer, already in
+    LinearProgram's stored form (ascending classes, nonzero int
     coefficients), so they go into `eqs` as they come; the marginal rows
     take their right-hand sides from the table of the base box's
-    canonical relabeling (_canonical_problem), in table order."""
-    table, fixed, copy = _canonical_problem(problem)
-    index, normalization, marginals, traces = _orbit_rows(
-        problem.base.scenario, problem.shared_party, problem.copies
+    canonical relabeling (_canonical_problem), one row per distinct value
+    over the entries of a row."""
+    table, fixed, copy, group = _canonical_problem(problem)
+    index, count, normalization, marginals, traces = _folded_rows(
+        problem.base.scenario, problem.shared_party, problem.copies, group
     )
-    prog = lp.LinearProgram(len(index))
-    prog.eqs.extend(itertools.chain(normalization, zip(marginals, table), traces))
+    prog = lp.LinearProgram(count)
+    prog.eqs.extend(normalization)
+    for coeffs, entries in marginals:
+        prog.eqs.extend((coeffs, rhs) for rhs in dict.fromkeys(table[e] for e in entries))
+    prog.eqs.extend(traces)
     return prog, functools.partial(_unfold, problem, fixed, copy, index)
 
 
@@ -377,9 +478,10 @@ def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
     locality.local_model.  A model gives the extension, every copy
     replaying the shared party's table (LocalModel.adjoin; toward A,
     core.permute_parties then moves Bob to the last slot).  Otherwise the
-    orbit LP of folded_extension_lp decides: a feasible witness is
-    unfolded into the full symmetric extension table, and an infeasible
-    one carries the orbit LP's Farkas certificate.
+    orbit LP of folded_extension_lp, folded by the box's stabilizer,
+    decides: a feasible witness is unfolded into the full symmetric
+    extension table, and an infeasible one carries that LP's Farkas
+    certificate.
     """
     from .locality import STRATEGY_CAP, LocalModel, local_model
 
@@ -477,18 +579,24 @@ def _iso_ceiling_lp() -> lp.LinearProgram:
     """max C over 2-extensions toward Bob of isotropic-C, C in [0, 1].
 
     The isotropic family is affine in C, so C rides along as one more
-    column on the orbit rows of the 2222 shape: each marginal row's rhs
-    is the noise entry (C = 0), and C's coefficient in it is the noise
-    entry minus the PR entry, so the row asks for the isotropic-C entry.
+    column on the rows of the 2222 shape, folded by the PR box's
+    stabilizer (_folded_rows), which fixes the uniform noise too and so
+    every isotropic box: each marginal row's rhs is the noise entry
+    (C = 0), and C's coefficient in it is the noise entry minus the PR
+    entry, so the row asks for the isotropic-C entry.
     """
     from .isotropic import make_isotropic
 
-    noise, pr = make_isotropic(0), make_isotropic(1)
-    index, normalization, marginals, traces = _orbit_rows(noise.scenario, "B", 2)
-    n_orbits = len(index)
-    prog = lp.LinearProgram(n_orbits + 1, [(n_orbits, ONE)])
-    prog.set_upper(n_orbits, ONE)
-    rows = [(c + ((n_orbits, p - q),), p) for c, p, q in zip(marginals, noise.table, pr.table)]
+    noise, box = make_isotropic(0).table, make_isotropic(1)
+    pr, _, _, group = _canonical_problem(ExtensionProblem(box, "B", 2))
+    _, n, normalization, marginals, traces = _folded_rows(box.scenario, "B", 2, group)
+    prog = lp.LinearProgram(n + 1, [(n, ONE)])
+    prog.set_upper(n, ONE)
+    rows = [
+        (c + ((n, p - q),), p)
+        for c, entries in marginals
+        for p, q in dict.fromkeys((noise[e], pr[e]) for e in entries)
+    ]
     for coeffs, rhs in itertools.chain(normalization, rows, traces):
         prog.add_eq(coeffs, rhs)
     return prog

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from boxlab import bell, lp
+from boxlab import bell, lp, shareability
 from boxlab.core import Box, Scenario, mix, party_relabelings, relabel, uniform_box
 from oracles import verify_certificate_fractions
 
@@ -94,6 +94,16 @@ def asymmetric_giso(c):
     one = Scenario((2,), (2,))
     alice = Box(one, (Fraction(3, 4), Fraction(1, 4)) * 2)
     return mix([bell.pr_box(), tensor(alice, uniform_box(one))], [c, 1 - c])
+
+
+def orbit_lp(base: Box, shared_party: str, m: int) -> lp.LinearProgram:
+    """The orbit LP with no stabilizer fold, as it stood before one: every
+    row of shareability._orbit_rows, a copy-marginal row at every base
+    entry, with the base box's own table as their right-hand sides."""
+    index, normalization, marginals, traces = shareability._orbit_rows(base.scenario, shared_party, m)
+    prog = lp.LinearProgram(len(index))
+    prog.eqs.extend([*normalization, *zip(marginals, base.table), *traces])
+    return prog
 
 
 def relabelings_2222():

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from boxlab import boxio, cli, lp
 from boxlab.core import Scenario, uniform_box
-from conftest import asymmetric_giso
+from conftest import asymmetric_giso, orbit_lp
 from oracles import unfolded_extension_lp
 
 
@@ -107,6 +107,24 @@ def test_unfolded_certificate_report_fails(tmp_path):
         }
 
     rewrite(report, to_unfolded)
+    assert run("verify", report) == 1
+
+
+@pytest.mark.parametrize("party", ["A", "B"])
+def test_prefold_certificate_report_fails(tmp_path, party):
+    # reports written before the stabilizer fold carried a certificate of
+    # the orbit LP with every marginal row; verify rebuilds the folded
+    # program, on which that certificate fails cleanly
+    code, report = shareable_report(tmp_path, ["iso", "--C", "3/4"], party)
+    assert code == 1
+    box = boxio.read_box(str(tmp_path / "box.txt")).box
+    out = lp.solve(orbit_lp(box, party, 2))
+    assert out.status == lp.INFEASIBLE
+
+    def to_prefold(data):
+        data["certificate"] = {"type": "farkas", **boxio.encode_lp_certificate(out.certificate)}
+
+    rewrite(report, to_prefold)
     assert run("verify", report) == 1
 
 

@@ -15,6 +15,7 @@ from boxlab.lp import (
     solve,
     verify_certificate,
 )
+from conftest import orbit_lp
 from oracles import brute_force_lp, verify_certificate_fractions
 
 # every certificate these tests produce is checked by both verifiers
@@ -523,10 +524,14 @@ def test_pivot_counts_pinned(monkeypatch):
     assert solve(beale_program()).value == F(1, 20)
     assert len(pivots) == 24
     pivots.clear()
-    problem = shareability.ExtensionProblem(make_isotropic(F(3, 5)), "B", 4)
-    prog, _ = shareability.folded_extension_lp(problem)
-    assert solve(prog).status == INFEASIBLE
+    # the orbit LP before the stabilizer fold, then the folded one
+    box = make_isotropic(F(3, 5))
+    assert solve(orbit_lp(box, "B", 4)).status == INFEASIBLE
     assert len(pivots) == 233
+    pivots.clear()
+    prog, _ = shareability.folded_extension_lp(shareability.ExtensionProblem(box, "B", 4))
+    assert solve(prog).status == INFEASIBLE
+    assert len(pivots) == 19
 
 
 def tie_tableau(cost):

@@ -32,6 +32,7 @@ from boxlab.shareability import (
     NotAnExtension,
     NotUniqueMaximizer,
     _canonical_problem,
+    _folded_rows,
     _iso_ceiling_lp,
     _orbit_rows,
     _unfold,
@@ -48,7 +49,7 @@ from boxlab.shareability import (
     unique_violator_decoupling,
     validate_extension,
 )
-from conftest import asymmetric_giso, random_local_box, random_ns_box, tensor
+from conftest import asymmetric_giso, orbit_lp, random_local_box, random_ns_box, relabelings_2222, tensor
 from oracles import (
     canonical_relabeling,
     shared_shift_symmetrize,
@@ -282,9 +283,11 @@ class TestCanonicalRelabeling:
     @pytest.mark.parametrize("c", [F(0), F(1, 2), F(3, 4), F(1)])
     def test_isotropic_box_is_its_own_canonical_form(self, c):
         problem = ExtensionProblem(make_isotropic(c), "B", 2)
-        table, fixed, copy = _canonical_problem(problem)
+        table, fixed, copy, group = _canonical_problem(problem)
         assert table == problem.base.table
         assert fixed == copy == _identity_labels(2, 2)
+        # uniform noise is fixed by all 64 relabeling pairs, the PR box by 8
+        assert len(group) == (64 if c == 0 else 8)
         # unfolding leaves every entry in place: each reads its own orbit
         index = _orbit_rows(SC22, "B", 2)[0]
         orbit_of = walked_orbit_rows(problem)[0]
@@ -294,9 +297,11 @@ class TestCanonicalRelabeling:
         # 4 outputs per party: over a million relabelings, no search
         box = generalized_isotropic(4, F(1, 2))
         problem = ExtensionProblem(box, "B", 1)
-        table, fixed, copy = _canonical_problem(problem)
+        table, fixed, copy, group = _canonical_problem(problem)
         assert table is box.table
         assert fixed == copy == _identity_labels(2, 4)
+        # no search, so no symmetry but the identity
+        assert group == ((tuple(sorted(fixed.items())), tuple(sorted(copy.items()))),)
         witness = is_m_shareable(problem)
         assert witness.feasible
         assert witness.extension == box
@@ -311,7 +316,7 @@ class TestUnfold:
     canonical problem's extension table, then core.relabel."""
 
     def _check(self, problem, relabeling):
-        table, fixed, copy = _canonical_problem(problem)
+        table, fixed, copy, _ = _canonical_problem(problem)
         index = _orbit_rows(problem.base.scenario, problem.shared_party, problem.copies)[0]
         # distinct values, so every entry must read its own orbit
         values = range(len(index))
@@ -334,6 +339,95 @@ class TestUnfold:
     def test_over_the_cap_keeps_the_labels(self, party, m):
         box = generalized_isotropic(4, F(1, 2))
         assert self._check(ExtensionProblem(box, party, m), None) is box.table
+
+
+def _fixes(problem, element, table):
+    """Whether the stabilizer element (the fixed and the copy party's label
+    maps, as _canonical_problem returns them) leaves `table` unchanged."""
+    sc = problem.base.scenario
+    alice, bob = map(dict, element if problem.shared_party == "B" else element[::-1])
+    for x, y, a, b in itertools.product(*(range(n) for n in sc.inputs + sc.outputs)):
+        (a2, x2), (b2, y2) = alice[a, x], bob[b, y]
+        if table[sc.flat_index((a2, b2), (x2, y2))] != table[sc.flat_index((a, b), (x, y))]:
+            return False
+    return True
+
+
+# relabeled isotropic, generalized-isotropic A=3 and asymmetric mixture
+# boxes, each below and above its threshold: (box, shareable for m >= 2)
+STABILIZER_BOXES = [
+    (make_isotropic(F(2, 5)), True), (make_isotropic(F(3, 5)), False),
+    (generalized_isotropic(3, F(2, 5)), True), (generalized_isotropic(3, F(7, 10)), False),
+    (asymmetric_giso(F(2, 5)), True), (asymmetric_giso(F(3, 5)), False),
+]
+
+
+class TestStabilizerFold:
+    """The orbit LP folded by the stabilizer of the canonical table."""
+
+    def _relabeled(self, k):
+        box, shareable = STABILIZER_BOXES[k]
+        rng = random.Random(f"stabilizer {k}")
+        return relabel(box, *_random_relabeling(rng, box.scenario)), shareable
+
+    @pytest.mark.parametrize("k", range(len(STABILIZER_BOXES)))
+    def test_the_group_is_the_stabilizer(self, k):
+        box, _ = self._relabeled(k)
+        for party in "AB":
+            problem = ExtensionProblem(box, party, 2)
+            table, fixed, copy, group = _canonical_problem(problem)
+            assert all(_fixes(problem, element, table) for element in group)
+            # a group: the identity is in it, and it is closed
+            identity = (tuple(sorted((v, v) for v in fixed.values())),
+                        tuple(sorted((v, v) for v in copy.values())))
+            assert identity in group and len(group) > 1
+            maps = [tuple(map(dict, element)) for element in group]
+            for (f1, c1), (f2, c2) in itertools.product(maps, repeat=2):
+                product = (tuple(sorted((v, f1[f2[v]]) for v in f2)),
+                           tuple(sorted((v, c1[c2[v]]) for v in c2)))
+                assert product in group
+            if box.scenario == SC22:
+                canonical = core.Box(SC22, table)
+                fixing = [r for r in relabelings_2222() if relabel(canonical, *r) == canonical]
+                assert len(group) == len(fixing)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("k", range(len(STABILIZER_BOXES)))
+    def test_verdicts_match_the_oracles(self, k, m):
+        # the folded verdict is the orbit LP's and the full-table LP's;
+        # those take seconds on the A=3 box at m = 3, and the full table
+        # is checked at m = 3 toward one party per 2222 box
+        box, shareable = self._relabeled(k)
+        small = box.scenario == SC22
+        for party in "AB":
+            problem = ExtensionProblem(box, party, m)
+            prog, unfold = folded_extension_lp(problem)
+            out = lp.solve(prog)
+            feasible = out.status == lp.OPTIMAL
+            assert feasible == (m == 1 or shareable)
+            if m < 3 or small:
+                assert feasible == (lp.solve(orbit_lp(box, party, m)).status == lp.OPTIMAL)
+            if m < 3 or (small and party == "AB"[k % 2]):
+                assert feasible == unfolded_extension_feasible(box, party, m)
+            if feasible:
+                validate_extension(problem, validate_box(unfold(out.primal), problem.extension_scenario()))
+            else:
+                assert lp.verify_certificate(folded_extension_lp(problem)[0], out)
+                assert is_m_shareable(problem).certificate == out.certificate
+
+    @pytest.mark.parametrize("c, m, party", [(F(3, 5), 5, "B"), (F(3, 5), 6, "B"), (F(11, 20), 6, "A")])
+    def test_isotropic_stall_is_gone(self, c, m, party):
+        # the orbit LP alone took 1,279 pivots and seconds at m = 5, and
+        # 9,717 pivots and minutes at m = 6
+        problem = ExtensionProblem(make_isotropic(c), party, m)
+        witness = is_m_shareable(problem)
+        assert not witness.feasible
+        # the box's 8 symmetries merge 224 orbits into 28 classes at m = 5,
+        # and 336 into 44 at m = 6
+        prog, _ = folded_extension_lp(problem)
+        assert (len(_orbit_rows(SC22, party, m)[0]), prog.num_vars) == {5: (224, 28), 6: (336, 44)}[m]
+        outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=witness.certificate)
+        assert lp.verify_certificate(prog, outcome)
 
 
 def _skewed_local_box(sc: Scenario, rng: random.Random, k: int = 4):
@@ -387,25 +481,31 @@ class TestOrbitRows:
     def test_rows_match_the_walk_for_more_copies(self, m, party):
         self._check(ExtensionProblem(_skewed_local_box(SC22, random.Random(m)), party, m))
 
-    def test_one_build_per_shape(self):
+    def test_one_build_per_shape(self, ns_vertices):
+        # two boxes with trivial stabilizers: one build of the orbit rows,
+        # one entry of the folded cache, and no fold
         _orbit_rows.cache_clear()
-        boxes = (make_isotropic(F(1, 2)), asymmetric_giso(F(3, 5)))
+        _folded_rows.cache_clear()
+        boxes = [random_ns_box(random.Random(s), ns_vertices, nonlocal_bias=60) for s in (0, 1)]
         problems = [ExtensionProblem(box, "B", 3) for box in boxes]
+        assert all(len(_canonical_problem(problem)[3]) == 1 for problem in problems)
         progs = [folded_extension_lp(problem)[0] for problem in problems]
-        info = _orbit_rows.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        orbit, folded = _orbit_rows.cache_info(), _folded_rows.cache_info()
+        assert (orbit.misses, orbit.hits, orbit.currsize) == (1, 0, 1)
+        assert (folded.misses, folded.hits, folded.currsize) == (1, 1, 1)
         normalization, marginals, traces = _orbit_rows(SC22, "B", 3)[1:]
+        spanning = polytope.spanning_entries(SC22)
         first, second = (prog.eqs for prog in progs)
-        # the very same coefficient tuples, not equal copies
-        assert len(first) == len(second)
-        assert all(a is b for (a, _), (b, _) in zip(first, second))
         # the programs differ only in the marginal right-hand sides, each
-        # the table of the base box's canonical relabeling
+        # the table of the base box's canonical relabeling at the spanning
+        # entries, and every row's coefficients are the cached tuple itself
         for prog, problem in zip(progs, problems):
             table = _canonical_problem(problem)[0]
-            assert prog.eqs == [*normalization, *zip(marginals, table), *traces]
+            want = [*normalization, *((marginals[e], table[e]) for e in spanning), *traces]
+            assert prog.eqs == want
+            assert all(a is b for (a, _), (b, _) in zip(prog.eqs, want))
         differ = [k for k, (a, b) in enumerate(zip(first, second)) if a != b]
-        assert differ and all(len(normalization) <= k < len(normalization) + 16 for k in differ)
+        assert differ and all(len(normalization) <= k < len(normalization) + len(spanning) for k in differ)
 
     def test_cached_rows_are_read_only(self):
         problem = ExtensionProblem(make_isotropic(F(1, 2)), "A", 2)
@@ -426,6 +526,12 @@ class TestOrbitRows:
         prog.add_eq([(0, 1)], 1)
         assert _orbit_rows(SC22, "A", 2) == rows
         assert folded_extension_lp(problem)[0].eqs == want
+        # and so are the folded rows of the box's stabilizer
+        group = _canonical_problem(problem)[3]
+        index, count, *parts = _folded_rows(SC22, "A", 2, group)
+        with pytest.raises(TypeError):
+            index[key] = 0
+        assert count < len(rows[0]) and all(type(part) is tuple for part in parts)
 
 
 @pytest.mark.parametrize("copies", [True, False, 2.0, "2", F(2), None], ids=repr)
@@ -556,18 +662,18 @@ class TestCloning:
         assert out.certificate.kind == "dual"
         assert lp.verify_certificate(prog, out)
 
-    def test_ceiling_program_matches_the_walk(self):
-        # the noise box's walked rows, with C as one more column
-        _, n, rows = walked_orbit_rows(ExtensionProblem(make_isotropic(0), "B", 2))
-        pr = make_isotropic(1)
-        walked = lp.LinearProgram(n + 1, [(n, ONE)])
-        walked.set_upper(n, ONE)
-        for coeffs, rhs, entry in rows:
-            walked.add_eq(coeffs + ((n, rhs - pr.prob(*entry) if entry else ZERO),), rhs)
+    @pytest.mark.parametrize("c", [F(1, 10), F(1, 2), F(3, 5), F(1)])
+    def test_ceiling_program_at_c_is_the_folded_lp(self, c):
+        # C moved to the right-hand sides gives isotropic-C's own program:
+        # every isotropic box but the noise has the PR box's stabilizer
         prog = _iso_ceiling_lp()
-        assert (prog.num_vars, prog.objective, prog.eqs, prog.ineqs, prog.upper) == (
-            walked.num_vars, walked.objective, walked.eqs, walked.ineqs, walked.upper
-        )
+        n = prog.num_vars - 1
+        assert (prog.objective, prog.ineqs, prog.upper[n]) == (((n, ONE),), [], ONE)
+        at_c = [(tuple((k, v) for k, v in row if k != n), rhs - c * dict(row).get(n, ZERO))
+                for row, rhs in prog.eqs]
+        folded, _ = folded_extension_lp(ExtensionProblem(make_isotropic(c), "B", 2))
+        assert folded.num_vars == n
+        assert at_c == folded.eqs
 
 
 class TestMonogamy:
