@@ -332,6 +332,14 @@ def swap_indices(scenario: Scenario, i: int, j: int) -> list[int]:
     return party_order_indices(scenario, order)
 
 
+def numerators(values) -> tuple[int, list[int]]:
+    """The least common denominator of the Fractions `values`, and each
+    value's numerator over it: sums and comparisons of these ints are
+    those of the values, scaled by the denominator."""
+    den = lcm(*{v.denominator for v in values})
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def is_nonsignaling(box: Box, witness: bool = False):
     """Check the trace conditions of trace_indices.
 
@@ -340,8 +348,7 @@ def is_nonsignaling(box: Box, witness: bool = False):
     The sums compare as integers over the table's common denominator;
     only a witness's two traces become Fractions.
     """
-    den = lcm(*{v.denominator for v in box.table})
-    nums = [v.numerator * (den // v.denominator) for v in box.table]
+    den, nums = numerators(box.table)
     at = nums.__getitem__
     for k, out_ctx, in_ctx, per_x in trace_indices(box.scenario):
         ref = sum(map(at, per_x[0]))
@@ -442,15 +449,6 @@ def relabel(
             old_outs = tuple(inv_out[k][xs[k]][outs[k]] for k in range(sc.parties))
             table.append(box.prob(old_outs, old_xs))
     return Box(sc, tuple(table))
-
-
-def party_relabelings(inputs: int, outputs: int):
-    """Every local relabeling of one party as (pi, sigma): the relabeled
-    entry (a | x) reads the original entry (sigma[x][a] | pi[x])."""
-    perms = list(itertools.permutations(range(outputs)))
-    for pi in itertools.permutations(range(inputs)):
-        for sigma in itertools.product(perms, repeat=inputs):
-            yield pi, sigma
 
 
 def mix(boxes: Sequence[Box], weights: Sequence) -> Box:

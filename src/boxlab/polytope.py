@@ -22,8 +22,14 @@ box and lives for one call.
 Two builders state a marginal of a larger table, both through
 `core.marginal_indices`: `lift` reads a functional of the marginal as
 a row (the rows of `shareability.monogamy_lp`), and `marginal_rows`
-pins the marginal to a box (the decoupling LP's pin, and the
-copy-marginal check of `shareability.validate_extension`).
+pins the marginal to a box (the decoupling LP's pin).
+`shareability.validate_extension` reads the marginal indices itself,
+summing the extension's integer numerators.
+
+Both cached row sets can be folded by a box's stabilizer, the local
+relabelings that fix its canonical table: `orbit_classes` merges the
+columns each relabeling maps onto each other, and `fold_row` sums a row
+per class.
 """
 
 from __future__ import annotations
@@ -108,6 +114,36 @@ def spanning_entries(scenario: Scenario) -> tuple[int, ...]:
         for oi, outs in enumerate(outputs)
         if all(x == 0 or a < top for x, a, top in zip(xs, outs, last))
     )
+
+
+def orbit_classes(count: int, images) -> list[int]:
+    """Class number per item 0..count-1, when each sequence in `images`
+    (image[n] an item for every item n) joins every item with its image:
+    a union-find, classes numbered in the order of their least items."""
+    root = list(range(count))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for image in images:
+        for n, m in enumerate(image):
+            i, j = find(n), find(m)
+            root[max(i, j)] = min(i, j)
+    number: dict[int, int] = {}
+    return [number.setdefault(find(n), len(number)) for n in range(count)]
+
+
+def fold_row(coeffs, class_of) -> tuple:
+    """A row's (column, coefficient) pairs summed per class of columns
+    (class_of[column], as orbit_classes numbers them), as (class,
+    coefficient) pairs in class order without zeros."""
+    summed: dict[int, int] = {}
+    for col, c in coeffs:
+        k = class_of[col]
+        summed[k] = summed.get(k, 0) + c
+    return tuple(sorted((k, c) for k, c in summed.items() if c))
 
 
 def normalization_rows(scenario: Scenario) -> list[tuple[list[tuple[int, Fraction]], Fraction]]:

@@ -5,9 +5,16 @@ A box is m-shareable with respect to one party when a symmetric
 the box itself.  A local box is shareable to every m: each copy replays
 the shared party's deterministic answer.  So is_m_shareable first asks
 locality.local_model, and a model gives the extension with no further
-LP.  Any other box is decided by one exact LP, stated on orbit
-variables: one variable per class of extension entries that a
-permutation of the copies maps onto each other.  Folding is exact, not
+LP.  Both of its LPs are stated on the table of the box's canonical
+relabeling and folded by that table's stabilizer G (below), which one
+search per question finds (_canonical_form).  Averaging a local model
+over G keeps it a model: each element of G maps a deterministic
+strategy onto another one and fixes the table, so it maps a model onto
+another model, and the average is a model whose weights are constant on
+the classes of strategies G maps onto each other; the membership LP
+then needs one weight per class.  Any other box is decided by one exact
+LP, stated on orbit variables: one variable per class of extension
+entries that a permutation of the copies maps onto each other.  Folding is exact, not
 a relaxation: averaging any extension over the copy permutations gives
 a symmetric one with the same marginals, so an extension exists exactly
 when a symmetric one does, and a symmetric table is constant on orbits.
@@ -61,8 +68,9 @@ from .core import (
     ensure,
     is_nonsignaling,
     marginal,
+    marginal_indices,
     mix,
-    party_relabelings,
+    numerators,
     permute_parties,
     rat,
     restrict_bob_inputs,
@@ -265,86 +273,127 @@ def _orbit_rows(scenario: Scenario, shared_party: str, copies: int):
     return MappingProxyType(index), tuple(normalization), tuple(marginals), tuple(traces)
 
 
-def _canonical_problem(problem: ExtensionProblem):
-    """The base box's local relabeling with the lexicographically greatest
-    table, and that table's stabilizer, as (table, fixed, copy, group):
-    the relabeled table; for the fixed and the copy party a map from each
-    original (output, input) label to its relabeled one; and the sorted
-    tuple of every (fixed map, copy map) pair, each as its sorted (label,
-    image) pairs on relabeled labels, that leaves the table unchanged.
-    Relabeling each copy of a party alike maps extensions onto
-    extensions, so the answer is the same, and every relabeling of a box
-    gets one program and the same simplex pivots.  Above
-    CANONICAL_SEARCH_CAP relabelings (core.party_relabelings of both
-    parties) the table is kept, the maps are the identity, and so is the
-    only element of the group.  Candidates are compared with the best so
-    far cell by cell, up to the first differing cell, and only a strictly
-    greater one replaces it, so the first greatest wins.
+def _grown(state: tuple, inputs: int, outputs: int) -> list:
+    """Every extension of one party's partial relabeling by its next
+    canonical label.  `state` holds the original label (numbered input *
+    outputs + output) of each canonical label so far, in canonical order
+    (input-major, like the table), so a new canonical input takes any
+    original input not yet taken, with any output, and a further output of
+    the same input any output of that original input not yet taken."""
+    k = len(state)
+    start = k - k % outputs
+    if start == k:
+        taken = {n // outputs for n in state}
+        return [state + (n,) for n in range(inputs * outputs) if n // outputs not in taken]
+    first = state[start] - state[start] % outputs
+    taken = set(state[start:])
+    return [state + (n,) for n in range(first, first + outputs) if n not in taken]
 
-    The same loop collects the stabilizer: the relabelings phi that tie
-    the final best phi_best on every cell, listed afresh whenever a
-    strictly greater table appears.  Each phi maps a relabeled cell to the
-    original cell it reads, and psi = phi_best^-1 . phi fixes the relabeled
-    table T': T'(psi(c)) = T(phi(c)) = T(phi_best(c)) = T'(c).  The group
-    of such psi is the stabilizer of T', which the box's labels do not
-    change, so every relabeling of a box shares one key of _folded_rows.
+
+def _canonical_form(box: Box):
+    """The bipartite box's local relabeling with the lexicographically
+    greatest table, and that table's stabilizer, as (table, alice, bob,
+    group): the relabeled table; for Alice and for Bob a map from each
+    original (output, input) label to its relabeled one; and the sorted
+    tuple of every (Alice map, Bob map) pair, each as its sorted (label,
+    image) pairs on relabeled labels, that leaves the table unchanged.
+    Of the relabelings that reach the greatest table the maps are those of
+    the least in lexicographic order of (Alice's input permutation, her
+    output permutation at each input, Bob's likewise): the one that
+    comparing every pair in that order keeps, only a strictly greater
+    table replacing the best so far (the oracle
+    tests.oracles.brute_canonical_problem).
+
+    The search builds the greatest table cell by cell in table order.  A
+    frontier holds every partial relabeling that ties the best prefix so
+    far; each cell fixes at most one new Alice label and one new Bob label
+    (a new input with its first output, or one more output of an input
+    already placed), every frontier state is extended every way it can be,
+    and only the extensions that read the greatest value there are kept.
+    For a lexicographic order that is exact: the greatest table has the
+    greatest first cell, then the greatest second cell among those, and so
+    on.  The final frontier is every relabeling phi that reaches the
+    greatest table, and psi = phi_best^-1 . phi, phi_best the least of
+    them, fixes the relabeled table T': T'(psi(c)) = T(phi(c)) =
+    T(phi_best(c)) = T'(c), so the group of such psi is its stabilizer,
+    which the box's labels do not change.
+
+    CANONICAL_SEARCH_CAP bounds the frontier: when a cell would extend it
+    to more states than that, the search gives up before building them;
+    the table is kept, the maps are the identity, and so is the only
+    element of the group.  Distinct extensions belong to distinct
+    relabelings, so a box with at most CANONICAL_SEARCH_CAP relabelings
+    (X! A!^X Y! B!^Y) is always searched to the end.  Above that, uniform
+    noise in 2244 and 2255 and generalized isotropic A=5 at C=1/2 give up
+    within their first two blocks, in under 0.1 s, while generalized
+    isotropic boxes with 4 outputs per party are searched to their
+    16-element stabilizers, their frontier never above 576 states."""
+    sc = box.scenario
+    (X, Y), (A, B) = sc.inputs, sc.outputs
+    table = box.table
+    # numerators over a common denominator order the cells as the table does
+    ranked = numerators(table)[1]
+    # what each original label adds to the flat index (x*Y + y)*A*B + a*B + b
+    at_a = [(n // A * Y * A + n % A) * B for n in range(X * A)]
+    at_b = [n // B * A * B + n % B for n in range(Y * B)]
+    cells = list(itertools.product(range(X), range(Y), range(A), range(B)))
+    frontier = [((), ())]
+    for x, y, a, b in cells:
+        i, j = x * A + a, y * B + b
+        # Alice's label (a, x) shows first at y = b = 0, Bob's (b, y) at x = a = 0
+        if y == b == 0 or x == a == 0:
+            more_a = {fa: _grown(fa, X, A) if y == b == 0 else (fa,) for fa in {fa for fa, _ in frontier}}
+            more_b = {fb: _grown(fb, Y, B) if x == a == 0 else (fb,) for fb in {fb for _, fb in frontier}}
+            if sum(len(more_a[fa]) * len(more_b[fb]) for fa, fb in frontier) > CANONICAL_SEARCH_CAP:
+                frontier = [(tuple(range(X * A)), tuple(range(Y * B)))]
+                break
+            frontier = [(na, nb) for fa, fb in frontier for na in more_a[fa] for nb in more_b[fb]]
+        values = [ranked[at_a[fa[i]] + at_b[fb[j]]] for fa, fb in frontier]
+        best = max(values)
+        frontier = [f for f, v in zip(frontier, values) if v == best]
+
+    def order(state, outputs):
+        # the input permutation, then the output permutation at each input
+        return tuple(n // outputs for n in state[::outputs]), tuple(n % outputs for n in state)
+
+    best_a, best_b = min(frontier, key=lambda f: order(f[0], A) + order(f[1], B))
+    table = tuple(table[at_a[best_a[x * A + a]] + at_b[best_b[y * B + b]]] for x, y, a, b in cells)
+
+    def label(k, outputs):
+        return k % outputs, k // outputs
+
+    def psi(state, place, outputs):
+        # canonical label k reads the original label n = state[k], which
+        # the best relabeling places at place[n]
+        return tuple(sorted((label(k, outputs), label(place[n], outputs)) for k, n in enumerate(state)))
+
+    place_a, place_b = ({n: k for k, n in enumerate(best)} for best in (best_a, best_b))
+    group = tuple(sorted((psi(fa, place_a, A), psi(fb, place_b, B)) for fa, fb in frontier))
+    alice = {label(n, A): label(k, A) for k, n in enumerate(best_a)}
+    bob = {label(n, B): label(k, B) for k, n in enumerate(best_b)}
+    return table, alice, bob, group
+
+
+def _canonical_problem(problem: ExtensionProblem, form=None):
+    """_canonical_form of the problem's base box (or `form`, already
+    found), with the maps and each group element's pair in (fixed party,
+    copy party) order: (table, fixed, copy, group).  Relabeling each copy
+    of a party alike maps extensions onto extensions, so the answer is the
+    same, and every relabeling of a box gets one program and the same
+    simplex pivots.
 
     What the search buys is a cost independent of labels, and fewer
-    pivots in total.  Local boxes never reach it (is_m_shareable's model
-    path).  Nine nonlocal 3322 boxes at m=3 toward B (half a PR-type box
-    on inputs 0 and 1, input 2 answering like input 0, plus half a
-    seeded four-strategy mixture), each under its own labels and two
-    seeded relabelings, took 701-4,463 pivots with the search, the same
-    under every labeling, 47,415 in all; without it 505-8,388, 57,798 in
-    all (+22%; Python 3.11, 2 vCPUs).  It also finds the stabilizer that
-    folded_extension_lp folds by, at no extra comparisons."""
-    sc = problem.base.scenario
-    (X, Y), (A, B) = sc.inputs, sc.outputs
-    table = problem.base.table
-    # each party's identity relabeling, in core.party_relabelings' form
-    g, h = (range(X), (range(A),) * X), (range(Y), (range(B),) * Y)
-    count = math.factorial(X) * math.factorial(A) ** X * math.factorial(Y) * math.factorial(B) ** Y
-    if count <= CANONICAL_SEARCH_CAP:
-        rank = {v: i for i, v in enumerate(sorted(set(table)))}
-        ranked = [rank[v] for v in table]
-        cells = list(itertools.product(range(X), range(Y), range(A), range(B)))
-        # flat index (x*Y + y)*A*B + a*B + b is one term per party
-        alice = [(ga, [ga[0][x] * Y * A * B + ga[1][x][a] * B for x, _, a, _ in cells])
-                 for ga in party_relabelings(X, A)]
-        bob = [(hb, [hb[0][y] * A * B + hb[1][y][b] for _, y, _, b in cells])
-               for hb in party_relabelings(Y, B)]
-        best, best_ranks, ties = None, [-1] * len(cells), []
-        for ga, ta in alice:
-            for hb, tb in bob:
-                for i, j, r in zip(ta, tb, best_ranks):
-                    if ranked[i + j] != r:
-                        if ranked[i + j] > r:
-                            best, ties = (ta, tb, ga, hb), [(ga, hb)]
-                            best_ranks = [ranked[i + j] for i, j in zip(ta, tb)]
-                        break
-                else:
-                    ties.append((ga, hb))
-        ta, tb, g, h = best
-        table = tuple(table[i + j] for i, j in zip(ta, tb))
-    else:
-        ties = [(g, h)]
-
-    def of(r):
-        # relabeled entry (a | x) reads the original (sigma[x][a] | pi[x])
-        return {(s[a], p): (a, x) for x, (p, s) in enumerate(zip(*r)) for a in range(len(s))}
-
-    of_a, of_b = of(g), of(h)
-    # psi = phi_best^-1 . phi on each party's canonical labels, as the
-    # sorted (label, image) pairs of a map
-    group = tuple(sorted(
-        tuple(tuple(sorted((label, best_of[orig]) for orig, label in of(r).items()))
-              for r, best_of in ((ga, of_a), (hb, of_b)))
-        for ga, hb in ties
-    ))
+    pivots in total.  Nine nonlocal 3322 boxes at m=3 toward B (half a
+    PR-type box on inputs 0 and 1, input 2 answering like input 0, plus
+    half a seeded four-strategy mixture), each under its own labels and
+    two seeded relabelings, took 701-4,463 pivots with the search, the
+    same under every labeling, 47,415 in all; without it 505-8,388,
+    57,798 in all (+22%; Python 3.11, 2 vCPUs).  It also finds the
+    stabilizer that folded_extension_lp folds by."""
+    table, alice, bob, group = form or _canonical_form(problem.base)
     if problem.shared_party == "A":
-        of_a, of_b = of_b, of_a
-        group = tuple(sorted((pb, pa) for pa, pb in group))
-    return table, of_a, of_b, group
+        return table, bob, alice, tuple(sorted((pb, pa) for pa, pb in group))
+    return table, alice, bob, group
 
 
 def _unfold(problem: ExtensionProblem, fixed, copy, index, values) -> tuple:
@@ -376,38 +425,27 @@ def _folded_rows(scenario: Scenario, shared_party: str, copies: int, group: tupl
     spanning entries they are equal everywhere.
 
     With a trivial group the rows are _orbit_rows' own tuples.  Otherwise
-    a union-find merges the orbits each element maps onto each other (the
-    fixed party's map on its label, the copy party's on every copy's
-    label); classes are numbered by their least orbit, each row's
-    coefficients are summed per class, and zero rows and repeats go: a
-    trace row up to its sign, a marginal row when its coefficients repeat
-    one of an earlier entry, whose entries it then joins."""
+    polytope.orbit_classes merges the orbits each element maps onto each
+    other (the fixed party's map on its label, the copy party's on every
+    copy's label); classes are numbered by their least orbit, each row's
+    coefficients are summed per class (polytope.fold_row), and zero rows
+    and repeats go: a trace row up to its sign, a marginal row when its
+    coefficients repeat one of an earlier entry, whose entries it then
+    joins."""
     index, normalization, marginals, traces = _orbit_rows(scenario, shared_party, copies)
     spanning = polytope.spanning_entries(scenario)
     if len(group) == 1:
         return index, len(index), normalization, tuple((marginals[e], (e,)) for e in spanning), traces
     keys = list(index)
-    root = list(range(len(keys)))
 
-    def find(i):
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        return i
+    def image(element):
+        f, c = map(dict, element)
+        return [index[f[label], tuple(sorted(c[p] for p in pairs))] for label, pairs in keys]
 
-    for fixed_map, copy_map in group:
-        f, c = dict(fixed_map), dict(copy_map)
-        for n, (label, pairs) in enumerate(keys):
-            i, j = find(n), find(index[f[label], tuple(sorted(c[p] for p in pairs))])
-            root[max(i, j)] = min(i, j)
-    number: dict[int, int] = {}
-    class_of = [number.setdefault(find(n), len(number)) for n in range(len(keys))]
+    class_of = polytope.orbit_classes(len(keys), map(image, group))
 
     def fold(coeffs):
-        summed: dict[int, int] = {}
-        for orbit, c in coeffs:
-            k = class_of[orbit]
-            summed[k] = summed.get(k, 0) + c
-        return tuple(sorted((k, c) for k, c in summed.items() if c))
+        return polytope.fold_row(coeffs, class_of)
 
     def signed(coeffs):
         return tuple((k, -c) for k, c in coeffs) if coeffs and coeffs[0][1] < 0 else coeffs
@@ -417,14 +455,14 @@ def _folded_rows(scenario: Scenario, shared_party: str, copies: int, group: tupl
         folded.setdefault(fold(marginals[e]), []).append(e)
     return (
         MappingProxyType(dict(zip(keys, class_of))),
-        len(number),
+        max(class_of) + 1,
         tuple((coeffs, ONE) for coeffs in dict.fromkeys(fold(c) for c, _ in normalization)),
         tuple((coeffs, tuple(entries)) for coeffs, entries in folded.items()),
         tuple((coeffs, ZERO) for coeffs in dict.fromkeys(signed(fold(c)) for c, _ in traces) if coeffs),
     )
 
 
-def folded_extension_lp(problem: ExtensionProblem):
+def folded_extension_lp(problem: ExtensionProblem, canonical=None):
     """Feasibility LP for a symmetric extension, one variable per class
     of orbits that the base box's stabilizer merges (per orbit when it
     is trivial), and unfold(values), the full extension table of this
@@ -434,9 +472,10 @@ def folded_extension_lp(problem: ExtensionProblem):
     LinearProgram's stored form (ascending classes, nonzero int
     coefficients), so they go into `eqs` as they come; the marginal rows
     take their right-hand sides from the table of the base box's
-    canonical relabeling (_canonical_problem), one row per distinct value
-    over the entries of a row."""
-    table, fixed, copy, group = _canonical_problem(problem)
+    canonical relabeling (_canonical_problem, from `canonical`, the
+    base's _canonical_form, when the caller has found it), one row per
+    distinct value over the entries of a row."""
+    table, fixed, copy, group = _canonical_problem(problem, canonical)
     index, count, normalization, marginals, traces = _folded_rows(
         problem.base.scenario, problem.shared_party, problem.copies, group
     )
@@ -450,43 +489,49 @@ def folded_extension_lp(problem: ExtensionProblem):
 
 def validate_extension(problem: ExtensionProblem, extension: Box) -> None:
     """Raise NotAnExtension unless symmetric, nonsignaling, and marginal-exact.
-    Symmetry compares the table with its image under core.swap_indices for
-    each adjacent slot pair; signaling is checked once; each copy-marginal
-    is then checked against polytope.marginal_rows, the rows that pin a
-    marginal to the base box."""
+    The table is read once as ints, its numerators over its common
+    denominator (core.numerators).  Symmetry compares them with their
+    image under core.swap_indices for each adjacent slot pair; signaling
+    is checked once; each copy-marginal entry, a sum of numerators over
+    core.marginal_indices, is then compared with the base box's entry by
+    cross-multiplication."""
     ext = problem.extension_scenario()
     if extension.scenario != ext:
         raise NotAnExtension("extension scenario mismatch")
     slots = problem.copy_slots()
-    table = extension.table
+    den, nums = numerators(extension.table)
     for i, j in zip(slots, slots[1:]):
-        if any(table[k] != table[p] for k, p in enumerate(swap_indices(ext, i, j))):
+        if any(nums[k] != nums[p] for k, p in enumerate(swap_indices(ext, i, j))):
             raise NotAnExtension(f"not symmetric under swapping slots {i},{j}")
     if not is_nonsignaling(extension):
         raise NotAnExtension("extension is signaling")
-    fixed = problem.fixed_slot()
+    fixed, at = problem.fixed_slot(), nums.__getitem__
     for slot in slots:
-        rows = polytope.marginal_rows(ext, sorted((fixed, slot)), problem.base)
-        if any(sum((c * table[i] for i, c in row), ZERO) != p for row, p in rows):
+        entries = marginal_indices(ext, sorted((fixed, slot)))
+        if any(sum(map(at, idx)) * p.denominator != p.numerator * den
+               for (_, idx), p in zip(entries, problem.base.table)):
             raise NotAnExtension(f"marginal onto slot {slot} differs from the base")
 
 
 def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
     """Decide shareability, with a witness validated before return.
 
-    A base box within locality.STRATEGY_CAP strategies goes first to
-    locality.local_model.  A model gives the extension, every copy
-    replaying the shared party's table (LocalModel.adjoin; toward A,
-    core.permute_parties then moves Bob to the last slot).  Otherwise the
-    orbit LP of folded_extension_lp, folded by the box's stabilizer,
-    decides: a feasible witness is unfolded into the full symmetric
-    extension table, and an infeasible one carries that LP's Farkas
-    certificate.
+    The base box's canonical relabeling and stabilizer are found once
+    (_canonical_form) and passed to both LPs.  A base box within
+    locality.STRATEGY_CAP strategies goes first to locality.local_model,
+    whose membership LP that stabilizer folds.  A model gives the
+    extension, every copy replaying the shared party's table
+    (LocalModel.adjoin; toward A, core.permute_parties then moves Bob to
+    the last slot).  Otherwise the orbit LP of folded_extension_lp,
+    folded by the same stabilizer, decides: a feasible witness is
+    unfolded into the full symmetric extension table, and an infeasible
+    one carries that LP's Farkas certificate.
     """
     from .locality import STRATEGY_CAP, LocalModel, local_model
 
     sc, m = problem.base.scenario, problem.copies
-    model = local_model(problem.base) if polytope.strategy_count(sc) <= STRATEGY_CAP else None
+    canonical = _canonical_form(problem.base)
+    model = local_model(problem.base, canonical) if polytope.strategy_count(sc) <= STRATEGY_CAP else None
     if isinstance(model, LocalModel):
         k = 0 if problem.shared_party == "A" else 1
         tables = [(s.tables[k],) * (m - 1) for s in model.strategies]
@@ -494,7 +539,7 @@ def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
         if k == 0:
             ext = permute_parties(ext, (0, *range(2, m + 1), 1))
     else:
-        prog, unfold = folded_extension_lp(problem)
+        prog, unfold = folded_extension_lp(problem, canonical)
         out = lp.solve(prog)
         if out.status != lp.OPTIMAL:
             ensure(out.status == lp.INFEASIBLE, f"extension feasibility LP ended {out.status}")

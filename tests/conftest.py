@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from boxlab import bell, lp, shareability
-from boxlab.core import Box, Scenario, mix, party_relabelings, relabel, uniform_box
-from oracles import verify_certificate_fractions
+from boxlab.core import Box, Scenario, mix, relabel, uniform_box
+from oracles import party_relabelings, verify_certificate_fractions
 
 
 @pytest.fixture(scope="session")

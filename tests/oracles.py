@@ -12,8 +12,8 @@ functionals from every strategy box built entry by entry, the LP
 certificate check in plain Fraction arithmetic, compatibility of two
 observables as feasibility of a joint table, parties reordered
 coordinate by coordinate, and the canonical relabeling of an extension
-problem found by trying every relabeling, with its witness unfolded
-through core.relabel.  None of it shares
+problem and its stabilizer found by trying every relabeling, with its
+witness unfolded through core.relabel.  None of it shares
 code with the package paths it cross-checks.
 
 Two constructions that no package path uses live here too, for the
@@ -560,6 +560,15 @@ def _inverse(perm):
     return inverse
 
 
+def party_relabelings(inputs, outputs):
+    """Every local relabeling of one party as (pi, sigma), pi before
+    sigma, each in lexicographic order: the relabeled entry (a | x) reads
+    the original entry (sigma[x][a] | pi[x])."""
+    perms = list(itertools.permutations(range(outputs)))
+    return [(pi, sigma) for pi in itertools.permutations(range(inputs))
+            for sigma in itertools.product(perms, repeat=inputs)]
+
+
 def canonical_relabeling(base: Box):
     """The bipartite box's local relabeling with the lexicographically
     greatest table, by trying every one through core.relabel: returns
@@ -569,18 +578,64 @@ def canonical_relabeling(base: Box):
     relabeling varying slowest and each party's pi before its sigma."""
     (X, Y), (A, B) = base.scenario.inputs, base.scenario.outputs
 
-    def party(inputs, outputs):
-        perms = list(itertools.permutations(range(outputs)))
-        return [(pi, sigma) for pi in itertools.permutations(range(inputs))
-                for sigma in itertools.product(perms, repeat=inputs)]
-
     def relabeled(g, h):
         # relabel's output permutation maps the device's output to the reported one
         outs = [[_inverse(sigma) for sigma in g[1]], [_inverse(sigma) for sigma in h[1]]]
         return relabel(base, [g[0], h[0]], outs).table
 
-    tables = ((relabeled(g, h), (g, h)) for g in party(X, A) for h in party(Y, B))
+    tables = ((relabeled(g, h), (g, h)) for g in party_relabelings(X, A) for h in party_relabelings(Y, B))
     return max(tables, key=lambda pair: pair[0])
+
+
+def brute_canonical_problem(problem):
+    """shareability._canonical_problem by comparing every pair of local
+    relabelings, as (table, fixed, copy, group): the table of the first
+    relabeling (in canonical_relabeling's order) that reaches the
+    greatest, each party's map from an original (output, input) label to
+    its relabeled one, and every psi = phi_best^-1 . phi over the
+    relabelings phi that reach it too, as sorted (label, image) pairs per
+    party, the pairs in (fixed, copy) order.  Each candidate is compared
+    with the best so far cell by cell on the ranks of the table's values,
+    and only a strictly greater one replaces it."""
+    sc = problem.base.scenario
+    (X, Y), (A, B) = sc.inputs, sc.outputs
+    table = problem.base.table
+    rank = {v: i for i, v in enumerate(sorted(set(table)))}
+    ranked = [rank[v] for v in table]
+    cells = list(itertools.product(range(X), range(Y), range(A), range(B)))
+    # flat index (x*Y + y)*A*B + a*B + b is one term per party
+    alice = [(ga, [ga[0][x] * Y * A * B + ga[1][x][a] * B for x, _, a, _ in cells])
+             for ga in party_relabelings(X, A)]
+    bob = [(hb, [hb[0][y] * A * B + hb[1][y][b] for _, y, _, b in cells])
+           for hb in party_relabelings(Y, B)]
+    best, best_ranks, ties = None, [-1] * len(cells), []
+    for ga, ta in alice:
+        for hb, tb in bob:
+            for i, j, r in zip(ta, tb, best_ranks):
+                if ranked[i + j] != r:
+                    if ranked[i + j] > r:
+                        best, ties = (ta, tb, ga, hb), [(ga, hb)]
+                        best_ranks = [ranked[i + j] for i, j in zip(ta, tb)]
+                    break
+            else:
+                ties.append((ga, hb))
+    ta, tb, g, h = best
+    table = tuple(table[i + j] for i, j in zip(ta, tb))
+
+    def of(r):
+        # relabeled entry (a | x) reads the original (sigma[x][a] | pi[x])
+        return {(s[a], p): (a, x) for x, (p, s) in enumerate(zip(*r)) for a in range(len(s))}
+
+    of_a, of_b = of(g), of(h)
+    group = tuple(sorted(
+        tuple(tuple(sorted((label, best_of[orig]) for orig, label in of(r).items()))
+              for r, best_of in ((ga, of_a), (hb, of_b)))
+        for ga, hb in ties
+    ))
+    if problem.shared_party == "A":
+        of_a, of_b = of_b, of_a
+        group = tuple(sorted((pb, pa) for pa, pb in group))
+    return table, of_a, of_b, group
 
 
 def unfold_by_relabeling(problem, relabeling, values) -> tuple:

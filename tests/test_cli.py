@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from boxlab import boxio, cli, lp
+from boxlab import boxio, cli, lp, shareability
 from boxlab.core import Scenario, uniform_box
 from conftest import asymmetric_giso, orbit_lp
 from oracles import unfolded_extension_lp
@@ -126,6 +126,35 @@ def test_prefold_certificate_report_fails(tmp_path, party):
 
     rewrite(report, to_prefold)
     assert run("verify", report) == 1
+
+
+@pytest.mark.parametrize("party", ["A", "B"])
+def test_unfolded_four_output_certificate_report_fails(tmp_path, capsys, party):
+    # 4 outputs per party are past the old limit of the relabeling search,
+    # so reports carried the Farkas vector of the orbit LP under the box's
+    # own labels with no stabilizer fold; verify now rebuilds the program
+    # folded by the 16-element stabilizer, on which it fails cleanly
+    code, report = shareable_report(tmp_path, ["giso", "--A", "4", "--C", "3/5"], party)
+    assert code == 1
+    box = boxio.read_box(str(tmp_path / "box.txt")).box
+    identity = tuple(sorted(((a, x), (a, x)) for x in range(2) for a in range(4)))
+    _, count, normalization, marginals, traces = shareability._folded_rows(
+        box.scenario, party, 2, ((identity, identity),)
+    )
+    unfolded = lp.LinearProgram(count)
+    unfolded.eqs.extend([*normalization, *((c, box.table[e]) for c, (e,) in marginals), *traces])
+    out = lp.solve(unfolded)
+    assert out.status == lp.INFEASIBLE
+
+    def to_unfolded(data):
+        data["certificate"] = {"type": "farkas", **boxio.encode_lp_certificate(out.certificate)}
+
+    rewrite(report, to_unfolded)
+    capsys.readouterr()
+    assert run("verify", report) == 1
+    captured = capsys.readouterr()
+    assert "verification FAILED" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import timeit
 from fractions import Fraction as F
 
 import pytest
@@ -31,6 +32,7 @@ from boxlab.shareability import (
     ExtensionTooLarge,
     NotAnExtension,
     NotUniqueMaximizer,
+    _canonical_form,
     _canonical_problem,
     _folded_rows,
     _iso_ceiling_lp,
@@ -51,6 +53,7 @@ from boxlab.shareability import (
 )
 from conftest import asymmetric_giso, orbit_lp, random_local_box, random_ns_box, relabelings_2222, tensor
 from oracles import (
+    brute_canonical_problem,
     canonical_relabeling,
     shared_shift_symmetrize,
     unfold_by_relabeling,
@@ -188,6 +191,26 @@ class TestShareability:
         with pytest.raises(NotAnExtension, match="signaling"):
             validate_extension(ExtensionProblem(make_isotropic(F(1, 2)), "B", 2), signaling)
 
+    @pytest.mark.parametrize("base, outs, message", [
+        # moved by the copy swap: the symmetry check, which runs first, sees it
+        (make_isotropic(F(1, 2)), (0, 0, 1), "not symmetric under swapping slots 1,2"),
+        # fixed by the swap: Alice's input now moves the copies' outputs
+        (make_isotropic(F(1, 2)), (0, 0, 0), "signaling"),
+        # one input per party: no trace condition, only the marginal sees it
+        (uniform_box(Scenario((1, 1), (2, 2))), (0, 0, 0), "marginal onto slot 1 differs"),
+    ], ids=["symmetry", "signaling", "marginal"])
+    def test_one_entry_tamper_fails_its_check(self, base, outs, message):
+        # each check compares integer numerators over the table's common
+        # denominator; a tamper by 1/7 adds a denominator the table lacks
+        problem = ExtensionProblem(base, "B", 2)
+        extension = is_m_shareable(problem).extension
+        validate_extension(problem, extension)
+        sc = extension.scenario
+        table = list(extension.table)
+        table[sc.flat_index(outs, (0, 0, 0))] += F(1, 7)
+        with pytest.raises(NotAnExtension, match=message):
+            validate_extension(problem, core.Box(sc, tuple(table)))
+
     def test_unexpected_lp_status_raises(self, monkeypatch):
         monkeypatch.setattr(lp, "solve", lambda prog: lp.LpOutcome(lp.UNBOUNDED))
         with pytest.raises(UnexpectedLpStatus):
@@ -250,6 +273,13 @@ def _random_relabeling(rng: random.Random, sc: Scenario):
     return ins, outs
 
 
+# 2222, 2322, 3322 and 2233, as (inputs, outputs)
+SMALL_SCENARIOS = [
+    Scenario((2, 2), (2, 2)), Scenario((2, 3), (2, 2)),
+    Scenario((3, 3), (2, 2)), Scenario((2, 2), (3, 3)),
+]
+
+
 class TestCanonicalRelabeling:
     @pytest.mark.parametrize(
         "box, party, m",
@@ -293,18 +323,64 @@ class TestCanonicalRelabeling:
         orbit_of = walked_orbit_rows(problem)[0]
         assert list(_unfold(problem, fixed, copy, index, range(len(index)))) == orbit_of
 
-    def test_large_alphabets_keep_their_labels(self):
-        # 4 outputs per party: over a million relabelings, no search
+    @pytest.mark.parametrize("sc", SMALL_SCENARIOS, ids=str)
+    def test_search_is_the_brute_force(self, sc, ns_vertices):
+        # within CANONICAL_SEARCH_CAP relabelings, the frontier search
+        # returns the table, maps and group of comparing every pair
+        rng = random.Random(f"search {sc.inputs} {sc.outputs}")
+        strategies = [s.box() for s in deterministic_strategies(sc)]
+        boxes = [
+            uniform_box(sc),
+            _skewed_local_box(sc, rng),
+            mix(rng.sample(strategies, 4), [F(1, 4)] * 4),
+            mix([uniform_box(sc), _skewed_local_box(sc, rng)], [F(1, 2), F(1, 2)]),
+        ]
+        if sc == SC22:
+            boxes += [make_isotropic(c) for c in (F(2, 5), F(1, 2), F(3, 5))] + [asymmetric_giso(F(3, 5))]
+            boxes += [random_ns_box(rng, ns_vertices, nonlocal_bias=b) for b in (0, 60)]
+        if sc.outputs == (3, 3):
+            boxes += [generalized_isotropic(3, F(2, 5)), generalized_isotropic(3, F(7, 10))]
+            boxes += [generalized_isotropic(3, F(3, 5), [F(1, 2), F(1, 3), F(1, 6)])]
+        count = math.prod(math.factorial(x) * math.factorial(a) ** x for x, a in zip(sc.inputs, sc.outputs))
+        assert count <= shareability.CANONICAL_SEARCH_CAP
+        for box in boxes:
+            for labeled in (box, relabel(box, *_random_relabeling(rng, sc))):
+                for party in "AB":
+                    problem = ExtensionProblem(labeled, party, 1)
+                    assert _canonical_problem(problem) == brute_canonical_problem(problem)
+
+    @pytest.mark.parametrize("party", "AB")
+    def test_four_outputs_are_searched_to_their_stabilizer(self, party):
+        # 4 outputs per party: 1,327,104 relabelings, over
+        # CANONICAL_SEARCH_CAP, but the frontier holds at most 576 states
+        assert 2 * math.factorial(4) ** 2 * 2 * math.factorial(4) ** 2 > shareability.CANONICAL_SEARCH_CAP
         box = generalized_isotropic(4, F(1, 2))
-        problem = ExtensionProblem(box, "B", 1)
-        table, fixed, copy, group = _canonical_problem(problem)
-        assert table is box.table
-        assert fixed == copy == _identity_labels(2, 4)
-        # no search, so no symmetry but the identity
-        assert group == ((tuple(sorted(fixed.items())), tuple(sorted(copy.items()))),)
+        relabeled = relabel(box, *_random_relabeling(random.Random(4), box.scenario))
+        problem = ExtensionProblem(relabeled, party, 1)
+        table, _, _, group = _canonical_problem(problem)
+        assert len(group) == 16
+        _check_stabilizer(problem)
+        assert (table, group) == _canonical_problem(ExtensionProblem(box, party, 1))[::3]
         witness = is_m_shareable(problem)
-        assert witness.feasible
-        assert witness.extension == box
+        assert witness.feasible and witness.extension == relabeled
+
+    @pytest.mark.parametrize("sc, box", [
+        (Scenario((2, 2), (4, 4)), None),
+        (Scenario((2, 2), (5, 5)), None),
+        (Scenario((2, 2), (5, 5)), generalized_isotropic(5, F(1, 2))),
+    ], ids=["noise-2244", "noise-2255", "giso-5"])
+    def test_a_crowded_frontier_gives_up_fast(self, sc, box):
+        # every relabeling fixes uniform noise, so the frontier passes
+        # CANONICAL_SEARCH_CAP within the first rows; the A=5 box passes
+        # it in the second block.  The labels are kept, and the identity
+        # is the group
+        box = box or uniform_box(sc)
+        problem = ExtensionProblem(box, "B", 1)
+        assert min(timeit.repeat(lambda: _canonical_problem(problem), number=1, repeat=3)) < 0.1
+        table, fixed, copy, group = _canonical_problem(problem)
+        assert table == box.table
+        assert fixed == copy == _identity_labels(*sc.inputs[:1], *sc.outputs[:1])
+        assert group == ((tuple(sorted(fixed.items())), tuple(sorted(copy.items()))),)
 
 
 def _identity_labels(inputs, outputs):
@@ -336,9 +412,9 @@ class TestUnfold:
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("party", "AB")
-    def test_over_the_cap_keeps_the_labels(self, party, m):
-        box = generalized_isotropic(4, F(1, 2))
-        assert self._check(ExtensionProblem(box, party, m), None) is box.table
+    def test_a_given_up_search_keeps_the_labels(self, party, m):
+        box = uniform_box(Scenario((2, 2), (4, 4)))
+        assert self._check(ExtensionProblem(box, party, m), None) == box.table
 
 
 def _fixes(problem, element, table):
@@ -351,6 +427,23 @@ def _fixes(problem, element, table):
         if table[sc.flat_index((a2, b2), (x2, y2))] != table[sc.flat_index((a, b), (x, y))]:
             return False
     return True
+
+
+def _check_stabilizer(problem):
+    """_canonical_problem(problem), after checking that every element of
+    its group fixes its table and that the group is one: the identity is
+    in it, and it is closed."""
+    table, fixed, copy, group = canonical = _canonical_problem(problem)
+    assert all(_fixes(problem, element, table) for element in group)
+    identity = (tuple(sorted((v, v) for v in fixed.values())),
+                tuple(sorted((v, v) for v in copy.values())))
+    assert identity in group
+    maps = [tuple(map(dict, element)) for element in group]
+    for (f1, c1), (f2, c2) in itertools.product(maps, repeat=2):
+        product = (tuple(sorted((v, f1[f2[v]]) for v in f2)),
+                   tuple(sorted((v, c1[c2[v]]) for v in c2)))
+        assert product in group
+    return canonical
 
 
 # relabeled isotropic, generalized-isotropic A=3 and asymmetric mixture
@@ -375,17 +468,8 @@ class TestStabilizerFold:
         box, _ = self._relabeled(k)
         for party in "AB":
             problem = ExtensionProblem(box, party, 2)
-            table, fixed, copy, group = _canonical_problem(problem)
-            assert all(_fixes(problem, element, table) for element in group)
-            # a group: the identity is in it, and it is closed
-            identity = (tuple(sorted((v, v) for v in fixed.values())),
-                        tuple(sorted((v, v) for v in copy.values())))
-            assert identity in group and len(group) > 1
-            maps = [tuple(map(dict, element)) for element in group]
-            for (f1, c1), (f2, c2) in itertools.product(maps, repeat=2):
-                product = (tuple(sorted((v, f1[f2[v]]) for v in f2)),
-                           tuple(sorted((v, c1[c2[v]]) for v in c2)))
-                assert product in group
+            table, _, _, group = _check_stabilizer(problem)
+            assert len(group) > 1
             if box.scenario == SC22:
                 canonical = core.Box(SC22, table)
                 fixing = [r for r in relabelings_2222() if relabel(canonical, *r) == canonical]
@@ -909,22 +993,17 @@ class _Calls:
             self.solved.append(prog)
             return solve(prog, start)
 
-        def counting_fold(problem):
+        def counting_fold(problem, *canonical):
             self.folded.append(problem)
-            return fold(problem)
+            return fold(problem, *canonical)
 
         mp.setattr(lp, "solve", counting_solve)
         mp.setattr(shareability, "folded_extension_lp", counting_fold)
 
 
-# 2222, 2322, 3322 and 2233, as (inputs, outputs)
-ONE_PATH_SCENARIOS = [
-    Scenario((2, 2), (2, 2)), Scenario((2, 3), (2, 2)),
-    Scenario((3, 3), (2, 2)), Scenario((2, 2), (3, 3)),
-]
 # at m = 3 the orbit LP alone takes 1.5-50 s on a seeded box of these,
 # local (the stall the model path removes) or nonlocal (the rung still open)
-SLOW_ORBIT_LP_AT_THREE = ONE_PATH_SCENARIOS[2:]
+SLOW_ORBIT_LP_AT_THREE = SMALL_SCENARIOS[2:]
 
 
 class TestOnePath:
@@ -940,7 +1019,7 @@ class TestOnePath:
         return local, nonlocal_
 
     @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("sc", ONE_PATH_SCENARIOS, ids=str)
+    @pytest.mark.parametrize("sc", SMALL_SCENARIOS, ids=str)
     def test_verdict_is_the_orbit_lps(self, sc, m, monkeypatch):
         slow = m == 3 and sc in SLOW_ORBIT_LP_AT_THREE
         local, nonlocal_ = self._boxes(sc)
@@ -950,7 +1029,8 @@ class TestOnePath:
                 with monkeypatch.context() as mp:
                     calls = _Calls(mp)
                     witness = is_m_shareable(problem)
-                assert calls.solved[0].eqs == locality.membership_lp(box).eqs
+                # the membership LP of the box's canonical table, folded by its stabilizer
+                assert calls.solved[0].eqs == locality.membership_lp(box, _canonical_form(box)).eqs
                 prog = None if slow else folded_extension_lp(problem)[0]
                 if box is local:
                     assert witness.feasible and calls.folded == [] and len(calls.solved) == 1
@@ -995,3 +1075,54 @@ class TestOnePath:
         witness = is_m_shareable(problem)
         assert witness.feasible and calls.folded == [] and len(calls.solved) == 1
         validate_extension(problem, witness.extension)
+
+
+class TestFoldedMembership:
+    """locality.local_model given the box's canonical form: the membership
+    LP of the canonical table, folded by its stabilizer."""
+
+    def _boxes(self, ns_vertices):
+        # symmetric and asymmetric, local and nonlocal, each relabeled
+        rng = random.Random("folded membership")
+        boxes = [make_isotropic(c) for c in (F(2, 5), F(1, 2), F(3, 5))]
+        boxes += [generalized_isotropic(3, c) for c in (F(2, 5), F(7, 10))]
+        boxes += [asymmetric_giso(c) for c in (F(2, 5), F(3, 5))]
+        boxes += [random_ns_box(rng, ns_vertices, nonlocal_bias=b) for b in (0, 60)]
+        for sc in SMALL_SCENARIOS:
+            local = _skewed_local_box(sc, rng, 3)
+            boxes += [uniform_box(sc), local, mix([_pr_type(sc), local], [F(3, 4), F(1, 4)])]
+        return [relabel(box, *_random_relabeling(rng, box.scenario)) for box in boxes]
+
+    def test_verdict_is_the_unfolded_ones(self, ns_vertices):
+        verdicts = set()
+        for box in self._boxes(ns_vertices):
+            canonical = _canonical_form(box)
+            folded, plain = locality.local_model(box, canonical), locality.local_model(box)
+            local = isinstance(folded, LocalModel)
+            assert local == isinstance(plain, LocalModel)
+            verdicts.add(local)
+            prog = locality.membership_lp(box, canonical)
+            strategies = polytope.strategy_count(box.scenario)
+            assert prog.num_vars <= strategies and (prog.num_vars < strategies) == (len(canonical[3]) > 1)
+            if local:
+                # spread over every strategy of a class, in the box's own labels
+                assert folded.scenario == box.scenario and folded.reconstructs(box)
+                assert all(w > 0 for w in folded.weights)
+                assert len(set(folded.strategies)) == len(folded.strategies)
+            else:
+                assert lp.verify_certificate(prog, folded)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("box, sizes", [
+        (make_isotropic(F(2, 5)), ((16, 9), (2, 2))),
+        (make_isotropic(F(3, 5)), ((16, 9), (2, 2))),
+        (generalized_isotropic(3, F(2, 5)), ((81, 25), (9, 3))),
+        (generalized_isotropic(3, F(7, 10)), ((81, 25), (9, 3))),
+    ])
+    def test_relabelings_share_one_small_program(self, box, sizes):
+        # (columns, rows) unfolded and folded, the same for every relabeling
+        relabeled = [relabel(box, *_random_relabeling(random.Random(s), box.scenario)) for s in range(3)]
+        progs = [locality.membership_lp(labeled, _canonical_form(labeled)) for labeled in [box, *relabeled]]
+        unfolded = locality.membership_lp(box)
+        assert ((unfolded.num_vars, len(unfolded.eqs)), (progs[0].num_vars, len(progs[0].eqs))) == sizes
+        assert all(prog.eqs == progs[0].eqs for prog in progs)
