@@ -4,13 +4,20 @@ A box is local when it is a convex mixture of deterministic strategies.
 Membership is one exact LP over strategy weights, with one row per
 spanning entry (`polytope.spanning_entries`): these entries fix every
 nonsignaling table, so weights that match a nonsignaling box there match
-all of it.  Feasibility yields an explicit LocalModel, infeasibility a
-Farkas vector that, after normalization, is a Bell functional violated
-by the box.  Secrecy content is this decision: a bipartite box contains
-secrecy exactly when it is nonlocal, and for a local box the model's
-hidden variable is a message an eavesdropper can hold (eve_extension),
-so the command line's `secrecy` analysis is `is_local` with the verdict
-read the other way round.
+all of it.  The program is stated on a canonical form of the box, a
+relabeling whose table a group of local relabelings fixes, and folded by
+that group: one weight per class of strategies the group maps onto each
+other.  `is_m_shareable` passes the canonical relabeling and stabilizer
+it found; every other caller gets the box's own labels, the trivial
+fold, whose classes are the single strategies and whose rows are the
+spanning entries themselves, for any number of parties.  Feasibility
+yields an explicit LocalModel, infeasibility a Farkas vector that, after
+normalization, is a Bell functional violated by the box.  Secrecy
+content is this decision: a bipartite box contains secrecy exactly when
+it is nonlocal, and for a local box the model's hidden variable is a
+message an eavesdropper can hold (eve_extension), so the command line's
+`secrecy` analysis is `is_local` with the verdict read the other way
+round.
 
 Enumerating the strategies is the cost: no scenario with more than
 STRATEGY_CAP of them is decided or checked.
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from . import lp, polytope
@@ -102,19 +110,6 @@ class NonlocalityCertificate(Frozen):
         d["violation"] = violation
 
 
-@functools.lru_cache(maxsize=16)
-def _membership_rows(scenario: Scenario) -> tuple:
-    """Per spanning entry (`polytope.spanning_entries`), the row summing
-    the weights of the strategies that set it to 1, as LinearProgram
-    stores it."""
-    rows = [[] for _ in range(scenario.table_size)]
-    for e, cols in enumerate(polytope.strategy_columns(scenario)):
-        term = (e, ONE)
-        for k in cols:
-            rows[k].append(term)
-    return tuple(tuple(rows[k]) for k in polytope.spanning_entries(scenario))
-
-
 def _moved(table: tuple, image: dict) -> tuple:
     """The response table that fires the images, under `image` (a map of
     (output, input) labels), of the labels (table[x], x) that `table`
@@ -127,98 +122,111 @@ def _moved(table: tuple, image: dict) -> tuple:
 
 
 @functools.lru_cache(maxsize=16)
-def _folded_membership_rows(scenario: Scenario, group: tuple) -> tuple:
-    """The membership rows folded by `group`, the stabilizer of a
-    canonical table as shareability._canonical_form returns it, held in a
-    small cache like _membership_rows.  Returns (members, rows): per
-    class of strategies that the group maps onto each other (classes
-    numbered by their least strategy, polytope.orbit_classes), its
-    strategies' response tables in deterministic_strategies order; and
-    per distinct folded spanning row its coefficients (class, number of
-    its strategies that set the entry to 1) and the spanning entries that
-    share them."""
+def _own_labels(scenario: Scenario) -> tuple:
+    """A box's own labels as the rest of a canonical form (see
+    membership_lp): per party the identity map of its (output, input)
+    labels, then the trivial group, whose one element is those maps as
+    sorted (label, image) pairs."""
+    alphabets = zip(scenario.inputs, scenario.outputs)
+    maps = tuple({(a, x): (a, x) for x in range(X) for a in range(A)} for X, A in alphabets)
+    return (*maps, (tuple(tuple(sorted(m.items())) for m in maps),))
+
+
+@functools.lru_cache(maxsize=16)
+def _membership_rows(scenario: Scenario, group: tuple) -> tuple:
+    """The membership rows folded by `group`, local relabelings (per
+    element, one map per party) that fix the table the program is stated
+    on, built once per scenario and group and held in a small cache.
+    Returns (members, rows): per class of strategies that the group maps
+    onto each other (classes numbered by their least strategy,
+    polytope.orbit_classes), its strategies' response tables in
+    deterministic_strategies order; and per distinct folded spanning
+    row (polytope.group_entries) its (class, coefficient) pairs, the
+    coefficient the number of the class's strategies that set the entry
+    to 1, with the spanning entries that share it.  Under the trivial
+    group every strategy is its own class."""
     alphabets = zip(scenario.inputs, scenario.outputs)
     tables = [list(itertools.product(range(a), repeat=x)) for x, a in alphabets]
     numbers = [{t: n for n, t in enumerate(ts)} for ts in tables]
     images = []
     for element in group:
-        # each party's response tables moved by the element's label map
-        to_a, to_b = ([num[_moved(t, image)] for t in ts]
-                      for ts, num, image in zip(tables, numbers, map(dict, element)))
-        images.append([a * len(to_b) + b for a in to_a for b in to_b])
+        # per party its tables moved by its map: the strategy number's next digit
+        image = [0]
+        for ts, num, labels in zip(tables, numbers, map(dict, element)):
+            moved = [num[_moved(t, labels)] for t in ts]
+            image = [n * len(ts) + m for n in image for m in moved]
+        images.append(image)
     class_of = polytope.orbit_classes(polytope.strategy_count(scenario), images)
     members = [[] for _ in range(max(class_of) + 1)]
     for k, strategy in zip(class_of, itertools.product(*tables)):
         members[k].append(strategy)
-    folded: dict[tuple, list] = {}
-    for e, row in zip(polytope.spanning_entries(scenario), _membership_rows(scenario)):
-        folded.setdefault(polytope.fold_row(row, class_of), []).append(e)
-    rows = tuple((coeffs, tuple(entries)) for coeffs, entries in folded.items())
+    # per entry, the class of each strategy that sets it to 1
+    fired = [[] for _ in range(scenario.table_size)]
+    for k, cols in zip(class_of, polytope.strategy_columns(scenario)):
+        for e in cols:
+            fired[e].append(k)
+    spanning = polytope.spanning_entries(scenario)
+    counted = [tuple(sorted(Counter(fired[e]).items())) for e in spanning]
+    counts = polytope.group_entries(spanning, counted)
+    # coefficients ONE, 2, ..., |G| (a class has at most |G| strategies),
+    # each (class, coefficient) pair made once and shared by its rows
+    coefficients = itertools.accumulate(itertools.repeat(ONE, len(group)))
+    terms = [list(zip(range(len(members)), itertools.repeat(c))) for c in coefficients]
+    rows = tuple((tuple(terms[n - 1][k] for k, n in row), entries) for row, entries in counts)
     return tuple(map(tuple, members)), rows
 
 
 def membership_lp(box: Box, canonical=None) -> lp.LinearProgram:
-    """Weights over the deterministic strategies, in
-    deterministic_strategies order, matching the box on its spanning
-    entries: prod_k (X_k(A_k-1)+1) rows, 9 of 16 in 2222, 16 of 36 in 3322.
+    """Weights over classes of deterministic strategies that match a
+    canonical form of the box on its spanning entries.  The form is
+    (table, one label map per party, group): `canonical`, the box's
+    canonical relabeling and its stabilizer as
+    shareability._canonical_form returns them, or by default the box's
+    own labels (_own_labels), the trivial fold for any number of
+    parties, whose classes are the single strategies in
+    deterministic_strategies order and whose rows are the spanning
+    entries themselves: prod_k (X_k(A_k-1)+1) rows, 9 of 16 in 2222,
+    16 of 36 in 3322.
 
     That decides a nonsignaling box: the spanning entries fix every
     nonsignaling table, mixtures of strategy boxes included, so weights
     w >= 0 matching the box there reproduce all of it, with total weight
-    1 from the entries at input 0.  The rows are built once per scenario
-    from `polytope.strategy_columns`, already in LinearProgram's
-    canonical form (ascending strategy indices, coefficient 1), and each
-    box adds only its table at those entries as the right-hand sides.
-
-    With `canonical`, the box's canonical relabeling (table, alice, bob,
-    group) as shareability._canonical_form returns it, the program is
-    that of the canonical table folded by its stabilizer: one weight per
-    class of strategies (_folded_membership_rows), shared by each of its
-    strategies, and one row per distinct folded row and distinct value
-    of the table over the entries that share it.  The fold is exact:
-    each element of the group maps a model of the table onto another
-    one, so averaging over the group gives a model constant on the
-    classes."""
-    sc = box.scenario
-    if canonical is None:
-        prog = lp.LinearProgram(polytope.strategy_count(sc))
-        rhs = [box.table[k] for k in polytope.spanning_entries(sc)]
-        prog.eqs.extend(zip(_membership_rows(sc), rhs))
-        return prog
-    table, _, _, group = canonical
-    members, rows = _folded_membership_rows(sc, group)
+    1 from the entries at input 0.  The group folds the program: one
+    weight per class of strategies (_membership_rows), shared by each of
+    its strategies, and one row per distinct folded row and distinct
+    value of the table over the entries that share it
+    (polytope.pin_rows).  The fold is exact: each element of the group
+    maps a model of the table onto another one, so averaging over the
+    group gives a model constant on the classes.  The rows are built
+    once per scenario and group, already in LinearProgram's canonical
+    form (ascending classes, Fraction coefficients), and each box adds
+    only its table as the right-hand sides."""
+    table, *_, group = canonical or (box.table, *_own_labels(box.scenario))
+    members, rows = _membership_rows(box.scenario, group)
     prog = lp.LinearProgram(len(members))
-    for coeffs, entries in rows:
-        prog.eqs.extend((coeffs, rhs) for rhs in dict.fromkeys(table[e] for e in entries))
+    prog.eqs.extend(polytope.pin_rows(rows, table))
     return prog
 
 
 def local_model(box: Box, canonical=None) -> LocalModel | lp.LpOutcome:
-    """The membership LP's answer for a nonsignaling box, refused like
-    is_local above STRATEGY_CAP strategies: a LocalModel of the strategies
-    of positive weight, checked to reconstruct the whole box, or the
-    INFEASIBLE LpOutcome, whose Farkas vector is zero off the spanning
-    entries.  Nothing here normalizes: is_m_shareable needs only a model.
-
-    With `canonical` (see membership_lp) the program is folded by the
-    canonical table's stabilizer: each class weight is spread over its
-    strategies, which are read back into the box's labels before the
-    model is checked, and an infeasible outcome carries the folded
-    program's Farkas vector."""
+    """The answer of membership_lp(box, canonical) for a nonsignaling
+    box, refused like is_local above STRATEGY_CAP strategies: a
+    LocalModel of the strategies of positive weight, checked to
+    reconstruct the whole box, or the INFEASIBLE LpOutcome, whose Farkas
+    vector has one entry per row of that program.  Each class weight is
+    spread over the class's strategies, which are read back through the
+    form's maps into the box's own labels.  Nothing here normalizes:
+    is_m_shareable needs only a model."""
     sc = box.scenario
     check_strategy_space(sc)
+    canonical = canonical or (box.table, *_own_labels(sc))
     out = lp.solve(membership_lp(box, canonical))
     if out.status == lp.OPTIMAL:
-        if canonical is None:
-            pairs = zip(polytope.deterministic_strategies(sc), out.primal)
-        else:
-            # each class weight on every strategy of the class, whose
-            # response tables are read back into the box's own labels
-            back = [{v: k for k, v in to.items()} for to in canonical[1:3]]
-            members = _folded_membership_rows(sc, canonical[3])[0]
-            pairs = [(DeterministicStrategy(sc, tuple(map(_moved, tables, back))), w)
-                     for k, w in enumerate(out.primal) if w for tables in members[k]]
-        model = LocalModel(sc, *zip(*((s, w) for s, w in pairs if w)))
+        back = [{v: k for k, v in to.items()} for to in canonical[1:-1]]
+        members = _membership_rows(sc, canonical[-1])[0]
+        pairs = [(DeterministicStrategy(sc, tuple(map(_moved, tables, back))), w)
+                 for k, w in enumerate(out.primal) if w for tables in members[k]]
+        model = LocalModel(sc, *zip(*pairs))
         ensure(model.reconstructs(box), "local model does not reconstruct the box")
         return model
     ensure(out.status == lp.INFEASIBLE, f"membership LP ended {out.status}")
@@ -227,8 +235,9 @@ def local_model(box: Box, canonical=None) -> LocalModel | lp.LpOutcome:
 
 def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
     """Decide local-polytope membership with an explicit witness either
-    way: local_model's model, or its Farkas vector normalized into a Bell
-    functional that the box violates."""
+    way: local_model's model in the box's own labels, or its Farkas
+    vector, one entry per spanning entry, normalized into a Bell
+    functional that the box violates.  No symmetry is searched for."""
     sc = box.scenario
     ok, w = is_nonsignaling(box, witness=True)
     if not ok:

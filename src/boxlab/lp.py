@@ -54,13 +54,15 @@ in column order, and every value goes through `core.rat`, so a float
 raises TypeError.  A caller holding rows already in that form, with an
 int allowed for a Fraction coefficient, may append (row, rhs) pairs to
 `eqs` or `ineqs` directly.  Three do, each from rows cached per shape:
-`polytope.ns_lp` the nonsignaling rows, `locality.membership_lp` the
-local-membership rows at the spanning entries (once per scenario), and
-`shareability.folded_extension_lp` the integer orbit rows, folded by
-the box's stabilizer (once per scenario, party, m and stabilizer).  Only the nonsignaling LP keeps its objective
-out of its rows and right-hand sides, so only its start is cached
-(`polytope.max_over_ns`); the membership and orbit LPs move their
-right-hand sides with the box and run phase one each time.
+`polytope.ns_lp` the nonsignaling rows; `locality.membership_lp` the
+local-membership rows at the spanning entries, folded by the box's
+stabilizer or by the trivial group (once per scenario and stabilizer);
+and `shareability.folded_extension_lp` the integer orbit rows, folded
+by the box's stabilizer (once per scenario, party, m and stabilizer);
+the last two through `polytope.pin_rows`.  Only the nonsignaling LP
+keeps its objective out of its rows and right-hand sides, so only its
+start is cached (`polytope.max_over_ns`); the membership and orbit LPs
+move their right-hand sides with the box and run phase one each time.
 """
 
 from __future__ import annotations

@@ -11,13 +11,13 @@ at (`strategy_columns`), the entries that fix a nonsignaling table
 (`spanning_entries`), the nonsignaling rows in LinearProgram's
 canonical form, and the nonsignaling LP's phase one (`lp.Start`), from
 which `max_over_ns` solves every objective.  The membership rows of
-`locality` and the orbit rows of `shareability` (per scenario, shared
-party and m) are cached alike: three row sets built once, to which a
-box adds only right-hand sides.  The rows are tuples, and `lp.solve`
-pivots on a copy of a start, never on the start itself.  A start
-for a face of the polytope (`bell.unique_ns_maximizer`,
-`shareability.unique_violator_decoupling`) depends on a functional or a
-box and lives for one call.
+`locality` (per scenario and stabilizer) and the orbit rows of
+`shareability` (per scenario, shared party, m and stabilizer) are cached
+alike: three row sets built once, to which a box adds only right-hand
+sides.  The rows are tuples, and `lp.solve` pivots on a copy of a start,
+never on the start itself.  A start for a face of the polytope
+(`bell.unique_ns_maximizer`, `shareability.unique_violator_decoupling`)
+depends on a functional or a box and lives for one call.
 
 Two builders state a marginal of a larger table, both through
 `core.marginal_indices`: `lift` reads a functional of the marginal as
@@ -26,10 +26,14 @@ pins the marginal to a box (the decoupling LP's pin).
 `shareability.validate_extension` reads the marginal indices itself,
 summing the extension's integer numerators.
 
-Both cached row sets can be folded by a box's stabilizer, the local
-relabelings that fix its canonical table: `orbit_classes` merges the
-columns each relabeling maps onto each other, and `fold_row` sums a row
-per class.
+Both cached row sets are folded by a box's stabilizer, the local
+relabelings that fix its canonical table, which for a box's own labels
+is the trivial group: `orbit_classes` merges the columns each
+relabeling maps onto each other, and `fold_row` sums a row per class.
+Both pin a table at the spanning entries the same way: `group_entries`
+keeps each distinct folded row once with the entries that share it,
+and `pin_rows` gives it one right-hand side per distinct table value
+over those entries.
 """
 
 from __future__ import annotations
@@ -144,6 +148,30 @@ def fold_row(coeffs, class_of) -> tuple:
         k = class_of[col]
         summed[k] = summed.get(k, 0) + c
     return tuple(sorted((k, c) for k, c in summed.items() if c))
+
+
+def group_entries(entries, rows) -> tuple:
+    """Each distinct row of `rows` (one per entry of `entries`) once, in
+    order of its first entry, with the entries that have it: (row,
+    entries) pairs."""
+    grouped: dict[tuple, list] = {}
+    for e, row in zip(entries, rows):
+        grouped.setdefault(row, []).append(e)
+    return tuple((row, tuple(es)) for row, es in grouped.items())
+
+
+def pin_rows(rows, table):
+    """The equality rows that pin a table through (coefficients, entries)
+    pairs (group_entries): per pair, one (coefficients, rhs) row for each
+    distinct value of table[e] over its entries e, in order of first
+    entry.  Values are told apart by ==, not by hashing, which for a
+    Fraction costs several times more."""
+    for coeffs, entries in rows:
+        values = []
+        for v in map(table.__getitem__, entries):
+            if v not in values:
+                values.append(v)
+                yield coeffs, v
 
 
 def normalization_rows(scenario: Scenario) -> list[tuple[list[tuple[int, Fraction]], Fraction]]:

@@ -398,11 +398,10 @@ def _canonical_problem(problem: ExtensionProblem, form=None):
 
 def _unfold(problem: ExtensionProblem, fixed, copy, index, values) -> tuple:
     """The full extension table of `problem` in one pass: each entry
-    takes the value of the orbit or class (index from _orbit_rows or
-    _folded_rows) of its labels read through _canonical_problem's maps,
-    `fixed` for the fixed party and `copy` for each copy.  Only a
-    feasible witness is unfolded, so an infeasible verdict never walks
-    the extension table."""
+    takes the value of the class (index from _folded_rows) of its labels
+    read through _canonical_problem's maps, `fixed` for the fixed party
+    and `copy` for each copy.  Only a feasible witness is unfolded, so
+    an infeasible verdict never walks the extension table."""
     ext = problem.extension_scenario()
     f, slots = problem.fixed_slot(), problem.copy_slots()
     return tuple(
@@ -424,18 +423,15 @@ def _folded_rows(scenario: Scenario, shared_party: str, copies: int, group: tupl
     those flat indices.  Both marginals are nonsignaling, so equal at the
     spanning entries they are equal everywhere.
 
-    With a trivial group the rows are _orbit_rows' own tuples.  Otherwise
     polytope.orbit_classes merges the orbits each element maps onto each
     other (the fixed party's map on its label, the copy party's on every
     copy's label); classes are numbered by their least orbit, each row's
     coefficients are summed per class (polytope.fold_row), and zero rows
     and repeats go: a trace row up to its sign, a marginal row when its
     coefficients repeat one of an earlier entry, whose entries it then
-    joins."""
+    joins (polytope.group_entries)."""
     index, normalization, marginals, traces = _orbit_rows(scenario, shared_party, copies)
     spanning = polytope.spanning_entries(scenario)
-    if len(group) == 1:
-        return index, len(index), normalization, tuple((marginals[e], (e,)) for e in spanning), traces
     keys = list(index)
 
     def image(element):
@@ -450,40 +446,34 @@ def _folded_rows(scenario: Scenario, shared_party: str, copies: int, group: tupl
     def signed(coeffs):
         return tuple((k, -c) for k, c in coeffs) if coeffs and coeffs[0][1] < 0 else coeffs
 
-    folded: dict[tuple, list] = {}
-    for e in spanning:
-        folded.setdefault(fold(marginals[e]), []).append(e)
     return (
         MappingProxyType(dict(zip(keys, class_of))),
         max(class_of) + 1,
         tuple((coeffs, ONE) for coeffs in dict.fromkeys(fold(c) for c, _ in normalization)),
-        tuple((coeffs, tuple(entries)) for coeffs, entries in folded.items()),
+        polytope.group_entries(spanning, [fold(marginals[e]) for e in spanning]),
         tuple((coeffs, ZERO) for coeffs in dict.fromkeys(signed(fold(c)) for c, _ in traces) if coeffs),
     )
 
 
 def folded_extension_lp(problem: ExtensionProblem, canonical=None):
     """Feasibility LP for a symmetric extension, one variable per class
-    of orbits that the base box's stabilizer merges (per orbit when it
-    is trivial), and unfold(values), the full extension table of this
-    problem whose entries take the values of their classes; the table
-    size was capped when the problem was made.  The rows are the cached
-    _folded_rows of the problem's shape and stabilizer, already in
-    LinearProgram's stored form (ascending classes, nonzero int
-    coefficients), so they go into `eqs` as they come; the marginal rows
-    take their right-hand sides from the table of the base box's
-    canonical relabeling (_canonical_problem, from `canonical`, the
-    base's _canonical_form, when the caller has found it), one row per
-    distinct value over the entries of a row."""
+    of orbits that the base box's stabilizer merges, and unfold(values),
+    the full extension table of this problem whose entries take the
+    values of their classes; the table size was capped when the problem
+    was made.  The rows are the cached _folded_rows of the problem's
+    shape and stabilizer, already in LinearProgram's stored form
+    (ascending classes, nonzero int coefficients), so they go into `eqs`
+    as they come; the marginal rows take their right-hand sides from the
+    table of the base box's canonical relabeling (_canonical_problem,
+    from `canonical`, the base's _canonical_form, when the caller has
+    found it), one row per distinct value over the entries of a row
+    (polytope.pin_rows)."""
     table, fixed, copy, group = _canonical_problem(problem, canonical)
     index, count, normalization, marginals, traces = _folded_rows(
         problem.base.scenario, problem.shared_party, problem.copies, group
     )
     prog = lp.LinearProgram(count)
-    prog.eqs.extend(normalization)
-    for coeffs, entries in marginals:
-        prog.eqs.extend((coeffs, rhs) for rhs in dict.fromkeys(table[e] for e in entries))
-    prog.eqs.extend(traces)
+    prog.eqs.extend([*normalization, *polytope.pin_rows(marginals, table), *traces])
     return prog, functools.partial(_unfold, problem, fixed, copy, index)
 
 
@@ -637,11 +627,8 @@ def _iso_ceiling_lp() -> lp.LinearProgram:
     _, n, normalization, marginals, traces = _folded_rows(box.scenario, "B", 2, group)
     prog = lp.LinearProgram(n + 1, [(n, ONE)])
     prog.set_upper(n, ONE)
-    rows = [
-        (c + ((n, p - q),), p)
-        for c, entries in marginals
-        for p, q in dict.fromkeys((noise[e], pr[e]) for e in entries)
-    ]
+    pins = polytope.pin_rows(marginals, tuple(zip(noise, pr)))
+    rows = [(c + ((n, p - q),), p) for c, (p, q) in pins]
     for coeffs, rhs in itertools.chain(normalization, rows, traces):
         prog.add_eq(coeffs, rhs)
     return prog

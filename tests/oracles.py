@@ -392,6 +392,22 @@ def full_membership_lp(box: Box) -> lp.LinearProgram:
     return prog
 
 
+def strategy_model(box: Box):
+    """The unfolded membership LP's model, built without locality's row
+    cache: full_membership_lp's rows at the spanning entries, and the
+    deterministic_strategies of positive weight; None when infeasible."""
+    from boxlab import polytope
+    from boxlab.locality import LocalModel
+
+    prog = full_membership_lp(box)
+    prog.eqs = [prog.eqs[k] for k in polytope.spanning_entries(box.scenario)]
+    out = lp.solve(prog)
+    if out.status != lp.OPTIMAL:
+        return None
+    pairs = [(s, w) for s, w in zip(polytope.deterministic_strategies(box.scenario), out.primal) if w]
+    return LocalModel(box.scenario, *zip(*pairs))
+
+
 def local_membership_alternative(box: Box) -> bool:
     """Locality decided through a different formulation: strategies in
     reversed order, the last table row of each input block dropped

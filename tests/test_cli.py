@@ -355,6 +355,17 @@ def test_entropy_on_non_bipartite_box_exits_2(tmp_path, capsys, parties, party):
     assert "bipartite" in capsys.readouterr().err
 
 
+def test_local_on_tripartite_polygamy_box(tmp_path, capsys):
+    # 222/444 with 4,096 strategies: the membership LP on the box's own
+    # labels for three parties, and its Bell certificate verified
+    box, report = tmp_path / "box.txt", tmp_path / "report.json"
+    assert run("make", "polygamy", "-o", box) == 0
+    capsys.readouterr()
+    assert run("analyze", "local", box, "-o", report) == 1
+    assert "certificate violation 19/32" in capsys.readouterr().out
+    assert run("verify", report) == 0
+
+
 @pytest.mark.parametrize("kind, alphabet", [("giso", 0), ("giso", 1), ("giso", -1), ("gpr", 0)])
 def test_bad_output_alphabet_exits_2(tmp_path, capsys, kind, alphabet):
     assert run("make", kind, "--A", alphabet, "-o", tmp_path / "box.txt") == 2

@@ -57,6 +57,39 @@ def test_no_unused_import_in_package():
     assert found == []
 
 
+# paper-facing functions with no caller yet besides the tests: the
+# equivalence cross-oracle on the roadmap is to call them
+AWAITING_CALLERS = {"eve_extension", "unique_violator_decoupling", "local_model_from_extension"}
+
+
+def test_every_package_definition_has_a_caller_outside_tests():
+    # a top-level function or class that only tests reach belongs in
+    # tests/oracles.py; a name counts as used when package or benchmark
+    # code reads or imports it anywhere but inside its own definition
+    perfbench = PACKAGE.parents[1] / "perfbench"
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in [*sorted(PACKAGE.glob("*.py")), *sorted(perfbench.glob("*.py"))]}
+    defined = [
+        node
+        for path, tree in trees.items() if path.parent == PACKAGE
+        for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    ]
+    uses: dict[str, list] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            for name in names:
+                uses.setdefault(name, []).append(node)
+    unused = set()
+    for node in defined:
+        inside = set(ast.walk(node))
+        if all(use in inside for use in uses.get(node.name, [])):
+            unused.add(node.name)
+    assert unused == AWAITING_CALLERS
+
+
 def test_no_environment_read_in_package():
     # every limit is a module constant, which no environment variable moves
     names = {"environ", "environb", "getenv", "getenvb"}

@@ -32,6 +32,7 @@ from oracles import (
     full_membership_lp,
     local_bound_by_enumeration,
     local_membership_alternative,
+    strategy_model,
 )
 
 # every certificate these tests produce is checked by both verifiers
@@ -58,7 +59,7 @@ class TestStrategyColumns:
         assert polytope.strategy_columns(Scenario((2, 2), (2, 2))) is columns
         assert isinstance(columns, tuple) and all(isinstance(c, tuple) for c in columns)
 
-    @pytest.mark.parametrize("sc", TABLE_SCENARIOS[:3], ids=str)
+    @pytest.mark.parametrize("sc", TABLE_SCENARIOS, ids=str)
     def test_membership_rows_match_strategy_boxes(self, sc):
         # the full-table rows at the spanning entries, right-hand sides
         # included: every strategy weighted differently, so entries differ
@@ -179,6 +180,18 @@ class TestIsLocal:
             box = random_ns_box(rng, ns_vertices, nonlocal_bias=(i % 3) * 15)
             ours = isinstance(is_local(box), LocalModel)
             assert ours == local_membership_alternative(box)
+
+    @pytest.mark.parametrize("box", [
+        box_from_function(Scenario((2,), (2,)), lambda outs, xs: F(1, 3) if outs[0] == xs[0] else F(2, 3)),
+        box_from_function(Scenario((1, 1, 1), (1, 1, 1)), lambda outs, xs: 1),
+        box_from_function(Scenario((3, 1), (1, 3)), lambda outs, xs: F(outs[1] + 1, 6)),
+    ], ids=["one-party", "111-111", "31-13"])
+    def test_any_number_of_parties_and_outputs(self, box):
+        # the box's own labels are the canonical form for one party, for
+        # parties with a single output and for a single input alike
+        model = is_local(box)
+        assert model == strategy_model(box)
+        assert model.reconstructs(box) and sum(model.weights, ZERO) == 1
 
     def test_strategy_cap(self):
         # 4^4 * 4^4 = 65,536 deterministic strategies, over the cap

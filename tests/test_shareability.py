@@ -566,8 +566,8 @@ class TestOrbitRows:
         self._check(ExtensionProblem(_skewed_local_box(SC22, random.Random(m)), party, m))
 
     def test_one_build_per_shape(self, ns_vertices):
-        # two boxes with trivial stabilizers: one build of the orbit rows,
-        # one entry of the folded cache, and no fold
+        # two boxes with trivial stabilizers: one build of the orbit rows
+        # and one entry of the folded cache
         _orbit_rows.cache_clear()
         _folded_rows.cache_clear()
         boxes = [random_ns_box(random.Random(s), ns_vertices, nonlocal_bias=60) for s in (0, 1)]
@@ -582,14 +582,37 @@ class TestOrbitRows:
         first, second = (prog.eqs for prog in progs)
         # the programs differ only in the marginal right-hand sides, each
         # the table of the base box's canonical relabeling at the spanning
-        # entries, and every row's coefficients are the cached tuple itself
+        # entries
         for prog, problem in zip(progs, problems):
             table = _canonical_problem(problem)[0]
             want = [*normalization, *((marginals[e], table[e]) for e in spanning), *traces]
             assert prog.eqs == want
-            assert all(a is b for (a, _), (b, _) in zip(prog.eqs, want))
         differ = [k for k, (a, b) in enumerate(zip(first, second)) if a != b]
         assert differ and all(len(normalization) <= k < len(normalization) + len(spanning) for k in differ)
+
+    def test_trivial_fold_is_the_orbit_rows(self):
+        # folding by the trivial group keeps every orbit and row: the
+        # orbit rows themselves, pinned at the spanning entries only
+        shapes = 0
+        for X, Y, A, B in itertools.product((1, 2, 3), (1, 2, 3), (2, 3), (2, 3)):
+            sc = Scenario((X, Y), (A, B))
+            # each party's identity map as sorted (label, image) pairs
+            alice, bob = (
+                tuple(((a, x), (a, x)) for a in range(n_out) for x in range(n_in))
+                for n_in, n_out in ((X, A), (Y, B))
+            )
+            for party, m in itertools.product("AB", (1, 2, 3)):
+                identity = (alice, bob) if party == "B" else (bob, alice)
+                index, count, normalization, marginals, traces = _folded_rows(sc, party, m, (identity,))
+                orbit_index, *orbit_rows = _orbit_rows(sc, party, m)
+                assert dict(index) == dict(orbit_index) == {key: n for n, key in enumerate(orbit_index)}
+                assert count == len(orbit_index)
+                spanning = polytope.spanning_entries(sc)
+                assert (normalization, marginals, traces) == (
+                    orbit_rows[0], tuple((orbit_rows[1][e], (e,)) for e in spanning), orbit_rows[2]
+                )
+                shapes += 1
+        assert shapes == 216
 
     def test_cached_rows_are_read_only(self):
         problem = ExtensionProblem(make_isotropic(F(1, 2)), "A", 2)
