@@ -6,12 +6,12 @@ box, maximum exactly 1 over the nonsignaling polytope.  CHSH and CGLMP
 are normalized in closed form, from their known local bounds and
 nonsignaling maxima; the tests check both against the LP.  `normalize`
 serves the functionals found at run time, such as the Farkas vectors of
-`locality.is_local`, which are supported on the spanning entries of
-`polytope.spanning_entries`: their local bound is the largest sum of the
-coefficients at the table entries a deterministic strategy fires
-(`polytope.strategy_columns`), taken in integers over the coefficients'
-common denominator, and their nonsignaling maximum comes from an exact
-LP.  The functions that solve import lp and polytope themselves, so
+`locality.is_local`, put on the spanning entries of
+`polytope.spanning_entries` and averaged over the box's stabilizer:
+their local bound is the largest sum of the coefficients at the table
+entries a deterministic strategy fires (`polytope.strategy_columns`),
+taken in integers over the coefficients' common denominator, and their
+nonsignaling maximum comes from an exact LP.  The functions that solve import lp and polytope themselves, so
 CHSH, CGLMP and the isotropic family load neither.  `cglmp` builds no
 family member past CGLMP_CAP outputs, the largest d at which the tests
 check its closed form against the LP.

@@ -5,19 +5,30 @@ Membership is one exact LP over strategy weights, with one row per
 spanning entry (`polytope.spanning_entries`): these entries fix every
 nonsignaling table, so weights that match a nonsignaling box there match
 all of it.  The program is stated on a canonical form of the box, a
-relabeling whose table a group of local relabelings fixes, and folded by
-that group: one weight per class of strategies the group maps onto each
-other.  `is_m_shareable` passes the canonical relabeling and stabilizer
-it found; every other caller gets the box's own labels, the trivial
-fold, whose classes are the single strategies and whose rows are the
-spanning entries themselves, for any number of parties.  Feasibility
-yields an explicit LocalModel, infeasibility a Farkas vector that, after
-normalization, is a Bell functional violated by the box.  Secrecy
-content is this decision: a bipartite box contains secrecy exactly when
-it is nonlocal, and for a local box the model's hidden variable is a
-message an eavesdropper can hold (eve_extension), so the command line's
-`secrecy` analysis is `is_local` with the verdict read the other way
-round.
+relabeling whose table a group G of local relabelings fixes, and folded
+by G: one weight per class of strategies that G maps onto each other.
+A bipartite box gets its canonical relabeling and stabilizer from
+`polytope.canonical_form`, found once per question (`is_m_shareable`
+passes the one it found), unless `polytope.labels_told_apart` already
+shows that only the identity fixes the table; such a box, and a box of
+any other number of parties, keeps its own labels, the trivial fold,
+whose classes are the single strategies and whose rows are the spanning
+entries themselves.
+
+Feasibility yields an explicit LocalModel, in the box's own labels.
+Infeasibility yields a Farkas vector y of the folded program, which
+becomes a Bell functional in three steps.  Each row's multiplier goes
+on the first spanning entry it pins, so the functional sums over each
+class to minus y's combination of that class's column, at most 0, and
+is positive on the canonical table.  Averaged over G, it is G-invariant,
+so its value on each strategy is its class's average, at most 0, while
+its value on the table, which G fixes, does not change.  Read back
+through the canonical form's maps and normalized, it is violated by the
+box.  Secrecy content is this decision: a bipartite box contains
+secrecy exactly when it is nonlocal, and for a local box the model's
+hidden variable is a message an eavesdropper can hold (eve_extension),
+so the command line's `secrecy` analysis is `is_local` with the verdict
+read the other way round.
 
 Enumerating the strategies is the cost: no scenario with more than
 STRATEGY_CAP of them is decided or checked.
@@ -27,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -43,6 +55,7 @@ from .core import (
     count_text,
     ensure,
     is_nonsignaling,
+    numerators,
 )
 from .polytope import DeterministicStrategy
 
@@ -88,7 +101,24 @@ class LocalModel(Frozen):
         return Box(self.scenario, tuple(table))
 
     def reconstructs(self, box: Box) -> bool:
-        return self.box() == box
+        """Whether the mixture is the box, compared in integers: the
+        weights' numerators over their common denominator summed at the
+        entries each strategy fires, against the box's numerators over
+        its own (core.numerators), cross-multiplied."""
+        sc = self.scenario
+        if box.scenario != sc:
+            return False
+        den, nums = numerators(box.table)
+        w_den, w_nums = numerators(self.weights)
+        n_out = sc.num_output_tuples
+        # what each party's output adds to the flat index xi * n_out + oi
+        strides = [math.prod(sc.outputs[k + 1:]) for k in range(sc.parties)]
+        inputs = [(xi * n_out, xs) for xi, xs in enumerate(sc.input_tuples())]
+        table = [0] * sc.table_size
+        for strat, w in zip(self.strategies, w_nums):
+            for at, xs in inputs:
+                table[at + sum(t[x] * s for t, x, s in zip(strat.tables, xs, strides))] += w
+        return all(t * den == p * w_den for t, p in zip(table, nums))
 
     def adjoin(self, inputs, outputs, tables) -> LocalModel:
         """The model with parties of alphabet sizes `inputs` and `outputs`
@@ -180,13 +210,12 @@ def membership_lp(box: Box, canonical=None) -> lp.LinearProgram:
     """Weights over classes of deterministic strategies that match a
     canonical form of the box on its spanning entries.  The form is
     (table, one label map per party, group): `canonical`, the box's
-    canonical relabeling and its stabilizer as
-    shareability._canonical_form returns them, or by default the box's
-    own labels (_own_labels), the trivial fold for any number of
-    parties, whose classes are the single strategies in
-    deterministic_strategies order and whose rows are the spanning
-    entries themselves: prod_k (X_k(A_k-1)+1) rows, 9 of 16 in 2222,
-    16 of 36 in 3322.
+    canonical relabeling and its stabilizer as polytope.canonical_form
+    returns them, or by default the box's own labels (_own_labels), the
+    trivial fold for any number of parties, whose classes are the single
+    strategies in deterministic_strategies order and whose rows are the
+    spanning entries themselves: prod_k (X_k(A_k-1)+1) rows, 9 of 16 in
+    2222, 16 of 36 in 3322.
 
     That decides a nonsignaling box: the spanning entries fix every
     nonsignaling table, mixtures of strategy boxes included, so weights
@@ -210,44 +239,104 @@ def membership_lp(box: Box, canonical=None) -> lp.LinearProgram:
 
 def local_model(box: Box, canonical=None) -> LocalModel | lp.LpOutcome:
     """The answer of membership_lp(box, canonical) for a nonsignaling
-    box, refused like is_local above STRATEGY_CAP strategies: a
+    box within STRATEGY_CAP strategies, which the caller checks: a
     LocalModel of the strategies of positive weight, checked to
     reconstruct the whole box, or the INFEASIBLE LpOutcome, whose Farkas
     vector has one entry per row of that program.  Each class weight is
     spread over the class's strategies, which are read back through the
-    form's maps into the box's own labels.  Nothing here normalizes:
+    form's maps into the box's own labels and listed in the box's own
+    deterministic_strategies order, so the model does not depend on
+    which relabeling was canonical.  Nothing here normalizes:
     is_m_shareable needs only a model."""
     sc = box.scenario
-    check_strategy_space(sc)
     canonical = canonical or (box.table, *_own_labels(sc))
     out = lp.solve(membership_lp(box, canonical))
     if out.status == lp.OPTIMAL:
         back = [{v: k for k, v in to.items()} for to in canonical[1:-1]]
         members = _membership_rows(sc, canonical[-1])[0]
-        pairs = [(DeterministicStrategy(sc, tuple(map(_moved, tables, back))), w)
-                 for k, w in enumerate(out.primal) if w for tables in members[k]]
-        model = LocalModel(sc, *zip(*pairs))
+        pairs = sorted((tuple(map(_moved, tables, back)), w)
+                       for k, w in enumerate(out.primal) if w for tables in members[k])
+        strategies = tuple(DeterministicStrategy(sc, tables) for tables, _ in pairs)
+        model = LocalModel(sc, strategies, tuple(w for _, w in pairs))
         ensure(model.reconstructs(box), "local model does not reconstruct the box")
         return model
     ensure(out.status == lp.INFEASIBLE, f"membership LP ended {out.status}")
     return out
 
 
+def _moved_entries(scenario: Scenario, maps) -> list:
+    """Per flat table entry, in table order, the flat entry that its
+    labels reach under `maps`, one dict per party from an (output,
+    input) label to its image."""
+    n_in, n_out = scenario.table_size, scenario.num_output_tuples
+    per_party = []
+    for X, A, image in zip(scenario.inputs, scenario.outputs, maps):
+        n_in, n_out = n_in // X, n_out // A
+        # what the party's label (a, x) adds to the flat index
+        at = {(a, x): x * n_in + a * n_out for x in range(X) for a in range(A)}
+        per_party.append([[at[image[a, x]] for a in range(A)] for x in range(X)])
+    return [
+        sum(at[x][a] for at, x, a in zip(per_party, xs, outs))
+        for xs in scenario.input_tuples()
+        for outs in scenario.output_tuples()
+    ]
+
+
+@functools.lru_cache(maxsize=16)
+def _entry_orbits(scenario: Scenario, group: tuple) -> tuple:
+    """Per flat table entry, its images under every element of `group`
+    (local relabelings as _membership_rows takes them), built once per
+    scenario and group and held in a small cache."""
+    return tuple(zip(*(_moved_entries(scenario, map(dict, element)) for element in group)))
+
+
+def _bell_coefficients(box: Box, canonical, farkas) -> list:
+    """The Bell functional, in the box's own labels, that the Farkas
+    vector `farkas` of membership_lp(box, canonical) gives, by the steps
+    the module docstring argues for: each row's multiplier, negated, on
+    the first spanning entry it pins (polytope.first_pins); summed over
+    the images of each entry under the group (the average up to the
+    factor |G|, which normalize drops), in integers over the
+    coefficients' common denominator; and read back through the form's
+    maps.  Under the box's own labels the first step is all."""
+    sc = box.scenario
+    table, *maps, group = canonical or (box.table, *_own_labels(sc))
+    rows = _membership_rows(sc, group)[1]
+    coefficients = [ZERO] * sc.table_size
+    for (_, e), y in zip(polytope.first_pins(rows, table), farkas):
+        coefficients[e] = -y
+    if canonical is None:
+        return coefficients
+    den, nums = numerators(coefficients)
+    orbits = _entry_orbits(sc, group)
+    return [Fraction(sum(map(nums.__getitem__, orbits[c])), den) for c in _moved_entries(sc, maps)]
+
+
 def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
     """Decide local-polytope membership with an explicit witness either
     way: local_model's model in the box's own labels, or its Farkas
-    vector, one entry per spanning entry, normalized into a Bell
-    functional that the box violates.  No symmetry is searched for."""
+    vector made into a Bell functional (_bell_coefficients) and
+    normalized, which the box violates.
+
+    A bipartite box is decided on its canonical form, the membership LP
+    folded by its stabilizer G (polytope.canonical_form): 81 x 25 becomes
+    9 x 3 on generalized isotropic boxes with 3 outputs.  The search is
+    skipped when polytope.labels_told_apart shows that only the identity
+    fixes the table, as it does for most boxes without symmetry; such a
+    box keeps its own labels, as does any box of another number of
+    parties."""
     sc = box.scenario
     ok, w = is_nonsignaling(box, witness=True)
     if not ok:
         raise SignalingBox(w)
-    found = local_model(box)
+    check_strategy_space(sc)
+    canonical = None
+    if sc.parties == 2 and not polytope.labels_told_apart(box):
+        canonical = polytope.canonical_form(box)
+    found = local_model(box, canonical)
     if isinstance(found, LocalModel):
         return found
-    coefficients = [ZERO] * sc.table_size
-    for k, y in zip(polytope.spanning_entries(sc), found.certificate.y_eq):
-        coefficients[k] = -y
+    coefficients = _bell_coefficients(box, canonical, found.certificate.y_eq)
     functional = normalize(BellFunctional(sc, tuple(coefficients), ZERO))
     violation = functional.evaluate(box)
     ensure(violation > 0, "Bell functional from the Farkas vector is not violated")

@@ -33,7 +33,15 @@ relabeling maps onto each other, and `fold_row` sums a row per class.
 Both pin a table at the spanning entries the same way: `group_entries`
 keeps each distinct folded row once with the entries that share it,
 and `pin_rows` gives it one right-hand side per distinct table value
-over those entries.
+over those entries (`first_pins` names the entry each row pins first).
+
+The canonical form and its stabilizer come from one search,
+`canonical_form`, which both `shareability.is_m_shareable` and
+`locality.is_local` run on a bipartite box.  `is_local` first runs
+`labels_told_apart`, one round of color refinement on the labels, from
+each label's sorted row of the table: when the colors tell every label
+apart, only the identity fixes the table, and the box keeps its own
+labels without a search.
 """
 
 from __future__ import annotations
@@ -42,8 +50,10 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .core import Box, Frozen, Scenario, ZERO, ONE, marginal_indices, trace_indices
+from .core import Box, Frozen, Scenario, ZERO, ONE, marginal_indices, numerators, trace_indices
 from . import lp
+
+CANONICAL_SEARCH_CAP = 10_000
 
 
 class DeterministicStrategy(Frozen):
@@ -160,18 +170,165 @@ def group_entries(entries, rows) -> tuple:
     return tuple((row, tuple(es)) for row, es in grouped.items())
 
 
+def first_pins(rows, table):
+    """Per (coefficients, entries) pair (group_entries), its coefficients
+    with the first of its entries at each distinct value of table[e] over
+    them, in order of first entry: the entry that each row of pin_rows
+    pins first.  Values are told apart by ==, not by hashing, which for a
+    Fraction costs several times more."""
+    for coeffs, entries in rows:
+        values = []
+        for e in entries:
+            v = table[e]
+            if v not in values:
+                values.append(v)
+                yield coeffs, e
+
+
 def pin_rows(rows, table):
     """The equality rows that pin a table through (coefficients, entries)
     pairs (group_entries): per pair, one (coefficients, rhs) row for each
     distinct value of table[e] over its entries e, in order of first
-    entry.  Values are told apart by ==, not by hashing, which for a
-    Fraction costs several times more."""
-    for coeffs, entries in rows:
-        values = []
-        for v in map(table.__getitem__, entries):
-            if v not in values:
-                values.append(v)
-                yield coeffs, v
+    entry (first_pins)."""
+    for coeffs, e in first_pins(rows, table):
+        yield coeffs, table[e]
+
+
+def _colors(keys) -> list:
+    """One number per key, equal keys alike, numbered in order of first
+    appearance."""
+    number: dict = {}
+    return [number.setdefault(tuple(k), len(number)) for k in keys]
+
+
+def labels_told_apart(box: Box) -> bool:
+    """True when the bipartite box's table alone shows that only the
+    identity relabeling fixes it, by one round of color refinement.  A
+    relabeling pair that fixes the table maps each of Alice's labels
+    (a, x) onto one whose row of table numerators over Bob's labels
+    (b, y) is its own row permuted by Bob's map, and each of Bob's labels
+    likewise.  So the pair keeps a label's color, first its sorted row,
+    then, refined, its sorted (entry, other party's color) pairs; and
+    when the colors tell every label apart, it maps each label onto
+    itself.  False proves nothing: only canonical_form tells.
+
+    Most boxes are settled by the sorted rows alone.  On 2222 boxes the
+    test takes 25-45 us and the search 130-200 us (Python 3.11, 2
+    vCPUs).  In one locality-scan pass at seed 1 the sorted rows clear
+    105 of the 160 2222 boxes, and the refinement clears the other 38
+    of the 143 whose stabilizer is trivial."""
+    (X, Y), (A, B) = box.scenario.inputs, box.scenario.outputs
+    nums = numerators(box.table)[1]
+    # per Alice label x*A + a, the entries (x*Y + y)*A*B + a*B + b in Bob label order
+    grid = [[nums[(x * Y + y) * A * B + a * B + b] for y in range(Y) for b in range(B)]
+            for x in range(X) for a in range(A)]
+    cols = list(zip(*grid))
+    alice, bob = _colors(map(sorted, grid)), _colors(map(sorted, cols))
+    if max(alice) + 1 < X * A or max(bob) + 1 < Y * B:
+        alice = _colors(sorted(zip(row, bob)) for row in grid)
+        bob = _colors(sorted(zip(col, alice)) for col in cols)
+    return max(alice) + 1 == X * A and max(bob) + 1 == Y * B
+
+
+def _grown(state: tuple, inputs: int, outputs: int) -> list:
+    """Every extension of one party's partial relabeling by its next
+    canonical label.  `state` holds the original label (numbered input *
+    outputs + output) of each canonical label so far, in canonical order
+    (input-major, like the table), so a new canonical input takes any
+    original input not yet taken, with any output, and a further output of
+    the same input any output of that original input not yet taken."""
+    k = len(state)
+    start = k - k % outputs
+    if start == k:
+        taken = {n // outputs for n in state}
+        return [state + (n,) for n in range(inputs * outputs) if n // outputs not in taken]
+    first = state[start] - state[start] % outputs
+    taken = set(state[start:])
+    return [state + (n,) for n in range(first, first + outputs) if n not in taken]
+
+
+def canonical_form(box: Box):
+    """The bipartite box's local relabeling with the lexicographically
+    greatest table, and that table's stabilizer, as (table, alice, bob,
+    group): the relabeled table; for Alice and for Bob a map from each
+    original (output, input) label to its relabeled one; and the sorted
+    tuple of every (Alice map, Bob map) pair, each as its sorted (label,
+    image) pairs on relabeled labels, that leaves the table unchanged.
+    Of the relabelings that reach the greatest table the maps are those of
+    the least in lexicographic order of (Alice's input permutation, her
+    output permutation at each input, Bob's likewise): the one that
+    comparing every pair in that order keeps, only a strictly greater
+    table replacing the best so far (the oracle
+    tests.oracles.brute_canonical_problem).
+
+    The search builds the greatest table cell by cell in table order.  A
+    frontier holds every partial relabeling that ties the best prefix so
+    far; each cell fixes at most one new Alice label and one new Bob label
+    (a new input with its first output, or one more output of an input
+    already placed), every frontier state is extended every way it can be,
+    and only the extensions that read the greatest value there are kept.
+    For a lexicographic order that is exact: the greatest table has the
+    greatest first cell, then the greatest second cell among those, and so
+    on.  The final frontier is every relabeling phi that reaches the
+    greatest table, and psi = phi_best^-1 . phi, phi_best the least of
+    them, fixes the relabeled table T': T'(psi(c)) = T(phi(c)) =
+    T(phi_best(c)) = T'(c), so the group of such psi is its stabilizer,
+    which the box's labels do not change.
+
+    CANONICAL_SEARCH_CAP bounds the frontier: when a cell would extend it
+    to more states than that, the search gives up before building them;
+    the table is kept, the maps are the identity, and so is the only
+    element of the group.  Distinct extensions belong to distinct
+    relabelings, so a box with at most CANONICAL_SEARCH_CAP relabelings
+    (X! A!^X Y! B!^Y) is always searched to the end.  Above that, uniform
+    noise in 2244 and 2255 and generalized isotropic A=5 at C=1/2 give up
+    within their first two blocks, in under 0.1 s, while generalized
+    isotropic boxes with 4 outputs per party are searched to their
+    16-element stabilizers, their frontier never above 576 states."""
+    sc = box.scenario
+    (X, Y), (A, B) = sc.inputs, sc.outputs
+    table = box.table
+    # numerators over a common denominator order the cells as the table does
+    ranked = numerators(table)[1]
+    # what each original label adds to the flat index (x*Y + y)*A*B + a*B + b
+    at_a = [(n // A * Y * A + n % A) * B for n in range(X * A)]
+    at_b = [n // B * A * B + n % B for n in range(Y * B)]
+    cells = list(itertools.product(range(X), range(Y), range(A), range(B)))
+    frontier = [((), ())]
+    for x, y, a, b in cells:
+        i, j = x * A + a, y * B + b
+        # Alice's label (a, x) shows first at y = b = 0, Bob's (b, y) at x = a = 0
+        if y == b == 0 or x == a == 0:
+            more_a = {fa: _grown(fa, X, A) if y == b == 0 else (fa,) for fa in {fa for fa, _ in frontier}}
+            more_b = {fb: _grown(fb, Y, B) if x == a == 0 else (fb,) for fb in {fb for _, fb in frontier}}
+            if sum(len(more_a[fa]) * len(more_b[fb]) for fa, fb in frontier) > CANONICAL_SEARCH_CAP:
+                frontier = [(tuple(range(X * A)), tuple(range(Y * B)))]
+                break
+            frontier = [(na, nb) for fa, fb in frontier for na in more_a[fa] for nb in more_b[fb]]
+        values = [ranked[at_a[fa[i]] + at_b[fb[j]]] for fa, fb in frontier]
+        best = max(values)
+        frontier = [f for f, v in zip(frontier, values) if v == best]
+
+    def order(state, outputs):
+        # the input permutation, then the output permutation at each input
+        return tuple(n // outputs for n in state[::outputs]), tuple(n % outputs for n in state)
+
+    best_a, best_b = min(frontier, key=lambda f: order(f[0], A) + order(f[1], B))
+    table = tuple(table[at_a[best_a[x * A + a]] + at_b[best_b[y * B + b]]] for x, y, a, b in cells)
+
+    def label(k, outputs):
+        return k % outputs, k // outputs
+
+    def psi(state, place, outputs):
+        # canonical label k reads the original label n = state[k], which
+        # the best relabeling places at place[n]
+        return tuple(sorted((label(k, outputs), label(place[n], outputs)) for k, n in enumerate(state)))
+
+    place_a, place_b = ({n: k for k, n in enumerate(best)} for best in (best_a, best_b))
+    group = tuple(sorted((psi(fa, place_a, A), psi(fb, place_b, B)) for fa, fb in frontier))
+    alice = {label(n, A): label(k, A) for k, n in enumerate(best_a)}
+    bob = {label(n, B): label(k, B) for k, n in enumerate(best_b)}
+    return table, alice, bob, group
 
 
 def normalization_rows(scenario: Scenario) -> list[tuple[list[tuple[int, Fraction]], Fraction]]:

@@ -7,17 +7,19 @@ the shared party's deterministic answer.  So is_m_shareable first asks
 locality.local_model, and a model gives the extension with no further
 LP.  Both of its LPs are stated on the table of the box's canonical
 relabeling and folded by that table's stabilizer G (below), which one
-search per question finds (_canonical_form).  Averaging a local model
-over G keeps it a model: each element of G maps a deterministic
-strategy onto another one and fixes the table, so it maps a model onto
-another model, and the average is a model whose weights are constant on
-the classes of strategies G maps onto each other; the membership LP
-then needs one weight per class.  Any other box is decided by one exact
-LP, stated on orbit variables: one variable per class of extension
-entries that a permutation of the copies maps onto each other.  Folding is exact, not
-a relaxation: averaging any extension over the copy permutations gives
-a symmetric one with the same marginals, so an extension exists exactly
-when a symmetric one does, and a symmetric table is constant on orbits.
+search per question finds (polytope.canonical_form, which lives next
+to the folding helpers it feeds, since locality.is_local runs it too).
+Averaging a local model over G keeps it a model: each element of G maps
+a deterministic strategy onto another one and fixes the table, so it
+maps a model onto another model, and the average is a model whose
+weights are constant on the classes of strategies G maps onto each
+other; the membership LP then needs one weight per class.  Any other
+box is decided by one exact LP, stated on orbit variables: one variable
+per class of extension entries that a permutation of the copies maps
+onto each other.  Folding is exact, not a relaxation: averaging any
+extension over the copy permutations gives a symmetric one with the
+same marginals, so an extension exists exactly when a symmetric one
+does, and a symmetric table is constant on orbits.
 The same argument folds the orbits once more, by the box's stabilizer
 G: the pairs of local relabelings (one of Alice's, one of Bob's,
 applied alike to every copy) that leave the canonical table unchanged.
@@ -84,7 +86,6 @@ if TYPE_CHECKING:
     from .locality import LocalModel
 
 EXTENSION_SIZE_CAP = 100_000
-CANONICAL_SEARCH_CAP = 10_000
 
 
 class ExtensionTooLarge(BoxlabError):
@@ -273,110 +274,9 @@ def _orbit_rows(scenario: Scenario, shared_party: str, copies: int):
     return MappingProxyType(index), tuple(normalization), tuple(marginals), tuple(traces)
 
 
-def _grown(state: tuple, inputs: int, outputs: int) -> list:
-    """Every extension of one party's partial relabeling by its next
-    canonical label.  `state` holds the original label (numbered input *
-    outputs + output) of each canonical label so far, in canonical order
-    (input-major, like the table), so a new canonical input takes any
-    original input not yet taken, with any output, and a further output of
-    the same input any output of that original input not yet taken."""
-    k = len(state)
-    start = k - k % outputs
-    if start == k:
-        taken = {n // outputs for n in state}
-        return [state + (n,) for n in range(inputs * outputs) if n // outputs not in taken]
-    first = state[start] - state[start] % outputs
-    taken = set(state[start:])
-    return [state + (n,) for n in range(first, first + outputs) if n not in taken]
-
-
-def _canonical_form(box: Box):
-    """The bipartite box's local relabeling with the lexicographically
-    greatest table, and that table's stabilizer, as (table, alice, bob,
-    group): the relabeled table; for Alice and for Bob a map from each
-    original (output, input) label to its relabeled one; and the sorted
-    tuple of every (Alice map, Bob map) pair, each as its sorted (label,
-    image) pairs on relabeled labels, that leaves the table unchanged.
-    Of the relabelings that reach the greatest table the maps are those of
-    the least in lexicographic order of (Alice's input permutation, her
-    output permutation at each input, Bob's likewise): the one that
-    comparing every pair in that order keeps, only a strictly greater
-    table replacing the best so far (the oracle
-    tests.oracles.brute_canonical_problem).
-
-    The search builds the greatest table cell by cell in table order.  A
-    frontier holds every partial relabeling that ties the best prefix so
-    far; each cell fixes at most one new Alice label and one new Bob label
-    (a new input with its first output, or one more output of an input
-    already placed), every frontier state is extended every way it can be,
-    and only the extensions that read the greatest value there are kept.
-    For a lexicographic order that is exact: the greatest table has the
-    greatest first cell, then the greatest second cell among those, and so
-    on.  The final frontier is every relabeling phi that reaches the
-    greatest table, and psi = phi_best^-1 . phi, phi_best the least of
-    them, fixes the relabeled table T': T'(psi(c)) = T(phi(c)) =
-    T(phi_best(c)) = T'(c), so the group of such psi is its stabilizer,
-    which the box's labels do not change.
-
-    CANONICAL_SEARCH_CAP bounds the frontier: when a cell would extend it
-    to more states than that, the search gives up before building them;
-    the table is kept, the maps are the identity, and so is the only
-    element of the group.  Distinct extensions belong to distinct
-    relabelings, so a box with at most CANONICAL_SEARCH_CAP relabelings
-    (X! A!^X Y! B!^Y) is always searched to the end.  Above that, uniform
-    noise in 2244 and 2255 and generalized isotropic A=5 at C=1/2 give up
-    within their first two blocks, in under 0.1 s, while generalized
-    isotropic boxes with 4 outputs per party are searched to their
-    16-element stabilizers, their frontier never above 576 states."""
-    sc = box.scenario
-    (X, Y), (A, B) = sc.inputs, sc.outputs
-    table = box.table
-    # numerators over a common denominator order the cells as the table does
-    ranked = numerators(table)[1]
-    # what each original label adds to the flat index (x*Y + y)*A*B + a*B + b
-    at_a = [(n // A * Y * A + n % A) * B for n in range(X * A)]
-    at_b = [n // B * A * B + n % B for n in range(Y * B)]
-    cells = list(itertools.product(range(X), range(Y), range(A), range(B)))
-    frontier = [((), ())]
-    for x, y, a, b in cells:
-        i, j = x * A + a, y * B + b
-        # Alice's label (a, x) shows first at y = b = 0, Bob's (b, y) at x = a = 0
-        if y == b == 0 or x == a == 0:
-            more_a = {fa: _grown(fa, X, A) if y == b == 0 else (fa,) for fa in {fa for fa, _ in frontier}}
-            more_b = {fb: _grown(fb, Y, B) if x == a == 0 else (fb,) for fb in {fb for _, fb in frontier}}
-            if sum(len(more_a[fa]) * len(more_b[fb]) for fa, fb in frontier) > CANONICAL_SEARCH_CAP:
-                frontier = [(tuple(range(X * A)), tuple(range(Y * B)))]
-                break
-            frontier = [(na, nb) for fa, fb in frontier for na in more_a[fa] for nb in more_b[fb]]
-        values = [ranked[at_a[fa[i]] + at_b[fb[j]]] for fa, fb in frontier]
-        best = max(values)
-        frontier = [f for f, v in zip(frontier, values) if v == best]
-
-    def order(state, outputs):
-        # the input permutation, then the output permutation at each input
-        return tuple(n // outputs for n in state[::outputs]), tuple(n % outputs for n in state)
-
-    best_a, best_b = min(frontier, key=lambda f: order(f[0], A) + order(f[1], B))
-    table = tuple(table[at_a[best_a[x * A + a]] + at_b[best_b[y * B + b]]] for x, y, a, b in cells)
-
-    def label(k, outputs):
-        return k % outputs, k // outputs
-
-    def psi(state, place, outputs):
-        # canonical label k reads the original label n = state[k], which
-        # the best relabeling places at place[n]
-        return tuple(sorted((label(k, outputs), label(place[n], outputs)) for k, n in enumerate(state)))
-
-    place_a, place_b = ({n: k for k, n in enumerate(best)} for best in (best_a, best_b))
-    group = tuple(sorted((psi(fa, place_a, A), psi(fb, place_b, B)) for fa, fb in frontier))
-    alice = {label(n, A): label(k, A) for k, n in enumerate(best_a)}
-    bob = {label(n, B): label(k, B) for k, n in enumerate(best_b)}
-    return table, alice, bob, group
-
-
 def _canonical_problem(problem: ExtensionProblem, form=None):
-    """_canonical_form of the problem's base box (or `form`, already
-    found), with the maps and each group element's pair in (fixed party,
+    """polytope.canonical_form of the problem's base box (or `form`,
+    already found), with the maps and each group element's pair in (fixed party,
     copy party) order: (table, fixed, copy, group).  Relabeling each copy
     of a party alike maps extensions onto extensions, so the answer is the
     same, and every relabeling of a box gets one program and the same
@@ -390,7 +290,7 @@ def _canonical_problem(problem: ExtensionProblem, form=None):
     same under every labeling, 47,415 in all; without it 505-8,388,
     57,798 in all (+22%; Python 3.11, 2 vCPUs).  It also finds the
     stabilizer that folded_extension_lp folds by."""
-    table, alice, bob, group = form or _canonical_form(problem.base)
+    table, alice, bob, group = form or polytope.canonical_form(problem.base)
     if problem.shared_party == "A":
         return table, bob, alice, tuple(sorted((pb, pa) for pa, pb in group))
     return table, alice, bob, group
@@ -465,8 +365,8 @@ def folded_extension_lp(problem: ExtensionProblem, canonical=None):
     (ascending classes, nonzero int coefficients), so they go into `eqs`
     as they come; the marginal rows take their right-hand sides from the
     table of the base box's canonical relabeling (_canonical_problem,
-    from `canonical`, the base's _canonical_form, when the caller has
-    found it), one row per distinct value over the entries of a row
+    from `canonical`, the base's polytope.canonical_form, when the
+    caller has found it), one row per distinct value over the entries of a row
     (polytope.pin_rows)."""
     table, fixed, copy, group = _canonical_problem(problem, canonical)
     index, count, normalization, marginals, traces = _folded_rows(
@@ -507,7 +407,7 @@ def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
     """Decide shareability, with a witness validated before return.
 
     The base box's canonical relabeling and stabilizer are found once
-    (_canonical_form) and passed to both LPs.  A base box within
+    (polytope.canonical_form) and passed to both LPs.  A base box within
     locality.STRATEGY_CAP strategies goes first to locality.local_model,
     whose membership LP that stabilizer folds.  A model gives the
     extension, every copy replaying the shared party's table
@@ -520,7 +420,7 @@ def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
     from .locality import STRATEGY_CAP, LocalModel, local_model
 
     sc, m = problem.base.scenario, problem.copies
-    canonical = _canonical_form(problem.base)
+    canonical = polytope.canonical_form(problem.base)
     model = local_model(problem.base, canonical) if polytope.strategy_count(sc) <= STRATEGY_CAP else None
     if isinstance(model, LocalModel):
         k = 0 if problem.shared_party == "A" else 1

@@ -58,6 +58,14 @@ def is_deterministic(box: Box) -> bool:
     return all(v == 0 or v == 1 for v in box.table)
 
 
+def random_relabeling(rng: random.Random, sc: Scenario):
+    """Seeded relabel() arguments: an input permutation per party and an
+    output permutation per input."""
+    ins = [tuple(rng.sample(range(x), x)) for x in sc.inputs]
+    outs = [[tuple(rng.sample(range(a), a)) for _ in range(x)] for x, a in zip(sc.inputs, sc.outputs)]
+    return ins, outs
+
+
 def random_ns_box(rng: random.Random, vertices, nonlocal_bias=0, interior=False):
     """Rational mixture of the 24 vertices.
 

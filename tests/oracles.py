@@ -3,12 +3,13 @@
 Everything here is deliberately coded from scratch: exact Gaussian
 elimination for vertex enumeration of small LPs and for the rank of a
 set of rows, a coordinate parametrization of the 2222 nonsignaling
-polytope, the local-membership LP over every table entry and an
-alternative formulation of it, the symmetric-extension LP over the
-full table with explicit symmetry rows, the orbit LP's rows found by
-folding every row of that table, and marginals and trace conditions
-read off one dense pass over the table, local bounds of Bell
-functionals from every strategy box built entry by entry, the LP
+polytope, the local-membership LP over every table entry, an
+alternative formulation of it and is_local's outcome on a box's own
+labels read off it at the spanning entries, the symmetric-extension LP
+over the full table with explicit symmetry rows, the orbit LP's rows
+found by folding every row of that table, and marginals and trace
+conditions read off one dense pass over the table, local bounds of
+Bell functionals from every strategy box built entry by entry, the LP
 certificate check in plain Fraction arithmetic, compatibility of two
 observables as feasibility of a joint table, parties reordered
 coordinate by coordinate, and the canonical relabeling of an extension
@@ -406,6 +407,33 @@ def strategy_model(box: Box):
         return None
     pairs = [(s, w) for s, w in zip(polytope.deterministic_strategies(box.scenario), out.primal) if w]
     return LocalModel(box.scenario, *zip(*pairs))
+
+
+def own_labels_outcome(box: Box):
+    """is_local's outcome for a box decided on its own labels, built
+    without locality's row cache: strategy_model's program; when it is
+    feasible, the strategies of positive weight, each table a tuple of
+    its own, in deterministic_strategies order; when not, the Farkas
+    vector, negated, put on the spanning entries in order and
+    normalized.  Built object for object like is_local's outcome, so the
+    two pickle to the same bytes."""
+    from boxlab import bell, polytope
+    from boxlab.locality import LocalModel, NonlocalityCertificate
+
+    sc = box.scenario
+    prog = full_membership_lp(box)
+    prog.eqs = [prog.eqs[k] for k in polytope.spanning_entries(sc)]
+    out = lp.solve(prog)
+    if out.status == lp.OPTIMAL:
+        strategies = polytope.deterministic_strategies(sc)
+        pairs = [(polytope.DeterministicStrategy(sc, tuple(tuple(list(t)) for t in s.tables)), w)
+                 for s, w in zip(strategies, out.primal) if w]
+        return LocalModel(sc, tuple(s for s, _ in pairs), tuple(w for _, w in pairs))
+    coefficients = [ZERO] * sc.table_size
+    for k, y in zip(polytope.spanning_entries(sc), out.certificate.y_eq):
+        coefficients[k] = -y
+    functional = bell.normalize(bell.BellFunctional(sc, tuple(coefficients), ZERO))
+    return NonlocalityCertificate(functional, functional.evaluate(box))
 
 
 def local_membership_alternative(box: Box) -> bool:

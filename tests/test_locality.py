@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from boxlab.core import (
     is_nonsignaling,
     marginal,
     mix,
+    relabel,
     uniform_box,
 )
 from boxlab.isotropic import make_isotropic
@@ -24,14 +26,17 @@ from boxlab.locality import (
     eve_extension,
     is_local,
 )
-from conftest import is_deterministic, random_local_box, random_ns_box
+from boxlab.shareability import ExtensionProblem, generalized_isotropic
+from conftest import asymmetric_giso, is_deterministic, random_local_box, random_ns_box, random_relabeling
 from oracles import (
+    brute_canonical_problem,
     condition,
     deterministic_box_tables,
     fraction_rank,
     full_membership_lp,
     local_bound_by_enumeration,
     local_membership_alternative,
+    own_labels_outcome,
     strategy_model,
 )
 
@@ -133,7 +138,10 @@ class TestSpanningEntries:
             assert local_membership_alternative(box) == local
             if not local:
                 f = result.functional
-                assert all(c == 0 for k, c in enumerate(f.coefficients) if k not in entries)
+                if sc.parties > 2 or polytope.labels_told_apart(box):
+                    # decided on its own labels: one multiplier per spanning entry;
+                    # on a canonical form the functional is averaged over G
+                    assert all(c == 0 for k, c in enumerate(f.coefficients) if k not in entries)
                 assert local_bound_by_enumeration(f) <= 0 < f.evaluate(box) == result.violation
         assert seen == {True, False}
 
@@ -205,6 +213,147 @@ class TestIsLocal:
 
         with pytest.raises(SignalingBox):
             is_local(sig)
+
+
+FOLD_SCENARIOS = [SC22, Scenario((2, 3), (2, 2)), Scenario((3, 3), (2, 2)), Scenario((2, 2), (3, 3))]
+
+
+def fold_boxes(sc):
+    """Seeded relabelings of boxes with a nontrivial stabilizer, local and
+    nonlocal, and of asymmetric mixtures of them with two strategies."""
+    rng = random.Random(f"fold {sc.inputs} {sc.outputs}")
+    if sc == SC22:
+        boxes = [make_isotropic(c) for c in (F(2, 5), F(1, 2), F(3, 5), F(1))]
+        boxes += [asymmetric_giso(c) for c in (F(2, 5), F(3, 5))]
+    elif sc.outputs[0] > 2:
+        A = sc.outputs[0]
+        skewed = [F(2 * (A - a), A * (A + 1)) for a in range(A)]
+        boxes = [generalized_isotropic(A, c) for c in (F(2, 5), F(1, 2), F(7, 10))]
+        boxes += [generalized_isotropic(A, F(3, 5), skewed)]
+    else:
+        boxes = [mix([pr_like(sc), uniform_box(sc)], [t, 1 - t]) for t in (F(1, 2), F(3, 4), F(1))]
+    strategies = [s.box() for s in polytope.deterministic_strategies(sc)]
+    boxes += [mix([box, *rng.sample(strategies, 2)], [F(5, 6), F(1, 9), F(1, 18)]) for box in boxes[-2:]]
+    return [relabel(box, *random_relabeling(rng, sc)) for box in boxes]
+
+
+def canonical_frame(sc, alice, bob, coefficients):
+    """The coefficients of a bipartite functional moved onto the
+    canonical labels: entry (a, b | x, y) goes to the entry of its
+    labels' images under the canonical form's maps."""
+    moved = [None] * sc.table_size
+    for (x, y), (a, b) in itertools.product(sc.input_tuples(), sc.output_tuples()):
+        (a2, x2), (b2, y2) = alice[a, x], bob[b, y]
+        moved[sc.flat_index((a2, b2), (x2, y2))] = coefficients[sc.flat_index((a, b), (x, y))]
+    return moved
+
+
+def deterministic_order(model):
+    index = {s.tables: n for n, s in enumerate(polytope.deterministic_strategies(model.scenario))}
+    return [index[s.tables] for s in model.strategies]
+
+
+class TestFoldedIsLocal:
+    """A bipartite box is decided on its canonical form, folded by its
+    stabilizer G, unless the pre-test shows that G is trivial."""
+
+    @pytest.mark.parametrize("sc", FOLD_SCENARIOS + [Scenario((2, 2), (4, 4))], ids=str)
+    def test_verdicts_and_certificates(self, sc):
+        verdicts, symmetric_nonlocal = set(), 0
+        for box in fold_boxes(sc):
+            result = is_local(box)
+            local = isinstance(result, LocalModel)
+            verdicts.add(local)
+            assert local == local_membership_alternative(box)
+            table, alice, bob, group = polytope.canonical_form(box)
+            symmetric_nonlocal += not local and len(group) > 1
+            if local:
+                assert result.reconstructs(box) and sum(result.weights, ZERO) == 1
+                order = deterministic_order(result)
+                assert order == sorted(order)
+                continue
+            f = result.functional
+            assert local_bound_by_enumeration(f) == 0 < f.evaluate(box) == result.violation
+            # in the canonical frame the functional is fixed by every element of G
+            h = canonical_frame(sc, alice, bob, f.coefficients)
+            for pa, pb in group:
+                assert canonical_frame(sc, dict(pa), dict(pb), h) == h
+        assert verdicts == {True, False} and symmetric_nonlocal
+
+    @pytest.mark.parametrize("box, size", [
+        (make_isotropic(F(3, 5)), 2),
+        (generalized_isotropic(3, F(2, 5)), 9),
+        (generalized_isotropic(3, F(7, 10)), 9),
+        (generalized_isotropic(4, F(1, 2)), 16),
+    ], ids=["iso-3/5", "giso3-2/5", "giso3-7/10", "giso4-1/2"])
+    def test_relabelings_share_one_folded_program(self, box, size, monkeypatch):
+        solve, programs = lp.solve, []
+
+        def recorded(prog, *args):
+            programs.append(prog)
+            return solve(prog, *args)
+
+        monkeypatch.setattr(lp, "solve", recorded)
+        rng = random.Random(f"one program {size}")
+        firsts = []
+        for labeled in [box] + [relabel(box, *random_relabeling(rng, box.scenario)) for _ in range(3)]:
+            programs.clear()
+            is_local(labeled)
+            firsts.append(programs[0])
+        assert {prog.num_vars for prog in firsts} == {size}
+        assert all(prog.eqs == firsts[0].eqs for prog in firsts)
+
+    def test_a_cleared_box_keeps_its_own_labels_outcome(self, ns_vertices):
+        rng = random.Random(25)
+        boxes = [random_ns_box(rng, ns_vertices, nonlocal_bias=(i % 3) * 30) for i in range(30)]
+        sc = Scenario((3, 3), (2, 2))
+        strategies = [s.box() for s in polytope.deterministic_strategies(sc)]
+        for i in range(8):
+            picks = rng.sample(strategies, 4)
+            local = mix(picks, [F(w, 10) for w in (1, 2, 3, 4)])
+            boxes.append(mix([pr_like(sc), local], [F(i, 8), 1 - F(i, 8)]))
+        seen = set()
+        for box in boxes:
+            if polytope.labels_told_apart(box):
+                result = is_local(box)
+                seen.add(type(result))
+                assert pickle.dumps(result) == pickle.dumps(own_labels_outcome(box))
+        assert seen == {LocalModel, NonlocalityCertificate}
+
+    @pytest.mark.parametrize("sc", FOLD_SCENARIOS, ids=str)
+    def test_the_pre_test_never_clears_a_symmetric_box(self, sc, ns_vertices):
+        rng = random.Random(f"pre-test {sc.inputs} {sc.outputs}")
+        strategies = [s.box() for s in polytope.deterministic_strategies(sc)]
+        boxes = fold_boxes(sc) + [uniform_box(sc)]
+        boxes += [mix(rng.sample(strategies, k), [F(n + 1, k * (k + 1) // 2) for n in range(k)]) for k in (2, 3, 4, 5)]
+        if sc == SC22:
+            boxes += [random_ns_box(rng, ns_vertices, nonlocal_bias=b) for b in (0, 30, 60)]
+        cleared, symmetric = 0, 0
+        for box in boxes:
+            group = brute_canonical_problem(ExtensionProblem(box, "B", 1))[3]
+            if polytope.labels_told_apart(box):
+                cleared += 1
+                assert len(group) == 1
+            symmetric += len(group) > 1
+        assert cleared and symmetric
+
+
+class TestReconstructs:
+    def test_is_the_model_box_compared(self, ns_vertices):
+        # models of seeded boxes, then the same strategies with their
+        # weights moved, and a box of another scenario
+        rng = random.Random(26)
+        boxes = [random_local_box(rng, ns_vertices) for _ in range(6)] + [generalized_isotropic(3, F(2, 5))]
+        seen = set()
+        for box in boxes:
+            model = is_local(box)
+            variants = [model.weights, model.weights[::-1], model.weights[1:] + model.weights[:1]]
+            for weights in variants:
+                changed = LocalModel(model.scenario, model.strategies, weights)
+                seen.add(changed.reconstructs(box))
+                assert changed.reconstructs(box) == (changed.box() == box)
+        assert not model.reconstructs(make_isotropic(F(1, 2)))
+        assert seen == {True, False}
 
 
 class TestIsDeterministic:

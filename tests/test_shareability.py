@@ -25,14 +25,13 @@ from boxlab.core import (
 )
 from boxlab.isotropic import make_isotropic
 from boxlab.locality import LocalModel, NonlocalityCertificate, is_local
-from boxlab.polytope import DeterministicStrategy, deterministic_strategies
+from boxlab.polytope import DeterministicStrategy, canonical_form, deterministic_strategies
 from boxlab.shareability import (
     BadParams,
     ExtensionProblem,
     ExtensionTooLarge,
     NotAnExtension,
     NotUniqueMaximizer,
-    _canonical_form,
     _canonical_problem,
     _folded_rows,
     _iso_ceiling_lp,
@@ -51,7 +50,15 @@ from boxlab.shareability import (
     unique_violator_decoupling,
     validate_extension,
 )
-from conftest import asymmetric_giso, orbit_lp, random_local_box, random_ns_box, relabelings_2222, tensor
+from conftest import (
+    asymmetric_giso,
+    orbit_lp,
+    random_local_box,
+    random_ns_box,
+    random_relabeling,
+    relabelings_2222,
+    tensor,
+)
 from oracles import (
     brute_canonical_problem,
     canonical_relabeling,
@@ -264,15 +271,6 @@ class TestSharedPartyA:
             )
 
 
-def _random_relabeling(rng: random.Random, sc: Scenario):
-    ins = [tuple(rng.sample(range(x), x)) for x in sc.inputs]
-    outs = [
-        [tuple(rng.sample(range(a), a)) for _ in range(x)]
-        for x, a in zip(sc.inputs, sc.outputs)
-    ]
-    return ins, outs
-
-
 # 2222, 2322, 3322 and 2233, as (inputs, outputs)
 SMALL_SCENARIOS = [
     Scenario((2, 2), (2, 2)), Scenario((2, 3), (2, 2)),
@@ -297,7 +295,7 @@ class TestCanonicalRelabeling:
         prog, _ = folded_extension_lp(ExtensionProblem(box, party, m))
         rng = random.Random(11)
         problems = [
-            ExtensionProblem(relabel(box, *_random_relabeling(rng, box.scenario)), party, m)
+            ExtensionProblem(relabel(box, *random_relabeling(rng, box.scenario)), party, m)
             for _ in range(3)
         ]
         for problem in problems:
@@ -342,9 +340,9 @@ class TestCanonicalRelabeling:
             boxes += [generalized_isotropic(3, F(2, 5)), generalized_isotropic(3, F(7, 10))]
             boxes += [generalized_isotropic(3, F(3, 5), [F(1, 2), F(1, 3), F(1, 6)])]
         count = math.prod(math.factorial(x) * math.factorial(a) ** x for x, a in zip(sc.inputs, sc.outputs))
-        assert count <= shareability.CANONICAL_SEARCH_CAP
+        assert count <= polytope.CANONICAL_SEARCH_CAP
         for box in boxes:
-            for labeled in (box, relabel(box, *_random_relabeling(rng, sc))):
+            for labeled in (box, relabel(box, *random_relabeling(rng, sc))):
                 for party in "AB":
                     problem = ExtensionProblem(labeled, party, 1)
                     assert _canonical_problem(problem) == brute_canonical_problem(problem)
@@ -353,9 +351,9 @@ class TestCanonicalRelabeling:
     def test_four_outputs_are_searched_to_their_stabilizer(self, party):
         # 4 outputs per party: 1,327,104 relabelings, over
         # CANONICAL_SEARCH_CAP, but the frontier holds at most 576 states
-        assert 2 * math.factorial(4) ** 2 * 2 * math.factorial(4) ** 2 > shareability.CANONICAL_SEARCH_CAP
+        assert 2 * math.factorial(4) ** 2 * 2 * math.factorial(4) ** 2 > polytope.CANONICAL_SEARCH_CAP
         box = generalized_isotropic(4, F(1, 2))
-        relabeled = relabel(box, *_random_relabeling(random.Random(4), box.scenario))
+        relabeled = relabel(box, *random_relabeling(random.Random(4), box.scenario))
         problem = ExtensionProblem(relabeled, party, 1)
         table, _, _, group = _canonical_problem(problem)
         assert len(group) == 16
@@ -406,7 +404,7 @@ class TestUnfold:
     def test_maps_match_the_relabeling(self, party, m):
         rng = random.Random(f"unfold {party} {m}")
         for sc in (SC22, Scenario((3, 2), (2, 2)), Scenario((2, 2), (2, 3))):
-            box = relabel(_skewed_local_box(sc, rng), *_random_relabeling(rng, sc))
+            box = relabel(_skewed_local_box(sc, rng), *random_relabeling(rng, sc))
             table, relabeling = canonical_relabeling(box)
             assert self._check(ExtensionProblem(box, party, m), relabeling) == table
 
@@ -461,7 +459,7 @@ class TestStabilizerFold:
     def _relabeled(self, k):
         box, shareable = STABILIZER_BOXES[k]
         rng = random.Random(f"stabilizer {k}")
-        return relabel(box, *_random_relabeling(rng, box.scenario)), shareable
+        return relabel(box, *random_relabeling(rng, box.scenario)), shareable
 
     @pytest.mark.parametrize("k", range(len(STABILIZER_BOXES)))
     def test_the_group_is_the_stabilizer(self, k):
@@ -1053,7 +1051,7 @@ class TestOnePath:
                     calls = _Calls(mp)
                     witness = is_m_shareable(problem)
                 # the membership LP of the box's canonical table, folded by its stabilizer
-                assert calls.solved[0].eqs == locality.membership_lp(box, _canonical_form(box)).eqs
+                assert calls.solved[0].eqs == locality.membership_lp(box, canonical_form(box)).eqs
                 prog = None if slow else folded_extension_lp(problem)[0]
                 if box is local:
                     assert witness.feasible and calls.folded == [] and len(calls.solved) == 1
@@ -1114,12 +1112,12 @@ class TestFoldedMembership:
         for sc in SMALL_SCENARIOS:
             local = _skewed_local_box(sc, rng, 3)
             boxes += [uniform_box(sc), local, mix([_pr_type(sc), local], [F(3, 4), F(1, 4)])]
-        return [relabel(box, *_random_relabeling(rng, box.scenario)) for box in boxes]
+        return [relabel(box, *random_relabeling(rng, box.scenario)) for box in boxes]
 
     def test_verdict_is_the_unfolded_ones(self, ns_vertices):
         verdicts = set()
         for box in self._boxes(ns_vertices):
-            canonical = _canonical_form(box)
+            canonical = canonical_form(box)
             folded, plain = locality.local_model(box, canonical), locality.local_model(box)
             local = isinstance(folded, LocalModel)
             assert local == isinstance(plain, LocalModel)
@@ -1144,8 +1142,8 @@ class TestFoldedMembership:
     ])
     def test_relabelings_share_one_small_program(self, box, sizes):
         # (columns, rows) unfolded and folded, the same for every relabeling
-        relabeled = [relabel(box, *_random_relabeling(random.Random(s), box.scenario)) for s in range(3)]
-        progs = [locality.membership_lp(labeled, _canonical_form(labeled)) for labeled in [box, *relabeled]]
+        relabeled = [relabel(box, *random_relabeling(random.Random(s), box.scenario)) for s in range(3)]
+        progs = [locality.membership_lp(labeled, canonical_form(labeled)) for labeled in [box, *relabeled]]
         unfolded = locality.membership_lp(box)
         assert ((unfolded.num_vars, len(unfolded.eqs)), (progs[0].num_vars, len(progs[0].eqs))) == sizes
         assert all(prog.eqs == progs[0].eqs for prog in progs)
