@@ -11,8 +11,9 @@ serves the functionals found at run time, such as the Farkas vectors of
 their local bound is the largest sum of the coefficients at the table
 entries a deterministic strategy fires (`polytope.strategy_columns`),
 taken in integers over the coefficients' common denominator, and their
-nonsignaling maximum comes from an exact LP.  The functions that solve import lp and polytope themselves, so
-CHSH, CGLMP and the isotropic family load neither.  `cglmp` builds no
+nonsignaling maximum comes from an exact LP.  The functions that solve
+import lp and polytope themselves, so CHSH, CGLMP and the isotropic
+family load neither.  `cglmp` builds no
 family member past CGLMP_CAP outputs, the largest d at which the tests
 check its closed form against the LP.
 """

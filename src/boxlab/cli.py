@@ -326,16 +326,23 @@ def _secrecy_verdict(local_verdict: dict) -> dict:
     return {"contains_secrecy": not local_verdict["local"]}
 
 
-def _run_secrecy(box, flags):
-    """`local` read the other way round: secrecy exactly when nonlocal."""
+def _secrecy_scope(box: Box) -> None:
+    """Refuse, as a usage error, a box that is not bipartite: the run and
+    the verify of `secrecy` share this check."""
     if box.scenario.parties != 2:
         raise ScenarioMismatch("secrecy content is defined for bipartite boxes")
+
+
+def _run_secrecy(box, flags):
+    """`local` read the other way round: secrecy exactly when nonlocal."""
+    _secrecy_scope(box)
     code, verdict, evidence, _ = _run_local(box, flags)
     line = "yes (nonlocal, Bell certificate attached)" if code else "no (local model attached)"
     return 1 - code, _secrecy_verdict(verdict), evidence, [f"contains secrecy: {line}"]
 
 
 def _verify_secrecy(report, box, flags):
+    _secrecy_scope(box)
     verdict = _verify_local(report, box, flags)
     return None if verdict is None else _secrecy_verdict(verdict)
 

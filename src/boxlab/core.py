@@ -12,6 +12,7 @@ repr.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import lcm
@@ -307,21 +308,24 @@ def trace_indices(scenario: Scenario):
                 yield k, out_ctx, in_ctx, [[base + x + a for a in own_outs] for x in own_ins]
 
 
-def party_order_indices(scenario: Scenario, order: Sequence[int]) -> list[int]:
+@functools.lru_cache(maxsize=16)
+def party_order_indices(scenario: Scenario, order: tuple[int, ...]) -> tuple[int, ...]:
     """The gather map that reorders parties: party i of the reordered
     table is party order[i] of this one, and entry k of the reordered
     table is entry indices[k] of this one.  The assignments walk the
     parties in the new order, so they come in the reordered table's
-    product order, each with its offset in this one."""
-    order = tuple(order)
+    product order, each with its offset in this one.  Built once per
+    scenario and order and held in a small cache, since the same
+    reordering recurs: the party swap of every shareability problem
+    toward A, and the copy swaps of every extension check."""
     if sorted(order) != list(range(scenario.parties)):
         raise BadPermutation(f"{order} is not a permutation of the parties")
     n_out = scenario.num_output_tuples
     outs = [offset for _, offset in _assignments(scenario.outputs, order)]
-    return [x * n_out + o for _, x in _assignments(scenario.inputs, order) for o in outs]
+    return tuple(x * n_out + o for _, x in _assignments(scenario.inputs, order) for o in outs)
 
 
-def swap_indices(scenario: Scenario, i: int, j: int) -> list[int]:
+def swap_indices(scenario: Scenario, i: int, j: int) -> tuple[int, ...]:
     """party_order_indices for the transposition of parties i and j, which
     must have the same alphabets, so that the swapped table lives on the
     same scenario."""
@@ -329,7 +333,7 @@ def swap_indices(scenario: Scenario, i: int, j: int) -> list[int]:
         raise ScenarioMismatch(f"parties {i} and {j} have different alphabets")
     order = list(range(scenario.parties))
     order[i], order[j] = j, i
-    return party_order_indices(scenario, order)
+    return party_order_indices(scenario, tuple(order))
 
 
 def numerators(values) -> tuple[int, list[int]]:
@@ -402,7 +406,7 @@ def restrict_bob_inputs(box: Box, y_values: Sequence[int]) -> Box:
 def permute_parties(box: Box, perm: Sequence[int]) -> Box:
     """Reorder parties: party i of the result is party perm[i] of the input."""
     sc = box.scenario
-    table = tuple(map(box.table.__getitem__, party_order_indices(sc, perm)))
+    table = tuple(map(box.table.__getitem__, party_order_indices(sc, tuple(perm))))
     sub = Scenario(tuple(sc.inputs[p] for p in perm), tuple(sc.outputs[p] for p in perm))
     return Box(sub, table)
 

@@ -152,17 +152,6 @@ def _moved(table: tuple, image: dict) -> tuple:
 
 
 @functools.lru_cache(maxsize=16)
-def _own_labels(scenario: Scenario) -> tuple:
-    """A box's own labels as the rest of a canonical form (see
-    membership_lp): per party the identity map of its (output, input)
-    labels, then the trivial group, whose one element is those maps as
-    sorted (label, image) pairs."""
-    alphabets = zip(scenario.inputs, scenario.outputs)
-    maps = tuple({(a, x): (a, x) for x in range(X) for a in range(A)} for X, A in alphabets)
-    return (*maps, (tuple(tuple(sorted(m.items())) for m in maps),))
-
-
-@functools.lru_cache(maxsize=16)
 def _membership_rows(scenario: Scenario, group: tuple) -> tuple:
     """The membership rows folded by `group`, local relabelings (per
     element, one map per party) that fix the table the program is stated
@@ -211,11 +200,11 @@ def membership_lp(box: Box, canonical=None) -> lp.LinearProgram:
     canonical form of the box on its spanning entries.  The form is
     (table, one label map per party, group): `canonical`, the box's
     canonical relabeling and its stabilizer as polytope.canonical_form
-    returns them, or by default the box's own labels (_own_labels), the
-    trivial fold for any number of parties, whose classes are the single
-    strategies in deterministic_strategies order and whose rows are the
-    spanning entries themselves: prod_k (X_k(A_k-1)+1) rows, 9 of 16 in
-    2222, 16 of 36 in 3322.
+    returns them, or by default the box's own labels
+    (polytope.own_labels), the trivial fold for any number of parties,
+    whose classes are the single strategies in deterministic_strategies
+    order and whose rows are the spanning entries themselves:
+    prod_k (X_k(A_k-1)+1) rows, 9 of 16 in 2222, 16 of 36 in 3322.
 
     That decides a nonsignaling box: the spanning entries fix every
     nonsignaling table, mixtures of strategy boxes included, so weights
@@ -230,7 +219,7 @@ def membership_lp(box: Box, canonical=None) -> lp.LinearProgram:
     once per scenario and group, already in LinearProgram's canonical
     form (ascending classes, Fraction coefficients), and each box adds
     only its table as the right-hand sides."""
-    table, *_, group = canonical or (box.table, *_own_labels(box.scenario))
+    table, *_, group = canonical or (box.table, *polytope.own_labels(box.scenario))
     members, rows = _membership_rows(box.scenario, group)
     prog = lp.LinearProgram(len(members))
     prog.eqs.extend(polytope.pin_rows(rows, table))
@@ -249,7 +238,7 @@ def local_model(box: Box, canonical=None) -> LocalModel | lp.LpOutcome:
     which relabeling was canonical.  Nothing here normalizes:
     is_m_shareable needs only a model."""
     sc = box.scenario
-    canonical = canonical or (box.table, *_own_labels(sc))
+    canonical = canonical or (box.table, *polytope.own_labels(sc))
     out = lp.solve(membership_lp(box, canonical))
     if out.status == lp.OPTIMAL:
         back = [{v: k for k, v in to.items()} for to in canonical[1:-1]]
@@ -300,7 +289,7 @@ def _bell_coefficients(box: Box, canonical, farkas) -> list:
     coefficients' common denominator; and read back through the form's
     maps.  Under the box's own labels the first step is all."""
     sc = box.scenario
-    table, *maps, group = canonical or (box.table, *_own_labels(sc))
+    table, *maps, group = canonical or (box.table, *polytope.own_labels(sc))
     rows = _membership_rows(sc, group)[1]
     coefficients = [ZERO] * sc.table_size
     for (_, e), y in zip(polytope.first_pins(rows, table), farkas):

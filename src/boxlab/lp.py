@@ -58,8 +58,9 @@ int allowed for a Fraction coefficient, may append (row, rhs) pairs to
 local-membership rows at the spanning entries, folded by the box's
 stabilizer or by the trivial group (once per scenario and stabilizer);
 and `shareability.folded_extension_lp` the integer orbit rows, folded
-by the box's stabilizer (once per scenario, party, m and stabilizer);
-the last two through `polytope.pin_rows`.  Only the nonsignaling LP
+by the box's stabilizer (once per scenario, m and stabilizer; toward A
+is toward B on the party-swapped box); the last two through
+`polytope.pin_rows`.  Only the nonsignaling LP
 keeps its objective out of its rows and right-hand sides, so only its
 start is cached (`polytope.max_over_ns`); the membership and orbit LPs
 move their right-hand sides with the box and run phase one each time.

@@ -12,10 +12,11 @@ at (`strategy_columns`), the entries that fix a nonsignaling table
 canonical form, and the nonsignaling LP's phase one (`lp.Start`), from
 which `max_over_ns` solves every objective.  The membership rows of
 `locality` (per scenario and stabilizer) and the orbit rows of
-`shareability` (per scenario, shared party, m and stabilizer) are cached
-alike: three row sets built once, to which a box adds only right-hand
-sides.  The rows are tuples, and `lp.solve` pivots on a copy of a start,
-never on the start itself.  A start for a face of the polytope
+`shareability` (per scenario, m and stabilizer, toward B only, since
+toward A is toward B on the party-swapped box) are cached alike: three
+row sets built once, to which a box adds only right-hand sides.  The
+rows are tuples, and `lp.solve` pivots on a copy of a start, never on
+the start itself.  A start for a face of the polytope
 (`bell.unique_ns_maximizer`, `shareability.unique_violator_decoupling`)
 depends on a functional or a box and lives for one call.
 
@@ -28,7 +29,8 @@ summing the extension's integer numerators.
 
 Both cached row sets are folded by a box's stabilizer, the local
 relabelings that fix its canonical table, which for a box's own labels
-is the trivial group: `orbit_classes` merges the columns each
+(`own_labels`, the one builder of that trivial form) is the trivial
+group: `orbit_classes` merges the columns each
 relabeling maps onto each other, and `fold_row` sums a row per class.
 Both pin a table at the spanning entries the same way: `group_entries`
 keeps each distinct folded row once with the entries that share it,
@@ -247,6 +249,19 @@ def _grown(state: tuple, inputs: int, outputs: int) -> list:
     return [state + (n,) for n in range(first, first + outputs) if n not in taken]
 
 
+@functools.lru_cache(maxsize=16)
+def own_labels(scenario: Scenario) -> tuple:
+    """A box's own labels as the rest of a canonical form, the trivial
+    form: per party the identity map of its (output, input) labels, then
+    the trivial group, whose one element is those maps as sorted (label,
+    image) pairs.  canonical_form gives it when its search gives up, and
+    locality.membership_lp folds by it by default, for any number of
+    parties."""
+    alphabets = zip(scenario.inputs, scenario.outputs)
+    maps = tuple({(a, x): (a, x) for x in range(X) for a in range(A)} for X, A in alphabets)
+    return (*maps, (tuple(tuple(sorted(m.items())) for m in maps),))
+
+
 def canonical_form(box: Box):
     """The bipartite box's local relabeling with the lexicographically
     greatest table, and that table's stabilizer, as (table, alice, bob,
@@ -276,9 +291,9 @@ def canonical_form(box: Box):
     which the box's labels do not change.
 
     CANONICAL_SEARCH_CAP bounds the frontier: when a cell would extend it
-    to more states than that, the search gives up before building them;
-    the table is kept, the maps are the identity, and so is the only
-    element of the group.  Distinct extensions belong to distinct
+    to more states than that, the search gives up before building them
+    and returns the box's table with own_labels, the identity maps and
+    the one-element group.  Distinct extensions belong to distinct
     relabelings, so a box with at most CANONICAL_SEARCH_CAP relabelings
     (X! A!^X Y! B!^Y) is always searched to the end.  Above that, uniform
     noise in 2244 and 2255 and generalized isotropic A=5 at C=1/2 give up
@@ -302,8 +317,7 @@ def canonical_form(box: Box):
             more_a = {fa: _grown(fa, X, A) if y == b == 0 else (fa,) for fa in {fa for fa, _ in frontier}}
             more_b = {fb: _grown(fb, Y, B) if x == a == 0 else (fb,) for fb in {fb for _, fb in frontier}}
             if sum(len(more_a[fa]) * len(more_b[fb]) for fa, fb in frontier) > CANONICAL_SEARCH_CAP:
-                frontier = [(tuple(range(X * A)), tuple(range(Y * B)))]
-                break
+                return (table, *own_labels(sc))
             frontier = [(na, nb) for fa, fb in frontier for na in more_a[fa] for nb in more_b[fb]]
         values = [ranked[at_a[fa[i]] + at_b[fb[j]]] for fa, fb in frontier]
         best = max(values)

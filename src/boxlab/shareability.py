@@ -26,11 +26,18 @@ applied alike to every copy) that leave the canonical table unchanged.
 Each element of G maps a symmetric nonsignaling extension of the box
 onto another one, so averaging over G gives a G-invariant extension,
 constant on the classes of orbits that G maps onto each other.  The
-rows depend only on the shape (base scenario, shared party, m) and G,
-and are built once per shape and G; a box supplies only the marginal
-rows' right-hand sides, from the table of its canonical relabeling,
-and a witness is unfolded through the class map and then by reading
-each entry's labels through that relabeling.  Shareable boxes admit
+rows are cached per scenario, m and stabilizer; a box supplies only
+the marginal rows' right-hand sides, from the table of its canonical
+relabeling, and a witness is unfolded through the class map and then
+by reading each entry's labels through that relabeling.
+Toward A is toward B on the swapped box: sharing Alice's side of
+P(ab|xy) is sharing Bob's side of P(ba|yx), as Terhal, Doherty and
+Schwab (PRL 90, 157903, 2003) state symmetric extensions for one side
+only.  So every program and model here is stated toward B, on the
+party-swapped base when the problem asks toward A, and an extension
+found that way is put back in the problem's slot order once, copies
+first and Bob last; a problem toward A and the problem toward B of the
+swapped box get one program and one certificate.  Shareable boxes admit
 local models on the restricted inputs (the copies' outputs serve as the
 hidden variable).  Perfect cloning of Bob's wing into m copies is the
 same question, is_m_shareable(ExtensionProblem(box, "B", m)), which is
@@ -167,31 +174,30 @@ def _arrangements(items) -> int:
 
 
 @functools.lru_cache(maxsize=16)
-def _orbit_rows(scenario: Scenario, shared_party: str, copies: int):
+def _orbit_rows(scenario: Scenario, copies: int):
     """The extension LP's equality rows on orbit variables for one shape
-    (base scenario, shared party, copies), built once per shape and held
-    in a small least-recently-used cache like polytope._ns_rows.  Returns
+    (base scenario, copies), toward B, built once per shape and held in a
+    small least-recently-used cache like polytope._ns_rows.  Returns
     (index, normalization, marginals, traces), all read-only: the orbit
-    number per orbit key ((outs[fixed], xs[fixed]), the copies' sorted
-    (output, input) pairs) of entry (outs, xs); the normalization and
-    trace rows as (coefficients, rhs) pairs; and the coefficients alone of
-    each copy-marginal row, one per base table entry in table order, whose
-    rhs is that entry of the box.  Coefficients are (orbit, integer
+    number per orbit key ((outs[0], xs[0]), the copies' sorted (output,
+    input) pairs) of entry (outs, xs); the normalization and trace rows as
+    (coefficients, rhs) pairs; and the coefficients alone of each
+    copy-marginal row, one per base table entry in table order, whose rhs
+    is that entry of the box.  Coefficients are (orbit, integer
     coefficient) pairs in orbit order without zeros.
 
-    Nothing walks the extension table.  An orbit is the fixed party's
-    (output, input) plus a multiset of m copy (output, input) pairs, so
-    there are F * C(K + m - 1, m) of them, F and K the fixed and the
-    copy party's (output, input) pair counts (A*X*C(B*Y + m - 1, m)
-    toward B).  Each row is emitted once from representatives:
-      - normalization: one row per input orbit (the fixed input and the
+    Nothing walks the extension table.  An orbit is Alice's (output,
+    input) plus a multiset of m copy (output, input) pairs of Bob's, so
+    there are A*X*C(B*Y + m - 1, m) of them.  Each row is emitted once
+    from representatives:
+      - normalization: one row per input orbit (Alice's input and the
         copies' input multiset); an orbit's coefficient counts the
         copy-output assignments that reach it, a multinomial;
-      - marginals: the (fixed, first copy) pair only; the other copies
+      - marginals: the (Alice, first copy) pair only; the other copies
         sit at input 0, and an orbit's coefficient counts their output
         assignments;
-      - trace conditions: the fixed party and the first copy only, one
-        per context multiset and consecutive pair of traced inputs.
+      - trace conditions: Alice and the first copy only, one per context
+        multiset and consecutive pair of traced inputs.
     The other copies' marginal and trace rows are these rows moved by a
     copy permutation, so they fold onto them.  Distinct representatives
     give distinct rows, so nothing needs deduplicating.
@@ -206,27 +212,19 @@ def _orbit_rows(scenario: Scenario, shared_party: str, copies: int):
     sorted by (output, input), and contexts come in (outputs, inputs)
     order of that member.  Keeping the walk's order keeps the programs,
     pivots and certificates of the walk."""
-    X, Y = scenario.inputs
-    A, B = scenario.outputs
+    (X, Y), (A, B) = scenario.inputs, scenario.outputs
     m = copies
-    toward_b = shared_party == "B"
-    (f_ins, f_outs), (c_ins, c_outs) = ((X, A), (Y, B)) if toward_b else ((Y, B), (X, A))
-
-    def place(fixed, copies):
-        # one value per extension slot, in slot order
-        return (fixed,) + copies if toward_b else copies + (fixed,)
 
     def split(pairs):
         return tuple(o for o, _ in pairs), tuple(i for _, i in pairs)
 
-    by_output = [(o, i) for o in range(c_outs) for i in range(c_ins)]
+    by_output = [(o, i) for o in range(B) for i in range(Y)]
     by_input = sorted(by_output, key=lambda p: (p[1], p[0]))
     firsts = []
-    for f_out, f_in in itertools.product(range(f_outs), range(f_ins)):
+    for a, x in itertools.product(range(A), range(X)):
         for pairs in itertools.combinations_with_replacement(by_input, m):
             outs, ins = split(pairs)
-            key = ((f_out, f_in), tuple(sorted(pairs)))
-            firsts.append((place(f_in, ins), place(f_out, outs), key))
+            firsts.append(((x,) + ins, (a,) + outs, ((a, x), tuple(sorted(pairs)))))
     firsts.sort()
     index = {key: n for n, (_, _, key) in enumerate(firsts)}
 
@@ -243,30 +241,29 @@ def _orbit_rows(scenario: Scenario, shared_party: str, copies: int):
     # base flat index (x*Y + y)*A*B + a*B + b is the product order
     marginals = []
     for x, y, a, b in itertools.product(range(X), range(Y), range(A), range(B)):
-        fixed, pair = ((a, x), (b, y)) if toward_b else ((b, y), (a, x))
         marginals.append(tuple(sorted(
-            (index[fixed, tuple(sorted((pair,) + tuple((o, 0) for o in rest)))],
+            (index[(a, x), tuple(sorted(((b, y),) + tuple((o, 0) for o in rest)))],
              _arrangements(rest))
-            for rest in itertools.combinations_with_replacement(range(c_outs), m - 1)
+            for rest in itertools.combinations_with_replacement(range(B), m - 1)
         )))
 
-    def fixed_trace():
+    def alice_trace():
         for pairs in itertools.combinations_with_replacement(by_output, m):
-            yield split(pairs), [[index[(a, x), pairs] for a in range(f_outs)] for x in range(f_ins)]
+            yield split(pairs), [[index[(a, x), pairs] for a in range(A)] for x in range(X)]
 
     def copy_trace():
-        for fixed in itertools.product(range(f_outs), range(f_ins)):
+        for alice in itertools.product(range(A), range(X)):
             for rest in itertools.combinations_with_replacement(by_output, m - 1):
                 outs, ins = split(rest)
                 per_y = [
-                    [index[fixed, tuple(sorted(rest + ((o, y),)))] for o in range(c_outs)]
-                    for y in range(c_ins)
+                    [index[alice, tuple(sorted(rest + ((o, y),)))] for o in range(B)]
+                    for y in range(Y)
                 ]
-                yield (place(fixed[0], outs), place(fixed[1], ins)), per_y
+                yield ((alice[0],) + outs, (alice[1],) + ins), per_y
 
     traces = []
     # the traced parties in slot order, as polytope.ns_equality_rows takes them
-    for contexts in (fixed_trace, copy_trace) if toward_b else (copy_trace, fixed_trace):
+    for contexts in (alice_trace, copy_trace):
         for _, per_x in sorted(contexts()):
             for lo, hi in zip(per_x, per_x[1:]):
                 coeffs = sorted([(i, 1) for i in lo] + [(j, -1) for j in hi])
@@ -274,47 +271,47 @@ def _orbit_rows(scenario: Scenario, shared_party: str, copies: int):
     return MappingProxyType(index), tuple(normalization), tuple(marginals), tuple(traces)
 
 
-def _canonical_problem(problem: ExtensionProblem, form=None):
-    """polytope.canonical_form of the problem's base box (or `form`,
-    already found), with the maps and each group element's pair in (fixed party,
-    copy party) order: (table, fixed, copy, group).  Relabeling each copy
-    of a party alike maps extensions onto extensions, so the answer is the
-    same, and every relabeling of a box gets one program and the same
-    simplex pivots.
-
-    What the search buys is a cost independent of labels, and fewer
-    pivots in total.  Nine nonlocal 3322 boxes at m=3 toward B (half a
-    PR-type box on inputs 0 and 1, input 2 answering like input 0, plus
-    half a seeded four-strategy mixture), each under its own labels and
-    two seeded relabelings, took 701-4,463 pivots with the search, the
-    same under every labeling, 47,415 in all; without it 505-8,388,
-    57,798 in all (+22%; Python 3.11, 2 vCPUs).  It also finds the
-    stabilizer that folded_extension_lp folds by."""
-    table, alice, bob, group = form or polytope.canonical_form(problem.base)
-    if problem.shared_party == "A":
-        return table, bob, alice, tuple(sorted((pb, pa) for pa, pb in group))
-    return table, alice, bob, group
+def _oriented(problem: ExtensionProblem) -> Box:
+    """The box whose extension toward B is the problem's extension:
+    toward B the base itself, toward A the base with its parties swapped
+    (core.permute_parties), since sharing Alice's side of P(ab|xy) is
+    sharing Bob's side of P(ba|yx).  Every program and model here is
+    stated on this box, so one orientation serves both parties."""
+    base = problem.base
+    return base if problem.shared_party == "B" else permute_parties(base, (1, 0))
 
 
-def _unfold(problem: ExtensionProblem, fixed, copy, index, values) -> tuple:
-    """The full extension table of `problem` in one pass: each entry
-    takes the value of the class (index from _folded_rows) of its labels
-    read through _canonical_problem's maps, `fixed` for the fixed party
-    and `copy` for each copy.  Only a feasible witness is unfolded, so
+def _in_problem_order(problem: ExtensionProblem, extension: Box) -> Box:
+    """An extension of _oriented(problem) toward B, its fixed party first
+    and the copies after it, in the problem's slot order: toward A that
+    moves the copies to slots 0..m-1 and the fixed party, Bob, last."""
+    if problem.shared_party == "B":
+        return extension
+    return permute_parties(extension, (*range(1, problem.copies + 1), 0))
+
+
+def _unfold(problem: ExtensionProblem, scenario: Scenario, alice, bob, index, values) -> tuple:
+    """The full extension table of `problem` in one pass: each entry of
+    the extension toward B of the oriented base (of `scenario`) takes the
+    value of the class (index from _folded_rows) of its labels read
+    through the canonical form's maps, `alice` for the fixed party and
+    `bob` for each copy, and the table is then put in the problem's slot
+    order (_in_problem_order).  Only a feasible witness is unfolded, so
     an infeasible verdict never walks the extension table."""
-    ext = problem.extension_scenario()
-    f, slots = problem.fixed_slot(), problem.copy_slots()
-    return tuple(
-        values[index[fixed[outs[f], xs[f]], tuple(sorted(copy[outs[s], xs[s]] for s in slots))]]
+    sc, more = scenario, problem.copies - 1
+    ext = Scenario(sc.inputs + sc.inputs[1:] * more, sc.outputs + sc.outputs[1:] * more)
+    table = tuple(
+        values[index[alice[outs[0], xs[0]], tuple(sorted(bob[pair] for pair in zip(outs[1:], xs[1:])))]]
         for xs in ext.input_tuples()
         for outs in ext.output_tuples()
     )
+    return _in_problem_order(problem, Box(ext, table)).table
 
 
 @functools.lru_cache(maxsize=16)
-def _folded_rows(scenario: Scenario, shared_party: str, copies: int, group: tuple):
+def _folded_rows(scenario: Scenario, copies: int, group: tuple):
     """The orbit LP's rows for one shape folded by `group`, a stabilizer
-    as _canonical_problem returns it, held in a small cache like
+    as polytope.canonical_form returns it, held in a small cache like
     _orbit_rows.  Returns (index, count, normalization, marginals,
     traces): the class number per orbit key, the number of classes, the
     normalization and trace rows as (coefficients, rhs) pairs, and the
@@ -324,13 +321,13 @@ def _folded_rows(scenario: Scenario, shared_party: str, copies: int, group: tupl
     spanning entries they are equal everywhere.
 
     polytope.orbit_classes merges the orbits each element maps onto each
-    other (the fixed party's map on its label, the copy party's on every
-    copy's label); classes are numbered by their least orbit, each row's
-    coefficients are summed per class (polytope.fold_row), and zero rows
-    and repeats go: a trace row up to its sign, a marginal row when its
-    coefficients repeat one of an earlier entry, whose entries it then
-    joins (polytope.group_entries)."""
-    index, normalization, marginals, traces = _orbit_rows(scenario, shared_party, copies)
+    other (Alice's map on her label, Bob's on every copy's label);
+    classes are numbered by their least orbit, each row's coefficients
+    are summed per class (polytope.fold_row), and zero rows and repeats
+    go: a trace row up to its sign, a marginal row when its coefficients
+    repeat one of an earlier entry, whose entries it then joins
+    (polytope.group_entries)."""
+    index, normalization, marginals, traces = _orbit_rows(scenario, copies)
     spanning = polytope.spanning_entries(scenario)
     keys = list(index)
 
@@ -357,24 +354,39 @@ def _folded_rows(scenario: Scenario, shared_party: str, copies: int, group: tupl
 
 def folded_extension_lp(problem: ExtensionProblem, canonical=None):
     """Feasibility LP for a symmetric extension, one variable per class
-    of orbits that the base box's stabilizer merges, and unfold(values),
-    the full extension table of this problem whose entries take the
-    values of their classes; the table size was capped when the problem
-    was made.  The rows are the cached _folded_rows of the problem's
-    shape and stabilizer, already in LinearProgram's stored form
-    (ascending classes, nonzero int coefficients), so they go into `eqs`
-    as they come; the marginal rows take their right-hand sides from the
-    table of the base box's canonical relabeling (_canonical_problem,
-    from `canonical`, the base's polytope.canonical_form, when the
-    caller has found it), one row per distinct value over the entries of a row
-    (polytope.pin_rows)."""
-    table, fixed, copy, group = _canonical_problem(problem, canonical)
+    of orbits that the oriented base box's stabilizer merges, and
+    unfold(values), the full extension table of this problem whose
+    entries take the values of their classes; the table size was capped
+    when the problem was made.  The program is stated toward B on
+    _oriented(problem), so a problem toward A and the problem toward B of
+    the party-swapped box get one program.  The rows are the cached
+    _folded_rows of the oriented scenario, m and stabilizer, already in
+    LinearProgram's stored form (ascending classes, nonzero int
+    coefficients), so they go into `eqs` as they come; the marginal rows
+    take their right-hand sides from the table of the oriented box's
+    canonical relabeling (`canonical`, its polytope.canonical_form, when
+    the caller has found it), one row per distinct value over the entries
+    of a row (polytope.pin_rows).
+
+    Relabeling every copy alike maps extensions onto extensions, so the
+    canonical relabeling keeps the answer, and every relabeling of a box
+    gets one program and the same simplex pivots.  What the search buys
+    is a cost independent of labels, and fewer pivots in total.  Nine
+    nonlocal 3322 boxes at m=3 toward B (half a PR-type box on inputs 0
+    and 1, input 2 answering like input 0, plus half a seeded
+    four-strategy mixture), each under its own labels and two seeded
+    relabelings, took 701-4,463 pivots with the search, the same under
+    every labeling, 47,415 in all; without it 505-8,388, 57,798 in all
+    (+22%; Python 3.11, 2 vCPUs).  It also finds the stabilizer that the
+    rows are folded by."""
+    base = _oriented(problem)
+    table, alice, bob, group = canonical or polytope.canonical_form(base)
     index, count, normalization, marginals, traces = _folded_rows(
-        problem.base.scenario, problem.shared_party, problem.copies, group
+        base.scenario, problem.copies, group
     )
     prog = lp.LinearProgram(count)
     prog.eqs.extend([*normalization, *polytope.pin_rows(marginals, table), *traces])
-    return prog, functools.partial(_unfold, problem, fixed, copy, index)
+    return prog, functools.partial(_unfold, problem, base.scenario, alice, bob, index)
 
 
 def validate_extension(problem: ExtensionProblem, extension: Box) -> None:
@@ -406,28 +418,29 @@ def validate_extension(problem: ExtensionProblem, extension: Box) -> None:
 def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
     """Decide shareability, with a witness validated before return.
 
-    The base box's canonical relabeling and stabilizer are found once
-    (polytope.canonical_form) and passed to both LPs.  A base box within
-    locality.STRATEGY_CAP strategies goes first to locality.local_model,
-    whose membership LP that stabilizer folds.  A model gives the
-    extension, every copy replaying the shared party's table
-    (LocalModel.adjoin; toward A, core.permute_parties then moves Bob to
-    the last slot).  Otherwise the orbit LP of folded_extension_lp,
-    folded by the same stabilizer, decides: a feasible witness is
-    unfolded into the full symmetric extension table, and an infeasible
-    one carries that LP's Farkas certificate.
+    Everything is asked of the oriented base box (_oriented: toward A,
+    the party-swapped box, toward B), whose canonical relabeling and
+    stabilizer are found once (polytope.canonical_form) and passed to
+    both LPs.  A base box within locality.STRATEGY_CAP strategies goes
+    first to locality.local_model, whose membership LP that stabilizer
+    folds.  A model gives the extension, every copy replaying Bob's
+    table of the oriented box (LocalModel.adjoin).  Otherwise the orbit
+    LP of folded_extension_lp, folded by the same stabilizer, decides: a
+    feasible witness is unfolded into the full symmetric extension
+    table, and an infeasible one carries that LP's Farkas certificate.
+    Either extension is put in the problem's slot order once
+    (_in_problem_order).
     """
     from .locality import STRATEGY_CAP, LocalModel, local_model
 
-    sc, m = problem.base.scenario, problem.copies
-    canonical = polytope.canonical_form(problem.base)
-    model = local_model(problem.base, canonical) if polytope.strategy_count(sc) <= STRATEGY_CAP else None
+    base, m = _oriented(problem), problem.copies
+    sc = base.scenario
+    canonical = polytope.canonical_form(base)
+    model = local_model(base, canonical) if polytope.strategy_count(sc) <= STRATEGY_CAP else None
     if isinstance(model, LocalModel):
-        k = 0 if problem.shared_party == "A" else 1
-        tables = [(s.tables[k],) * (m - 1) for s in model.strategies]
-        ext = model.adjoin((sc.inputs[k],) * (m - 1), (sc.outputs[k],) * (m - 1), tables).box()
-        if k == 0:
-            ext = permute_parties(ext, (0, *range(2, m + 1), 1))
+        tables = [(s.tables[1],) * (m - 1) for s in model.strategies]
+        ext = model.adjoin(sc.inputs[1:] * (m - 1), sc.outputs[1:] * (m - 1), tables).box()
+        ext = _in_problem_order(problem, ext)
     else:
         prog, unfold = folded_extension_lp(problem, canonical)
         out = lp.solve(prog)
@@ -450,31 +463,27 @@ def local_model_from_extension(
     other party answers with the conditional read off the extension,
     refined into deterministic strategies.  Reconstruction of the
     restricted box (inputs sorted(set(y_values))) is exact and checked.
+    The model is built toward B on _oriented(problem); toward A the
+    extension is first read in that slot order, and the model's parties
+    are swapped back at the end.
     """
     from .locality import LocalModel
 
     validate_extension(problem, extension)
+    base, m = _oriented(problem), problem.copies
     if problem.shared_party == "A":
-        m = problem.copies
-        swapped = ExtensionProblem(permute_parties(problem.base, (1, 0)), "B", m)
-        swapped_ext = permute_parties(extension, (m, *range(m)))
-        model = local_model_from_extension(swapped, swapped_ext, y_values)
-        sc_sw = Scenario(model.scenario.inputs[::-1], model.scenario.outputs[::-1])
-        strategies = tuple(DeterministicStrategy(sc_sw, s.tables[::-1]) for s in model.strategies)
-        return LocalModel(sc_sw, strategies, model.weights)
-
-    m = problem.copies
-    X, Y = problem.base.scenario.inputs
-    A, B = problem.base.scenario.outputs
+        # the inverse of _in_problem_order: Bob first, then the copies
+        extension = permute_parties(extension, (m, *range(m)))
+    (X, Y), (A, B) = base.scenario.inputs, base.scenario.outputs
     if y_values is None:
         y_values = tuple(i % Y for i in range(m))
     y_values = tuple(y_values)
     if len(y_values) != m or any(not 0 <= y < Y for y in y_values):
-        raise BadParams(f"need {m} valid Bob inputs, got {y_values}")
+        raise BadParams(f"need {m} valid inputs of the shared party, got {y_values}")
     kept = sorted(set(y_values))
     # first copy assigned to each kept input value
     slot_for = {y: y_values.index(y) for y in kept}
-    restricted = restrict_bob_inputs(problem.base, kept)
+    restricted = restrict_bob_inputs(base, kept)
 
     strategies = []
     weights = []
@@ -503,7 +512,11 @@ def local_model_from_extension(
                 weights.append(wf)
     model = LocalModel(restricted.scenario, tuple(strategies), tuple(weights))
     ensure(model.reconstructs(restricted), "local model does not reconstruct the box")
-    return model
+    if problem.shared_party == "B":
+        return model
+    sc = Scenario(restricted.scenario.inputs[::-1], restricted.scenario.outputs[::-1])
+    swapped = tuple(DeterministicStrategy(sc, s.tables[::-1]) for s in model.strategies)
+    return LocalModel(sc, swapped, model.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +536,8 @@ def _iso_ceiling_lp() -> lp.LinearProgram:
     from .isotropic import make_isotropic
 
     noise, box = make_isotropic(0).table, make_isotropic(1)
-    pr, _, _, group = _canonical_problem(ExtensionProblem(box, "B", 2))
-    _, n, normalization, marginals, traces = _folded_rows(box.scenario, "B", 2, group)
+    pr, _, _, group = polytope.canonical_form(box)
+    _, n, normalization, marginals, traces = _folded_rows(box.scenario, 2, group)
     prog = lp.LinearProgram(n + 1, [(n, ONE)])
     prog.set_upper(n, ONE)
     pins = polytope.pin_rows(marginals, tuple(zip(noise, pr)))

@@ -5,7 +5,7 @@ import pytest
 
 from boxlab import bell, lp, shareability
 from boxlab.core import Box, Scenario, mix, relabel, uniform_box
-from oracles import party_relabelings, verify_certificate_fractions
+from oracles import party_relabelings, verify_certificate_fractions, walked_orbit_rows
 
 
 @pytest.fixture(scope="session")
@@ -104,13 +104,29 @@ def asymmetric_giso(c):
     return mix([bell.pr_box(), tensor(alice, uniform_box(one))], [c, 1 - c])
 
 
-def orbit_lp(base: Box, shared_party: str, m: int) -> lp.LinearProgram:
-    """The orbit LP with no stabilizer fold, as it stood before one: every
-    row of shareability._orbit_rows, a copy-marginal row at every base
-    entry, with the base box's own table as their right-hand sides."""
-    index, normalization, marginals, traces = shareability._orbit_rows(base.scenario, shared_party, m)
-    prog = lp.LinearProgram(len(index))
-    prog.eqs.extend([*normalization, *zip(marginals, base.table), *traces])
+def orbit_lp(base: Box, shared_party: str, m: int, entries=None) -> lp.LinearProgram:
+    """The orbit LP with no stabilizer fold, as it stood before one, with
+    a copy-marginal row at every base entry in `entries` (every entry by
+    default) and the base box's own table as their right-hand sides.
+    Toward B its rows are shareability._orbit_rows.  Toward A they are
+    the walked rows of the problem toward A (oracles.walked_orbit_rows):
+    the program as it was stated before toward A became toward B on the
+    party-swapped box, whose Farkas vectors old reports carry."""
+    if shared_party == "B":
+        index, normalization, marginals, traces = shareability._orbit_rows(base.scenario, m)
+        count, pins = len(index), list(zip(marginals, base.table))
+    else:
+        _, count, rows = walked_orbit_rows(shareability.ExtensionProblem(base, "A", m))
+        # normalization rows, then one marginal row per base entry, then traces
+        first = next(k for k, (_, _, entry) in enumerate(rows) if entry is not None)
+        normalization, pins, traces = (
+            [(coeffs, rhs) for coeffs, rhs, _ in part]
+            for part in (rows[:first], rows[first:first + base.scenario.table_size],
+                         rows[first + base.scenario.table_size:])
+        )
+    keep = range(len(pins)) if entries is None else entries
+    prog = lp.LinearProgram(count)
+    prog.eqs.extend([*normalization, *(pins[e] for e in keep), *traces])
     return prog
 
 

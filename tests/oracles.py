@@ -631,19 +631,19 @@ def canonical_relabeling(base: Box):
     return max(tables, key=lambda pair: pair[0])
 
 
-def brute_canonical_problem(problem):
-    """shareability._canonical_problem by comparing every pair of local
-    relabelings, as (table, fixed, copy, group): the table of the first
+def brute_canonical_form(box: Box):
+    """polytope.canonical_form by comparing every pair of local
+    relabelings, as (table, alice, bob, group): the table of the first
     relabeling (in canonical_relabeling's order) that reaches the
     greatest, each party's map from an original (output, input) label to
     its relabeled one, and every psi = phi_best^-1 . phi over the
     relabelings phi that reach it too, as sorted (label, image) pairs per
-    party, the pairs in (fixed, copy) order.  Each candidate is compared
-    with the best so far cell by cell on the ranks of the table's values,
-    and only a strictly greater one replaces it."""
-    sc = problem.base.scenario
+    party.  Each candidate is compared with the best so far cell by cell
+    on the ranks of the table's values, and only a strictly greater one
+    replaces it."""
+    sc = box.scenario
     (X, Y), (A, B) = sc.inputs, sc.outputs
-    table = problem.base.table
+    table = box.table
     rank = {v: i for i, v in enumerate(sorted(set(table)))}
     ranked = [rank[v] for v in table]
     cells = list(itertools.product(range(X), range(Y), range(A), range(B)))
@@ -676,9 +676,6 @@ def brute_canonical_problem(problem):
               for r, best_of in ((ga, of_a), (hb, of_b)))
         for ga, hb in ties
     ))
-    if problem.shared_party == "A":
-        of_a, of_b = of_b, of_a
-        group = tuple(sorted((pb, pa) for pa, pb in group))
     return table, of_a, of_b, group
 
 

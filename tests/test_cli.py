@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from boxlab import boxio, cli, lp, shareability
+from boxlab import boxio, cli, lp, polytope
 from boxlab.core import Scenario, uniform_box
 from conftest import asymmetric_giso, orbit_lp
 from oracles import unfolded_extension_lp
@@ -111,10 +111,11 @@ def test_unfolded_certificate_report_fails(tmp_path):
 
 
 @pytest.mark.parametrize("party", ["A", "B"])
-def test_prefold_certificate_report_fails(tmp_path, party):
+def test_prefold_certificate_report_fails(tmp_path, capsys, party):
     # reports written before the stabilizer fold carried a certificate of
-    # the orbit LP with every marginal row; verify rebuilds the folded
-    # program, on which that certificate fails cleanly
+    # the orbit LP with every marginal row, toward A stated on the
+    # toward-A orbits; verify rebuilds the folded program toward B (on the
+    # party-swapped box toward A), on which that certificate fails cleanly
     code, report = shareable_report(tmp_path, ["iso", "--C", "3/4"], party)
     assert code == 1
     box = boxio.read_box(str(tmp_path / "box.txt")).box
@@ -125,7 +126,11 @@ def test_prefold_certificate_report_fails(tmp_path, party):
         data["certificate"] = {"type": "farkas", **boxio.encode_lp_certificate(out.certificate)}
 
     rewrite(report, to_prefold)
+    capsys.readouterr()
     assert run("verify", report) == 1
+    captured = capsys.readouterr()
+    assert "verification FAILED" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 @pytest.mark.parametrize("party", ["A", "B"])
@@ -137,13 +142,7 @@ def test_unfolded_four_output_certificate_report_fails(tmp_path, capsys, party):
     code, report = shareable_report(tmp_path, ["giso", "--A", "4", "--C", "3/5"], party)
     assert code == 1
     box = boxio.read_box(str(tmp_path / "box.txt")).box
-    identity = tuple(sorted(((a, x), (a, x)) for x in range(2) for a in range(4)))
-    _, count, normalization, marginals, traces = shareability._folded_rows(
-        box.scenario, party, 2, ((identity, identity),)
-    )
-    unfolded = lp.LinearProgram(count)
-    unfolded.eqs.extend([*normalization, *((c, box.table[e]) for c, (e,) in marginals), *traces])
-    out = lp.solve(unfolded)
+    out = lp.solve(orbit_lp(box, party, 2, polytope.spanning_entries(box.scenario)))
     assert out.status == lp.INFEASIBLE
 
     def to_unfolded(data):
@@ -364,6 +363,26 @@ def test_local_on_tripartite_polygamy_box(tmp_path, capsys):
     assert run("analyze", "local", box, "-o", report) == 1
     assert "certificate violation 19/32" in capsys.readouterr().out
     assert run("verify", report) == 0
+
+
+def test_secrecy_verify_on_tripartite_box_exits_2(tmp_path, capsys):
+    # `analyze secrecy` refuses a box that is not bipartite, and so must
+    # verify: a uniform 222/222 box's local report, relabeled as a secrecy
+    # report with the verdict its model proves, is refused, not verified
+    box, report = tmp_path / "box.txt", tmp_path / "report.json"
+    boxio.write_box(str(box), uniform_box(Scenario((2, 2, 2), (2, 2, 2))), "uniform")
+    assert run("analyze", "secrecy", box) == 2
+    assert run("analyze", "local", box, "-o", report) == 0
+
+    def as_secrecy(data):
+        data["analysis"] = "secrecy"
+        data["verdict"] = {"contains_secrecy": False}
+
+    rewrite(report, as_secrecy)
+    capsys.readouterr()
+    assert run("verify", report) == 2
+    captured = capsys.readouterr()
+    assert "bipartite" in captured.err and "verified" not in captured.out
 
 
 @pytest.mark.parametrize("kind, alphabet", [("giso", 0), ("giso", 1), ("giso", -1), ("gpr", 0)])

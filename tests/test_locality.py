@@ -26,10 +26,10 @@ from boxlab.locality import (
     eve_extension,
     is_local,
 )
-from boxlab.shareability import ExtensionProblem, generalized_isotropic
+from boxlab.shareability import generalized_isotropic
 from conftest import asymmetric_giso, is_deterministic, random_local_box, random_ns_box, random_relabeling
 from oracles import (
-    brute_canonical_problem,
+    brute_canonical_form,
     condition,
     deterministic_box_tables,
     fraction_rank,
@@ -330,7 +330,7 @@ class TestFoldedIsLocal:
             boxes += [random_ns_box(rng, ns_vertices, nonlocal_bias=b) for b in (0, 30, 60)]
         cleared, symmetric = 0, 0
         for box in boxes:
-            group = brute_canonical_problem(ExtensionProblem(box, "B", 1))[3]
+            group = brute_canonical_form(box)[3]
             if polytope.labels_told_apart(box):
                 cleared += 1
                 assert len(group) == 1

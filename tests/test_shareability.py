@@ -32,9 +32,9 @@ from boxlab.shareability import (
     ExtensionTooLarge,
     NotAnExtension,
     NotUniqueMaximizer,
-    _canonical_problem,
     _folded_rows,
     _iso_ceiling_lp,
+    _oriented,
     _orbit_rows,
     _unfold,
     folded_extension_lp,
@@ -60,7 +60,7 @@ from conftest import (
     tensor,
 )
 from oracles import (
-    brute_canonical_problem,
+    brute_canonical_form,
     canonical_relabeling,
     shared_shift_symmetrize,
     unfold_by_relabeling,
@@ -248,6 +248,13 @@ class TestShareability:
         assert verdicts == ({True} if m == 1 else {True, False})
 
 
+# 2222, 2322, 3322 and 2233, as (inputs, outputs)
+SMALL_SCENARIOS = [
+    Scenario((2, 2), (2, 2)), Scenario((2, 3), (2, 2)),
+    Scenario((3, 3), (2, 2)), Scenario((2, 2), (3, 3)),
+]
+
+
 class TestSharedPartyA:
     @pytest.mark.parametrize("m", [2, 3])
     def test_asymmetric_box_toward_a(self, m):
@@ -258,24 +265,40 @@ class TestSharedPartyA:
         validate_extension(problem, witness.extension)
         assert marginal(witness.extension, (0, m)) == box
 
-    @pytest.mark.parametrize("c", [F(2, 5), F(3, 5)])
-    def test_toward_a_equals_toward_b_of_swapped(self, c):
-        box = asymmetric_giso(c)
-        toward_a = is_m_shareable(ExtensionProblem(box, "A", 2))
-        toward_b = is_m_shareable(ExtensionProblem(permute_parties(box, (1, 0)), "B", 2))
-        assert toward_a.feasible == toward_b.feasible == (c <= F(1, 2))
-        if toward_a.feasible:
-            swapped = permute_parties(toward_a.extension, (2, 0, 1))
-            validate_extension(
-                ExtensionProblem(permute_parties(box, (1, 0)), "B", 2), swapped
-            )
-
-
-# 2222, 2322, 3322 and 2233, as (inputs, outputs)
-SMALL_SCENARIOS = [
-    Scenario((2, 2), (2, 2)), Scenario((2, 3), (2, 2)),
-    Scenario((3, 3), (2, 2)), Scenario((2, 2), (3, 3)),
-]
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("sc", SMALL_SCENARIOS, ids=str)
+    def test_toward_a_equals_toward_b_of_swapped(self, sc, m):
+        # a problem toward A is stated as the problem toward B of the
+        # party-swapped box: one program.  Its verdict is the full-table
+        # oracle's, which keeps its own toward-A layout.  That oracle has
+        # 1,296 columns at m = 3 on 3322 and 2233 and took 13 s on a local
+        # 2233 box and 357 s on a nonlocal one, and the orbit LP took 79 s
+        # on a local 3322 box; there the local box's verdict is the model's
+        # and the nonlocal box is checked for its program only
+        rng = random.Random(f"toward A {sc.inputs} {sc.outputs}")
+        local = _skewed_local_box(sc, rng, 3)
+        cases = [(local, True), (mix([_pr_type(sc), _skewed_local_box(sc, rng, 3)], [F(3, 4), F(1, 4)]), False)]
+        if sc == SC22:
+            # asymmetric under the party swap, each side of its threshold
+            cases += [(asymmetric_giso(F(2, 5)), True), (asymmetric_giso(F(3, 5)), False)]
+        slow = m == 3 and sc.table_size == 36
+        for box, local in cases:
+            box = relabel(box, *random_relabeling(rng, sc))
+            problem = ExtensionProblem(box, "A", m)
+            prog = folded_extension_lp(problem)[0]
+            assert prog.eqs == folded_extension_lp(ExtensionProblem(permute_parties(box, (1, 0)), "B", m))[0].eqs
+            if slow and not local:
+                continue
+            witness = is_m_shareable(problem)
+            assert witness.feasible == (local or m == 1)
+            if not slow:
+                assert witness.feasible == unfolded_extension_feasible(box, "A", m)
+            if witness.feasible:
+                validate_extension(problem, witness.extension)
+                assert marginal(witness.extension, (0, m)) == box
+            else:
+                outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=witness.certificate)
+                assert lp.verify_certificate(prog, outcome)
 
 
 class TestCanonicalRelabeling:
@@ -311,15 +334,15 @@ class TestCanonicalRelabeling:
     @pytest.mark.parametrize("c", [F(0), F(1, 2), F(3, 4), F(1)])
     def test_isotropic_box_is_its_own_canonical_form(self, c):
         problem = ExtensionProblem(make_isotropic(c), "B", 2)
-        table, fixed, copy, group = _canonical_problem(problem)
+        table, alice, bob, group = canonical_form(problem.base)
         assert table == problem.base.table
-        assert fixed == copy == _identity_labels(2, 2)
+        assert alice == bob == _identity_labels(2, 2)
         # uniform noise is fixed by all 64 relabeling pairs, the PR box by 8
         assert len(group) == (64 if c == 0 else 8)
         # unfolding leaves every entry in place: each reads its own orbit
-        index = _orbit_rows(SC22, "B", 2)[0]
+        index = _orbit_rows(SC22, 2)[0]
         orbit_of = walked_orbit_rows(problem)[0]
-        assert list(_unfold(problem, fixed, copy, index, range(len(index)))) == orbit_of
+        assert list(_unfold(problem, SC22, alice, bob, index, range(len(index)))) == orbit_of
 
     @pytest.mark.parametrize("sc", SMALL_SCENARIOS, ids=str)
     def test_search_is_the_brute_force(self, sc, ns_vertices):
@@ -343,9 +366,9 @@ class TestCanonicalRelabeling:
         assert count <= polytope.CANONICAL_SEARCH_CAP
         for box in boxes:
             for labeled in (box, relabel(box, *random_relabeling(rng, sc))):
-                for party in "AB":
-                    problem = ExtensionProblem(labeled, party, 1)
-                    assert _canonical_problem(problem) == brute_canonical_problem(problem)
+                # the box toward B and, party-swapped, toward A
+                for oriented in (labeled, permute_parties(labeled, (1, 0))):
+                    assert canonical_form(oriented) == brute_canonical_form(oriented)
 
     @pytest.mark.parametrize("party", "AB")
     def test_four_outputs_are_searched_to_their_stabilizer(self, party):
@@ -355,10 +378,9 @@ class TestCanonicalRelabeling:
         box = generalized_isotropic(4, F(1, 2))
         relabeled = relabel(box, *random_relabeling(random.Random(4), box.scenario))
         problem = ExtensionProblem(relabeled, party, 1)
-        table, _, _, group = _canonical_problem(problem)
+        table, _, _, group = _check_stabilizer(_oriented(problem))
         assert len(group) == 16
-        _check_stabilizer(problem)
-        assert (table, group) == _canonical_problem(ExtensionProblem(box, party, 1))[::3]
+        assert (table, group) == canonical_form(_oriented(ExtensionProblem(box, party, 1)))[::3]
         witness = is_m_shareable(problem)
         assert witness.feasible and witness.extension == relabeled
 
@@ -373,12 +395,13 @@ class TestCanonicalRelabeling:
         # it in the second block.  The labels are kept, and the identity
         # is the group
         box = box or uniform_box(sc)
-        problem = ExtensionProblem(box, "B", 1)
-        assert min(timeit.repeat(lambda: _canonical_problem(problem), number=1, repeat=3)) < 0.1
-        table, fixed, copy, group = _canonical_problem(problem)
+        assert min(timeit.repeat(lambda: canonical_form(box), number=1, repeat=3)) < 0.1
+        table, alice, bob, group = form = canonical_form(box)
         assert table == box.table
-        assert fixed == copy == _identity_labels(*sc.inputs[:1], *sc.outputs[:1])
-        assert group == ((tuple(sorted(fixed.items())), tuple(sorted(copy.items()))),)
+        assert alice == bob == _identity_labels(*sc.inputs[:1], *sc.outputs[:1])
+        assert group == ((tuple(sorted(alice.items())), tuple(sorted(bob.items()))),)
+        # the trivial form that locality's membership LP folds by
+        assert form == (box.table, *polytope.own_labels(sc))
 
 
 def _identity_labels(inputs, outputs):
@@ -387,16 +410,22 @@ def _identity_labels(inputs, outputs):
 
 class TestUnfold:
     """The one-pass unfold against the table-first one it replaced: the
-    canonical problem's extension table, then core.relabel."""
+    extension table toward B of the oriented base's canonical relabeling,
+    then core.relabel, and toward A the parties put back in the
+    problem's slot order."""
 
     def _check(self, problem, relabeling):
-        table, fixed, copy, _ = _canonical_problem(problem)
-        index = _orbit_rows(problem.base.scenario, problem.shared_party, problem.copies)[0]
+        # relabeling: the oriented base's, as canonical_relabeling finds it
+        base, m = _oriented(problem), problem.copies
+        table, alice, bob, _ = canonical_form(base)
+        index = _orbit_rows(base.scenario, m)[0]
         # distinct values, so every entry must read its own orbit
         values = range(len(index))
-        assert _unfold(problem, fixed, copy, index, values) == unfold_by_relabeling(
-            problem, relabeling, values
-        )
+        toward_b = ExtensionProblem(base, "B", m)
+        want = core.Box(toward_b.extension_scenario(), unfold_by_relabeling(toward_b, relabeling, values))
+        if problem.shared_party == "A":
+            want = permute_parties(want, (*range(1, m + 1), 0))  # copies first, Bob last
+        assert _unfold(problem, base.scenario, alice, bob, index, values) == want.table
         return table
 
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -404,9 +433,9 @@ class TestUnfold:
     def test_maps_match_the_relabeling(self, party, m):
         rng = random.Random(f"unfold {party} {m}")
         for sc in (SC22, Scenario((3, 2), (2, 2)), Scenario((2, 2), (2, 3))):
-            box = relabel(_skewed_local_box(sc, rng), *random_relabeling(rng, sc))
-            table, relabeling = canonical_relabeling(box)
-            assert self._check(ExtensionProblem(box, party, m), relabeling) == table
+            problem = ExtensionProblem(relabel(_skewed_local_box(sc, rng), *random_relabeling(rng, sc)), party, m)
+            table, relabeling = canonical_relabeling(_oriented(problem))
+            assert self._check(problem, relabeling) == table
 
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("party", "AB")
@@ -415,11 +444,10 @@ class TestUnfold:
         assert self._check(ExtensionProblem(box, party, m), None) == box.table
 
 
-def _fixes(problem, element, table):
-    """Whether the stabilizer element (the fixed and the copy party's label
-    maps, as _canonical_problem returns them) leaves `table` unchanged."""
-    sc = problem.base.scenario
-    alice, bob = map(dict, element if problem.shared_party == "B" else element[::-1])
+def _fixes(sc, element, table):
+    """Whether the stabilizer element (Alice's and Bob's label maps, as
+    canonical_form returns them) leaves the table of `sc` unchanged."""
+    alice, bob = map(dict, element)
     for x, y, a, b in itertools.product(*(range(n) for n in sc.inputs + sc.outputs)):
         (a2, x2), (b2, y2) = alice[a, x], bob[b, y]
         if table[sc.flat_index((a2, b2), (x2, y2))] != table[sc.flat_index((a, b), (x, y))]:
@@ -427,12 +455,12 @@ def _fixes(problem, element, table):
     return True
 
 
-def _check_stabilizer(problem):
-    """_canonical_problem(problem), after checking that every element of
-    its group fixes its table and that the group is one: the identity is
-    in it, and it is closed."""
-    table, fixed, copy, group = canonical = _canonical_problem(problem)
-    assert all(_fixes(problem, element, table) for element in group)
+def _check_stabilizer(box):
+    """canonical_form(box), after checking that every element of its
+    group fixes its table and that the group is one: the identity is in
+    it, and it is closed."""
+    table, fixed, copy, group = canonical = canonical_form(box)
+    assert all(_fixes(box.scenario, element, table) for element in group)
     identity = (tuple(sorted((v, v) for v in fixed.values())),
                 tuple(sorted((v, v) for v in copy.values())))
     assert identity in group
@@ -465,8 +493,7 @@ class TestStabilizerFold:
     def test_the_group_is_the_stabilizer(self, k):
         box, _ = self._relabeled(k)
         for party in "AB":
-            problem = ExtensionProblem(box, party, 2)
-            table, _, _, group = _check_stabilizer(problem)
+            table, _, _, group = _check_stabilizer(_oriented(ExtensionProblem(box, party, 2)))
             assert len(group) > 1
             if box.scenario == SC22:
                 canonical = core.Box(SC22, table)
@@ -507,7 +534,7 @@ class TestStabilizerFold:
         # the box's 8 symmetries merge 224 orbits into 28 classes at m = 5,
         # and 336 into 44 at m = 6
         prog, _ = folded_extension_lp(problem)
-        assert (len(_orbit_rows(SC22, party, m)[0]), prog.num_vars) == {5: (224, 28), 6: (336, 44)}[m]
+        assert (len(_orbit_rows(SC22, m)[0]), prog.num_vars) == {5: (224, 28), 6: (336, 44)}[m]
         outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=witness.certificate)
         assert lp.verify_certificate(prog, outcome)
 
@@ -528,10 +555,15 @@ ORBIT_ALPHABETS = [(2, 2, 2, 2)] + [
 
 
 class TestOrbitRows:
+    """The orbit rows toward B against the walk of the full table.  The
+    cases toward A check the rows toward B of the swapped alphabets, on
+    the party-swapped box, which is what a problem toward A is solved
+    as; the walk toward A itself stays in oracles.walked_orbit_rows."""
+
     def _check(self, problem):
         orbit_of, n_orbits, rows = walked_orbit_rows(problem)
-        base, party, m = problem.base, problem.shared_party, problem.copies
-        index, normalization, marginals, traces = _orbit_rows(base.scenario, party, m)
+        base, m = problem.base, problem.copies
+        index, normalization, marginals, traces = _orbit_rows(base.scenario, m)
         assert len(index) == n_orbits
         # the walk's rows, with the box's table filled in as marginal rhs
         filled = normalization + tuple(zip(marginals, base.table)) + traces
@@ -544,10 +576,8 @@ class TestOrbitRows:
         # the orbits carry the walk's numbering, entry by entry
         (X, Y), (A, B) = sc.inputs, sc.outputs
         alice, bob = _identity_labels(X, A), _identity_labels(Y, B)
-        labels = (alice, bob) if party == "B" else (bob, alice)
-        assert list(_unfold(problem, *labels, index, range(n_orbits))) == orbit_of
-        fixed, copy = (A * X, B * Y) if party == "B" else (B * Y, A * X)
-        assert n_orbits == fixed * math.comb(copy + m - 1, m)
+        assert list(_unfold(problem, sc, alice, bob, index, range(n_orbits))) == orbit_of
+        assert n_orbits == A * X * math.comb(B * Y + m - 1, m)
 
     @pytest.mark.parametrize("party", "AB")
     @pytest.mark.parametrize("alphabets", ORBIT_ALPHABETS)
@@ -556,12 +586,13 @@ class TestOrbitRows:
         sc = Scenario((X, Y), (A, B))
         box = _skewed_local_box(sc, random.Random(str(alphabets)))
         for m in (1, 2, 3):
-            self._check(ExtensionProblem(box, party, m))
+            self._check(ExtensionProblem(_oriented(ExtensionProblem(box, party, m)), "B", m))
 
     @pytest.mark.parametrize("party", "AB")
     @pytest.mark.parametrize("m", [4, 5])
     def test_rows_match_the_walk_for_more_copies(self, m, party):
-        self._check(ExtensionProblem(_skewed_local_box(SC22, random.Random(m)), party, m))
+        problem = ExtensionProblem(_skewed_local_box(SC22, random.Random(m)), party, m)
+        self._check(ExtensionProblem(_oriented(problem), "B", m))
 
     def test_one_build_per_shape(self, ns_vertices):
         # two boxes with trivial stabilizers: one build of the orbit rows
@@ -570,19 +601,19 @@ class TestOrbitRows:
         _folded_rows.cache_clear()
         boxes = [random_ns_box(random.Random(s), ns_vertices, nonlocal_bias=60) for s in (0, 1)]
         problems = [ExtensionProblem(box, "B", 3) for box in boxes]
-        assert all(len(_canonical_problem(problem)[3]) == 1 for problem in problems)
+        assert all(len(canonical_form(box)[3]) == 1 for box in boxes)
         progs = [folded_extension_lp(problem)[0] for problem in problems]
         orbit, folded = _orbit_rows.cache_info(), _folded_rows.cache_info()
         assert (orbit.misses, orbit.hits, orbit.currsize) == (1, 0, 1)
         assert (folded.misses, folded.hits, folded.currsize) == (1, 1, 1)
-        normalization, marginals, traces = _orbit_rows(SC22, "B", 3)[1:]
+        normalization, marginals, traces = _orbit_rows(SC22, 3)[1:]
         spanning = polytope.spanning_entries(SC22)
         first, second = (prog.eqs for prog in progs)
         # the programs differ only in the marginal right-hand sides, each
         # the table of the base box's canonical relabeling at the spanning
         # entries
-        for prog, problem in zip(progs, problems):
-            table = _canonical_problem(problem)[0]
+        for prog, box in zip(progs, boxes):
+            table = canonical_form(box)[0]
             want = [*normalization, *((marginals[e], table[e]) for e in spanning), *traces]
             assert prog.eqs == want
         differ = [k for k, (a, b) in enumerate(zip(first, second)) if a != b]
@@ -599,10 +630,9 @@ class TestOrbitRows:
                 tuple(((a, x), (a, x)) for a in range(n_out) for x in range(n_in))
                 for n_in, n_out in ((X, A), (Y, B))
             )
-            for party, m in itertools.product("AB", (1, 2, 3)):
-                identity = (alice, bob) if party == "B" else (bob, alice)
-                index, count, normalization, marginals, traces = _folded_rows(sc, party, m, (identity,))
-                orbit_index, *orbit_rows = _orbit_rows(sc, party, m)
+            for m in (1, 2, 3):
+                index, count, normalization, marginals, traces = _folded_rows(sc, m, ((alice, bob),))
+                orbit_index, *orbit_rows = _orbit_rows(sc, m)
                 assert dict(index) == dict(orbit_index) == {key: n for n, key in enumerate(orbit_index)}
                 assert count == len(orbit_index)
                 spanning = polytope.spanning_entries(sc)
@@ -610,11 +640,11 @@ class TestOrbitRows:
                     orbit_rows[0], tuple((orbit_rows[1][e], (e,)) for e in spanning), orbit_rows[2]
                 )
                 shapes += 1
-        assert shapes == 216
+        assert shapes == 108
 
     def test_cached_rows_are_read_only(self):
         problem = ExtensionProblem(make_isotropic(F(1, 2)), "A", 2)
-        rows = _orbit_rows(SC22, "A", 2)
+        rows = _orbit_rows(SC22, 2)
         index, normalization, marginals, traces = rows
         key = next(iter(index))
         with pytest.raises(TypeError):
@@ -629,11 +659,11 @@ class TestOrbitRows:
         want = list(prog.eqs)
         prog.eqs.clear()
         prog.add_eq([(0, 1)], 1)
-        assert _orbit_rows(SC22, "A", 2) == rows
+        assert _orbit_rows(SC22, 2) == rows
         assert folded_extension_lp(problem)[0].eqs == want
         # and so are the folded rows of the box's stabilizer
-        group = _canonical_problem(problem)[3]
-        index, count, *parts = _folded_rows(SC22, "A", 2, group)
+        group = canonical_form(_oriented(problem))[3]
+        index, count, *parts = _folded_rows(SC22, 2, group)
         with pytest.raises(TypeError):
             index[key] = 0
         assert count < len(rows[0]) and all(type(part) is tuple for part in parts)
@@ -1050,8 +1080,10 @@ class TestOnePath:
                 with monkeypatch.context() as mp:
                     calls = _Calls(mp)
                     witness = is_m_shareable(problem)
-                # the membership LP of the box's canonical table, folded by its stabilizer
-                assert calls.solved[0].eqs == locality.membership_lp(box, canonical_form(box)).eqs
+                # the membership LP of the oriented box's canonical table,
+                # folded by its stabilizer
+                oriented = _oriented(problem)
+                assert calls.solved[0].eqs == locality.membership_lp(oriented, canonical_form(oriented)).eqs
                 prog = None if slow else folded_extension_lp(problem)[0]
                 if box is local:
                     assert witness.feasible and calls.folded == [] and len(calls.solved) == 1
