@@ -89,26 +89,11 @@ class LocalModel(Frozen):
         d["strategies"] = strategies
         d["weights"] = weights
 
-    def box(self) -> Box:
-        table = [ZERO] * self.scenario.table_size
-        n_out = self.scenario.num_output_tuples
-        for strat, w in zip(self.strategies, self.weights):
-            if not w:
-                continue
-            for xi, xs in enumerate(self.scenario.input_tuples()):
-                outs = tuple(strat.tables[k][xs[k]] for k in range(self.scenario.parties))
-                table[xi * n_out + self.scenario.output_index(outs)] += w
-        return Box(self.scenario, tuple(table))
-
-    def reconstructs(self, box: Box) -> bool:
-        """Whether the mixture is the box, compared in integers: the
-        weights' numerators over their common denominator summed at the
-        entries each strategy fires, against the box's numerators over
-        its own (core.numerators), cross-multiplied."""
+    def _summed(self) -> tuple[int, list[int]]:
+        """The weights' common denominator and, per flat table entry, the
+        sum of their numerators over it at the strategies that fire the
+        entry: one stride walk, in integers."""
         sc = self.scenario
-        if box.scenario != sc:
-            return False
-        den, nums = numerators(box.table)
         w_den, w_nums = numerators(self.weights)
         n_out = sc.num_output_tuples
         # what each party's output adds to the flat index xi * n_out + oi
@@ -116,8 +101,25 @@ class LocalModel(Frozen):
         inputs = [(xi * n_out, xs) for xi, xs in enumerate(sc.input_tuples())]
         table = [0] * sc.table_size
         for strat, w in zip(self.strategies, w_nums):
-            for at, xs in inputs:
-                table[at + sum(t[x] * s for t, x, s in zip(strat.tables, xs, strides))] += w
+            if w:
+                for at, xs in inputs:
+                    table[at + sum(t[x] * s for t, x, s in zip(strat.tables, xs, strides))] += w
+        return w_den, table
+
+    def box(self) -> Box:
+        """The mixture's table, one Fraction per entry it fires
+        (_summed), ZERO elsewhere."""
+        den, table = self._summed()
+        return Box(self.scenario, tuple(Fraction(t, den) if t else ZERO for t in table))
+
+    def reconstructs(self, box: Box) -> bool:
+        """Whether the mixture is the box, compared in integers: the
+        summed numerators (_summed) against the box's numerators over its
+        own denominator (core.numerators), cross-multiplied."""
+        if box.scenario != self.scenario:
+            return False
+        den, nums = numerators(box.table)
+        w_den, table = self._summed()
         return all(t * den == p * w_den for t, p in zip(table, nums))
 
     def adjoin(self, inputs, outputs, tables) -> LocalModel:
@@ -279,26 +281,42 @@ def _entry_orbits(scenario: Scenario, group: tuple) -> tuple:
     return tuple(zip(*(_moved_entries(scenario, map(dict, element)) for element in group)))
 
 
+def _pinned(scenario: Scenario, table: tuple, group: tuple, farkas) -> list:
+    """Each multiplier of `farkas`, a Farkas vector of the membership LP
+    of `table` folded by `group`, negated on the first spanning entry its
+    row pins (polytope.first_pins), and ZERO on every other entry."""
+    coefficients = [ZERO] * scenario.table_size
+    for (_, e), y in zip(polytope.first_pins(_membership_rows(scenario, group)[1], table), farkas):
+        coefficients[e] = -y
+    return coefficients
+
+
+def bell_numerators(scenario: Scenario, canonical, farkas) -> tuple[int, list[int]]:
+    """The Bell functional that the Farkas vector `farkas` of
+    membership_lp(box, canonical) gives in the canonical frame, by the
+    first two steps the module docstring argues for: the multipliers put
+    on their pinned entries (_pinned), then summed over the images of each
+    entry under the group (the average up to the factor |G|), as integer
+    numerators over the pinned coefficients' common denominator, which is
+    returned first.  At most 0 on every deterministic strategy and
+    positive on the canonical table; shareability lifts it into a Farkas
+    vector of the orbit program as it stands."""
+    table, *_, group = canonical
+    den, nums = numerators(_pinned(scenario, table, group, farkas))
+    return den, [sum(map(nums.__getitem__, orbit)) for orbit in _entry_orbits(scenario, group)]
+
+
 def _bell_coefficients(box: Box, canonical, farkas) -> list:
     """The Bell functional, in the box's own labels, that the Farkas
-    vector `farkas` of membership_lp(box, canonical) gives, by the steps
-    the module docstring argues for: each row's multiplier, negated, on
-    the first spanning entry it pins (polytope.first_pins); summed over
-    the images of each entry under the group (the average up to the
-    factor |G|, which normalize drops), in integers over the
-    coefficients' common denominator; and read back through the form's
-    maps.  Under the box's own labels the first step is all."""
+    vector `farkas` of membership_lp(box, canonical) gives:
+    bell_numerators read back through the form's maps.  Under the box's
+    own labels the multipliers on their pinned entries (_pinned) are
+    all."""
     sc = box.scenario
-    table, *maps, group = canonical or (box.table, *polytope.own_labels(sc))
-    rows = _membership_rows(sc, group)[1]
-    coefficients = [ZERO] * sc.table_size
-    for (_, e), y in zip(polytope.first_pins(rows, table), farkas):
-        coefficients[e] = -y
     if canonical is None:
-        return coefficients
-    den, nums = numerators(coefficients)
-    orbits = _entry_orbits(sc, group)
-    return [Fraction(sum(map(nums.__getitem__, orbits[c])), den) for c in _moved_entries(sc, maps)]
+        return _pinned(sc, box.table, polytope.own_labels(sc)[-1], farkas)
+    den, nums = bell_numerators(sc, canonical, farkas)
+    return [Fraction(nums[c], den) for c in _moved_entries(sc, canonical[1:-1])]
 
 
 def is_local(box: Box) -> LocalModel | NonlocalityCertificate:

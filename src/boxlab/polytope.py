@@ -20,6 +20,15 @@ the start itself.  A start for a face of the polytope
 (`bell.unique_ns_maximizer`, `shareability.unique_violator_decoupling`)
 depends on a functional or a box and lives for one call.
 
+A functional of the table is known on nonsignaling tables by its
+values at the spanning entries: `collins_gisin` moves every coefficient
+there by the rule `spanning_entries` states, Alice's first, then Bob's,
+in integers through a map built once per scenario, and keeps the value
+on every nonsignaling box (Collins and Gisin, J. Phys. A 37, 1775,
+2004).  `shareability`'s lift of a Bell functional into the orbit
+program reads it there, since that program pins copy-marginals at the
+spanning entries only.
+
 Two builders state a marginal of a larger table, both through
 `core.marginal_indices`: `lift` reads a functional of the marginal as
 a row (the rows of `shareability.monogamy_lp`), and `marginal_rows`
@@ -130,6 +139,54 @@ def spanning_entries(scenario: Scenario) -> tuple[int, ...]:
         for oi, outs in enumerate(outputs)
         if all(x == 0 or a < top for x, a, top in zip(xs, outs, last))
     )
+
+
+@functools.lru_cache(maxsize=16)
+def _spanning_terms(scenario: Scenario) -> tuple:
+    """Per flat entry, in table order, the (spanning entry, integer)
+    pairs in entry order whose sum it is on every nonsignaling table:
+    the rule of spanning_entries applied to party 0, then to party 1 and
+    so on.  A party's rule leaves every other party's labels as they
+    are, so each party is moved off its last output at inputs above 0 by
+    one step, and no later step moves it back."""
+    entries = list(itertools.product(scenario.input_tuples(), scenario.output_tuples()))
+    at = {entry: n for n, entry in enumerate(entries)}
+    terms = []
+    for entry in entries:
+        summed = {entry: 1}
+        for k, top in enumerate(scenario.outputs):
+            moved: dict = {}
+            for (xs, outs), c in summed.items():
+                if xs[k] == 0 or outs[k] < top - 1:
+                    moved[xs, outs] = moved.get((xs, outs), 0) + c
+                    continue
+                at_zero = xs[:k] + (0,) + xs[k + 1:]
+                for a in range(top):
+                    o = outs[:k] + (a,) + outs[k + 1:]
+                    moved[at_zero, o] = moved.get((at_zero, o), 0) + c
+                    if a < top - 1:
+                        moved[xs, o] = moved.get((xs, o), 0) - c
+            summed = moved
+        terms.append(tuple(sorted((at[e], c) for e, c in summed.items() if c)))
+    return tuple(terms)
+
+
+def collins_gisin(scenario: Scenario, coefficients, offset) -> tuple:
+    """The functional (coefficients, offset) moved onto spanning_entries,
+    as (coefficients, offset): 0 off the spanning entries, and the same
+    value on every nonsignaling table (Collins and Gisin, J. Phys. A 37,
+    1775, 2004).  Each coefficient goes to the spanning entries whose sum
+    its entry is (_spanning_terms, built once per scenario), times their
+    integer multiplicities, so integer numerators stay integers and
+    Fractions stay Fractions.  The offset comes back as it was: the
+    spanning entries hold every output at input 0 of each party, so the
+    rule never calls on normalization."""
+    out = [c - c for c in coefficients]
+    for c, terms in zip(coefficients, _spanning_terms(scenario)):
+        if c:
+            for e, k in terms:
+                out[e] += k * c
+    return tuple(out), offset
 
 
 def orbit_classes(count: int, images) -> list[int]:

@@ -13,8 +13,16 @@ Averaging a local model over G keeps it a model: each element of G maps
 a deterministic strategy onto another one and fixes the table, so it
 maps a model onto another model, and the average is a model whose
 weights are constant on the classes of strategies G maps onto each
-other; the membership LP then needs one weight per class.  Any other
-box is decided by one exact LP, stated on orbit variables: one variable
+other; the membership LP then needs one weight per class.  A nonlocal
+box is not m-shareable for any m >= |Y|, Y the shared party's inputs:
+read copy y+1 at input y, and the copies' outputs would be a local
+hidden variable (the source paper; Terhal, Doherty and Schwab, PRL 90,
+157903, 2003).  That proof is a Farkas vector of the orbit LP below,
+built from the Bell functional of the membership LP's Farkas vector
+(_bell_lift) and checked by lp.verify_certificate, so such a box solves
+no second LP.  Any other box (m < |Y|, or a base over
+locality.STRATEGY_CAP strategies, which gets no membership LP) is
+decided by one exact LP, stated on orbit variables: one variable
 per class of extension entries that a permutation of the copies maps
 onto each other.  Folding is exact, not a relaxation: averaging any
 extension over the copy permutations gives a symmetric one with the
@@ -352,6 +360,155 @@ def _folded_rows(scenario: Scenario, copies: int, group: tuple):
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _lift_rows(scenario: Scenario, copies: int, group: tuple):
+    """What _bell_lift needs of one shape folded by `group`, everything
+    but the functional, built once per scenario, m >= Y and stabilizer
+    and held in a small cache like _folded_rows.  Returns (first,
+    marginals, chains, alice, columns), with z* the copy inputs (0, 1,
+    ..., Y-1, 0, ..., 0):
+      - the number of normalization rows, which is the first pin row's
+        position, and _folded_rows' marginal rows;
+      - per spanning entry (x, y, a, b) of the base, the (trace row,
+        coefficient) pairs of the copy trace rows that move each copy but
+        the one pinned at (b, y) from input 0 to its input in z*, one copy
+        after another and one input at a time, with Alice at (a, x) and
+        every output of the copies not pinned;
+      - Alice's trace rows, as (trace row, prefix, t, coefficient): row
+        (t-1, t) at the copy context (lam, z*), for every output string
+        lam of the copies, whose first Y outputs are the prefix-th string
+        of product(range(B), repeat=Y);
+      - per prefix, per Alice input x and output a, the base flat entries
+        (x, y, a, prefix[y]) over Bob's inputs y, which c(a, x, prefix)
+        sums.
+    Trace rows are numbered among _folded_rows' trace rows.  Each row
+    here is a row of the full-table program (_orbit_rows' rows moved by
+    a copy permutation), put on its folded row through _folded_rows'
+    class index, with its sign flipped where `signed` flipped that row's;
+    the coefficient adds up the rows that land on one folded row, and
+    rows that fold to zero are dropped."""
+    (X, Y), (A, B) = scenario.inputs, scenario.outputs
+    m = copies
+    index, _, normalization, marginals, traces = _folded_rows(scenario, m, group)
+    position = {coeffs: n for n, (coeffs, _) in enumerate(traces)}
+
+    def place(terms, lo, hi, key=()):
+        # the trace row sum(lo) - sum(hi), over orbit keys, onto its folded row
+        summed = Counter(index[k] for k in lo)
+        summed.subtract(index[k] for k in hi)
+        coeffs = tuple(sorted((k, c) for k, c in summed.items() if c))
+        if coeffs and coeffs[0][1] < 0:
+            terms[(position[tuple((k, -c) for k, c in coeffs)], *key)] -= 1
+        elif coeffs:
+            terms[(position[coeffs], *key)] += 1
+
+    target = [j if j < Y else 0 for j in range(m)]
+    chains = []
+    for e in polytope.spanning_entries(scenario):
+        (x, y), (a, b) = divmod(e // (A * B), Y), divmod(e % (A * B), B)
+        terms: Counter = Counter()
+        inputs = [0] * m
+        inputs[y] = y
+        for j in range(1, Y):
+            if j == y:
+                continue
+            others = [k for k in range(m) if k not in (j, y)]
+            for s in range(j):
+                for outs in itertools.product(range(B), repeat=len(others)):
+                    rest = [(b, y), *((o, inputs[k]) for o, k in zip(outs, others))]
+                    lo = [((a, x), tuple(sorted([*rest, (o, s)]))) for o in range(B)]
+                    hi = [((a, x), tuple(sorted([*rest, (o, s + 1)]))) for o in range(B)]
+                    place(terms, lo, hi)
+            inputs[j] = j
+        chains.append((e, tuple((n, c) for (n,), c in terms.items() if c)))
+
+    alice: Counter = Counter()
+    for outs in itertools.product(range(B), repeat=m):
+        pairs = tuple(sorted(zip(outs, target)))
+        prefix = functools.reduce(lambda p, o: p * B + o, outs[:Y], 0)
+        for t in range(1, X):
+            lo = [((a, t - 1), pairs) for a in range(A)]
+            hi = [((a, t), pairs) for a in range(A)]
+            place(alice, lo, hi, (prefix, t))
+    columns = tuple(
+        tuple(tuple(tuple((x * Y + y) * A * B + a * B + o for y, o in enumerate(prefix))
+                    for a in range(A)) for x in range(X))
+        for prefix in itertools.product(range(B), repeat=Y)
+    )
+    return (
+        len(normalization),
+        marginals,
+        tuple(chains),
+        tuple((n, prefix, t, c) for (n, prefix, t), c in alice.items() if c),
+        columns,
+    )
+
+
+def _bell_lift(scenario: Scenario, copies: int, canonical, farkas, prog) -> lp.LpCertificate:
+    """A Farkas vector of prog, the program folded_extension_lp states
+    for `copies` >= Y copies of an oriented base of `scenario` with the
+    canonical form `canonical`, made from `farkas`, the membership LP's
+    Farkas vector of that base on the same form: the paper's proof that a
+    nonlocal box has no symmetric extension to |Y| copies.
+
+    beta is the Bell functional in the canonical frame
+    (locality.bell_numerators, integer numerators: at most 0 on every
+    deterministic strategy and positive on the canonical table T) moved
+    onto the spanning entries (polytope.collins_gisin).  With lam the
+    copies' output string at the copy inputs z* = (0, 1, ..., Y-1, 0,
+    ..., 0), c(a, x, lam) = sum_y beta(a, lam_{y+1} | x, y) and M(x,
+    lam) = max_a c(a, x, lam), the multipliers are
+      - -beta on each copy-marginal pin row, with the pinned copy at
+        (b, y) and the others at input 0;
+      - +beta on the copy trace rows that move the other copies from
+        input 0 to z* (_lift_rows), which telescope, so together with
+        the pin rows each column (a, lam | x, z*) gets -c(a, x, lam);
+      - -sum_{x' >= t} M(x', lam) on Alice's trace row (t-1, t) at copy
+        context (lam, z*), which gives that column M(x, lam) at x > 0 and
+        -sum_{x' > 0} M(x', lam) at x = 0.
+    So a column at x > 0 sums to M - c >= 0, one at x = 0 to at least
+    -sum_x M(x, lam) >= 0, the value of beta on the strategy that answers
+    argmax_a at each x and lam_{y+1} at y, and every other column to 0,
+    while the right-hand sides give -beta(T) < 0.  That is a Farkas vector
+    of the full-table program, and multipliers that add up on the rows
+    they fold onto are one of the folded program (_lift_rows).  y_lb is
+    the column sums, and the vector is divided by its entries' gcd."""
+    from .locality import bell_numerators
+
+    table, *_, group = canonical
+    beta = polytope.collins_gisin(scenario, bell_numerators(scenario, canonical, farkas)[1], 0)[0]
+    row, marginals, chains, alice, columns = _lift_rows(scenario, copies, group)
+    y = [0] * len(prog.eqs)
+    # the pin rows, one per distinct value of T over each group's entries
+    for _, entries in marginals:
+        values = []
+        for e in entries:
+            if table[e] not in values:
+                values.append(table[e])
+            y[row + values.index(table[e])] -= beta[e]
+        row += len(values)
+    for e, chain in chains:
+        if beta[e]:
+            for n, c in chain:
+                y[row + n] += c * beta[e]
+    tails = []
+    for per_x in columns:
+        best = [max(sum(map(beta.__getitem__, cols)) for cols in per_a) for per_a in per_x]
+        tails.append([*itertools.accumulate(reversed(best))][::-1])
+    for n, prefix, t, c in alice:
+        y[row + n] -= c * tails[prefix][t]
+    g = math.gcd(*y)
+    y = [u // g for u in y]
+    lb = [0] * prog.num_vars
+    for (coeffs, _), u in zip(prog.eqs, y):
+        if u:
+            for k, c in coeffs:
+                lb[k] += u * c
+    return lp.LpCertificate(
+        "farkas", tuple(map(Fraction, y)), (), tuple(map(Fraction, lb)), (ZERO,) * prog.num_vars
+    )
+
+
 def folded_extension_lp(problem: ExtensionProblem, canonical=None):
     """Feasibility LP for a symmetric extension, one variable per class
     of orbits that the oriented base box's stabilizer merges, and
@@ -424,12 +581,17 @@ def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
     both LPs.  A base box within locality.STRATEGY_CAP strategies goes
     first to locality.local_model, whose membership LP that stabilizer
     folds.  A model gives the extension, every copy replaying Bob's
-    table of the oriented box (LocalModel.adjoin).  Otherwise the orbit
-    LP of folded_extension_lp, folded by the same stabilizer, decides: a
-    feasible witness is unfolded into the full symmetric extension
-    table, and an infeasible one carries that LP's Farkas certificate.
-    Either extension is put in the problem's slot order once
-    (_in_problem_order).
+    table of the oriented box (LocalModel.adjoin).  A nonlocal base at
+    m >= Y, Y its second party's inputs, is not shareable by the
+    paper's theorem: the membership LP's Farkas vector is lifted into a
+    Farkas vector of the program folded_extension_lp states
+    (_bell_lift), which lp.verify_certificate checks before it is
+    returned, and no second LP is solved.  Otherwise (m < Y, or no
+    membership LP above the cap) the orbit LP of folded_extension_lp,
+    folded by the same stabilizer, decides: a feasible witness is
+    unfolded into the full symmetric extension table, and an infeasible
+    one carries that LP's Farkas certificate.  Either extension is put
+    in the problem's slot order once (_in_problem_order).
     """
     from .locality import STRATEGY_CAP, LocalModel, local_model
 
@@ -441,6 +603,13 @@ def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
         tables = [(s.tables[1],) * (m - 1) for s in model.strategies]
         ext = model.adjoin(sc.inputs[1:] * (m - 1), sc.outputs[1:] * (m - 1), tables).box()
         ext = _in_problem_order(problem, ext)
+    elif model is not None and m >= sc.inputs[1]:
+        # nonlocal: model is the membership LP's INFEASIBLE outcome
+        prog = folded_extension_lp(problem, canonical)[0]
+        certificate = _bell_lift(sc, m, canonical, model.certificate.y_eq, prog)
+        outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=certificate)
+        ensure(lp.verify_certificate(prog, outcome), "the lifted Bell certificate fails the orbit LP")
+        return ExtensionWitness(False, certificate=certificate)
     else:
         prog, unfold = folded_extension_lp(problem, canonical)
         out = lp.solve(prog)

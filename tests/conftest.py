@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from boxlab import bell, lp, shareability
-from boxlab.core import Box, Scenario, mix, relabel, uniform_box
+from boxlab.core import Box, Scenario, mix, relabel, uniform_box, validate_box
 from oracles import party_relabelings, verify_certificate_fractions, walked_orbit_rows
 
 
@@ -93,6 +94,18 @@ def random_local_box(rng: random.Random, vertices):
         weights[rng.randrange(16)] = 1
         total = 1
     return mix(list(vertices), [Fraction(w, total) for w in weights])
+
+
+def pr_type(sc: Scenario) -> Box:
+    """PR correlations on inputs 0 and 1 and outputs 0 and 1, every input
+    above 1 answering like input 0: a nonlocal box of a bipartite
+    scenario."""
+    X, Y = sc.inputs
+    table = [Fraction(0)] * sc.table_size
+    for x, y, a, b in itertools.product(range(X), range(Y), range(2), range(2)):
+        if (a + b) % 2 == (x == 1) * (y == 1):
+            table[sc.flat_index((a, b), (x, y))] = Fraction(1, 2)
+    return validate_box(table, sc)
 
 
 def asymmetric_giso(c):

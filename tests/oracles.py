@@ -6,7 +6,9 @@ set of rows, a coordinate parametrization of the 2222 nonsignaling
 polytope, the local-membership LP over every table entry, an
 alternative formulation of it and is_local's outcome on a box's own
 labels read off it at the spanning entries, the symmetric-extension LP
-over the full table with explicit symmetry rows, the orbit LP's rows
+over the full table with explicit symmetry rows, the paper's proof that
+a nonlocal box is not |Y|-shareable as multipliers on that LP's rows,
+built from their labels, the orbit LP's rows
 found by folding every row of that table, and marginals and trace
 conditions read off one dense pass over the table, local bounds of
 Bell functionals from every strategy box built entry by entry, the LP
@@ -460,41 +462,39 @@ def local_membership_alternative(box: Box) -> bool:
     return out.status == lp.OPTIMAL
 
 
-def unfolded_extension_lp(base: Box, shared_party: str, m: int) -> lp.LinearProgram:
-    """m-shareability of `base` as an LP over the full (m+1)-party table.
-
-    One variable per table entry, in the package's canonical order
-    (inputs outermost, last party fastest).  Rows: normalization per
-    input tuple, equality under each transposition of two adjacent copies
-    (these generate every copy permutation), the nonsignaling condition of every party (its input leaves the others'
-    marginal unchanged), and one row per copy-marginal entry with the
-    other copies at input 0.  Parties are (A, B copies...) toward B and
-    (A copies..., B) toward A; the base's party 0 is on the lower slot.
-    """
+def _unfolded_slots(base: Box, shared_party: str, m: int):
+    """(inputs per slot, outputs per slot, fixed slot, copy slots) of the
+    full extension table: (A, B copies...) toward B, (A copies..., B)
+    toward A."""
     X, Y = base.scenario.inputs
     A, B = base.scenario.outputs
     if shared_party == "B":
-        ins, outs, fixed, copies = [X] + [Y] * m, [A] + [B] * m, 0, list(range(1, m + 1))
-    else:
-        ins, outs, fixed, copies = [X] * m + [Y], [A] * m + [B], m, list(range(m))
+        return [X] + [Y] * m, [A] + [B] * m, 0, list(range(1, m + 1))
+    return [X] * m + [Y], [A] * m + [B], m, list(range(m))
+
+
+def unfolded_extension_rows(base: Box, shared_party: str, m: int):
+    """The rows of unfolded_extension_lp in its order, each as (label,
+    cells, rhs): cells are ((outputs, inputs), coefficient) pairs of the
+    full table, and the label is one of
+      ("normalization", xs);
+      ("symmetry", i, j), copies i and j swapped;
+      ("trace", k, xs, os_), party k's outputs summed at xs less at xs
+        with party k at input 0, the other parties answering os_, whose
+        own entry os_[k] is 0;
+      ("marginal", slot, x, y, a, b), the copy in `slot` and the fixed
+        party at the base entry P(ab|xy), the other copies at input 0."""
+    X, Y = base.scenario.inputs
+    A, B = base.scenario.outputs
+    ins, outs, fixed, copies = _unfolded_slots(base, shared_party, m)
     n_parties = m + 1
     in_tuples = list(itertools.product(*(range(v) for v in ins)))
     out_tuples = list(itertools.product(*(range(v) for v in outs)))
-    index = {}
-    for xs in in_tuples:
-        for os_ in out_tuples:
-            index[os_, xs] = len(index)
-    n = len(index)
-    prog = lp.LinearProgram(n)
-
-    def row_of(cells):
-        row = [ZERO] * n
-        for cell, coeff in cells:
-            row[index[cell]] += coeff
-        return enumerate(row)
+    cells_in_order = [(os_, xs) for xs in in_tuples for os_ in out_tuples]
+    position = {cell: k for k, cell in enumerate(cells_in_order)}
 
     for xs in in_tuples:
-        prog.add_eq(row_of(((os_, xs), ONE) for os_ in out_tuples), ONE)
+        yield ("normalization", xs), [((os_, xs), ONE) for os_ in out_tuples], ONE
 
     def swap(t, i, j):
         t = list(t)
@@ -502,10 +502,10 @@ def unfolded_extension_lp(base: Box, shared_party: str, m: int) -> lp.LinearProg
         return tuple(t)
 
     for i, j in zip(copies, copies[1:]):
-        for (os_, xs), k in index.items():
+        for os_, xs in cells_in_order:
             other = (swap(os_, i, j), swap(xs, i, j))
-            if k < index[other]:
-                prog.add_eq(row_of((((os_, xs), ONE), (other, -ONE))), ZERO)
+            if position[os_, xs] < position[other]:
+                yield ("symmetry", i, j), [((os_, xs), ONE), (other, -ONE)], ZERO
 
     for k in range(n_parties):
         for xs in in_tuples:
@@ -520,7 +520,7 @@ def unfolded_extension_lp(base: Box, shared_party: str, m: int) -> lp.LinearProg
                     o = os_[:k] + (a,) + os_[k + 1 :]
                     cells.append(((o, xs), ONE))
                     cells.append(((o, xs0), -ONE))
-                prog.add_eq(row_of(cells), ZERO)
+                yield ("trace", k, xs, os_), cells, ZERO
 
     for slot in copies:
         lo, hi = sorted((fixed, slot))
@@ -535,8 +535,122 @@ def unfolded_extension_lp(base: Box, shared_party: str, m: int) -> lp.LinearProg
                             for os_ in out_tuples
                             if (os_[lo], os_[hi]) == (a, b)
                         ]
-                        prog.add_eq(row_of(cells), base.prob((a, b), (x, y)))
+                        yield ("marginal", slot, x, y, a, b), cells, base.prob((a, b), (x, y))
+
+
+def unfolded_extension_lp(base: Box, shared_party: str, m: int) -> lp.LinearProgram:
+    """m-shareability of `base` as an LP over the full (m+1)-party table.
+
+    One variable per table entry, in the package's canonical order
+    (inputs outermost, last party fastest).  Rows (unfolded_extension_rows):
+    normalization per input tuple, equality under each transposition of
+    two adjacent copies (these generate every copy permutation), the
+    nonsignaling condition of every party (its input leaves the others'
+    marginal unchanged), and one row per copy-marginal entry with the
+    other copies at input 0.  Parties are (A, B copies...) toward B and
+    (A copies..., B) toward A; the base's party 0 is on the lower slot.
+    """
+    ins, outs, _, _ = _unfolded_slots(base, shared_party, m)
+    in_tuples = itertools.product(*(range(v) for v in ins))
+    out_tuples = list(itertools.product(*(range(v) for v in outs)))
+    index = {(os_, xs): k for k, (xs, os_) in enumerate(itertools.product(in_tuples, out_tuples))}
+    prog = lp.LinearProgram(len(index))
+    for _, cells, rhs in unfolded_extension_rows(base, shared_party, m):
+        prog.add_eq(((index[cell], c) for cell, c in cells), rhs)
     return prog
+
+
+def unfolded_bell_lift(base: Box, shared_party: str, m: int, functional) -> lp.LpOutcome:
+    """The paper's proof that a box violating a Bell functional has no
+    symmetric extension to m >= |Y| copies of the shared party, as an
+    INFEASIBLE outcome whose Farkas vector sits on the rows of
+    unfolded_extension_lp(base, shared_party, m), built row by row from
+    their labels (unfolded_extension_rows) and nothing that folds.
+
+    `functional` is (beta, kappa), normalized (at most 0 on every
+    deterministic strategy) and violated by the box whose first party is
+    the fixed one and second the shared one: the base toward B, the
+    party-swapped base toward A.  With the copies in slot order, z* their
+    inputs (0, 1, ..., Y-1, 0, ..., 0) and lam their outputs,
+    c(a, x, lam) = sum_y beta(a, lam_y | x, y) and M(x, lam) =
+    max_a c(a, x, lam), the multipliers are:
+      - -beta(a, b | x, y) on the marginal row of copy y at that entry;
+      - -beta(a, b | x, y) again on each trace row that moves one more
+        copy j in 1..Y-1 (not copy y) from input 0 to input j, copies
+        before it already moved, at every output of the copies but y
+        and j;
+      - +M(x, lam) on the fixed party's trace row comparing x with 0 at
+        copy inputs z* and outputs lam, and -kappa on the normalization
+        row of (0, z*).
+    y_lb is the column sums, read off every row's cells."""
+    coefficients, offset = functional
+    X, Y = base.scenario.inputs if shared_party == "B" else base.scenario.inputs[::-1]
+    A, B = base.scenario.outputs if shared_party == "B" else base.scenario.outputs[::-1]
+    ins, outs, fixed, copies = _unfolded_slots(base, shared_party, m)
+    n_parties = m + 1
+
+    def beta(a, b, x, y):
+        return coefficients[(x * Y + y) * A * B + a * B + b]
+
+    def cell(fixed_pair, copy_pairs):
+        # (outputs, inputs) of the full table with the fixed party's and
+        # each copy's (output, input) in place
+        o, i = [0] * n_parties, [0] * n_parties
+        o[fixed], i[fixed] = fixed_pair
+        for slot, (oc, ic) in zip(copies, copy_pairs):
+            o[slot], i[slot] = oc, ic
+        return tuple(o), tuple(i)
+
+    def label_of(k, xs_os):
+        os_, xs = xs_os
+        return ("trace", k, xs, os_)
+
+    target = [j if j < Y else 0 for j in range(m)]
+    multipliers: dict = {}
+
+    def add(label, value):
+        multipliers[label] = multipliers.get(label, ZERO) + value
+
+    for x, y, a, b in itertools.product(range(X), range(Y), range(A), range(B)):
+        v = beta(a, b, x, y)
+        if not v:
+            continue
+        base_entry = (x, y, a, b) if shared_party == "B" else (y, x, b, a)
+        add(("marginal", copies[y], *base_entry), -v)
+        inputs = [0] * m
+        inputs[y] = y
+        for j in range(1, min(Y, m)):
+            if j == y:
+                continue
+            inputs[j] = j
+            free = [k for k in range(m) if k not in (j, y)]
+            for lam in itertools.product(range(B), repeat=len(free)):
+                pairs = [None] * m
+                pairs[y], pairs[j] = (b, y), (0, j)
+                for k, o in zip(free, lam):
+                    pairs[k] = (o, inputs[k])
+                add(label_of(copies[j], cell((a, x), pairs)), -v)
+    for lam in itertools.product(range(B), repeat=m):
+        tops = [max(sum(beta(a, lam[y], x, y) for y in range(Y)) for a in range(A)) for x in range(X)]
+        for x in range(1, X):
+            add(label_of(fixed, cell((0, x), list(zip(lam, target)))), tops[x])
+    add(("normalization", cell((0, 0), [(0, t) for t in target])[1]), -offset)
+
+    y_eq, alpha = [], {}
+    for label, cells, _ in unfolded_extension_rows(base, shared_party, m):
+        u = multipliers.pop(label, ZERO)
+        y_eq.append(u)
+        if u:
+            for c, coeff in cells:
+                alpha[c] = alpha.get(c, ZERO) + u * coeff
+    if multipliers:
+        raise AssertionError(f"multipliers on rows the program does not have: {list(multipliers)[:3]}")
+    in_tuples = itertools.product(*(range(v) for v in ins))
+    out_tuples = list(itertools.product(*(range(v) for v in outs)))
+    columns = [(os_, xs) for xs in in_tuples for os_ in out_tuples]
+    y_lb = tuple(alpha.get(c, ZERO) for c in columns)
+    certificate = lp.LpCertificate("farkas", tuple(y_eq), (), y_lb, (ZERO,) * len(columns))
+    return lp.LpOutcome(lp.INFEASIBLE, certificate=certificate)
 
 
 def unfolded_extension_feasible(base: Box, shared_party: str, m: int) -> bool:

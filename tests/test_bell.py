@@ -21,7 +21,7 @@ from boxlab.bell import (
 )
 from boxlab.core import Scenario, ScenarioMismatch, mix, relabel, uniform_box
 from boxlab.isotropic import make_isotropic
-from conftest import canonical_2222, random_ns_box, relabelings_2222
+from conftest import canonical_2222, pr_type, random_ns_box, random_relabeling, relabelings_2222, tensor
 from oracles import local_bound_by_enumeration, ns_vertices_2222_by_enumeration
 
 
@@ -269,6 +269,59 @@ class TestVerticesAndCanonicalForm:
         canon = canonical_2222(box)
         for rl in random.Random(12).sample(relabelings_2222(), 8):
             assert canonical_2222(relabel(box, *rl)) == canon
+
+
+# 2222, 2322, 3322, 2233 and tripartite binary
+CG_SCENARIOS = [
+    Scenario((2, 2), (2, 2)), Scenario((2, 3), (2, 2)), Scenario((3, 3), (2, 2)),
+    Scenario((2, 2), (3, 3)), Scenario((2, 2, 2), (2, 2, 2)),
+]
+
+
+class TestCollinsGisin:
+    """polytope.collins_gisin: a functional moved onto the spanning
+    entries, with its value on every nonsignaling box kept."""
+
+    def _ns_boxes(self, sc, rng):
+        # seeded mixtures of relabeled PR-type boxes (bipartite), strategy
+        # boxes and uniform noise; a tripartite box gets PR on two parties
+        strategies = polytope.deterministic_strategies(sc)
+        if sc.parties == 2:
+            pr = pr_type(sc)
+        else:
+            pr = tensor(pr_box(), uniform_box(Scenario((2,), (2,))))
+        boxes = []
+        for _ in range(6):
+            parts = [relabel(pr, *random_relabeling(rng, sc)), uniform_box(sc)]
+            parts += [s.box() for s in rng.sample(strategies, 3)]
+            weights = [rng.randint(0, 9) for _ in parts]
+            weights[0] += 1
+            boxes.append(mix(parts, [F(w, sum(weights)) for w in weights]))
+        return boxes
+
+    @pytest.mark.parametrize("sc", CG_SCENARIOS, ids=str)
+    def test_value_support_and_idempotence(self, sc):
+        rng = random.Random(f"collins-gisin {sc}")
+        spanning = set(polytope.spanning_entries(sc))
+        boxes = self._ns_boxes(sc, rng)
+        for _ in range(6):
+            coeffs = tuple(F(rng.randrange(-9, 10), rng.randrange(1, 8)) for _ in range(sc.table_size))
+            offset = F(rng.randrange(-9, 10), rng.randrange(1, 6))
+            moved = polytope.collins_gisin(sc, coeffs, offset)
+            f, g = BellFunctional(sc, coeffs, offset), BellFunctional(sc, *moved)
+            assert all(f.evaluate(box) == g.evaluate(box) for box in boxes)
+            assert all(not c for e, c in enumerate(moved[0]) if e not in spanning)
+            assert polytope.collins_gisin(sc, *moved) == moved
+        # integer numerators stay integers
+        ints = tuple(rng.randrange(-9, 10) for _ in range(sc.table_size))
+        assert all(type(c) is int for c in polytope.collins_gisin(sc, ints, 0)[0])
+
+    @pytest.mark.parametrize("functional", [chsh_functional(), cglmp(3)], ids=["chsh", "cglmp3"])
+    def test_named_functionals_keep_their_bounds(self, functional):
+        moved = BellFunctional(functional.scenario, *polytope.collins_gisin(
+            functional.scenario, functional.coefficients, functional.offset))
+        assert moved.coefficients != functional.coefficients
+        assert normalization_bounds(moved) == normalization_bounds(functional) == (0, 1)
 
 
 @settings(max_examples=25, deadline=None)

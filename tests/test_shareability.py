@@ -53,6 +53,7 @@ from boxlab.shareability import (
 from conftest import (
     asymmetric_giso,
     orbit_lp,
+    pr_type,
     random_local_box,
     random_ns_box,
     random_relabeling,
@@ -64,7 +65,9 @@ from oracles import (
     canonical_relabeling,
     shared_shift_symmetrize,
     unfold_by_relabeling,
+    unfolded_bell_lift,
     unfolded_extension_feasible,
+    unfolded_extension_lp,
     walked_orbit_rows,
 )
 
@@ -277,7 +280,7 @@ class TestSharedPartyA:
         # and the nonlocal box is checked for its program only
         rng = random.Random(f"toward A {sc.inputs} {sc.outputs}")
         local = _skewed_local_box(sc, rng, 3)
-        cases = [(local, True), (mix([_pr_type(sc), _skewed_local_box(sc, rng, 3)], [F(3, 4), F(1, 4)]), False)]
+        cases = [(local, True), (mix([pr_type(sc), _skewed_local_box(sc, rng, 3)], [F(3, 4), F(1, 4)]), False)]
         if sc == SC22:
             # asymmetric under the party swap, each side of its threshold
             cases += [(asymmetric_giso(F(2, 5)), True), (asymmetric_giso(F(3, 5)), False)]
@@ -522,7 +525,12 @@ class TestStabilizerFold:
                 validate_extension(problem, validate_box(unfold(out.primal), problem.extension_scenario()))
             else:
                 assert lp.verify_certificate(folded_extension_lp(problem)[0], out)
-                assert is_m_shareable(problem).certificate == out.certificate
+                # every box here has Y = 2 <= m, so is_m_shareable lifts the
+                # Bell functional into a Farkas vector of this same program
+                witness = is_m_shareable(problem)
+                assert not witness.feasible
+                lifted = lp.LpOutcome(lp.INFEASIBLE, certificate=witness.certificate)
+                assert lp.verify_certificate(prog, lifted)
 
     @pytest.mark.parametrize("c, m, party", [(F(3, 5), 5, "B"), (F(3, 5), 6, "B"), (F(11, 20), 6, "A")])
     def test_isotropic_stall_is_gone(self, c, m, party):
@@ -1021,17 +1029,6 @@ class TestGeneralizedBoxes:
             generalized_isotropic(3, F(1, 2), [F(1, 2), F(1, 2)])
 
 
-def _pr_type(sc: Scenario):
-    """PR correlations on inputs 0 and 1 and outputs 0 and 1, every input
-    above 1 answering like input 0: a nonlocal box of the scenario."""
-    X, Y = sc.inputs
-    table = [ZERO] * sc.table_size
-    for x, y, a, b in itertools.product(range(X), range(Y), range(2), range(2)):
-        if (a + b) % 2 == (x == 1) * (y == 1):
-            table[sc.flat_index((a, b), (x, y))] = F(1, 2)
-    return validate_box(table, sc)
-
-
 class _Calls:
     """Counts is_m_shareable's LPs: every program lp.solve gets, and the
     problems folded_extension_lp is asked for."""
@@ -1053,18 +1050,20 @@ class _Calls:
 
 
 # at m = 3 the orbit LP alone takes 1.5-50 s on a seeded box of these,
-# local (the stall the model path removes) or nonlocal (the rung still open)
+# local (the stall the model path removes) or nonlocal (which the Bell
+# functional's lift decides without it)
 SLOW_ORBIT_LP_AT_THREE = SMALL_SCENARIOS[2:]
 
 
 class TestOnePath:
     """A base box the membership LP finds local is decided by its model;
-    any other goes on to the orbit LP, as it did alone."""
+    a nonlocal one at m >= Y by its Bell functional, lifted into a Farkas
+    vector of the orbit program; any other goes on to the orbit LP."""
 
     def _boxes(self, sc):
         rng = random.Random(f"one path {sc.inputs} {sc.outputs}")
         local = _skewed_local_box(sc, rng, 3)
-        nonlocal_ = mix([_pr_type(sc), _skewed_local_box(sc, rng, 3)], [F(3, 4), F(1, 4)])
+        nonlocal_ = mix([pr_type(sc), _skewed_local_box(sc, rng, 3)], [F(3, 4), F(1, 4)])
         assert isinstance(is_local(local), LocalModel)
         assert isinstance(is_local(nonlocal_), NonlocalityCertificate)
         return local, nonlocal_
@@ -1072,9 +1071,10 @@ class TestOnePath:
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("sc", SMALL_SCENARIOS, ids=str)
     def test_verdict_is_the_orbit_lps(self, sc, m, monkeypatch):
+        # the orbit LP is solved here too, except where it is slow
         slow = m == 3 and sc in SLOW_ORBIT_LP_AT_THREE
         local, nonlocal_ = self._boxes(sc)
-        for box in (local, nonlocal_)[: 1 if slow else 2]:
+        for box in (local, nonlocal_):
             for party in "AB":
                 problem = ExtensionProblem(box, party, m)
                 with monkeypatch.context() as mp:
@@ -1084,15 +1084,18 @@ class TestOnePath:
                 # folded by its stabilizer
                 oriented = _oriented(problem)
                 assert calls.solved[0].eqs == locality.membership_lp(oriented, canonical_form(oriented)).eqs
-                prog = None if slow else folded_extension_lp(problem)[0]
+                prog = folded_extension_lp(problem)[0]
                 if box is local:
                     assert witness.feasible and calls.folded == [] and len(calls.solved) == 1
-                    if prog is not None:
-                        assert lp.solve(prog).status == lp.OPTIMAL
+                elif m >= oriented.scenario.inputs[1]:
+                    # the lift: no program solved but the membership LP
+                    assert calls.folded == [problem] and len(calls.solved) == 1
                 else:
-                    # the verdict is the orbit LP's: its program was solved second
+                    # m < Y: the verdict is the orbit LP's, its program solved second
                     assert calls.folded == [problem] and len(calls.solved) == 2
                     assert calls.solved[1].eqs == prog.eqs
+                if not slow:
+                    assert witness.feasible == (lp.solve(prog).status == lp.OPTIMAL)
                 if witness.feasible:
                     validate_extension(problem, witness.extension)
                 else:
@@ -1130,6 +1133,77 @@ class TestOnePath:
         validate_extension(problem, witness.extension)
 
 
+def _seeded_pr_mixture(sc: Scenario, seed: int):
+    """Half a PR-type box (conftest.pr_type), half four strategies drawn by
+    random.Random(seed) with weights randint(1, 9).  Solving the orbit LP
+    of the 3322 one at seed 1003 took 62 s at m = 3 toward B (Python
+    3.11, 2 vCPUs)."""
+    rng = random.Random(seed)
+    strategies = [rng.choice(deterministic_strategies(sc)) for _ in range(4)]
+    weights = [rng.randint(1, 9) for _ in strategies]
+    local = mix([s.box() for s in strategies], [F(w, sum(weights)) for w in weights])
+    return mix([pr_type(sc), local], [F(1, 2), F(1, 2)])
+
+
+SC3322, SC2233 = Scenario((3, 3), (2, 2)), Scenario((2, 2), (3, 3))
+
+# nonlocal boxes at m >= Y, as (box, m); seconds per case, both parties,
+# checked against the full table: at most 0.3 s on the 1,296-column
+# programs (Python 3.11, 2 vCPUs), where solving one took up to 357 s
+LIFT_CASES = {
+    "pr-m2": (pr_box(), 2), "pr-m3": (pr_box(), 3),
+    "iso-3/5-m2": (make_isotropic(F(3, 5)), 2), "iso-11/20-m3": (make_isotropic(F(11, 20)), 3),
+    "giso3-7/10-m2": (generalized_isotropic(3, F(7, 10)), 2),
+    "3322-1001-m3": (_seeded_pr_mixture(SC3322, 1001), 3),
+    "3322-1003-m3": (_seeded_pr_mixture(SC3322, 1003), 3),
+    "2233-1001-m2": (_seeded_pr_mixture(SC2233, 1001), 2),
+    "2233-1003-m3": (_seeded_pr_mixture(SC2233, 1003), 3),
+}
+
+
+class TestBellLift:
+    """A nonlocal box has no symmetric extension to m >= Y copies: the
+    paper's proof, as a Farkas vector built from the Bell functional."""
+
+    @pytest.mark.parametrize("party", "AB")
+    @pytest.mark.parametrize("case", LIFT_CASES.values(), ids=LIFT_CASES)
+    def test_the_proof_is_a_farkas_vector_of_the_full_table(self, case, party):
+        # built row by row on the unfolded program, from is_local's
+        # normalized functional of the oriented box, folding nothing
+        box, m = case
+        oriented = _oriented(ExtensionProblem(box, party, m))
+        functional = is_local(oriented).functional
+        outcome = unfolded_bell_lift(box, party, m, (functional.coefficients, functional.offset))
+        assert lp.verify_certificate(unfolded_extension_lp(box, party, m), outcome)
+
+    @pytest.mark.parametrize("party", "AB")
+    @pytest.mark.parametrize("case", LIFT_CASES.values(), ids=LIFT_CASES)
+    def test_one_membership_lp_decides(self, case, party, monkeypatch):
+        # relabeled, so the functional is read in the canonical frame; the
+        # orbit LP is solved here where it takes under a second
+        box, m = case
+        box = relabel(box, *random_relabeling(random.Random(f"lift {party} {m}"), box.scenario))
+        problem = ExtensionProblem(box, party, m)
+        calls = _Calls(monkeypatch)
+        witness = is_m_shareable(problem)
+        assert not witness.feasible and len(calls.solved) == 1 and calls.folded == [problem]
+        prog = folded_extension_lp(problem)[0]
+        assert lp.verify_certificate(prog, lp.LpOutcome(lp.INFEASIBLE, certificate=witness.certificate))
+        if box.scenario.table_size == 16 or m == 2:
+            assert lp.solve(prog).status == lp.INFEASIBLE
+
+    @pytest.mark.parametrize("seed", [1001, 1002, 1003, 1010])
+    def test_seeded_3322_boxes_at_three_and_four_copies(self, seed):
+        # 410 x 336 and 985 x 756 folded programs, whose solve takes up to
+        # a minute at m = 3; the lift decides each in milliseconds
+        box = _seeded_pr_mixture(SC3322, seed)
+        for m in (3, 4):
+            problem = ExtensionProblem(box, "B", m)
+            witness = is_m_shareable(problem)
+            outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=witness.certificate)
+            assert not witness.feasible and lp.verify_certificate(folded_extension_lp(problem)[0], outcome)
+
+
 class TestFoldedMembership:
     """locality.local_model given the box's canonical form: the membership
     LP of the canonical table, folded by its stabilizer."""
@@ -1143,7 +1217,7 @@ class TestFoldedMembership:
         boxes += [random_ns_box(rng, ns_vertices, nonlocal_bias=b) for b in (0, 60)]
         for sc in SMALL_SCENARIOS:
             local = _skewed_local_box(sc, rng, 3)
-            boxes += [uniform_box(sc), local, mix([_pr_type(sc), local], [F(3, 4), F(1, 4)])]
+            boxes += [uniform_box(sc), local, mix([pr_type(sc), local], [F(3, 4), F(1, 4)])]
         return [relabel(box, *random_relabeling(rng, box.scenario)) for box in boxes]
 
     def test_verdict_is_the_unfolded_ones(self, ns_vertices):
