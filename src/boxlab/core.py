@@ -271,30 +271,40 @@ def _assignments(sizes: Sequence[int], parties: Sequence[int]):
         yield values, sum(v * strides[i] for i, v in zip(parties, values))
 
 
-def marginal_indices(scenario: Scenario, keep: Sequence[int]):
+def marginal_indices(scenario: Scenario, keep: Sequence[int]) -> tuple:
     """How each entry of the marginal on `keep` reads the table: the other
-    parties' inputs pinned to 0 and their outputs summed.  Yields
+    parties' inputs pinned to 0 and their outputs summed.  Returns
     ((outs, xs), flat indices summed) per marginal entry, in the
-    marginal's table order; the indices ascend."""
-    keep = _party_subset(scenario, keep)
+    marginal's table order; the indices ascend.  Built once per scenario
+    and subset (checked first: sorted((i, j)) will do) and cached, as
+    shared tuples, which no caller may mutate."""
+    return _marginal_indices(scenario, _party_subset(scenario, keep))
+
+
+@functools.lru_cache(maxsize=16)
+def _marginal_indices(scenario: Scenario, keep: tuple[int, ...]) -> tuple:
     drop = [i for i in range(scenario.parties) if i not in keep]
     n_out = scenario.num_output_tuples
     summed = [offset for _, offset in _assignments(scenario.outputs, drop)]
     entries = list(_assignments(scenario.outputs, keep))
-    for xs, x_offset in _assignments(scenario.inputs, keep):
-        for outs, out_offset in entries:
-            base = x_offset * n_out + out_offset
-            yield (outs, xs), [base + s for s in summed]
+    return tuple(
+        ((outs, xs), tuple(x_offset * n_out + out_offset + s for s in summed))
+        for xs, x_offset in _assignments(scenario.inputs, keep)
+        for outs, out_offset in entries
+    )
 
 
-def trace_indices(scenario: Scenario):
+@functools.lru_cache(maxsize=16)
+def trace_indices(scenario: Scenario) -> tuple:
     """The single-party trace conditions, which imply all subset ones: for
     every party k with two or more inputs, every assignment of the other
     parties' outputs and inputs, the sum over a_k must not depend on x_k.
-    Yields (k, other_outputs, other_inputs, per_x), per_x[x_k] listing the
-    flat indices summed over a_k, in party, output-context, input-context
-    order."""
+    Returns (k, other_outputs, other_inputs, per_x) per condition, per_x[x_k]
+    the flat indices summed over a_k, in party, output-context,
+    input-context order.  Built once per scenario and cached, as shared
+    tuples, which no caller may mutate."""
     n_out = scenario.num_output_tuples
+    groups = []
     for k in range(scenario.parties):
         if scenario.inputs[k] < 2:
             continue
@@ -302,10 +312,12 @@ def trace_indices(scenario: Scenario):
         own_outs = [offset for _, offset in _assignments(scenario.outputs, (k,))]
         own_ins = [offset * n_out for _, offset in _assignments(scenario.inputs, (k,))]
         in_ctxs = list(_assignments(scenario.inputs, others))
-        for out_ctx, out_offset in _assignments(scenario.outputs, others):
-            for in_ctx, x_offset in in_ctxs:
-                base = x_offset * n_out + out_offset
-                yield k, out_ctx, in_ctx, [[base + x + a for a in own_outs] for x in own_ins]
+        groups += [
+            (k, out_ctx, in_ctx, tuple(tuple(x_offset * n_out + out_offset + x + a for a in own_outs) for x in own_ins))
+            for out_ctx, out_offset in _assignments(scenario.outputs, others)
+            for in_ctx, x_offset in in_ctxs
+        ]
+    return tuple(groups)
 
 
 @functools.lru_cache(maxsize=16)
@@ -345,23 +357,31 @@ def numerators(values) -> tuple[int, list[int]]:
 
 
 def is_nonsignaling(box: Box, witness: bool = False):
-    """Check the trace conditions of trace_indices.
+    """Check the trace conditions of trace_indices, the scenario's cached map.
 
     Returns True, or (True, None) / (False, witness-tuple) when witness=True.
-    The witness is (party, other_outputs, other_inputs, x_k, x_k', lhs, rhs).
-    The sums compare as integers over the table's common denominator;
-    only a witness's two traces become Fractions.
+    The witness is (party, other_outputs, other_inputs, x_k, x_k', lhs, rhs),
+    the first violated condition in trace_indices order.  The sums compare
+    as integers over the table's common denominator (numerators); only a
+    witness's two traces become Fractions.
     """
-    den, nums = numerators(box.table)
+    w = _trace_violation(box.scenario, *numerators(box.table))
+    if witness:
+        return w is None, w
+    return w is None
+
+
+def _trace_violation(scenario: Scenario, den: int, nums) -> tuple | None:
+    """is_nonsignaling's witness, or None, for a table read into its
+    numerators over `den` (numerators) by a caller that uses them again."""
     at = nums.__getitem__
-    for k, out_ctx, in_ctx, per_x in trace_indices(box.scenario):
+    for k, out_ctx, in_ctx, per_x in trace_indices(scenario):
         ref = sum(map(at, per_x[0]))
         for xk in range(1, len(per_x)):
             total = sum(map(at, per_x[xk]))
             if total != ref:
-                w = (k, out_ctx, in_ctx, 0, xk, Fraction(ref, den), Fraction(total, den))
-                return (False, w) if witness else False
-    return (True, None) if witness else True
+                return (k, out_ctx, in_ctx, 0, xk, Fraction(ref, den), Fraction(total, den))
+    return None
 
 
 def marginal(box: Box, subset: Sequence[int]) -> Box:
@@ -384,7 +404,7 @@ def marginal(box: Box, subset: Sequence[int]) -> Box:
     table = box.table
     return Box(
         sub,
-        tuple(sum((table[i] for i in idx), ZERO) for _, idx in marginal_indices(sc, keep)),
+        tuple(sum(map(table.__getitem__, idx), ZERO) for _, idx in marginal_indices(sc, keep)),
     )
 
 

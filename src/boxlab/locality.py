@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from collections import Counter
 from fractions import Fraction
 
@@ -53,8 +52,8 @@ from .core import (
     ZERO,
     ONE,
     count_text,
+    _trace_violation,
     ensure,
-    is_nonsignaling,
     numerators,
 )
 from .polytope import DeterministicStrategy
@@ -92,18 +91,21 @@ class LocalModel(Frozen):
     def _summed(self) -> tuple[int, list[int]]:
         """The weights' common denominator and, per flat table entry, the
         sum of their numerators over it at the strategies that fire the
-        entry: one stride walk, in integers."""
-        sc = self.scenario
+        entry, in integers.  A strategy fires, under each input tuple, the
+        base entry plus each party's offset there (polytope.party_offsets),
+        and each party's offsets are worked out once per response table."""
         w_den, w_nums = numerators(self.weights)
-        n_out = sc.num_output_tuples
-        # what each party's output adds to the flat index xi * n_out + oi
-        strides = [math.prod(sc.outputs[k + 1:]) for k in range(sc.parties)]
-        inputs = [(xi * n_out, xs) for xi, xs in enumerate(sc.input_tuples())]
-        table = [0] * sc.table_size
+        base, parties = polytope.party_offsets(self.scenario)
+        table = [0] * self.scenario.table_size
+        seen = [{} for _ in parties]
         for strat, w in zip(self.strategies, w_nums):
             if w:
-                for at, xs in inputs:
-                    table[at + sum(t[x] * s for t, x, s in zip(strat.tables, xs, strides))] += w
+                offsets = [
+                    known.get(t) or known.setdefault(t, tuple(map([a * stride for a in t].__getitem__, inputs)))
+                    for t, (stride, inputs), known in zip(strat.tables, parties, seen)
+                ]
+                for e in map(sum, zip(base, *offsets)):
+                    table[e] += w
         return w_den, table
 
     def box(self) -> Box:
@@ -333,12 +335,14 @@ def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
     box keeps its own labels, as does any box of another number of
     parties."""
     sc = box.scenario
-    ok, w = is_nonsignaling(box, witness=True)
-    if not ok:
+    # the table read once into numerators, for the NS check and the pre-test
+    den, nums = numerators(box.table)
+    w = _trace_violation(sc, den, nums)
+    if w is not None:
         raise SignalingBox(w)
     check_strategy_space(sc)
     canonical = None
-    if sc.parties == 2 and not polytope.labels_told_apart(box):
+    if sc.parties == 2 and not polytope.labels_told_apart(sc, nums):
         canonical = polytope.canonical_form(box)
     found = local_model(box, canonical)
     if isinstance(found, LocalModel):

@@ -6,9 +6,13 @@ nonsignaling polytope is cut out by normalization plus the single-party
 trace equalities.  Constraint rows are indexed to match Box.table order.
 
 What depends only on the scenario is built once per scenario and held in
-a small least-recently-used cache: the table entries each strategy fires
+a small least-recently-used cache: the index maps of `core.trace_indices`
+and `core.marginal_indices`, what each party's answers add to the flat
+index (`party_offsets`, which `strategy_columns` and
+`locality.LocalModel` read), the table entries each strategy fires
 at (`strategy_columns`), the entries that fix a nonsignaling table
-(`spanning_entries`), the nonsignaling rows in LinearProgram's
+(`spanning_entries`), the cells and labels `canonical_form` walks, the
+nonsignaling rows in LinearProgram's
 canonical form, and the nonsignaling LP's phase one (`lp.Start`), from
 which `max_over_ns` solves every objective.  The membership rows of
 `locality` (per scenario and stabilizer) and the orbit rows of
@@ -104,22 +108,35 @@ def deterministic_strategies(scenario: Scenario) -> list[DeterministicStrategy]:
 
 
 @functools.lru_cache(maxsize=16)
+def party_offsets(scenario: Scenario) -> tuple:
+    """What each party's answers add to the flat index, built once per
+    scenario and cached, as (base, parties): the flat index of each
+    input tuple's first entry, in input-tuple order, and per party its
+    output's stride and its input under each input tuple.  A party's
+    response table t adds map([a * stride for a in t].__getitem__,
+    inputs), and a strategy fires map(sum, zip(base, *those)).  Shared
+    tuples, which no caller may mutate."""
+    n_out = scenario.num_output_tuples
+    inputs = list(scenario.input_tuples())
+    parties = []
+    stride = n_out
+    for k, a in enumerate(scenario.outputs):
+        stride //= a
+        parties.append((stride, tuple(xs[k] for xs in inputs)))
+    return tuple(range(0, len(inputs) * n_out, n_out)), tuple(parties)
+
+
+@functools.lru_cache(maxsize=16)
 def strategy_columns(scenario: Scenario) -> tuple[tuple[int, ...], ...]:
     """Per strategy, in deterministic_strategies order, the flat table
     index of the entry its box sets to 1 under each input tuple, in
-    input-tuple order."""
-    n_out = scenario.num_output_tuples
-    inputs = list(scenario.input_tuples())
-    # per party and response table, its share of the output index under
-    # each input tuple: output value times the party's mixed-radix stride
-    per_party = []
-    stride = n_out
-    for k, (x, a) in enumerate(zip(scenario.inputs, scenario.outputs)):
-        stride //= a
-        per_party.append(
-            [tuple(t[xs[k]] * stride for xs in inputs) for t in itertools.product(range(a), repeat=x)]
-        )
-    base = tuple(xi * n_out for xi in range(len(inputs)))
+    input-tuple order: party_offsets read once per response table, then
+    summed per strategy."""
+    base, parties = party_offsets(scenario)
+    per_party = [
+        [tuple(map([a * stride for a in t].__getitem__, inputs)) for t in itertools.product(range(n), repeat=x)]
+        for x, n, (stride, inputs) in zip(scenario.inputs, scenario.outputs, parties)
+    ]
     return tuple(tuple(map(sum, zip(base, *combo))) for combo in itertools.product(*per_party))
 
 
@@ -260,8 +277,8 @@ def _colors(keys) -> list:
     return [number.setdefault(tuple(k), len(number)) for k in keys]
 
 
-def labels_told_apart(box: Box) -> bool:
-    """True when the bipartite box's table alone shows that only the
+def labels_told_apart(scenario: Scenario, nums) -> bool:
+    """True when a bipartite box's table alone shows that only the
     identity relabeling fixes it, by one round of color refinement.  A
     relabeling pair that fixes the table maps each of Alice's labels
     (a, x) onto one whose row of table numerators over Bob's labels
@@ -269,15 +286,17 @@ def labels_told_apart(box: Box) -> bool:
     likewise.  So the pair keeps a label's color, first its sorted row,
     then, refined, its sorted (entry, other party's color) pairs; and
     when the colors tell every label apart, it maps each label onto
-    itself.  False proves nothing: only canonical_form tells.
+    itself.  False proves nothing: only canonical_form tells.  The
+    table comes as its numerators over their common denominator
+    (core.numerators), which is_local reads once for this test and its
+    nonsignaling check.
 
     Most boxes are settled by the sorted rows alone.  On 2222 boxes the
     test takes 25-45 us and the search 130-200 us (Python 3.11, 2
     vCPUs).  In one locality-scan pass at seed 1 the sorted rows clear
     105 of the 160 2222 boxes, and the refinement clears the other 38
     of the 143 whose stabilizer is trivial."""
-    (X, Y), (A, B) = box.scenario.inputs, box.scenario.outputs
-    nums = numerators(box.table)[1]
+    (X, Y), (A, B) = scenario.inputs, scenario.outputs
     # per Alice label x*A + a, the entries (x*Y + y)*A*B + a*B + b in Bob label order
     grid = [[nums[(x * Y + y) * A * B + a * B + b] for y in range(Y) for b in range(B)]
             for x in range(X) for a in range(A)]
@@ -362,17 +381,12 @@ def canonical_form(box: Box):
     table = box.table
     # numerators over a common denominator order the cells as the table does
     ranked = numerators(table)[1]
-    # what each original label adds to the flat index (x*Y + y)*A*B + a*B + b
-    at_a = [(n // A * Y * A + n % A) * B for n in range(X * A)]
-    at_b = [n // B * A * B + n % B for n in range(Y * B)]
-    cells = list(itertools.product(range(X), range(Y), range(A), range(B)))
+    cells, (at_a, labels_a, order_a), (at_b, labels_b, order_b) = _canonical_plan(sc)
     frontier = [((), ())]
-    for x, y, a, b in cells:
-        i, j = x * A + a, y * B + b
-        # Alice's label (a, x) shows first at y = b = 0, Bob's (b, y) at x = a = 0
-        if y == b == 0 or x == a == 0:
-            more_a = {fa: _grown(fa, X, A) if y == b == 0 else (fa,) for fa in {fa for fa, _ in frontier}}
-            more_b = {fb: _grown(fb, Y, B) if x == a == 0 else (fb,) for fb in {fb for _, fb in frontier}}
+    for i, j, grow_a, grow_b in cells:
+        if grow_a or grow_b:
+            more_a = {fa: _grown(fa, X, A) if grow_a else (fa,) for fa in {fa for fa, _ in frontier}}
+            more_b = {fb: _grown(fb, Y, B) if grow_b else (fb,) for fb in {fb for _, fb in frontier}}
             if sum(len(more_a[fa]) * len(more_b[fb]) for fa, fb in frontier) > CANONICAL_SEARCH_CAP:
                 return (table, *own_labels(sc))
             frontier = [(na, nb) for fa, fb in frontier for na in more_a[fa] for nb in more_b[fb]]
@@ -385,21 +399,37 @@ def canonical_form(box: Box):
         return tuple(n // outputs for n in state[::outputs]), tuple(n % outputs for n in state)
 
     best_a, best_b = min(frontier, key=lambda f: order(f[0], A) + order(f[1], B))
-    table = tuple(table[at_a[best_a[x * A + a]] + at_b[best_b[y * B + b]]] for x, y, a, b in cells)
-
-    def label(k, outputs):
-        return k % outputs, k // outputs
-
-    def psi(state, place, outputs):
-        # canonical label k reads the original label n = state[k], which
-        # the best relabeling places at place[n]
-        return tuple(sorted((label(k, outputs), label(place[n], outputs)) for k, n in enumerate(state)))
-
-    place_a, place_b = ({n: k for k, n in enumerate(best)} for best in (best_a, best_b))
-    group = tuple(sorted((psi(fa, place_a, A), psi(fb, place_b, B)) for fa, fb in frontier))
-    alice = {label(n, A): label(k, A) for k, n in enumerate(best_a)}
-    bob = {label(n, B): label(k, B) for k, n in enumerate(best_b)}
+    table = tuple(table[at_a[best_a[i]] + at_b[best_b[j]]] for i, j, _, _ in cells)
+    alice = dict(zip(map(labels_a.__getitem__, best_a), labels_a))
+    bob = dict(zip(map(labels_b.__getitem__, best_b), labels_b))
+    # psi: canonical label k reads the original label n = state[k], which
+    # the best relabeling maps to image[n]; listed in label order
+    image_a, image_b = list(map(alice.__getitem__, labels_a)), list(map(bob.__getitem__, labels_b))
+    group = tuple(sorted(
+        (tuple((labels_a[k], image_a[fa[k]]) for k in order_a), tuple((labels_b[k], image_b[fb[k]]) for k in order_b))
+        for fa, fb in frontier
+    ))
     return table, alice, bob, group
+
+
+@functools.lru_cache(maxsize=16)
+def _canonical_plan(scenario: Scenario) -> tuple:
+    """What canonical_form reads of a bipartite shape, built once and
+    cached: per cell (x, y, a, b) in table order, Alice's label number
+    x*A + a, Bob's y*B + b, and whether each shows first there, where
+    the frontier grows; then per party (at, labels, order): what label
+    number n adds to the flat index (x*Y + y)*A*B + a*B + b, its (output,
+    input) label, and the numbers in the order of their labels."""
+    (X, Y), (A, B) = scenario.inputs, scenario.outputs
+    cells = tuple((x * A + a, y * B + b, y == b == 0, x == a == 0)
+                  for x, y, a, b in itertools.product(range(X), range(Y), range(A), range(B)))
+    at_a = [(n // A * Y * A + n % A) * B for n in range(X * A)]
+    at_b = [n // B * A * B + n % B for n in range(Y * B)]
+    parties = []
+    for at, outputs in ((at_a, A), (at_b, B)):
+        labels = tuple((n % outputs, n // outputs) for n in range(len(at)))
+        parties.append((tuple(at), labels, tuple(sorted(range(len(at)), key=labels.__getitem__))))
+    return (cells, *parties)
 
 
 def normalization_rows(scenario: Scenario) -> list[tuple[list[tuple[int, Fraction]], Fraction]]:

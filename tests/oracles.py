@@ -10,7 +10,8 @@ over the full table with explicit symmetry rows, the paper's proof that
 a nonlocal box is not |Y|-shareable as multipliers on that LP's rows,
 built from their labels, the orbit LP's rows
 found by folding every row of that table, and marginals and trace
-conditions read off one dense pass over the table, local bounds of
+conditions read off one dense pass over the table, or enumerated
+with itertools.product as the cached index maps list them, local bounds of
 Bell functionals from every strategy box built entry by entry, the LP
 certificate check in plain Fraction arithmetic, compatibility of two
 observables as feasibility of a joint table, parties reordered
@@ -28,6 +29,7 @@ averaged over a shared shift of both outputs.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from boxlab import lp
@@ -380,6 +382,64 @@ def trace_violation_dense(box: Box):
         if sums[key] != ref:
             return (k, out_ctx, in_ctx, 0, xk, ref, sums[key])
     return None
+
+
+def _radix(digits, sizes) -> int:
+    """The mixed-radix number with these digits, the first most significant."""
+    n = 0
+    for d, size in zip(digits, sizes):
+        n = n * size + d
+    return n
+
+
+def _flat_of(sc: Scenario, outs, xs) -> int:
+    """Flat table position of entry (outs, xs): input tuples outermost."""
+    return _radix(xs, sc.inputs) * math.prod(sc.outputs) + _radix(outs, sc.outputs)
+
+
+def trace_groups_by_product(sc: Scenario) -> tuple:
+    """core.trace_indices enumerated with itertools.product: for each
+    party k with two or more inputs, each assignment of the other
+    parties' outputs, then of their inputs, in product order, the flat
+    positions summed over a_k at each x_k, as (k, other outputs, other
+    inputs, per x_k)."""
+    groups = []
+    for k in range(sc.parties):
+        if sc.inputs[k] < 2:
+            continue
+        others = [i for i in range(sc.parties) if i != k]
+        for out_ctx in itertools.product(*(range(sc.outputs[i]) for i in others)):
+            for in_ctx in itertools.product(*(range(sc.inputs[i]) for i in others)):
+                per_x = tuple(
+                    tuple(_flat_of(sc, out_ctx[:k] + (a,) + out_ctx[k:], in_ctx[:k] + (x,) + in_ctx[k:])
+                          for a in range(sc.outputs[k]))
+                    for x in range(sc.inputs[k])
+                )
+                groups.append((k, out_ctx, in_ctx, per_x))
+    return tuple(groups)
+
+
+def marginal_lists_by_product(sc: Scenario, keep) -> tuple:
+    """core.marginal_indices enumerated with itertools.product: per
+    entry (outs, xs) of the marginal on `keep`, in its table order, the
+    flat positions of the full entries that agree with it on the kept
+    parties, with the other parties at input 0, in product order of the
+    other parties' outputs."""
+    drop = [i for i in range(sc.parties) if i not in keep]
+    lists = []
+    for xs in itertools.product(*(range(sc.inputs[i]) for i in keep)):
+        full_xs = [0] * sc.parties
+        for i, x in zip(keep, xs):
+            full_xs[i] = x
+        for outs in itertools.product(*(range(sc.outputs[i]) for i in keep)):
+            idx = []
+            for rest in itertools.product(*(range(sc.outputs[i]) for i in drop)):
+                full_outs = [0] * sc.parties
+                for i, a in [*zip(keep, outs), *zip(drop, rest)]:
+                    full_outs[i] = a
+                idx.append(_flat_of(sc, full_outs, full_xs))
+            lists.append(((outs, xs), tuple(idx)))
+    return tuple(lists)
 
 
 def full_membership_lp(box: Box) -> lp.LinearProgram:

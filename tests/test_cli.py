@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -16,7 +17,8 @@ from hypothesis import assume, given, settings, strategies as st
 from boxlab import boxio, cli, lp, polytope
 from boxlab.core import Scenario, uniform_box
 from conftest import asymmetric_giso, orbit_lp
-from oracles import unfolded_extension_lp
+from oracles import trace_violation_dense, unfolded_extension_lp
+from test_core import seeded_signaling_box
 
 
 def run(*argv) -> int:
@@ -57,6 +59,31 @@ def test_shareable_round_trip_asymmetric_box(tmp_path, party, c, shareable):
     code = run("analyze", "shareable", box, "--party", party, "-o", report)
     assert code == (0 if shareable else 1)
     assert run("verify", report) == 0
+
+
+@pytest.mark.parametrize("sc", [Scenario((2, 2), (2, 2)), Scenario((2, 3), (2, 2)), Scenario((2, 2, 2), (2, 2, 2))],
+                         ids=str)
+def test_analyze_ns_reports_the_first_violation(tmp_path, sc):
+    # the report's witness is the oracle's first violated trace condition
+    rng = random.Random(2831)
+    for n in range(4):
+        box = seeded_signaling_box(rng, sc)
+        want = trace_violation_dense(box)
+        if want is None:
+            continue
+        path, report = tmp_path / f"box{n}.txt", tmp_path / f"ns{n}.json"
+        boxio.write_box(str(path), box)
+        assert run("analyze", "ns", path, "-o", report) == 1
+        k, out_ctx, in_ctx, x0, x1, lhs, rhs = want
+        assert boxio.read_report(report)["verdict"] == {"nonsignaling": False, "witness": {
+            "party": k,
+            "other_outputs": list(out_ctx),
+            "other_inputs": list(in_ctx),
+            "inputs_compared": [x0, x1],
+            "traces": [str(lhs), str(rhs)],
+        }}
+        # verify recomputes the verdict and finds the report's
+        assert run("verify", report) == 0
 
 
 @pytest.mark.parametrize("party", ["A", "B"])

@@ -19,11 +19,13 @@ from boxlab.core import (
     box_from_function,
     is_nonsignaling,
     marginal,
+    marginal_indices,
     mix,
     permute_parties,
     rat,
     relabel,
     swap_indices,
+    trace_indices,
     uniform_box,
     validate_box,
 )
@@ -32,7 +34,9 @@ from oracles import (
     ZeroProbabilityCondition,
     condition,
     marginal_dense,
+    marginal_lists_by_product,
     permute_parties_walk,
+    trace_groups_by_product,
     trace_violation_dense,
 )
 
@@ -369,6 +373,7 @@ ORACLE_SCENARIOS = [
     Scenario((2, 2, 2), (2, 2, 2)),
     Scenario((3, 2, 1), (2, 3, 2)),
     Scenario((1, 3, 2), (3, 2, 2)),
+    Scenario((2, 3), (2, 2)),
 ]
 
 
@@ -504,6 +509,44 @@ def test_nonsignaling_matches_fraction_sum_oracle():
                     assert all(type(v) is F for v in want[5:])
                 outcomes.append(want is None)
     assert 0 < sum(outcomes) < len(outcomes)
+
+
+# the cached index maps against from-scratch enumerations: 2222, 2322,
+# 3322, 2233, 222/222, four binary parties, and a party with one input
+INDEX_MAP_SCENARIOS = [
+    Scenario((2, 2), (2, 2)),
+    Scenario((2, 3), (2, 2)),
+    Scenario((3, 3), (2, 2)),
+    Scenario((2, 2), (3, 3)),
+    Scenario((2, 2, 2), (2, 2, 2)),
+    Scenario((2, 2, 2, 2), (2, 2, 2, 2)),
+    Scenario((1, 3, 2), (3, 2, 2)),
+]
+
+
+@pytest.mark.parametrize("sc", INDEX_MAP_SCENARIOS, ids=str)
+def test_trace_indices_match_product_oracle(sc):
+    groups = trace_indices(sc)
+    assert groups == trace_groups_by_product(sc)
+    # built once per scenario: an equal scenario gets the same object
+    assert trace_indices(Scenario(sc.inputs, sc.outputs)) is groups
+    assert isinstance(groups, tuple) and all(isinstance(x, tuple) for *_, per_x in groups for x in per_x)
+
+
+@pytest.mark.parametrize("sc", INDEX_MAP_SCENARIOS, ids=str)
+def test_marginal_indices_match_product_oracle(sc):
+    for keep in subsets(sc.parties):
+        entries = marginal_indices(sc, keep)
+        assert entries == marginal_lists_by_product(sc, keep)
+        # a list, as callers pass sorted((i, j)), reads the same cached map
+        assert marginal_indices(sc, list(keep)) is entries
+        assert all(isinstance(idx, tuple) for _, idx in entries)
+
+
+@pytest.mark.parametrize("keep", [[1, 0], [0, 0], [], [0, 3], [-1, 1]])
+def test_marginal_indices_reject_a_bad_subset(keep):
+    with pytest.raises(ScenarioMismatch):
+        marginal_indices(Scenario((2, 2, 2), (2, 2, 2)), keep)
 
 
 def record_samples():

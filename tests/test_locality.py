@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from boxlab import bell, boxio, cli, locality, lp, polytope
+from boxlab import bell, boxio, cli, core, locality, lp, polytope
 from boxlab.bell import chsh, pr_box
 from boxlab.core import (
     Scenario,
@@ -138,7 +138,7 @@ class TestSpanningEntries:
             assert local_membership_alternative(box) == local
             if not local:
                 f = result.functional
-                if sc.parties > 2 or polytope.labels_told_apart(box):
+                if sc.parties > 2 or polytope.labels_told_apart(box.scenario, core.numerators(box.table)[1]):
                     # decided on its own labels: one multiplier per spanning entry;
                     # on a canonical form the functional is averaged over G
                     assert all(c == 0 for k, c in enumerate(f.coefficients) if k not in entries)
@@ -152,6 +152,37 @@ class TestIsLocal:
         assert isinstance(model, LocalModel)
         assert model.reconstructs(make_isotropic(F(1, 2)))
         assert sum(model.weights, ZERO) == 1
+
+    def test_reads_the_table_once_before_the_membership_lp(self, ns_vertices, monkeypatch):
+        # the NS check and labels_told_apart share one read of the table
+        # into numerators; only the canonical search, when it runs, reads
+        # it again
+        reads = []
+
+        def counting(values, real=core.numerators):
+            reads.append(values)
+            return real(values)
+
+        class Stop(Exception):
+            pass
+
+        def stop(*args):
+            raise Stop
+
+        for module in (core, polytope, locality):
+            monkeypatch.setattr(module, "numerators", counting)
+        monkeypatch.setattr(locality, "local_model", stop)
+        rng = random.Random(2830)
+        boxes = [random_ns_box(rng, ns_vertices, nonlocal_bias=40) for _ in range(6)] + [make_isotropic(F(3, 5))]
+        told = set()
+        for box in boxes:
+            apart = polytope.labels_told_apart(box.scenario, core.numerators(box.table)[1])
+            reads.clear()
+            with pytest.raises(Stop):
+                is_local(box)
+            assert reads == [box.table] * (1 if apart else 2)
+            told.add(apart)
+        assert told == {True, False}
 
     def test_pr_certificate_is_chsh(self, ns_vertices):
         cert = is_local(pr_box())
@@ -314,7 +345,7 @@ class TestFoldedIsLocal:
             boxes.append(mix([pr_like(sc), local], [F(i, 8), 1 - F(i, 8)]))
         seen = set()
         for box in boxes:
-            if polytope.labels_told_apart(box):
+            if polytope.labels_told_apart(box.scenario, core.numerators(box.table)[1]):
                 result = is_local(box)
                 seen.add(type(result))
                 assert pickle.dumps(result) == pickle.dumps(own_labels_outcome(box))
@@ -331,7 +362,7 @@ class TestFoldedIsLocal:
         cleared, symmetric = 0, 0
         for box in boxes:
             group = brute_canonical_form(box)[3]
-            if polytope.labels_told_apart(box):
+            if polytope.labels_told_apart(box.scenario, core.numerators(box.table)[1]):
                 cleared += 1
                 assert len(group) == 1
             symmetric += len(group) > 1
@@ -354,6 +385,61 @@ class TestReconstructs:
                 assert changed.reconstructs(box) == (changed.box() == box)
         assert not model.reconstructs(make_isotropic(F(1, 2)))
         assert seen == {True, False}
+
+
+class TestModelBox:
+    """LocalModel.box() and reconstructs, which read the scenario's cached
+    polytope.party_offsets, against the weighted sum of the strategies'
+    own boxes, which DeterministicStrategy.box builds entry by entry."""
+
+    @staticmethod
+    def weighted_sum(model):
+        table = [ZERO] * model.scenario.table_size
+        for strategy, w in zip(model.strategies, model.weights):
+            for k, v in enumerate(strategy.box().table):
+                table[k] += w * v
+        return tuple(table)
+
+    @staticmethod
+    def seeded_models(rng):
+        # repeated strategies and a zero weight included
+        for sc in (SC22, Scenario((3, 3), (2, 2)), Scenario((2, 3), (3, 2)), Scenario((2, 2, 2), (2, 2, 2)),
+                   Scenario((1, 3, 2), (3, 2, 2))):
+            strategies = polytope.deterministic_strategies(sc)
+            for _ in range(3):
+                chosen = [rng.choice(strategies) for _ in range(rng.randint(1, 6))]
+                weights = [rng.randint(0, 9) for _ in chosen]
+                weights[0] += 1
+                yield LocalModel(sc, tuple(chosen), tuple(F(w, sum(weights)) for w in weights))
+
+    def test_box_is_the_weighted_sum_of_strategy_boxes(self):
+        rng = random.Random(2828)
+        for model in self.seeded_models(rng):
+            # adjoined: a copy of the last party, and an eavesdropper
+            # told the strategy
+            copied = model.adjoin(model.scenario.inputs[-1:], model.scenario.outputs[-1:],
+                                  [s.tables[-1:] for s in model.strategies])
+            told = model.adjoin((1,), (len(model.strategies),), [((k,),) for k in range(len(model.strategies))])
+            for m in (model, copied, told):
+                box = m.box()
+                assert box.table == self.weighted_sum(m)
+                assert all(type(v) is F for v in box.table)
+                assert m.reconstructs(box)
+
+    def test_reconstructs_sees_one_moved_weight(self):
+        rng = random.Random(2829)
+        for model in self.seeded_models(rng):
+            box = model.box()
+            distinct = [k for k, s in enumerate(model.strategies) if s != model.strategies[0]]
+            if not distinct:
+                continue
+            # move weight between two different strategies' boxes
+            k, w = distinct[0], F(1, 97)
+            weights = list(model.weights)
+            weights[0], weights[k] = weights[0] + w, weights[k] - w
+            moved = LocalModel(model.scenario, model.strategies, tuple(weights))
+            assert moved.box().table == self.weighted_sum(moved)
+            assert not moved.reconstructs(box)
 
 
 class TestIsDeterministic:
