@@ -5,6 +5,15 @@ canonical mixed-radix order: input tuples outermost (party 1 most
 significant), output tuples innermost (party 1 most significant).  All
 operations are pure and exact; nothing in this module ever rounds.
 
+That layout is decided in one table, `label_offsets`: per party, what
+each of its (output, input) labels adds to the flat index, so that an
+entry's index is one term per party.  `trace_indices` reads it, as do
+the strategy columns and canonical-form reads of `polytope` and the
+lift rows of `shareability`, and `relabeled_indices` reads a table
+through a map of labels with it: `relabel`, `polytope.canonical_form`'s
+table and `locality`'s Bell functional read back from a canonical
+frame.
+
 `Frozen` is the base of every boxlab record (Scenario, Box, LpOutcome,
 ...): immutable, compared and hashed by value, with a dataclass-style
 repr.
@@ -295,6 +304,36 @@ def _marginal_indices(scenario: Scenario, keep: tuple[int, ...]) -> tuple:
 
 
 @functools.lru_cache(maxsize=16)
+def label_offsets(scenario: Scenario) -> tuple:
+    """The flat layout, per party: what each of its labels (a, x) adds to
+    the flat index, indexed by label number n = x*A + a, A its outputs.
+    An entry's flat index is the sum over the parties of what their labels
+    add.  Built once per scenario and cached, as shared tuples, which no
+    caller may mutate."""
+    n_out = scenario.num_output_tuples
+    return tuple(
+        tuple(x_offset * n_out + a_offset
+              for _, x_offset in _assignments(scenario.inputs, (k,))
+              for _, a_offset in _assignments(scenario.outputs, (k,)))
+        for k in range(scenario.parties)
+    )
+
+
+def relabeled_indices(scenario: Scenario, images) -> list[int]:
+    """Per flat entry, in table order, the flat entry whose labels are the
+    images of its own: images[k][n] is the label number (label_offsets)
+    that party k's label number n goes to.  A table read through these
+    indices is the table relabeled, each entry reading its labels' images.
+    Built party by party: per partial input tuple, the partial sums over
+    its output tuples, each party's input and output the next digit."""
+    blocks = [[0]]
+    for X, A, offsets, image in zip(scenario.inputs, scenario.outputs, label_offsets(scenario), images):
+        rows = [[offsets[n] for n in image[x * A:(x + 1) * A]] for x in range(X)]
+        blocks = [[s + o for s in block for o in row] for block in blocks for row in rows]
+    return [e for block in blocks for e in block]
+
+
+@functools.lru_cache(maxsize=16)
 def trace_indices(scenario: Scenario) -> tuple:
     """The single-party trace conditions, which imply all subset ones: for
     every party k with two or more inputs, every assignment of the other
@@ -305,15 +344,14 @@ def trace_indices(scenario: Scenario) -> tuple:
     tuples, which no caller may mutate."""
     n_out = scenario.num_output_tuples
     groups = []
-    for k in range(scenario.parties):
-        if scenario.inputs[k] < 2:
+    for k, (X, A, offsets) in enumerate(zip(scenario.inputs, scenario.outputs, label_offsets(scenario))):
+        if X < 2:
             continue
         others = [i for i in range(scenario.parties) if i != k]
-        own_outs = [offset for _, offset in _assignments(scenario.outputs, (k,))]
-        own_ins = [offset * n_out for _, offset in _assignments(scenario.inputs, (k,))]
+        own = [offsets[x * A:(x + 1) * A] for x in range(X)]
         in_ctxs = list(_assignments(scenario.inputs, others))
         groups += [
-            (k, out_ctx, in_ctx, tuple(tuple(x_offset * n_out + out_offset + x + a for a in own_outs) for x in own_ins))
+            (k, out_ctx, in_ctx, tuple(tuple(x_offset * n_out + out_offset + o for o in per_x) for per_x in own))
             for out_ctx, out_offset in _assignments(scenario.outputs, others)
             for in_ctx, x_offset in in_ctxs
         ]
@@ -445,34 +483,27 @@ def relabel(
 
     input_perms[k] maps the new input x to the old input fed to the device;
     output_perms[k][x] maps the device output to the reported one, with x the
-    new input of party k.  Result: Q(a|x) = P(tau_x^{-1}(a) | pi(x)).
-    """
+    new input of party k.  Result: Q(a|x) = P(tau_x^{-1}(a) | pi(x)), the
+    table read through relabeled_indices, each new label (a, x) taking the
+    old label (tau_x^{-1}(a), pi(x)) as its image."""
     sc = box.scenario
     if len(input_perms) != sc.parties or len(output_perms) != sc.parties:
         raise BadPermutation("need one input perm and one output perm table per party")
-    inv_out = []
-    for k in range(sc.parties):
-        _check_perm(input_perms[k], sc.inputs[k], f"party {k} input perm")
-        if len(output_perms[k]) != sc.inputs[k]:
+    images = []
+    for k, (X, A) in enumerate(zip(sc.inputs, sc.outputs)):
+        _check_perm(input_perms[k], X, f"party {k} input perm")
+        if len(output_perms[k]) != X:
             raise BadPermutation(
                 f"party {k}: need one output perm per input value"
             )
-        per_input = []
-        for x in range(sc.inputs[k]):
+        image = [0] * (X * A)
+        for x in range(X):
             tau = output_perms[k][x]
-            _check_perm(tau, sc.outputs[k], f"party {k} output perm at x={x}")
-            inv = [0] * len(tau)
+            _check_perm(tau, A, f"party {k} output perm at x={x}")
             for a, t in enumerate(tau):
-                inv[t] = a
-            per_input.append(tuple(inv))
-        inv_out.append(per_input)
-    table = []
-    for xs in sc.input_tuples():
-        old_xs = tuple(input_perms[k][xs[k]] for k in range(sc.parties))
-        for outs in sc.output_tuples():
-            old_outs = tuple(inv_out[k][xs[k]][outs[k]] for k in range(sc.parties))
-            table.append(box.prob(old_outs, old_xs))
-    return Box(sc, tuple(table))
+                image[x * A + t] = input_perms[k][x] * A + a
+        images.append(image)
+    return Box(sc, tuple(map(box.table.__getitem__, relabeled_indices(sc, images))))
 
 
 def mix(boxes: Sequence[Box], weights: Sequence) -> Box:

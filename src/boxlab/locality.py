@@ -54,7 +54,9 @@ from .core import (
     count_text,
     _trace_violation,
     ensure,
+    label_offsets,
     numerators,
+    relabeled_indices,
 )
 from .polytope import DeterministicStrategy
 
@@ -91,20 +93,22 @@ class LocalModel(Frozen):
     def _summed(self) -> tuple[int, list[int]]:
         """The weights' common denominator and, per flat table entry, the
         sum of their numerators over it at the strategies that fire the
-        entry, in integers.  A strategy fires, under each input tuple, the
-        base entry plus each party's offset there (polytope.party_offsets),
-        and each party's offsets are worked out once per response table."""
+        entry, in integers.  Under each input tuple a strategy fires the
+        sum of its parties' offsets there: a party's row holds the offset
+        (core.label_offsets) of the label its response table fires at each
+        input, worked out once per response table, and the product of the
+        rows runs in input-tuple order."""
         w_den, w_nums = numerators(self.weights)
-        base, parties = polytope.party_offsets(self.scenario)
-        table = [0] * self.scenario.table_size
-        seen = [{} for _ in parties]
+        sc = self.scenario
+        table = [0] * sc.table_size
+        parties = list(zip(sc.outputs, label_offsets(sc), [{} for _ in sc.outputs]))
         for strat, w in zip(self.strategies, w_nums):
             if w:
-                offsets = [
-                    known.get(t) or known.setdefault(t, tuple(map([a * stride for a in t].__getitem__, inputs)))
-                    for t, (stride, inputs), known in zip(strat.tables, parties, seen)
+                rows = [
+                    known.get(t) or known.setdefault(t, [offsets[x * A + a] for x, a in enumerate(t)])
+                    for t, (A, offsets, known) in zip(strat.tables, parties)
                 ]
-                for e in map(sum, zip(base, *offsets)):
+                for e in map(sum, itertools.product(*rows)):
                     table[e] += w
         return w_den, table
 
@@ -260,19 +264,13 @@ def local_model(box: Box, canonical=None) -> LocalModel | lp.LpOutcome:
 def _moved_entries(scenario: Scenario, maps) -> list:
     """Per flat table entry, in table order, the flat entry that its
     labels reach under `maps`, one dict per party from an (output,
-    input) label to its image."""
-    n_in, n_out = scenario.table_size, scenario.num_output_tuples
-    per_party = []
+    input) label to its image: the maps turned into label numbers for
+    core.relabeled_indices."""
+    images = []
     for X, A, image in zip(scenario.inputs, scenario.outputs, maps):
-        n_in, n_out = n_in // X, n_out // A
-        # what the party's label (a, x) adds to the flat index
-        at = {(a, x): x * n_in + a * n_out for x in range(X) for a in range(A)}
-        per_party.append([[at[image[a, x]] for a in range(A)] for x in range(X)])
-    return [
-        sum(at[x][a] for at, x, a in zip(per_party, xs, outs))
-        for xs in scenario.input_tuples()
-        for outs in scenario.output_tuples()
-    ]
+        moved = [image[a, x] for x in range(X) for a in range(A)]
+        images.append([x * A + a for a, x in moved])
+    return relabeled_indices(scenario, images)
 
 
 @functools.lru_cache(maxsize=16)
@@ -286,10 +284,10 @@ def _entry_orbits(scenario: Scenario, group: tuple) -> tuple:
 def _pinned(scenario: Scenario, table: tuple, group: tuple, farkas) -> list:
     """Each multiplier of `farkas`, a Farkas vector of the membership LP
     of `table` folded by `group`, negated on the first spanning entry its
-    row pins (polytope.first_pins), and ZERO on every other entry."""
+    row pins (polytope.pinned_entries), and ZERO on every other entry."""
     coefficients = [ZERO] * scenario.table_size
-    for (_, e), y in zip(polytope.first_pins(_membership_rows(scenario, group)[1], table), farkas):
-        coefficients[e] = -y
+    for (_, es), y in zip(polytope.pinned_entries(_membership_rows(scenario, group)[1], table), farkas):
+        coefficients[es[0]] = -y
     return coefficients
 
 

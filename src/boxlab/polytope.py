@@ -7,12 +7,12 @@ trace equalities.  Constraint rows are indexed to match Box.table order.
 
 What depends only on the scenario is built once per scenario and held in
 a small least-recently-used cache: the index maps of `core.trace_indices`
-and `core.marginal_indices`, what each party's answers add to the flat
-index (`party_offsets`, which `strategy_columns` and
-`locality.LocalModel` read), the table entries each strategy fires
-at (`strategy_columns`), the entries that fix a nonsignaling table
-(`spanning_entries`), the cells and labels `canonical_form` walks, the
-nonsignaling rows in LinearProgram's
+and `core.marginal_indices`, what each label adds to the flat index
+(`core.label_offsets`, which `strategy_columns`, `labels_told_apart`,
+`canonical_form` and `locality.LocalModel` read), the table entries
+each strategy fires at (`strategy_columns`), the entries that fix a
+nonsignaling table (`spanning_entries`), the cells and labels
+`canonical_form` walks, the nonsignaling rows in LinearProgram's
 canonical form, and the nonsignaling LP's phase one (`lp.Start`), from
 which `max_over_ns` solves every objective.  The membership rows of
 `locality` (per scenario and stabilizer) and the orbit rows of
@@ -48,7 +48,8 @@ relabeling maps onto each other, and `fold_row` sums a row per class.
 Both pin a table at the spanning entries the same way: `group_entries`
 keeps each distinct folded row once with the entries that share it,
 and `pin_rows` gives it one right-hand side per distinct table value
-over those entries (`first_pins` names the entry each row pins first).
+over those entries (`pinned_entries`, the one walk that groups them by
+value, which `locality` and `shareability`'s lift read too).
 
 The canonical form and its stabilizer come from one search,
 `canonical_form`, which both `shareability.is_m_shareable` and
@@ -65,7 +66,8 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .core import Box, Frozen, Scenario, ZERO, ONE, marginal_indices, numerators, trace_indices
+from .core import (Box, Frozen, Scenario, ZERO, ONE, label_offsets, marginal_indices, numerators,
+                   relabeled_indices, trace_indices)
 from . import lp
 
 CANONICAL_SEARCH_CAP = 10_000
@@ -108,36 +110,18 @@ def deterministic_strategies(scenario: Scenario) -> list[DeterministicStrategy]:
 
 
 @functools.lru_cache(maxsize=16)
-def party_offsets(scenario: Scenario) -> tuple:
-    """What each party's answers add to the flat index, built once per
-    scenario and cached, as (base, parties): the flat index of each
-    input tuple's first entry, in input-tuple order, and per party its
-    output's stride and its input under each input tuple.  A party's
-    response table t adds map([a * stride for a in t].__getitem__,
-    inputs), and a strategy fires map(sum, zip(base, *those)).  Shared
-    tuples, which no caller may mutate."""
-    n_out = scenario.num_output_tuples
-    inputs = list(scenario.input_tuples())
-    parties = []
-    stride = n_out
-    for k, a in enumerate(scenario.outputs):
-        stride //= a
-        parties.append((stride, tuple(xs[k] for xs in inputs)))
-    return tuple(range(0, len(inputs) * n_out, n_out)), tuple(parties)
-
-
-@functools.lru_cache(maxsize=16)
 def strategy_columns(scenario: Scenario) -> tuple[tuple[int, ...], ...]:
     """Per strategy, in deterministic_strategies order, the flat table
     index of the entry its box sets to 1 under each input tuple, in
-    input-tuple order: party_offsets read once per response table, then
-    summed per strategy."""
-    base, parties = party_offsets(scenario)
+    input-tuple order: each response table read once into the offsets of
+    the labels it fires (core.label_offsets), then summed per strategy
+    over the product of the parties' rows, which runs in input-tuple
+    order."""
     per_party = [
-        [tuple(map([a * stride for a in t].__getitem__, inputs)) for t in itertools.product(range(n), repeat=x)]
-        for x, n, (stride, inputs) in zip(scenario.inputs, scenario.outputs, parties)
+        [tuple(offsets[x * A + a] for x, a in enumerate(t)) for t in itertools.product(range(A), repeat=X)]
+        for X, A, offsets in zip(scenario.inputs, scenario.outputs, label_offsets(scenario))
     ]
-    return tuple(tuple(map(sum, zip(base, *combo))) for combo in itertools.product(*per_party))
+    return tuple(tuple(map(sum, itertools.product(*rows))) for rows in itertools.product(*per_party))
 
 
 @functools.lru_cache(maxsize=16)
@@ -246,28 +230,35 @@ def group_entries(entries, rows) -> tuple:
     return tuple((row, tuple(es)) for row, es in grouped.items())
 
 
-def first_pins(rows, table):
-    """Per (coefficients, entries) pair (group_entries), its coefficients
-    with the first of its entries at each distinct value of table[e] over
-    them, in order of first entry: the entry that each row of pin_rows
-    pins first.  Values are told apart by ==, not by hashing, which for a
+def pinned_entries(rows, table):
+    """Per (coefficients, entries) pair (group_entries), per distinct value
+    of table[e] over its entries, in order of first entry: the
+    coefficients and the entries at that value, one pin row's worth
+    (pin_rows).  Values are told apart by ==, not by hashing, which for a
     Fraction costs several times more."""
     for coeffs, entries in rows:
-        values = []
+        values, pinned = [], []
         for e in entries:
             v = table[e]
-            if v not in values:
-                values.append(v)
-                yield coeffs, e
+            # one scan, which finds v itself, appended last, when it is new
+            values.append(v)
+            k = values.index(v)
+            if k < len(pinned):
+                values.pop()
+                pinned[k].append(e)
+            else:
+                pinned.append([e])
+        for es in pinned:
+            yield coeffs, es
 
 
 def pin_rows(rows, table):
     """The equality rows that pin a table through (coefficients, entries)
     pairs (group_entries): per pair, one (coefficients, rhs) row for each
     distinct value of table[e] over its entries e, in order of first
-    entry (first_pins)."""
-    for coeffs, e in first_pins(rows, table):
-        yield coeffs, table[e]
+    entry (pinned_entries)."""
+    for coeffs, es in pinned_entries(rows, table):
+        yield coeffs, table[es[0]]
 
 
 def _colors(keys) -> list:
@@ -296,16 +287,15 @@ def labels_told_apart(scenario: Scenario, nums) -> bool:
     vCPUs).  In one locality-scan pass at seed 1 the sorted rows clear
     105 of the 160 2222 boxes, and the refinement clears the other 38
     of the 143 whose stabilizer is trivial."""
-    (X, Y), (A, B) = scenario.inputs, scenario.outputs
-    # per Alice label x*A + a, the entries (x*Y + y)*A*B + a*B + b in Bob label order
-    grid = [[nums[(x * Y + y) * A * B + a * B + b] for y in range(Y) for b in range(B)]
-            for x in range(X) for a in range(A)]
+    at_a, at_b = label_offsets(scenario)
+    # per Alice label, its entries in Bob label order
+    grid = [[nums[i + j] for j in at_b] for i in at_a]
     cols = list(zip(*grid))
     alice, bob = _colors(map(sorted, grid)), _colors(map(sorted, cols))
-    if max(alice) + 1 < X * A or max(bob) + 1 < Y * B:
+    if max(alice) + 1 < len(at_a) or max(bob) + 1 < len(at_b):
         alice = _colors(sorted(zip(row, bob)) for row in grid)
         bob = _colors(sorted(zip(col, alice)) for col in cols)
-    return max(alice) + 1 == X * A and max(bob) + 1 == Y * B
+    return max(alice) + 1 == len(at_a) and max(bob) + 1 == len(at_b)
 
 
 def _grown(state: tuple, inputs: int, outputs: int) -> list:
@@ -399,7 +389,7 @@ def canonical_form(box: Box):
         return tuple(n // outputs for n in state[::outputs]), tuple(n % outputs for n in state)
 
     best_a, best_b = min(frontier, key=lambda f: order(f[0], A) + order(f[1], B))
-    table = tuple(table[at_a[best_a[i]] + at_b[best_b[j]]] for i, j, _, _ in cells)
+    table = tuple(map(table.__getitem__, relabeled_indices(sc, (best_a, best_b))))
     alice = dict(zip(map(labels_a.__getitem__, best_a), labels_a))
     bob = dict(zip(map(labels_b.__getitem__, best_b), labels_b))
     # psi: canonical label k reads the original label n = state[k], which
@@ -418,17 +408,15 @@ def _canonical_plan(scenario: Scenario) -> tuple:
     cached: per cell (x, y, a, b) in table order, Alice's label number
     x*A + a, Bob's y*B + b, and whether each shows first there, where
     the frontier grows; then per party (at, labels, order): what label
-    number n adds to the flat index (x*Y + y)*A*B + a*B + b, its (output,
+    number n adds to the flat index (core.label_offsets), its (output,
     input) label, and the numbers in the order of their labels."""
     (X, Y), (A, B) = scenario.inputs, scenario.outputs
     cells = tuple((x * A + a, y * B + b, y == b == 0, x == a == 0)
                   for x, y, a, b in itertools.product(range(X), range(Y), range(A), range(B)))
-    at_a = [(n // A * Y * A + n % A) * B for n in range(X * A)]
-    at_b = [n // B * A * B + n % B for n in range(Y * B)]
     parties = []
-    for at, outputs in ((at_a, A), (at_b, B)):
+    for at, outputs in zip(label_offsets(scenario), (A, B)):
         labels = tuple((n % outputs, n // outputs) for n in range(len(at)))
-        parties.append((tuple(at), labels, tuple(sorted(range(len(at)), key=labels.__getitem__))))
+        parties.append((at, labels, tuple(sorted(range(len(at)), key=labels.__getitem__))))
     return (cells, *parties)
 
 

@@ -81,9 +81,11 @@ from .core import (
     ScenarioMismatch,
     ZERO,
     ONE,
+    _trace_violation,
     box_from_function,
     ensure,
     is_nonsignaling,
+    label_offsets,
     marginal,
     marginal_indices,
     mix,
@@ -332,9 +334,9 @@ def _folded_rows(scenario: Scenario, copies: int, group: tuple):
     other (Alice's map on her label, Bob's on every copy's label);
     classes are numbered by their least orbit, each row's coefficients
     are summed per class (polytope.fold_row), and zero rows and repeats
-    go: a trace row up to its sign, a marginal row when its coefficients
-    repeat one of an earlier entry, whose entries it then joins
-    (polytope.group_entries)."""
+    go: a trace row up to its sign (_signed), a marginal row when its
+    coefficients repeat one of an earlier entry, whose entries it then
+    joins (polytope.group_entries)."""
     index, normalization, marginals, traces = _orbit_rows(scenario, copies)
     spanning = polytope.spanning_entries(scenario)
     keys = list(index)
@@ -348,16 +350,22 @@ def _folded_rows(scenario: Scenario, copies: int, group: tuple):
     def fold(coeffs):
         return polytope.fold_row(coeffs, class_of)
 
-    def signed(coeffs):
-        return tuple((k, -c) for k, c in coeffs) if coeffs and coeffs[0][1] < 0 else coeffs
-
     return (
         MappingProxyType(dict(zip(keys, class_of))),
         max(class_of) + 1,
         tuple((coeffs, ONE) for coeffs in dict.fromkeys(fold(c) for c, _ in normalization)),
         polytope.group_entries(spanning, [fold(marginals[e]) for e in spanning]),
-        tuple((coeffs, ZERO) for coeffs in dict.fromkeys(signed(fold(c)) for c, _ in traces) if coeffs),
+        tuple((coeffs, ZERO) for coeffs in dict.fromkeys(_signed(fold(c))[1] for c, _ in traces) if coeffs),
     )
+
+
+def _signed(coeffs) -> tuple:
+    """The sign rule of folded trace rows, whose right-hand sides are 0: a
+    row is kept with its first coefficient positive, so that a row and its
+    negation fold onto one.  Returns (sign, row times sign)."""
+    if coeffs and coeffs[0][1] < 0:
+        return -1, tuple((k, -c) for k, c in coeffs)
+    return 1, coeffs
 
 
 @functools.lru_cache(maxsize=16)
@@ -383,10 +391,11 @@ def _lift_rows(scenario: Scenario, copies: int, group: tuple):
         sums.
     Trace rows are numbered among _folded_rows' trace rows.  Each row
     here is a row of the full-table program (_orbit_rows' rows moved by
-    a copy permutation), put on its folded row through _folded_rows'
-    class index, with its sign flipped where `signed` flipped that row's;
-    the coefficient adds up the rows that land on one folded row, and
-    rows that fold to zero are dropped."""
+    a copy permutation), folded through _folded_rows' class index
+    (polytope.fold_row) and put on its folded row with the sign that
+    _signed, the rule of those rows, gives it; the coefficient adds up the
+    rows that land on one folded row, and rows that fold to zero are
+    dropped."""
     (X, Y), (A, B) = scenario.inputs, scenario.outputs
     m = copies
     index, _, normalization, marginals, traces = _folded_rows(scenario, m, group)
@@ -394,18 +403,16 @@ def _lift_rows(scenario: Scenario, copies: int, group: tuple):
 
     def place(terms, lo, hi, key=()):
         # the trace row sum(lo) - sum(hi), over orbit keys, onto its folded row
-        summed = Counter(index[k] for k in lo)
-        summed.subtract(index[k] for k in hi)
-        coeffs = tuple(sorted((k, c) for k, c in summed.items() if c))
-        if coeffs and coeffs[0][1] < 0:
-            terms[(position[tuple((k, -c) for k, c in coeffs)], *key)] -= 1
-        elif coeffs:
-            terms[(position[coeffs], *key)] += 1
+        sign, coeffs = _signed(polytope.fold_row([*((k, 1) for k in lo), *((k, -1) for k in hi)], index))
+        if coeffs:
+            terms[(position[coeffs], *key)] += sign
 
     target = [j if j < Y else 0 for j in range(m)]
     chains = []
+    # the base cells in table order, as _orbit_rows' marginals walk them
+    cells = list(itertools.product(range(X), range(Y), range(A), range(B)))
     for e in polytope.spanning_entries(scenario):
-        (x, y), (a, b) = divmod(e // (A * B), Y), divmod(e % (A * B), B)
+        x, y, a, b = cells[e]
         terms: Counter = Counter()
         inputs = [0] * m
         inputs[y] = y
@@ -430,10 +437,10 @@ def _lift_rows(scenario: Scenario, copies: int, group: tuple):
             lo = [((a, t - 1), pairs) for a in range(A)]
             hi = [((a, t), pairs) for a in range(A)]
             place(alice, lo, hi, (prefix, t))
+    at_a, at_b = label_offsets(scenario)
     columns = tuple(
-        tuple(tuple(tuple((x * Y + y) * A * B + a * B + o for y, o in enumerate(prefix))
-                    for a in range(A)) for x in range(X))
-        for prefix in itertools.product(range(B), repeat=Y)
+        tuple(tuple(tuple(i + j for j in bob) for i in at_a[x * A:(x + 1) * A]) for x in range(X))
+        for bob in itertools.product(*(at_b[y * B:(y + 1) * B] for y in range(Y)))
     )
     return (
         len(normalization),
@@ -480,13 +487,9 @@ def _bell_lift(scenario: Scenario, copies: int, canonical, farkas, prog) -> lp.L
     row, marginals, chains, alice, columns = _lift_rows(scenario, copies, group)
     y = [0] * len(prog.eqs)
     # the pin rows, one per distinct value of T over each group's entries
-    for _, entries in marginals:
-        values = []
-        for e in entries:
-            if table[e] not in values:
-                values.append(table[e])
-            y[row + values.index(table[e])] -= beta[e]
-        row += len(values)
+    for _, entries in polytope.pinned_entries(marginals, table):
+        y[row] -= sum(map(beta.__getitem__, entries))
+        row += 1
     for e, chain in chains:
         if beta[e]:
             for n, c in chain:
@@ -551,9 +554,10 @@ def validate_extension(problem: ExtensionProblem, extension: Box) -> None:
     The table is read once as ints, its numerators over its common
     denominator (core.numerators).  Symmetry compares them with their
     image under core.swap_indices for each adjacent slot pair; signaling
-    is checked once; each copy-marginal entry, a sum of numerators over
-    core.marginal_indices, is then compared with the base box's entry by
-    cross-multiplication."""
+    is checked once, on those numerators (core._trace_violation, the
+    check of core.is_nonsignaling); each copy-marginal entry, a sum of
+    numerators over core.marginal_indices, is then compared with the base
+    box's entry by cross-multiplication."""
     ext = problem.extension_scenario()
     if extension.scenario != ext:
         raise NotAnExtension("extension scenario mismatch")
@@ -562,7 +566,7 @@ def validate_extension(problem: ExtensionProblem, extension: Box) -> None:
     for i, j in zip(slots, slots[1:]):
         if any(nums[k] != nums[p] for k, p in enumerate(swap_indices(ext, i, j))):
             raise NotAnExtension(f"not symmetric under swapping slots {i},{j}")
-    if not is_nonsignaling(extension):
+    if _trace_violation(ext, den, nums) is not None:
         raise NotAnExtension("extension is signaling")
     fixed, at = problem.fixed_slot(), nums.__getitem__
     for slot in slots:

@@ -16,8 +16,9 @@ Bell functionals from every strategy box built entry by entry, the LP
 certificate check in plain Fraction arithmetic, compatibility of two
 observables as feasibility of a joint table, parties reordered
 coordinate by coordinate, and the canonical relabeling of an extension
-problem and its stabilizer found by trying every relabeling, with its
-witness unfolded through core.relabel.  None of it shares
+problem and its stabilizer found by trying every relabeling, each read
+entry by entry (relabel_walk, core.relabel's reference), with its
+witness unfolded through that walk too.  None of it shares
 code with the package paths it cross-checks.
 
 Two constructions that no package path uses live here too, for the
@@ -42,7 +43,6 @@ from boxlab.core import (
     ONE,
     marginal,
     mix,
-    relabel,
     validate_box,
 )
 
@@ -395,6 +395,21 @@ def _radix(digits, sizes) -> int:
 def _flat_of(sc: Scenario, outs, xs) -> int:
     """Flat table position of entry (outs, xs): input tuples outermost."""
     return _radix(xs, sc.inputs) * math.prod(sc.outputs) + _radix(outs, sc.outputs)
+
+
+def relabeled_entries_walk(sc: Scenario, images) -> list:
+    """core.relabeled_indices entry by entry: per flat position, its labels
+    decoded by mixed-radix digits, each party's label number x*A + a
+    replaced by its image images[k][x*A + a], and the flat position of the
+    labels reached."""
+    n_out = math.prod(sc.outputs)
+    moved = []
+    for flat in range(sc.table_size):
+        xi, oi = divmod(flat, n_out)
+        xs, outs = _digits(xi, sc.inputs), _digits(oi, sc.outputs)
+        reached = [divmod(image[x * A + a], A) for image, x, a, A in zip(images, xs, outs, sc.outputs)]
+        moved.append(_flat_of(sc, [a for _, a in reached], [x for x, _ in reached]))
+    return moved
 
 
 def trace_groups_by_product(sc: Scenario) -> tuple:
@@ -787,21 +802,39 @@ def party_relabelings(inputs, outputs):
             for sigma in itertools.product(perms, repeat=inputs)]
 
 
+def relabel_walk(box: Box, input_perms, output_perms) -> Box:
+    """core.relabel entry by entry, without its permutation checks: entry
+    (outs | xs) of the result reads box.prob at the input permutations'
+    images of xs and, at each party's new input, the inverse output
+    permutation's image of its output."""
+    sc = box.scenario
+    inv_out = [[_inverse(tau) for tau in per_x] for per_x in output_perms]
+    table = []
+    for xs in sc.input_tuples():
+        old_xs = tuple(input_perms[k][xs[k]] for k in range(sc.parties))
+        for outs in sc.output_tuples():
+            old_outs = tuple(inv_out[k][xs[k]][outs[k]] for k in range(sc.parties))
+            table.append(box.prob(old_outs, old_xs))
+    return Box(sc, tuple(table))
+
+
+def _relabeled_table(box: Box, g, h) -> tuple:
+    """The table of the bipartite box relabeled by (g, h), one (pi, sigma)
+    per party as party_relabelings lists them, through relabel_walk, whose
+    output permutation maps the device's output to the reported one."""
+    outs = [[_inverse(sigma) for sigma in g[1]], [_inverse(sigma) for sigma in h[1]]]
+    return relabel_walk(box, [g[0], h[0]], outs).table
+
+
 def canonical_relabeling(base: Box):
     """The bipartite box's local relabeling with the lexicographically
-    greatest table, by trying every one through core.relabel: returns
+    greatest table, by trying every one through relabel_walk: returns
     (table, (g, h)), g and h one (pi, sigma) per party, where entry
     (a, b | x, y) of the table is entry (g[1][x][a], h[1][y][b] | g[0][x],
     h[0][y]) of the box.  Of equal tables the first wins, with Alice's
     relabeling varying slowest and each party's pi before its sigma."""
     (X, Y), (A, B) = base.scenario.inputs, base.scenario.outputs
-
-    def relabeled(g, h):
-        # relabel's output permutation maps the device's output to the reported one
-        outs = [[_inverse(sigma) for sigma in g[1]], [_inverse(sigma) for sigma in h[1]]]
-        return relabel(base, [g[0], h[0]], outs).table
-
-    tables = ((relabeled(g, h), (g, h)) for g in party_relabelings(X, A) for h in party_relabelings(Y, B))
+    tables = ((_relabeled_table(base, g, h), (g, h)) for g in party_relabelings(X, A) for h in party_relabelings(Y, B))
     return max(tables, key=lambda pair: pair[0])
 
 
@@ -812,9 +845,9 @@ def brute_canonical_form(box: Box):
     greatest, each party's map from an original (output, input) label to
     its relabeled one, and every psi = phi_best^-1 . phi over the
     relabelings phi that reach it too, as sorted (label, image) pairs per
-    party.  Each candidate is compared with the best so far cell by cell
-    on the ranks of the table's values, and only a strictly greater one
-    replaces it."""
+    party; the table is read through relabel_walk.  Each candidate is
+    compared with the best so far cell by cell on the ranks of the
+    table's values, and only a strictly greater one replaces it."""
     sc = box.scenario
     (X, Y), (A, B) = sc.inputs, sc.outputs
     table = box.table
@@ -832,13 +865,13 @@ def brute_canonical_form(box: Box):
             for i, j, r in zip(ta, tb, best_ranks):
                 if ranked[i + j] != r:
                     if ranked[i + j] > r:
-                        best, ties = (ta, tb, ga, hb), [(ga, hb)]
+                        best, ties = (ga, hb), [(ga, hb)]
                         best_ranks = [ranked[i + j] for i, j in zip(ta, tb)]
                     break
             else:
                 ties.append((ga, hb))
-    ta, tb, g, h = best
-    table = tuple(table[i + j] for i, j in zip(ta, tb))
+    g, h = best
+    table = _relabeled_table(box, g, h)
 
     def of(r):
         # relabeled entry (a | x) reads the original (sigma[x][a] | pi[x])
@@ -859,7 +892,7 @@ def unfold_by_relabeling(problem, relabeling, values) -> tuple:
     canonical_relabeling returns it, or None for no relabeling), built
     table first: every entry of the relabeled problem's extension table
     takes the value of its walked orbit (walked_orbit_rows), and
-    core.relabel then undoes the relabeling on every party, each copy
+    relabel_walk then undoes the relabeling on every party, each copy
     alike, through inverted permutations."""
     table = tuple(values[o] for o in walked_orbit_rows(problem)[0])
     if relabeling is None:
@@ -871,7 +904,7 @@ def unfold_by_relabeling(problem, relabeling, values) -> tuple:
         inverse = _inverse(pi)
         in_perms.append(inverse)
         out_perms.append([sigma[x] for x in inverse])
-    return relabel(Box(problem.extension_scenario(), table), in_perms, out_perms).table
+    return relabel_walk(Box(problem.extension_scenario(), table), in_perms, out_perms).table
 
 
 def compatibility_lp(restricted: Box) -> lp.LinearProgram:
@@ -953,5 +986,5 @@ def shared_shift_symmetrize(box: Box) -> Box:
     for r in range(A):
         tau = tuple((v + r) % A for v in range(A))
         out_perms = [[tau] * sc.inputs[0], [tau] * sc.inputs[1]]
-        variants.append(relabel(box, in_perms, out_perms))
+        variants.append(relabel_walk(box, in_perms, out_perms))
     return mix(variants, [Fraction(1, A)] * A)

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -18,24 +19,29 @@ from boxlab.core import (
     WeightError,
     box_from_function,
     is_nonsignaling,
+    label_offsets,
     marginal,
     marginal_indices,
     mix,
     permute_parties,
     rat,
     relabel,
+    relabeled_indices,
     swap_indices,
     trace_indices,
     uniform_box,
     validate_box,
 )
-from conftest import identity_relabeling, relabelings_2222, tensor
+from conftest import identity_relabeling, random_relabeling, relabelings_2222, tensor
 from oracles import (
     ZeroProbabilityCondition,
+    _flat_of,
     condition,
     marginal_dense,
     marginal_lists_by_product,
     permute_parties_walk,
+    relabel_walk,
+    relabeled_entries_walk,
     trace_groups_by_product,
     trace_violation_dense,
 )
@@ -253,6 +259,39 @@ class TestTensorAndPermute:
                 numbered = Box(sc, tuple(F(i) for i in range(sc.table_size)))
                 for order in itertools.permutations(range(parties)):
                     assert permute_parties(numbered, order) == permute_parties_walk(numbered, order)
+
+
+# 2222, 3322, 2233, 222/222, four binary parties, and a party with one input
+LAYOUT_SCENARIOS = [SC22, Scenario((3, 3), (2, 2)), Scenario((2, 2), (3, 3)), Scenario((2, 2, 2), (2, 2, 2)),
+                    Scenario((2,) * 4, (2,) * 4), Scenario((1, 3), (3, 2))]
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("sc", LAYOUT_SCENARIOS, ids=str)
+    def test_label_offsets_sum_to_the_flat_index(self, sc):
+        offsets = label_offsets(sc)
+        assert label_offsets(Scenario(sc.inputs, sc.outputs)) is offsets
+        assert [len(o) for o in offsets] == [x * a for x, a in zip(sc.inputs, sc.outputs)]
+        for xs in itertools.product(*map(range, sc.inputs)):
+            for outs in itertools.product(*map(range, sc.outputs)):
+                labels = [x * A + a for x, a, A in zip(xs, outs, sc.outputs)]
+                assert sum(o[n] for o, n in zip(offsets, labels)) == _flat_of(sc, outs, xs)
+
+    @pytest.mark.parametrize("sc", LAYOUT_SCENARIOS, ids=str)
+    def test_relabeled_indices_read_the_images_labels(self, sc):
+        # any permutation of each party's labels, not only local relabelings
+        rng = random.Random(f"relabeled {sc}")
+        for _ in range(5):
+            images = [rng.sample(range(x * a), x * a) for x, a in zip(sc.inputs, sc.outputs)]
+            assert relabeled_indices(sc, images) == relabeled_entries_walk(sc, images)
+
+    @pytest.mark.parametrize("sc", LAYOUT_SCENARIOS, ids=str)
+    def test_relabel_is_the_entry_walk(self, sc):
+        rng = random.Random(f"relabel {sc}")
+        for _ in range(5):
+            box = Box(sc, tuple(F(rng.randint(0, 9), rng.randint(1, 9)) for _ in range(sc.table_size)))
+            rl = random_relabeling(rng, sc)
+            assert pickle.dumps(relabel(box, *rl)) == pickle.dumps(relabel_walk(box, *rl))
 
 
 class TestRelabel:

@@ -388,9 +388,10 @@ class TestReconstructs:
 
 
 class TestModelBox:
-    """LocalModel.box() and reconstructs, which read the scenario's cached
-    polytope.party_offsets, against the weighted sum of the strategies'
-    own boxes, which DeterministicStrategy.box builds entry by entry."""
+    """LocalModel.box() and reconstructs, which sum the offsets of the
+    labels each strategy fires (core.label_offsets), against the weighted
+    sum of the strategies' own boxes, which DeterministicStrategy.box
+    builds entry by entry."""
 
     @staticmethod
     def weighted_sum(model):

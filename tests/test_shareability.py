@@ -170,16 +170,17 @@ class TestShareability:
         calls = []
 
         def counting(real):
-            def wrapped(*args, **kwargs):
-                calls.append(args[0])
-                return real(*args, **kwargs)
+            def wrapped(scenario, den, nums):
+                calls.append((scenario, den, list(nums)))
+                return real(scenario, den, nums)
             return wrapped
 
-        # marginal() calls the one in core, validate_extension its own import
-        monkeypatch.setattr(core, "is_nonsignaling", counting(core.is_nonsignaling))
-        monkeypatch.setattr(shareability, "is_nonsignaling", counting(shareability.is_nonsignaling))
+        # is_nonsignaling and marginal() reach the check in core,
+        # validate_extension its own import, on numerators it holds
+        monkeypatch.setattr(core, "_trace_violation", counting(core._trace_violation))
+        monkeypatch.setattr(shareability, "_trace_violation", counting(shareability._trace_violation))
         validate_extension(problem, extension)
-        assert calls == [extension]
+        assert calls == [(extension.scenario, *core.numerators(extension.table))]
 
     @pytest.mark.parametrize("party", ["A", "B"])
     def test_validate_rejects_copy_asymmetry_at_every_slot_pair(self, party):
