@@ -6,13 +6,20 @@ significant), output tuples innermost (party 1 most significant).  All
 operations are pure and exact; nothing in this module ever rounds.
 
 That layout is decided in one table, `label_offsets`: per party, what
-each of its (output, input) labels adds to the flat index, so that an
-entry's index is one term per party.  `trace_indices` reads it, as do
-the strategy columns and canonical-form reads of `polytope` and the
-lift rows of `shareability`, and `relabeled_indices` reads a table
-through a map of labels with it: `relabel`, `polytope.canonical_form`'s
-table and `locality`'s Bell functional read back from a canonical
-frame.
+each of its labels adds to the flat index, so that an entry's index is
+one term per party.  A label, output a at input x of a party with A
+outputs, is named by its label number n = x*A + a, and by nothing else
+in the package: a map of labels is a tuple whose entry n is the number
+label n goes to.  So are `polytope.canonical_form`'s maps, from each
+original label to its canonical one, and each element of its
+stabilizer, one map per party on canonical labels; the orbit keys of
+`shareability` are label numbers too.  `trace_indices` reads the
+offsets, as do the strategy columns and canonical-form reads of
+`polytope` and the lift rows of `shareability`, and `relabeled_indices`
+reads a table through one map per party with them: `relabel`,
+`canonical_form`'s table, a stabilizer element moving the entries of a
+table (`locality`), and a table of the canonical frame read back in the
+box's labels through the canonical maps (`locality`'s Bell functional).
 
 `Frozen` is the base of every boxlab record (Scenario, Box, LpOutcome,
 ...): immutable, compared and hashed by value, with a dataclass-style
@@ -262,7 +269,10 @@ def uniform_box(scenario: Scenario) -> Box:
 
 
 def _party_subset(scenario: Scenario, subset: Sequence[int]) -> tuple[int, ...]:
-    keep = tuple(int(i) for i in subset)
+    # no int(i), as in _alphabet_size: 0.7 would read party 0 and "1" party 1
+    keep = tuple(subset)
+    if any(type(i) is not int for i in keep):
+        raise ScenarioMismatch(f"party indices must be ints, got {keep!r}")
     increasing = all(a < b for a, b in zip(keep, keep[1:]))
     if not (keep and increasing and 0 <= keep[0] and keep[-1] < scenario.parties):
         raise ScenarioMismatch(f"party subset {keep} is not increasing in 0..{scenario.parties - 1}")

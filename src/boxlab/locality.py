@@ -11,9 +11,11 @@ A bipartite box gets its canonical relabeling and stabilizer from
 `polytope.canonical_form`, found once per question (`is_m_shareable`
 passes the one it found), unless `polytope.labels_told_apart` already
 shows that only the identity fixes the table; such a box, and a box of
-any other number of parties, keeps its own labels, the trivial fold,
-whose classes are the single strategies and whose rows are the spanning
-entries themselves.
+any other number of parties, keeps its own labels (`polytope.own_labels`),
+the trivial fold, whose classes are the single strategies and whose rows
+are the spanning entries themselves.  The form's maps and the elements
+of G name labels by their numbers (`core`), one tuple per party, so
+`core.relabeled_indices` applies either to a table.
 
 Feasibility yields an explicit LocalModel, in the box's own labels.
 Infeasibility yields a Farkas vector y of the folded program, which
@@ -148,13 +150,14 @@ class NonlocalityCertificate(Frozen):
         d["violation"] = violation
 
 
-def _moved(table: tuple, image: dict) -> tuple:
+def _moved(table: tuple, image) -> tuple:
     """The response table that fires the images, under `image` (a map of
-    (output, input) labels), of the labels (table[x], x) that `table`
-    fires."""
+    label numbers, image[n] the number that label n goes to), of the
+    labels x*A + table[x] that `table` fires."""
+    A = len(image) // len(table)
     out = [0] * len(table)
     for x, a in enumerate(table):
-        a2, x2 = image[a, x]
+        x2, a2 = divmod(image[x * A + a], A)
         out[x2] = a2
     return tuple(out)
 
@@ -162,12 +165,12 @@ def _moved(table: tuple, image: dict) -> tuple:
 @functools.lru_cache(maxsize=16)
 def _membership_rows(scenario: Scenario, group: tuple) -> tuple:
     """The membership rows folded by `group`, local relabelings (per
-    element, one map per party) that fix the table the program is stated
-    on, built once per scenario and group and held in a small cache.
-    Returns (members, rows): per class of strategies that the group maps
-    onto each other (classes numbered by their least strategy,
-    polytope.orbit_classes), its strategies' response tables in
-    deterministic_strategies order; and per distinct folded spanning
+    element, one map of label numbers per party) that fix the table the
+    program is stated on, built once per scenario and group and held in
+    a small cache.  Returns (members, rows): per class of strategies
+    that the group maps onto each other (classes numbered by their least
+    strategy, polytope.orbit_classes), its strategies' response tables
+    in deterministic_strategies order; and per distinct folded spanning
     row (polytope.group_entries) its (class, coefficient) pairs, the
     coefficient the number of the class's strategies that set the entry
     to 1, with the spanning entries that share it.  Under the trivial
@@ -179,7 +182,7 @@ def _membership_rows(scenario: Scenario, group: tuple) -> tuple:
     for element in group:
         # per party its tables moved by its map: the strategy number's next digit
         image = [0]
-        for ts, num, labels in zip(tables, numbers, map(dict, element)):
+        for ts, num, labels in zip(tables, numbers, element):
             moved = [num[_moved(t, labels)] for t in ts]
             image = [n * len(ts) + m for n in image for m in moved]
         images.append(image)
@@ -203,12 +206,12 @@ def _membership_rows(scenario: Scenario, group: tuple) -> tuple:
     return tuple(map(tuple, members)), rows
 
 
-def membership_lp(box: Box, canonical=None) -> lp.LinearProgram:
+def membership_lp(box: Box, canonical) -> lp.LinearProgram:
     """Weights over classes of deterministic strategies that match a
     canonical form of the box on its spanning entries.  The form is
-    (table, one label map per party, group): `canonical`, the box's
-    canonical relabeling and its stabilizer as polytope.canonical_form
-    returns them, or by default the box's own labels
+    (table, one map of label numbers per party, group): `canonical`, the
+    box's canonical relabeling and its stabilizer as
+    polytope.canonical_form returns them, or the box's own labels
     (polytope.own_labels), the trivial fold for any number of parties,
     whose classes are the single strategies in deterministic_strategies
     order and whose rows are the spanning entries themselves:
@@ -227,29 +230,29 @@ def membership_lp(box: Box, canonical=None) -> lp.LinearProgram:
     once per scenario and group, already in LinearProgram's canonical
     form (ascending classes, Fraction coefficients), and each box adds
     only its table as the right-hand sides."""
-    table, *_, group = canonical or (box.table, *polytope.own_labels(box.scenario))
+    table, *_, group = canonical
     members, rows = _membership_rows(box.scenario, group)
     prog = lp.LinearProgram(len(members))
     prog.eqs.extend(polytope.pin_rows(rows, table))
     return prog
 
 
-def local_model(box: Box, canonical=None) -> LocalModel | lp.LpOutcome:
+def local_model(box: Box, canonical) -> LocalModel | lp.LpOutcome:
     """The answer of membership_lp(box, canonical) for a nonsignaling
     box within STRATEGY_CAP strategies, which the caller checks: a
     LocalModel of the strategies of positive weight, checked to
     reconstruct the whole box, or the INFEASIBLE LpOutcome, whose Farkas
     vector has one entry per row of that program.  Each class weight is
     spread over the class's strategies, which are read back through the
-    form's maps into the box's own labels and listed in the box's own
-    deterministic_strategies order, so the model does not depend on
-    which relabeling was canonical.  Nothing here normalizes:
-    is_m_shareable needs only a model."""
+    form's maps, each inverted by sorting its label numbers, into the
+    box's own labels and listed in the box's own deterministic_strategies
+    order, so the model does not depend on which relabeling was
+    canonical.  Nothing here normalizes: is_m_shareable needs only a
+    model."""
     sc = box.scenario
-    canonical = canonical or (box.table, *polytope.own_labels(sc))
     out = lp.solve(membership_lp(box, canonical))
     if out.status == lp.OPTIMAL:
-        back = [{v: k for k, v in to.items()} for to in canonical[1:-1]]
+        back = [sorted(range(len(to)), key=to.__getitem__) for to in canonical[1:-1]]
         members = _membership_rows(sc, canonical[-1])[0]
         pairs = sorted((tuple(map(_moved, tables, back)), w)
                        for k, w in enumerate(out.primal) if w for tables in members[k])
@@ -261,24 +264,12 @@ def local_model(box: Box, canonical=None) -> LocalModel | lp.LpOutcome:
     return out
 
 
-def _moved_entries(scenario: Scenario, maps) -> list:
-    """Per flat table entry, in table order, the flat entry that its
-    labels reach under `maps`, one dict per party from an (output,
-    input) label to its image: the maps turned into label numbers for
-    core.relabeled_indices."""
-    images = []
-    for X, A, image in zip(scenario.inputs, scenario.outputs, maps):
-        moved = [image[a, x] for x in range(X) for a in range(A)]
-        images.append([x * A + a for a, x in moved])
-    return relabeled_indices(scenario, images)
-
-
 @functools.lru_cache(maxsize=16)
 def _entry_orbits(scenario: Scenario, group: tuple) -> tuple:
     """Per flat table entry, its images under every element of `group`
     (local relabelings as _membership_rows takes them), built once per
     scenario and group and held in a small cache."""
-    return tuple(zip(*(_moved_entries(scenario, map(dict, element)) for element in group)))
+    return tuple(zip(*(relabeled_indices(scenario, element) for element in group)))
 
 
 def _pinned(scenario: Scenario, table: tuple, group: tuple, farkas) -> list:
@@ -309,14 +300,11 @@ def bell_numerators(scenario: Scenario, canonical, farkas) -> tuple[int, list[in
 def _bell_coefficients(box: Box, canonical, farkas) -> list:
     """The Bell functional, in the box's own labels, that the Farkas
     vector `farkas` of membership_lp(box, canonical) gives:
-    bell_numerators read back through the form's maps.  Under the box's
-    own labels the multipliers on their pinned entries (_pinned) are
-    all."""
+    bell_numerators read back through the form's maps
+    (core.relabeled_indices)."""
     sc = box.scenario
-    if canonical is None:
-        return _pinned(sc, box.table, polytope.own_labels(sc)[-1], farkas)
     den, nums = bell_numerators(sc, canonical, farkas)
-    return [Fraction(nums[c], den) for c in _moved_entries(sc, canonical[1:-1])]
+    return [Fraction(nums[c], den) for c in relabeled_indices(sc, canonical[1:-1])]
 
 
 def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
@@ -330,8 +318,8 @@ def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
     9 x 3 on generalized isotropic boxes with 3 outputs.  The search is
     skipped when polytope.labels_told_apart shows that only the identity
     fixes the table, as it does for most boxes without symmetry; such a
-    box keeps its own labels, as does any box of another number of
-    parties."""
+    box is decided on its own labels (polytope.own_labels, the trivial
+    form), as is any box of another number of parties."""
     sc = box.scenario
     # the table read once into numerators, for the NS check and the pre-test
     den, nums = numerators(box.table)
@@ -339,9 +327,10 @@ def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
     if w is not None:
         raise SignalingBox(w)
     check_strategy_space(sc)
-    canonical = None
     if sc.parties == 2 and not polytope.labels_told_apart(sc, nums):
         canonical = polytope.canonical_form(box)
+    else:
+        canonical = (box.table, *polytope.own_labels(sc))
     found = local_model(box, canonical)
     if isinstance(found, LocalModel):
         return found

@@ -11,10 +11,10 @@ and `core.marginal_indices`, what each label adds to the flat index
 (`core.label_offsets`, which `strategy_columns`, `labels_told_apart`,
 `canonical_form` and `locality.LocalModel` read), the table entries
 each strategy fires at (`strategy_columns`), the entries that fix a
-nonsignaling table (`spanning_entries`), the cells and labels
-`canonical_form` walks, the nonsignaling rows in LinearProgram's
-canonical form, and the nonsignaling LP's phase one (`lp.Start`), from
-which `max_over_ns` solves every objective.  The membership rows of
+nonsignaling table (`spanning_entries`), the cells `canonical_form`
+walks, the nonsignaling rows in LinearProgram's canonical form, and the
+nonsignaling LP's phase one (`lp.Start`), from which `max_over_ns`
+solves every objective.  The membership rows of
 `locality` (per scenario and stabilizer) and the orbit rows of
 `shareability` (per scenario, m and stabilizer, toward B only, since
 toward A is toward B on the party-swapped box) are cached alike: three
@@ -318,29 +318,29 @@ def _grown(state: tuple, inputs: int, outputs: int) -> list:
 @functools.lru_cache(maxsize=16)
 def own_labels(scenario: Scenario) -> tuple:
     """A box's own labels as the rest of a canonical form, the trivial
-    form: per party the identity map of its (output, input) labels, then
-    the trivial group, whose one element is those maps as sorted (label,
-    image) pairs.  canonical_form gives it when its search gives up, and
-    locality.membership_lp folds by it by default, for any number of
-    parties."""
-    alphabets = zip(scenario.inputs, scenario.outputs)
-    maps = tuple({(a, x): (a, x) for x in range(X) for a in range(A)} for X, A in alphabets)
-    return (*maps, (tuple(tuple(sorted(m.items())) for m in maps),))
+    form: per party the identity map of its label numbers, then the
+    trivial group, whose one element is those maps.  canonical_form
+    gives it when its search gives up, and is_local when it skips the
+    search, for any number of parties."""
+    maps = tuple(tuple(range(X * A)) for X, A in zip(scenario.inputs, scenario.outputs))
+    return (*maps, (maps,))
 
 
 def canonical_form(box: Box):
     """The bipartite box's local relabeling with the lexicographically
     greatest table, and that table's stabilizer, as (table, alice, bob,
-    group): the relabeled table; for Alice and for Bob a map from each
-    original (output, input) label to its relabeled one; and the sorted
-    tuple of every (Alice map, Bob map) pair, each as its sorted (label,
-    image) pairs on relabeled labels, that leaves the table unchanged.
-    Of the relabelings that reach the greatest table the maps are those of
-    the least in lexicographic order of (Alice's input permutation, her
-    output permutation at each input, Bob's likewise): the one that
-    comparing every pair in that order keeps, only a strictly greater
-    table replacing the best so far (the oracle
-    tests.oracles.brute_canonical_problem).
+    group): the relabeled table; for Alice and for Bob a map of label
+    numbers (core.label_offsets), a tuple whose entry n is the relabeled
+    number of original label n; and the sorted tuple of every (Alice map,
+    Bob map) pair on relabeled label numbers that leaves the table
+    unchanged.  So core.relabeled_indices applies a group element to a
+    table, and reads a table of the relabeled frame back in the box's
+    labels through (alice, bob).  Of the relabelings that reach the
+    greatest table the maps are those of the least in lexicographic order
+    of (Alice's input permutation, her output permutation at each input,
+    Bob's likewise): the one that comparing every pair in that order
+    keeps, only a strictly greater table replacing the best so far (the
+    oracle tests.oracles.brute_canonical_form).
 
     The search builds the greatest table cell by cell in table order.  A
     frontier holds every partial relabeling that ties the best prefix so
@@ -371,7 +371,7 @@ def canonical_form(box: Box):
     table = box.table
     # numerators over a common denominator order the cells as the table does
     ranked = numerators(table)[1]
-    cells, (at_a, labels_a, order_a), (at_b, labels_b, order_b) = _canonical_plan(sc)
+    cells, at_a, at_b = _canonical_plan(sc)
     frontier = [((), ())]
     for i, j, grow_a, grow_b in cells:
         if grow_a or grow_b:
@@ -390,15 +390,12 @@ def canonical_form(box: Box):
 
     best_a, best_b = min(frontier, key=lambda f: order(f[0], A) + order(f[1], B))
     table = tuple(map(table.__getitem__, relabeled_indices(sc, (best_a, best_b))))
-    alice = dict(zip(map(labels_a.__getitem__, best_a), labels_a))
-    bob = dict(zip(map(labels_b.__getitem__, best_b), labels_b))
-    # psi: canonical label k reads the original label n = state[k], which
-    # the best relabeling maps to image[n]; listed in label order
-    image_a, image_b = list(map(alice.__getitem__, labels_a)), list(map(bob.__getitem__, labels_b))
-    group = tuple(sorted(
-        (tuple((labels_a[k], image_a[fa[k]]) for k in order_a), tuple((labels_b[k], image_b[fb[k]]) for k in order_b))
-        for fa, fb in frontier
-    ))
+    # each map is the inverse of the best state, which lists the original
+    # label of each canonical one
+    alice, bob = (tuple(sorted(range(len(s)), key=s.__getitem__)) for s in (best_a, best_b))
+    # psi: canonical label k reads the original label state[k], which the
+    # best relabeling maps to alice[state[k]]
+    group = tuple(sorted((tuple(map(alice.__getitem__, fa)), tuple(map(bob.__getitem__, fb))) for fa, fb in frontier))
     return table, alice, bob, group
 
 
@@ -407,17 +404,12 @@ def _canonical_plan(scenario: Scenario) -> tuple:
     """What canonical_form reads of a bipartite shape, built once and
     cached: per cell (x, y, a, b) in table order, Alice's label number
     x*A + a, Bob's y*B + b, and whether each shows first there, where
-    the frontier grows; then per party (at, labels, order): what label
-    number n adds to the flat index (core.label_offsets), its (output,
-    input) label, and the numbers in the order of their labels."""
+    the frontier grows; then per party what each label number adds to
+    the flat index (core.label_offsets)."""
     (X, Y), (A, B) = scenario.inputs, scenario.outputs
     cells = tuple((x * A + a, y * B + b, y == b == 0, x == a == 0)
                   for x, y, a, b in itertools.product(range(X), range(Y), range(A), range(B)))
-    parties = []
-    for at, outputs in zip(label_offsets(scenario), (A, B)):
-        labels = tuple((n % outputs, n // outputs) for n in range(len(at)))
-        parties.append((at, labels, tuple(sorted(range(len(at)), key=labels.__getitem__))))
-    return (cells, *parties)
+    return (cells, *label_offsets(scenario))
 
 
 def normalization_rows(scenario: Scenario) -> list[tuple[list[tuple[int, Fraction]], Fraction]]:

@@ -30,14 +30,16 @@ same marginals, so an extension exists exactly when a symmetric one
 does, and a symmetric table is constant on orbits.
 The same argument folds the orbits once more, by the box's stabilizer
 G: the pairs of local relabelings (one of Alice's, one of Bob's,
-applied alike to every copy) that leave the canonical table unchanged.
+applied alike to every copy, each a tuple of label numbers as `core`
+names labels) that leave the canonical table unchanged.
 Each element of G maps a symmetric nonsignaling extension of the box
 onto another one, so averaging over G gives a G-invariant extension,
 constant on the classes of orbits that G maps onto each other.  The
 rows are cached per scenario, m and stabilizer; a box supplies only
 the marginal rows' right-hand sides, from the table of its canonical
-relabeling, and a witness is unfolded through the class map and then
-by reading each entry's labels through that relabeling.
+relabeling, and a witness is unfolded through the class map, each
+entry reading the class of its label numbers' canonical images.  Orbits
+are keyed by label numbers too: Alice's, then the copies' sorted.
 Toward A is toward B on the swapped box: sharing Alice's side of
 P(ab|xy) is sharing Bob's side of P(ba|yx), as Terhal, Doherty and
 Schwab (PRL 90, 157903, 2003) state symmetric extensions for one side
@@ -189,17 +191,17 @@ def _orbit_rows(scenario: Scenario, copies: int):
     (base scenario, copies), toward B, built once per shape and held in a
     small least-recently-used cache like polytope._ns_rows.  Returns
     (index, normalization, marginals, traces), all read-only: the orbit
-    number per orbit key ((outs[0], xs[0]), the copies' sorted (output,
-    input) pairs) of entry (outs, xs); the normalization and trace rows as
-    (coefficients, rhs) pairs; and the coefficients alone of each
-    copy-marginal row, one per base table entry in table order, whose rhs
-    is that entry of the box.  Coefficients are (orbit, integer
-    coefficient) pairs in orbit order without zeros.
+    number per orbit key (Alice's label number, the sorted tuple of the
+    copies' label numbers, core.label_offsets' numbering) of an entry of
+    the extension; the normalization and trace rows as (coefficients,
+    rhs) pairs; and the coefficients alone of each copy-marginal row, one
+    per base table entry in table order, whose rhs is that entry of the
+    box.  Coefficients are (orbit, integer coefficient) pairs in orbit
+    order without zeros.
 
-    Nothing walks the extension table.  An orbit is Alice's (output,
-    input) plus a multiset of m copy (output, input) pairs of Bob's, so
-    there are A*X*C(B*Y + m - 1, m) of them.  Each row is emitted once
-    from representatives:
+    Nothing walks the extension table.  An orbit is Alice's label plus a
+    multiset of m copy labels of Bob's, so there are A*X*C(B*Y + m - 1, m)
+    of them.  Each row is emitted once from representatives:
       - normalization: one row per input orbit (Alice's input and the
         copies' input multiset); an orbit's coefficient counts the
         copy-output assignments that reach it, a multinomial;
@@ -218,58 +220,63 @@ def _orbit_rows(scenario: Scenario, copies: int):
     placed by its first member in table order.  An orbit's first member
     has its copy inputs ascending and, within equal inputs, its copy
     outputs ascending, and orbits are numbered by (inputs, outputs) of
-    that member.  A trace context's first member has its copy pairs
+    that member.  A trace context's first member has its copy labels
     sorted by (output, input), and contexts come in (outputs, inputs)
     order of that member.  Keeping the walk's order keeps the programs,
     pivots and certificates of the walk."""
     (X, Y), (A, B) = scenario.inputs, scenario.outputs
     m = copies
 
-    def split(pairs):
-        return tuple(o for o, _ in pairs), tuple(i for _, i in pairs)
+    def split(labels):
+        # a copy label multiset's outputs and inputs, listed in its order
+        return tuple(n % B for n in labels), tuple(n // B for n in labels)
 
-    by_output = [(o, i) for o in range(B) for i in range(Y)]
-    by_input = sorted(by_output, key=lambda p: (p[1], p[0]))
     firsts = []
-    for a, x in itertools.product(range(A), range(X)):
-        for pairs in itertools.combinations_with_replacement(by_input, m):
-            outs, ins = split(pairs)
-            firsts.append(((x,) + ins, (a,) + outs, ((a, x), tuple(sorted(pairs)))))
+    for alice in range(X * A):
+        # sorted label numbers y*B + b: inputs ascending, then outputs
+        for labels in itertools.combinations_with_replacement(range(Y * B), m):
+            outs, ins = split(labels)
+            firsts.append(((alice // A,) + ins, (alice % A,) + outs, (alice, labels)))
     firsts.sort()
     index = {key: n for n, (_, _, key) in enumerate(firsts)}
 
     normalization = []
-    # orderings of an orbit's copy pairs over orderings of their inputs:
+    # orderings of an orbit's copy labels over orderings of their inputs:
     # the copy-output strings on one copy-input string that reach it
     for _, group in itertools.groupby(enumerate(firsts), key=lambda f: f[1][0]):
         coeffs = tuple(
-            (n, _arrangements(pairs) // _arrangements(split(pairs)[1]))
-            for n, (_, _, (_, pairs)) in group
+            (n, _arrangements(labels) // _arrangements(split(labels)[1]))
+            for n, (_, _, (_, labels)) in group
         )
         normalization.append((coeffs, ONE))
 
-    # base flat index (x*Y + y)*A*B + a*B + b is the product order
+    # base flat index (x*Y + y)*A*B + a*B + b is the product order; the
+    # other copies' labels at input 0 are their outputs
     marginals = []
     for x, y, a, b in itertools.product(range(X), range(Y), range(A), range(B)):
         marginals.append(tuple(sorted(
-            (index[(a, x), tuple(sorted(((b, y),) + tuple((o, 0) for o in rest)))],
-             _arrangements(rest))
+            (index[x * A + a, tuple(sorted((y * B + b, *rest)))], _arrangements(rest))
             for rest in itertools.combinations_with_replacement(range(B), m - 1)
         )))
 
+    # contexts come in (outputs, inputs) order of copy labels sorted by
+    # (output, input)
+    by_output = sorted(range(Y * B), key=lambda n: (n % B, n // B))
+
     def alice_trace():
-        for pairs in itertools.combinations_with_replacement(by_output, m):
-            yield split(pairs), [[index[(a, x), pairs] for a in range(A)] for x in range(X)]
+        for labels in itertools.combinations_with_replacement(by_output, m):
+            key = tuple(sorted(labels))
+            yield split(labels), [[index[x * A + a, key] for a in range(A)] for x in range(X)]
 
     def copy_trace():
-        for alice in itertools.product(range(A), range(X)):
+        for a, x in itertools.product(range(A), range(X)):
             for rest in itertools.combinations_with_replacement(by_output, m - 1):
                 outs, ins = split(rest)
                 per_y = [
-                    [index[alice, tuple(sorted(rest + ((o, y),)))] for o in range(B)]
+                    [index[x * A + a, tuple(sorted((*rest, y * B + o)))] for o in range(B)]
                     for y in range(Y)
                 ]
-                yield ((alice[0],) + outs, (alice[1],) + ins), per_y
+                yield ((a,) + outs, (x,) + ins), per_y
 
     traces = []
     # the traced parties in slot order, as polytope.ns_equality_rows takes them
@@ -303,17 +310,24 @@ def _in_problem_order(problem: ExtensionProblem, extension: Box) -> Box:
 def _unfold(problem: ExtensionProblem, scenario: Scenario, alice, bob, index, values) -> tuple:
     """The full extension table of `problem` in one pass: each entry of
     the extension toward B of the oriented base (of `scenario`) takes the
-    value of the class (index from _folded_rows) of its labels read
+    value of the class (index from _folded_rows) of its label numbers read
     through the canonical form's maps, `alice` for the fixed party and
     `bob` for each copy, and the table is then put in the problem's slot
-    order (_in_problem_order).  Only a feasible witness is unfolded, so
-    an infeasible verdict never walks the extension table."""
-    sc, more = scenario, problem.copies - 1
-    ext = Scenario(sc.inputs + sc.inputs[1:] * more, sc.outputs + sc.outputs[1:] * more)
+    order (_in_problem_order).  Per party and input, the images of its
+    labels are one slice of its map; a product over the parties' slices
+    runs over the input tuples, and one over the slices of an input tuple
+    over its output tuples, both in table order.  Only a feasible witness
+    is unfolded, so an infeasible verdict never walks the extension
+    table."""
+    (X, Y), (A, B) = scenario.inputs, scenario.outputs
+    more = problem.copies - 1
+    ext = Scenario(scenario.inputs + (Y,) * more, scenario.outputs + (B,) * more)
+    per_x = [alice[x * A:(x + 1) * A] for x in range(X)]
+    per_y = [bob[y * B:(y + 1) * B] for y in range(Y)]
     table = tuple(
-        values[index[alice[outs[0], xs[0]], tuple(sorted(bob[pair] for pair in zip(outs[1:], xs[1:])))]]
-        for xs in ext.input_tuples()
-        for outs in ext.output_tuples()
+        values[index[n, tuple(sorted(copies))]]
+        for images in itertools.product(per_x, *[per_y] * problem.copies)
+        for n, *copies in itertools.product(*images)
     )
     return _in_problem_order(problem, Box(ext, table)).table
 
@@ -331,7 +345,7 @@ def _folded_rows(scenario: Scenario, copies: int, group: tuple):
     spanning entries they are equal everywhere.
 
     polytope.orbit_classes merges the orbits each element maps onto each
-    other (Alice's map on her label, Bob's on every copy's label);
+    other (Alice's map on her label number, Bob's on every copy's);
     classes are numbered by their least orbit, each row's coefficients
     are summed per class (polytope.fold_row), and zero rows and repeats
     go: a trace row up to its sign (_signed), a marginal row when its
@@ -342,8 +356,8 @@ def _folded_rows(scenario: Scenario, copies: int, group: tuple):
     keys = list(index)
 
     def image(element):
-        f, c = map(dict, element)
-        return [index[f[label], tuple(sorted(c[p] for p in pairs))] for label, pairs in keys]
+        f, c = element
+        return [index[f[n], tuple(sorted(map(c.__getitem__, copies)))] for n, copies in keys]
 
     class_of = polytope.orbit_classes(len(keys), map(image, group))
 
@@ -422,20 +436,20 @@ def _lift_rows(scenario: Scenario, copies: int, group: tuple):
             others = [k for k in range(m) if k not in (j, y)]
             for s in range(j):
                 for outs in itertools.product(range(B), repeat=len(others)):
-                    rest = [(b, y), *((o, inputs[k]) for o, k in zip(outs, others))]
-                    lo = [((a, x), tuple(sorted([*rest, (o, s)]))) for o in range(B)]
-                    hi = [((a, x), tuple(sorted([*rest, (o, s + 1)]))) for o in range(B)]
+                    rest = [y * B + b, *(inputs[k] * B + o for o, k in zip(outs, others))]
+                    lo = [(x * A + a, tuple(sorted([*rest, s * B + o]))) for o in range(B)]
+                    hi = [(x * A + a, tuple(sorted([*rest, (s + 1) * B + o]))) for o in range(B)]
                     place(terms, lo, hi)
             inputs[j] = j
         chains.append((e, tuple((n, c) for (n,), c in terms.items() if c)))
 
     alice: Counter = Counter()
     for outs in itertools.product(range(B), repeat=m):
-        pairs = tuple(sorted(zip(outs, target)))
+        labels = tuple(sorted(z * B + o for o, z in zip(outs, target)))
         prefix = functools.reduce(lambda p, o: p * B + o, outs[:Y], 0)
         for t in range(1, X):
-            lo = [((a, t - 1), pairs) for a in range(A)]
-            hi = [((a, t), pairs) for a in range(A)]
+            lo = [((t - 1) * A + a, labels) for a in range(A)]
+            hi = [(t * A + a, labels) for a in range(A)]
             place(alice, lo, hi, (prefix, t))
     at_a, at_b = label_offsets(scenario)
     columns = tuple(

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from boxlab import bell, lp, shareability
+from boxlab import bell, lp, polytope, shareability
 from boxlab.core import Box, Scenario, mix, relabel, uniform_box, validate_box
 from oracles import party_relabelings, verify_certificate_fractions, walked_orbit_rows
 
@@ -45,6 +45,13 @@ def tensor(box1: Box, box2: Box) -> Box:
         for outs in sc.output_tuples():
             table.append(box1.prob(outs[:n1], xs[:n1]) * box2.prob(outs[n1:], xs[n1:]))
     return Box(sc, tuple(table))
+
+
+def own_form(box: Box) -> tuple:
+    """The trivial canonical form of a box, its table in its own labels
+    (polytope.own_labels), which is_local decides a box on when it skips
+    the search."""
+    return (box.table, *polytope.own_labels(box.scenario))
 
 
 def identity_relabeling(scenario: Scenario):

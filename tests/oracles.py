@@ -838,16 +838,25 @@ def canonical_relabeling(base: Box):
     return max(tables, key=lambda pair: pair[0])
 
 
+def label_numbers(inputs: int, outputs: int) -> dict:
+    """Each (output, input) label of a party with these alphabets, keyed
+    by its label number: the flat index of the entry (a | x) of the party
+    alone (Scenario.flat_index)."""
+    alone = Scenario((inputs,), (outputs,))
+    return {alone.flat_index((a,), (x,)): (a, x) for x in range(inputs) for a in range(outputs)}
+
+
 def brute_canonical_form(box: Box):
     """polytope.canonical_form by comparing every pair of local
     relabelings, as (table, alice, bob, group): the table of the first
     relabeling (in canonical_relabeling's order) that reaches the
-    greatest, each party's map from an original (output, input) label to
-    its relabeled one, and every psi = phi_best^-1 . phi over the
-    relabelings phi that reach it too, as sorted (label, image) pairs per
-    party; the table is read through relabel_walk.  Each candidate is
-    compared with the best so far cell by cell on the ranks of the
-    table's values, and only a strictly greater one replaces it."""
+    greatest; per party a tuple that gives, at each original label
+    number (label_numbers), the number of its relabeled label; and every
+    psi = phi_best^-1 . phi over the relabelings phi that reach it too,
+    as such a tuple per party on relabeled labels, sorted; the table is
+    read through relabel_walk.  Each candidate is compared with the best
+    so far cell by cell on the ranks of the table's values, and only a
+    strictly greater one replaces it."""
     sc = box.scenario
     (X, Y), (A, B) = sc.inputs, sc.outputs
     table = box.table
@@ -872,18 +881,27 @@ def brute_canonical_form(box: Box):
                 ties.append((ga, hb))
     g, h = best
     table = _relabeled_table(box, g, h)
+    number = [{label: n for n, label in label_numbers(*sizes).items()} for sizes in ((X, A), (Y, B))]
 
-    def of(r):
+    def of(r, numbered):
         # relabeled entry (a | x) reads the original (sigma[x][a] | pi[x])
-        return {(s[a], p): (a, x) for x, (p, s) in enumerate(zip(*r)) for a in range(len(s))}
+        image = [None] * len(numbered)
+        for x, (p, s) in enumerate(zip(*r)):
+            for a in range(len(s)):
+                image[numbered[s[a], p]] = numbered[a, x]
+        return image
 
-    of_a, of_b = of(g), of(h)
-    group = tuple(sorted(
-        tuple(tuple(sorted((label, best_of[orig]) for orig, label in of(r).items()))
-              for r, best_of in ((ga, of_a), (hb, of_b)))
-        for ga, hb in ties
-    ))
-    return table, of_a, of_b, group
+    of_a, of_b = of(g, number[0]), of(h, number[1])
+
+    def psi(r, numbered, best_of):
+        # relabeled label k reads the original label that r sends to k
+        image = [None] * len(numbered)
+        for orig, label in enumerate(of(r, numbered)):
+            image[label] = best_of[orig]
+        return tuple(image)
+
+    group = tuple(sorted((psi(ga, number[0], of_a), psi(hb, number[1], of_b)) for ga, hb in ties))
+    return table, tuple(of_a), tuple(of_b), group
 
 
 def unfold_by_relabeling(problem, relabeling, values) -> tuple:

@@ -184,6 +184,43 @@ def test_unfolded_four_output_certificate_report_fails(tmp_path, capsys, party):
 
 
 # ---------------------------------------------------------------------------
+# committed reports, each beside its box file, which the current code must
+# still verify: an orbit renumbering, a row reordering or a changed
+# certificate format fails here.  A change that breaks a format on purpose
+# writes these files anew and says so.
+
+REPORTS = Path(__file__).parent / "data" / "reports"
+COMMITTED_REPORTS = [
+    # not shareable, certified by the orbit LP (m = 2 < |Y| = 3), whose
+    # multipliers depend on the orbit numbering and the row order
+    "shareable-seed1003-m2-A.json", "shareable-seed1003-m2-B.json",
+    # not shareable, certified by the lifted Bell functional
+    "shareable-iso-3-4-m2-A.json", "shareable-iso-3-4-m2-B.json",
+    "shareable-giso3-7-10-m2-B.json", "shareable-giso3-7-10-relabeled-m2-A.json",
+    # shareable, with its extension
+    "shareable-iso-2-5-m3-A.json",
+    # local and nonlocal, folded forms and 3322 boxes
+    "local-giso3-2-5.json", "local-giso3-7-10.json", "local-giso3-7-10-relabeled.json",
+    "local-seed1003.json", "local-seed1003-local.json",
+]
+
+
+def test_committed_reports_are_listed():
+    assert sorted(p.name for p in REPORTS.glob("*.json")) == sorted(COMMITTED_REPORTS)
+
+
+@pytest.mark.parametrize("name", COMMITTED_REPORTS)
+def test_committed_report_verifies(name, tmp_path, monkeypatch, capsys):
+    report = REPORTS / name
+    # the report names its box by a bare file name, found beside it
+    path = boxio.read_report(str(report))["box"]["path"]
+    assert os.path.basename(path) == path and (REPORTS / path).is_file()
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["verify", str(report)]) == 0
+    assert capsys.readouterr().out.strip() == "verified"
+
+
+# ---------------------------------------------------------------------------
 # every registered analysis over a small corpus, honest and tampered
 
 CORPUS = {

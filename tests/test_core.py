@@ -149,8 +149,9 @@ class TestMarginal:
             marginal(box, (0,))
 
     def test_party_subset_validation(self):
-        # nonempty, strictly increasing, nonnegative
-        for keep in [(1, 1), (1, 0), (), (-1, 0)]:
+        # nonempty, strictly increasing, nonnegative, ints: int() would read
+        # (0.7,) as party 0 and (True,) or ("1",) as party 1
+        for keep in [(1, 1), (1, 0), (), (-1, 0), (0.7,), (True,), ("1",), (0, 1.0), (F(1),)]:
             with pytest.raises(ScenarioMismatch):
                 marginal(bell.pr_box(), keep)
 
@@ -582,7 +583,7 @@ def test_marginal_indices_match_product_oracle(sc):
         assert all(isinstance(idx, tuple) for _, idx in entries)
 
 
-@pytest.mark.parametrize("keep", [[1, 0], [0, 0], [], [0, 3], [-1, 1]])
+@pytest.mark.parametrize("keep", [[1, 0], [0, 0], [], [0, 3], [-1, 1], [0.2, 1.9], [False, True], ["0", "1"]])
 def test_marginal_indices_reject_a_bad_subset(keep):
     with pytest.raises(ScenarioMismatch):
         marginal_indices(Scenario((2, 2, 2), (2, 2, 2)), keep)

@@ -27,13 +27,14 @@ from boxlab.locality import (
     is_local,
 )
 from boxlab.shareability import generalized_isotropic
-from conftest import asymmetric_giso, is_deterministic, random_local_box, random_ns_box, random_relabeling
+from conftest import asymmetric_giso, is_deterministic, own_form, random_local_box, random_ns_box, random_relabeling
 from oracles import (
     brute_canonical_form,
     condition,
     deterministic_box_tables,
     fraction_rank,
     full_membership_lp,
+    label_numbers,
     local_bound_by_enumeration,
     local_membership_alternative,
     own_labels_outcome,
@@ -73,17 +74,18 @@ class TestStrategyColumns:
         box = mix(strategies, [F(2 * e + 1, n * n) for e in range(n)])
         full = full_membership_lp(box).eqs
         expected = [full[k] for k in polytope.spanning_entries(sc)]
-        assert locality.membership_lp(box).eqs == expected
+        assert locality.membership_lp(box, own_form(box)).eqs == expected
 
     def test_membership_lp_calls_do_not_share_rows(self):
-        first = locality.membership_lp(pr_box())
+        first = locality.membership_lp(pr_box(), own_form(pr_box()))
         expected = list(first.eqs)
         first.eqs[0] = ((), F(1))
         first.add_eq([(0, 1)], 1)
         first.add_ineq([(1, 1)], 0)
-        second = locality.membership_lp(pr_box())
+        second = locality.membership_lp(pr_box(), own_form(pr_box()))
         assert second.eqs == expected and second.ineqs == []
-        assert locality.membership_lp(uniform_box(SC22)).eqs[0][0] == expected[0][0]
+        noise = uniform_box(SC22)
+        assert locality.membership_lp(noise, own_form(noise)).eqs[0][0] == expected[0][0]
 
 
 def pr_like(sc):
@@ -271,10 +273,13 @@ def fold_boxes(sc):
 def canonical_frame(sc, alice, bob, coefficients):
     """The coefficients of a bipartite functional moved onto the
     canonical labels: entry (a, b | x, y) goes to the entry of its
-    labels' images under the canonical form's maps."""
+    labels' images under the canonical form's maps of label numbers,
+    each number read through Scenario.flat_index (label_numbers)."""
+    (X, Y), (A, B) = sc.inputs, sc.outputs
+    labels_a, labels_b = label_numbers(X, A), label_numbers(Y, B)
     moved = [None] * sc.table_size
-    for (x, y), (a, b) in itertools.product(sc.input_tuples(), sc.output_tuples()):
-        (a2, x2), (b2, y2) = alice[a, x], bob[b, y]
+    for (na, (a, x)), (nb, (b, y)) in itertools.product(labels_a.items(), labels_b.items()):
+        (a2, x2), (b2, y2) = labels_a[alice[na]], labels_b[bob[nb]]
         moved[sc.flat_index((a2, b2), (x2, y2))] = coefficients[sc.flat_index((a, b), (x, y))]
     return moved
 
@@ -308,7 +313,7 @@ class TestFoldedIsLocal:
             # in the canonical frame the functional is fixed by every element of G
             h = canonical_frame(sc, alice, bob, f.coefficients)
             for pa, pb in group:
-                assert canonical_frame(sc, dict(pa), dict(pb), h) == h
+                assert canonical_frame(sc, pa, pb, h) == h
         assert verdicts == {True, False} and symmetric_nonlocal
 
     @pytest.mark.parametrize("box, size", [

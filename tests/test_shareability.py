@@ -53,6 +53,7 @@ from boxlab.shareability import (
 from conftest import (
     asymmetric_giso,
     orbit_lp,
+    own_form,
     pr_type,
     random_local_box,
     random_ns_box,
@@ -63,6 +64,7 @@ from conftest import (
 from oracles import (
     brute_canonical_form,
     canonical_relabeling,
+    label_numbers,
     shared_shift_symmetrize,
     unfold_by_relabeling,
     unfolded_bell_lift,
@@ -403,13 +405,15 @@ class TestCanonicalRelabeling:
         table, alice, bob, group = form = canonical_form(box)
         assert table == box.table
         assert alice == bob == _identity_labels(*sc.inputs[:1], *sc.outputs[:1])
-        assert group == ((tuple(sorted(alice.items())), tuple(sorted(bob.items()))),)
+        assert group == ((alice, bob),)
         # the trivial form that locality's membership LP folds by
         assert form == (box.table, *polytope.own_labels(sc))
 
 
 def _identity_labels(inputs, outputs):
-    return {(a, x): (a, x) for x in range(inputs) for a in range(outputs)}
+    """The identity map of a party's label numbers, each number read
+    through Scenario.flat_index (oracles.label_numbers)."""
+    return tuple(sorted(label_numbers(inputs, outputs)))
 
 
 class TestUnfold:
@@ -449,11 +453,14 @@ class TestUnfold:
 
 
 def _fixes(sc, element, table):
-    """Whether the stabilizer element (Alice's and Bob's label maps, as
-    canonical_form returns them) leaves the table of `sc` unchanged."""
-    alice, bob = map(dict, element)
-    for x, y, a, b in itertools.product(*(range(n) for n in sc.inputs + sc.outputs)):
-        (a2, x2), (b2, y2) = alice[a, x], bob[b, y]
+    """Whether the stabilizer element (Alice's and Bob's maps of label
+    numbers, as canonical_form returns them) leaves the table of `sc`
+    unchanged, each label number read through Scenario.flat_index
+    (oracles.label_numbers)."""
+    (X, Y), (A, B) = sc.inputs, sc.outputs
+    alice, bob = label_numbers(X, A), label_numbers(Y, B)
+    for (na, (a, x)), (nb, (b, y)) in itertools.product(alice.items(), bob.items()):
+        (a2, x2), (b2, y2) = alice[element[0][na]], bob[element[1][nb]]
         if table[sc.flat_index((a2, b2), (x2, y2))] != table[sc.flat_index((a, b), (x, y))]:
             return False
     return True
@@ -464,16 +471,32 @@ def _check_stabilizer(box):
     group fixes its table and that the group is one: the identity is in
     it, and it is closed."""
     table, fixed, copy, group = canonical = canonical_form(box)
-    assert all(_fixes(box.scenario, element, table) for element in group)
-    identity = (tuple(sorted((v, v) for v in fixed.values())),
-                tuple(sorted((v, v) for v in copy.values())))
+    sc = box.scenario
+    assert all(_fixes(sc, element, table) for element in group)
+    identity = tuple(_identity_labels(n_in, n_out) for n_in, n_out in zip(sc.inputs, sc.outputs))
     assert identity in group
-    maps = [tuple(map(dict, element)) for element in group]
-    for (f1, c1), (f2, c2) in itertools.product(maps, repeat=2):
-        product = (tuple(sorted((v, f1[f2[v]]) for v in f2)),
-                   tuple(sorted((v, c1[c2[v]]) for v in c2)))
-        assert product in group
+    for (f1, c1), (f2, c2) in itertools.product(group, repeat=2):
+        assert (tuple(f1[v] for v in f2), tuple(c1[v] for v in c2)) in group
     return canonical
+
+
+@pytest.mark.parametrize("box, size", [
+    (make_isotropic(F(3, 5)), 8),
+    (generalized_isotropic(3, F(7, 10)), 12),
+    (generalized_isotropic(4, F(1, 2)), 16),
+], ids=["iso-3/5", "giso3-7/10", "giso4-1/2"])
+def test_relabeled_indices_applies_the_form(box, size):
+    # label numbers are what core.relabeled_indices reads: every group
+    # element fixes the canonical table, and the form's maps read that
+    # table back into the box's own labels
+    rng = random.Random(f"form {size}")
+    sc = box.scenario
+    for labeled in (box, relabel(box, *random_relabeling(rng, sc)), relabel(box, *random_relabeling(rng, sc))):
+        table, alice, bob, group = canonical_form(labeled)
+        assert len(group) == size
+        for element in group:
+            assert tuple(map(table.__getitem__, core.relabeled_indices(sc, element))) == table
+        assert tuple(map(table.__getitem__, core.relabeled_indices(sc, (alice, bob)))) == labeled.table
 
 
 # relabeled isotropic, generalized-isotropic A=3 and asymmetric mixture
@@ -634,11 +657,8 @@ class TestOrbitRows:
         shapes = 0
         for X, Y, A, B in itertools.product((1, 2, 3), (1, 2, 3), (2, 3), (2, 3)):
             sc = Scenario((X, Y), (A, B))
-            # each party's identity map as sorted (label, image) pairs
-            alice, bob = (
-                tuple(((a, x), (a, x)) for a in range(n_out) for x in range(n_in))
-                for n_in, n_out in ((X, A), (Y, B))
-            )
+            # each party's identity map of label numbers
+            alice, bob = _identity_labels(X, A), _identity_labels(Y, B)
             for m in (1, 2, 3):
                 index, count, normalization, marginals, traces = _folded_rows(sc, m, ((alice, bob),))
                 orbit_index, *orbit_rows = _orbit_rows(sc, m)
@@ -1225,7 +1245,7 @@ class TestFoldedMembership:
         verdicts = set()
         for box in self._boxes(ns_vertices):
             canonical = canonical_form(box)
-            folded, plain = locality.local_model(box, canonical), locality.local_model(box)
+            folded, plain = locality.local_model(box, canonical), locality.local_model(box, own_form(box))
             local = isinstance(folded, LocalModel)
             assert local == isinstance(plain, LocalModel)
             verdicts.add(local)
@@ -1251,6 +1271,6 @@ class TestFoldedMembership:
         # (columns, rows) unfolded and folded, the same for every relabeling
         relabeled = [relabel(box, *random_relabeling(random.Random(s), box.scenario)) for s in range(3)]
         progs = [locality.membership_lp(labeled, canonical_form(labeled)) for labeled in [box, *relabeled]]
-        unfolded = locality.membership_lp(box)
+        unfolded = locality.membership_lp(box, own_form(box))
         assert ((unfolded.num_vars, len(unfolded.eqs)), (progs[0].num_vars, len(progs[0].eqs))) == sizes
         assert all(prog.eqs == progs[0].eqs for prog in progs)
