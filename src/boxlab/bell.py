@@ -4,7 +4,10 @@ Functionals here are affine in the box table and, once normalized, obey
 the convention used throughout the package: value <= 0 on every local
 box, maximum exactly 1 over the nonsignaling polytope.  CHSH and CGLMP
 are normalized in closed form, from their known local bounds and
-nonsignaling maxima; the tests check both against the LP.  `normalize`
+nonsignaling maxima; the tests check both against the LP.  So are the
+eight CHSH facets of `chsh_facets`, which are CHSH relabeled: a 2222
+box that violates one is nonlocal by Fine's theorem, and
+`locality.is_local` certifies it by the facet, with no LP.  `normalize`
 serves the functionals found at run time, such as the Farkas vectors of
 `locality.is_local`, put on the spanning entries of
 `polytope.spanning_entries` and averaged over the box's stabilizer:
@@ -20,6 +23,8 @@ check its closed form against the LP.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from fractions import Fraction
 from math import lcm
 
@@ -33,6 +38,7 @@ from .core import (
     ONE,
     box_from_function,
     ensure,
+    relabeled_indices,
 )
 
 CGLMP_CAP = 4
@@ -112,6 +118,29 @@ def chsh_functional() -> BellFunctional:
                     val = sign if a == b else -sign
                     coeffs[sc.flat_index((a, b), (x, y))] = val / 2
     return BellFunctional(sc, tuple(coeffs), -ONE)
+
+
+@functools.lru_cache(maxsize=1)
+def chsh_facets() -> tuple[BellFunctional, ...]:
+    """The eight normalized CHSH facets of the 2222 local polytope, built
+    once: facet (alpha, beta, gamma), in product order, counts
+    a + b = xy + alpha*x + beta*y + gamma (mod 2) as chsh_functional
+    counts a + b = xy, being CHSH read with Alice's output at x flipped
+    by alpha*x + gamma and Bob's at y by beta*y (each flip its own
+    inverse), so PR vertex 16 + k of ns_vertices_2222 gives facet k its
+    maximum 1.  By Fine's theorem (PRL 48, 291, 1982) they and
+    positivity are every facet of the polytope, so a nonsignaling 2222
+    box is local exactly when it violates none of them."""
+    chsh = chsh_functional()
+    sc = chsh.scenario
+    facets = []
+    for alpha, beta, gamma in itertools.product((0, 1), repeat=3):
+        # label number n = 2x + a goes to 2x + (a flipped)
+        alice = [2 * x + (a ^ (alpha * x ^ gamma)) for x in (0, 1) for a in (0, 1)]
+        bob = [2 * y + (b ^ beta * y) for y in (0, 1) for b in (0, 1)]
+        moved = map(chsh.coefficients.__getitem__, relabeled_indices(sc, (alice, bob)))
+        facets.append(BellFunctional(sc, tuple(moved), chsh.offset))
+    return tuple(facets)
 
 
 def local_bound(functional: BellFunctional) -> Fraction:

@@ -461,8 +461,9 @@ def restrict_bob_inputs(box: Box, y_values: Sequence[int]) -> Box:
     order, re-indexed from 0."""
     (X, Y), n_out = box.scenario.inputs, box.scenario.num_output_tuples
     ys = tuple(y_values)
-    if any(not 0 <= y < Y for y in ys):
-        raise ScenarioMismatch(f"Bob inputs {ys} out of range for {Y}")
+    # no int(y), as in _party_subset: True would read input 1
+    if any(type(y) is not int or not 0 <= y < Y for y in ys):
+        raise ScenarioMismatch(f"Bob inputs must be ints in 0..{Y - 1}, got {ys!r}")
     table = []
     for x in range(X):
         for y in ys:

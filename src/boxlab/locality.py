@@ -17,6 +17,13 @@ are the spanning entries themselves.  The form's maps and the elements
 of G name labels by their numbers (`core`), one tuple per party, so
 `core.relabeled_indices` applies either to a table.
 
+A 2222 box skips the LP when it violates one of the eight CHSH facets
+(bell.chsh_facets): by Fine's theorem (PRL 48, 291, 1982) they are all
+the nontrivial facets of the 2222 local polytope, so the facet the box
+violates most, a normalized Bell functional, certifies it.  A 2222 box
+that violates none is local, and the LP still runs to find its model,
+which Fine's theorem says it must.
+
 Feasibility yields an explicit LocalModel, in the box's own labels.
 Infeasibility yields a Farkas vector y of the folded program, which
 becomes a Bell functional in three steps.  Each row's multiplier goes
@@ -40,11 +47,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from fractions import Fraction
 
 from . import lp, polytope
-from .bell import BellFunctional, normalize
+from .bell import BellFunctional, chsh_facets, normalize
 from .core import (
     Box,
     BoxlabError,
@@ -307,26 +315,32 @@ def _bell_coefficients(box: Box, canonical, farkas) -> list:
     return [Fraction(nums[c], den) for c in relabeled_indices(sc, canonical[1:-1])]
 
 
-def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
-    """Decide local-polytope membership with an explicit witness either
-    way: local_model's model in the box's own labels, or its Farkas
-    vector made into a Bell functional (_bell_coefficients) and
-    normalized, which the box violates.
+@functools.lru_cache(maxsize=1)
+def _facet_signs() -> tuple:
+    """bell.chsh_facets, each with its coefficients doubled into ints:
+    every coefficient is 1/2 or -1/2 and every offset -1."""
+    return tuple((f, [int(2 * c) for c in f.coefficients]) for f in chsh_facets())
 
-    A bipartite box is decided on its canonical form, the membership LP
-    folded by its stabilizer G (polytope.canonical_form): 81 x 25 becomes
-    9 x 3 on generalized isotropic boxes with 3 outputs.  The search is
-    skipped when polytope.labels_told_apart shows that only the identity
-    fixes the table, as it does for most boxes without symmetry; such a
-    box is decided on its own labels (polytope.own_labels, the trivial
-    form), as is any box of another number of parties."""
+
+def _violated_facet(den: int, nums) -> NonlocalityCertificate | None:
+    """The certificate of the CHSH facet that a 2222 table, read into
+    its numerators over `den` (numerators), violates most, the first on
+    ties, or None when it violates none.  A facet with doubled
+    coefficients s (_facet_signs) has the value -1 + s.nums / (2 den),
+    so it is violated when s.nums > 2 den."""
+    facets = _facet_signs()
+    sums = [sum(map(operator.mul, signs, nums)) for _, signs in facets]
+    best = max(sums)
+    if best > 2 * den:
+        return NonlocalityCertificate(facets[sums.index(best)][0], Fraction(best - 2 * den, 2 * den))
+    return None
+
+
+def _membership_verdict(box: Box, nums) -> LocalModel | NonlocalityCertificate:
+    """is_local's membership-LP path for a checked box, its table read
+    into numerators `nums`: local_model's model, or its Farkas vector
+    made into a Bell functional (_bell_coefficients) and normalized."""
     sc = box.scenario
-    # the table read once into numerators, for the NS check and the pre-test
-    den, nums = numerators(box.table)
-    w = _trace_violation(sc, den, nums)
-    if w is not None:
-        raise SignalingBox(w)
-    check_strategy_space(sc)
     if sc.parties == 2 and not polytope.labels_told_apart(sc, nums):
         canonical = polytope.canonical_form(box)
     else:
@@ -339,6 +353,40 @@ def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
     violation = functional.evaluate(box)
     ensure(violation > 0, "Bell functional from the Farkas vector is not violated")
     return NonlocalityCertificate(functional, violation)
+
+
+def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
+    """Decide local-polytope membership with an explicit witness either
+    way: a LocalModel in the box's own labels, or a normalized Bell
+    functional that the box violates.
+
+    A 2222 box that violates a CHSH facet is certified by the one it
+    violates most (_violated_facet), with no LP; the membership LP
+    (_membership_verdict) decides every other box, and by Fine's
+    theorem must find a 2222 box local, which is checked.  A bipartite
+    box is decided on its canonical form, the LP folded by its
+    stabilizer G (polytope.canonical_form): 81 x 25 becomes 9 x 3 on
+    generalized isotropic boxes with 3 outputs.  The search is skipped
+    when polytope.labels_told_apart shows that only the identity fixes
+    the table, as it does for most boxes without symmetry; such a box is
+    decided on its own labels (polytope.own_labels, the trivial form),
+    as is any box of another number of parties."""
+    sc = box.scenario
+    # the table read once into numerators, for the NS check and the pre-tests
+    den, nums = numerators(box.table)
+    w = _trace_violation(sc, den, nums)
+    if w is not None:
+        raise SignalingBox(w)
+    check_strategy_space(sc)
+    chsh_scenario = sc.inputs == sc.outputs == (2, 2)
+    if chsh_scenario:
+        certificate = _violated_facet(den, nums)
+        if certificate is not None:
+            return certificate
+    found = _membership_verdict(box, nums)
+    ensure(not chsh_scenario or isinstance(found, LocalModel),
+           "a 2222 box that violates no CHSH facet is nonlocal, against Fine's theorem")
+    return found
 
 
 def eve_extension(box: Box, model: LocalModel) -> Box:

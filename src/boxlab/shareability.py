@@ -665,8 +665,8 @@ def local_model_from_extension(
     if y_values is None:
         y_values = tuple(i % Y for i in range(m))
     y_values = tuple(y_values)
-    if len(y_values) != m or any(not 0 <= y < Y for y in y_values):
-        raise BadParams(f"need {m} valid inputs of the shared party, got {y_values}")
+    if len(y_values) != m or any(type(y) is not int or not 0 <= y < Y for y in y_values):
+        raise BadParams(f"need {m} int inputs of the shared party in 0..{Y - 1}, got {y_values!r}")
     kept = sorted(set(y_values))
     # first copy assigned to each kept input value
     slot_for = {y: y_values.index(y) for y in kept}

@@ -19,7 +19,7 @@ from boxlab.bell import (
     pr_box,
     unique_ns_maximizer,
 )
-from boxlab.core import Scenario, ScenarioMismatch, mix, relabel, uniform_box
+from boxlab.core import Box, Scenario, ScenarioMismatch, mix, relabel, uniform_box
 from boxlab.isotropic import make_isotropic
 from conftest import canonical_2222, pr_type, random_ns_box, random_relabeling, relabelings_2222, tensor
 from oracles import local_bound_by_enumeration, ns_vertices_2222_by_enumeration
@@ -63,6 +63,28 @@ class TestChsh:
         local, ns_max = normalization_bounds(chsh_functional())
         assert local == 0
         assert ns_max == 1
+
+
+class TestChshFacets:
+    def test_each_is_normalized(self):
+        vertices = ns_vertices_2222_by_enumeration()
+        for f in bell.chsh_facets():
+            assert local_bound_by_enumeration(f) == 0
+            assert max(f.evaluate(v) for v in vertices) == 1
+
+    def test_the_distinct_relabelings_of_chsh(self):
+        # the coefficient table relabeled as a box's table is; a Box
+        # holds any table it is given
+        f = chsh_functional()
+        relabeled = {relabel(Box(f.scenario, f.coefficients), *r).table for r in relabelings_2222()}
+        facets = bell.chsh_facets()
+        assert len(facets) == 8 == len(relabeled)
+        assert {g.coefficients for g in facets} == relabeled
+        assert {g.offset for g in facets} == {f.offset}
+
+    def test_facet_k_is_maximized_by_pr_vertex_k(self, ns_vertices):
+        for k, f in enumerate(bell.chsh_facets()):
+            assert [f.evaluate(v) == 1 for v in ns_vertices] == [n == 16 + k for n in range(24)]
 
 
 class TestCglmp:

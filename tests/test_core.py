@@ -27,6 +27,7 @@ from boxlab.core import (
     rat,
     relabel,
     relabeled_indices,
+    restrict_bob_inputs,
     swap_indices,
     trace_indices,
     uniform_box,
@@ -581,6 +582,21 @@ def test_marginal_indices_match_product_oracle(sc):
         # a list, as callers pass sorted((i, j)), reads the same cached map
         assert marginal_indices(sc, list(keep)) is entries
         assert all(isinstance(idx, tuple) for _, idx in entries)
+
+
+@pytest.mark.parametrize("ys", [[True], [0.0], ["1"], [0, 1.0], [2], [-1]], ids=repr)
+def test_restrict_bob_inputs_takes_only_int_inputs_in_range(ys):
+    # int() would read True as input 1; 0.0 and "1" would end in a TypeError
+    with pytest.raises(ScenarioMismatch, match="ints"):
+        restrict_bob_inputs(bell.pr_box(), ys)
+
+
+def test_restrict_bob_inputs_keeps_the_listed_inputs_in_order():
+    box = mix([bell.pr_box(), uniform_box(Scenario((2, 2), (2, 2)))], [F(1, 3), F(2, 3)])
+    kept = restrict_bob_inputs(box, [1, 0])
+    assert kept.scenario == Scenario((2, 2), (2, 2))
+    assert all(kept.prob(outs, (x, y)) == box.prob(outs, (x, 1 - y))
+               for x, y, outs in itertools.product((0, 1), (0, 1), itertools.product((0, 1), repeat=2)))
 
 
 @pytest.mark.parametrize("keep", [[1, 0], [0, 0], [], [0, 3], [-1, 1], [0.2, 1.9], [False, True], ["0", "1"]])

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -97,6 +98,11 @@ def pr_like(sc):
     )
 
 
+def membership_verdict(box):
+    """is_local's membership-LP path, taken whatever the box."""
+    return locality._membership_verdict(box, core.numerators(box.table)[1])
+
+
 class TestSpanningEntries:
     @pytest.mark.parametrize("sc", TABLE_SCENARIOS, ids=str)
     def test_collins_gisin_count_in_table_order(self, sc):
@@ -133,8 +139,11 @@ class TestSpanningEntries:
             ws = [rng.randrange(1, 5) for _ in picks]
             noise = mix(picks, [F(w, sum(ws)) for w in ws])
             box = mix([pr_like(sc), noise], [F(i, 6), 1 - F(i, 6)])
-            result = is_local(box)
+            # the membership LP's outcome, which a nonlocal 2222 box skips
+            # when is_local certifies it by a CHSH facet
+            result = membership_verdict(box)
             local = isinstance(result, LocalModel)
+            assert isinstance(is_local(box), LocalModel) == local
             seen.add(local)
             assert lp.solve(full_membership_lp(box)).status == (lp.OPTIMAL if local else lp.INFEASIBLE)
             assert local_membership_alternative(box) == local
@@ -156,9 +165,9 @@ class TestIsLocal:
         assert sum(model.weights, ZERO) == 1
 
     def test_reads_the_table_once_before_the_membership_lp(self, ns_vertices, monkeypatch):
-        # the NS check and labels_told_apart share one read of the table
-        # into numerators; only the canonical search, when it runs, reads
-        # it again
+        # the NS check, the CHSH facets and labels_told_apart share one
+        # read of the table into numerators; only the canonical search,
+        # when it runs, reads it again
         reads = []
 
         def counting(values, real=core.numerators):
@@ -175,16 +184,20 @@ class TestIsLocal:
             monkeypatch.setattr(module, "numerators", counting)
         monkeypatch.setattr(locality, "local_model", stop)
         rng = random.Random(2830)
-        boxes = [random_ns_box(rng, ns_vertices, nonlocal_bias=40) for _ in range(6)] + [make_isotropic(F(3, 5))]
-        told = set()
+        boxes = [random_ns_box(rng, ns_vertices, nonlocal_bias=40) for _ in range(6)]
+        boxes += [random_local_box(rng, ns_vertices) for _ in range(3)] + [make_isotropic(F(1, 2))]
+        paths = set()
         for box in boxes:
             apart = polytope.labels_told_apart(box.scenario, core.numerators(box.table)[1])
             reads.clear()
-            with pytest.raises(Stop):
+            try:
                 is_local(box)
-            assert reads == [box.table] * (1 if apart else 2)
-            told.add(apart)
-        assert told == {True, False}
+                path = "facet"
+            except Stop:
+                path = "told apart" if apart else "searched"
+            assert reads == [box.table] * (2 if path == "searched" else 1)
+            paths.add(path)
+        assert paths == {"facet", "told apart", "searched"}
 
     def test_pr_certificate_is_chsh(self, ns_vertices):
         cert = is_local(pr_box())
@@ -246,6 +259,65 @@ class TestIsLocal:
 
         with pytest.raises(SignalingBox):
             is_local(sig)
+
+
+class TestChshFacetPath:
+    """A 2222 box that violates a CHSH facet is certified by it with no
+    LP; any other 2222 box is found local by the membership LP."""
+
+    def check(self, box):
+        result = is_local(box)
+        local = isinstance(result, LocalModel)
+        assert local == local_membership_alternative(box)
+        values = [f.evaluate(box) for f in bell.chsh_facets()]
+        assert local == (max(values) <= 0)
+        if not local:
+            # the most violated facet, the first on ties
+            assert result.functional == bell.chsh_facets()[values.index(max(values))]
+            assert result.violation == result.functional.evaluate(box) == max(values)
+        return local
+
+    def test_vertices(self, ns_vertices):
+        # every deterministic vertex lies on some facet, with value 0
+        assert [self.check(v) for v in ns_vertices] == [True] * 16 + [False] * 8
+
+    def test_seeded_boxes_on_both_sides_of_the_boundary(self, ns_vertices):
+        rng = random.Random(3101)
+        verdicts = Counter(self.check(random_ns_box(rng, ns_vertices, nonlocal_bias=(i % 8) * 10))
+                           for i in range(200))
+        assert min(verdicts[True], verdicts[False]) >= 60
+        # each PR vertex mixed with the uniform box at 1/2 lies on its facet,
+        # and above 1/2 violates it
+        noise = uniform_box(SC22)
+        for pr in ns_vertices[16:]:
+            assert [self.check(mix([pr, noise], [t, 1 - t])) for t in (F(1, 2), F(51, 100))] == [True, False]
+
+    def test_a_nonlocal_box_solves_no_lp_and_a_local_one_solves_one(self, ns_vertices, monkeypatch):
+        solve, calls = lp.solve, []
+
+        def counted(*args):
+            calls.append(args[0])
+            return solve(*args)
+
+        monkeypatch.setattr(lp, "solve", counted)
+        rng = random.Random(3102)
+        boxes = [pr_box(), make_isotropic(F(3, 5)), make_isotropic(F(1, 2))]
+        boxes += [random_ns_box(rng, ns_vertices, nonlocal_bias=b) for b in (0, 20, 60, 80)]
+        seen = set()
+        for box in boxes:
+            calls.clear()
+            local = isinstance(is_local(box), LocalModel)
+            assert len(calls) == local
+            seen.add(local)
+        assert seen == {True, False}
+
+    def test_a_missing_facet_fails_fines_check(self, monkeypatch):
+        # without the facet the PR box violates, the membership LP finds it
+        # nonlocal, which Fine's theorem rules out
+        kept = locality._facet_signs()[1:]
+        monkeypatch.setattr(locality, "_facet_signs", lambda: kept)
+        with pytest.raises(core.InternalError, match="Fine"):
+            is_local(pr_box())
 
 
 FOLD_SCENARIOS = [SC22, Scenario((2, 3), (2, 2)), Scenario((3, 3), (2, 2)), Scenario((2, 2), (3, 3))]
@@ -334,7 +406,7 @@ class TestFoldedIsLocal:
         firsts = []
         for labeled in [box] + [relabel(box, *random_relabeling(rng, box.scenario)) for _ in range(3)]:
             programs.clear()
-            is_local(labeled)
+            membership_verdict(labeled)
             firsts.append(programs[0])
         assert {prog.num_vars for prog in firsts} == {size}
         assert all(prog.eqs == firsts[0].eqs for prog in firsts)
@@ -351,9 +423,12 @@ class TestFoldedIsLocal:
         seen = set()
         for box in boxes:
             if polytope.labels_told_apart(box.scenario, core.numerators(box.table)[1]):
-                result = is_local(box)
+                result = membership_verdict(box)
                 seen.add(type(result))
                 assert pickle.dumps(result) == pickle.dumps(own_labels_outcome(box))
+                # is_local's own outcome, but for a 2222 box a CHSH facet certifies
+                if box.scenario != SC22 or isinstance(result, LocalModel):
+                    assert pickle.dumps(is_local(box)) == pickle.dumps(result)
         assert seen == {LocalModel, NonlocalityCertificate}
 
     @pytest.mark.parametrize("sc", FOLD_SCENARIOS, ids=str)

@@ -741,6 +741,14 @@ class TestLocalModelFromExtension:
         with pytest.raises(NotAnExtension):
             local_model_from_extension(problem, wrong)
 
+    @pytest.mark.parametrize("y_values", [(True, 0), (0.0, 1), ("1", 0), (0, 2), (0,)], ids=repr)
+    def test_takes_only_int_inputs_in_range(self, y_values):
+        # int() would read True as input 1; 0.0 and "1" would end in a TypeError
+        problem = ExtensionProblem(make_isotropic(F(1, 2)), "B", 2)
+        extension = is_m_shareable(problem).extension
+        with pytest.raises(BadParams, match="int inputs"):
+            local_model_from_extension(problem, extension, y_values=y_values)
+
 
 class TestInfiniteShareability:
     """A local box is m-shareable for every m: is_m_shareable builds the
