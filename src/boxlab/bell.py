@@ -5,15 +5,21 @@ the convention used throughout the package: value <= 0 on every local
 box, maximum exactly 1 over the nonsignaling polytope.  CHSH and CGLMP
 are normalized in closed form, from their known local bounds and
 nonsignaling maxima; the tests check both against the LP.  So are the
-eight CHSH facets of `chsh_facets`, which are CHSH relabeled: a 2222
+eight CHSH facets of `chsh_facets`, which are CHSH read through the
+eight output flips of `_output_flips`, the relabelings that also carry
+the PR box onto the eight PR vertices of `ns_vertices_2222`: a 2222
 box that violates one is nonlocal by Fine's theorem, and
-`locality.is_local` certifies it by the facet, with no LP.  `normalize`
+`locality.is_local` certifies it by the facet, with no LP.  The
+correlators and the CHSH table walk the 2222 table in its order (input
+pairs outermost, outputs (a, b) innermost), and `cglmp_raw` places its
+weights through `core.label_offsets`, the layout's one table.  `normalize`
 serves the functionals found at run time, such as the Farkas vectors of
 `locality.is_local`, put on the spanning entries of
 `polytope.spanning_entries` and averaged over the box's stabilizer:
 their local bound is the largest sum of the coefficients at the table
 entries a deterministic strategy fires (`polytope.strategy_columns`),
-taken in integers over the coefficients' common denominator, and their
+taken in integers over the coefficients' common denominator
+(`core.numerators`), and their
 nonsignaling maximum comes from an exact LP.  The functions that solve
 import lp and polytope themselves, so CHSH, CGLMP and the isotropic
 family load neither.  `cglmp` builds no
@@ -26,7 +32,6 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
-from math import lcm
 
 from .core import (
     BadParams,
@@ -38,6 +43,8 @@ from .core import (
     ONE,
     box_from_function,
     ensure,
+    label_offsets,
+    numerators,
     relabeled_indices,
 )
 
@@ -61,16 +68,9 @@ def correlators(box: Box) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     C_xy = P(00|xy) + P(11|xy) - P(01|xy) - P(10|xy)."""
     if box.scenario != scenario_2222():
         raise ScenarioMismatch(f"need a 2-party binary-input/output box, got {box.scenario}")
-    vals = []
-    for x in (0, 1):
-        for y in (0, 1):
-            c = ZERO
-            for a in (0, 1):
-                for b in (0, 1):
-                    p = box.prob((a, b), (x, y))
-                    c += p if a == b else -p
-            vals.append(c)
-    return tuple(vals)
+    # the table in order: one block of (a, b) = 00, 01, 10, 11 per (x, y)
+    blocks = zip(*[iter(box.table)] * 4)
+    return tuple(p00 - p01 - p10 + p11 for p00, p01, p10, p11 in blocks)
 
 
 def chsh(box: Box) -> Fraction:
@@ -107,40 +107,43 @@ class BellFunctional(Frozen):
 
 
 def chsh_functional() -> BellFunctional:
-    """CHSH as an explicit coefficient table with offset -1."""
-    sc = scenario_2222()
-    coeffs = [ZERO] * sc.table_size
-    for x in (0, 1):
-        for y in (0, 1):
-            sign = ONE if (x, y) != (1, 1) else -ONE
-            for a in (0, 1):
-                for b in (0, 1):
-                    val = sign if a == b else -sign
-                    coeffs[sc.flat_index((a, b), (x, y))] = val / 2
-    return BellFunctional(sc, tuple(coeffs), -ONE)
+    """CHSH as an explicit coefficient table with offset -1, walked in
+    table order: (x, y) outermost, each block's sign times the
+    correlator's signs at (a, b) = 00, 01, 10, 11, halved."""
+    coeffs = (Fraction(s * c, 2) for s in (1, 1, 1, -1) for c in (1, -1, -1, 1))
+    return BellFunctional(scenario_2222(), tuple(coeffs), -ONE)
+
+
+@functools.lru_cache(maxsize=1)
+def _output_flips() -> tuple[list[int], ...]:
+    """The eight 2222 relabelings that flip Alice's output at x by
+    alpha*x + gamma and Bob's at y by beta*y, (alpha, beta, gamma) in
+    product order, each as the relabeled_indices it reads a table
+    through (each flip is its own inverse).  Built once."""
+    flips = []
+    for alpha, beta, gamma in itertools.product((0, 1), repeat=3):
+        # label number n = 2x + a goes to 2x + (a flipped)
+        alice = [2 * x + (a ^ (alpha * x ^ gamma)) for x in (0, 1) for a in (0, 1)]
+        bob = [2 * y + (b ^ beta * y) for y in (0, 1) for b in (0, 1)]
+        flips.append(relabeled_indices(scenario_2222(), (alice, bob)))
+    return tuple(flips)
 
 
 @functools.lru_cache(maxsize=1)
 def chsh_facets() -> tuple[BellFunctional, ...]:
     """The eight normalized CHSH facets of the 2222 local polytope, built
-    once: facet (alpha, beta, gamma), in product order, counts
-    a + b = xy + alpha*x + beta*y + gamma (mod 2) as chsh_functional
-    counts a + b = xy, being CHSH read with Alice's output at x flipped
-    by alpha*x + gamma and Bob's at y by beta*y (each flip its own
-    inverse), so PR vertex 16 + k of ns_vertices_2222 gives facet k its
-    maximum 1.  By Fine's theorem (PRL 48, 291, 1982) they and
-    positivity are every facet of the polytope, so a nonsignaling 2222
-    box is local exactly when it violates none of them."""
+    once: CHSH read through each output flip of _output_flips, so facet
+    (alpha, beta, gamma) counts a + b = xy + alpha*x + beta*y + gamma
+    (mod 2) as chsh_functional counts a + b = xy, and the PR box read
+    through the same flip, vertex 16 + k of ns_vertices_2222, gives
+    facet k its maximum 1.  By Fine's theorem (PRL 48, 291, 1982) they
+    and positivity are every facet of the polytope, so a nonsignaling
+    2222 box is local exactly when it violates none of them."""
     chsh = chsh_functional()
-    sc = chsh.scenario
-    facets = []
-    for alpha, beta, gamma in itertools.product((0, 1), repeat=3):
-        # label number n = 2x + a goes to 2x + (a flipped)
-        alice = [2 * x + (a ^ (alpha * x ^ gamma)) for x in (0, 1) for a in (0, 1)]
-        bob = [2 * y + (b ^ beta * y) for y in (0, 1) for b in (0, 1)]
-        moved = map(chsh.coefficients.__getitem__, relabeled_indices(sc, (alice, bob)))
-        facets.append(BellFunctional(sc, tuple(moved), chsh.offset))
-    return tuple(facets)
+    return tuple(
+        BellFunctional(chsh.scenario, tuple(map(chsh.coefficients.__getitem__, flip)), chsh.offset)
+        for flip in _output_flips()
+    )
 
 
 def local_bound(functional: BellFunctional) -> Fraction:
@@ -151,9 +154,7 @@ def local_bound(functional: BellFunctional) -> Fraction:
     over the coefficients' common denominator."""
     from . import polytope
 
-    coeffs = functional.coefficients
-    den = lcm(*(c.denominator for c in coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in coeffs]
+    den, nums = numerators(functional.coefficients)
     best = max(sum(map(nums.__getitem__, cols)) for cols in polytope.strategy_columns(functional.scenario))
     return functional.offset + Fraction(best, den)
 
@@ -193,13 +194,14 @@ def cglmp_raw(d: int) -> BellFunctional:
         raise BadParams("CGLMP needs at least two outputs")
     sc = Scenario((2, 2), (d, d))
     coeffs = [ZERO] * sc.table_size
+    at_a, at_b = label_offsets(sc)
 
     def add(x, y, rel, weight):
         # rel(a, b) selects the entries P(a,b|x,y) receiving this weight
         for a in range(d):
             for b in range(d):
                 if rel(a, b):
-                    coeffs[sc.flat_index((a, b), (x, y))] += weight
+                    coeffs[at_a[x * d + a] + at_b[y * d + b]] += weight
 
     for k in range(d // 2):
         w = 1 - Fraction(2 * k, d - 1)
@@ -258,21 +260,11 @@ def unique_ns_maximizer(functional: BellFunctional):
 
 def ns_vertices_2222() -> tuple[Box, ...]:
     """The 24 vertices of the 2222 nonsignaling polytope: 16 deterministic
-    boxes and the 8 PR-box relabelings a + b = xy + ax + by + g (mod 2)."""
+    boxes and the PR box read through the 8 output flips of
+    _output_flips, the relabelings of chsh_facets."""
     from . import polytope
 
     sc = scenario_2222()
+    pr = pr_box().table
     vertices = [s.box() for s in polytope.deterministic_strategies(sc)]
-    for alpha in (0, 1):
-        for beta in (0, 1):
-            for gamma in (0, 1):
-                vertices.append(
-                    box_from_function(
-                        sc,
-                        lambda outs, xs, a=alpha, b=beta, g=gamma: Fraction(1, 2)
-                        if (outs[0] + outs[1]) % 2
-                        == (xs[0] * xs[1] + a * xs[0] + b * xs[1] + g) % 2
-                        else 0,
-                    )
-                )
-    return tuple(vertices)
+    return (*vertices, *(Box(sc, tuple(map(pr.__getitem__, flip))) for flip in _output_flips()))

@@ -77,9 +77,8 @@ def dumps_box(box: Box, name: str | None = None) -> str:
     lines.append("outputs: " + " ".join(str(v) for v in sc.outputs))
     lines.append("table:")
     n_out = sc.num_output_tuples
-    for xi in range(sc.num_input_tuples):
-        block = box.table[xi * n_out : (xi + 1) * n_out]
-        lines.append(" ".join(format_rational(v) for v in block))
+    for start in range(0, sc.table_size, n_out):
+        lines.append(" ".join(format_rational(v) for v in box.table[start : start + n_out]))
     return "\n".join(lines) + "\n"
 
 

@@ -13,13 +13,26 @@ in the package: a map of labels is a tuple whose entry n is the number
 label n goes to.  So are `polytope.canonical_form`'s maps, from each
 original label to its canonical one, and each element of its
 stabilizer, one map per party on canonical labels; the orbit keys of
-`shareability` are label numbers too.  `trace_indices` reads the
-offsets, as do the strategy columns and canonical-form reads of
-`polytope` and the lift rows of `shareability`, and `relabeled_indices`
-reads a table through one map per party with them: `relabel`,
-`canonical_form`'s table, a stabilizer element moving the entries of a
-table (`locality`), and a table of the canonical frame read back in the
-box's labels through the canonical maps (`locality`'s Bell functional).
+`shareability` are label numbers too.
+
+An entry's position is found only through `label_offsets` and the index
+maps built here on the same layout, or by walking the table in its
+order; no other module works one out from the alphabet sizes.  The
+offsets are read by `restrict_bob_inputs`, the strategy columns,
+`labels_told_apart` and canonical-form reads of `polytope`,
+`locality.LocalModel`, the lift rows and `local_model_from_extension`
+of `shareability`, `bell.cglmp_raw`, and the slice rows and
+`output_entropy` of `incompat`.  `trace_indices` serves
+`is_nonsignaling`, `polytope.ns_equality_rows` and `isotropic.shrink`;
+`marginal_indices` serves `marginal`, `polytope.lift` and
+`marginal_rows`, `shareability.validate_extension` and `incompat`'s
+joint rows; `party_order_indices` serves `permute_parties` and
+`swap_indices`.  `relabeled_indices` reads a table through one map per
+party: `relabel`, `canonical_form`'s table, a stabilizer element moving
+the entries of a table (`locality`), a table of the canonical frame
+read back in the box's labels through the canonical maps (`locality`'s
+Bell functional), and the CHSH output flips of `bell`.  `bell`'s
+correlators and CHSH table walk the 2222 table in its order.
 
 `Frozen` is the base of every boxlab record (Scenario, Box, LpOutcome,
 ...): immutable, compared and hashed by value, with a dataclass-style
@@ -201,25 +214,6 @@ class Scenario(Frozen):
     def output_tuples(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(v) for v in self.outputs))
 
-    def input_index(self, xs: Sequence[int]) -> int:
-        idx = 0
-        for x, size in zip(xs, self.inputs):
-            if not 0 <= x < size:
-                raise IndexError(f"input {xs} out of range for {self.inputs}")
-            idx = idx * size + x
-        return idx
-
-    def output_index(self, outs: Sequence[int]) -> int:
-        idx = 0
-        for a, size in zip(outs, self.outputs):
-            if not 0 <= a < size:
-                raise IndexError(f"output {outs} out of range for {self.outputs}")
-            idx = idx * size + a
-        return idx
-
-    def flat_index(self, outs: Sequence[int], xs: Sequence[int]) -> int:
-        return self.input_index(xs) * self.num_output_tuples + self.output_index(outs)
-
 
 class Box(Frozen):
     """A validated conditional probability table over a scenario.
@@ -231,9 +225,6 @@ class Box(Frozen):
         d = self.__dict__
         d["scenario"] = scenario
         d["table"] = table
-
-    def prob(self, outs: Sequence[int], xs: Sequence[int]) -> Fraction:
-        return self.table[self.scenario.flat_index(outs, xs)]
 
 
 def validate_box(table: Iterable, scenario: Scenario) -> Box:
@@ -459,17 +450,16 @@ def marginal(box: Box, subset: Sequence[int]) -> Box:
 def restrict_bob_inputs(box: Box, y_values: Sequence[int]) -> Box:
     """Bipartite box keeping only the listed Bob inputs, in the listed
     order, re-indexed from 0."""
-    (X, Y), n_out = box.scenario.inputs, box.scenario.num_output_tuples
+    (X, Y), (A, B) = box.scenario.inputs, box.scenario.outputs
     ys = tuple(y_values)
     # no int(y), as in _party_subset: True would read input 1
     if any(type(y) is not int or not 0 <= y < Y for y in ys):
         raise ScenarioMismatch(f"Bob inputs must be ints in 0..{Y - 1}, got {ys!r}")
-    table = []
-    for x in range(X):
-        for y in ys:
-            start = (x * Y + y) * n_out
-            table.extend(box.table[start : start + n_out])
-    return Box(Scenario((X, len(ys)), box.scenario.outputs), tuple(table))
+    at_a, at_b = label_offsets(box.scenario)
+    # the A*B entries of input pair (x, y) start at its labels (0 | x), (0 | y)
+    starts = [at_a[x * A] + at_b[y * B] for x in range(X) for y in ys]
+    table = tuple(p for start in starts for p in box.table[start : start + A * B])
+    return Box(Scenario((X, len(ys)), box.scenario.outputs), table)
 
 
 def permute_parties(box: Box, perm: Sequence[int]) -> Box:

@@ -30,6 +30,7 @@ from .core import (
     ONE,
     ensure,
     is_nonsignaling,
+    label_offsets,
     marginal,
     marginal_indices,
     permute_parties,
@@ -91,13 +92,15 @@ def _joint_marginal_rows(restricted: Scenario):
     """Rows summing the joint table P'(a,b0,b1|x) down to each slice of the
     restricted box: the (0, 1) marginal of the joint table is the y=0
     slice, the (0, 2) one the y=1 slice.  Yields ((index, coefficient)
-    pairs over joint entries, restricted entry ((a, b), (x, y))), the y=0
-    and y=1 rows of each (a, b, x) in turn."""
+    pairs over joint entries, flat index of the restricted entry
+    (a, b | x, y), read off core.label_offsets), the y=0 and y=1 rows of
+    each (a, b, x) in turn."""
     joint = _joint_scenario(restricted)
+    (A, B), (at_a, at_b) = restricted.outputs, label_offsets(restricted)
     slices = zip(marginal_indices(joint, (0, 1)), marginal_indices(joint, (0, 2)))
-    for ((outs, (x, _)), row0), (_, row1) in slices:
-        yield [(i, ONE) for i in row0], (outs, (x, 0))
-        yield [(i, ONE) for i in row1], (outs, (x, 1))
+    for (((a, b), (x, _)), row0), (_, row1) in slices:
+        yield [(i, ONE) for i in row0], at_a[x * A + a] + at_b[b]
+        yield [(i, ONE) for i in row1], at_a[x * A + a] + at_b[B + b]
 
 
 class IncompatibilityResult(Frozen):
@@ -131,8 +134,8 @@ def incompatibility_lp_for(restricted: Box) -> lp.LinearProgram:
     nw = joint.table_size
     ns_size = sc.table_size
     prog = lp.LinearProgram(nw + ns_size, [(nw + oi, -ONE) for oi in range(sc.num_output_tuples)])
-    for row, entry in _joint_marginal_rows(sc):
-        prog.add_eq(row + [(nw + sc.flat_index(*entry), ONE)], restricted.prob(*entry))
+    for row, i in _joint_marginal_rows(sc):
+        prog.add_eq(row + [(nw + i, ONE)], restricted.table[i])
     for coeffs, rhs in polytope.ns_equality_rows(joint):
         prog.add_eq(coeffs, rhs)
     for coeffs, rhs in polytope.ns_equality_rows(sc):
@@ -162,9 +165,12 @@ def output_entropy(box: Box, party: int, x: int) -> float:
     upstream of the log stays rational.
     """
     dist = marginal(box, (party,))
+    (X,), (A,) = dist.scenario.inputs, dist.scenario.outputs
+    if type(x) is not int or not 0 <= x < X:
+        raise ScenarioMismatch(f"input {x!r} out of range for {X} inputs")
     total = 0.0
-    for a in range(box.scenario.outputs[party]):
-        p = dist.prob((a,), (x,))
+    # its labels at x, label numbers x*A .. x*A + A - 1
+    for p in map(dist.table.__getitem__, label_offsets(dist.scenario)[0][x * A:(x + 1) * A]):
         if p:
             pf = float(p)
             total -= pf * math.log2(pf)

@@ -1,7 +1,10 @@
 """The isotropic family and the randomized local maps acting on it.
 
 An isotropic box mixes the PR box with uniform noise; its single
-parameter C fixes the CHSH value at 2C - 1.  Depolarization averages any
+parameter C fixes the CHSH value at 2C - 1.  Membership is decided
+exactly: a 2222 box is isotropic when it equals make_isotropic(C) for
+its correlator C00, so equal correlators with a biased marginal do not
+make a box isotropic.  Depolarization averages any
 2222 box over eight local relabelings (two symmetrizing flips times four
 input/output rewirings) and lands on the isotropic line C00 = C01 = C10
 = -C11 without changing CHSH.  Shrinking lets one party trade C for
@@ -22,6 +25,7 @@ from .core import (
     mix,
     rat,
     relabel,
+    trace_indices,
     uniform_box,
 )
 
@@ -42,17 +46,13 @@ def make_isotropic(c) -> Box:
 
 
 def is_isotropic(box: Box) -> bool:
-    """Unbiased marginals and correlators (C, C, C, -C) with C >= 0."""
+    """Whether the box is make_isotropic(C) for C its correlator C00,
+    decided exactly, entry by entry: a box with equal correlators
+    (C, C, C, -C) but a biased marginal is not in the family."""
     if box.scenario != scenario_2222():
         return False
-    for x in (0, 1):
-        for y in (0, 1):
-            for a in (0, 1):
-                pa = box.prob((a, 0), (x, y)) + box.prob((a, 1), (x, y))
-                if pa != Fraction(1, 2):
-                    return False
-    c00, c01, c10, c11 = correlators(box)
-    return c00 == c01 == c10 == -c11 and c00 >= 0
+    c = correlators(box)[0]
+    return 0 <= c <= 1 and box == make_isotropic(c)
 
 
 def isotropic_parameter(box: Box) -> Fraction:
@@ -111,12 +111,15 @@ def shrink(box: Box, eps) -> Box:
     if not is_isotropic(box):
         raise NotIsotropic("shrink expects an isotropic box")
     half = Fraction(1, 2)
-    table = []
-    for xs in box.scenario.input_tuples():
-        for outs in box.scenario.output_tuples():
-            a, b = outs
-            bob_sum = box.prob((a, 0), xs) + box.prob((a, 1), xs)
-            table.append((1 - eps) * box.prob(outs, xs) + eps * half * bob_sum)
+    old = box.table
+    table = [None] * len(old)
+    # Bob's outputs at one (a, x, y) are one group of Bob's trace conditions
+    for k, _, _, per_y in trace_indices(box.scenario):
+        if k == 1:
+            for group in per_y:
+                bob_sum = sum(map(old.__getitem__, group))
+                for i in group:
+                    table[i] = (1 - eps) * old[i] + eps * half * bob_sum
     out = Box(box.scenario, tuple(table))
     ensure(
         isotropic_parameter(out) == (1 - eps) * isotropic_parameter(box),

@@ -8,13 +8,14 @@ trace equalities.  Constraint rows are indexed to match Box.table order.
 What depends only on the scenario is built once per scenario and held in
 a small least-recently-used cache: the index maps of `core.trace_indices`
 and `core.marginal_indices`, what each label adds to the flat index
-(`core.label_offsets`, which `strategy_columns`, `labels_told_apart`,
-`canonical_form` and `locality.LocalModel` read), the table entries
-each strategy fires at (`strategy_columns`), the entries that fix a
-nonsignaling table (`spanning_entries`), the cells `canonical_form`
-walks, the nonsignaling rows in LinearProgram's canonical form, and the
-nonsignaling LP's phase one (`lp.Start`), from which `max_over_ns`
-solves every objective.  The membership rows of
+(`core.label_offsets`, which `strategy_columns`, `labels_told_apart`
+and `canonical_form` read here; `core` lists every reader of the
+layout), the table entries each strategy fires at (`strategy_columns`),
+the entries that fix a nonsignaling table (`spanning_entries`, which
+like `normalization_rows` walks the table in its order), the cells
+`canonical_form` walks, the nonsignaling rows in LinearProgram's
+canonical form, and the nonsignaling LP's phase one (`lp.Start`), from
+which `max_over_ns` solves every objective.  The membership rows of
 `locality` (per scenario and stabilizer) and the orbit rows of
 `shareability` (per scenario, m and stabilizer, toward B only, since
 toward A is toward B on the party-swapped box) are cached alike: three
@@ -131,13 +132,10 @@ def spanning_entries(scenario: Scenario) -> tuple[int, ...]:
     them (Collins and Gisin).  Two nonsignaling tables equal there are
     equal: per party, the last output at an input x > 0 is the sum over
     all outputs at input 0 less the other outputs at x."""
-    n_out = scenario.num_output_tuples
     last = [a - 1 for a in scenario.outputs]
-    outputs = list(scenario.output_tuples())
+    entries = itertools.product(scenario.input_tuples(), list(scenario.output_tuples()))
     return tuple(
-        xi * n_out + oi
-        for xi, xs in enumerate(scenario.input_tuples())
-        for oi, outs in enumerate(outputs)
+        i for i, (xs, outs) in enumerate(entries)
         if all(x == 0 or a < top for x, a, top in zip(xs, outs, last))
     )
 
@@ -415,8 +413,8 @@ def _canonical_plan(scenario: Scenario) -> tuple:
 def normalization_rows(scenario: Scenario) -> list[tuple[list[tuple[int, Fraction]], Fraction]]:
     n_out = scenario.num_output_tuples
     return [
-        ([(xi * n_out + oi, ONE) for oi in range(n_out)], ONE)
-        for xi in range(scenario.num_input_tuples)
+        ([(i, ONE) for i in range(start, start + n_out)], ONE)
+        for start in range(0, scenario.table_size, n_out)
     ]
 
 

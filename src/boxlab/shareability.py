@@ -676,15 +676,17 @@ def local_model_from_extension(
     weights = []
     alice_functions = list(itertools.product(range(A), repeat=X))
     copies = marginal(extension, range(1, m + 1))
+    at_copies = label_offsets(copies.scenario)
+    at_alice, *at_ext = label_offsets(extension.scenario)
     for bs in itertools.product(range(B), repeat=m):
-        w = copies.prob(bs, y_values)
+        # copy i's label number at (b_i | y_values[i])
+        labels = [y * B + b for y, b in zip(y_values, bs)]
+        w = copies.table[sum(at[n] for at, n in zip(at_copies, labels))]
         if not w:
             continue
         # Alice's conditional response for each of her inputs
-        cond = []
-        for x in range(X):
-            xs_x = (x,) + y_values
-            cond.append([extension.prob((a,) + bs, xs_x) / w for a in range(A)])
+        at_bs = sum(at[n] for at, n in zip(at_ext, labels))
+        cond = [[extension.table[at_alice[x * A + a] + at_bs] / w for a in range(A)] for x in range(X)]
         bob_table = tuple(bs[slot_for[y]] for y in kept)
         for f in alice_functions:
             wf = w

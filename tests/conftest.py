@@ -6,7 +6,7 @@ import pytest
 
 from boxlab import bell, lp, polytope, shareability
 from boxlab.core import Box, Scenario, mix, relabel, uniform_box, validate_box
-from oracles import party_relabelings, verify_certificate_fractions, walked_orbit_rows
+from oracles import _flat_of, party_relabelings, prob, verify_certificate_fractions, walked_orbit_rows
 
 
 @pytest.fixture(scope="session")
@@ -43,7 +43,7 @@ def tensor(box1: Box, box2: Box) -> Box:
     table = []
     for xs in sc.input_tuples():
         for outs in sc.output_tuples():
-            table.append(box1.prob(outs[:n1], xs[:n1]) * box2.prob(outs[n1:], xs[n1:]))
+            table.append(prob(box1, outs[:n1], xs[:n1]) * prob(box2, outs[n1:], xs[n1:]))
     return Box(sc, tuple(table))
 
 
@@ -111,7 +111,7 @@ def pr_type(sc: Scenario) -> Box:
     table = [Fraction(0)] * sc.table_size
     for x, y, a, b in itertools.product(range(X), range(Y), range(2), range(2)):
         if (a + b) % 2 == (x == 1) * (y == 1):
-            table[sc.flat_index((a, b), (x, y))] = Fraction(1, 2)
+            table[_flat_of(sc, (a, b), (x, y))] = Fraction(1, 2)
     return validate_box(table, sc)
 
 

@@ -21,6 +21,14 @@ entry by entry (relabel_walk, core.relabel's reference), with its
 witness unfolded through that walk too.  None of it shares
 code with the package paths it cross-checks.
 
+Entries are read by their labels only through `_flat_of`, the flat
+position by plain mixed-radix arithmetic, and `prob`, the entry there;
+the package finds positions through `core.label_offsets` and the maps
+built on it, and the `*_walk` oracles state each reader of the layout
+(correlators, the CHSH and CGLMP tables, shrink, the incompatibility
+program's slice rows, output entropy, restrict_bob_inputs and the local
+model read off an extension) entry by entry through them.
+
 Two constructions that no package path uses live here too, for the
 tests that build boxes with them: `condition`, a box conditioned on one
 party's outcome, and `shared_shift_symmetrize`, a bipartite box
@@ -176,7 +184,7 @@ def local_bound_by_enumeration(functional) -> Fraction:
         for xs in itertools.product(*(range(x) for x in sc.inputs)):
             for outs in itertools.product(*(range(a) for a in sc.outputs)):
                 if all(outs[k] == tables[k][xs[k]] for k in range(sc.parties)):
-                    value += functional.coefficients[sc.flat_index(outs, xs)]
+                    value += functional.coefficients[_flat_of(sc, outs, xs)]
         if best is None or value > best:
             best = value
     return best
@@ -317,7 +325,7 @@ def permute_parties_walk(box: Box, perm) -> Box:
         old_xs = tuple(xs[inv[j]] for j in range(sc.parties))
         for outs in sub.output_tuples():
             old_outs = tuple(outs[inv[j]] for j in range(sc.parties))
-            table.append(box.prob(old_outs, old_xs))
+            table.append(prob(box, old_outs, old_xs))
     return Box(sub, tuple(table))
 
 
@@ -393,8 +401,18 @@ def _radix(digits, sizes) -> int:
 
 
 def _flat_of(sc: Scenario, outs, xs) -> int:
-    """Flat table position of entry (outs, xs): input tuples outermost."""
+    """Flat table position of entry (outs, xs): input tuples outermost.
+    Every label is checked against its party's alphabet, so that an
+    entry outside the table is an error rather than another entry."""
+    for labels, sizes in ((xs, sc.inputs), (outs, sc.outputs)):
+        if len(labels) != len(sizes) or not all(0 <= v < size for v, size in zip(labels, sizes)):
+            raise IndexError(f"entry {tuple(outs)} | {tuple(xs)} is outside {sc}")
     return _radix(xs, sc.inputs) * math.prod(sc.outputs) + _radix(outs, sc.outputs)
+
+
+def prob(box: Box, outs, xs) -> Fraction:
+    """P(outs | xs) of the box, read at _flat_of."""
+    return box.table[_flat_of(box.scenario, outs, xs)]
 
 
 def relabeled_entries_walk(sc: Scenario, images) -> list:
@@ -455,6 +473,142 @@ def marginal_lists_by_product(sc: Scenario, keep) -> tuple:
                 idx.append(_flat_of(sc, full_outs, full_xs))
             lists.append(((outs, xs), tuple(idx)))
     return tuple(lists)
+
+
+def correlators_walk(box: Box) -> tuple:
+    """bell.correlators entry by entry: C_xy = sum over (a, b) of
+    (-1)^(a+b) P(ab|xy), each entry read at _flat_of."""
+    return tuple(
+        sum(((-1) ** (a + b) * prob(box, (a, b), (x, y)) for a in (0, 1) for b in (0, 1)), ZERO)
+        for x in (0, 1)
+        for y in (0, 1)
+    )
+
+
+def chsh_coefficients_walk() -> list:
+    """bell.chsh_functional's coefficients from the CHSH sum: P(ab|xy)
+    weighs (-1)^(a+b+xy) / 2, each placed at _flat_of."""
+    sc = Scenario((2, 2), (2, 2))
+    coeffs = [None] * sc.table_size
+    for x, y, a, b in itertools.product((0, 1), repeat=4):
+        coeffs[_flat_of(sc, (a, b), (x, y))] = Fraction((-1) ** (a + b + x * y), 2)
+    return coeffs
+
+
+def cglmp_coefficients_walk(d: int) -> list:
+    """bell.cglmp_raw's coefficients from the CGLMP sum (Collins et al.,
+    PRL 88, 040404, 2002): for k < d/2, weight 1 - 2k/(d-1) on
+    P(A0 = B0 + k) + P(B0 = A1 + k + 1) + P(A1 = B1 + k) + P(B1 = A0 + k)
+    less P(A0 = B0 - k - 1) + P(B0 = A1 - k) + P(A1 = B1 - k - 1)
+    + P(B1 = A0 - k - 1), outputs mod d; each event adds its weight at
+    the _flat_of of every (a, b) in it."""
+    sc = Scenario((2, 2), (d, d))
+    coeffs = [ZERO] * sc.table_size
+    for k in range(d // 2):
+        w = 1 - Fraction(2 * k, d - 1)
+        # (x, y, sign, shift): the event A_x = B_y + shift, or with sign -1
+        # written B_y = A_x + shift, weighed by +w or -w
+        events = [
+            (0, 0, 1, k, w), (1, 0, -1, k + 1, w), (1, 1, 1, k, w), (0, 1, -1, k, w),
+            (0, 0, 1, -k - 1, -w), (1, 0, -1, -k, -w), (1, 1, 1, -k - 1, -w), (0, 1, -1, -k - 1, -w),
+        ]
+        for x, y, sign, shift, weight in events:
+            for a, b in itertools.product(range(d), repeat=2):
+                if (sign * (a - b) - shift) % d == 0:
+                    coeffs[_flat_of(sc, (a, b), (x, y))] += weight
+    return coeffs
+
+
+def shrink_walk(box: Box, eps) -> Box:
+    """isotropic.shrink's map entry by entry: Bob keeps b with
+    probability 1 - eps, else outputs a fair coin, so P'(ab|xy) =
+    (1 - eps) P(ab|xy) + eps/2 (P(a0|xy) + P(a1|xy))."""
+    sc = box.scenario
+    table = [None] * sc.table_size
+    for x, y, a, b in itertools.product((0, 1), repeat=4):
+        bob_sum = prob(box, (a, 0), (x, y)) + prob(box, (a, 1), (x, y))
+        table[_flat_of(sc, (a, b), (x, y))] = (1 - eps) * prob(box, (a, b), (x, y)) + eps / 2 * bob_sum
+    return Box(sc, tuple(table))
+
+
+def incompatibility_slice_rows_walk(restricted: Box) -> list:
+    """The first rows of incompat.incompatibility_lp_for, stated from the
+    labels: per (x, a, b) in product order, the joint table's entries
+    (a, b, o | x) summed over o plus S at (a, b | x, 0) equal the
+    restricted box there, then the entries (a, o, b | x) plus S at
+    (a, b | x, 1) equal it at y = 1; W's columns come first, S's after
+    them, every position read at _flat_of."""
+    sc = restricted.scenario
+    X, (A, B) = sc.inputs[0], sc.outputs
+    joint = Scenario((X, 1, 1), (A, B, B))
+    nw = joint.table_size
+    rows = []
+    for x, a, b in itertools.product(range(X), range(A), range(B)):
+        for y, at in ((0, lambda o: (a, b, o)), (1, lambda o: (a, o, b))):
+            row = [(_flat_of(joint, at(o), (x, 0, 0)), ONE) for o in range(B)]
+            rows.append((row + [(nw + _flat_of(sc, (a, b), (x, y)), ONE)], prob(restricted, (a, b), (x, y))))
+    return rows
+
+
+def output_entropy_walk(box: Box, party: int, x: int) -> float:
+    """incompat.output_entropy from marginal_dense: -sum p log2 p over
+    the party's outputs at input x, in output order."""
+    dist = marginal_dense(box, (party,))
+    total = 0.0
+    for a in range(box.scenario.outputs[party]):
+        p = dist[(a,), (x,)]
+        if p:
+            total -= float(p) * math.log2(float(p))
+    return total
+
+
+def restrict_bob_inputs_walk(box: Box, ys) -> Box:
+    """core.restrict_bob_inputs entry by entry: entry (a, b | x, j) of
+    the result reads the box at (a, b | x, ys[j])."""
+    (X, _), (A, B) = box.scenario.inputs, box.scenario.outputs
+    sc = Scenario((X, len(ys)), (A, B))
+    table = [None] * sc.table_size
+    for x, j, a, b in itertools.product(range(X), range(len(ys)), range(A), range(B)):
+        table[_flat_of(sc, (a, b), (x, j))] = prob(box, (a, b), (x, ys[j]))
+    return Box(sc, tuple(table))
+
+
+def local_model_walk(problem, extension: Box, y_values):
+    """shareability.local_model_from_extension read entry by entry: the
+    hidden variable is the copies' outputs bs when copy i gets
+    y_values[i], of weight w(bs) read off marginal_dense; Bob answers
+    bs at the first copy given each kept input, and Alice's response f
+    weighs w(bs) times prod_x P(f(x), bs | x, y_values) / w(bs), each
+    read at _flat_of.  Toward A the parties are swapped with
+    permute_parties_walk, the model built toward B and swapped back."""
+    from boxlab.locality import LocalModel
+    from boxlab.polytope import DeterministicStrategy
+
+    m, base = problem.copies, problem.base
+    if problem.shared_party == "A":
+        base = permute_parties_walk(base, (1, 0))
+        extension = permute_parties_walk(extension, (m, *range(m)))
+    (X, _), (A, B) = base.scenario.inputs, base.scenario.outputs
+    kept = sorted(set(y_values))
+    sc = Scenario((X, len(kept)), (A, B))
+    copies = marginal_dense(extension, range(1, m + 1))
+    strategies, weights = [], []
+    for bs in itertools.product(range(B), repeat=m):
+        w = copies[bs, tuple(y_values)]
+        if not w:
+            continue
+        bob = tuple(bs[y_values.index(y)] for y in kept)
+        for f in itertools.product(range(A), repeat=X):
+            wf = w
+            for x in range(X):
+                wf *= prob(extension, (f[x], *bs), (x, *y_values)) / w
+            if wf:
+                strategies.append((f, bob))
+                weights.append(wf)
+    if problem.shared_party == "A":
+        sc = Scenario(sc.inputs[::-1], sc.outputs[::-1])
+        strategies = [tables[::-1] for tables in strategies]
+    return LocalModel(sc, tuple(DeterministicStrategy(sc, t) for t in strategies), tuple(weights))
 
 
 def full_membership_lp(box: Box) -> lp.LinearProgram:
@@ -530,7 +684,7 @@ def local_membership_alternative(box: Box) -> bool:
             coeffs = [ZERO] * n
             for e, strat in enumerate(strategies):
                 outs = tuple(strat.tables[k][xs[k]] for k in range(sc.parties))
-                if sc.output_index(outs) == oi:
+                if _radix(outs, sc.outputs) == oi:
                     coeffs[e] = ONE
             prog.add_eq(enumerate(coeffs), box.table[xi * n_out + oi])
     out = lp.solve(prog)
@@ -610,7 +764,7 @@ def unfolded_extension_rows(base: Box, shared_party: str, m: int):
                             for os_ in out_tuples
                             if (os_[lo], os_[hi]) == (a, b)
                         ]
-                        yield ("marginal", slot, x, y, a, b), cells, base.prob((a, b), (x, y))
+                        yield ("marginal", slot, x, y, a, b), cells, prob(base, (a, b), (x, y))
 
 
 def unfolded_extension_lp(base: Box, shared_party: str, m: int) -> lp.LinearProgram:
@@ -780,7 +934,7 @@ def walked_orbit_rows(problem):
         add(coeffs, rhs)
     for slot in slots:
         for entry, idx in marginal_indices(ext, sorted((fixed, slot))):
-            add([(i, ONE) for i in idx], problem.base.prob(*entry), entry)
+            add([(i, ONE) for i in idx], prob(problem.base, *entry), entry)
     for coeffs, rhs in polytope.ns_equality_rows(ext):
         add(coeffs, rhs)
     return orbit_of, len(orbit_index), rows
@@ -814,7 +968,7 @@ def relabel_walk(box: Box, input_perms, output_perms) -> Box:
         old_xs = tuple(input_perms[k][xs[k]] for k in range(sc.parties))
         for outs in sc.output_tuples():
             old_outs = tuple(inv_out[k][xs[k]][outs[k]] for k in range(sc.parties))
-            table.append(box.prob(old_outs, old_xs))
+            table.append(prob(box, old_outs, old_xs))
     return Box(sc, tuple(table))
 
 
@@ -841,9 +995,9 @@ def canonical_relabeling(base: Box):
 def label_numbers(inputs: int, outputs: int) -> dict:
     """Each (output, input) label of a party with these alphabets, keyed
     by its label number: the flat index of the entry (a | x) of the party
-    alone (Scenario.flat_index)."""
+    alone (_flat_of)."""
     alone = Scenario((inputs,), (outputs,))
-    return {alone.flat_index((a,), (x,)): (a, x) for x in range(inputs) for a in range(outputs)}
+    return {_flat_of(alone, (a,), (x,)): (a, x) for x in range(inputs) for a in range(outputs)}
 
 
 def brute_canonical_form(box: Box):
@@ -938,8 +1092,8 @@ def compatibility_lp(restricted: Box) -> lp.LinearProgram:
     index = {cell: i for i, cell in enumerate(cells)}
     prog = lp.LinearProgram(len(cells))
     for x, a, b in itertools.product(range(X), range(A), range(B)):
-        prog.add_eq([(index[x, a, b, o], ONE) for o in range(B)], restricted.prob((a, b), (x, 0)))
-        prog.add_eq([(index[x, a, o, b], ONE) for o in range(B)], restricted.prob((a, b), (x, 1)))
+        prog.add_eq([(index[x, a, b, o], ONE) for o in range(B)], prob(restricted, (a, b), (x, 0)))
+        prog.add_eq([(index[x, a, o, b], ONE) for o in range(B)], prob(restricted, (a, b), (x, 1)))
     for x, b0, b1 in itertools.product(range(1, X), range(B), range(B)):
         prog.add_eq(
             [(index[x, a, b0, b1], ONE) for a in range(A)]
@@ -970,7 +1124,7 @@ def condition(box: Box, party: int, x_k: int, a_k: int) -> Box:
             f" got x={x_k}, a={a_k}"
         )
     pk = marginal(box, (party,))
-    p = pk.prob((a_k,), (x_k,))
+    p = prob(pk, (a_k,), (x_k,))
     if p == 0:
         raise ZeroProbabilityCondition(
             f"P(a={a_k} | x={x_k}) = 0 for party {party}"
@@ -984,7 +1138,7 @@ def condition(box: Box, party: int, x_k: int, a_k: int) -> Box:
         xs = xs_sub[:party] + (x_k,) + xs_sub[party:]
         for outs_sub in sub.output_tuples():
             outs = outs_sub[:party] + (a_k,) + outs_sub[party:]
-            table.append(box.prob(outs, xs) / p)
+            table.append(prob(box, outs, xs) / p)
     return validate_box(table, sub)
 
 

@@ -22,7 +22,13 @@ from boxlab.bell import (
 from boxlab.core import Box, Scenario, ScenarioMismatch, mix, relabel, uniform_box
 from boxlab.isotropic import make_isotropic
 from conftest import canonical_2222, pr_type, random_ns_box, random_relabeling, relabelings_2222, tensor
-from oracles import local_bound_by_enumeration, ns_vertices_2222_by_enumeration
+from oracles import (
+    cglmp_coefficients_walk,
+    chsh_coefficients_walk,
+    correlators_walk,
+    local_bound_by_enumeration,
+    ns_vertices_2222_by_enumeration,
+)
 
 
 class TestCorrelators:
@@ -41,6 +47,23 @@ class TestCorrelators:
     def test_scenario_mismatch(self):
         with pytest.raises(ScenarioMismatch):
             correlators(uniform_box(Scenario((2, 2), (3, 3))))
+
+    def test_matches_the_walk(self, ns_vertices):
+        rng = random.Random(32)
+        for box in [*ns_vertices, *(random_ns_box(rng, ns_vertices) for _ in range(40))]:
+            assert correlators(box) == correlators_walk(box)
+
+
+class TestCoefficientTables:
+    """The functionals' coefficient tables, each entry placed by the
+    package's layout, against the same sums placed at oracles._flat_of."""
+
+    def test_chsh_functional(self):
+        assert list(chsh_functional().coefficients) == chsh_coefficients_walk()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_cglmp_raw(self, d):
+        assert list(cglmp_raw(d).coefficients) == cglmp_coefficients_walk(d)
 
 
 class TestChsh:

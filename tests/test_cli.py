@@ -17,8 +17,9 @@ from hypothesis import assume, given, settings, strategies as st
 from boxlab import boxio, cli, lp, polytope
 from boxlab.core import Scenario, uniform_box
 from conftest import asymmetric_giso, orbit_lp
-from oracles import trace_violation_dense, unfolded_extension_lp
+from oracles import shrink_walk, trace_violation_dense, unfolded_extension_lp
 from test_core import seeded_signaling_box
+from test_isotropic import biased_bob_box
 
 
 def run(*argv) -> int:
@@ -741,6 +742,27 @@ def test_shrink_round_trip(tmp_path, option, epsilon):
     assert run("analyze", "shrink", box, *option, "-o", report) == 0
     assert boxio.read_report(report)["verdict"]["epsilon"] == epsilon
     assert run("verify", report) == 0
+
+
+def test_shrink_refuses_a_box_outside_the_isotropic_family(tmp_path):
+    # isotropic 1/2's correlators with Bob's marginal (3/5, 2/5): shrinking
+    # it is a usage error, and a report that claims "1/2 -> 1/4" for it,
+    # with the table Bob's noise gives it, does not verify
+    biased, box, report = biased_bob_box(), tmp_path / "biased.txt", tmp_path / "report.json"
+    boxio.write_box(str(box), biased)
+    assert run("analyze", "shrink", box, "-o", report) == 2
+    assert not report.exists()
+    iso = tmp_path / "iso.txt"
+    assert run("make", "iso", "--C", "1/2", "-o", iso) == 0
+    assert run("analyze", "shrink", iso, "-o", report) == 0
+
+    def forge(data):
+        data["box"] = {"path": str(box), "sha256": boxio.file_digest(box), "name": None}
+        data["output"]["box"]["table"] = [boxio.format_rational(v) for v in shrink_walk(biased, F(1, 2)).table]
+
+    rewrite(report, forge)
+    assert boxio.read_report(report)["verdict"]["parameter_after"] == "1/4"
+    assert run("verify", report) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,9 @@ from oracles import (
     marginal_dense,
     marginal_lists_by_product,
     permute_parties_walk,
+    prob,
     relabel_walk,
+    restrict_bob_inputs_walk,
     relabeled_entries_walk,
     trace_groups_by_product,
     trace_violation_dense,
@@ -59,9 +61,9 @@ def product_box(pa, pb):
 class TestValidation:
     def test_pr_box_is_valid(self):
         pr = bell.pr_box()
-        assert pr.prob((0, 0), (0, 0)) == F(1, 2)
-        assert pr.prob((0, 1), (1, 1)) == F(1, 2)
-        assert pr.prob((0, 0), (1, 1)) == 0
+        assert prob(pr, (0, 0), (0, 0)) == F(1, 2)
+        assert prob(pr, (0, 1), (1, 1)) == F(1, 2)
+        assert prob(pr, (0, 0), (1, 1)) == 0
 
     def test_uniform_box_valid(self):
         sc = Scenario((2, 3), (2, 4))
@@ -135,7 +137,7 @@ class TestMarginal:
         pb = [[F(1, 4), F(3, 4)], [F(0), F(1)]]
         box = product_box(pa, pb)
         mb = marginal(box, (1,))
-        assert [mb.prob((b,), (y,)) for y in (0, 1) for b in (0, 1)] == [
+        assert [prob(mb, (b,), (y,)) for y in (0, 1) for b in (0, 1)] == [
             F(1, 4),
             F(3, 4),
             F(0),
@@ -173,7 +175,7 @@ class TestCondition:
         pb = [[F(1, 3), F(2, 3)], [F(3, 5), F(2, 5)]]
         box = product_box(pa, pb)
         got = condition(box, 0, 1, 0)
-        assert [got.prob((b,), (y,)) for y in (0, 1) for b in (0, 1)] == [
+        assert [prob(got, (b,), (y,)) for y in (0, 1) for b in (0, 1)] == [
             F(1, 3),
             F(2, 3),
             F(3, 5),
@@ -190,7 +192,7 @@ class TestCondition:
         pr = bell.pr_box()
         for y in (0, 1):
             for b in (0, 1):
-                expected.append(pr.prob((1, b), (1, y)) + F(1, 4))
+                expected.append(prob(pr, (1, b), (1, y)) + F(1, 4))
         assert list(got.table) == expected
 
     @pytest.mark.parametrize("party", [-1, -2, 2])
@@ -366,7 +368,7 @@ def test_condition_remix_recovers_marginal():
     parts = []
     weights = []
     for a_k in (0, 1):
-        w = pk.prob((a_k,), (x_k,))
+        w = prob(pk, (a_k,), (x_k,))
         if w:
             parts.append(condition(box, 0, x_k, a_k))
             weights.append(w)
@@ -484,7 +486,7 @@ def test_marginal_matches_dense_oracle():
                 assert err.value.witness == signaling
                 continue
             m = marginal(box, keep)
-            got = {(outs, xs): m.prob(outs, xs) for xs in m.scenario.input_tuples() for outs in m.scenario.output_tuples()}
+            got = {(outs, xs): prob(m, outs, xs) for xs in m.scenario.input_tuples() for outs in m.scenario.output_tuples()}
             assert got == marginal_dense(box, keep)
 
 
@@ -595,8 +597,18 @@ def test_restrict_bob_inputs_keeps_the_listed_inputs_in_order():
     box = mix([bell.pr_box(), uniform_box(Scenario((2, 2), (2, 2)))], [F(1, 3), F(2, 3)])
     kept = restrict_bob_inputs(box, [1, 0])
     assert kept.scenario == Scenario((2, 2), (2, 2))
-    assert all(kept.prob(outs, (x, y)) == box.prob(outs, (x, 1 - y))
+    assert all(prob(kept, outs, (x, y)) == prob(box, outs, (x, 1 - y))
                for x, y, outs in itertools.product((0, 1), (0, 1), itertools.product((0, 1), repeat=2)))
+
+
+@pytest.mark.parametrize("sc", [Scenario((2, 3), (2, 2)), Scenario((3, 3), (2, 3)), Scenario((2, 4), (3, 2))], ids=str)
+def test_restrict_bob_inputs_matches_the_walk(sc):
+    rng = random.Random(593)
+    for _ in range(5):
+        box = seeded_signaling_box(rng, sc)
+        Y = sc.inputs[1]
+        for ys in ([0], [Y - 1, 0], rng.sample(range(Y), Y), [1, 1]):
+            assert restrict_bob_inputs(box, ys) == restrict_bob_inputs_walk(box, ys)
 
 
 @pytest.mark.parametrize("keep", [[1, 0], [0, 0], [], [0, 3], [-1, 1], [0.2, 1.9], [False, True], ["0", "1"]])

@@ -9,6 +9,7 @@ from boxlab.bell import chsh, pr_box
 from boxlab.core import (
     Box,
     Scenario,
+    ScenarioMismatch,
     ZERO,
     box_from_function,
     is_nonsignaling,
@@ -32,7 +33,9 @@ from boxlab.incompat import (
 from boxlab.isotropic import make_isotropic, shrink
 from boxlab.polytope import deterministic_strategies, ns_equality_rows
 from conftest import canonical_2222, random_ns_box
-from oracles import compatibility_lp
+from boxlab.shareability import generalized_isotropic
+from oracles import compatibility_lp, incompatibility_slice_rows_walk, output_entropy_walk, prob
+from test_core import seeded_ns_box
 
 # every certificate these tests produce is checked by both verifiers
 pytestmark = pytest.mark.usefixtures("both_verifiers")
@@ -59,10 +62,31 @@ def assert_joint_witness(box, pair):
     for x in range(X):
         for a in range(A):
             for b in range(B):
-                s0 = sum((joint.prob((a, b, o), (x, 0, 0)) for o in range(B)), ZERO)
-                s1 = sum((joint.prob((a, o, b), (x, 0, 0)) for o in range(B)), ZERO)
-                assert s0 == restricted.prob((a, b), (x, 0))
-                assert s1 == restricted.prob((a, b), (x, 1))
+                s0 = sum((prob(joint, (a, b, o), (x, 0, 0)) for o in range(B)), ZERO)
+                s1 = sum((prob(joint, (a, o, b), (x, 0, 0)) for o in range(B)), ZERO)
+                assert s0 == prob(restricted, (a, b), (x, 0))
+                assert s1 == prob(restricted, (a, b), (x, 1))
+
+
+def seeded_boxes():
+    """Seeded nonsignaling boxes of several bipartite scenarios, and
+    generalized isotropic A=3 at 1/3 and 7/10."""
+    rng = random.Random(2707)
+    scenarios = [SC22, Scenario((3, 3), (2, 2)), Scenario((2, 3), (3, 2)), Scenario((3, 2), (2, 3))]
+    return [seeded_ns_box(rng, sc) for sc in scenarios for _ in range(3)] + [
+        generalized_isotropic(3, F(1, 3)), generalized_isotropic(3, F(7, 10))]
+
+
+@pytest.mark.parametrize("party", ["A", "B"])
+def test_slice_rows_match_the_walk(party):
+    # the rows tying the joint table and S to the restricted box come first
+    for box in seeded_boxes():
+        restricted = restrict_to_pair(box, ObservablePair(party, 1, 0))
+        prog = incompatibility_lp_for(restricted)
+        want = lp.LinearProgram(prog.num_vars)
+        for row, rhs in incompatibility_slice_rows_walk(restricted):
+            want.add_eq(row, rhs)
+        assert prog.eqs[:len(want.eqs)] == want.eqs
 
 
 class TestIsCompatible:
@@ -193,6 +217,18 @@ class TestOutputEntropy:
         expect = binary_entropy(0.25)
         assert abs(output_entropy(box, 1, 0) - expect) < 1e-15
         assert abs(expect - 0.8112781244591328) < 1e-12
+
+
+    def test_matches_the_walk(self):
+        for box in seeded_boxes():
+            for party in (0, 1):
+                for x in range(box.scenario.inputs[party]):
+                    assert output_entropy(box, party, x) == output_entropy_walk(box, party, x)
+
+    @pytest.mark.parametrize("x", [2, -1, True, 0.0], ids=repr)
+    def test_input_out_of_range(self, x):
+        with pytest.raises(ScenarioMismatch, match="out of range"):
+            output_entropy(pr_box(), 1, x)
 
 
 class TestEntropyBounds:

@@ -7,7 +7,16 @@ from hypothesis import given, settings, strategies as st
 from boxlab import bell
 from boxlab.bell import chsh, correlators, pr_box
 from boxlab.core import BadParams as BadParam
-from boxlab.core import Scenario, ScenarioMismatch, marginal, mix, uniform_box
+from boxlab.core import (
+    Scenario,
+    ScenarioMismatch,
+    box_from_function,
+    is_nonsignaling,
+    marginal,
+    mix,
+    permute_parties,
+    uniform_box,
+)
 from boxlab.isotropic import (
     NotIsotropic,
     depolarize,
@@ -18,8 +27,26 @@ from boxlab.isotropic import (
 )
 from boxlab.locality import LocalModel, is_local
 from conftest import random_ns_box
+from oracles import shrink_walk
 
 SC22 = Scenario((2, 2), (2, 2))
+
+
+def biased_bob_box():
+    """A nonsignaling 2222 box with the correlators of make_isotropic(1/2),
+    (1/2, 1/2, 1/2, -1/2), whose Bob outputs 0 with probability 3/5:
+    P(ab|xy) = (1 + (-1)^b / 5 + (-1)^(a+b) C_xy) / 4."""
+    corr = {(0, 0): F(1, 2), (0, 1): F(1, 2), (1, 0): F(1, 2), (1, 1): F(-1, 2)}
+    return box_from_function(SC22, lambda outs, xs: (1 + F((-1) ** outs[1], 5) + (-1) ** sum(outs) * corr[xs]) / 4)
+
+
+def in_family_by_moments(box) -> bool:
+    """Isotropic membership from the moments that fix a nonsignaling 2222
+    box: both parties' marginals unbiased at each input, and correlators
+    (C, C, C, -C) with C >= 0."""
+    unbiased = all(v == F(1, 2) for party in (0, 1) for v in marginal(box, (party,)).table)
+    c00, c01, c10, c11 = correlators(box)
+    return unbiased and c00 == c01 == c10 == -c11 and c00 >= 0
 
 
 class TestMakeIsotropic:
@@ -49,6 +76,37 @@ class TestMakeIsotropic:
             isotropic_parameter(
                 mix([pr_box(), bell.ns_vertices_2222()[3]], [F(1, 2), F(1, 2)])
             )
+
+
+class TestMembership:
+    def test_biased_bob_marginal_is_not_isotropic(self):
+        box = biased_bob_box()
+        assert is_nonsignaling(box)
+        assert correlators(box) == correlators(make_isotropic(F(1, 2)))
+        assert marginal(box, (1,)).table == (F(3, 5), F(2, 5)) * 2
+        assert not is_isotropic(box)
+        with pytest.raises(NotIsotropic):
+            isotropic_parameter(box)
+        with pytest.raises(NotIsotropic):
+            shrink(box, F(1, 2))
+
+    def test_biased_alice_marginal_is_not_isotropic(self):
+        assert not is_isotropic(permute_parties(biased_bob_box(), (1, 0)))
+
+    def test_below_the_noise_is_not_isotropic(self):
+        # on the line at C = -2/3, two thirds of the anti-PR box a + b = xy + 1
+        box = depolarize(mix([uniform_box(SC22), bell.ns_vertices_2222()[17]], [F(1, 3), F(2, 3)]))
+        assert correlators(box) == (F(-2, 3),) * 3 + (F(2, 3),)
+        assert not is_isotropic(box)
+
+    def test_agrees_with_the_moments(self, ns_vertices):
+        rng = random.Random(53)
+        boxes = [biased_bob_box(), *(make_isotropic(F(c, 7)) for c in range(8))]
+        for _ in range(30):
+            box = random_ns_box(rng, ns_vertices)
+            boxes += [box, depolarize(box)]
+        for box in boxes:
+            assert is_isotropic(box) == in_family_by_moments(box)
 
 
 class TestDepolarize:
@@ -114,6 +172,12 @@ class TestShrink:
     def test_rejects_non_isotropic(self):
         with pytest.raises(NotIsotropic):
             shrink(bell.ns_vertices_2222()[5], F(1, 2))
+
+    def test_matches_the_walk(self):
+        rng = random.Random(54)
+        for _ in range(20):
+            box, eps = make_isotropic(F(rng.randint(0, 12), 12)), F(rng.randint(0, 9), 9)
+            assert shrink(box, eps) == shrink_walk(box, eps)
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(BadParam):

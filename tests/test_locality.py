@@ -34,11 +34,13 @@ from oracles import (
     condition,
     deterministic_box_tables,
     fraction_rank,
+    _flat_of,
     full_membership_lp,
     label_numbers,
     local_bound_by_enumeration,
     local_membership_alternative,
     own_labels_outcome,
+    prob,
     strategy_model,
 )
 
@@ -112,7 +114,7 @@ class TestSpanningEntries:
             count *= x * (a - 1) + 1
         assert len(entries) == count
         expected = sorted(
-            sc.flat_index(outs, xs)
+            _flat_of(sc, outs, xs)
             for xs in itertools.product(*map(range, sc.inputs))
             for outs in itertools.product(*map(range, sc.outputs))
             if all(x == 0 or a < top - 1 for x, a, top in zip(xs, outs, sc.outputs))
@@ -346,13 +348,13 @@ def canonical_frame(sc, alice, bob, coefficients):
     """The coefficients of a bipartite functional moved onto the
     canonical labels: entry (a, b | x, y) goes to the entry of its
     labels' images under the canonical form's maps of label numbers,
-    each number read through Scenario.flat_index (label_numbers)."""
+    each number read through _flat_of (label_numbers)."""
     (X, Y), (A, B) = sc.inputs, sc.outputs
     labels_a, labels_b = label_numbers(X, A), label_numbers(Y, B)
     moved = [None] * sc.table_size
     for (na, (a, x)), (nb, (b, y)) in itertools.product(labels_a.items(), labels_b.items()):
         (a2, x2), (b2, y2) = labels_a[alice[na]], labels_b[bob[nb]]
-        moved[sc.flat_index((a2, b2), (x2, y2))] = coefficients[sc.flat_index((a, b), (x, y))]
+        moved[_flat_of(sc, (a2, b2), (x2, y2))] = coefficients[_flat_of(sc, (a, b), (x, y))]
     return moved
 
 
@@ -596,9 +598,7 @@ class TestEveExtension:
                 for y in (0, 1):
                     for a in (0, 1):
                         for b in (0, 1):
-                            assert conditional.prob((a, b), (x, y)) == pa.prob(
-                                (a,), (x,)
-                            ) * pb.prob((b,), (y,))
+                            assert prob(conditional, (a, b), (x, y)) == prob(pa, (a,), (x,)) * prob(pb, (b,), (y,))
 
     def test_deterministic_box_trivial_eve(self):
         box = box_from_function(SC22, lambda outs, xs: 1 if outs == (xs[0], 0) else 0)

@@ -62,9 +62,12 @@ from conftest import (
     tensor,
 )
 from oracles import (
+    _flat_of,
     brute_canonical_form,
     canonical_relabeling,
     label_numbers,
+    local_model_walk,
+    prob,
     shared_shift_symmetrize,
     unfold_by_relabeling,
     unfolded_bell_lift,
@@ -220,7 +223,7 @@ class TestShareability:
         validate_extension(problem, extension)
         sc = extension.scenario
         table = list(extension.table)
-        table[sc.flat_index(outs, (0, 0, 0))] += F(1, 7)
+        table[_flat_of(sc, outs, (0, 0, 0))] += F(1, 7)
         with pytest.raises(NotAnExtension, match=message):
             validate_extension(problem, core.Box(sc, tuple(table)))
 
@@ -412,7 +415,7 @@ class TestCanonicalRelabeling:
 
 def _identity_labels(inputs, outputs):
     """The identity map of a party's label numbers, each number read
-    through Scenario.flat_index (oracles.label_numbers)."""
+    through oracles._flat_of (oracles.label_numbers)."""
     return tuple(sorted(label_numbers(inputs, outputs)))
 
 
@@ -455,13 +458,13 @@ class TestUnfold:
 def _fixes(sc, element, table):
     """Whether the stabilizer element (Alice's and Bob's maps of label
     numbers, as canonical_form returns them) leaves the table of `sc`
-    unchanged, each label number read through Scenario.flat_index
+    unchanged, each label number read through oracles._flat_of
     (oracles.label_numbers)."""
     (X, Y), (A, B) = sc.inputs, sc.outputs
     alice, bob = label_numbers(X, A), label_numbers(Y, B)
     for (na, (a, x)), (nb, (b, y)) in itertools.product(alice.items(), bob.items()):
         (a2, x2), (b2, y2) = alice[element[0][na]], bob[element[1][nb]]
-        if table[sc.flat_index((a2, b2), (x2, y2))] != table[sc.flat_index((a, b), (x, y))]:
+        if table[_flat_of(sc, (a2, b2), (x2, y2))] != table[_flat_of(sc, (a, b), (x, y))]:
             return False
     return True
 
@@ -734,6 +737,27 @@ class TestLocalModelFromExtension:
         model = local_model_from_extension(problem, witness.extension)
         assert model.reconstructs(box)
 
+    @pytest.mark.parametrize("party", ["A", "B"])
+    def test_matches_the_walk(self, party, ns_vertices):
+        rng = random.Random(7121)
+        sc32 = Scenario((3, 2), (2, 2))
+        strategies = deterministic_strategies(sc32)
+        boxes = [make_isotropic(F(1, 2)), make_isotropic(F(2, 5)), asymmetric_giso(F(2, 5)), uniform_box(SC22)]
+        boxes += [random_local_box(rng, ns_vertices) for _ in range(3)]
+        boxes += [mix([s.box() for s in rng.sample(strategies, 4)], [F(k, 10) for k in (1, 2, 3, 4)])
+                  for _ in range(2)]
+        for box in boxes:
+            Y = box.scenario.inputs[1 if party == "B" else 0]
+            for m in (1, 2):
+                problem = ExtensionProblem(box, party, m)
+                extension = is_m_shareable(problem).extension
+                assert extension is not None
+                for ys in itertools.product(range(Y), repeat=m):
+                    got = local_model_from_extension(problem, extension, y_values=ys)
+                    assert got == local_model_walk(problem, extension, ys)
+                default = tuple(i % Y for i in range(m))
+                assert local_model_from_extension(problem, extension) == local_model_walk(problem, extension, default)
+
     def test_not_an_extension(self):
         box = make_isotropic(F(1, 2))
         problem = ExtensionProblem(box, "B", 2)
@@ -914,7 +938,7 @@ class TestUniqueViolatorDecoupling:
         coeffs = [ZERO] * sc.table_size
         for a in (0, 1):
             for c in (0, 1):
-                coeffs[sc.flat_index((a, c), (0, 0))] = ONE if a == c else -ONE
+                coeffs[_flat_of(sc, (a, c), (0, 0))] = ONE if a == c else -ONE
         return BellFunctional(sc, tuple(coeffs), ZERO)
 
     def test_chsh_ac_correlator_decouples_to_zero(self):
@@ -927,7 +951,7 @@ class TestUniqueViolatorDecoupling:
         sc = Scenario((2, 2), (3, 3))
         coeffs = [ZERO] * sc.table_size
         for a in range(3):
-            coeffs[sc.flat_index((a, a), (0, 0))] = ONE
+            coeffs[_flat_of(sc, (a, a), (0, 0))] = ONE
         return BellFunctional(sc, tuple(coeffs), ZERO)
 
     def test_cglmp3_match_probability_pinned(self):
@@ -988,10 +1012,10 @@ class TestPolygamyExample:
                     for y in (0, 1):
                         want = ZERO
                         if a < 2 and b < 2:
-                            want += pr.prob((a, b), (x, y)) / 2
+                            want += prob(pr, (a, b), (x, y)) / 2
                         if a >= 2 and b >= 2:
                             want += F(1, 8)
-                        assert pab.prob((a, b), (x, y)) == want
+                        assert prob(pab, (a, b), (x, y)) == want
 
     def test_both_marginals_nonlocal(self):
         box = polygamy_example()
@@ -1027,7 +1051,7 @@ class TestGeneralizedBoxes:
         box = generalized_isotropic(3, 0, dist)
         for a in range(3):
             for b in range(3):
-                assert box.prob((a, b), (1, 0)) == dist[a] * dist[b]
+                assert prob(box, (a, b), (1, 0)) == dist[a] * dist[b]
 
     def test_giso_uniform_noise_shift_invariant(self):
         box = generalized_isotropic(3, F(1, 2))
