@@ -4,14 +4,21 @@ Functionals here are affine in the box table and, once normalized, obey
 the convention used throughout the package: value <= 0 on every local
 box, maximum exactly 1 over the nonsignaling polytope.  CHSH and CGLMP
 are normalized in closed form, from their known local bounds and
-nonsignaling maxima; the tests check both against the LP.  So are the
-eight CHSH facets of `chsh_facets`, which are CHSH read through the
-eight output flips of `_output_flips`, the relabelings that also carry
-the PR box onto the eight PR vertices of `ns_vertices_2222`: a 2222
-box that violates one is nonlocal by Fine's theorem, and
-`locality.is_local` certifies it by the facet, with no LP.  The
-correlators and the CHSH table walk the 2222 table in its order (input
-pairs outermost, outputs (a, b) innermost), and `cglmp_raw` places its
+nonsignaling maxima; the tests check both against the LP.
+
+The 2222 family the paper runs on, boxes with unbiased marginals, is
+fixed by four correlators C_xy, and its CHSH facets by eight sign
+patterns: `unbiased_box` builds the box of four correlators and
+`chsh_signs` holds the patterns s_xy = (-1)^(xy + alpha*x + beta*y +
+gamma).  The PR box has the correlators of pattern 0, the eight PR
+vertices of `ns_vertices_2222` those of each pattern, and the eight
+CHSH facets of `chsh_facets` are sum_xy s_xy C_xy / 2 - 1, CHSH
+itself (`chsh_functional`) the first: a 2222 box that violates one is
+nonlocal by Fine's theorem, and `locality.is_local` certifies it by
+the facet, with no LP.  The isotropic family (`isotropic`) is the same
+builder on the line (C, C, C, -C).  The box builder, the correlators
+and the facet tables walk the 2222 table in its order (input pairs
+outermost, outputs (a, b) innermost), and `cglmp_raw` places its
 weights through `core.label_offsets`, the layout's one table.  `normalize`
 serves the functionals found at run time, such as the Farkas vectors of
 `locality.is_local`, put on the spanning entries of
@@ -41,11 +48,9 @@ from .core import (
     ScenarioMismatch,
     ZERO,
     ONE,
-    box_from_function,
     ensure,
     label_offsets,
     numerators,
-    relabeled_indices,
 )
 
 CGLMP_CAP = 4
@@ -55,12 +60,28 @@ def scenario_2222() -> Scenario:
     return Scenario((2, 2), (2, 2))
 
 
-def pr_box() -> Box:
-    """The extremal box with a + b mod 2 = xy, uniform on its support."""
-    return box_from_function(
-        scenario_2222(),
-        lambda outs, xs: Fraction(1, 2) if (outs[0] + outs[1]) % 2 == xs[0] * xs[1] else 0,
+def unbiased_box(c00, c01, c10, c11) -> Box:
+    """The 2222 box with unbiased marginals and correlators (C00, C01,
+    C10, C11), each in [-1, 1]: P(ab|xy) = (1 + (-1)^(a+b) C_xy) / 4,
+    walked in table order."""
+    return Box(scenario_2222(), tuple((ONE + s * c) / 4 for c in (c00, c01, c10, c11) for s in (1, -1, -1, 1)))
+
+
+@functools.lru_cache(maxsize=1)
+def chsh_signs() -> tuple[tuple[int, int, int, int], ...]:
+    """The eight sign patterns (s00, s01, s10, s11), s_xy = (-1)^(xy +
+    alpha*x + beta*y + gamma), (alpha, beta, gamma) in product order.
+    Built once."""
+    return tuple(
+        tuple((-1) ** (x * y + alpha * x + beta * y + gamma) for x in (0, 1) for y in (0, 1))
+        for alpha, beta, gamma in itertools.product((0, 1), repeat=3)
     )
+
+
+def pr_box() -> Box:
+    """The extremal box with a + b mod 2 = xy, uniform on its support:
+    correlators (1, 1, 1, -1)."""
+    return unbiased_box(1, 1, 1, -1)
 
 
 def correlators(box: Box) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -107,42 +128,25 @@ class BellFunctional(Frozen):
 
 
 def chsh_functional() -> BellFunctional:
-    """CHSH as an explicit coefficient table with offset -1, walked in
-    table order: (x, y) outermost, each block's sign times the
-    correlator's signs at (a, b) = 00, 01, 10, 11, halved."""
-    coeffs = (Fraction(s * c, 2) for s in (1, 1, 1, -1) for c in (1, -1, -1, 1))
-    return BellFunctional(scenario_2222(), tuple(coeffs), -ONE)
-
-
-@functools.lru_cache(maxsize=1)
-def _output_flips() -> tuple[list[int], ...]:
-    """The eight 2222 relabelings that flip Alice's output at x by
-    alpha*x + gamma and Bob's at y by beta*y, (alpha, beta, gamma) in
-    product order, each as the relabeled_indices it reads a table
-    through (each flip is its own inverse).  Built once."""
-    flips = []
-    for alpha, beta, gamma in itertools.product((0, 1), repeat=3):
-        # label number n = 2x + a goes to 2x + (a flipped)
-        alice = [2 * x + (a ^ (alpha * x ^ gamma)) for x in (0, 1) for a in (0, 1)]
-        bob = [2 * y + (b ^ beta * y) for y in (0, 1) for b in (0, 1)]
-        flips.append(relabeled_indices(scenario_2222(), (alice, bob)))
-    return tuple(flips)
+    """CHSH as an explicit coefficient table with offset -1: facet 0 of
+    chsh_facets, (C00 + C01 + C10 - C11) / 2 - 1."""
+    return chsh_facets()[0]
 
 
 @functools.lru_cache(maxsize=1)
 def chsh_facets() -> tuple[BellFunctional, ...]:
     """The eight normalized CHSH facets of the 2222 local polytope, built
-    once: CHSH read through each output flip of _output_flips, so facet
-    (alpha, beta, gamma) counts a + b = xy + alpha*x + beta*y + gamma
-    (mod 2) as chsh_functional counts a + b = xy, and the PR box read
-    through the same flip, vertex 16 + k of ns_vertices_2222, gives
+    once: per sign pattern s of chsh_signs, sum_xy s_xy C_xy / 2 - 1,
+    whose coefficient at P(ab|xy) is s_xy (-1)^(a+b) / 2, walked in
+    table order.  Facet (alpha, beta, gamma) counts a + b = xy +
+    alpha*x + beta*y + gamma (mod 2) as CHSH counts a + b = xy, and the
+    PR box of the same pattern, vertex 16 + k of ns_vertices_2222, gives
     facet k its maximum 1.  By Fine's theorem (PRL 48, 291, 1982) they
     and positivity are every facet of the polytope, so a nonsignaling
     2222 box is local exactly when it violates none of them."""
-    chsh = chsh_functional()
     return tuple(
-        BellFunctional(chsh.scenario, tuple(map(chsh.coefficients.__getitem__, flip)), chsh.offset)
-        for flip in _output_flips()
+        BellFunctional(scenario_2222(), tuple(Fraction(s * c, 2) for s in signs for c in (1, -1, -1, 1)), -ONE)
+        for signs in chsh_signs()
     )
 
 
@@ -260,11 +264,9 @@ def unique_ns_maximizer(functional: BellFunctional):
 
 def ns_vertices_2222() -> tuple[Box, ...]:
     """The 24 vertices of the 2222 nonsignaling polytope: 16 deterministic
-    boxes and the PR box read through the 8 output flips of
-    _output_flips, the relabelings of chsh_facets."""
+    boxes and the 8 PR boxes, one per sign pattern of chsh_signs, the
+    patterns of chsh_facets."""
     from . import polytope
 
-    sc = scenario_2222()
-    pr = pr_box().table
-    vertices = [s.box() for s in polytope.deterministic_strategies(sc)]
-    return (*vertices, *(Box(sc, tuple(map(pr.__getitem__, flip))) for flip in _output_flips()))
+    vertices = [s.box() for s in polytope.deterministic_strategies(scenario_2222())]
+    return (*vertices, *(unbiased_box(*signs) for signs in chsh_signs()))

@@ -23,7 +23,7 @@ offsets are read by `restrict_bob_inputs`, the strategy columns,
 `locality.LocalModel`, the lift rows and `local_model_from_extension`
 of `shareability`, `bell.cglmp_raw`, and the slice rows and
 `output_entropy` of `incompat`.  `trace_indices` serves
-`is_nonsignaling`, `polytope.ns_equality_rows` and `isotropic.shrink`;
+`is_nonsignaling` and `polytope.ns_equality_rows`;
 `marginal_indices` serves `marginal`, `polytope.lift` and
 `marginal_rows`, `shareability.validate_extension` and `incompat`'s
 joint rows; `party_order_indices` serves `permute_parties` and
@@ -31,8 +31,9 @@ joint rows; `party_order_indices` serves `permute_parties` and
 party: `relabel`, `canonical_form`'s table, a stabilizer element moving
 the entries of a table (`locality`), a table of the canonical frame
 read back in the box's labels through the canonical maps (`locality`'s
-Bell functional), and the CHSH output flips of `bell`.  `bell`'s
-correlators and CHSH table walk the 2222 table in its order.
+Bell functional).  `bell`'s unbiased 2222 boxes, correlators and CHSH
+facet tables, and the correlators `locality` reads off a 2222 table's
+numerators, walk the 2222 table in its order.
 
 `Frozen` is the base of every boxlab record (Scenario, Box, LpOutcome,
 ...): immutable, compared and hashed by value, with a dataclass-style
@@ -252,11 +253,6 @@ def box_from_function(scenario: Scenario, fn) -> Box:
         for outs in scenario.output_tuples():
             table.append(rat(fn(outs, xs)))
     return validate_box(table, scenario)
-
-
-def uniform_box(scenario: Scenario) -> Box:
-    p = Fraction(1, scenario.num_output_tuples)
-    return Box(scenario, (p,) * scenario.table_size)
 
 
 def _party_subset(scenario: Scenario, subset: Sequence[int]) -> tuple[int, ...]:

@@ -20,7 +20,9 @@ of G name labels by their numbers (`core`), one tuple per party, so
 A 2222 box skips the LP when it violates one of the eight CHSH facets
 (bell.chsh_facets): by Fine's theorem (PRL 48, 291, 1982) they are all
 the nontrivial facets of the 2222 local polytope, so the facet the box
-violates most, a normalized Bell functional, certifies it.  A 2222 box
+violates most, a normalized Bell functional, certifies it.  The box's
+four correlators, read in integers off the numerators of its table,
+are weighed by each facet's sign pattern (bell.chsh_signs).  A 2222 box
 that violates none is local, and the LP still runs to find its model,
 which Fine's theorem says it must.
 
@@ -52,7 +54,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import lp, polytope
-from .bell import BellFunctional, chsh_facets, normalize
+from .bell import BellFunctional, chsh_facets, chsh_signs, normalize
 from .core import (
     Box,
     BoxlabError,
@@ -315,24 +317,18 @@ def _bell_coefficients(box: Box, canonical, farkas) -> list:
     return [Fraction(nums[c], den) for c in relabeled_indices(sc, canonical[1:-1])]
 
 
-@functools.lru_cache(maxsize=1)
-def _facet_signs() -> tuple:
-    """bell.chsh_facets, each with its coefficients doubled into ints:
-    every coefficient is 1/2 or -1/2 and every offset -1."""
-    return tuple((f, [int(2 * c) for c in f.coefficients]) for f in chsh_facets())
-
-
 def _violated_facet(den: int, nums) -> NonlocalityCertificate | None:
     """The certificate of the CHSH facet that a 2222 table, read into
     its numerators over `den` (numerators), violates most, the first on
-    ties, or None when it violates none.  A facet with doubled
-    coefficients s (_facet_signs) has the value -1 + s.nums / (2 den),
-    so it is violated when s.nums > 2 den."""
-    facets = _facet_signs()
-    sums = [sum(map(operator.mul, signs, nums)) for _, signs in facets]
+    ties, or None when it violates none.  The table's correlators are
+    its four blocks' n00 - n01 - n10 + n11 over den, so the facet of
+    sign pattern s (bell.chsh_signs) has the value -1 + s.corr / (2 den)
+    and is violated when s.corr > 2 den."""
+    corr = [n00 - n01 - n10 + n11 for n00, n01, n10, n11 in zip(*[iter(nums)] * 4)]
+    sums = [sum(map(operator.mul, signs, corr)) for signs in chsh_signs()]
     best = max(sums)
     if best > 2 * den:
-        return NonlocalityCertificate(facets[sums.index(best)][0], Fraction(best - 2 * den, 2 * den))
+        return NonlocalityCertificate(chsh_facets()[sums.index(best)], Fraction(best - 2 * den, 2 * den))
     return None
 
 

@@ -545,14 +545,15 @@ def folded_extension_lp(problem: ExtensionProblem, canonical=None):
     Relabeling every copy alike maps extensions onto extensions, so the
     canonical relabeling keeps the answer, and every relabeling of a box
     gets one program and the same simplex pivots.  What the search buys
-    is a cost independent of labels, and fewer pivots in total.  Nine
-    nonlocal 3322 boxes at m=3 toward B (half a PR-type box on inputs 0
-    and 1, input 2 answering like input 0, plus half a seeded
-    four-strategy mixture), each under its own labels and two seeded
-    relabelings, took 701-4,463 pivots with the search, the same under
-    every labeling, 47,415 in all; without it 505-8,388, 57,798 in all
-    (+22%; Python 3.11, 2 vCPUs).  It also finds the stabilizer that the
-    rows are folded by."""
+    is a cost independent of labels, and fewer pivots in total.  A
+    nonlocal base at m >= |Y| is decided by _bell_lift with no solve, so
+    the pivots are counted at m < |Y|.  Three nonlocal 3322 boxes
+    at m=2 toward B (half a PR-type box on inputs 0 and 1, input 2
+    answering like input 0, plus half a four-strategy mixture seeded
+    1001-1003), each under its own labels and two seeded relabelings,
+    took 145-165 pivots with the search, the same under every labeling,
+    1,410 in all; without it 158-192, 1,542 in all (+9%).  It also finds
+    the stabilizer that the rows are folded by."""
     base = _oriented(problem)
     table, alice, bob, group = canonical or polytope.canonical_form(base)
     index, count, normalization, marginals, traces = _folded_rows(

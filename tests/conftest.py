@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from boxlab import bell, lp, polytope, shareability
-from boxlab.core import Box, Scenario, mix, relabel, uniform_box, validate_box
-from oracles import _flat_of, party_relabelings, prob, verify_certificate_fractions, walked_orbit_rows
+from boxlab.core import Box, Scenario, mix, relabel, validate_box
+from oracles import _flat_of, party_relabelings, prob, uniform_box, verify_certificate_fractions, walked_orbit_rows
 
 
 @pytest.fixture(scope="session")

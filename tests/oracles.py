@@ -25,18 +25,23 @@ Entries are read by their labels only through `_flat_of`, the flat
 position by plain mixed-radix arithmetic, and `prob`, the entry there;
 the package finds positions through `core.label_offsets` and the maps
 built on it, and the `*_walk` oracles state each reader of the layout
-(correlators, the CHSH and CGLMP tables, shrink, the incompatibility
-program's slice rows, output entropy, restrict_bob_inputs and the local
-model read off an extension) entry by entry through them.
+(correlators, the CHSH and CGLMP tables, the incompatibility program's
+slice rows, output entropy, restrict_bob_inputs and the local
+model read off an extension) entry by entry through them.  Two maps of
+`isotropic` are stated by their operations: `shrink_walk` as Bob's
+noise, entry by entry, and `depolarize_walk` as the average over the
+eight depolarizing relabelings, each done by relabel_walk.
 
-Two constructions that no package path uses live here too, for the
-tests that build boxes with them: `condition`, a box conditioned on one
-party's outcome, and `shared_shift_symmetrize`, a bipartite box
-averaged over a shared shift of both outputs.
+Three constructions that no package path uses live here too, for the
+tests that build boxes with them: `uniform_box`, the uniform noise of a
+scenario, `condition`, a box conditioned on one party's outcome, and
+`shared_shift_symmetrize`, a bipartite box averaged over a shared shift
+of both outputs.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -253,13 +258,15 @@ def verify_certificate_fractions(prog: lp.LinearProgram, outcome: lp.LpOutcome) 
     return False
 
 
-def ns_vertices_2222_by_enumeration():
+@functools.lru_cache(maxsize=1)
+def ns_vertices_2222_by_enumeration() -> tuple:
     """All vertices of the 2222 nonsignaling polytope, found from scratch.
 
     Coordinates: pA(0|x) for x = 0,1, pB(0|y) for y = 0,1, and P(00|xy)
     for the four input pairs.  Every full-table entry is affine in these
     eight numbers; nonnegativity gives 16 inequalities whose feasible
-    8-fold intersections are the vertices.  Returns distinct Boxes.
+    8-fold intersections are the vertices.  Returns distinct Boxes,
+    ordered by table; the 12,870 systems are solved once per session.
     """
 
     def entry_affine(x, y, a, b):
@@ -308,7 +315,7 @@ def ns_vertices_2222_by_enumeration():
             vertices.add(tuple(flat))
     sc = Scenario((2, 2), (2, 2))
     # cells iterate (x, y) outermost then (a, b): matches canonical order
-    return {Box(sc, flat) for flat in vertices}
+    return tuple(Box(sc, flat) for flat in sorted(vertices))
 
 
 def permute_parties_walk(box: Box, perm) -> Box:
@@ -517,6 +524,26 @@ def cglmp_coefficients_walk(d: int) -> list:
                 if (sign * (a - b) - shift) % d == 0:
                     coeffs[_flat_of(sc, (a, b), (x, y))] += weight
     return coeffs
+
+
+def depolarize_walk(box: Box) -> Box:
+    """isotropic.depolarize as the average of the eight local operations
+    it stands for, each done by relabel_walk: a first step that does
+    nothing or flips both outputs, then one of four rewirings, each an
+    input swap composed with output flips conditioned on the input."""
+    id2, sw2 = (0, 1), (1, 0)
+    step1 = [
+        ([id2, id2], [[id2, id2], [id2, id2]]),  # nothing
+        ([id2, id2], [[sw2, sw2], [sw2, sw2]]),  # flip a and b
+    ]
+    step2 = [
+        ([id2, id2], [[id2, id2], [id2, id2]]),  # nothing
+        ([id2, sw2], [[id2, sw2], [id2, id2]]),  # flip a when x=1, and flip y
+        ([sw2, id2], [[id2, id2], [id2, sw2]]),  # flip x, and flip b when y=1
+        ([sw2, sw2], [[sw2, id2], [id2, sw2]]),  # flip x, flip a when x=0, flip y, flip b when y=1
+    ]
+    variants = [relabel_walk(relabel_walk(box, *first), *second) for first in step1 for second in step2]
+    return mix(variants, [Fraction(1, 8)] * 8)
 
 
 def shrink_walk(box: Box, eps) -> Box:
@@ -1101,6 +1128,12 @@ def compatibility_lp(restricted: Box) -> lp.LinearProgram:
             ZERO,
         )
     return prog
+
+
+def uniform_box(scenario: Scenario) -> Box:
+    """Uniform noise: every output tuple equally likely at every input tuple."""
+    p = Fraction(1, scenario.num_output_tuples)
+    return Box(scenario, (p,) * scenario.table_size)
 
 
 class ZeroProbabilityCondition(BoxlabError):

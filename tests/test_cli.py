@@ -15,9 +15,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from boxlab import boxio, cli, lp, polytope
-from boxlab.core import Scenario, uniform_box
+from boxlab.core import Scenario
 from conftest import asymmetric_giso, orbit_lp
-from oracles import shrink_walk, trace_violation_dense, unfolded_extension_lp
+from oracles import depolarize_walk, shrink_walk, trace_violation_dense, unfolded_extension_lp, uniform_box
 from test_core import seeded_signaling_box
 from test_isotropic import biased_bob_box
 
@@ -203,6 +203,9 @@ COMMITTED_REPORTS = [
     # local and nonlocal, folded forms and 3322 boxes
     "local-giso3-2-5.json", "local-giso3-7-10.json", "local-giso3-7-10-relabeled.json",
     "local-seed1003.json", "local-seed1003-local.json",
+    # box transforms, whose output boxes verify recomputes: a nonsignaling
+    # 2222 box off the isotropic line, and isotropic 3/4 shrunk by 1/4
+    "depolarize-skew2222.json", "shrink-iso-3-4-eps1-4.json",
 ]
 
 
@@ -741,6 +744,20 @@ def test_shrink_round_trip(tmp_path, option, epsilon):
     assert run("make", "iso", "--C", "3/4", "-o", box) == 0
     assert run("analyze", "shrink", box, *option, "-o", report) == 0
     assert boxio.read_report(report)["verdict"]["epsilon"] == epsilon
+    assert run("verify", report) == 0
+
+
+def test_depolarize_accepts_a_signaling_box(tmp_path):
+    # depolarizing is a local operation on any valid 2222 table: the
+    # report's output box is the eight relabelings' average, and verifies
+    rng = random.Random(2833)
+    box = next(b for b in (seeded_signaling_box(rng, Scenario((2, 2), (2, 2))) for _ in range(20))
+               if trace_violation_dense(b) is not None)
+    path, report = tmp_path / "signaling.txt", tmp_path / "report.json"
+    boxio.write_box(str(path), box)
+    assert run("analyze", "depolarize", path, "-o", report) == 0
+    table = boxio.read_report(report)["output"]["box"]["table"]
+    assert [F(v) for v in table] == list(depolarize_walk(box).table)
     assert run("verify", report) == 0
 
 

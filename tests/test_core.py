@@ -30,7 +30,6 @@ from boxlab.core import (
     restrict_bob_inputs,
     swap_indices,
     trace_indices,
-    uniform_box,
     validate_box,
 )
 from conftest import identity_relabeling, random_relabeling, relabelings_2222, tensor
@@ -47,6 +46,7 @@ from oracles import (
     relabeled_entries_walk,
     trace_groups_by_product,
     trace_violation_dense,
+    uniform_box,
 )
 
 SC22 = Scenario((2, 2), (2, 2))

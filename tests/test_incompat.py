@@ -15,7 +15,6 @@ from boxlab.core import (
     is_nonsignaling,
     mix,
     permute_parties,
-    uniform_box,
 )
 from boxlab.incompat import (
     BadPair,
@@ -34,7 +33,7 @@ from boxlab.isotropic import make_isotropic, shrink
 from boxlab.polytope import deterministic_strategies, ns_equality_rows
 from conftest import canonical_2222, random_ns_box
 from boxlab.shareability import generalized_isotropic
-from oracles import compatibility_lp, incompatibility_slice_rows_walk, output_entropy_walk, prob
+from oracles import compatibility_lp, incompatibility_slice_rows_walk, output_entropy_walk, prob, uniform_box
 from test_core import seeded_ns_box
 
 # every certificate these tests produce is checked by both verifiers

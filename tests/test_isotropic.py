@@ -15,7 +15,6 @@ from boxlab.core import (
     marginal,
     mix,
     permute_parties,
-    uniform_box,
 )
 from boxlab.isotropic import (
     NotIsotropic,
@@ -27,7 +26,8 @@ from boxlab.isotropic import (
 )
 from boxlab.locality import LocalModel, is_local
 from conftest import random_ns_box
-from oracles import shrink_walk
+from oracles import depolarize_walk, shrink_walk, uniform_box
+from test_core import seeded_signaling_box
 
 SC22 = Scenario((2, 2), (2, 2))
 
@@ -138,6 +138,16 @@ class TestDepolarize:
             out = depolarize(box)
             for party in (0, 1):
                 assert all(v == F(1, 2) for v in marginal(out, (party,)).table)
+
+    def test_matches_the_eight_relabelings(self, ns_vertices):
+        # the correlator formula against the local operations it stands
+        # for, on the vertices, seeded NS boxes and seeded signaling tables
+        rng = random.Random(55)
+        boxes = [*ns_vertices, *(random_ns_box(rng, ns_vertices) for _ in range(40))]
+        signaling = [seeded_signaling_box(rng, SC22) for _ in range(40)]
+        assert sum(not is_nonsignaling(box) for box in signaling) >= 20
+        for box in boxes + signaling:
+            assert depolarize(box) == depolarize_walk(box)
 
     def test_idempotent(self, ns_vertices):
         rng = random.Random(52)

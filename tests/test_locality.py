@@ -16,7 +16,6 @@ from boxlab.core import (
     marginal,
     mix,
     relabel,
-    uniform_box,
 )
 from boxlab.isotropic import make_isotropic
 from boxlab.locality import (
@@ -42,6 +41,7 @@ from oracles import (
     own_labels_outcome,
     prob,
     strategy_model,
+    uniform_box,
 )
 
 # every certificate these tests produce is checked by both verifiers
@@ -316,8 +316,8 @@ class TestChshFacetPath:
     def test_a_missing_facet_fails_fines_check(self, monkeypatch):
         # without the facet the PR box violates, the membership LP finds it
         # nonlocal, which Fine's theorem rules out
-        kept = locality._facet_signs()[1:]
-        monkeypatch.setattr(locality, "_facet_signs", lambda: kept)
+        kept = bell.chsh_signs()[1:]
+        monkeypatch.setattr(locality, "chsh_signs", lambda: kept)
         with pytest.raises(core.InternalError, match="Fine"):
             is_local(pr_box())
 

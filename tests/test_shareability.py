@@ -20,7 +20,6 @@ from boxlab.core import (
     mix,
     permute_parties,
     relabel,
-    uniform_box,
     validate_box,
 )
 from boxlab.isotropic import make_isotropic
@@ -73,6 +72,7 @@ from oracles import (
     unfolded_bell_lift,
     unfolded_extension_feasible,
     unfolded_extension_lp,
+    uniform_box,
     walked_orbit_rows,
 )
 
