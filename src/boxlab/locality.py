@@ -50,7 +50,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from collections import Counter
 from fractions import Fraction
 
 from . import lp, polytope
@@ -62,7 +61,6 @@ from .core import (
     Scenario,
     SignalingBox,
     ZERO,
-    ONE,
     count_text,
     _trace_violation,
     ensure,
@@ -182,9 +180,10 @@ def _membership_rows(scenario: Scenario, group: tuple) -> tuple:
     strategy, polytope.orbit_classes), its strategies' response tables
     in deterministic_strategies order; and per distinct folded spanning
     row (polytope.group_entries) its (class, coefficient) pairs, the
-    coefficient the number of the class's strategies that set the entry
-    to 1, with the spanning entries that share it.  Under the trivial
-    group every strategy is its own class."""
+    int coefficient the number of the class's strategies that set the
+    entry to 1 (polytope.fold_row, as in shareability._folded_rows),
+    with the spanning entries that share it.  Under the trivial group
+    every strategy is its own class."""
     alphabets = zip(scenario.inputs, scenario.outputs)
     tables = [list(itertools.product(range(a), repeat=x)) for x, a in alphabets]
     numbers = [{t: n for n, t in enumerate(ts)} for ts in tables]
@@ -200,19 +199,14 @@ def _membership_rows(scenario: Scenario, group: tuple) -> tuple:
     members = [[] for _ in range(max(class_of) + 1)]
     for k, strategy in zip(class_of, itertools.product(*tables)):
         members[k].append(strategy)
-    # per entry, the class of each strategy that sets it to 1
+    # per entry, each strategy that sets it to 1, with coefficient 1
     fired = [[] for _ in range(scenario.table_size)]
-    for k, cols in zip(class_of, polytope.strategy_columns(scenario)):
+    for s, cols in enumerate(polytope.strategy_columns(scenario)):
         for e in cols:
-            fired[e].append(k)
+            fired[e].append(s)
     spanning = polytope.spanning_entries(scenario)
-    counted = [tuple(sorted(Counter(fired[e]).items())) for e in spanning]
-    counts = polytope.group_entries(spanning, counted)
-    # coefficients ONE, 2, ..., |G| (a class has at most |G| strategies),
-    # each (class, coefficient) pair made once and shared by its rows
-    coefficients = itertools.accumulate(itertools.repeat(ONE, len(group)))
-    terms = [list(zip(range(len(members)), itertools.repeat(c))) for c in coefficients]
-    rows = tuple((tuple(terms[n - 1][k] for k, n in row), entries) for row, entries in counts)
+    rows = [polytope.fold_row(zip(fired[e], itertools.repeat(1)), class_of) for e in spanning]
+    rows = polytope.group_entries(spanning, rows)
     return tuple(map(tuple, members)), rows
 
 
@@ -238,8 +232,8 @@ def membership_lp(box: Box, canonical) -> lp.LinearProgram:
     maps a model of the table onto another one, so averaging over the
     group gives a model constant on the classes.  The rows are built
     once per scenario and group, already in LinearProgram's canonical
-    form (ascending classes, Fraction coefficients), and each box adds
-    only its table as the right-hand sides."""
+    form (ascending classes, int coefficients), and each box adds only
+    its table as the right-hand sides."""
     table, *_, group = canonical
     members, rows = _membership_rows(box.scenario, group)
     prog = lp.LinearProgram(len(members))

@@ -20,8 +20,8 @@ artificials out) reads only the constraints, never the objective.  Its
 result is a `Start`: the feasible tableau it ends on, or the Farkas
 outcome proving the constraints infeasible, which holds for every
 objective.  `solve(prog, start)` runs phase two on a copy of a start
-built from a program with the same eqs, ineqs, upper bounds and
-num_vars (`LinearProgram.with_objective` makes one), so programs that
+built from a program with the same eqs, ineqs and num_vars
+(`LinearProgram.with_objective` makes one), so programs that
 differ only in their objective share one phase one and each returns
 what a cold `solve(prog)` returns; a cold solve builds its own start.
 
@@ -31,20 +31,25 @@ exact arithmetic), an infeasible solve returns a Farkas vector
 combining the constraints into an impossible 0 <= negative.
 `verify_certificate` re-checks it against the original problem in
 integers, sharing no code with the tableau: the multipliers go over one
-common denominator, the problem's coefficients, right-hand sides and
-upper bounds over another, the primal over a third, and every equation
-and inequality of the check is compared between the scaled numerators.
+common denominator, the problem's coefficients and right-hand sides over
+another, the primal over a third, and every equation and inequality of
+the check is compared between the scaled numerators.
 
 Problems are stated as
 
     maximize  objective . x
     s.t.      eq:    E x  = f        (multipliers free)
               ineq:  G x <= h        (multipliers >= 0)
-              0 <= x_i <= upper_i
+              x >= 0
 
-with upper_i optional (None: unbounded above).  Every variable is
-nonnegative, so each is one tableau column; inequalities and upper bounds
-get slacks, and infeasible-start rows get artificial columns.
+Every variable is nonnegative, so each is one tableau column;
+inequalities get slacks, and infeasible-start rows get artificial
+columns.  There are no per-variable upper bounds: a bound x_i <= u is
+the inequality row ((i, 1),) <= u, and no program boxlab states needs
+one (the clone ceiling's C <= 1 follows from its own pin rows), so the
+tableau, the certificate read-out and its check know two row kinds.
+`LpCertificate.y_ub` stays in the certificate, one zero per variable,
+so that every report keeps its format.
 
 Rows and the objective are sparse: any iterable of (column, coefficient)
 pairs, so a dense vector goes in as enumerate(vec).  LinearProgram checks
@@ -54,16 +59,18 @@ in column order, and every value goes through `core.rat`, so a float
 raises TypeError.  A caller holding rows already in that form, with an
 int allowed for a Fraction coefficient, may append (row, rhs) pairs to
 `eqs` or `ineqs` directly.  Three do, each from rows cached per shape:
-`polytope.ns_lp` the nonsignaling rows; `locality.membership_lp` the
-local-membership rows at the spanning entries, folded by the box's
-stabilizer or by the trivial group (once per scenario and stabilizer);
-and `shareability.folded_extension_lp` the integer orbit rows, folded
-by the box's stabilizer (once per scenario, m and stabilizer; toward A
-is toward B on the party-swapped box); the last two through
-`polytope.pin_rows`.  Only the nonsignaling LP
-keeps its objective out of its rows and right-hand sides, so only its
-start is cached (`polytope.max_over_ns`); the membership and orbit LPs
-move their right-hand sides with the box and run phase one each time.
+`polytope.ns_lp` the nonsignaling rows, with Fraction coefficients;
+`locality.membership_lp` the local-membership rows at the spanning
+entries, folded by the box's stabilizer or by the trivial group (once
+per scenario and stabilizer); and `shareability.folded_extension_lp`
+the orbit rows, folded by the box's stabilizer (once per scenario, m
+and stabilizer; toward A is toward B on the party-swapped box).  The
+last two hold int coefficients, summed per class by
+`polytope.fold_row`, and pin the box through `polytope.pin_rows`.  Only
+the nonsignaling LP keeps its objective out of its rows and right-hand
+sides, so only its start is cached (`polytope.max_over_ns`); the
+membership and orbit LPs move their right-hand sides with the box and
+run phase one each time.
 """
 
 from __future__ import annotations
@@ -72,10 +79,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional
 
-from .core import BoxlabError, Frozen, ensure, rat
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .core import BoxlabError, Frozen, ZERO, ensure, rat
 
 _RATIONAL = (int, Fraction)
 
@@ -101,7 +105,7 @@ class LinearProgram:
 
     A stored row coefficient is an int or a Fraction: add_eq and add_ineq
     store Fractions, rows appended directly may hold ints.  Right-hand
-    sides, upper bounds and the objective are Fractions."""
+    sides and the objective are Fractions."""
 
     def __init__(self, num_vars: int, objective: Iterable = ()):
         if num_vars < 1:
@@ -110,7 +114,6 @@ class LinearProgram:
         self.objective = self._row(objective)
         self.eqs: list[tuple[tuple[tuple[int, int | Fraction], ...], Fraction]] = []
         self.ineqs: list[tuple[tuple[tuple[int, int | Fraction], ...], Fraction]] = []
-        self.upper: list[Optional[Fraction]] = [None] * num_vars
 
     def _row(self, pairs: Iterable) -> tuple[tuple[int, Fraction], ...]:
         summed: dict[int, Fraction] = {}
@@ -127,26 +130,21 @@ class LinearProgram:
         """pairs . x <= rhs"""
         self.ineqs.append((self._row(pairs), rat(rhs)))
 
-    def set_upper(self, i: int, upper) -> None:
-        """x_i <= upper"""
-        if not 0 <= i < self.num_vars:
-            raise DimensionMismatch(f"variable {i} outside 0..{self.num_vars - 1}")
-        self.upper[i] = rat(upper)
-
     def with_objective(self, objective: Iterable) -> LinearProgram:
         """A new program with these constraints, in row lists of its own,
         maximizing `objective`: one `Start` of either serves both."""
         prog = LinearProgram(self.num_vars, objective)
-        prog.eqs, prog.ineqs, prog.upper = list(self.eqs), list(self.ineqs), list(self.upper)
+        prog.eqs, prog.ineqs = list(self.eqs), list(self.ineqs)
         return prog
 
 
 class LpCertificate(Frozen):
     """Constraint multipliers: Farkas witness or optimal dual, by kind.
 
-    y_eq is free-signed, the rest are nonnegative.  y_lb[i] multiplies
-    (-x_i <= 0), y_ub[i] multiplies (x_i <= upper_i); y_ub[i] is zero
-    when x_i has no upper bound.
+    y_eq is free-signed, y_ineq and y_lb are nonnegative; y_lb[i]
+    multiplies (-x_i <= 0).  y_ub holds one zero per variable and keeps
+    the report format: no variable has an upper bound for it to
+    multiply, so verify_certificate refuses any nonzero entry.
     """
 
     def __init__(self, kind: str, y_eq: tuple, y_ineq: tuple, y_lb: tuple, y_ub: tuple):
@@ -208,8 +206,8 @@ def _eliminate(row, den, prow, pden, pc):
     return _lowest_terms(row, den)
 
 
-def _pivot(st, pr, pc, cost=True):
-    """Make column pc basic in row pr; `cost=False` leaves the cost row."""
+def _pivot(st, pr, pc):
+    """Make column pc basic in row pr."""
     rows, dens = st.rows, st.dens
     prow = rows[pr]
     p = prow[pc]
@@ -226,7 +224,7 @@ def _pivot(st, pr, pc, cost=True):
     for i, row in enumerate(rows):
         if i != pr and pc in row:
             rows[i], dens[i] = _eliminate(row, dens[i], prow, p, pc)
-    if cost and pc in st.cost:
+    if pc in st.cost:
         st.cost, st.cost_den = _eliminate(st.cost, st.cost_den, prow, p, pc)
     st.basis[pr] = pc
 
@@ -291,21 +289,18 @@ class _Standardized:
     """The program as an integer tableau, plus the bookkeeping to map
     witnesses back.  Column i is x_i for i < num_vars.
 
-    row_kinds / flips / unit_cols are indexed by original row id and never
-    shrink; `active` lists the original rows still present in the tableau
+    Original rows are numbered equalities first, then inequalities;
+    flips / unit_cols are indexed by that number and never shrink;
+    `active` lists the original rows still present in the tableau
     (redundant equality rows found by the crash or after phase 1 get
     dropped).  rows, dens and basis run in step over the tableau rows.
     """
 
-    def __init__(
-        self, columns, rows, dens, basis, row_kinds, flips, unit_cols,
-        active=None, cost=None, cost_den=1,
-    ):
+    def __init__(self, columns, rows, dens, basis, flips, unit_cols, active=None, cost=None, cost_den=1):
         self.columns = columns  # ("var", i) | ("slack", r) | ("art", r)
         self.rows = rows  # per tableau row, {column: int numerator}, rhs at len(columns)
         self.dens = dens  # positive denominator per tableau row
         self.basis = basis  # basic column per tableau row
-        self.row_kinds = row_kinds  # ("eq", j) | ("ineq", j) | ("ub", i)
         self.flips = flips  # +1 / -1 per row
         self.unit_cols = unit_cols  # per original row: column that started as its unit vector
         self.active = [] if active is None else active
@@ -315,23 +310,14 @@ class _Standardized:
 
 def _standardize(lp: LinearProgram) -> _Standardized:
     columns: list = [("var", i) for i in range(lp.num_vars)]
-    raw_rows = []  # (nonzero (var, coeff) terms, rhs, kind)
-    for j, (terms, rhs) in enumerate(lp.eqs):
-        raw_rows.append((terms, rhs, ("eq", j)))
-    for j, (terms, rhs) in enumerate(lp.ineqs):
-        raw_rows.append((terms, rhs, ("ineq", j)))
-    for i, ub in enumerate(lp.upper):
-        if ub is not None:
-            raw_rows.append((((i, ONE),), ub, ("ub", i)))
-
+    raw_rows = lp.eqs + lp.ineqs  # (nonzero (var, coeff) terms, rhs)
     m = len(raw_rows)
-    # slack columns for every non-eq row
+    # slack columns for every inequality row
     slack_col = {}
-    for r, (_, _, kind) in enumerate(raw_rows):
-        if kind[0] != "eq":
-            slack_col[r] = len(columns)
-            columns.append(("slack", r))
-    flips = [-1 if rhs < 0 else 1 for _, rhs, _ in raw_rows]
+    for r in range(len(lp.eqs), m):
+        slack_col[r] = len(columns)
+        columns.append(("slack", r))
+    flips = [-1 if rhs < 0 else 1 for _, rhs in raw_rows]
     # initial basis: feasible slacks where possible, artificials elsewhere
     basis = []
     for r in range(m):
@@ -343,7 +329,7 @@ def _standardize(lp: LinearProgram) -> _Standardized:
 
     rows = []
     dens = []
-    for r, (terms, rhs, _) in enumerate(raw_rows):
+    for r, (terms, rhs) in enumerate(raw_rows):
         flip = flips[r]
         den = lcm(rhs.denominator, *(c.denominator for _, c in terms))
         row = {i: flip * c.numerator * (den // c.denominator) for i, c in terms}
@@ -362,7 +348,6 @@ def _standardize(lp: LinearProgram) -> _Standardized:
         rows=rows,
         dens=dens,
         basis=basis,
-        row_kinds=[kind for _, _, kind in raw_rows],
         flips=flips,
         unit_cols=list(basis),
         active=list(range(m)),
@@ -387,16 +372,15 @@ def _certificate(lp, st: _Standardized, kind, cost, cost_den) -> LpCertificate:
     def y_dot(col):
         return Fraction(cost.get(col, 0) * st.cost_den - st.cost.get(col, 0) * cost_den, den)
 
-    y_eq, y_ineq, y_ub = [ZERO] * len(lp.eqs), [ZERO] * len(lp.ineqs), [ZERO] * lp.num_vars
-    family = {"eq": y_eq, "ineq": y_ineq, "ub": y_ub}
+    y = [ZERO] * (len(lp.eqs) + len(lp.ineqs))
     for orig in st.active:
-        fam, idx = st.row_kinds[orig]
-        family[fam][idx] = st.flips[orig] * y_dot(st.unit_cols[orig])
+        y[orig] = st.flips[orig] * y_dot(st.unit_cols[orig])
     y_lb = [y_dot(i) for i in range(lp.num_vars)]
     if kind == "dual":
         for i, c in lp.objective:
             y_lb[i] -= c
-    return LpCertificate(kind, tuple(y_eq), tuple(y_ineq), tuple(y_lb), tuple(y_ub))
+    ne = len(lp.eqs)
+    return LpCertificate(kind, tuple(y[:ne]), tuple(y[ne:]), tuple(y_lb), (ZERO,) * lp.num_vars)
 
 
 class Start:
@@ -405,13 +389,13 @@ class Start:
 
     Built from the constraints alone (`_standardize`, `_crash`, phase 1,
     `_purge_artificials`), never from the objective, so one start serves
-    every program with the same eqs, ineqs, upper bounds and num_vars,
-    whatever it maximizes.  `solve` reads a start and never changes it.
+    every program with the same eqs, ineqs and num_vars, whatever it
+    maximizes.  `solve` reads a start and never changes it.
     """
 
     def __init__(self, lp: LinearProgram):
         self.num_vars = lp.num_vars
-        self.eqs, self.ineqs, self.upper = tuple(lp.eqs), tuple(lp.ineqs), tuple(lp.upper)
+        self.eqs, self.ineqs = tuple(lp.eqs), tuple(lp.ineqs)
         st = _standardize(lp)
         self.art_cols = {j for j, c in enumerate(st.columns) if c[0] == "art"}
         self.infeasible = None
@@ -424,9 +408,10 @@ class Start:
             if len(st.columns) in st.cost:  # max of -sum(artificials) is negative
                 cert = _certificate(lp, st, "farkas", cost1, 1)
                 self.infeasible = LpOutcome(INFEASIBLE, certificate=cert)
-            else:
-                _purge_artificials(st, self.art_cols)
+            # phase 1's cost row goes before the purge, so its pivots have none to update
             st.cost, st.cost_den = {}, 1
+            if self.infeasible is None:
+                _purge_artificials(st, self.art_cols)
         self.tableau = st
 
     def check(self, lp: LinearProgram) -> None:
@@ -435,7 +420,6 @@ class Start:
             lp.num_vars == self.num_vars
             and tuple(lp.eqs) == self.eqs
             and tuple(lp.ineqs) == self.ineqs
-            and tuple(lp.upper) == self.upper
         )
         if not same:
             raise LpFormatError("start was built from other constraints")
@@ -446,7 +430,7 @@ class Start:
         st = self.tableau
         return _Standardized(
             st.columns, [dict(row) for row in st.rows], list(st.dens), list(st.basis),
-            st.row_kinds, st.flips, st.unit_cols, list(st.active),
+            st.flips, st.unit_cols, list(st.active),
         )
 
 
@@ -459,11 +443,11 @@ def solve(lp: LinearProgram, start: Optional[Start] = None) -> LpOutcome:
     tableau, or its Farkas outcome is returned, so the outcome is the one
     a cold solve returns.
 
-    Every variable is one tableau column, nonnegative and capped by its
-    upper bound row when it has one; an upper bound below 0 is an
-    infeasible row like any other, answered by a Farkas certificate from
-    phase 1.  The crash step (`_crash`) first makes a structural column
-    basic in each mixed-sign equality row with rhs 0, then both phases run
+    Every variable is one nonnegative tableau column, and every
+    constraint is an equality or inequality row; rows that no x >= 0
+    meets are answered by a Farkas certificate from phase 1.  The crash
+    step (`_crash`) first makes a structural column basic in each
+    mixed-sign equality row with rhs 0, then both phases run
     `_run_simplex`: Dantzig pricing with a Bland fallback after
     DEGENERATE_RUN consecutive degenerate pivots, which terminates (see
     there).  Every tableau entry is the exact rational, so the pivots are
@@ -542,7 +526,7 @@ def _crash(st, art_cols):
                 _drop_row(st, r)
                 continue
             if min(row[j] for j in candidates) < 0 < max(row[j] for j in candidates):
-                _pivot(st, r, min(candidates, key=counts.__getitem__), cost=False)
+                _pivot(st, r, min(candidates, key=counts.__getitem__))
         r += 1
 
 
@@ -555,7 +539,7 @@ def _purge_artificials(st, art_cols):
         if st.basis[r] in art_cols:
             pc = min((j for j in st.rows[r] if j not in skip), default=-1)
             if pc >= 0:
-                _pivot(st, r, pc, cost=False)
+                _pivot(st, r, pc)
             else:
                 _drop_row(st, r)
                 continue
@@ -572,12 +556,14 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome) -> bool:
     """Independent exact re-check of an outcome against the original LP.
 
     The multipliers are scaled to integers over their common denominator
-    D, the problem's coefficients, right-hand sides and upper bounds over
-    theirs, L, and the primal over its own, XD; column products and the
-    combined right-hand side are then sums over D * L, the row sums over
-    L * XD, and every comparison is between ints.  An unbounded outcome
-    carries no witness, and a multiplier, primal entry or value that is
-    not an int or a Fraction is no exact witness, so neither verifies.
+    D, the problem's coefficients and right-hand sides over theirs, L,
+    and the primal over its own, XD; column products and the combined
+    right-hand side are then sums over D * L, the row sums over L * XD,
+    and every comparison is between ints.  The program has no upper
+    bounds, so a nonzero y_ub entry multiplies no constraint and is
+    refused.  An unbounded outcome carries no witness, and a multiplier,
+    primal entry or value that is not an int or a Fraction is no exact
+    witness, so neither verifies.
     """
     cert = outcome.certificate
     if cert is None:
@@ -586,29 +572,22 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome) -> bool:
     lengths = (len(cert.y_eq), len(cert.y_ineq), len(cert.y_lb), len(cert.y_ub))
     if lengths != (len(lp.eqs), len(lp.ineqs), n, n):
         return False
-    multipliers = [*cert.y_eq, *cert.y_ineq, *cert.y_lb, *cert.y_ub]
-    if not all(isinstance(v, _RATIONAL) for v in multipliers):
+    multipliers = [*cert.y_eq, *cert.y_ineq, *cert.y_lb]
+    if not all(isinstance(v, _RATIONAL) for v in (*multipliers, *cert.y_ub)):
         return False
-    if any(v < 0 for v in cert.y_ineq) or any(v < 0 for v in cert.y_lb):
+    if any(v < 0 for v in cert.y_ineq) or any(v < 0 for v in cert.y_lb) or any(cert.y_ub):
         return False
-    if any(v < 0 for v in cert.y_ub):
-        return False
-    for i in range(n):
-        if lp.upper[i] is None and cert.y_ub[i] != 0:
-            return False
 
     D = lcm(*(v.denominator for v in multipliers))
     y = _over(multipliers, D)
-    y_rows, y_lb, y_ub = y[: -2 * n], y[-2 * n : -n], y[-n:]
+    y_rows, y_lb = y[:-n], y[-n:]
     rows = lp.eqs + lp.ineqs
     L = lcm(
         *(c.denominator for terms, _ in rows for _, c in terms),
         *(rhs.denominator for _, rhs in rows),
-        *(u.denominator for u in lp.upper if u is not None),
         *(c.denominator for _, c in lp.objective),
     )
     rhs_l = _over([rhs for _, rhs in rows], L)
-    upper = [None if u is None else u.numerator * (L // u.denominator) for u in lp.upper]
 
     # alpha[i] = y . (column of x_i) and the combined rhs, both over D * L
     alpha = [0] * n
@@ -618,10 +597,6 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome) -> bool:
             for i, c in terms:
                 alpha[i] += m * c.numerator * (L // c.denominator)
             combined += m * h
-    for i, m in enumerate(y_ub):
-        if m:
-            alpha[i] += m * L
-            combined += m * upper[i]
 
     if outcome.status == INFEASIBLE:
         if cert.kind != "farkas":
@@ -640,9 +615,8 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome) -> bool:
             return False
         XD = lcm(*(v.denominator for v in outcome.primal))
         x = _over(outcome.primal, XD)
-        for i in range(n):
-            if x[i] < 0 or (upper[i] is not None and x[i] * L > upper[i] * XD):
-                return False
+        if any(v < 0 for v in x):
+            return False
         # row sums over L * XD
         sums = [sum(c.numerator * (L // c.denominator) * x[i] for i, c in terms) for terms, _ in rows]
         bounds = [h * XD for h in rhs_l]

@@ -66,6 +66,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from math import prod
 
 from .core import (Box, Frozen, Scenario, ZERO, ONE, label_offsets, marginal_indices, numerators,
                    relabeled_indices, trace_indices)
@@ -143,30 +144,26 @@ def spanning_entries(scenario: Scenario) -> tuple[int, ...]:
 @functools.lru_cache(maxsize=16)
 def _spanning_terms(scenario: Scenario) -> tuple:
     """Per flat entry, in table order, the (spanning entry, integer)
-    pairs in entry order whose sum it is on every nonsignaling table:
-    the rule of spanning_entries applied to party 0, then to party 1 and
-    so on.  A party's rule leaves every other party's labels as they
-    are, so each party is moved off its last output at inputs above 0 by
-    one step, and no later step moves it back."""
-    entries = list(itertools.product(scenario.input_tuples(), scenario.output_tuples()))
-    at = {entry: n for n, entry in enumerate(entries)}
-    terms = []
-    for entry in entries:
-        summed = {entry: 1}
-        for k, top in enumerate(scenario.outputs):
-            moved: dict = {}
-            for (xs, outs), c in summed.items():
-                if xs[k] == 0 or outs[k] < top - 1:
-                    moved[xs, outs] = moved.get((xs, outs), 0) + c
-                    continue
-                at_zero = xs[:k] + (0,) + xs[k + 1:]
-                for a in range(top):
-                    o = outs[:k] + (a,) + outs[k + 1:]
-                    moved[at_zero, o] = moved.get((at_zero, o), 0) + c
-                    if a < top - 1:
-                        moved[xs, o] = moved.get((xs, o), 0) - c
-            summed = moved
-        terms.append(tuple(sorted((at[e], c) for e, c in summed.items() if c)))
+    pairs in entry order whose sum it is on every nonsignaling table.
+    Per party and label number n = x*A + a, the rule of spanning_entries
+    gives the label itself when x = 0 or a < A - 1, and otherwise every
+    output at input 0 less the party's other outputs at x, as (offset,
+    multiplicity) pairs (core.label_offsets).  A party's rule leaves the
+    other parties' labels as they are, so an entry's terms are the
+    product of its labels' rules, each term a distinct entry."""
+    parties = []
+    for X, A, offsets in zip(scenario.inputs, scenario.outputs, label_offsets(scenario)):
+        at_zero = tuple((offsets[a], 1) for a in range(A))
+        parties.append([
+            (offsets[n], ((offsets[n], 1),) if n < A or n % A < A - 1
+             else at_zero + tuple((offsets[m], -1) for m in range(n - A + 1, n)))
+            for n in range(X * A)
+        ])
+    terms = [()] * scenario.table_size
+    for labels in itertools.product(*parties):
+        pairs = itertools.product(*(rule for _, rule in labels))
+        terms[sum(o for o, _ in labels)] = tuple(sorted(
+            (sum(o for o, _ in combo), prod(k for _, k in combo)) for combo in pairs))
     return tuple(terms)
 
 

@@ -722,6 +722,10 @@ def _iso_ceiling_lp() -> lp.LinearProgram:
     every isotropic box: each marginal row's rhs is the noise entry
     (C = 0), and C's coefficient in it is the noise entry minus the PR
     entry, so the row asks for the isotropic-C entry.
+
+    C needs no upper bound row: at an entry where the PR box is 0 the
+    pin reads (orbit terms, all coefficients positive) + C/4 = 1/4, and
+    the orbit variables are nonnegative, so the rows alone give C <= 1.
     """
     from .isotropic import make_isotropic
 
@@ -729,7 +733,6 @@ def _iso_ceiling_lp() -> lp.LinearProgram:
     pr, _, _, group = polytope.canonical_form(box)
     _, n, normalization, marginals, traces = _folded_rows(box.scenario, 2, group)
     prog = lp.LinearProgram(n + 1, [(n, ONE)])
-    prog.set_upper(n, ONE)
     pins = polytope.pin_rows(marginals, tuple(zip(noise, pr)))
     rows = [(c + ((n, p - q),), p) for c, (p, q) in pins]
     for coeffs, rhs in itertools.chain(normalization, rows, traces):

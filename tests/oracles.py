@@ -208,11 +208,9 @@ def verify_certificate_fractions(prog: lp.LinearProgram, outcome: lp.LpOutcome) 
         return False
     if any(v < 0 for v in cert.y_ineq) or any(v < 0 for v in cert.y_lb):
         return False
-    if any(v < 0 for v in cert.y_ub):
+    # no variable has an upper bound for y_ub to multiply
+    if any(v != 0 for v in cert.y_ub):
         return False
-    for i in range(n):
-        if prog.upper[i] is None and cert.y_ub[i] != 0:
-            return False
     alpha = [ZERO] * n
     combined_rhs = ZERO
     for (terms, rhs), m in zip(prog.eqs + prog.ineqs, [*cert.y_eq, *cert.y_ineq]):
@@ -220,10 +218,6 @@ def verify_certificate_fractions(prog: lp.LinearProgram, outcome: lp.LpOutcome) 
             for i, c in terms:
                 alpha[i] += m * c
             combined_rhs += m * rhs
-    for i in range(n):
-        if cert.y_ub[i]:
-            alpha[i] += cert.y_ub[i]
-            combined_rhs += cert.y_ub[i] * prog.upper[i]
 
     if outcome.status == lp.INFEASIBLE:
         if cert.kind != "farkas":
@@ -238,9 +232,8 @@ def verify_certificate_fractions(prog: lp.LinearProgram, outcome: lp.LpOutcome) 
         x = outcome.primal
         if len(x) != n:
             return False
-        for i in range(n):
-            if x[i] < 0 or (prog.upper[i] is not None and x[i] > prog.upper[i]):
-                return False
+        if any(v < 0 for v in x):
+            return False
         for terms, rhs in prog.eqs:
             if sum((c * x[i] for i, c in terms), ZERO) != rhs:
                 return False

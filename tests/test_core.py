@@ -628,7 +628,7 @@ def record_samples():
     pr = bell.pr_box()
     pair = ObservablePair("B")
     prog = lp.LinearProgram(1, enumerate([1]))
-    prog.set_upper(0, 1)
+    prog.add_ineq([(0, 1)], 1)
     return [
         pr.scenario,
         pr,

@@ -156,7 +156,7 @@ def test_solve_checks_its_certificate_under_python_O():
             sys.exit("not running under -O")
         lp.verify_certificate = lambda prog, outcome: False
         prog = lp.LinearProgram(1, enumerate([1]))
-        prog.set_upper(0, 1)
+        prog.add_ineq([(0, 1)], 1)
         try:
             lp.solve(prog)
         except InternalError:

@@ -61,7 +61,7 @@ class TestBasics:
 
     def test_conflicting_bounds(self):
         prog = LinearProgram(2)
-        prog.set_upper(1, -1)
+        prog.add_ineq([(1, 1)], -1)
         out = solve(prog)
         assert out.status == INFEASIBLE
         assert out.certificate.kind == "farkas"
@@ -95,8 +95,6 @@ class TestBasics:
             prog.add_eq([(0, 1), (col, 1)], 1)
         with pytest.raises(lp.DimensionMismatch):
             prog.add_ineq([(col, 1)], 1)
-        with pytest.raises(lp.DimensionMismatch):
-            prog.set_upper(col, 1)
         with pytest.raises(lp.DimensionMismatch):
             LinearProgram(2, [(col, 1)])
         assert prog.eqs == [] and prog.ineqs == []
@@ -194,12 +192,12 @@ class TestCertificateTampering:
 
     @pytest.mark.parametrize("field", ["y_eq", "y_ineq", "y_lb", "y_ub"])
     def test_wrong_length_multipliers_rejected(self, field):
-        # one row of each family and a finite upper bound, so every
+        # one row of each family, and y_ub one zero per variable, so every
         # multiplier vector has an entry to drop
         prog = LinearProgram(2, enumerate([1, 1]))
         prog.add_eq(enumerate([1, -1]), 0)
         prog.add_ineq(enumerate([1, 2]), 4)
-        prog.set_upper(0, 1)
+        prog.add_ineq([(0, 1)], 1)
         out = solve(prog)
         assert verify_certificate(prog, out)
         values = getattr(out.certificate, field)
@@ -214,8 +212,9 @@ def nonnegative_program(objective, eqs, ineqs, bounds):
     its optimal value is off by.
 
     Rows and the objective are dense over x.  bounds[i] is (lo, hi) for
-    lo <= x_i <= hi, stated as x_i = lo + z_i with 0 <= z_i <= hi - lo, or
-    None for a free x_i, stated as x_i = pos_i - neg_i over two columns.
+    lo <= x_i <= hi, stated as x_i = lo + z_i with 0 <= z_i and the row
+    z_i <= hi - lo after the other inequalities, or None for a free x_i,
+    stated as x_i = pos_i - neg_i over two columns.
     """
     columns = []  # per x_i: its (column, sign) terms
     for b in bounds:
@@ -230,13 +229,13 @@ def nonnegative_program(objective, eqs, ineqs, bounds):
         return sum(c * o for c, o in zip(coeffs, offset))
 
     prog = LinearProgram(sum(len(terms) for terms in columns), pairs(objective))
-    for terms, b in zip(columns, bounds):
-        if b is not None:
-            prog.set_upper(terms[0][0], b[1] - b[0])
     for coeffs, rhs in eqs:
         prog.add_eq(pairs(coeffs), rhs - shift(coeffs))
     for coeffs, rhs in ineqs:
         prog.add_ineq(pairs(coeffs), rhs - shift(coeffs))
+    for terms, b in zip(columns, bounds):
+        if b is not None:
+            prog.add_ineq([(terms[0][0], 1)], b[1] - b[0])
     return prog, shift(objective)
 
 
@@ -413,7 +412,7 @@ def random_homogeneous_lp(rng: random.Random):
     rng.shuffle(solve_eqs)
     prog = original_program(objective, solve_eqs, ineqs)
     for i, (_, hi) in enumerate(bounds):
-        prog.set_upper(i, hi)
+        prog.add_ineq([(i, 1)], hi)
     return prog, original_program(objective, eqs, ineqs), bounds
 
 
@@ -493,8 +492,8 @@ def checked_pivots(monkeypatch):
     columns = []
     pivot = lp._pivot
 
-    def checked(st, pr, pc, cost=True):
-        pivot(st, pr, pc, cost)
+    def checked(st, pr, pc):
+        pivot(st, pr, pc)
         columns.append(pc)
         assert len(columns) <= 5000, "pivot cap reached"
         for row, den in [*zip(st.rows, st.dens), (st.cost, st.cost_den)]:
@@ -535,14 +534,13 @@ def test_pivot_counts_pinned(monkeypatch):
 
 
 def tie_tableau(cost):
-    """max cost . x over 0 <= x_0, x_1 <= 1, both bounds as slack rows,
-    with the cost dict's keys in the given order."""
+    """max cost . x over 0 <= x_0, x_1 <= 1, both bounds as inequality
+    rows with slacks, with the cost dict's keys in the given order."""
     return lp._Standardized(
         columns=[("var", 0), ("var", 1), ("slack", 0), ("slack", 1)],
         rows=[{0: 1, 2: 1, 4: 1}, {1: 1, 3: 1, 4: 1}],
         dens=[1, 1],
         basis=[2, 3],
-        row_kinds=[("ub", 0), ("ub", 1)],
         flips=[1, 1],
         unit_cols=[2, 3],
         active=[0, 1],
@@ -577,7 +575,6 @@ def test_crash_tie_takes_lowest_index(monkeypatch):
         rows=[{2: 1, 1: -1, 3: 1}],
         dens=[1],
         basis=[3],
-        row_kinds=[("eq", 0)],
         flips=[1],
         unit_cols=[3],
         active=[0],
@@ -594,14 +591,13 @@ class TestRationalInputsOnly:
             lambda prog: prog.add_eq([(0, 1)], 0.3),
             lambda prog: prog.add_ineq([(0, 0.5)], 1),
             lambda prog: prog.add_ineq([(0, 1)], 0.5),
-            lambda prog: prog.set_upper(0, 0.5),
         ],
     )
     def test_float_row_rhs_or_bound_raises(self, build):
         prog = LinearProgram(1)
         with pytest.raises(TypeError):
             build(prog)
-        assert prog.eqs == [] and prog.ineqs == [] and prog.upper == [None]
+        assert prog.eqs == [] and prog.ineqs == []
 
     def test_float_objective_raises(self):
         with pytest.raises(TypeError):
@@ -610,22 +606,20 @@ class TestRationalInputsOnly:
     def test_exact_values_are_stored_as_fractions(self):
         prog = LinearProgram(2, [(1, "1/2")])
         prog.add_eq([(0, "1/10"), (1, 2)], "3/10")
-        prog.set_upper(1, 3)
         assert prog.objective == ((1, F(1, 2)),)
         assert prog.eqs == [(((0, F(1, 10)), (1, F(2))), F(3, 10))]
-        assert prog.upper == [None, F(3)]
 
 
 def fractional_program(ineq_rhs):
-    """Coefficients, right-hand sides and the upper bound of x_1 all
-    fractional; x_0 and x_2 have no upper bound.  Optimal, with a
-    fractional primal, at ineq_rhs 1/3 (x_1 at its bound) and 2/5 (the
-    inequality tight); infeasible at 1/11, with every multiplier family
+    """Coefficients, right-hand sides and the bound row x_1 <= 3/4 all
+    fractional; x_0 and x_2 have no bound row.  Optimal, with a
+    fractional primal and the first inequality tight, at ineq_rhs 1/3
+    and 2/5; infeasible at 1/11, with y_eq, both y_ineq entries and y_lb
     nonzero in its Farkas vector."""
     prog = LinearProgram(3, [(0, F(3, 2)), (1, F(2, 3)), (2, F(-1, 5))])
     prog.add_eq([(0, F(2, 3)), (1, F(3, 7)), (2, F(1, 4))], F(5, 7))
     prog.add_ineq([(0, F(3, 5)), (1, F(-1, 6)), (2, F(2, 9))], ineq_rhs)
-    prog.set_upper(1, F(3, 4))
+    prog.add_ineq([(1, 1)], F(3, 4))
     return prog
 
 
@@ -648,10 +642,9 @@ def tampers(out, prog):
     """Named tampered copies of an optimal or infeasible outcome, each of
     which breaks the certificate."""
     cert = out.certificate
-    unbounded = prog.upper.index(None)
     yield "y_eq+1/7", tampered(out, y_eq=bumped(cert.y_eq, 0, F(1, 7)))
     yield "negative y_lb", tampered(out, y_lb=bumped(cert.y_lb, 0, -cert.y_lb[0] - F(1, 3)))
-    yield "y_ub on unbounded x", tampered(out, y_ub=bumped(cert.y_ub, unbounded, F(1, 2)))
+    yield "nonzero y_ub", tampered(out, y_ub=bumped(cert.y_ub, 0, F(1, 2)))
     yield "kind", tampered(out, kind="dual" if cert.kind == "farkas" else "farkas")
     for field in ("y_eq", "y_ineq", "y_lb", "y_ub"):
         yield f"truncated {field}", tampered(out, **{field: getattr(cert, field)[:-1]})
@@ -670,7 +663,7 @@ class TestIntegerCheck:
         prog = fractional_program(ineq_rhs)
         out = solve(prog)
         assert out.status == (INFEASIBLE if ineq_rhs == F(1, 11) else OPTIMAL)
-        values = [*out.certificate.y_eq, *out.certificate.y_ineq, *out.certificate.y_ub, *(out.primal or ())]
+        values = [*out.certificate.y_eq, *out.certificate.y_ineq, *(out.primal or ())]
         assert any(v.denominator > 1 for v in values)
         assert verify_certificate(prog, out) is True
         assert verify_certificate_fractions(prog, out) is True
@@ -730,20 +723,16 @@ class TestIntegerCheck:
 
 def start_program():
     """x_0 + x_1 + x_2 = 1, x_0 - x_1 <= 1/2, x_2 <= 2/3: feasible,
-    with an artificial, a slack and an upper bound row."""
+    with an artificial and two slacks."""
     prog = LinearProgram(3)
     prog.add_eq(enumerate([1, 1, 1]), 1)
     prog.add_ineq(enumerate([1, -1, 0]), F(1, 2))
-    prog.set_upper(2, F(2, 3))
+    prog.add_ineq([(2, 1)], F(2, 3))
     return prog
 
 
 def other_rhs(prog):
     prog.eqs[0] = (prog.eqs[0][0], F(2))
-
-
-def other_upper(prog):
-    prog.set_upper(2, 1)
 
 
 def appended_row(prog):
@@ -752,11 +741,11 @@ def appended_row(prog):
 
 def extra_variable(prog):
     wider = LinearProgram(4)
-    wider.eqs, wider.ineqs, wider.upper = prog.eqs, prog.ineqs, prog.upper + [None]
+    wider.eqs, wider.ineqs = prog.eqs, prog.ineqs
     return wider
 
 
-@pytest.mark.parametrize("change", [other_rhs, other_upper, appended_row, extra_variable])
+@pytest.mark.parametrize("change", [other_rhs, appended_row, extra_variable])
 def test_start_of_other_constraints_raises_before_any_pivot(change, monkeypatch):
     start = lp.Start(start_program())
     pivots = checked_pivots(monkeypatch)

@@ -864,12 +864,19 @@ class TestCloning:
         # every isotropic box but the noise has the PR box's stabilizer
         prog = _iso_ceiling_lp()
         n = prog.num_vars - 1
-        assert (prog.objective, prog.ineqs, prog.upper[n]) == (((n, ONE),), [], ONE)
-        at_c = [(tuple((k, v) for k, v in row if k != n), rhs - c * dict(row).get(n, ZERO))
-                for row, rhs in prog.eqs]
+        assert (prog.objective, prog.ineqs) == (((n, ONE),), [])
+
+        def at(c):
+            at_c = lp.LinearProgram(n)
+            at_c.eqs = [(tuple((k, v) for k, v in row if k != n), rhs - c * dict(row).get(n, ZERO))
+                        for row, rhs in prog.eqs]
+            return at_c
+
         folded, _ = folded_extension_lp(ExtensionProblem(make_isotropic(c), "B", 2))
         assert folded.num_vars == n
-        assert at_c == folded.eqs
+        assert at(c).eqs == folded.eqs
+        # the pins alone bound C by 1, so the program needs no bound row
+        assert lp.solve(at(F(11, 10))).status == lp.INFEASIBLE
 
 
 class TestMonogamy:
