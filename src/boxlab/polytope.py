@@ -152,13 +152,16 @@ def _spanning_terms(scenario: Scenario) -> tuple:
     other parties' labels as they are, so an entry's terms are the
     product of its labels' rules, each term a distinct entry."""
     parties = []
-    for X, A, offsets in zip(scenario.inputs, scenario.outputs, label_offsets(scenario)):
-        at_zero = tuple((offsets[a], 1) for a in range(A))
-        parties.append([
-            (offsets[n], ((offsets[n], 1),) if n < A or n % A < A - 1
-             else at_zero + tuple((offsets[m], -1) for m in range(n - A + 1, n)))
-            for n in range(X * A)
-        ])
+    for A, offsets in zip(scenario.outputs, label_offsets(scenario)):
+        at_zero = tuple((o, 1) for o in offsets[:A])
+        rules = []
+        for n, o in enumerate(offsets):
+            x, a = divmod(n, A)
+            if x == 0 or a < A - 1:
+                rules.append((o, ((o, 1),)))
+            else:
+                rules.append((o, at_zero + tuple((f, -1) for f in offsets[n - a:n])))
+        parties.append(rules)
     terms = [()] * scenario.table_size
     for labels in itertools.product(*parties):
         pairs = itertools.product(*(rule for _, rule in labels))
