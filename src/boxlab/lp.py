@@ -296,7 +296,7 @@ class _Standardized:
     dropped).  rows, dens and basis run in step over the tableau rows.
     """
 
-    def __init__(self, columns, rows, dens, basis, flips, unit_cols, active=None, cost=None, cost_den=1):
+    def __init__(self, columns, rows, dens, basis, flips, unit_cols, active=None):
         self.columns = columns  # ("var", i) | ("slack", r) | ("art", r)
         self.rows = rows  # per tableau row, {column: int numerator}, rhs at len(columns)
         self.dens = dens  # positive denominator per tableau row
@@ -304,8 +304,8 @@ class _Standardized:
         self.flips = flips  # +1 / -1 per row
         self.unit_cols = unit_cols  # per original row: column that started as its unit vector
         self.active = [] if active is None else active
-        self.cost = {} if cost is None else cost  # cost row, -objective at len(columns)
-        self.cost_den = cost_den
+        self.cost = {}  # cost row, -objective at len(columns)
+        self.cost_den = 1
 
 
 def _standardize(lp: LinearProgram) -> _Standardized:

@@ -536,7 +536,7 @@ def test_pivot_counts_pinned(monkeypatch):
 def tie_tableau(cost):
     """max cost . x over 0 <= x_0, x_1 <= 1, both bounds as inequality
     rows with slacks, with the cost dict's keys in the given order."""
-    return lp._Standardized(
+    st = lp._Standardized(
         columns=[("var", 0), ("var", 1), ("slack", 0), ("slack", 1)],
         rows=[{0: 1, 2: 1, 4: 1}, {1: 1, 3: 1, 4: 1}],
         dens=[1, 1],
@@ -544,8 +544,9 @@ def tie_tableau(cost):
         flips=[1, 1],
         unit_cols=[2, 3],
         active=[0, 1],
-        cost=cost,
     )
+    st.cost = cost
+    return st
 
 
 def test_dantzig_tie_takes_lowest_index(monkeypatch):
