@@ -13,16 +13,19 @@ patterns: `unbiased_box` builds the box of four correlators and
 gamma).  The PR box has the correlators of pattern 0, the eight PR
 vertices of `ns_vertices_2222` those of each pattern, and the eight
 CHSH facets of `chsh_facets` are sum_xy s_xy C_xy / 2 - 1, CHSH
-itself (`chsh_functional`) the first: a 2222 box that violates one is
-nonlocal by Fine's theorem, and `locality.is_local` certifies it by
-the facet, with no LP.  The isotropic family (`isotropic`) is the same
-builder on the line (C, C, C, -C).  The box builder, the correlators
-and the facet tables walk the 2222 table in its order (input pairs
-outermost, outputs (a, b) innermost), and `cglmp_raw` places its
-weights through `core.label_offsets`, the layout's one table.  `normalize`
-serves the functionals found at run time, such as the Farkas vectors of
-`locality.is_local`, put on the spanning entries of
-`polytope.spanning_entries` and averaged over the box's stabilizer:
+itself (`chsh_functional`) the first.  By Fine's theorem a 2222 box
+that violates one is nonlocal, and `locality.is_local` certifies it by
+the facet; one that violates none is local, and `is_local` glues its
+model in closed form: no 2222 box solves an LP.  The isotropic family
+(`isotropic`) is the same builder on the line (C, C, C, -C).  The box
+builder, the correlators and the facet tables walk the 2222 table in
+its order (input pairs outermost, outputs (a, b) innermost), and
+`cglmp_raw` places its weights through `core.label_offsets`, the
+layout's one table.  `normalize` serves the functionals found at run
+time, such as the Farkas vectors of the membership LP that
+`locality.is_local` solves for boxes outside 2222, put on the spanning
+entries of `polytope.spanning_entries` and averaged over the box's
+stabilizer:
 their local bound is the largest sum of the coefficients at the table
 entries a deterministic strategy fires (`polytope.strategy_columns`),
 taken in integers over the coefficients' common denominator

@@ -17,21 +17,24 @@ are the spanning entries themselves.  The form's maps and the elements
 of G name labels by their numbers (`core`), one tuple per party, so
 `core.relabeled_indices` applies either to a table.
 
-A 2222 box skips the LP when it violates one of the eight CHSH facets
-(bell.chsh_facets): by Fine's theorem (PRL 48, 291, 1982) they are all
-the nontrivial facets of the 2222 local polytope, so the facet the box
-violates most, a normalized Bell functional, certifies it.  The box's
-four correlators, read in integers off the numerators of its table,
-are weighed by each facet's sign pattern (bell.chsh_signs).  A 2222 box
-that violates none is local, and the LP still runs to find its model,
-which Fine's theorem says it must.
+A 2222 box never reaches the LP: both halves of Fine's theorem (PRL 48,
+291, 1982) decide it in closed form, in integers off the numerators of
+its table.  The eight CHSH facets (bell.chsh_facets) are all the
+nontrivial facets of the 2222 local polytope, so a box that violates
+one is certified by the facet it violates most, a normalized Bell
+functional: its four correlators are weighed by each facet's sign
+pattern (bell.chsh_signs).  A box that violates none is local, and its
+model is Fine's gluing over Bob's output pair (b0, b1) (_fine_model):
+per Alice input x a joint table T_x(a, b0, b1) with the box's two
+blocks at x as marginals, the two sharing Q(b0, b1), and strategy
+((a0, a1), (b0, b1)) of weight T_0 T_1 / Q.
 
-Feasibility yields an explicit LocalModel, in the box's own labels.
-Infeasibility yields a Farkas vector y of the folded program, which
-becomes a Bell functional in three steps.  Each row's multiplier goes
-on the first spanning entry it pins, so the functional sums over each
-class to minus y's combination of that class's column, at most 0, and
-is positive on the canonical table.  Averaged over G, it is G-invariant,
+The membership LP's feasibility yields an explicit LocalModel, in the
+box's own labels.  Infeasibility yields a Farkas vector y of the folded
+program, which becomes a Bell functional in three steps.  Each row's
+multiplier goes on the first spanning entry it pins, so the functional
+sums over each class to minus y's combination of that class's column,
+at most 0, and is positive on the canonical table.  Averaged over G, it is G-invariant,
 so its value on each strategy is its class's average, at most 0, while
 its value on the table, which G fixes, does not change.  Read back
 through the canonical form's maps and normalized, it is violated by the
@@ -326,6 +329,41 @@ def _violated_facet(den: int, nums) -> NonlocalityCertificate | None:
     return None
 
 
+def _fine_model(sc: Scenario, den: int, nums) -> LocalModel | None:
+    """Fine's local model of a 2222 table read into its numerators over
+    `den` (numerators), or None when the intervals below do not meet,
+    which is when the table is nonlocal.  Per input x and output a, with
+    u = P(a, b=0 | x, 0), v = P(a, b=0 | x, 1) and m = P(a | x) over den,
+    T_x(a, b0, b1) is t, u - t, v - t, m - u - v + t for b0 b1 = 00, 01,
+    10, 11: nonnegative for t in [max(0, u + v - m), min(u, v)].  Both
+    x must share q = Q(0, 0) = sum_a t, and Bob's marginals fix the rest
+    of Q, so q is the larger of the two lower ends of the sums, split
+    over a up to each a's bounds, first a first.  Strategy ((a0, a1),
+    (b0, b1)) weighs T_0(a0, b0, b1) T_1(a1, b0, b1) / (Q(b0, b1) den);
+    the nonzero weights are kept in deterministic_strategies order.
+    Nothing here is checked: is_local checks the model."""
+    # per (x, a), the block at (x, y) starting at 8x + 4y and its entry (a, b) 2a + b further
+    uvm = [(nums[k], nums[k + 4], nums[k] + nums[k + 1]) for k in (0, 2, 8, 10)]
+    low = [max(0, u + v - m) for u, v, m in uvm]
+    high = [min(u, v) for u, v, m in uvm]
+    q = max(low[0] + low[1], low[2] + low[3])
+    if q > min(high[0] + high[1], high[2] + high[3]):
+        return None
+    T = []  # T[2x + a][2 b0 + b1] = T_x(a, b0, b1) over den
+    for k in (0, 2):
+        t0 = min(q - low[k + 1], high[k])
+        for (u, v, m), t in zip(uvm[k:k + 2], (t0, q - t0)):
+            T.append((t, u - t, v - t, m - u - v + t))
+    Q = [t0 + t1 for t0, t1 in zip(T[0], T[1])]
+    strategies, weights = [], []
+    for a0, a1, j in itertools.product((0, 1), (0, 1), range(4)):
+        w = T[a0][j] * T[2 + a1][j]
+        if w:
+            strategies.append(DeterministicStrategy(sc, ((a0, a1), divmod(j, 2))))
+            weights.append(Fraction(w, Q[j] * den))
+    return LocalModel(sc, tuple(strategies), tuple(weights))
+
+
 def _membership_verdict(box: Box, nums) -> LocalModel | NonlocalityCertificate:
     """is_local's membership-LP path for a checked box, its table read
     into numerators `nums`: local_model's model, or its Farkas vector
@@ -350,33 +388,36 @@ def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
     way: a LocalModel in the box's own labels, or a normalized Bell
     functional that the box violates.
 
-    A 2222 box that violates a CHSH facet is certified by the one it
-    violates most (_violated_facet), with no LP; the membership LP
-    (_membership_verdict) decides every other box, and by Fine's
-    theorem must find a 2222 box local, which is checked.  A bipartite
-    box is decided on its canonical form, the LP folded by its
-    stabilizer G (polytope.canonical_form): 81 x 25 becomes 9 x 3 on
-    generalized isotropic boxes with 3 outputs.  The search is skipped
-    when polytope.labels_told_apart shows that only the identity fixes
-    the table, as it does for most boxes without symmetry; such a box is
-    decided on its own labels (polytope.own_labels, the trivial form),
-    as is any box of another number of parties."""
+    A 2222 box solves no LP: one that violates a CHSH facet is
+    certified by the one it violates most (_violated_facet), and any
+    other is local by Fine's theorem, with the model _fine_model glues,
+    checked here to exist, to have positive weights and to reconstruct
+    the box.  The membership LP (_membership_verdict) decides every
+    other box.  A bipartite one is decided on its canonical form, the LP
+    folded by its stabilizer G (polytope.canonical_form): 81 x 25
+    becomes 9 x 3 on generalized isotropic boxes with 3 outputs.  The
+    search is skipped when polytope.labels_told_apart shows that only
+    the identity fixes the table, as it does for most boxes without
+    symmetry; such a box is decided on its own labels
+    (polytope.own_labels, the trivial form), as is any box of another
+    number of parties."""
     sc = box.scenario
-    # the table read once into numerators, for the NS check and the pre-tests
+    # the table read once into numerators, for the NS check, the pre-tests and Fine's model
     den, nums = numerators(box.table)
     w = _trace_violation(sc, den, nums)
     if w is not None:
         raise SignalingBox(w)
     check_strategy_space(sc)
-    chsh_scenario = sc.inputs == sc.outputs == (2, 2)
-    if chsh_scenario:
+    if sc.inputs == sc.outputs == (2, 2):
         certificate = _violated_facet(den, nums)
         if certificate is not None:
             return certificate
-    found = _membership_verdict(box, nums)
-    ensure(not chsh_scenario or isinstance(found, LocalModel),
-           "a 2222 box that violates no CHSH facet is nonlocal, against Fine's theorem")
-    return found
+        model = _fine_model(sc, den, nums)
+        ensure(model is not None, "a 2222 box that violates no CHSH facet has no model, against Fine's theorem")
+        ensure(all(w > 0 for w in model.weights), "Fine's model has a weight that is not positive")
+        ensure(model.reconstructs(box), "Fine's model does not reconstruct the box")
+        return model
+    return _membership_verdict(box, nums)
 
 
 def eve_extension(box: Box, model: LocalModel) -> Box:

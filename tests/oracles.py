@@ -5,7 +5,9 @@ elimination for vertex enumeration of small LPs and for the rank of a
 set of rows, a coordinate parametrization of the 2222 nonsignaling
 polytope, the local-membership LP over every table entry, an
 alternative formulation of it and is_local's outcome on a box's own
-labels read off it at the spanning entries, the symmetric-extension LP
+labels read off it at the spanning entries, Fine's intervals and his
+gluing of a 2222 box at any Q(b0=0, b1=0), read entry by entry from
+probabilities, the symmetric-extension LP
 over the full table with explicit symmetry rows, the paper's proof that
 a nonlocal box is not |Y|-shareable as multipliers on that LP's rows,
 built from their labels, the orbit LP's rows
@@ -709,6 +711,54 @@ def local_membership_alternative(box: Box) -> bool:
             prog.add_eq(enumerate(coeffs), box.table[xi * n_out + oi])
     out = lp.solve(prog)
     return out.status == lp.OPTIMAL
+
+
+def _fine_bounds(box: Box, x: int) -> list:
+    """Per output a of Alice at input x of a 2222 box, (low, high, u, v,
+    m) as Fractions read entry by entry (prob): u = P(a, b=0 | x, 0),
+    v = P(a, b=0 | x, 1), m = P(a | x, 0), and the bounds that keep the
+    joint table t, u - t, v - t, m - u - v + t of (a, b0, b1) nonnegative."""
+    out = []
+    for a in (0, 1):
+        u, v = prob(box, (a, 0), (x, 0)), prob(box, (a, 0), (x, 1))
+        m = u + prob(box, (a, 1), (x, 0))
+        out.append((max(ZERO, u + v - m), min(u, v), u, v, m))
+    return out
+
+
+def fine_intervals(box: Box) -> list:
+    """Per Alice input x of a 2222 box, the interval of Q(b0=0, b1=0)
+    over joint tables T_x(a, b0, b1) >= 0 whose (a, b0) and (a, b1)
+    marginals are the box's blocks at (x, 0) and (x, 1)."""
+    return [tuple(sum(b[k] for b in _fine_bounds(box, x)) for k in (0, 1)) for x in (0, 1)]
+
+
+def fine_gluing(box: Box, q):
+    """Fine's gluing of a 2222 box at Q(0, 0) = q, as a LocalModel over
+    every strategy of nonzero weight, in deterministic_strategies order:
+    q split over Alice's outputs, last output first, up to each one's
+    bounds, and strategy ((a0, a1), (b0, b1)) weighted T_0 T_1 / Q.
+    When q lies outside an input's interval (fine_intervals) that
+    input's split leaves its bounds, and the weights may be negative;
+    a (b0, b1) of Q 0 gives its strategies no weight."""
+    from boxlab import polytope
+    from boxlab.locality import LocalModel
+
+    T = []
+    for x in (0, 1):
+        (low0, high0, u0, v0, m0), (low1, high1, u1, v1, m1) = _fine_bounds(box, x)
+        t1 = min(max(q - low0, low1), high1)
+        t0 = q - t1
+        T.append([(t0, u0 - t0, v0 - t0, m0 - u0 - v0 + t0), (t1, u1 - t1, v1 - t1, m1 - u1 - v1 + t1)])
+    pairs = []
+    for s in polytope.deterministic_strategies(box.scenario):
+        (a0, a1), (b0, b1) = s.tables
+        j = 2 * b0 + b1
+        Q = T[0][0][j] + T[0][1][j]
+        w = T[0][a0][j] * T[1][a1][j] / Q if Q else ZERO
+        if w:
+            pairs.append((s, w))
+    return LocalModel(box.scenario, *map(tuple, zip(*pairs)))
 
 
 def _unfolded_slots(base: Box, shared_party: str, m: int):

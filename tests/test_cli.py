@@ -203,6 +203,9 @@ COMMITTED_REPORTS = [
     # local and nonlocal, folded forms and 3322 boxes
     "local-giso3-2-5.json", "local-giso3-7-10.json", "local-giso3-7-10-relabeled.json",
     "local-seed1003.json", "local-seed1003-local.json",
+    # a 2222 model found by the membership LP, before Fine's model replaced
+    # it: 16 strategies where Fine's gluing now gives 10
+    "local-iso-2-5.json", "secrecy-iso-2-5.json",
     # box transforms, whose output boxes verify recomputes: a nonsignaling
     # 2222 box off the isotropic line, and isotropic 3/4 shrunk by 1/4
     "depolarize-skew2222.json", "shrink-iso-3-4-eps1-4.json",

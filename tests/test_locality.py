@@ -32,6 +32,8 @@ from oracles import (
     brute_canonical_form,
     condition,
     deterministic_box_tables,
+    fine_gluing,
+    fine_intervals,
     fraction_rank,
     _flat_of,
     full_membership_lp,
@@ -167,9 +169,11 @@ class TestIsLocal:
         assert sum(model.weights, ZERO) == 1
 
     def test_reads_the_table_once_before_the_membership_lp(self, ns_vertices, monkeypatch):
-        # the NS check, the CHSH facets and labels_told_apart share one
-        # read of the table into numerators; only the canonical search,
-        # when it runs, reads it again
+        # the NS check, the CHSH facets, Fine's model and labels_told_apart
+        # share one read of the table into numerators; only the check of
+        # Fine's model and the canonical search, when they run, read it
+        # again.  A 2222 box takes the facet or Fine's model, and 3322
+        # boxes, with and without symmetry, reach the membership LP
         reads = []
 
         def counting(values, real=core.numerators):
@@ -185,9 +189,12 @@ class TestIsLocal:
         for module in (core, polytope, locality):
             monkeypatch.setattr(module, "numerators", counting)
         monkeypatch.setattr(locality, "local_model", stop)
+        monkeypatch.setattr(LocalModel, "reconstructs", stop)
         rng = random.Random(2830)
         boxes = [random_ns_box(rng, ns_vertices, nonlocal_bias=40) for _ in range(6)]
         boxes += [random_local_box(rng, ns_vertices) for _ in range(3)] + [make_isotropic(F(1, 2))]
+        sc = Scenario((3, 3), (2, 2))
+        boxes += [mix([pr_like(sc), uniform_box(sc)], [F(1, 2), F(1, 2)]), fold_boxes(sc)[-1]]
         paths = set()
         for box in boxes:
             apart = polytope.labels_told_apart(box.scenario, core.numerators(box.table)[1])
@@ -196,16 +203,16 @@ class TestIsLocal:
                 is_local(box)
                 path = "facet"
             except Stop:
-                path = "told apart" if apart else "searched"
+                path = "fine" if box.scenario == SC22 else "told apart" if apart else "searched"
             assert reads == [box.table] * (2 if path == "searched" else 1)
             paths.add(path)
-        assert paths == {"facet", "told apart", "searched"}
+        assert paths == {"facet", "fine", "told apart", "searched"}
 
     def test_pr_certificate_is_chsh(self, ns_vertices):
         cert = is_local(pr_box())
         assert isinstance(cert, NonlocalityCertificate)
         assert cert.violation == 1
-        # the dual of the PR membership LP renormalizes to the CHSH facet
+        # the facet the PR box violates is CHSH itself
         for v in ns_vertices:
             assert cert.functional.evaluate(v) == chsh(v)
 
@@ -265,7 +272,7 @@ class TestIsLocal:
 
 class TestChshFacetPath:
     """A 2222 box that violates a CHSH facet is certified by it with no
-    LP; any other 2222 box is found local by the membership LP."""
+    LP; any other 2222 box is local by Fine's model, with no LP either."""
 
     def check(self, box):
         result = is_local(box)
@@ -294,7 +301,7 @@ class TestChshFacetPath:
         for pr in ns_vertices[16:]:
             assert [self.check(mix([pr, noise], [t, 1 - t])) for t in (F(1, 2), F(51, 100))] == [True, False]
 
-    def test_a_nonlocal_box_solves_no_lp_and_a_local_one_solves_one(self, ns_vertices, monkeypatch):
+    def test_no_2222_box_solves_an_lp(self, ns_vertices, monkeypatch):
         solve, calls = lp.solve, []
 
         def counted(*args):
@@ -305,21 +312,112 @@ class TestChshFacetPath:
         rng = random.Random(3102)
         boxes = [pr_box(), make_isotropic(F(3, 5)), make_isotropic(F(1, 2))]
         boxes += [random_ns_box(rng, ns_vertices, nonlocal_bias=b) for b in (0, 20, 60, 80)]
-        seen = set()
-        for box in boxes:
-            calls.clear()
-            local = isinstance(is_local(box), LocalModel)
-            assert len(calls) == local
-            seen.add(local)
-        assert seen == {True, False}
+        seen = Counter(isinstance(is_local(box), LocalModel) for box in boxes)
+        assert calls == [] and min(seen[True], seen[False]) >= 2
+        # a box of another scenario still solves the membership LP
+        sc = Scenario((3, 3), (2, 2))
+        is_local(mix([pr_like(sc), uniform_box(sc)], [F(1, 2), F(1, 2)]))
+        assert len(calls) == 1
 
     def test_a_missing_facet_fails_fines_check(self, monkeypatch):
-        # without the facet the PR box violates, the membership LP finds it
-        # nonlocal, which Fine's theorem rules out
+        # without the facet the PR box violates, its Fine intervals do not
+        # meet, so it has no model: Fine's theorem rules that out
         kept = bell.chsh_signs()[1:]
         monkeypatch.setattr(locality, "chsh_signs", lambda: kept)
         with pytest.raises(core.InternalError, match="Fine"):
             is_local(pr_box())
+
+
+class TestFineModel:
+    """A 2222 box that violates no CHSH facet gets Fine's model, glued in
+    closed form over Bob's output pair, with no LP: cross-checked against
+    the membership LP oracles and the gluing oracle (fine_gluing)."""
+
+    def check(self, box):
+        """is_local's verdict on a 2222 box against both membership
+        oracles and Fine's intervals, which meet exactly when it is
+        local; a model has positive weights summing to 1, gives the box
+        back, and puts the larger lower end of the intervals on
+        Q(b0=0, b1=0)."""
+        result = is_local(box)
+        local = isinstance(result, LocalModel)
+        assert local == local_membership_alternative(box)
+        assert lp.solve(full_membership_lp(box)).status == (lp.OPTIMAL if local else lp.INFEASIBLE)
+        (low0, high0), (low1, high1) = fine_intervals(box)
+        assert local == (max(low0, low1) <= min(high0, high1))
+        if local:
+            assert all(w > 0 for w in result.weights) and sum(result.weights, ZERO) == 1
+            assert result.box() == box
+            order = deterministic_order(result)
+            assert order == sorted(order)
+            q = sum((w for s, w in zip(result.strategies, result.weights) if s.tables[1] == (0, 0)), ZERO)
+            assert q == max(low0, low1)
+        return result
+
+    def test_seeded_boxes_on_both_sides_of_the_boundary(self, ns_vertices):
+        rng = random.Random(3501)
+        verdicts = Counter()
+        for i in range(120):
+            box = random_ns_box(rng, ns_vertices, nonlocal_bias=(i % 8) * 10)
+            local = isinstance(self.check(box), LocalModel)
+            verdicts[local] += 1
+            if local:
+                # any Q(0, 0) where the intervals meet glues a model
+                (low0, high0), (low1, high1) = fine_intervals(box)
+                low, high = max(low0, low1), min(high0, high1)
+                for q in (low, (low + high) / 2, high):
+                    model = fine_gluing(box, q)
+                    assert all(w > 0 for w in model.weights) and model.box() == box
+        assert min(verdicts.values()) >= 40
+
+    def test_deterministic_vertices(self, ns_vertices):
+        # each is glued back into its own strategy, with weight 1
+        for strategy, vertex in zip(polytope.deterministic_strategies(SC22), ns_vertices):
+            assert self.check(vertex) == LocalModel(SC22, (strategy,), (F(1),))
+
+    def test_pr_vertices_with_noise_at_one_half(self, ns_vertices):
+        # on the facet each PR vertex violates, where the intervals just meet
+        noise = uniform_box(SC22)
+        for pr in ns_vertices[16:]:
+            assert isinstance(self.check(mix([pr, noise], [F(1, 2), F(1, 2)])), LocalModel)
+            assert isinstance(self.check(mix([pr, noise], [F(51, 100), F(49, 100)])), NonlocalityCertificate)
+
+    @pytest.mark.parametrize("c", [F(1, 2), F(-1, 2)], ids=["1/2", "-1/2"])
+    def test_isotropic_at_one_half(self, c):
+        assert isinstance(self.check(bell.unbiased_box(c, c, c, -c)), LocalModel)
+
+    @pytest.mark.parametrize("y", [0, 1])
+    def test_a_deterministic_bob_input(self, y):
+        # Bob answers 0 at input y, so Q(b0, b1) is 0 whenever b_y = 1
+        rng = random.Random(3502 + y)
+        strategies = [s for s in polytope.deterministic_strategies(SC22) if s.tables[1][y] == 0]
+        for k in (1, 2, 3, 5, 8):
+            picks = rng.sample(strategies, k)
+            box = mix([s.box() for s in picks], [F(n + 1, k * (k + 1) // 2) for n in range(k)])
+            model = self.check(box)
+            assert all(s.tables[1][y] == 0 for s in model.strategies)
+
+    def test_a_negative_weight_is_refused(self, ns_vertices, monkeypatch):
+        # glued at the first input's lower end, below the second's, the
+        # model still gives the box back but has a negative weight
+        rng = random.Random(3503)
+        while True:
+            box = random_ns_box(rng, ns_vertices)
+            (low0, _), (low1, _) = fine_intervals(box)
+            signed = fine_gluing(box, low0)
+            if low0 < low1 and signed.reconstructs(box) and min(signed.weights) < 0:
+                break
+        assert isinstance(is_local(box), LocalModel)
+        monkeypatch.setattr(locality, "_fine_model", lambda *args: signed)
+        with pytest.raises(core.InternalError, match="positive"):
+            is_local(box)
+
+    def test_a_model_of_another_box_is_refused(self, ns_vertices, monkeypatch):
+        box = make_isotropic(F(2, 5))
+        other = is_local(uniform_box(SC22))
+        monkeypatch.setattr(locality, "_fine_model", lambda *args: other)
+        with pytest.raises(core.InternalError, match="reconstruct"):
+            is_local(box)
 
 
 FOLD_SCENARIOS = [SC22, Scenario((2, 3), (2, 2)), Scenario((3, 3), (2, 2)), Scenario((2, 2), (3, 3))]
@@ -428,9 +526,13 @@ class TestFoldedIsLocal:
                 result = membership_verdict(box)
                 seen.add(type(result))
                 assert pickle.dumps(result) == pickle.dumps(own_labels_outcome(box))
-                # is_local's own outcome, but for a 2222 box a CHSH facet certifies
-                if box.scenario != SC22 or isinstance(result, LocalModel):
+                # is_local's own outcome for every box that reaches the LP; a
+                # 2222 box is decided by a CHSH facet or Fine's model instead
+                if box.scenario != SC22:
                     assert pickle.dumps(is_local(box)) == pickle.dumps(result)
+                elif isinstance(result, LocalModel):
+                    model = is_local(box)
+                    assert model.box() == box and all(w > 0 for w in model.weights)
         assert seen == {LocalModel, NonlocalityCertificate}
 
     @pytest.mark.parametrize("sc", FOLD_SCENARIOS, ids=str)
