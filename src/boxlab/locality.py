@@ -17,17 +17,28 @@ are the spanning entries themselves.  The form's maps and the elements
 of G name labels by their numbers (`core`), one tuple per party, so
 `core.relabeled_indices` applies either to a table.
 
+Before any LP, a bipartite box is checked against the CHSH-type rows
+(_violated_facet), in integers off the numerators of its table: CHSH on
+each pair of inputs of each party, output-lifted where a party has more
+than two outputs by setting one output against the rest at each input
+(bell.lifted_chsh; Collins & Gisin, J. Phys. A 37, 1775, 2004; Pironio,
+J. Math. Phys. 46, 062112, 2005).  Each has local bound 0 and
+nonsignaling maximum 1, so a box that violates one is certified by the
+row it violates most, a normalized Bell functional, and solves no LP:
+every nonlocal box of the CHSH scenario does, and so does a generalized
+isotropic box with three outputs at C = 3/5.  A box that violates only
+other facets, such as those of I3322 or CGLMP (generalized isotropic
+A=3 at C = 27/50, just above its locality threshold), or that needs a
+coarse-graining of two outputs against two, such as generalized
+isotropic A=4 and A=5 at C = 3/5, still solves the membership LP below.
 A 2222 box never reaches the LP: both halves of Fine's theorem (PRL 48,
-291, 1982) decide it in closed form, in integers off the numerators of
-its table.  The eight CHSH facets (bell.chsh_facets) are all the
-nontrivial facets of the 2222 local polytope, so a box that violates
-one is certified by the facet it violates most, a normalized Bell
-functional: its four correlators are weighed by each facet's sign
-pattern (bell.chsh_signs).  A box that violates none is local, and its
-model is Fine's gluing over Bob's output pair (b0, b1) (_fine_model):
-per Alice input x a joint table T_x(a, b0, b1) with the box's two
-blocks at x as marginals, the two sharing Q(b0, b1), and strategy
-((a0, a1), (b0, b1)) of weight T_0 T_1 / Q.
+291, 1982) decide it in closed form.  The eight CHSH facets
+(bell.chsh_facets), 2222's rows, are all the nontrivial facets of its
+local polytope, so a box that violates none is local, and its model is
+Fine's gluing over Bob's output pair (b0, b1) (_fine_model): per Alice
+input x a joint table T_x(a, b0, b1) with the box's two blocks at x as
+marginals, the two sharing Q(b0, b1), and strategy ((a0, a1), (b0, b1))
+of weight T_0 T_1 / Q.
 
 The membership LP's feasibility yields an explicit LocalModel, in the
 box's own labels.  Infeasibility yields a Farkas vector y of the folded
@@ -56,11 +67,12 @@ import operator
 from fractions import Fraction
 
 from . import lp, polytope
-from .bell import BellFunctional, chsh_facets, chsh_signs, normalize
+from .bell import BellFunctional, chsh_signs, lifted_chsh, normalize
 from .core import (
     Box,
     BoxlabError,
     Frozen,
+    InternalError,
     Scenario,
     SignalingBox,
     ZERO,
@@ -132,12 +144,15 @@ class LocalModel(Frozen):
         return Box(self.scenario, tuple(Fraction(t, den) if t else ZERO for t in table))
 
     def reconstructs(self, box: Box) -> bool:
-        """Whether the mixture is the box, compared in integers: the
-        summed numerators (_summed) against the box's numerators over its
-        own denominator (core.numerators), cross-multiplied."""
-        if box.scenario != self.scenario:
-            return False
-        den, nums = numerators(box.table)
+        """Whether the mixture is the box: the box read into its
+        numerators (core.numerators) and compared (_reproduces)."""
+        return box.scenario == self.scenario and self._reproduces(*numerators(box.table))
+
+    def _reproduces(self, den: int, nums) -> bool:
+        """Whether the mixture is the table of this scenario read into
+        numerators `nums` over `den` (core.numerators), compared in
+        integers: the summed numerators (_summed) against nums,
+        cross-multiplied.  is_local, which holds them, calls it itself."""
         w_den, table = self._summed()
         return all(t * den == p * w_den for t, p in zip(table, nums))
 
@@ -244,18 +259,15 @@ def membership_lp(box: Box, canonical) -> lp.LinearProgram:
     return prog
 
 
-def local_model(box: Box, canonical) -> LocalModel | lp.LpOutcome:
-    """The answer of membership_lp(box, canonical) for a nonsignaling
-    box within STRATEGY_CAP strategies, which the caller checks: a
-    LocalModel of the strategies of positive weight, checked to
-    reconstruct the whole box, or the INFEASIBLE LpOutcome, whose Farkas
-    vector has one entry per row of that program.  Each class weight is
-    spread over the class's strategies, which are read back through the
-    form's maps, each inverted by sorting its label numbers, into the
-    box's own labels and listed in the box's own deterministic_strategies
-    order, so the model does not depend on which relabeling was
-    canonical.  Nothing here normalizes: is_m_shareable needs only a
-    model."""
+def _solved_model(box: Box, canonical) -> LocalModel | lp.LpOutcome:
+    """The answer of membership_lp(box, canonical), not yet checked to
+    reconstruct the box: a LocalModel of the strategies of positive
+    weight, or the INFEASIBLE LpOutcome, whose Farkas vector has one
+    entry per row of that program.  Each class weight is spread over the
+    class's strategies, which are read back through the form's maps,
+    each inverted by sorting its label numbers, into the box's own labels
+    and listed in the box's own deterministic_strategies order, so the
+    model does not depend on which relabeling was canonical."""
     sc = box.scenario
     out = lp.solve(membership_lp(box, canonical))
     if out.status == lp.OPTIMAL:
@@ -264,11 +276,21 @@ def local_model(box: Box, canonical) -> LocalModel | lp.LpOutcome:
         pairs = sorted((tuple(map(_moved, tables, back)), w)
                        for k, w in enumerate(out.primal) if w for tables in members[k])
         strategies = tuple(DeterministicStrategy(sc, tables) for tables, _ in pairs)
-        model = LocalModel(sc, strategies, tuple(w for _, w in pairs))
-        ensure(model.reconstructs(box), "local model does not reconstruct the box")
-        return model
+        return LocalModel(sc, strategies, tuple(w for _, w in pairs))
     ensure(out.status == lp.INFEASIBLE, f"membership LP ended {out.status}")
     return out
+
+
+def local_model(box: Box, canonical) -> LocalModel | lp.LpOutcome:
+    """The answer of membership_lp(box, canonical) for a nonsignaling
+    box within STRATEGY_CAP strategies, which the caller checks: a
+    LocalModel in the box's own labels, checked to reconstruct the whole
+    box, or the INFEASIBLE LpOutcome (_solved_model).  Nothing here
+    normalizes: is_m_shareable needs only a model."""
+    found = _solved_model(box, canonical)
+    if isinstance(found, LocalModel):
+        ensure(found.reconstructs(box), "local model does not reconstruct the box")
+    return found
 
 
 @functools.lru_cache(maxsize=16)
@@ -314,19 +336,112 @@ def _bell_coefficients(box: Box, canonical, farkas) -> list:
     return [Fraction(nums[c], den) for c in relabeled_indices(sc, canonical[1:-1])]
 
 
-def _violated_facet(den: int, nums) -> NonlocalityCertificate | None:
-    """The certificate of the CHSH facet that a 2222 table, read into
-    its numerators over `den` (numerators), violates most, the first on
-    ties, or None when it violates none.  The table's correlators are
-    its four blocks' n00 - n01 - n10 + n11 over den, so the facet of
-    sign pattern s (bell.chsh_signs) has the value -1 + s.corr / (2 den)
-    and is violated when s.corr > 2 den."""
-    corr = [n00 - n01 - n10 + n11 for n00, n01, n10, n11 in zip(*[iter(nums)] * 4)]
-    sums = [sum(map(operator.mul, signs, corr)) for signs in chsh_signs()]
-    best = max(sums)
-    if best > 2 * den:
-        return NonlocalityCertificate(chsh_facets()[sums.index(best)], Fraction(best - 2 * den, 2 * den))
-    return None
+def _stars(outputs: int) -> range:
+    """The outputs that a CHSH-type row sets against the rest at one
+    input: output 0 alone when there are two, since setting output 1
+    against output 0 only flips a sign pattern, and each output when
+    there are more."""
+    return range(1) if outputs == 2 else range(outputs)
+
+
+@functools.lru_cache(maxsize=16)
+def _chsh_layout(sc: Scenario) -> tuple:
+    """Where _violated_facet reads a bipartite table with at least two
+    inputs and two outputs per party, built once per scenario and held
+    in a small cache.
+
+    Correlators are numbered per Alice input x and output a* of
+    _stars(A), then per Bob input y and b* of _stars(B): the block at (x,
+    y) coarse-grained to a* against the rest and b* against the rest, E =
+    sum_ab t(a) u(b) P(ab|xy) with t(a) = 1 if a = a* and -1 otherwise,
+    and u likewise.  Returns (first, agree, pairs, width, blocks):
+    - an operator.itemgetter of the entries of the block at (0, 0);
+    - per correlator, an itemgetter of the flat entries
+      (core.label_offsets) of its block where t u = 1, at least two, so
+      that it returns a tuple: E is twice their sum less the block's;
+    - per Alice input x, per pair of Bob's inputs y0 < y1, per b0*, b1*
+      in product order, per a* innermost, the numbers of the correlators
+      at (x a*, y0 b0*) and (x a*, y1 b1*), `width` of them per x and a*;
+    - the inputs and coarse-grainings of the CHSH-type rows, in the
+      order _violated_facet ranks them: per pair of Alice's inputs, per
+      pair of Bob's, per choice of a0*, a1*, b0*, b1* in product order,
+      the pair (((x0, a0*), (x1, a1*)), ((y0, b0*), (y1, b1*))) that
+      bell.lifted_chsh takes, with an itemgetter of its correlators (e00,
+      e01, e10, e11).  Each block takes the eight sign patterns of
+      bell.chsh_signs: 8, 24, 72 and 648 rows in 2222, 2322, 3322 and
+      2233, the last Collins and Gisin's count of lifted CHSH facets."""
+    (X, Y), (A, B) = sc.inputs, sc.outputs
+    at_a, at_b = label_offsets(sc)
+    first = operator.itemgetter(*(at_a[a] + at_b[b] for a, b in itertools.product(range(A), range(B))))
+    agree = tuple(
+        operator.itemgetter(*(at_a[x * A + a] + at_b[y * B + b]
+                              for a, b in itertools.product(range(A), range(B)) if (a == a_star) == (b == b_star)))
+        for x, a_star, y, b_star in itertools.product(range(X), _stars(A), range(Y), _stars(B)))
+    na, nb = len(_stars(A)), len(_stars(B))
+    row = Y * nb
+    bob_pairs = [(y0 * nb + j0, y1 * nb + j1)
+                 for y0, y1 in itertools.combinations(range(Y), 2) for j0 in range(nb) for j1 in range(nb)]
+    pairs = tuple((k + p, k + q)
+                  for x in range(X) for p, q in bob_pairs for k in range(x * na * row, (x + 1) * na * row, row))
+    blocks = []
+    inputs = itertools.product(itertools.combinations(range(X), 2), itertools.combinations(range(Y), 2))
+    for (x0, x1), (y0, y1) in inputs:
+        for a0, a1, b0, b1 in itertools.product(_stars(A), _stars(A), _stars(B), _stars(B)):
+            alice, bob = ((x0, a0), (x1, a1)), ((y0, b0), (y1, b1))
+            numbers = [(x * na + a) * row + y * nb + b for (x, a), (y, b) in itertools.product(alice, bob)]
+            blocks.append((alice, bob, operator.itemgetter(*numbers)))
+    return first, agree, pairs, len(bob_pairs), tuple(blocks)
+
+
+def _violated_facet(sc: Scenario, den: int, nums) -> NonlocalityCertificate | None:
+    """The certificate of the CHSH-type row (bell.lifted_chsh) that a
+    nonsignaling bipartite table, read into its numerators over `den`
+    (numerators), violates most, the first in the order of _chsh_layout's
+    blocks and then of chsh_signs on ties, or None when it violates none
+    or the scenario has no such row (a party with one input or one
+    output).
+
+    Everything is in integers.  The correlators of the blocks, each
+    coarse-grained to one output against the rest per party
+    (_chsh_layout), are read as numerators over den; a nonsignaling
+    table sums to the same at every input pair, read at (0, 0).  A row
+    of sign pattern s on correlators e = (e00, e01, e10, e11) has the
+    value -1 + s.e / (2 den), so it is violated when s.e > 2 den.  The
+    largest s.e is found first without listing the rows: with sigma =
+    s00 s01, s.e = +-(e00 + sigma e01) +- (e10 - sigma e11), both signs
+    free over the patterns, so the largest s.e of a block is |e00 +
+    sigma e01| + |e10 - sigma e11| at the better sigma.  The first term
+    depends on Alice's coarse-graining at x0 only and the second on hers
+    at x1, so each is maximized over it by itself, per pair of Bob's
+    inputs, his coarse-grainings there and sigma.  Only when that
+    maximum passes 2 den are the blocks walked, in order, to the first
+    that attains it."""
+    (X, Y), (A, B) = sc.inputs, sc.outputs
+    if min(X, Y, A, B) < 2:
+        return None
+    first, agree, pairs, width, blocks = _chsh_layout(sc)
+    total = sum(first(nums))
+    corr = [2 * sum(entries(nums)) - total for entries in agree]
+    plus = [abs(corr[p] + corr[q]) for p, q in pairs]
+    minus = [abs(corr[p] - corr[q]) for p, q in pairs]
+    na = len(_stars(A))
+    if na > 1:
+        # the largest over Alice's coarse-grainings at each input, which run innermost
+        plus = list(map(max, zip(*[iter(plus)] * na)))
+        minus = list(map(max, zip(*[iter(minus)] * na)))
+    best = max(max(*map(operator.add, plus[i:i + width], minus[j:j + width]),
+                   *map(operator.add, minus[i:i + width], plus[j:j + width]))
+               for i, j in itertools.combinations(range(0, X * width, width), 2))
+    if best <= 2 * den:
+        return None
+    for alice, bob, read in blocks:
+        e00, e01, e10, e11 = read(corr)
+        if max(abs(e00 + e01) + abs(e10 - e11), abs(e00 - e01) + abs(e10 + e11)) == best:
+            sums = [s00 * e00 + s01 * e01 + s10 * e10 + s11 * e11 for s00, s01, s10, s11 in chsh_signs()]
+            ensure(best in sums, "no sign pattern attains the largest value of its block")
+            functional = lifted_chsh(sc, chsh_signs()[sums.index(best)], alice, bob)
+            return NonlocalityCertificate(functional, Fraction(best - 2 * den, 2 * den))
+    raise InternalError("no CHSH-type row attains the largest value over the rows")
 
 
 def _fine_model(sc: Scenario, den: int, nums) -> LocalModel | None:
@@ -364,17 +479,19 @@ def _fine_model(sc: Scenario, den: int, nums) -> LocalModel | None:
     return LocalModel(sc, tuple(strategies), tuple(weights))
 
 
-def _membership_verdict(box: Box, nums) -> LocalModel | NonlocalityCertificate:
+def _membership_verdict(box: Box, den: int, nums) -> LocalModel | NonlocalityCertificate:
     """is_local's membership-LP path for a checked box, its table read
-    into numerators `nums`: local_model's model, or its Farkas vector
+    into numerators `nums` over `den`: the LP's model (_solved_model),
+    checked against them to reconstruct the box, or its Farkas vector
     made into a Bell functional (_bell_coefficients) and normalized."""
     sc = box.scenario
     if sc.parties == 2 and not polytope.labels_told_apart(sc, nums):
         canonical = polytope.canonical_form(box)
     else:
         canonical = (box.table, *polytope.own_labels(sc))
-    found = local_model(box, canonical)
+    found = _solved_model(box, canonical)
     if isinstance(found, LocalModel):
+        ensure(found._reproduces(den, nums), "local model does not reconstruct the box")
         return found
     coefficients = _bell_coefficients(box, canonical, found.certificate.y_eq)
     functional = normalize(BellFunctional(sc, tuple(coefficients), ZERO))
@@ -388,36 +505,40 @@ def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
     way: a LocalModel in the box's own labels, or a normalized Bell
     functional that the box violates.
 
-    A 2222 box solves no LP: one that violates a CHSH facet is
-    certified by the one it violates most (_violated_facet), and any
-    other is local by Fine's theorem, with the model _fine_model glues,
-    checked here to exist, to have positive weights and to reconstruct
-    the box.  The membership LP (_membership_verdict) decides every
-    other box.  A bipartite one is decided on its canonical form, the LP
-    folded by its stabilizer G (polytope.canonical_form): 81 x 25
-    becomes 9 x 3 on generalized isotropic boxes with 3 outputs.  The
-    search is skipped when polytope.labels_told_apart shows that only
-    the identity fixes the table, as it does for most boxes without
-    symmetry; such a box is decided on its own labels
-    (polytope.own_labels, the trivial form), as is any box of another
-    number of parties."""
+    A bipartite box that violates a CHSH-type row, output-lifted where
+    a party has more than two outputs, is certified by the row it
+    violates most (_violated_facet), with no LP.  Any other 2222 box is
+    local by Fine's theorem, with the model _fine_model glues, checked
+    here to exist, to have positive weights and to reconstruct the box.
+    The membership LP (_membership_verdict) decides every other box,
+    such as one that violates only an I3322- or CGLMP-type facet; its
+    model is checked against the numerators read here, as Fine's is
+    (LocalModel._reproduces).  A bipartite one is decided on its
+    canonical form, the LP folded by its stabilizer G
+    (polytope.canonical_form): 81 x 25 becomes 9 x 3 on generalized
+    isotropic boxes with 3 outputs.  The search is skipped when
+    polytope.labels_told_apart shows that only the identity fixes the
+    table, as it does for most boxes without symmetry; such a box is
+    decided on its own labels (polytope.own_labels, the trivial form),
+    as is any box of another number of parties."""
     sc = box.scenario
-    # the table read once into numerators, for the NS check, the pre-tests and Fine's model
+    # the table read once into numerators, for the NS check, the rows, the pre-test and both models' checks
     den, nums = numerators(box.table)
     w = _trace_violation(sc, den, nums)
     if w is not None:
         raise SignalingBox(w)
     check_strategy_space(sc)
-    if sc.inputs == sc.outputs == (2, 2):
-        certificate = _violated_facet(den, nums)
+    if sc.parties == 2:
+        certificate = _violated_facet(sc, den, nums)
         if certificate is not None:
             return certificate
+    if sc.inputs == sc.outputs == (2, 2):
         model = _fine_model(sc, den, nums)
         ensure(model is not None, "a 2222 box that violates no CHSH facet has no model, against Fine's theorem")
         ensure(all(w > 0 for w in model.weights), "Fine's model has a weight that is not positive")
-        ensure(model.reconstructs(box), "Fine's model does not reconstruct the box")
+        ensure(model._reproduces(den, nums), "Fine's model does not reconstruct the box")
         return model
-    return _membership_verdict(box, nums)
+    return _membership_verdict(box, den, nums)
 
 
 def eve_extension(box: Box, model: LocalModel) -> Box:

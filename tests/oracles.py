@@ -14,7 +14,9 @@ built from their labels, the orbit LP's rows
 found by folding every row of that table, and marginals and trace
 conditions read off one dense pass over the table, or enumerated
 with itertools.product as the cached index maps list them, local bounds of
-Bell functionals from every strategy box built entry by entry, the LP
+Bell functionals from every strategy box built entry by entry, the
+CHSH-type rows of a bipartite scenario, output-lifted, and their values
+on a box, each coefficient placed entry by entry, the LP
 certificate check in plain Fraction arithmetic, compatibility of two
 observables as feasibility of a joint table, parties reordered
 coordinate by coordinate, and the canonical relabeling of an extension
@@ -195,6 +197,54 @@ def local_bound_by_enumeration(functional) -> Fraction:
         if best is None or value > best:
             best = value
     return best
+
+
+@functools.lru_cache(maxsize=8)
+def chsh_type_rows(sc: Scenario) -> tuple:
+    """Every CHSH-type row of a bipartite scenario, output-lifted, in the
+    order is_local ranks them: per pair of Alice's inputs x0 < x1, per
+    pair of Bob's y0 < y1, per output set against the rest at x0, x1, y0
+    and y1 in product order (output 0 alone at a party with two outputs,
+    each output at a party with more), per sign pattern of
+    bell.chsh_signs.  Each is sum_ij s_ij C_ij / 2 - 1 on the
+    coarse-grained correlators C_ij = sum_ab t_i(a) u_j(b) P(ab | x_i
+    y_j), t_i(a) = 1 if a is the output set against the rest at x_i and
+    -1 otherwise, u_j likewise: its coefficients placed entry by entry
+    through _flat_of.  Held in a small cache, since 2244 has 2,048."""
+    from boxlab import bell
+
+    (X, Y), (A, B) = sc.inputs, sc.outputs
+    stars_a = [0] if A == 2 else list(range(A))
+    stars_b = [0] if B == 2 else list(range(B))
+    rows = []
+    for xs, ys in itertools.product(itertools.combinations(range(X), 2), itertools.combinations(range(Y), 2)):
+        for stars in itertools.product(stars_a, stars_a, stars_b, stars_b):
+            for signs in bell.chsh_signs():
+                coefficients = [Fraction(0)] * sc.table_size
+                for (i, x), (j, y) in itertools.product(enumerate(xs), enumerate(ys)):
+                    for a, b in itertools.product(range(A), range(B)):
+                        t = 1 if a == stars[i] else -1
+                        u = 1 if b == stars[2 + j] else -1
+                        coefficients[_flat_of(sc, (a, b), (x, y))] = Fraction(signs[2 * i + j] * t * u, 2)
+                rows.append(bell.BellFunctional(sc, tuple(coefficients), Fraction(-1)))
+    return tuple(rows)
+
+
+@functools.lru_cache(maxsize=8)
+def _doubled_chsh_type_rows(sc: Scenario) -> tuple:
+    """Per row of chsh_type_rows, its nonzero coefficients doubled, each
+    +-1, as (entry, int) pairs."""
+    return tuple(tuple((k, int(2 * c)) for k, c in enumerate(f.coefficients) if c) for f in chsh_type_rows(sc))
+
+
+def chsh_type_values(box: Box) -> list:
+    """The value of every row of chsh_type_rows on a bipartite box, in
+    its order: -1 plus the doubled coefficients (_doubled_chsh_type_rows)
+    summed against the table's entries over their least common
+    denominator, halved."""
+    den = math.lcm(*(p.denominator for p in box.table))
+    nums = [p.numerator * (den // p.denominator) for p in box.table]
+    return [Fraction(sum(c * nums[k] for k, c in row), 2 * den) - 1 for row in _doubled_chsh_type_rows(box.scenario)]
 
 
 def verify_certificate_fractions(prog: lp.LinearProgram, outcome: lp.LpOutcome) -> bool:

@@ -30,6 +30,8 @@ from boxlab.shareability import generalized_isotropic
 from conftest import asymmetric_giso, is_deterministic, own_form, random_local_box, random_ns_box, random_relabeling
 from oracles import (
     brute_canonical_form,
+    chsh_type_rows,
+    chsh_type_values,
     condition,
     deterministic_box_tables,
     fine_gluing,
@@ -104,7 +106,7 @@ def pr_like(sc):
 
 def membership_verdict(box):
     """is_local's membership-LP path, taken whatever the box."""
-    return locality._membership_verdict(box, core.numerators(box.table)[1])
+    return locality._membership_verdict(box, *core.numerators(box.table))
 
 
 class TestSpanningEntries:
@@ -143,8 +145,8 @@ class TestSpanningEntries:
             ws = [rng.randrange(1, 5) for _ in picks]
             noise = mix(picks, [F(w, sum(ws)) for w in ws])
             box = mix([pr_like(sc), noise], [F(i, 6), 1 - F(i, 6)])
-            # the membership LP's outcome, which a nonlocal 2222 box skips
-            # when is_local certifies it by a CHSH facet
+            # the membership LP's outcome, which a nonlocal bipartite box
+            # skips when is_local certifies it by a CHSH-type row
             result = membership_verdict(box)
             local = isinstance(result, LocalModel)
             assert isinstance(is_local(box), LocalModel) == local
@@ -169,11 +171,13 @@ class TestIsLocal:
         assert sum(model.weights, ZERO) == 1
 
     def test_reads_the_table_once_before_the_membership_lp(self, ns_vertices, monkeypatch):
-        # the NS check, the CHSH facets, Fine's model and labels_told_apart
-        # share one read of the table into numerators; only the check of
-        # Fine's model and the canonical search, when they run, read it
-        # again.  A 2222 box takes the facet or Fine's model, and 3322
-        # boxes, with and without symmetry, reach the membership LP
+        # the NS check, the CHSH-type rows, Fine's model and its check, and
+        # labels_told_apart share one read of the table into numerators;
+        # only the canonical search, when it runs, reads it again, and the
+        # check of Fine's model reads the model's weights.  A 2222
+        # box takes a row or Fine's model, a 3322 box that violates a row
+        # takes that row, and other 3322 boxes, with and without symmetry,
+        # reach the membership LP
         reads = []
 
         def counting(values, real=core.numerators):
@@ -188,25 +192,56 @@ class TestIsLocal:
 
         for module in (core, polytope, locality):
             monkeypatch.setattr(module, "numerators", counting)
-        monkeypatch.setattr(locality, "local_model", stop)
-        monkeypatch.setattr(LocalModel, "reconstructs", stop)
+        monkeypatch.setattr(locality, "_solved_model", stop)
         rng = random.Random(2830)
         boxes = [random_ns_box(rng, ns_vertices, nonlocal_bias=40) for _ in range(6)]
         boxes += [random_local_box(rng, ns_vertices) for _ in range(3)] + [make_isotropic(F(1, 2))]
         sc = Scenario((3, 3), (2, 2))
+        boxes += [mix([pr_like(sc), uniform_box(sc)], [F(3, 4), F(1, 4)])]
         boxes += [mix([pr_like(sc), uniform_box(sc)], [F(1, 2), F(1, 2)]), fold_boxes(sc)[-1]]
+        picks = rng.sample([s.box() for s in polytope.deterministic_strategies(sc)], 6)
+        boxes.append(mix(picks, [F(w, 21) for w in range(1, 7)]))
         paths = set()
         for box in boxes:
             apart = polytope.labels_told_apart(box.scenario, core.numerators(box.table)[1])
             reads.clear()
             try:
-                is_local(box)
-                path = "facet"
+                result = is_local(box)
+                path = "row" if isinstance(result, NonlocalityCertificate) else "fine"
+                assert path == "row" or box.scenario == SC22
             except Stop:
-                path = "fine" if box.scenario == SC22 else "told apart" if apart else "searched"
-            assert reads == [box.table] * (2 if path == "searched" else 1)
-            paths.add(path)
-        assert paths == {"facet", "fine", "told apart", "searched"}
+                path = "told apart" if apart else "searched"
+            expected = [box.table] * (2 if path == "searched" else 1)
+            assert reads == expected + ([result.weights] if path == "fine" else [])
+            paths.add((path, box.scenario == SC22))
+        assert paths == {("row", True), ("row", False), ("fine", True), ("told apart", False), ("searched", False)}
+
+    def test_models_are_checked_against_the_numerators_held(self, ns_vertices, monkeypatch):
+        # Fine's model and the membership LP's are checked against the
+        # numerators is_local holds, with no second read of the table;
+        # LocalModel.reconstructs, which reads it again, stays the
+        # independent check of each model
+        rng = random.Random(2831)
+        sc = Scenario((3, 3), (2, 2))
+        strategies = [s.box() for s in polytope.deterministic_strategies(sc)]
+        boxes = [random_local_box(rng, ns_vertices) for _ in range(4)] + [make_isotropic(F(1, 2))]
+        for k in (2, 4, 6):
+            picks = rng.sample(strategies, k)
+            boxes.append(mix(picks, [F(n + 1, k * (k + 1) // 2) for n in range(k)]))
+        boxes.append(generalized_isotropic(3, F(2, 5)))
+        checked, reproduces = [], LocalModel._reproduces
+
+        def recorded(model, den, nums):
+            checked.append(model)
+            return reproduces(model, den, nums)
+
+        monkeypatch.setattr(LocalModel, "_reproduces", recorded)
+        for box in boxes:
+            checked.clear()
+            model = is_local(box)
+            assert isinstance(model, LocalModel) and checked == [model]
+            assert model.reconstructs(box) and checked == [model] * 2
+        assert {box.scenario for box in boxes} == {SC22, sc, Scenario((2, 2), (3, 3))}
 
     def test_pr_certificate_is_chsh(self, ns_vertices):
         cert = is_local(pr_box())
@@ -281,8 +316,8 @@ class TestChshFacetPath:
         values = [f.evaluate(box) for f in bell.chsh_facets()]
         assert local == (max(values) <= 0)
         if not local:
-            # the most violated facet, the first on ties
-            assert result.functional == bell.chsh_facets()[values.index(max(values))]
+            # the most violated facet, the first on ties, object for object
+            assert pickle.dumps(result.functional) == pickle.dumps(bell.chsh_facets()[values.index(max(values))])
             assert result.violation == result.functional.evaluate(box) == max(values)
         return local
 
@@ -322,10 +357,143 @@ class TestChshFacetPath:
     def test_a_missing_facet_fails_fines_check(self, monkeypatch):
         # without the facet the PR box violates, its Fine intervals do not
         # meet, so it has no model: Fine's theorem rules that out
-        kept = bell.chsh_signs()[1:]
-        monkeypatch.setattr(locality, "chsh_signs", lambda: kept)
+        monkeypatch.setattr(locality, "_violated_facet", lambda *args: None)
         with pytest.raises(core.InternalError, match="Fine"):
             is_local(pr_box())
+
+    def test_a_missing_sign_pattern_is_refused(self, monkeypatch):
+        # the largest value over the rows is found without the patterns,
+        # so a pattern list without CHSH's own leaves the PR box's best
+        # block with no row that attains it
+        kept = bell.chsh_signs()[1:]
+        monkeypatch.setattr(locality, "chsh_signs", lambda: kept)
+        with pytest.raises(core.InternalError, match="sign pattern"):
+            is_local(pr_box())
+
+
+ROW_SCENARIOS = [Scenario((2, 3), (2, 2)), Scenario((3, 3), (2, 2)), Scenario((2, 2), (3, 3)), Scenario((2, 2), (4, 4))]
+
+
+def package_rows(sc):
+    """The CHSH-type rows is_local ranks, in its order: bell.lifted_chsh
+    over locality's blocks and bell.chsh_signs."""
+    blocks = locality._chsh_layout(sc)[-1]
+    return [bell.lifted_chsh(sc, signs, alice, bob) for alice, bob, _ in blocks for signs in bell.chsh_signs()]
+
+
+def row_boxes(sc):
+    """Seeded relabelings of pr_like mixed with local noise, from t = 0
+    to t = 1, and, for more than two outputs, of generalized isotropic
+    boxes on both sides of their threshold."""
+    rng = random.Random(f"rows {sc.inputs} {sc.outputs}")
+    strategies = [s.box() for s in polytope.deterministic_strategies(sc)]
+    boxes = []
+    for t in (F(0), F(1, 4), F(1, 2), F(3, 5), F(3, 4), F(1)):
+        picks = [uniform_box(sc)] + rng.sample(strategies, 3)
+        ws = [rng.randrange(1, 5) for _ in picks]
+        boxes.append(mix([pr_like(sc), mix(picks, [F(w, sum(ws)) for w in ws])], [t, 1 - t]))
+    if sc.outputs[0] > 2:
+        boxes += [generalized_isotropic(sc.outputs[0], c) for c in (F(2, 5), F(3, 5), F(7, 10))]
+    return [relabel(box, *random_relabeling(rng, sc)) for box in boxes]
+
+
+class TestChshTypeRows:
+    """A bipartite box that violates a CHSH-type row, output-lifted where
+    a party has more than two outputs, is certified by the row it
+    violates most, with no LP (locality._violated_facet); the rows are
+    checked against chsh_type_rows, built entry by entry."""
+
+    @pytest.mark.parametrize("sc, count", [
+        (SC22, 8), (Scenario((2, 3), (2, 2)), 24), (Scenario((3, 3), (2, 2)), 72), (Scenario((2, 2), (3, 3)), 648),
+    ], ids=str)
+    def test_row_counts_and_order(self, sc, count):
+        # 648 is Collins and Gisin's count of lifted CHSH facets in 2233
+        rows = package_rows(sc)
+        assert len(rows) == count and tuple(rows) == chsh_type_rows(sc)
+
+    def test_2222_rows_are_the_chsh_facets(self):
+        assert package_rows(SC22) == list(bell.chsh_facets())
+        assert [pickle.dumps(f) for f in chsh_type_rows(SC22)] == [pickle.dumps(f) for f in bell.chsh_facets()]
+
+    @pytest.mark.parametrize("sc", [
+        SC22, Scenario((2, 3), (2, 2)), Scenario((3, 3), (2, 2)), Scenario((2, 2), (2, 3)), Scenario((2, 2), (3, 3)),
+    ], ids=str)
+    def test_every_row_is_normalized(self, sc):
+        for f in package_rows(sc):
+            assert bell.local_bound(f) == 0
+            assert bell.normalization_bounds(f) == (0, 1)
+
+    @pytest.mark.parametrize("sc", ROW_SCENARIOS, ids=str)
+    def test_verdicts_and_certificates(self, sc):
+        rows = chsh_type_rows(sc)
+        seen = Counter()
+        for box in row_boxes(sc):
+            result = is_local(box)
+            local = isinstance(result, LocalModel)
+            assert lp.solve(full_membership_lp(box)).status == (lp.OPTIMAL if local else lp.INFEASIBLE)
+            values = chsh_type_values(box)
+            caught = max(values) > 0
+            seen[local, caught] += 1
+            if caught:
+                f = result.functional
+                assert f == rows[values.index(max(values))]
+                assert f.evaluate(box) == result.violation == max(values) > 0
+        assert seen[True, False] and seen[False, True]
+
+    def test_a_caught_box_solves_no_lp(self, monkeypatch):
+        solve, calls = lp.solve, []
+
+        def counted(*args):
+            calls.append(args[0])
+            return solve(*args)
+
+        monkeypatch.setattr(lp, "solve", counted)
+        monkeypatch.setattr(locality, "normalize", lambda *args: pytest.fail("normalize called"))
+        caught = 0
+        for sc in ROW_SCENARIOS[1:3]:
+            for box in row_boxes(sc):
+                if max(chsh_type_values(box)) > 0:
+                    calls.clear()
+                    assert isinstance(is_local(box), NonlocalityCertificate) and calls == []
+                    caught += 1
+        assert caught >= 4
+
+    def test_a_box_violating_only_an_i3322_row_reaches_the_lp(self, monkeypatch):
+        # the vertex of the NS polytope, cut by the 72 CHSH-type rows, at
+        # which the I3322 functional (Collins and Gisin) is largest
+        sc = Scenario((3, 3), (2, 2))
+        coefficients = [ZERO] * sc.table_size
+        signs = {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 0): 1, (1, 1): 1, (1, 2): -1, (2, 0): 1, (2, 1): -1}
+        for (x, y), s in signs.items():
+            coefficients[_flat_of(sc, (0, 0), (x, y))] += s
+        for o in (0, 1):
+            coefficients[_flat_of(sc, (0, o), (0, 0))] -= 1  # P_A(0|0)
+            coefficients[_flat_of(sc, (o, 0), (0, 0))] -= 2  # 2 P_B(0|0)
+            coefficients[_flat_of(sc, (o, 0), (0, 1))] -= 1  # P_B(0|1)
+        i3322 = bell.BellFunctional(sc, tuple(coefficients))
+        assert bell.normalization_bounds(i3322) == (0, 1)
+        prog = polytope.ns_lp(sc, enumerate(coefficients))
+        for f in chsh_type_rows(sc):
+            prog.add_ineq([(k, c) for k, c in enumerate(f.coefficients) if c], -f.offset)
+        out = lp.solve(prog)
+        assert out.status == lp.OPTIMAL and out.value == F(1, 3)
+        box = core.validate_box(out.primal, sc)
+        assert max(chsh_type_values(box)) <= 0 < i3322.evaluate(box)
+        assert locality._violated_facet(sc, *core.numerators(box.table)) is None
+        assert lp.solve(full_membership_lp(box)).status == lp.INFEASIBLE
+        # so the membership LP and normalize decide it, as they did every
+        # nonlocal 3322 box before the rows
+        normalize, normalized = locality.normalize, []
+
+        def recorded(functional):
+            normalized.append(functional)
+            return normalize(functional)
+
+        monkeypatch.setattr(locality, "normalize", recorded)
+        result = is_local(box)
+        assert isinstance(result, NonlocalityCertificate) and len(normalized) == 1
+        assert pickle.dumps(result) == pickle.dumps(membership_verdict(box))
+        assert local_bound_by_enumeration(result.functional) == 0 < result.functional.evaluate(box) == result.violation
 
 
 class TestFineModel:
@@ -461,18 +629,43 @@ def deterministic_order(model):
     return [index[s.tables] for s in model.strategies]
 
 
+def check_is_local(box, lp_outcome):
+    """is_local's outcome on a box whose membership-LP outcome
+    (membership_verdict) is lp_outcome: the most violated CHSH-type row
+    (chsh_type_rows), the first on ties, when the box violates one;
+    otherwise Fine's model for a 2222 box, and the LP's outcome itself for
+    any other.  Returns whether a row certified the box."""
+    result = is_local(box)
+    rows = chsh_type_rows(box.scenario) if box.scenario.parties == 2 else ()
+    values = chsh_type_values(box) if rows else []
+    best = max(values, default=ZERO)
+    if best > 0:
+        assert isinstance(lp_outcome, NonlocalityCertificate)
+        assert result.functional == rows[values.index(best)]
+        assert result.violation == result.functional.evaluate(box) == best
+    elif box.scenario == SC22:
+        assert isinstance(lp_outcome, LocalModel) and isinstance(result, LocalModel) and result.box() == box
+    else:
+        assert pickle.dumps(result) == pickle.dumps(lp_outcome)
+    return best > 0
+
+
 class TestFoldedIsLocal:
     """A bipartite box is decided on its canonical form, folded by its
     stabilizer G, unless the pre-test shows that G is trivial."""
 
     @pytest.mark.parametrize("sc", FOLD_SCENARIOS + [Scenario((2, 2), (4, 4))], ids=str)
     def test_verdicts_and_certificates(self, sc):
-        verdicts, symmetric_nonlocal = set(), 0
+        # the membership LP's outcome (membership_verdict), whose functional
+        # is averaged over G; is_local's is a CHSH-type row when the box
+        # violates one, and the LP's otherwise (check_is_local)
+        verdicts, symmetric_nonlocal, by_row = set(), 0, set()
         for box in fold_boxes(sc):
-            result = is_local(box)
+            result = membership_verdict(box)
             local = isinstance(result, LocalModel)
             verdicts.add(local)
             assert local == local_membership_alternative(box)
+            by_row.add(check_is_local(box, result))
             table, alice, bob, group = polytope.canonical_form(box)
             symmetric_nonlocal += not local and len(group) > 1
             if local:
@@ -486,7 +679,7 @@ class TestFoldedIsLocal:
             h = canonical_frame(sc, alice, bob, f.coefficients)
             for pa, pb in group:
                 assert canonical_frame(sc, pa, pb, h) == h
-        assert verdicts == {True, False} and symmetric_nonlocal
+        assert verdicts == {True, False} and symmetric_nonlocal and True in by_row
 
     @pytest.mark.parametrize("box, size", [
         (make_isotropic(F(3, 5)), 2),
@@ -526,13 +719,10 @@ class TestFoldedIsLocal:
                 result = membership_verdict(box)
                 seen.add(type(result))
                 assert pickle.dumps(result) == pickle.dumps(own_labels_outcome(box))
-                # is_local's own outcome for every box that reaches the LP; a
-                # 2222 box is decided by a CHSH facet or Fine's model instead
-                if box.scenario != SC22:
-                    assert pickle.dumps(is_local(box)) == pickle.dumps(result)
-                elif isinstance(result, LocalModel):
-                    model = is_local(box)
-                    assert model.box() == box and all(w > 0 for w in model.weights)
+                # is_local's own outcome is the LP's for every box that
+                # violates no CHSH-type row, except a 2222 box, which is
+                # local by Fine's model
+                check_is_local(box, result)
         assert seen == {LocalModel, NonlocalityCertificate}
 
     @pytest.mark.parametrize("sc", FOLD_SCENARIOS, ids=str)
