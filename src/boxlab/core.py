@@ -20,7 +20,8 @@ maps built here on the same layout, or by walking the table in its
 order; no other module works one out from the alphabet sizes.  The
 offsets are read by `restrict_bob_inputs`, the strategy columns,
 `labels_told_apart` and canonical-form reads of `polytope`,
-`locality.LocalModel`, the lift rows and `local_model_from_extension`
+`locality.LocalModel`, the CHSH-type rows `locality` reads and
+`bell.lifted_chsh` builds, the lift rows and `local_model_from_extension`
 of `shareability`, `bell.cglmp_raw`, and the slice rows and
 `output_entropy` of `incompat`.  `trace_indices` serves
 `is_nonsignaling` and `polytope.ns_equality_rows`;
@@ -31,9 +32,8 @@ joint rows; `party_order_indices` serves `permute_parties` and
 party: `relabel`, `canonical_form`'s table, a stabilizer element moving
 the entries of a table (`locality`), a table of the canonical frame
 read back in the box's labels through the canonical maps (`locality`'s
-Bell functional).  `bell`'s unbiased 2222 boxes, correlators and CHSH
-facet tables, and the correlators `locality` reads off a 2222 table's
-numerators, walk the 2222 table in its order.
+Bell functional).  `bell`'s unbiased 2222 boxes and correlators walk
+the 2222 table in its order.
 
 `Frozen` is the base of every boxlab record (Scenario, Box, LpOutcome,
 ...): immutable, compared and hashed by value, with a dataclass-style
