@@ -219,8 +219,9 @@ class TestIsLocal:
     def test_models_are_checked_against_the_numerators_held(self, ns_vertices, monkeypatch):
         # Fine's model and the membership LP's are checked against the
         # numerators is_local holds, with no second read of the table;
-        # LocalModel.reconstructs, which reads it again, stays the
-        # independent check of each model
+        # LocalModel.reconstructs, which reads it again, and the strategy
+        # boxes summed entry by entry stay the independent checks of each
+        # model
         rng = random.Random(2831)
         sc = Scenario((3, 3), (2, 2))
         strategies = [s.box() for s in polytope.deterministic_strategies(sc)]
@@ -241,6 +242,8 @@ class TestIsLocal:
             model = is_local(box)
             assert isinstance(model, LocalModel) and checked == [model]
             assert model.reconstructs(box) and checked == [model] * 2
+            # and the weighted sum of the strategies' own boxes, entry by entry
+            assert TestModelBox.weighted_sum(model) == box.table
         assert {box.scenario for box in boxes} == {SC22, sc, Scenario((2, 2), (3, 3))}
 
     def test_pr_certificate_is_chsh(self, ns_vertices):
