@@ -201,9 +201,7 @@ def normalization_bounds(functional: BellFunctional) -> tuple[Fraction, Fraction
     The local bound is `local_bound`, the maximum over the deterministic
     strategy boxes read through the scenario's strategy index table; the
     NS maximum comes from one LP over the nonsignaling polytope
-    (`polytope.max_over_ns`), whose phase one is cached per scenario, so
-    after the first functional of a scenario it pivots only on the
-    objective.
+    (`polytope.max_over_ns`).
     """
     from . import lp, polytope
 
@@ -266,32 +264,29 @@ def cglmp(d: int) -> BellFunctional:
 def unique_ns_maximizer(functional: BellFunctional):
     """Decide whether the functional's NS maximum is attained at a single box.
 
-    Maximizes the functional, then pins the optimum as an equality and
-    computes min and max of every table coordinate on the optimal face.
-    Returns (True, Box) when the face is a point, else (False, None).
-    The face's phase one runs once (`lp.Start`), and each of its up to
-    2 * table_size LPs pivots only on its own objective from there.
+    Two LPs, by Mangasarian's test (Linear Algebra Appl. 25, 151, 1979).
+    The first maximizes the functional over the NS polytope; the simplex
+    ends on a vertex x of it.  The second maximizes the sum of the table
+    entries where x is 0 over the optimal face: the NS rows plus the row
+    f . p = max.  A point p of the face with that sum 0 is zero wherever
+    x is, and the columns of x's support are linearly independent, since
+    they lie in its basis, so the rows fix p on them: p = x.  So x is the
+    only maximizer exactly when the second value is 0.  Returns (True,
+    Box of x) then, else (False, None).
     """
     from . import lp, polytope
 
     sc = functional.scenario
-    out = polytope.max_over_ns(sc, enumerate(functional.coefficients))
-    ensure(out.status == lp.OPTIMAL, f"NS maximum LP ended {out.status}")
-    face = polytope.ns_lp(sc)
-    face.add_eq(enumerate(functional.coefficients), out.value)
-    start = lp.Start(face)
-    point = []
-    for i in range(sc.table_size):
-        hi = lp.solve(face.with_objective([(i, ONE)]), start)
-        lo = lp.solve(face.with_objective([(i, -ONE)]), start)
-        ensure(
-            hi.status == lp.OPTIMAL and lo.status == lp.OPTIMAL,
-            f"optimal-face LPs ended {hi.status}, {lo.status}",
-        )
-        if hi.value != -lo.value:
-            return False, None
-        point.append(hi.value)
-    return True, Box(sc, tuple(point))
+    coefficients = list(enumerate(functional.coefficients))
+    top = polytope.max_over_ns(sc, coefficients)
+    ensure(top.status == lp.OPTIMAL, f"NS maximum LP ended {top.status}")
+    face = polytope.ns_lp(sc, [(i, ONE) for i, p in enumerate(top.primal) if not p])
+    face.add_eq(coefficients, top.value)
+    off = lp.solve(face)
+    ensure(off.status == lp.OPTIMAL, f"optimal-face LP ended {off.status}")
+    if off.value:
+        return False, None
+    return True, Box(sc, top.primal)
 
 
 def ns_vertices_2222() -> tuple[Box, ...]:

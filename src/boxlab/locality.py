@@ -8,8 +8,7 @@ all of it.  The program is stated on a canonical form of the box, a
 relabeling whose table a group G of local relabelings fixes, and folded
 by G: one weight per class of strategies that G maps onto each other.
 A bipartite box gets its canonical relabeling and stabilizer from
-`polytope.canonical_form`, found once per question (`is_m_shareable`
-passes the one it found), unless `polytope.labels_told_apart` already
+`polytope.canonical_form`, unless `polytope.labels_told_apart` already
 shows that only the identity fixes the table; such a box, and a box of
 any other number of parties, keeps its own labels (`polytope.own_labels`),
 the trivial fold, whose classes are the single strategies and whose rows
@@ -53,7 +52,11 @@ box.  Secrecy content is this decision: a bipartite box contains
 secrecy exactly when it is nonlocal, and for a local box the model's
 hidden variable is a message an eavesdropper can hold (eve_extension),
 so the command line's `secrecy` analysis is `is_local` with the verdict
-read the other way round.
+read the other way round.  Shareability is this decision too:
+`shareability.is_m_shareable` asks `is_local` of its base box, extends
+a model to every number of copies, and lifts a certificate's
+functional into the paper's proof that the box has no symmetric
+extension to |Y| copies.
 
 Enumerating the strategies is the cost: no scenario with more than
 STRATEGY_CAP of them is decided or checked.
@@ -281,18 +284,6 @@ def _solved_model(box: Box, canonical) -> LocalModel | lp.LpOutcome:
     return out
 
 
-def local_model(box: Box, canonical) -> LocalModel | lp.LpOutcome:
-    """The answer of membership_lp(box, canonical) for a nonsignaling
-    box within STRATEGY_CAP strategies, which the caller checks: a
-    LocalModel in the box's own labels, checked to reconstruct the whole
-    box, or the INFEASIBLE LpOutcome (_solved_model).  Nothing here
-    normalizes: is_m_shareable needs only a model."""
-    found = _solved_model(box, canonical)
-    if isinstance(found, LocalModel):
-        ensure(found.reconstructs(box), "local model does not reconstruct the box")
-    return found
-
-
 @functools.lru_cache(maxsize=16)
 def _entry_orbits(scenario: Scenario, group: tuple) -> tuple:
     """Per flat table entry, its images under every element of `group`
@@ -311,29 +302,20 @@ def _pinned(scenario: Scenario, table: tuple, group: tuple, farkas) -> list:
     return coefficients
 
 
-def bell_numerators(scenario: Scenario, canonical, farkas) -> tuple[int, list[int]]:
-    """The Bell functional that the Farkas vector `farkas` of
-    membership_lp(box, canonical) gives in the canonical frame, by the
-    first two steps the module docstring argues for: the multipliers put
-    on their pinned entries (_pinned), then summed over the images of each
-    entry under the group (the average up to the factor |G|), as integer
-    numerators over the pinned coefficients' common denominator, which is
-    returned first.  At most 0 on every deterministic strategy and
-    positive on the canonical table; shareability lifts it into a Farkas
-    vector of the orbit program as it stands."""
-    table, *_, group = canonical
-    den, nums = numerators(_pinned(scenario, table, group, farkas))
-    return den, [sum(map(nums.__getitem__, orbit)) for orbit in _entry_orbits(scenario, group)]
-
-
 def _bell_coefficients(box: Box, canonical, farkas) -> list:
     """The Bell functional, in the box's own labels, that the Farkas
-    vector `farkas` of membership_lp(box, canonical) gives:
-    bell_numerators read back through the form's maps
-    (core.relabeled_indices)."""
+    vector `farkas` of membership_lp(box, canonical) gives, by the first
+    two steps the module docstring argues for: the multipliers put on
+    their pinned entries (_pinned), then summed over the images of each
+    entry under the group (the average up to the factor |G|), in integer
+    numerators over the pinned coefficients' common denominator, and read
+    back through the form's maps (core.relabeled_indices).  At most 0 on
+    every deterministic strategy and positive on the box."""
     sc = box.scenario
-    den, nums = bell_numerators(sc, canonical, farkas)
-    return [Fraction(nums[c], den) for c in relabeled_indices(sc, canonical[1:-1])]
+    table, *maps, group = canonical
+    den, nums = numerators(_pinned(sc, table, group, farkas))
+    summed = [sum(map(nums.__getitem__, orbit)) for orbit in _entry_orbits(sc, group)]
+    return [Fraction(summed[c], den) for c in relabeled_indices(sc, maps)]
 
 
 def _stars(outputs: int) -> range:

@@ -15,16 +15,6 @@ values a Fraction tableau would.  A pivot updates only the rows holding
 the pivot column, and in each only the pivot row's columns; rows turn
 into Fractions only when the solution and the multipliers are read out.
 
-Phase one (standardization, the crash, phase 1 and pivoting the
-artificials out) reads only the constraints, never the objective.  Its
-result is a `Start`: the feasible tableau it ends on, or the Farkas
-outcome proving the constraints infeasible, which holds for every
-objective.  `solve(prog, start)` runs phase two on a copy of a start
-built from a program with the same eqs, ineqs and num_vars
-(`LinearProgram.with_objective` makes one), so programs that
-differ only in their objective share one phase one and each returns
-what a cold `solve(prog)` returns; a cold solve builds its own start.
-
 Every outcome carries an exactly checkable witness: an optimal solve
 returns the dual multipliers (strong duality holds with equality in
 exact arithmetic), an infeasible solve returns a Farkas vector
@@ -66,18 +56,19 @@ per scenario and stabilizer); and `shareability.folded_extension_lp`
 the orbit rows, folded by the box's stabilizer (once per scenario, m
 and stabilizer; toward A is toward B on the party-swapped box).  The
 last two hold int coefficients, summed per class by
-`polytope.fold_row`, and pin the box through `polytope.pin_rows`.  Only
-the nonsignaling LP keeps its objective out of its rows and right-hand
-sides, so only its start is cached (`polytope.max_over_ns`); the
-membership and orbit LPs move their right-hand sides with the box and
-run phase one each time.
+`polytope.fold_row`, and pin the box through `polytope.pin_rows`.  Each
+`solve` runs its own phase one (standardization, the crash, phase 1 and
+pivoting the artificials out) on the rows it is given: no question asks
+more than two LPs of one feasible region, and a whole solve of the
+nonsignaling LP with no objective takes 0.3-1.1 ms from 2222 to 2255
+(Python 3.11, 2 vCPUs), so a phase one kept for reuse would save little.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .core import BoxlabError, Frozen, ZERO, ensure, rat
 
@@ -129,13 +120,6 @@ class LinearProgram:
     def add_ineq(self, pairs: Iterable, rhs) -> None:
         """pairs . x <= rhs"""
         self.ineqs.append((self._row(pairs), rat(rhs)))
-
-    def with_objective(self, objective: Iterable) -> LinearProgram:
-        """A new program with these constraints, in row lists of its own,
-        maximizing `objective`: one `Start` of either serves both."""
-        prog = LinearProgram(self.num_vars, objective)
-        prog.eqs, prog.ineqs = list(self.eqs), list(self.ineqs)
-        return prog
 
 
 class LpCertificate(Frozen):
@@ -383,65 +367,9 @@ def _certificate(lp, st: _Standardized, kind, cost, cost_den) -> LpCertificate:
     return LpCertificate(kind, tuple(y[:ne]), tuple(y[ne:]), tuple(y_lb), (ZERO,) * lp.num_vars)
 
 
-class Start:
-    """Phase one of a program: its tableau once every artificial has left
-    the basis, or the Farkas outcome proving its constraints infeasible.
-
-    Built from the constraints alone (`_standardize`, `_crash`, phase 1,
-    `_purge_artificials`), never from the objective, so one start serves
-    every program with the same eqs, ineqs and num_vars, whatever it
-    maximizes.  `solve` reads a start and never changes it.
-    """
-
-    def __init__(self, lp: LinearProgram):
-        self.num_vars = lp.num_vars
-        self.eqs, self.ineqs = tuple(lp.eqs), tuple(lp.ineqs)
-        st = _standardize(lp)
-        self.art_cols = {j for j, c in enumerate(st.columns) if c[0] == "art"}
-        self.infeasible = None
-        if self.art_cols:
-            _crash(st, self.art_cols)
-            cost1 = dict.fromkeys(self.art_cols, -1)
-            _set_cost(st, cost1, 1)
-            status = _run_simplex(st, banned=set())
-            ensure(status == OPTIMAL, f"phase 1 ended {status}; its objective is bounded by 0")
-            if len(st.columns) in st.cost:  # max of -sum(artificials) is negative
-                cert = _certificate(lp, st, "farkas", cost1, 1)
-                self.infeasible = LpOutcome(INFEASIBLE, certificate=cert)
-            # phase 1's cost row goes before the purge, so its pivots have none to update
-            st.cost, st.cost_den = {}, 1
-            if self.infeasible is None:
-                _purge_artificials(st, self.art_cols)
-        self.tableau = st
-
-    def check(self, lp: LinearProgram) -> None:
-        """Raise LpFormatError unless `lp` has this start's constraints."""
-        same = (
-            lp.num_vars == self.num_vars
-            and tuple(lp.eqs) == self.eqs
-            and tuple(lp.ineqs) == self.ineqs
-        )
-        if not same:
-            raise LpFormatError("start was built from other constraints")
-
-    def copy(self) -> _Standardized:
-        """The tableau with rows, denominators, basis and active rows of its
-        own; the columns and per-row bookkeeping are shared, never written."""
-        st = self.tableau
-        return _Standardized(
-            st.columns, [dict(row) for row in st.rows], list(st.dens), list(st.basis),
-            st.flips, st.unit_cols, list(st.active),
-        )
-
-
-def solve(lp: LinearProgram, start: Optional[Start] = None) -> LpOutcome:
+def solve(lp: LinearProgram) -> LpOutcome:
     """Solve exactly; an optimal or infeasible outcome's certificate
     always re-verifies, an unbounded one carries none.
-
-    A `start` of a program with `lp`'s constraints (LpFormatError before
-    any pivot otherwise) skips phase one: phase two runs on a copy of its
-    tableau, or its Farkas outcome is returned, so the outcome is the one
-    a cold solve returns.
 
     Every variable is one nonnegative tableau column, and every
     constraint is an equality or inequality row; rows that no x >= 0
@@ -459,23 +387,30 @@ def solve(lp: LinearProgram, start: Optional[Start] = None) -> LpOutcome:
     `verify_certificate` re-checks each optimal or infeasible outcome
     exactly before it is returned.
     """
-    cold = start is None
-    if cold:
-        start = Start(lp)
-    else:
-        start.check(lp)
-    if start.infeasible is not None:
-        ensure(verify_certificate(lp, start.infeasible), "Farkas certificate fails to verify")
-        return start.infeasible
+    st = _standardize(lp)
+    art_cols = {j for j, c in enumerate(st.columns) if c[0] == "art"}
+    if art_cols:
+        _crash(st, art_cols)
+        cost1 = dict.fromkeys(art_cols, -1)
+        _set_cost(st, cost1, 1)
+        status = _run_simplex(st, banned=set())
+        ensure(status == OPTIMAL, f"phase 1 ended {status}; its objective is bounded by 0")
+        if len(st.columns) in st.cost:  # max of -sum(artificials) is negative
+            cert = _certificate(lp, st, "farkas", cost1, 1)
+            out = LpOutcome(INFEASIBLE, certificate=cert)
+            ensure(verify_certificate(lp, out), "Farkas certificate fails to verify")
+            return out
+        # phase 1's cost row goes before the purge, so its pivots have none to update
+        st.cost, st.cost_den = {}, 1
+        _purge_artificials(st, art_cols)
 
-    st = start.tableau if cold else start.copy()  # a cold start is this call's alone
     rhs_col = len(st.columns)
     # the objective's coefficients are in lowest terms, so over the lcm of
     # their denominators their numerators share no factor with it
     cost2_den = lcm(*(c.denominator for _, c in lp.objective))
     cost2 = {i: c.numerator * (cost2_den // c.denominator) for i, c in lp.objective}
     _set_cost(st, cost2, cost2_den)
-    status = _run_simplex(st, banned=start.art_cols)
+    status = _run_simplex(st, banned=art_cols)
     if status == UNBOUNDED:
         return LpOutcome(UNBOUNDED)
 

@@ -13,17 +13,14 @@ and `canonical_form` read here; `core` lists every reader of the
 layout), the table entries each strategy fires at (`strategy_columns`),
 the entries that fix a nonsignaling table (`spanning_entries`, which
 like `normalization_rows` walks the table in its order), the cells
-`canonical_form` walks, the nonsignaling rows in LinearProgram's
-canonical form, and the nonsignaling LP's phase one (`lp.Start`), from
-which `max_over_ns` solves every objective.  The membership rows of
-`locality` (per scenario and stabilizer) and the orbit rows of
-`shareability` (per scenario, m and stabilizer, toward B only, since
-toward A is toward B on the party-swapped box) are cached alike: three
-row sets built once, to which a box adds only right-hand sides.  The
-rows are tuples, and `lp.solve` pivots on a copy of a start, never on
-the start itself.  A start for a face of the polytope
-(`bell.unique_ns_maximizer`, `shareability.unique_violator_decoupling`)
-depends on a functional or a box and lives for one call.
+`canonical_form` walks, and the nonsignaling rows in LinearProgram's
+canonical form, on which `max_over_ns` solves every objective.  The
+membership rows of `locality` (per scenario and stabilizer) and the
+orbit rows of `shareability` (per scenario, m and stabilizer, toward B
+only, since toward A is toward B on the party-swapped box) are cached
+alike: three row sets built once, to which a box adds only right-hand
+sides.  The rows are tuples, which `lp.solve` reads into a tableau of
+its own.
 
 A functional of the table is known on nonsignaling tables by its
 values at the spanning entries: `collins_gisin` moves every coefficient
@@ -461,14 +458,7 @@ def ns_lp(scenario: Scenario, objective=()) -> lp.LinearProgram:
     return prog
 
 
-@functools.lru_cache(maxsize=16)
-def _ns_start(scenario: Scenario) -> lp.Start:
-    """Phase one of the nonsignaling LP, which every objective shares."""
-    return lp.Start(ns_lp(scenario))
-
-
 def max_over_ns(scenario: Scenario, coeffs) -> lp.LpOutcome:
     """Maximize a linear functional of the table, given as (index,
-    coefficient) pairs, over the NS polytope, from the scenario's cached
-    phase one."""
-    return lp.solve(ns_lp(scenario, coeffs), _ns_start(scenario))
+    coefficient) pairs, over the NS polytope."""
+    return lp.solve(ns_lp(scenario, coeffs))

@@ -4,30 +4,27 @@ A box is m-shareable with respect to one party when a symmetric
 (m+1)-party nonsignaling extension exists whose every copy-marginal is
 the box itself.  A local box is shareable to every m: each copy replays
 the shared party's deterministic answer.  So is_m_shareable first asks
-locality.local_model, and a model gives the extension with no further
-LP.  Both of its LPs are stated on the table of the box's canonical
-relabeling and folded by that table's stabilizer G (below), which one
-search per question finds (polytope.canonical_form, which lives next
-to the folding helpers it feeds, since locality.is_local runs it too).
-Averaging a local model over G keeps it a model: each element of G maps
-a deterministic strategy onto another one and fixes the table, so it
-maps a model onto another model, and the average is a model whose
-weights are constant on the classes of strategies G maps onto each
-other; the membership LP then needs one weight per class.  A nonlocal
-box is not m-shareable for any m >= |Y|, Y the shared party's inputs:
-read copy y+1 at input y, and the copies' outputs would be a local
-hidden variable (the source paper; Terhal, Doherty and Schwab, PRL 90,
-157903, 2003).  That proof is a Farkas vector of the orbit LP below,
-built from the Bell functional of the membership LP's Farkas vector
-(_bell_lift) and checked by lp.verify_certificate, so such a box solves
-no second LP.  Any other box (m < |Y|, or a base over
-locality.STRATEGY_CAP strategies, which gets no membership LP) is
-decided by one exact LP, stated on orbit variables: one variable
-per class of extension entries that a permutation of the copies maps
-onto each other.  Folding is exact, not a relaxation: averaging any
+locality.is_local, and a model gives the extension with no further LP:
+with no LP at all for a 2222 box (Fine's model), and with the one
+membership LP is_local solves otherwise.  A nonlocal box is not
+m-shareable for any m >= |Y|, Y the shared party's inputs: read copy
+y+1 at input y, and the copies' outputs would be a local hidden
+variable (the source paper; Terhal, Doherty and Schwab, PRL 90, 157903,
+2003).  That proof is a Farkas vector of the orbit LP below, built from
+the Bell functional that certifies the box nonlocal (_bell_lift) and
+checked by lp.verify_certificate, so such a box solves no LP beyond
+is_local's.  Any other box (m < |Y|, or a base over
+locality.STRATEGY_CAP strategies, which gets no locality verdict) is
+decided by one exact LP, stated on orbit variables: one variable per
+class of extension entries that a permutation of the copies maps onto
+each other.  Folding is exact, not a relaxation: averaging any
 extension over the copy permutations gives a symmetric one with the
 same marginals, so an extension exists exactly when a symmetric one
-does, and a symmetric table is constant on orbits.
+does, and a symmetric table is constant on orbits.  The orbit program
+is stated on the table of the box's canonical relabeling
+(polytope.canonical_form, which lives next to the folding helpers it
+feeds, since locality.is_local runs it too), and the lift reads the
+Bell functional in that frame.
 The same argument folds the orbits once more, by the box's stabilizer
 G: the pairs of local relabelings (one of Alice's, one of Bob's,
 applied alike to every copy, each a tuple of label numbers as `core`
@@ -94,6 +91,7 @@ from .core import (
     numerators,
     permute_parties,
     rat,
+    relabeled_indices,
     restrict_bob_inputs,
     swap_indices,
     validate_box,
@@ -465,20 +463,24 @@ def _lift_rows(scenario: Scenario, copies: int, group: tuple):
     )
 
 
-def _bell_lift(scenario: Scenario, copies: int, canonical, farkas, prog) -> lp.LpCertificate:
+def _bell_lift(scenario: Scenario, copies: int, canonical, functional: BellFunctional, prog) -> lp.LpCertificate:
     """A Farkas vector of prog, the program folded_extension_lp states
     for `copies` >= Y copies of an oriented base of `scenario` with the
-    canonical form `canonical`, made from `farkas`, the membership LP's
-    Farkas vector of that base on the same form: the paper's proof that a
-    nonlocal box has no symmetric extension to |Y| copies.
+    canonical form `canonical`, made from `functional`, a normalized Bell
+    functional in the base's own labels that the base violates (the
+    certificate of locality.is_local): the paper's proof that a nonlocal
+    box has no symmetric extension to |Y| copies.
 
-    beta is the Bell functional in the canonical frame
-    (locality.bell_numerators, integer numerators: at most 0 on every
-    deterministic strategy and positive on the canonical table T) moved
-    onto the spanning entries (polytope.collins_gisin).  With lam the
-    copies' output string at the copy inputs z* = (0, 1, ..., Y-1, 0,
-    ..., 0), c(a, x, lam) = sum_y beta(a, lam_{y+1} | x, y) and M(x,
-    lam) = max_a c(a, x, lam), the multipliers are
+    beta is that functional made linear, its offset added to every
+    coefficient of the block at (x, y) = (0, 0), which every box sums to
+    1, read into the canonical frame through the form's inverted maps
+    (core.relabeled_indices, as canonical_form reads the table), as
+    integer numerators over their common denominator: at most 0 on every
+    deterministic strategy and positive on the canonical table T.  It is
+    then moved onto the spanning entries (polytope.collins_gisin).  With
+    lam the copies' output string at the copy inputs z* = (0, 1, ...,
+    Y-1, 0, ..., 0), c(a, x, lam) = sum_y beta(a, lam_{y+1} | x, y) and
+    M(x, lam) = max_a c(a, x, lam), the multipliers are
       - -beta on each copy-marginal pin row, with the pinned copy at
         (b, y) and the others at input 0;
       - +beta on the copy trace rows that move the other copies from
@@ -494,10 +496,13 @@ def _bell_lift(scenario: Scenario, copies: int, canonical, farkas, prog) -> lp.L
     of the full-table program, and multipliers that add up on the rows
     they fold onto are one of the folded program (_lift_rows).  y_lb is
     the column sums, and the vector is divided by its entries' gcd."""
-    from .locality import bell_numerators
-
-    table, *_, group = canonical
-    beta = polytope.collins_gisin(scenario, bell_numerators(scenario, canonical, farkas)[1], 0)[0]
+    table, *maps, group = canonical
+    linear = list(functional.coefficients)
+    for e in range(math.prod(scenario.outputs)):
+        linear[e] += functional.offset
+    back = [sorted(range(len(to)), key=to.__getitem__) for to in maps]
+    moved = numerators([linear[e] for e in relabeled_indices(scenario, back)])[1]
+    beta = polytope.collins_gisin(scenario, moved, 0)[0]
     row, marginals, chains, alice, columns = _lift_rows(scenario, copies, group)
     y = [0] * len(prog.eqs)
     # the pin rows, one per distinct value of T over each group's entries
@@ -595,42 +600,39 @@ def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
     """Decide shareability, with a witness validated before return.
 
     Everything is asked of the oriented base box (_oriented: toward A,
-    the party-swapped box, toward B), whose canonical relabeling and
-    stabilizer are found once (polytope.canonical_form) and passed to
-    both LPs.  A base box within locality.STRATEGY_CAP strategies goes
-    first to locality.local_model, whose membership LP that stabilizer
-    folds.  A model gives the extension, every copy replaying Bob's
-    table of the oriented box (LocalModel.adjoin).  A nonlocal base at
-    m >= Y, Y its second party's inputs, is not shareable by the
-    paper's theorem: the membership LP's Farkas vector is lifted into a
-    Farkas vector of the program folded_extension_lp states
-    (_bell_lift), which lp.verify_certificate checks before it is
-    returned, and no second LP is solved.  Otherwise (m < Y, or no
-    membership LP above the cap) the orbit LP of folded_extension_lp,
-    folded by the same stabilizer, decides: a feasible witness is
+    the party-swapped box, toward B).  A base box within
+    locality.STRATEGY_CAP strategies is first decided by
+    locality.is_local.  A model gives the extension, every copy replaying
+    Bob's table of the oriented box (LocalModel.adjoin).  A nonlocal base
+    at m >= Y, Y its second party's inputs, is not shareable by the
+    paper's theorem: is_local's Bell functional is lifted into a Farkas
+    vector of the program folded_extension_lp states (_bell_lift), which
+    lp.verify_certificate checks before it is returned, and no LP is
+    solved beyond is_local's.  Otherwise (m < Y, or no locality verdict above the cap) the
+    orbit LP of folded_extension_lp decides: a feasible witness is
     unfolded into the full symmetric extension table, and an infeasible
-    one carries that LP's Farkas certificate.  Either extension is put
-    in the problem's slot order once (_in_problem_order).
+    one carries that LP's Farkas certificate.  Both programs are stated
+    on the base's canonical relabeling and folded by its stabilizer, found
+    once (polytope.canonical_form).  Either extension is put in the
+    problem's slot order once (_in_problem_order).
     """
-    from .locality import STRATEGY_CAP, LocalModel, local_model
+    from .locality import STRATEGY_CAP, LocalModel, is_local
 
     base, m = _oriented(problem), problem.copies
     sc = base.scenario
-    canonical = polytope.canonical_form(base)
-    model = local_model(base, canonical) if polytope.strategy_count(sc) <= STRATEGY_CAP else None
-    if isinstance(model, LocalModel):
-        tables = [(s.tables[1],) * (m - 1) for s in model.strategies]
-        ext = model.adjoin(sc.inputs[1:] * (m - 1), sc.outputs[1:] * (m - 1), tables).box()
+    verdict = is_local(base) if polytope.strategy_count(sc) <= STRATEGY_CAP else None
+    if isinstance(verdict, LocalModel):
+        tables = [(s.tables[1],) * (m - 1) for s in verdict.strategies]
+        ext = verdict.adjoin(sc.inputs[1:] * (m - 1), sc.outputs[1:] * (m - 1), tables).box()
         ext = _in_problem_order(problem, ext)
-    elif model is not None and m >= sc.inputs[1]:
-        # nonlocal: model is the membership LP's INFEASIBLE outcome
-        prog = folded_extension_lp(problem, canonical)[0]
-        certificate = _bell_lift(sc, m, canonical, model.certificate.y_eq, prog)
-        outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=certificate)
-        ensure(lp.verify_certificate(prog, outcome), "the lifted Bell certificate fails the orbit LP")
-        return ExtensionWitness(False, certificate=certificate)
     else:
+        canonical = polytope.canonical_form(base)
         prog, unfold = folded_extension_lp(problem, canonical)
+        if verdict is not None and m >= sc.inputs[1]:
+            certificate = _bell_lift(sc, m, canonical, verdict.functional, prog)
+            outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=certificate)
+            ensure(lp.verify_certificate(prog, outcome), "the lifted Bell certificate fails the orbit LP")
+            return ExtensionWitness(False, certificate=certificate)
         out = lp.solve(prog)
         if out.status != lp.OPTIMAL:
             ensure(out.status == lp.INFEASIBLE, f"extension feasibility LP ended {out.status}")
@@ -789,8 +791,7 @@ def unique_violator_decoupling(
     """(max, min) of g on the Alice-Clare marginal when the Alice-Bob
     marginal is pinned (polytope.marginal_rows) to the box at which f
     attains its nonsignaling maximum, which must be unique; equality
-    means Clare decoupled, however f is scaled or shifted.  The max and
-    the min share the pinned LP's phase one (`lp.Start`)."""
+    means Clare decoupled, however f is scaled or shifted."""
     from .bell import unique_ns_maximizer
 
     if f.scenario.parties != 2 or g.scenario.parties != 2:
@@ -803,13 +804,15 @@ def unique_violator_decoupling(
     if not unique:
         raise NotUniqueMaximizer("functional has no unique NS maximizer")
     sc3 = Scenario((fx, fy, gz), (fa, fb, gc))
-    pinned = polytope.ns_lp(sc3)
-    for row, rhs in polytope.marginal_rows(sc3, (0, 1), maximizer):
-        pinned.add_eq(row, rhs)
-    start = lp.Start(pinned)
     ac = polytope.lift(sc3, (0, 2), g.coefficients)
-    hi = lp.solve(pinned.with_objective(ac), start)
-    lo = lp.solve(pinned.with_objective([(k, -v) for k, v in ac]), start)
+
+    def pinned(objective):
+        prog = polytope.ns_lp(sc3, objective)
+        for row, rhs in polytope.marginal_rows(sc3, (0, 1), maximizer):
+            prog.add_eq(row, rhs)
+        return lp.solve(prog)
+
+    hi, lo = pinned(ac), pinned([(k, -v) for k, v in ac])
     ok = hi.status == lo.status == lp.OPTIMAL
     ensure(ok, f"decoupling LPs ended {hi.status}, {lo.status}")
     return hi.value + g.offset, -lo.value + g.offset

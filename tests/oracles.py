@@ -14,7 +14,9 @@ built from their labels, the orbit LP's rows
 found by folding every row of that table, and marginals and trace
 conditions read off one dense pass over the table, or enumerated
 with itertools.product as the cached index maps list them, local bounds of
-Bell functionals from every strategy box built entry by entry, the
+Bell functionals from every strategy box built entry by entry, whether
+a functional's nonsignaling maximizer is unique by walking its optimal
+face one table entry at a time, the
 CHSH-type rows of a bipartite scenario, output-lifted, and their values
 on a box, each coefficient placed entry by entry, the LP
 certificate check in plain Fraction arithmetic, compatibility of two
@@ -681,6 +683,38 @@ def local_model_walk(problem, extension: Box, y_values):
         sc = Scenario(sc.inputs[::-1], sc.outputs[::-1])
         strategies = [tables[::-1] for tables in strategies]
     return LocalModel(sc, tuple(DeterministicStrategy(sc, t) for t in strategies), tuple(weights))
+
+
+def face_walk_unique_maximizer(functional):
+    """Whether a Bell functional's maximum over the nonsignaling polytope
+    is attained at a single box, by walking the optimal face: the
+    maximum, then the largest and the smallest value of every table entry
+    over the NS rows plus the row f . p = max, each LP solved cold on a
+    program of its own, 2 * table_size + 1 of them.  Returns (True, the
+    box of those values) when every entry's largest and smallest agree,
+    else (False, None)."""
+    from boxlab import polytope
+
+    sc = functional.scenario
+    coefficients = list(enumerate(functional.coefficients))
+
+    def largest(objective, face_value=None):
+        prog = polytope.ns_lp(sc, objective)
+        if face_value is not None:
+            prog.add_eq(coefficients, face_value)
+        out = lp.solve(prog)
+        if out.status != lp.OPTIMAL:
+            raise AssertionError(f"an LP over the NS polytope ended {out.status}")
+        return out.value
+
+    top = largest(coefficients)
+    point = []
+    for i in range(sc.table_size):
+        value = largest([(i, 1)], top)
+        if value != -largest([(i, -1)], top):
+            return False, None
+        point.append(value)
+    return True, Box(sc, tuple(point))
 
 
 def full_membership_lp(box: Box) -> lp.LinearProgram:

@@ -1,4 +1,3 @@
-import pickle
 import random
 from fractions import Fraction as F
 
@@ -26,6 +25,7 @@ from oracles import (
     cglmp_coefficients_walk,
     chsh_coefficients_walk,
     correlators_walk,
+    face_walk_unique_maximizer,
     local_bound_by_enumeration,
     ns_vertices_2222_by_enumeration,
     uniform_box,
@@ -150,6 +150,28 @@ class TestCglmp:
             cglmp(1)
 
 
+def _seeded_functionals(sc: Scenario, seed: int, count: int) -> list:
+    # coefficients in -1..1 tie often, so some maximizers are not unique
+    rng = random.Random(seed)
+    return [BellFunctional(sc, tuple(F(rng.randint(-1, 1)) for _ in range(sc.table_size)), F(rng.randint(-2, 2)))
+            for _ in range(count)]
+
+
+def _first_marginal_entry() -> BellFunctional:
+    # P(a=0 | x=0, y=0), attained on a whole face of the polytope
+    sc = Scenario((2, 2), (2, 2))
+    return BellFunctional(sc, (F(1), F(1)) + (F(0),) * 14, F(0))
+
+
+UNIQUENESS_CASES = {
+    "chsh": chsh_functional(), "cglmp3": cglmp(3), "cglmp4": cglmp(4), "cglmp3-raw": cglmp_raw(3),
+    "zero": BellFunctional(Scenario((2, 2), (2, 2)), (F(0),) * 16, F(0)),
+    "first-marginal": _first_marginal_entry(),
+    **{f"2222-{k}": f for k, f in enumerate(_seeded_functionals(Scenario((2, 2), (2, 2)), 5, 8))},
+    **{f"3322-{k}": f for k, f in enumerate(_seeded_functionals(Scenario((3, 3), (2, 2)), 6, 4))},
+}
+
+
 class TestUniqueMaximizer:
     def test_chsh_unique_pr(self):
         unique, box = unique_ns_maximizer(chsh_functional())
@@ -163,6 +185,26 @@ class TestUniqueMaximizer:
         unique, box = unique_ns_maximizer(zero)
         assert not unique
         assert box is None
+
+    @pytest.mark.parametrize("functional", UNIQUENESS_CASES.values(), ids=UNIQUENESS_CASES)
+    def test_two_lps_give_the_face_walks_answer(self, functional, monkeypatch):
+        expected = face_walk_unique_maximizer(functional)
+        solved = []
+        solve = lp.solve
+
+        def counting_solve(prog):
+            solved.append(prog)
+            return solve(prog)
+
+        monkeypatch.setattr(lp, "solve", counting_solve)
+        assert unique_ns_maximizer(functional) == expected
+        assert len(solved) == 2
+
+    def test_the_cases_hold_both_verdicts(self):
+        verdicts = {name: face_walk_unique_maximizer(f)[0] for name, f in UNIQUENESS_CASES.items()}
+        assert verdicts["chsh"] and verdicts["cglmp4"] and not verdicts["first-marginal"]
+        for prefix in ("2222-", "3322-"):
+            assert {v for name, v in verdicts.items() if name.startswith(prefix)} == {True, False}
 
 
 class TestEvaluate:
@@ -222,56 +264,6 @@ class TestLocalBound:
             fresh.add_eq(coeffs, rhs)
         assert expected == fresh.eqs
         assert polytope.max_over_ns(sc, enumerate(chsh_functional().coefficients)).value == 2
-
-
-NS_START_SCENARIOS = [
-    Scenario((2, 2), (2, 2)),
-    Scenario((3, 3), (2, 2)),
-    Scenario((2, 2), (3, 3)),
-    Scenario((2, 2, 2), (2, 2, 2)),
-]
-
-
-class TestNsStart:
-    @pytest.mark.parametrize("sc", NS_START_SCENARIOS, ids=str)
-    def test_outcomes_equal_cold_solves_in_either_order(self, sc):
-        # a solve that pivoted the cached start's own rows would leave the
-        # next one another basis to start from
-        rng = random.Random(sc.table_size)
-        functionals = [[(i, rng.randrange(-5, 6)) for i in range(sc.table_size)] for _ in range(8)]
-        cold = [lp.solve(polytope.ns_lp(sc, f)) for f in functionals]
-        forward = [polytope.max_over_ns(sc, f) for f in functionals]
-        backward = [polytope.max_over_ns(sc, f) for f in reversed(functionals)][::-1]
-        assert forward == cold == backward
-        assert [pickle.dumps(out) for out in forward] == [pickle.dumps(out) for out in cold]
-        assert [pickle.dumps(out) for out in backward] == [pickle.dumps(out) for out in cold]
-
-    def test_phase_one_once_per_feasible_region(self, monkeypatch):
-        crashes, pivots = [], []
-        crash, pivot = lp._crash, lp._pivot
-
-        def counting_crash(st, art_cols):
-            crashes.append(len(pivots))
-            crash(st, art_cols)
-            crashes[-1] = len(pivots) - crashes[-1]
-
-        def counting_pivot(*args, **kwargs):
-            pivots.append(None)
-            pivot(*args, **kwargs)
-
-        monkeypatch.setattr(lp, "_crash", counting_crash)
-        monkeypatch.setattr(lp, "_pivot", counting_pivot)
-        polytope._ns_start.cache_clear()
-        # one phase one for the NS polytope, one for the optimal face; every
-        # table coordinate used to take a phase one of its own, 606 pivots
-        assert unique_ns_maximizer(chsh_functional()) == (True, pr_box())
-        assert len(crashes) == 2 and len(pivots) == 48
-        crashes.clear()
-        assert normalize(cglmp_raw(3)) == cglmp(3)
-        assert len(crashes) == 1 and crashes[0] > 0
-        crashes.clear()
-        assert normalize(cglmp(3)) == cglmp(3)
-        assert crashes == []
 
 
 class TestNormalize:

@@ -716,65 +716,3 @@ class TestIntegerCheck:
         solve(fractional_program(F(1, 3)))
         solve(fractional_program(F(1, 11)))
         assert both_verifiers[before:] == [True, True]
-
-
-# ---------------------------------------------------------------------------
-# one phase one per set of constraints: a start serves every objective
-
-
-def start_program():
-    """x_0 + x_1 + x_2 = 1, x_0 - x_1 <= 1/2, x_2 <= 2/3: feasible,
-    with an artificial and two slacks."""
-    prog = LinearProgram(3)
-    prog.add_eq(enumerate([1, 1, 1]), 1)
-    prog.add_ineq(enumerate([1, -1, 0]), F(1, 2))
-    prog.add_ineq([(2, 1)], F(2, 3))
-    return prog
-
-
-def other_rhs(prog):
-    prog.eqs[0] = (prog.eqs[0][0], F(2))
-
-
-def appended_row(prog):
-    prog.add_ineq([(0, 1)], 1)
-
-
-def extra_variable(prog):
-    wider = LinearProgram(4)
-    wider.eqs, wider.ineqs = prog.eqs, prog.ineqs
-    return wider
-
-
-@pytest.mark.parametrize("change", [other_rhs, appended_row, extra_variable])
-def test_start_of_other_constraints_raises_before_any_pivot(change, monkeypatch):
-    start = lp.Start(start_program())
-    pivots = checked_pivots(monkeypatch)
-    prog = start_program()
-    prog = change(prog) or prog
-    with pytest.raises(lp.LpFormatError):
-        solve(prog, start)
-    assert pivots == []
-
-
-def test_start_outcomes_equal_cold_solves():
-    prog = start_program()
-    start = lp.Start(prog)
-    rng = random.Random(11)
-    objectives = [[(i, F(rng.randrange(-5, 6), rng.randrange(1, 4))) for i in range(3)] for _ in range(12)]
-    cold = [solve(prog.with_objective(obj)) for obj in objectives]
-    warm = [solve(prog.with_objective(obj), start) for obj in objectives]
-    assert warm == cold and {out.status for out in cold} == {OPTIMAL}
-
-
-def test_infeasible_start_answers_every_objective():
-    # x_0 + x_1 pinned to 1 and to 2
-    prog = LinearProgram(2)
-    prog.add_eq(enumerate([1, 1]), 1)
-    prog.add_eq(enumerate([1, 1]), 2)
-    start = lp.Start(prog)
-    for obj in ([], [(0, 1)], [(1, -3)], [(0, F(1, 2)), (1, 7)]):
-        each = prog.with_objective(obj)
-        out = solve(each, start)
-        assert out.status == INFEASIBLE and out == solve(each)
-        assert verify_certificate(each, out)

@@ -229,8 +229,14 @@ class TestShareability:
 
     def test_unexpected_lp_status_raises(self, monkeypatch):
         monkeypatch.setattr(lp, "solve", lambda prog: lp.LpOutcome(lp.UNBOUNDED))
-        with pytest.raises(UnexpectedLpStatus):
-            is_m_shareable(ExtensionProblem(make_isotropic(F(1, 2)), "B", 2))
+        # a local 3322 box reaches is_local's membership LP
+        local = _skewed_local_box(Scenario((3, 3), (2, 2)), random.Random(0), 3)
+        with pytest.raises(UnexpectedLpStatus, match="membership LP ended unbounded"):
+            is_m_shareable(ExtensionProblem(local, "B", 2))
+        # a nonlocal 2222 box solves no LP in is_local, and at m = 1 < |Y|
+        # goes on to the orbit LP
+        with pytest.raises(UnexpectedLpStatus, match="extension feasibility LP ended unbounded"):
+            is_m_shareable(ExtensionProblem(make_isotropic(F(3, 5)), "B", 1))
         with pytest.raises(UnexpectedLpStatus):
             isotropic_clone_ceiling()
 
@@ -1097,9 +1103,9 @@ class _Calls:
         self.solved, self.folded = [], []
         solve, fold = lp.solve, shareability.folded_extension_lp
 
-        def counting_solve(prog, start=None):
+        def counting_solve(prog):
             self.solved.append(prog)
-            return solve(prog, start)
+            return solve(prog)
 
         def counting_fold(problem, *canonical):
             self.folded.append(problem)
@@ -1109,6 +1115,19 @@ class _Calls:
         mp.setattr(shareability, "folded_extension_lp", counting_fold)
 
 
+def _stated(progs) -> list:
+    """Each program as what it states: variables, objective and rows."""
+    return [(prog.num_vars, prog.objective, prog.eqs, prog.ineqs) for prog in progs]
+
+
+def _is_local_programs(box, monkeypatch) -> list:
+    """The programs locality.is_local(box) solves, in order."""
+    with monkeypatch.context() as mp:
+        calls = _Calls(mp)
+        is_local(box)
+    return _stated(calls.solved)
+
+
 # at m = 3 the orbit LP alone takes 1.5-50 s on a seeded box of these,
 # local (the stall the model path removes) or nonlocal (which the Bell
 # functional's lift decides without it)
@@ -1116,9 +1135,10 @@ SLOW_ORBIT_LP_AT_THREE = SMALL_SCENARIOS[2:]
 
 
 class TestOnePath:
-    """A base box the membership LP finds local is decided by its model;
-    a nonlocal one at m >= Y by its Bell functional, lifted into a Farkas
-    vector of the orbit program; any other goes on to the orbit LP."""
+    """The oriented base box is decided by locality.is_local: a local one
+    by its model; a nonlocal one at m >= Y by its Bell functional, lifted
+    into a Farkas vector of the orbit program; any other goes on to the
+    orbit LP.  No LP is solved beyond is_local's and that one."""
 
     def _boxes(self, sc):
         rng = random.Random(f"one path {sc.inputs} {sc.outputs}")
@@ -1137,23 +1157,25 @@ class TestOnePath:
         for box in (local, nonlocal_):
             for party in "AB":
                 problem = ExtensionProblem(box, party, m)
+                oriented = _oriented(problem)
+                # a 2222 box and a CHSH-type row's nonlocal box solve no LP,
+                # a local box of another scenario one membership LP
+                own = _is_local_programs(oriented, monkeypatch)
+                assert len(own) == (box is local and sc.table_size > 16)
                 with monkeypatch.context() as mp:
                     calls = _Calls(mp)
                     witness = is_m_shareable(problem)
-                # the membership LP of the oriented box's canonical table,
-                # folded by its stabilizer
-                oriented = _oriented(problem)
-                assert calls.solved[0].eqs == locality.membership_lp(oriented, canonical_form(oriented)).eqs
                 prog = folded_extension_lp(problem)[0]
+                solved = _stated(calls.solved)
+                assert solved[:len(own)] == own
                 if box is local:
-                    assert witness.feasible and calls.folded == [] and len(calls.solved) == 1
+                    assert witness.feasible and calls.folded == [] and solved == own
                 elif m >= oriented.scenario.inputs[1]:
-                    # the lift: no program solved but the membership LP
-                    assert calls.folded == [problem] and len(calls.solved) == 1
+                    # the lift: no program solved but is_local's
+                    assert calls.folded == [problem] and solved == own
                 else:
-                    # m < Y: the verdict is the orbit LP's, its program solved second
-                    assert calls.folded == [problem] and len(calls.solved) == 2
-                    assert calls.solved[1].eqs == prog.eqs
+                    # m < Y: the verdict is the orbit LP's, its program solved last
+                    assert calls.folded == [problem] and solved == own + _stated([prog])
                 if not slow:
                     assert witness.feasible == (lp.solve(prog).status == lp.OPTIMAL)
                 if witness.feasible:
@@ -1183,13 +1205,15 @@ class TestOnePath:
     @pytest.mark.parametrize("party", "AB")
     def test_local_3322_mixture_at_three_copies(self, party, seed, monkeypatch):
         # the orbit LP took up to 26,573 pivots and minutes on such boxes;
-        # the model decides them with one membership LP
+        # the model decides them with is_local's one membership LP
         sc = Scenario((3, 3), (2, 2))
         box = _skewed_local_box(sc, random.Random(seed), 5)
         problem = ExtensionProblem(box, party, 3)
+        own = _is_local_programs(_oriented(problem), monkeypatch)
         calls = _Calls(monkeypatch)
         witness = is_m_shareable(problem)
-        assert witness.feasible and calls.folded == [] and len(calls.solved) == 1
+        assert witness.feasible and calls.folded == []
+        assert len(own) == 1 and _stated(calls.solved) == own
         validate_extension(problem, witness.extension)
 
 
@@ -1214,6 +1238,7 @@ LIFT_CASES = {
     "pr-m2": (pr_box(), 2), "pr-m3": (pr_box(), 3),
     "iso-3/5-m2": (make_isotropic(F(3, 5)), 2), "iso-11/20-m3": (make_isotropic(F(11, 20)), 3),
     "giso3-7/10-m2": (generalized_isotropic(3, F(7, 10)), 2),
+    "giso3-27/50-m2": (generalized_isotropic(3, F(27, 50)), 2),
     "3322-1001-m3": (_seeded_pr_mixture(SC3322, 1001), 3),
     "3322-1003-m3": (_seeded_pr_mixture(SC3322, 1003), 3),
     "2233-1001-m2": (_seeded_pr_mixture(SC2233, 1001), 2),
@@ -1244,13 +1269,33 @@ class TestBellLift:
         box, m = case
         box = relabel(box, *random_relabeling(random.Random(f"lift {party} {m}"), box.scenario))
         problem = ExtensionProblem(box, party, m)
+        own = _is_local_programs(_oriented(problem), monkeypatch)
         calls = _Calls(monkeypatch)
         witness = is_m_shareable(problem)
-        assert not witness.feasible and len(calls.solved) == 1 and calls.folded == [problem]
+        # no LP beyond is_local's: none where a CHSH-type row certifies the box
+        assert not witness.feasible and _stated(calls.solved) == own and calls.folded == [problem]
         prog = folded_extension_lp(problem)[0]
         assert lp.verify_certificate(prog, lp.LpOutcome(lp.INFEASIBLE, certificate=witness.certificate))
         if box.scenario.table_size == 16 or m == 2:
             assert lp.solve(prog).status == lp.INFEASIBLE
+
+    @pytest.mark.parametrize("party", "AB")
+    def test_a_functional_from_the_membership_lp_is_lifted(self, party, monkeypatch):
+        # no CHSH-type row catches generalized isotropic A=3 at 27/50, so
+        # is_local's functional comes from the membership LP's Farkas
+        # vector and normalize's NS maximum, the two LPs solved here
+        box = generalized_isotropic(3, F(27, 50))
+        sc = box.scenario
+        assert locality._violated_facet(sc, *core.numerators(box.table)) is None
+        problem = ExtensionProblem(box, party, 2)
+        calls = _Calls(monkeypatch)
+        witness = is_m_shareable(problem)
+        oriented = _oriented(problem)
+        membership, ns_maximum = calls.solved
+        assert membership.eqs == locality.membership_lp(oriented, canonical_form(oriented)).eqs
+        assert ns_maximum.eqs == polytope.ns_lp(sc).eqs
+        outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=witness.certificate)
+        assert not witness.feasible and lp.verify_certificate(folded_extension_lp(problem)[0], outcome)
 
     @pytest.mark.parametrize("seed", [1001, 1002, 1003, 1010])
     def test_seeded_3322_boxes_at_three_and_four_copies(self, seed):
@@ -1265,8 +1310,8 @@ class TestBellLift:
 
 
 class TestFoldedMembership:
-    """locality.local_model given the box's canonical form: the membership
-    LP of the canonical table, folded by its stabilizer."""
+    """locality._solved_model given the box's canonical form: the
+    membership LP of the canonical table, folded by its stabilizer."""
 
     def _boxes(self, ns_vertices):
         # symmetric and asymmetric, local and nonlocal, each relabeled
@@ -1284,7 +1329,7 @@ class TestFoldedMembership:
         verdicts = set()
         for box in self._boxes(ns_vertices):
             canonical = canonical_form(box)
-            folded, plain = locality.local_model(box, canonical), locality.local_model(box, own_form(box))
+            folded, plain = locality._solved_model(box, canonical), locality._solved_model(box, own_form(box))
             local = isinstance(folded, LocalModel)
             assert local == isinstance(plain, LocalModel)
             verdicts.add(local)
