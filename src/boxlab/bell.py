@@ -15,7 +15,7 @@ vertices of `ns_vertices_2222` those of each pattern, and the eight
 CHSH facets of `chsh_facets` are sum_xy s_xy C_xy / 2 - 1, CHSH
 itself (`chsh_functional`) the first.  `lifted_chsh` builds the same
 facet on any two inputs of each party of a bipartite scenario, with
-one output set against the rest at each input: the CHSH-type rows,
+the outputs split in two at each input: the CHSH-type rows,
 each with local bound 0 and nonsignaling maximum 1, of which the eight
 facets are 2222's.  `locality.is_local` certifies a box that violates
 one by the row it violates most, with no LP; by Fine's theorem a 2222
@@ -30,7 +30,8 @@ time, such as the Farkas vectors of the membership LP that
 `locality.is_local` solves for a box that violates no CHSH-type row
 outside 2222, for instance one that violates only an I3322- or
 CGLMP-type facet, put on the spanning entries of
-`polytope.spanning_entries` and averaged over the box's stabilizer:
+`polytope.spanning_entries`, less a multiple of the table's zero
+entries there, and averaged over the box's stabilizer:
 their local bound is the largest sum of the coefficients at the table
 entries a deterministic strategy fires (`polytope.strategy_columns`),
 taken in integers over the coefficients' common denominator
@@ -153,31 +154,32 @@ def chsh_facets() -> tuple[BellFunctional, ...]:
     1.  By Fine's theorem (PRL 48, 291, 1982) they and positivity are
     every facet of the polytope, so a nonsignaling 2222 box is local
     exactly when it violates none of them."""
-    both = ((0, 0), (1, 0))
+    both = ((0, (0,)), (1, (0,)))
     return tuple(lifted_chsh(scenario_2222(), signs, both, both) for signs in chsh_signs())
 
 
 @functools.lru_cache(maxsize=64)
 def lifted_chsh(scenario: Scenario, signs: tuple, alice: tuple, bob: tuple) -> BellFunctional:
     """The normalized CHSH-type row of a bipartite scenario on two inputs
-    of each party, output-lifted: alice = ((x0, a0), (x1, a1)) names
-    Alice's two inputs and, at each, the output set against the rest, bob
-    = ((y0, b0), (y1, b1)) Bob's, and signs = (s00, s01, s10, s11) is a
-    pattern of chsh_signs.  With t_i(a) = 1 if a = a_i and -1 otherwise,
-    and u_j(b) likewise, the coefficient at P(ab | x_i y_j) is s_ij t_i(a)
-    u_j(b) / 2, each a Fraction of its own, and 0 at the other inputs;
-    the offset is -1.  It is the CHSH facet of the box coarse-grained to
-    the outputs "a_i or not" and "b_j or not", so its local bound is 0,
-    since a local box coarse-grains into a local 2222 box, and its
-    nonsignaling maximum 1, which a PR box on the coarse-grained outputs
-    attains (Collins & Gisin, J. Phys. A 37, 1775, 2004; Pironio, J.
+    of each party, output-lifted: alice = ((x0, S0), (x1, S1)) names
+    Alice's two inputs and, at each, a tuple S_i of outputs set against
+    the rest, bob = ((y0, T0), (y1, T1)) Bob's, and signs = (s00, s01,
+    s10, s11) is a pattern of chsh_signs.  With t_i(a) = 1 if a is in S_i
+    and -1 otherwise, and u_j(b) likewise, the coefficient at P(ab | x_i
+    y_j) is s_ij t_i(a) u_j(b) / 2, each a Fraction of its own, and 0 at
+    the other inputs; the offset is -1.  It is the CHSH facet of the box
+    coarse-grained to the outputs "a in S_i or not" and "b in T_j or
+    not", so its local bound is 0, since a local box coarse-grains into a
+    local 2222 box, and its nonsignaling maximum 1, which a PR box on the
+    coarse-grained outputs attains when each set and its complement are
+    nonempty (Collins & Gisin, J. Phys. A 37, 1775, 2004; Pironio, J.
     Math. Phys. 46, 062112, 2005).  Kept in a small cache, so a row that
     certifies box after box is built once."""
     (A, B), (at_a, at_b) = scenario.outputs, label_offsets(scenario)
     coefficients = [ZERO] * scenario.table_size
-    for s, ((x, a_star), (y, b_star)) in zip(signs, itertools.product(alice, bob)):
+    for s, ((x, S), (y, T)) in zip(signs, itertools.product(alice, bob)):
         for a, b in itertools.product(range(A), range(B)):
-            sign = s if (a == a_star) == (b == b_star) else -s
+            sign = s if (a in S) == (b in T) else -s
             coefficients[at_a[x * A + a] + at_b[y * B + b]] = Fraction(sign, 2)
     return BellFunctional(scenario, tuple(coefficients), -ONE)
 

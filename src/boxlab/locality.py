@@ -14,22 +14,26 @@ any other number of parties, keeps its own labels (`polytope.own_labels`),
 the trivial fold, whose classes are the single strategies and whose rows
 are the spanning entries themselves.  The form's maps and the elements
 of G name labels by their numbers (`core`), one tuple per party, so
-`core.relabeled_indices` applies either to a table.
+`core.relabeled_indices` applies either to a table.  Only the classes
+that fire no zero entry of the table get a weight (membership_lp): in
+any model a strategy that fires a zero entry has weight 0 (Andersen &
+Andersen, Math. Prog. 71, 1995), so a 3322 mixture of three to eight
+strategies keeps a median of 13 of its 64 columns (300 seeded ones).
 
 Before any LP, a bipartite box is checked against the CHSH-type rows
 (_violated_facet), in integers off the numerators of its table: CHSH on
-each pair of inputs of each party, output-lifted where a party has more
-than two outputs by setting one output against the rest at each input
-(bell.lifted_chsh; Collins & Gisin, J. Phys. A 37, 1775, 2004; Pironio,
-J. Math. Phys. 46, 062112, 2005).  Each has local bound 0 and
-nonsignaling maximum 1, so a box that violates one is certified by the
-row it violates most, a normalized Bell functional, and solves no LP:
-every nonlocal box of the CHSH scenario does, and so does a generalized
-isotropic box with three outputs at C = 3/5.  A box that violates only
-other facets, such as those of I3322 or CGLMP (generalized isotropic
-A=3 at C = 27/50, just above its locality threshold), or that needs a
-coarse-graining of two outputs against two, such as generalized
-isotropic A=4 and A=5 at C = 3/5, still solves the membership LP below.
+each pair of inputs of each party, output-lifted by every binary
+coarse-graining of each party's outputs at each input, a set of outputs
+against the rest (bell.lifted_chsh; Collins & Gisin, J. Phys. A 37,
+1775, 2004; Pironio, J. Math. Phys. 46, 062112, 2005).  Each has local
+bound 0 and nonsignaling maximum 1, so a box that violates one is
+certified by the row it violates most, a normalized Bell functional,
+and solves no LP: every nonlocal box of the CHSH scenario does, and so
+do generalized isotropic boxes at C = 3/5 with three, four and five
+outputs, the last two by setting two outputs against the rest.  A box
+that violates only other facets, such as those of I3322 or CGLMP
+(generalized isotropic A=3 at C = 27/50, just above its locality
+threshold), still solves the membership LP below.
 A 2222 box never reaches the LP: both halves of Fine's theorem (PRL 48,
 291, 1982) decide it in closed form.  The eight CHSH facets
 (bell.chsh_facets), 2222's rows, are all the nontrivial facets of its
@@ -41,14 +45,19 @@ of weight T_0 T_1 / Q.
 
 The membership LP's feasibility yields an explicit LocalModel, in the
 box's own labels.  Infeasibility yields a Farkas vector y of the folded
-program, which becomes a Bell functional in three steps.  Each row's
-multiplier goes on the first spanning entry it pins, so the functional
-sums over each class to minus y's combination of that class's column,
-at most 0, and is positive on the canonical table.  Averaged over G, it is G-invariant,
-so its value on each strategy is its class's average, at most 0, while
-its value on the table, which G fixes, does not change.  Read back
-through the canonical form's maps and normalized, it is violated by the
-box.  Secrecy content is this decision: a bipartite box contains
+program over the table's support, which becomes a Bell functional in
+four steps.  Each row's multiplier goes on the first spanning entry it
+pins, so the functional sums over each class kept to minus y's
+combination of that class's column, at most 0, and is positive on the
+canonical table.  Less the indicator of the table's zero entries, moved
+onto the spanning entries (polytope.collins_gisin), times its largest
+value on a strategy that fires a zero entry, it is at most 0 on each
+such strategy, which the indicator counts at least 1, and the same on
+the table and on every strategy that fires none.  Averaged over G, it
+is G-invariant, so its value on each strategy is its class's average,
+at most 0, while its value on the table, which G fixes, does not
+change.  Read back through the canonical form's maps and normalized, it
+is violated by the box.  Secrecy content is this decision: a bipartite box contains
 secrecy exactly when it is nonlocal, and for a local box the model's
 hidden variable is a message an eavesdropper can hold (eve_extension),
 so the command line's `secrecy` analysis is `is_local` with the verdict
@@ -196,15 +205,16 @@ def _membership_rows(scenario: Scenario, group: tuple) -> tuple:
     """The membership rows folded by `group`, local relabelings (per
     element, one map of label numbers per party) that fix the table the
     program is stated on, built once per scenario and group and held in
-    a small cache.  Returns (members, rows): per class of strategies
+    a small cache.  Returns (members, rows, fires): per class of strategies
     that the group maps onto each other (classes numbered by their least
     strategy, polytope.orbit_classes), its strategies' response tables
-    in deterministic_strategies order; and per distinct folded spanning
+    in deterministic_strategies order; per distinct folded spanning
     row (polytope.group_entries) its (class, coefficient) pairs, the
     int coefficient the number of the class's strategies that set the
     entry to 1 (polytope.fold_row, as in shareability._folded_rows),
-    with the spanning entries that share it.  Under the trivial group
-    every strategy is its own class."""
+    with the spanning entries that share it; and per flat table entry
+    the classes, ascending, of the strategies that fire it.  Under the
+    trivial group every strategy is its own class."""
     alphabets = zip(scenario.inputs, scenario.outputs)
     tables = [list(itertools.product(range(a), repeat=x)) for x, a in alphabets]
     numbers = [{t: n for n, t in enumerate(ts)} for ts in tables]
@@ -228,7 +238,16 @@ def _membership_rows(scenario: Scenario, group: tuple) -> tuple:
     spanning = polytope.spanning_entries(scenario)
     rows = [polytope.fold_row(zip(fired[e], itertools.repeat(1)), class_of) for e in spanning]
     rows = polytope.group_entries(spanning, rows)
-    return tuple(map(tuple, members)), rows
+    fires = tuple(tuple(sorted({class_of[s] for s in ss})) for ss in fired)
+    return tuple(map(tuple, members)), rows, fires
+
+
+def _support(scenario: Scenario, group: tuple, table: tuple) -> list:
+    """The classes of _membership_rows(scenario, group), ascending, that
+    fire no zero entry of `table`."""
+    members, _, fires = _membership_rows(scenario, group)
+    dropped = set().union(*(f for f, p in zip(fires, table) if not p))
+    return [k for k in range(len(members)) if k not in dropped]
 
 
 def membership_lp(box: Box, canonical) -> lp.LinearProgram:
@@ -254,11 +273,22 @@ def membership_lp(box: Box, canonical) -> lp.LinearProgram:
     group gives a model constant on the classes.  The rows are built
     once per scenario and group, already in LinearProgram's canonical
     form (ascending classes, int coefficients), and each box adds only
-    its table as the right-hand sides."""
+    its table as the right-hand sides.
+
+    Only the classes that fire no zero entry of the table get a column
+    (_support), in class order: in every model a strategy that fires a
+    zero entry has weight 0 (Andersen & Andersen, Math. Prog. 71, 1995).
+    The table is G-invariant, so a class fires a zero entry with all of
+    its strategies or with none.  The rows stay one per pin, a row that
+    pins a zero entry left with no column, so a Farkas vector still has
+    one multiplier per pin; with no class left, the program has no
+    column at all."""
     table, *_, group = canonical
-    members, rows = _membership_rows(box.scenario, group)
-    prog = lp.LinearProgram(len(members))
-    prog.eqs.extend(polytope.pin_rows(rows, table))
+    rows = _membership_rows(box.scenario, group)[1]
+    column = {k: j for j, k in enumerate(_support(box.scenario, group, table))}
+    prog = lp.LinearProgram(len(column))
+    prog.eqs.extend((tuple((column[k], c) for k, c in coeffs if k in column), rhs)
+                    for coeffs, rhs in polytope.pin_rows(rows, table))
     return prog
 
 
@@ -266,8 +296,8 @@ def _solved_model(box: Box, canonical) -> LocalModel | lp.LpOutcome:
     """The answer of membership_lp(box, canonical), not yet checked to
     reconstruct the box: a LocalModel of the strategies of positive
     weight, or the INFEASIBLE LpOutcome, whose Farkas vector has one
-    entry per row of that program.  Each class weight is spread over the
-    class's strategies, which are read back through the form's maps,
+    entry per row of that program.  Each column's weight is spread over
+    its class's strategies, which are read back through the form's maps,
     each inverted by sorting its label numbers, into the box's own labels
     and listed in the box's own deterministic_strategies order, so the
     model does not depend on which relabeling was canonical."""
@@ -277,7 +307,8 @@ def _solved_model(box: Box, canonical) -> LocalModel | lp.LpOutcome:
         back = [sorted(range(len(to)), key=to.__getitem__) for to in canonical[1:-1]]
         members = _membership_rows(sc, canonical[-1])[0]
         pairs = sorted((tuple(map(_moved, tables, back)), w)
-                       for k, w in enumerate(out.primal) if w for tables in members[k])
+                       for k, w in zip(_support(sc, canonical[-1], canonical[0]), out.primal) if w
+                       for tables in members[k])
         strategies = tuple(DeterministicStrategy(sc, tables) for tables, _ in pairs)
         return LocalModel(sc, strategies, tuple(w for _, w in pairs))
     ensure(out.status == lp.INFEASIBLE, f"membership LP ended {out.status}")
@@ -292,38 +323,55 @@ def _entry_orbits(scenario: Scenario, group: tuple) -> tuple:
     return tuple(zip(*(relabeled_indices(scenario, element) for element in group)))
 
 
-def _pinned(scenario: Scenario, table: tuple, group: tuple, farkas) -> list:
-    """Each multiplier of `farkas`, a Farkas vector of the membership LP
-    of `table` folded by `group`, negated on the first spanning entry its
-    row pins (polytope.pinned_entries), and ZERO on every other entry."""
+def _pinned(scenario: Scenario, table: tuple, group: tuple, farkas) -> tuple:
+    """The functional on the spanning entries, as integer numerators over
+    a common denominator (den, nums), that a Farkas vector `farkas` of
+    the membership LP of `table` folded by `group` gives: each multiplier
+    negated on the first spanning entry its row pins
+    (polytope.pinned_entries), less the indicator of the table's zero
+    entries moved onto the spanning entries (polytope.collins_gisin)
+    times the largest value of the first part on a strategy that fires a
+    zero entry, when that is positive.  Summed over each class it is at
+    most 0, and on each strategy that fires a zero entry too."""
     coefficients = [ZERO] * scenario.table_size
     for (_, es), y in zip(polytope.pinned_entries(_membership_rows(scenario, group)[1], table), farkas):
         coefficients[es[0]] = -y
-    return coefficients
+    den, nums = numerators(coefficients)
+    zero = [int(not p) for p in table]
+    # the strategies membership_lp left out, each firing a zero entry
+    top = max((sum(map(nums.__getitem__, cols)) for cols in polytope.strategy_columns(scenario)
+               if any(map(zero.__getitem__, cols))), default=0)
+    if top > 0:
+        nums = [n - top * z for n, z in zip(nums, polytope.collins_gisin(scenario, zero, 0)[0])]
+    return den, nums
 
 
 def _bell_coefficients(box: Box, canonical, farkas) -> list:
     """The Bell functional, in the box's own labels, that the Farkas
     vector `farkas` of membership_lp(box, canonical) gives, by the first
-    two steps the module docstring argues for: the multipliers put on
-    their pinned entries (_pinned), then summed over the images of each
-    entry under the group (the average up to the factor |G|), in integer
-    numerators over the pinned coefficients' common denominator, and read
-    back through the form's maps (core.relabeled_indices).  At most 0 on
-    every deterministic strategy and positive on the box."""
+    steps the module docstring argues for: the functional on the spanning
+    entries (_pinned), summed over the images of each entry under the
+    group (the average up to the factor |G|), in integer numerators, and
+    read back through the form's maps (core.relabeled_indices).  At most
+    0 on every deterministic strategy and positive on the box."""
     sc = box.scenario
     table, *maps, group = canonical
-    den, nums = numerators(_pinned(sc, table, group, farkas))
+    den, nums = _pinned(sc, table, group, farkas)
     summed = [sum(map(nums.__getitem__, orbit)) for orbit in _entry_orbits(sc, group)]
     return [Fraction(summed[c], den) for c in relabeled_indices(sc, maps)]
 
 
-def _stars(outputs: int) -> range:
-    """The outputs that a CHSH-type row sets against the rest at one
-    input: output 0 alone when there are two, since setting output 1
-    against output 0 only flips a sign pattern, and each output when
-    there are more."""
-    return range(1) if outputs == 2 else range(outputs)
+@functools.lru_cache(maxsize=16)
+def _stars(outputs: int) -> tuple:
+    """Every split of the outputs into two nonempty sets, up to
+    complement, as the set that a CHSH-type row sets against the rest at
+    one input: by size up to half the outputs, each size in
+    lexicographic order, a set of exactly half only when it holds output
+    0.  1, 3, 7 and 15 sets for 2, 3, 4 and 5 outputs; for two, output 0
+    alone, since setting output 1 against output 0 only flips a sign
+    pattern, and for three, each output alone."""
+    return tuple(S for size in range(1, outputs // 2 + 1) for S in itertools.combinations(range(outputs), size)
+                 if 2 * size < outputs or S[0] == 0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -332,97 +380,121 @@ def _chsh_layout(sc: Scenario) -> tuple:
     inputs and two outputs per party, built once per scenario and held
     in a small cache.
 
-    Correlators are numbered per Alice input x and output a* of
-    _stars(A), then per Bob input y and b* of _stars(B): the block at (x,
-    y) coarse-grained to a* against the rest and b* against the rest, E =
-    sum_ab t(a) u(b) P(ab|xy) with t(a) = 1 if a = a* and -1 otherwise,
-    and u likewise.  Returns (first, agree, pairs, width, blocks):
+    Correlators are numbered per Alice input x and set S of _stars(A),
+    then per Bob input y and set T of _stars(B): the block at (x, y)
+    coarse-grained to S against the rest and T against the rest, E =
+    sum_ab t(a) u(b) P(ab|xy) with t(a) = 1 if a is in S and -1
+    otherwise, and u likewise.  Returns (first, agree, pairs, bob,
+    rows, group):
     - an operator.itemgetter of the entries of the block at (0, 0);
     - per correlator, an itemgetter of the flat entries
       (core.label_offsets) of its block where t u = 1, at least two, so
       that it returns a tuple: E is twice their sum less the block's;
-    - per Alice input x, per pair of Bob's inputs y0 < y1, per b0*, b1*
-      in product order, per a* innermost, the numbers of the correlators
-      at (x a*, y0 b0*) and (x a*, y1 b1*), `width` of them per x and a*;
-    - the inputs and coarse-grainings of the CHSH-type rows, in the
-      order _violated_facet ranks them: per pair of Alice's inputs, per
-      pair of Bob's, per choice of a0*, a1*, b0*, b1* in product order,
-      the pair (((x0, a0*), (x1, a1*)), ((y0, b0*), (y1, b1*))) that
-      bell.lifted_chsh takes, with an itemgetter of its correlators (e00,
-      e01, e10, e11).  Each block takes the eight sign patterns of
-      bell.chsh_signs: 8, 24, 72 and 648 rows in 2222, 2322, 3322 and
-      2233, the last Collins and Gisin's count of lifted CHSH facets."""
+    - per Alice input x, per column of Bob's, per S innermost, the
+      numbers of the correlators at (x S, y0 T0) and (x S, y1 T1);
+    - Bob's columns, per pair of his inputs y0 < y1, per T0, T1 in
+      product order: the pairs ((y0, T0), (y1, T1)) that bell.lifted_chsh
+      takes;
+    - per pair of Alice's inputs x0 < x1, (x0 w, x1 w), w the number of
+      Bob's columns: where each input's columns start;
+    - the number of Bob's columns per pair of his inputs.
+    The CHSH-type rows, in the order _violated_facet ranks them, are per
+    pair of Alice's inputs x0 < x1, per pair of Bob's, per S0, S1, T0, T1
+    in product order, the eight sign patterns of bell.chsh_signs: 8, 24,
+    72, 648 and 19,208 rows in 2222, 2322, 3322, 2233 and 2244, 648
+    being Collins and Gisin's count of lifted CHSH facets in 2233.  No
+    row is stored."""
     (X, Y), (A, B) = sc.inputs, sc.outputs
-    at_a, at_b = label_offsets(sc)
+    (at_a, at_b), stars_a, stars_b = label_offsets(sc), _stars(A), _stars(B)
     first = operator.itemgetter(*(at_a[a] + at_b[b] for a, b in itertools.product(range(A), range(B))))
     agree = tuple(
         operator.itemgetter(*(at_a[x * A + a] + at_b[y * B + b]
-                              for a, b in itertools.product(range(A), range(B)) if (a == a_star) == (b == b_star)))
-        for x, a_star, y, b_star in itertools.product(range(X), _stars(A), range(Y), _stars(B)))
-    na, nb = len(_stars(A)), len(_stars(B))
+                              for a, b in itertools.product(range(A), range(B)) if (a in S) == (b in T)))
+        for x, S, y, T in itertools.product(range(X), stars_a, range(Y), stars_b))
+    na, nb = len(stars_a), len(stars_b)
     row = Y * nb
-    bob_pairs = [(y0 * nb + j0, y1 * nb + j1)
-                 for y0, y1 in itertools.combinations(range(Y), 2) for j0 in range(nb) for j1 in range(nb)]
-    pairs = tuple((k + p, k + q)
-                  for x in range(X) for p, q in bob_pairs for k in range(x * na * row, (x + 1) * na * row, row))
-    blocks = []
-    inputs = itertools.product(itertools.combinations(range(X), 2), itertools.combinations(range(Y), 2))
-    for (x0, x1), (y0, y1) in inputs:
-        for a0, a1, b0, b1 in itertools.product(_stars(A), _stars(A), _stars(B), _stars(B)):
-            alice, bob = ((x0, a0), (x1, a1)), ((y0, b0), (y1, b1))
-            numbers = [(x * na + a) * row + y * nb + b for (x, a), (y, b) in itertools.product(alice, bob)]
-            blocks.append((alice, bob, operator.itemgetter(*numbers)))
-    return first, agree, pairs, len(bob_pairs), tuple(blocks)
+    bob = [(y0, j0, y1, j1) for y0, y1 in itertools.combinations(range(Y), 2) for j0 in range(nb) for j1 in range(nb)]
+    pairs = tuple((k + y0 * nb + j0, k + y1 * nb + j1)
+                  for x in range(X) for y0, j0, y1, j1 in bob for k in range(x * na * row, (x + 1) * na * row, row))
+    bob = tuple(((y0, stars_b[j0]), (y1, stars_b[j1])) for y0, j0, y1, j1 in bob)
+    rows = tuple(itertools.combinations(range(0, X * len(bob), len(bob)), 2))
+    return first, agree, pairs, bob, rows, nb * nb
+
+
+def _row_certificate(sc: Scenario, den: int, best: int, e, alice: tuple, bob: tuple) -> NonlocalityCertificate:
+    """The certificate of the CHSH-type row on Alice's inputs and sets
+    `alice` and Bob's `bob` whose sign pattern, the first of chsh_signs
+    that does, takes the correlators e = (e00, e01, e10, e11), numerators
+    over den, to s.e = best."""
+    sums = [s00 * e[0] + s01 * e[1] + s10 * e[2] + s11 * e[3] for s00, s01, s10, s11 in chsh_signs()]
+    ensure(best in sums, "no sign pattern attains the largest value of its block")
+    functional = lifted_chsh(sc, chsh_signs()[sums.index(best)], alice, bob)
+    return NonlocalityCertificate(functional, Fraction(best - 2 * den, 2 * den))
 
 
 def _violated_facet(sc: Scenario, den: int, nums) -> NonlocalityCertificate | None:
     """The certificate of the CHSH-type row (bell.lifted_chsh) that a
     nonsignaling bipartite table, read into its numerators over `den`
-    (numerators), violates most, the first in the order of _chsh_layout's
-    blocks and then of chsh_signs on ties, or None when it violates none
-    or the scenario has no such row (a party with one input or one
-    output).
+    (numerators), violates most, the first in the order of _chsh_layout
+    and then of chsh_signs on ties, or None when it violates none or the
+    scenario has no such row (a party with one input or one output).
 
-    Everything is in integers.  The correlators of the blocks, each
-    coarse-grained to one output against the rest per party
-    (_chsh_layout), are read as numerators over den; a nonsignaling
-    table sums to the same at every input pair, read at (0, 0).  A row
-    of sign pattern s on correlators e = (e00, e01, e10, e11) has the
-    value -1 + s.e / (2 den), so it is violated when s.e > 2 den.  The
-    largest s.e is found first without listing the rows: with sigma =
-    s00 s01, s.e = +-(e00 + sigma e01) +- (e10 - sigma e11), both signs
-    free over the patterns, so the largest s.e of a block is |e00 +
-    sigma e01| + |e10 - sigma e11| at the better sigma.  The first term
-    depends on Alice's coarse-graining at x0 only and the second on hers
-    at x1, so each is maximized over it by itself, per pair of Bob's
-    inputs, his coarse-grainings there and sigma.  Only when that
-    maximum passes 2 den are the blocks walked, in order, to the first
-    that attains it."""
+    Everything is in integers.  The correlators, each coarse-grained to
+    one set of outputs against the rest per party (_chsh_layout), are
+    read as numerators over den; a nonsignaling table sums to the same at
+    every input pair, read at (0, 0).  A row of sign pattern s on
+    correlators e = (e00, e01, e10, e11) has the value -1 + s.e / (2
+    den), so it is violated when s.e > 2 den.  The largest s.e is found
+    without listing the rows: with sigma = s00 s01, s.e = +-(e00 + sigma
+    e01) +- (e10 - sigma e11), both signs free over the patterns, so the
+    largest s.e of a block is |e00 + sigma e01| + |e10 - sigma e11| at
+    the better sigma.  The first term depends on Alice's coarse-graining
+    at x0 only and the second on hers at x1, so each is maximized over it
+    by itself, per pair of Bob's inputs, his coarse-grainings there and
+    sigma.  Only when that maximum passes 2 den is the row that attains
+    it found, from the same sums: per pair of Alice's inputs and of
+    Bob's, the first set at x0 with which the best at x1 attains it, then
+    the first set at x1 and the first column of Bob's.  A 2222 table, one
+    block, takes its largest s.e directly."""
     (X, Y), (A, B) = sc.inputs, sc.outputs
     if min(X, Y, A, B) < 2:
         return None
-    first, agree, pairs, width, blocks = _chsh_layout(sc)
+    first, agree, pairs, bob, rows, group = _chsh_layout(sc)
     total = sum(first(nums))
     corr = [2 * sum(entries(nums)) - total for entries in agree]
+    if len(corr) == 4:
+        # one block (2222), read without the screen; Alice's inputs and sets are Bob's column
+        best = max(abs(corr[0] + corr[1]) + abs(corr[2] - corr[3]), abs(corr[0] - corr[1]) + abs(corr[2] + corr[3]))
+        return _row_certificate(sc, den, best, corr, bob[0], bob[0]) if best > 2 * den else None
     plus = [abs(corr[p] + corr[q]) for p, q in pairs]
     minus = [abs(corr[p] - corr[q]) for p, q in pairs]
-    na = len(_stars(A))
+    stars, width = _stars(A), len(bob)
+    na = len(stars)
+    top_plus, top_minus = plus, minus
     if na > 1:
         # the largest over Alice's coarse-grainings at each input, which run innermost
-        plus = list(map(max, zip(*[iter(plus)] * na)))
-        minus = list(map(max, zip(*[iter(minus)] * na)))
-    best = max(max(*map(operator.add, plus[i:i + width], minus[j:j + width]),
-                   *map(operator.add, minus[i:i + width], plus[j:j + width]))
-               for i, j in itertools.combinations(range(0, X * width, width), 2))
+        top_plus = list(map(max, zip(*[iter(plus)] * na)))
+        top_minus = list(map(max, zip(*[iter(minus)] * na)))
+    best = max(max(*map(operator.add, top_plus[i:i + width], top_minus[j:j + width]),
+                   *map(operator.add, top_minus[i:i + width], top_plus[j:j + width]))
+               for i, j in rows)
     if best <= 2 * den:
         return None
-    for alice, bob, read in blocks:
-        e00, e01, e10, e11 = read(corr)
-        if max(abs(e00 + e01) + abs(e10 - e11), abs(e00 - e01) + abs(e10 + e11)) == best:
-            sums = [s00 * e00 + s01 * e01 + s10 * e10 + s11 * e11 for s00, s01, s10, s11 in chsh_signs()]
-            ensure(best in sums, "no sign pattern attains the largest value of its block")
-            functional = lifted_chsh(sc, chsh_signs()[sums.index(best)], alice, bob)
-            return NonlocalityCertificate(functional, Fraction(best - 2 * den, 2 * den))
+    for i, j in rows:
+        for g in range(0, width, group):
+            ks = range(g, g + group)
+            for a0 in range(na):
+                # skip a set at x0 with which not even the best at x1 attains the maximum
+                if na > 1 and not any(best in (plus[(i + k) * na + a0] + top_minus[j + k],
+                                               minus[(i + k) * na + a0] + top_plus[j + k]) for k in ks):
+                    continue
+                for a1 in range(na):
+                    for k in ks:
+                        (p0, q0), (p1, q1) = pairs[(i + k) * na + a0], pairs[(j + k) * na + a1]
+                        e = corr[p0], corr[q0], corr[p1], corr[q1]
+                        if best == abs(e[0] + e[1]) + abs(e[2] - e[3]) or best == abs(e[0] - e[1]) + abs(e[2] + e[3]):
+                            alice = ((i // width, stars[a0]), (j // width, stars[a1]))
+                            return _row_certificate(sc, den, best, e, alice, bob[k])
     raise InternalError("no CHSH-type row attains the largest value over the rows")
 
 
@@ -461,48 +533,35 @@ def _fine_model(sc: Scenario, den: int, nums) -> LocalModel | None:
     return LocalModel(sc, tuple(strategies), tuple(weights))
 
 
-def _membership_verdict(box: Box, den: int, nums) -> LocalModel | NonlocalityCertificate:
+def _membership_verdict(box: Box, den: int, nums) -> tuple:
     """is_local's membership-LP path for a checked box, its table read
     into numerators `nums` over `den`: the LP's model (_solved_model),
     checked against them to reconstruct the box, or its Farkas vector
-    made into a Bell functional (_bell_coefficients) and normalized."""
+    made into a Bell functional (_bell_coefficients) and normalized.
+    Returns that verdict and the form it was decided on when
+    polytope.canonical_form searched for it, else None."""
     sc = box.scenario
+    searched = None
     if sc.parties == 2 and not polytope.labels_told_apart(sc, nums):
-        canonical = polytope.canonical_form(box)
+        canonical = searched = polytope.canonical_form(box)
     else:
         canonical = (box.table, *polytope.own_labels(sc))
     found = _solved_model(box, canonical)
     if isinstance(found, LocalModel):
         ensure(found._reproduces(den, nums), "local model does not reconstruct the box")
-        return found
+        return found, searched
     coefficients = _bell_coefficients(box, canonical, found.certificate.y_eq)
     functional = normalize(BellFunctional(sc, tuple(coefficients), ZERO))
     violation = functional.evaluate(box)
     ensure(violation > 0, "Bell functional from the Farkas vector is not violated")
-    return NonlocalityCertificate(functional, violation)
+    return NonlocalityCertificate(functional, violation), searched
 
 
-def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
-    """Decide local-polytope membership with an explicit witness either
-    way: a LocalModel in the box's own labels, or a normalized Bell
-    functional that the box violates.
-
-    A bipartite box that violates a CHSH-type row, output-lifted where
-    a party has more than two outputs, is certified by the row it
-    violates most (_violated_facet), with no LP.  Any other 2222 box is
-    local by Fine's theorem, with the model _fine_model glues, checked
-    here to exist, to have positive weights and to reconstruct the box.
-    The membership LP (_membership_verdict) decides every other box,
-    such as one that violates only an I3322- or CGLMP-type facet; its
-    model is checked against the numerators read here, as Fine's is
-    (LocalModel._reproduces).  A bipartite one is decided on its
-    canonical form, the LP folded by its stabilizer G
-    (polytope.canonical_form): 81 x 25 becomes 9 x 3 on generalized
-    isotropic boxes with 3 outputs.  The search is skipped when
-    polytope.labels_told_apart shows that only the identity fixes the
-    table, as it does for most boxes without symmetry; such a box is
-    decided on its own labels (polytope.own_labels, the trivial form),
-    as is any box of another number of parties."""
+def _decided(box: Box) -> tuple:
+    """is_local's verdict and the canonical form (polytope.canonical_form)
+    that its membership LP was stated on, or None when it searched for
+    none, so that shareability.is_m_shareable states its orbit program
+    on that form without a second search."""
     sc = box.scenario
     # the table read once into numerators, for the NS check, the rows, the pre-test and both models' checks
     den, nums = numerators(box.table)
@@ -513,14 +572,39 @@ def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
     if sc.parties == 2:
         certificate = _violated_facet(sc, den, nums)
         if certificate is not None:
-            return certificate
+            return certificate, None
     if sc.inputs == sc.outputs == (2, 2):
         model = _fine_model(sc, den, nums)
         ensure(model is not None, "a 2222 box that violates no CHSH facet has no model, against Fine's theorem")
         ensure(all(w > 0 for w in model.weights), "Fine's model has a weight that is not positive")
         ensure(model._reproduces(den, nums), "Fine's model does not reconstruct the box")
-        return model
+        return model, None
     return _membership_verdict(box, den, nums)
+
+
+def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
+    """Decide local-polytope membership with an explicit witness either
+    way: a LocalModel in the box's own labels, or a normalized Bell
+    functional that the box violates (_decided).
+
+    A bipartite box that violates a CHSH-type row, on any binary
+    coarse-graining of each party's outputs, is certified by the row it
+    violates most (_violated_facet), with no LP.  Any other 2222 box is
+    local by Fine's theorem, with the model _fine_model glues, checked
+    here to exist, to have positive weights and to reconstruct the box.
+    The membership LP (_membership_verdict) decides every other box,
+    such as one that violates only an I3322- or CGLMP-type facet, over
+    the strategies that fire no zero entry of its table; its model is
+    checked against the numerators read here, as Fine's is
+    (LocalModel._reproduces).  A bipartite one is decided on its
+    canonical form, the LP folded by its stabilizer G
+    (polytope.canonical_form): 81 x 25 becomes 9 x 3 on generalized
+    isotropic boxes with 3 outputs.  The search is skipped when
+    polytope.labels_told_apart shows that only the identity fixes the
+    table, as it does for most boxes without symmetry; such a box is
+    decided on its own labels (polytope.own_labels, the trivial form),
+    as is any box of another number of parties."""
+    return _decided(box)[0]
 
 
 def eve_extension(box: Box, model: LocalModel) -> Box:

@@ -34,7 +34,9 @@ Problems are stated as
 
 Every variable is nonnegative, so each is one tableau column;
 inequalities get slacks, and infeasible-start rows get artificial
-columns.  There are no per-variable upper bounds: a bound x_i <= u is
+columns.  A program may have no variable at all, and then only its
+right-hand sides decide it: the membership LP of a box whose support
+fits no deterministic strategy is one.  There are no per-variable upper bounds: a bound x_i <= u is
 the inequality row ((i, 1),) <= u, and no program boxlab states needs
 one (the clone ceiling's C <= 1 follows from its own pin rows), so the
 tableau, the certificate read-out and its check know two row kinds.
@@ -52,7 +54,8 @@ int allowed for a Fraction coefficient, may append (row, rhs) pairs to
 `polytope.ns_lp` the nonsignaling rows, with Fraction coefficients;
 `locality.membership_lp` the local-membership rows at the spanning
 entries, folded by the box's stabilizer or by the trivial group (once
-per scenario and stabilizer); and `shareability.folded_extension_lp`
+per scenario and stabilizer), each box's columns renumbered to the
+classes of strategies that fire no zero entry of its table; and `shareability.folded_extension_lp`
 the orbit rows, folded by the box's stabilizer (once per scenario, m
 and stabilizer; toward A is toward B on the party-swapped box).  The
 last two hold int coefficients, summed per class by
@@ -99,8 +102,8 @@ class LinearProgram:
     sides and the objective are Fractions."""
 
     def __init__(self, num_vars: int, objective: Iterable = ()):
-        if num_vars < 1:
-            raise LpFormatError("need at least one variable")
+        if num_vars < 0:
+            raise LpFormatError("need a nonnegative number of variables")
         self.num_vars = num_vars
         self.objective = self._row(objective)
         self.eqs: list[tuple[tuple[tuple[int, int | Fraction], ...], Fraction]] = []
@@ -515,7 +518,7 @@ def verify_certificate(lp: LinearProgram, outcome: LpOutcome) -> bool:
 
     D = lcm(*(v.denominator for v in multipliers))
     y = _over(multipliers, D)
-    y_rows, y_lb = y[:-n], y[-n:]
+    y_rows, y_lb = y[:len(y) - n], y[len(y) - n:]
     rows = lp.eqs + lp.ineqs
     L = lcm(
         *(c.denominator for terms, _ in rows for _, c in terms),

@@ -602,7 +602,8 @@ def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
     Everything is asked of the oriented base box (_oriented: toward A,
     the party-swapped box, toward B).  A base box within
     locality.STRATEGY_CAP strategies is first decided by
-    locality.is_local.  A model gives the extension, every copy replaying
+    locality.is_local (locality._decided, which also hands back the
+    canonical form its membership LP searched for, if any).  A model gives the extension, every copy replaying
     Bob's table of the oriented box (LocalModel.adjoin).  A nonlocal base
     at m >= Y, Y its second party's inputs, is not shareable by the
     paper's theorem: is_local's Bell functional is lifted into a Farkas
@@ -613,20 +614,20 @@ def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
     unfolded into the full symmetric extension table, and an infeasible
     one carries that LP's Farkas certificate.  Both programs are stated
     on the base's canonical relabeling and folded by its stabilizer, found
-    once (polytope.canonical_form).  Either extension is put in the
+    once (polytope.canonical_form), by is_local or here.  Either extension is put in the
     problem's slot order once (_in_problem_order).
     """
-    from .locality import STRATEGY_CAP, LocalModel, is_local
+    from .locality import STRATEGY_CAP, LocalModel, _decided
 
     base, m = _oriented(problem), problem.copies
     sc = base.scenario
-    verdict = is_local(base) if polytope.strategy_count(sc) <= STRATEGY_CAP else None
+    verdict, canonical = _decided(base) if polytope.strategy_count(sc) <= STRATEGY_CAP else (None, None)
     if isinstance(verdict, LocalModel):
         tables = [(s.tables[1],) * (m - 1) for s in verdict.strategies]
         ext = verdict.adjoin(sc.inputs[1:] * (m - 1), sc.outputs[1:] * (m - 1), tables).box()
         ext = _in_problem_order(problem, ext)
     else:
-        canonical = polytope.canonical_form(base)
+        canonical = canonical or polytope.canonical_form(base)
         prog, unfold = folded_extension_lp(problem, canonical)
         if verdict is not None and m >= sc.inputs[1]:
             certificate = _bell_lift(sc, m, canonical, verdict.functional, prog)

@@ -201,52 +201,82 @@ def local_bound_by_enumeration(functional) -> Fraction:
     return best
 
 
+def output_splits(outputs: int) -> list:
+    """Every split of the outputs into two nonempty sets, up to
+    complement, each named by its smaller set, or by the one holding
+    output 0 when both have as many outputs; ordered by size, then
+    lexicographically.  Found by walking every bitmask."""
+    named = set()
+    for mask in range(1, 2**outputs - 1):
+        sets = [tuple(a for a in range(outputs) if (mask >> a & 1) == bit) for bit in (1, 0)]
+        named.add(min(sets, key=lambda S: (len(S), S)))
+    return sorted(named, key=lambda S: (len(S), S))
+
+
 @functools.lru_cache(maxsize=8)
-def chsh_type_rows(sc: Scenario) -> tuple:
-    """Every CHSH-type row of a bipartite scenario, output-lifted, in the
-    order is_local ranks them: per pair of Alice's inputs x0 < x1, per
-    pair of Bob's y0 < y1, per output set against the rest at x0, x1, y0
-    and y1 in product order (output 0 alone at a party with two outputs,
-    each output at a party with more), per sign pattern of
-    bell.chsh_signs.  Each is sum_ij s_ij C_ij / 2 - 1 on the
-    coarse-grained correlators C_ij = sum_ab t_i(a) u_j(b) P(ab | x_i
-    y_j), t_i(a) = 1 if a is the output set against the rest at x_i and
-    -1 otherwise, u_j likewise: its coefficients placed entry by entry
-    through _flat_of.  Held in a small cache, since 2244 has 2,048."""
+def _chsh_type_specs(sc: Scenario) -> tuple:
+    """Every CHSH-type row of a bipartite scenario as (xs, ys, sets,
+    signs), in the order is_local ranks them: per pair of Alice's inputs
+    x0 < x1, per pair of Bob's y0 < y1, per set of outputs set against the
+    rest at x0, x1, y0 and y1 in product order (output_splits), per sign
+    pattern of bell.chsh_signs."""
     from boxlab import bell
 
     (X, Y), (A, B) = sc.inputs, sc.outputs
-    stars_a = [0] if A == 2 else list(range(A))
-    stars_b = [0] if B == 2 else list(range(B))
-    rows = []
-    for xs, ys in itertools.product(itertools.combinations(range(X), 2), itertools.combinations(range(Y), 2)):
-        for stars in itertools.product(stars_a, stars_a, stars_b, stars_b):
-            for signs in bell.chsh_signs():
-                coefficients = [Fraction(0)] * sc.table_size
-                for (i, x), (j, y) in itertools.product(enumerate(xs), enumerate(ys)):
-                    for a, b in itertools.product(range(A), range(B)):
-                        t = 1 if a == stars[i] else -1
-                        u = 1 if b == stars[2 + j] else -1
-                        coefficients[_flat_of(sc, (a, b), (x, y))] = Fraction(signs[2 * i + j] * t * u, 2)
-                rows.append(bell.BellFunctional(sc, tuple(coefficients), Fraction(-1)))
-    return tuple(rows)
+    splits_a, splits_b = output_splits(A), output_splits(B)
+    return tuple(
+        (xs, ys, sets, signs)
+        for xs, ys in itertools.product(itertools.combinations(range(X), 2), itertools.combinations(range(Y), 2))
+        for sets in itertools.product(splits_a, splits_a, splits_b, splits_b)
+        for signs in bell.chsh_signs())
+
+
+def chsh_type_row(sc: Scenario, n: int):
+    """Row n of _chsh_type_specs as a Bell functional: sum_ij s_ij C_ij /
+    2 - 1 on the coarse-grained correlators C_ij = sum_ab t_i(a) u_j(b)
+    P(ab | x_i y_j), t_i(a) = 1 if a is in the set at x_i and -1
+    otherwise, u_j likewise, its coefficients placed entry by entry
+    through _flat_of."""
+    from boxlab import bell
+
+    (A, B), (xs, ys, sets, signs) = sc.outputs, _chsh_type_specs(sc)[n]
+    coefficients = [Fraction(0)] * sc.table_size
+    for (i, x), (j, y) in itertools.product(enumerate(xs), enumerate(ys)):
+        for a, b in itertools.product(range(A), range(B)):
+            t = 1 if a in sets[i] else -1
+            u = 1 if b in sets[2 + j] else -1
+            coefficients[_flat_of(sc, (a, b), (x, y))] = Fraction(signs[2 * i + j] * t * u, 2)
+    return bell.BellFunctional(sc, tuple(coefficients), Fraction(-1))
 
 
 @functools.lru_cache(maxsize=8)
-def _doubled_chsh_type_rows(sc: Scenario) -> tuple:
-    """Per row of chsh_type_rows, its nonzero coefficients doubled, each
-    +-1, as (entry, int) pairs."""
-    return tuple(tuple((k, int(2 * c)) for k, c in enumerate(f.coefficients) if c) for f in chsh_type_rows(sc))
+def chsh_type_rows(sc: Scenario) -> tuple:
+    """Every row of chsh_type_row, in order, held in a small cache: for
+    the scenarios of at most three outputs, since 2244 has 19,208 rows."""
+    return tuple(chsh_type_row(sc, n) for n in range(len(_chsh_type_specs(sc))))
 
 
 def chsh_type_values(box: Box) -> list:
-    """The value of every row of chsh_type_rows on a bipartite box, in
-    its order: -1 plus the doubled coefficients (_doubled_chsh_type_rows)
-    summed against the table's entries over their least common
-    denominator, halved."""
-    den = math.lcm(*(p.denominator for p in box.table))
-    nums = [p.numerator * (den // p.denominator) for p in box.table]
-    return [Fraction(sum(c * nums[k] for k, c in row), 2 * den) - 1 for row in _doubled_chsh_type_rows(box.scenario)]
+    """The value of every row of _chsh_type_specs on a bipartite box, in
+    its order, without building the rows: each coarse-grained correlator
+    summed entry by entry through _flat_of, once per input and set of
+    each party, then sum_ij s_ij C_ij / 2 - 1."""
+    sc = box.scenario
+    (A, B) = sc.outputs
+    correlators = {}
+
+    def correlator(x, S, y, T):
+        key = (x, S, y, T)
+        if key not in correlators:
+            correlators[key] = sum((box.table[_flat_of(sc, (a, b), (x, y))] * (1 if (a in S) == (b in T) else -1)
+                                    for a, b in itertools.product(range(A), range(B))), Fraction(0))
+        return correlators[key]
+
+    values = []
+    for xs, ys, sets, signs in _chsh_type_specs(sc):
+        cs = [correlator(x, sets[i], y, sets[2 + j]) for (i, x), (j, y) in itertools.product(enumerate(xs), enumerate(ys))]
+        values.append(sum((s * c for s, c in zip(signs, cs)), Fraction(0)) / 2 - 1)
+    return values
 
 
 def verify_certificate_fractions(prog: lp.LinearProgram, outcome: lp.LpOutcome) -> bool:
@@ -730,45 +760,68 @@ def full_membership_lp(box: Box) -> lp.LinearProgram:
     return prog
 
 
-def strategy_model(box: Box):
-    """The unfolded membership LP's model, built without locality's row
-    cache: full_membership_lp's rows at the spanning entries, and the
-    deterministic_strategies of positive weight; None when infeasible."""
+def _support_program(box: Box) -> tuple:
+    """The unfolded membership LP over the box's support, built without
+    locality's row cache: full_membership_lp's rows at the spanning
+    entries, over the deterministic strategies whose boxes are 0 wherever
+    the box is, in deterministic_strategies order (every other strategy
+    has weight 0 in every model).  Returns the program, those strategies
+    and every strategy's table."""
     from boxlab import polytope
+
+    sc = box.scenario
+    strategies = polytope.deterministic_strategies(sc)
+    tables = [s.box().table for s in strategies]
+    kept = [n for n, t in enumerate(tables) if all(p or not q for p, q in zip(box.table, t))]
+    prog = lp.LinearProgram(len(kept))
+    for k in polytope.spanning_entries(sc):
+        prog.add_eq([(j, tables[n][k]) for j, n in enumerate(kept)], box.table[k])
+    return prog, [strategies[n] for n in kept], tables
+
+
+def strategy_model(box: Box):
+    """The unfolded membership LP's model (_support_program): the
+    strategies of positive weight; None when infeasible."""
     from boxlab.locality import LocalModel
 
-    prog = full_membership_lp(box)
-    prog.eqs = [prog.eqs[k] for k in polytope.spanning_entries(box.scenario)]
+    prog, strategies, _ = _support_program(box)
     out = lp.solve(prog)
     if out.status != lp.OPTIMAL:
         return None
-    pairs = [(s, w) for s, w in zip(polytope.deterministic_strategies(box.scenario), out.primal) if w]
+    pairs = [(s, w) for s, w in zip(strategies, out.primal) if w]
     return LocalModel(box.scenario, *zip(*pairs))
 
 
 def own_labels_outcome(box: Box):
     """is_local's outcome for a box decided on its own labels, built
-    without locality's row cache: strategy_model's program; when it is
+    without locality's row cache: _support_program's program; when it is
     feasible, the strategies of positive weight, each table a tuple of
     its own, in deterministic_strategies order; when not, the Farkas
-    vector, negated, put on the spanning entries in order and
+    vector, negated, put on the spanning entries in order, less the
+    indicator of the box's zero entries moved onto the spanning entries
+    (polytope.collins_gisin) times the largest value of that functional
+    on the box of a strategy left out, when that is positive, and
     normalized.  Built object for object like is_local's outcome, so the
     two pickle to the same bytes."""
     from boxlab import bell, polytope
     from boxlab.locality import LocalModel, NonlocalityCertificate
 
     sc = box.scenario
-    prog = full_membership_lp(box)
-    prog.eqs = [prog.eqs[k] for k in polytope.spanning_entries(sc)]
+    prog, kept, tables = _support_program(box)
     out = lp.solve(prog)
     if out.status == lp.OPTIMAL:
-        strategies = polytope.deterministic_strategies(sc)
         pairs = [(polytope.DeterministicStrategy(sc, tuple(tuple(list(t)) for t in s.tables)), w)
-                 for s, w in zip(strategies, out.primal) if w]
+                 for s, w in zip(kept, out.primal) if w]
         return LocalModel(sc, tuple(s for s, _ in pairs), tuple(w for _, w in pairs))
     coefficients = [ZERO] * sc.table_size
     for k, y in zip(polytope.spanning_entries(sc), out.certificate.y_eq):
         coefficients[k] = -y
+    zero = [int(not p) for p in box.table]
+    left_out = [t for t in tables if any(q and not p for p, q in zip(box.table, t))]
+    top = max((sum((c * q for c, q in zip(coefficients, t)), ZERO) for t in left_out), default=ZERO)
+    if top > 0:
+        moved = polytope.collins_gisin(sc, zero, 0)[0]
+        coefficients = [c - top * z for c, z in zip(coefficients, moved)]
     functional = bell.normalize(bell.BellFunctional(sc, tuple(coefficients), ZERO))
     return NonlocalityCertificate(functional, functional.evaluate(box))
 

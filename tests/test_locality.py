@@ -26,10 +26,11 @@ from boxlab.locality import (
     eve_extension,
     is_local,
 )
-from boxlab.shareability import generalized_isotropic
+from boxlab.shareability import generalized_isotropic, polygamy_example
 from conftest import asymmetric_giso, is_deterministic, own_form, random_local_box, random_ns_box, random_relabeling
 from oracles import (
     brute_canonical_form,
+    chsh_type_row,
     chsh_type_rows,
     chsh_type_values,
     condition,
@@ -42,6 +43,7 @@ from oracles import (
     label_numbers,
     local_bound_by_enumeration,
     local_membership_alternative,
+    output_splits,
     own_labels_outcome,
     prob,
     strategy_model,
@@ -84,12 +86,14 @@ class TestStrategyColumns:
         assert locality.membership_lp(box, own_form(box)).eqs == expected
 
     def test_membership_lp_calls_do_not_share_rows(self):
-        first = locality.membership_lp(pr_box(), own_form(pr_box()))
+        # a box of full support, so that every strategy keeps its column
+        box = make_isotropic(F(3, 5))
+        first = locality.membership_lp(box, own_form(box))
         expected = list(first.eqs)
         first.eqs[0] = ((), F(1))
         first.add_eq([(0, 1)], 1)
         first.add_ineq([(1, 1)], 0)
-        second = locality.membership_lp(pr_box(), own_form(pr_box()))
+        second = locality.membership_lp(box, own_form(box))
         assert second.eqs == expected and second.ineqs == []
         noise = uniform_box(SC22)
         assert locality.membership_lp(noise, own_form(noise)).eqs[0][0] == expected[0][0]
@@ -106,7 +110,7 @@ def pr_like(sc):
 
 def membership_verdict(box):
     """is_local's membership-LP path, taken whatever the box."""
-    return locality._membership_verdict(box, *core.numerators(box.table))
+    return locality._membership_verdict(box, *core.numerators(box.table))[0]
 
 
 class TestSpanningEntries:
@@ -379,9 +383,17 @@ ROW_SCENARIOS = [Scenario((2, 3), (2, 2)), Scenario((3, 3), (2, 2)), Scenario((2
 
 def package_rows(sc):
     """The CHSH-type rows is_local ranks, in its order: bell.lifted_chsh
-    over locality's blocks and bell.chsh_signs."""
-    blocks = locality._chsh_layout(sc)[-1]
-    return [bell.lifted_chsh(sc, signs, alice, bob) for alice, bob, _ in blocks for signs in bell.chsh_signs()]
+    per pair of Alice's inputs, per pair of Bob's, per set of Alice's
+    outputs (locality._stars) at each of hers, per column of Bob's at his
+    pair (locality._chsh_layout), per sign pattern of bell.chsh_signs."""
+    X, stars = sc.inputs[0], locality._stars(sc.outputs[0])
+    bob, _, group = locality._chsh_layout(sc)[3:]
+    return [bell.lifted_chsh(sc, signs, ((x0, S0), (x1, S1)), cols)
+            for x0, x1 in itertools.combinations(range(X), 2)
+            for g in range(0, len(bob), group)
+            for S0, S1 in itertools.product(stars, stars)
+            for cols in bob[g:g + group]
+            for signs in bell.chsh_signs()]
 
 
 def row_boxes(sc):
@@ -400,6 +412,27 @@ def row_boxes(sc):
     return [relabel(box, *random_relabeling(rng, sc)) for box in boxes]
 
 
+def i3322_vertex():
+    """The vertex of the 3322 NS polytope, cut by the 72 CHSH-type rows,
+    at which the I3322 functional (Collins and Gisin) is largest, its
+    value there 1/3; and that functional."""
+    sc = Scenario((3, 3), (2, 2))
+    coefficients = [ZERO] * sc.table_size
+    signs = {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 0): 1, (1, 1): 1, (1, 2): -1, (2, 0): 1, (2, 1): -1}
+    for (x, y), s in signs.items():
+        coefficients[_flat_of(sc, (0, 0), (x, y))] += s
+    for o in (0, 1):
+        coefficients[_flat_of(sc, (0, o), (0, 0))] -= 1  # P_A(0|0)
+        coefficients[_flat_of(sc, (o, 0), (0, 0))] -= 2  # 2 P_B(0|0)
+        coefficients[_flat_of(sc, (o, 0), (0, 1))] -= 1  # P_B(0|1)
+    prog = polytope.ns_lp(sc, enumerate(coefficients))
+    for f in chsh_type_rows(sc):
+        prog.add_ineq([(k, c) for k, c in enumerate(f.coefficients) if c], -f.offset)
+    out = lp.solve(prog)
+    assert out.status == lp.OPTIMAL and out.value == F(1, 3)
+    return core.validate_box(out.primal, sc), bell.BellFunctional(sc, tuple(coefficients))
+
+
 class TestChshTypeRows:
     """A bipartite box that violates a CHSH-type row, output-lifted where
     a party has more than two outputs, is certified by the row it
@@ -413,6 +446,33 @@ class TestChshTypeRows:
         # 648 is Collins and Gisin's count of lifted CHSH facets in 2233
         rows = package_rows(sc)
         assert len(rows) == count and tuple(rows) == chsh_type_rows(sc)
+
+    @pytest.mark.parametrize("outputs", [2, 3])
+    def test_at_most_three_outputs_keep_one_output_against_the_rest(self, outputs):
+        # the sets the rows used before every binary coarse-graining was
+        # taken: output 0 alone for two outputs, each output alone for three,
+        # so the rows of 2222, 2322, 3322 and 2233 and their order stay
+        before = [(a,) for a in (range(1) if outputs == 2 else range(outputs))]
+        assert list(locality._stars(outputs)) == output_splits(outputs) == before
+
+    @pytest.mark.parametrize("outputs, count", [(2, 1), (3, 3), (4, 7), (5, 15), (6, 31)])
+    def test_every_binary_coarse_graining(self, outputs, count):
+        assert list(locality._stars(outputs)) == output_splits(outputs) and len(output_splits(outputs)) == count
+
+    def test_2244_row_count_and_a_seeded_sample(self):
+        # 19,208 rows, not built here: the count from the layout, and a
+        # seeded sample built by both, each normalized
+        sc = Scenario((2, 2), (4, 4))
+        bob = locality._chsh_layout(sc)[3]
+        assert len(locality._stars(4)) ** 2 * len(bob) * 8 == len(chsh_type_values(uniform_box(sc))) == 19_208
+        rng = random.Random(2244)
+        for n in sorted(rng.sample(range(19_208), 6)):
+            signs, rest = bell.chsh_signs()[n % 8], n // 8
+            rest, cols = divmod(rest, len(bob))
+            S0, S1 = divmod(rest, 7)
+            f = bell.lifted_chsh(sc, signs, ((0, locality._stars(4)[S0]), (1, locality._stars(4)[S1])), bob[cols])
+            assert f == chsh_type_row(sc, n)
+            assert bell.normalization_bounds(f) == (0, 1) and local_bound_by_enumeration(f) == 0
 
     def test_2222_rows_are_the_chsh_facets(self):
         assert package_rows(SC22) == list(bell.chsh_facets())
@@ -428,7 +488,6 @@ class TestChshTypeRows:
 
     @pytest.mark.parametrize("sc", ROW_SCENARIOS, ids=str)
     def test_verdicts_and_certificates(self, sc):
-        rows = chsh_type_rows(sc)
         seen = Counter()
         for box in row_boxes(sc):
             result = is_local(box)
@@ -439,7 +498,7 @@ class TestChshTypeRows:
             seen[local, caught] += 1
             if caught:
                 f = result.functional
-                assert f == rows[values.index(max(values))]
+                assert f == chsh_type_row(sc, values.index(max(values)))
                 assert f.evaluate(box) == result.violation == max(values) > 0
         assert seen[True, False] and seen[False, True]
 
@@ -462,25 +521,9 @@ class TestChshTypeRows:
         assert caught >= 4
 
     def test_a_box_violating_only_an_i3322_row_reaches_the_lp(self, monkeypatch):
-        # the vertex of the NS polytope, cut by the 72 CHSH-type rows, at
-        # which the I3322 functional (Collins and Gisin) is largest
         sc = Scenario((3, 3), (2, 2))
-        coefficients = [ZERO] * sc.table_size
-        signs = {(0, 0): 1, (0, 1): 1, (0, 2): 1, (1, 0): 1, (1, 1): 1, (1, 2): -1, (2, 0): 1, (2, 1): -1}
-        for (x, y), s in signs.items():
-            coefficients[_flat_of(sc, (0, 0), (x, y))] += s
-        for o in (0, 1):
-            coefficients[_flat_of(sc, (0, o), (0, 0))] -= 1  # P_A(0|0)
-            coefficients[_flat_of(sc, (o, 0), (0, 0))] -= 2  # 2 P_B(0|0)
-            coefficients[_flat_of(sc, (o, 0), (0, 1))] -= 1  # P_B(0|1)
-        i3322 = bell.BellFunctional(sc, tuple(coefficients))
+        box, i3322 = i3322_vertex()
         assert bell.normalization_bounds(i3322) == (0, 1)
-        prog = polytope.ns_lp(sc, enumerate(coefficients))
-        for f in chsh_type_rows(sc):
-            prog.add_ineq([(k, c) for k, c in enumerate(f.coefficients) if c], -f.offset)
-        out = lp.solve(prog)
-        assert out.status == lp.OPTIMAL and out.value == F(1, 3)
-        box = core.validate_box(out.primal, sc)
         assert max(chsh_type_values(box)) <= 0 < i3322.evaluate(box)
         assert locality._violated_facet(sc, *core.numerators(box.table)) is None
         assert lp.solve(full_membership_lp(box)).status == lp.INFEASIBLE
@@ -497,6 +540,35 @@ class TestChshTypeRows:
         assert isinstance(result, NonlocalityCertificate) and len(normalized) == 1
         assert pickle.dumps(result) == pickle.dumps(membership_verdict(box))
         assert local_bound_by_enumeration(result.functional) == 0 < result.functional.evaluate(box) == result.violation
+
+
+class TestCoarseGrainedRows:
+    """Every binary coarse-graining of each party's outputs gives
+    CHSH-type rows; two against two catches generalized isotropic boxes
+    with four and five outputs above their thresholds."""
+
+    @pytest.mark.parametrize("A, c", [(4, F(3, 5)), (4, F(11, 20)), (5, F(3, 5))], ids=str)
+    def test_generalized_isotropic_is_certified_with_no_lp(self, A, c, monkeypatch):
+        solve, calls = lp.solve, []
+
+        def counted(*args):
+            calls.append(args[0])
+            return solve(*args)
+
+        monkeypatch.setattr(lp, "solve", counted)
+        monkeypatch.setattr(locality, "normalize", lambda *args: pytest.fail("normalize called"))
+        box = generalized_isotropic(A, c)
+        box = relabel(box, *random_relabeling(random.Random(f"coarse {A} {c}"), box.scenario))
+        result = is_local(box)
+        assert isinstance(result, NonlocalityCertificate) and calls == []
+        assert result.functional.evaluate(box) == result.violation > 0
+        if A == 4:
+            # the most violated of all 19,208 rows, the first on ties
+            values = chsh_type_values(box)
+            assert result.functional == chsh_type_row(box.scenario, values.index(max(values)))
+            assert result.violation == max(values)
+        monkeypatch.undo()
+        assert bell.normalization_bounds(result.functional) == (0, 1)
 
 
 class TestFineModel:
@@ -635,16 +707,15 @@ def deterministic_order(model):
 def check_is_local(box, lp_outcome):
     """is_local's outcome on a box whose membership-LP outcome
     (membership_verdict) is lp_outcome: the most violated CHSH-type row
-    (chsh_type_rows), the first on ties, when the box violates one;
+    (chsh_type_row), the first on ties, when the box violates one;
     otherwise Fine's model for a 2222 box, and the LP's outcome itself for
     any other.  Returns whether a row certified the box."""
     result = is_local(box)
-    rows = chsh_type_rows(box.scenario) if box.scenario.parties == 2 else ()
-    values = chsh_type_values(box) if rows else []
+    values = chsh_type_values(box) if box.scenario.parties == 2 else []
     best = max(values, default=ZERO)
     if best > 0:
         assert isinstance(lp_outcome, NonlocalityCertificate)
-        assert result.functional == rows[values.index(best)]
+        assert result.functional == chsh_type_row(box.scenario, values.index(best))
         assert result.violation == result.functional.evaluate(box) == best
     elif box.scenario == SC22:
         assert isinstance(lp_outcome, LocalModel) and isinstance(result, LocalModel) and result.box() == box
@@ -744,6 +815,108 @@ class TestFoldedIsLocal:
                 assert len(group) == 1
             symmetric += len(group) > 1
         assert cleared and symmetric
+
+
+def zero_entry_boxes(sc):
+    """Seeded relabelings of boxes with zero entries: mixtures of two,
+    three and five deterministic strategies, which are local, and pr_like
+    mixed with two of them at 3/4, 1/2 and 1/4."""
+    rng = random.Random(f"support {sc.inputs} {sc.outputs}")
+    strategies = [s.box() for s in polytope.deterministic_strategies(sc)]
+    boxes = [mix(rng.sample(strategies, k), [F(n + 1, k * (k + 1) // 2) for n in range(k)]) for k in (2, 3, 5)]
+    for t in (F(3, 4), F(1, 2), F(1, 4)):
+        boxes.append(mix([pr_like(sc), *rng.sample(strategies, 2)], [t, (1 - t) / 3, 2 * (1 - t) / 3]))
+    return [relabel(box, *random_relabeling(rng, sc)) for box in boxes]
+
+
+def decided_form(box):
+    """The form is_local states a box's membership LP on: its canonical
+    form, unless the pre-test clears a bipartite box or the box is not
+    bipartite, when its own labels."""
+    if box.scenario.parties == 2 and not polytope.labels_told_apart(box.scenario, core.numerators(box.table)[1]):
+        return polytope.canonical_form(box)
+    return own_form(box)
+
+
+SUPPORT_SCENARIOS = [Scenario((2, 3), (2, 2)), Scenario((3, 3), (2, 2)), Scenario((2, 2), (3, 3))]
+
+
+class TestSupportPresolve:
+    """The membership LP has a column only for the classes of strategies
+    that fire no zero entry of the table, and a Farkas vector of that
+    program still gives a Bell functional at most 0 on every strategy."""
+
+    @pytest.mark.parametrize("sc", SUPPORT_SCENARIOS, ids=str)
+    def test_verdicts_match_the_full_program(self, sc):
+        seen = set()
+        for box in zero_entry_boxes(sc):
+            assert ZERO in box.table
+            result = membership_verdict(box)
+            local = isinstance(result, LocalModel)
+            seen.add(local)
+            assert lp.solve(full_membership_lp(box)).status == (lp.OPTIMAL if local else lp.INFEASIBLE)
+            if local:
+                assert result.reconstructs(box) and sum(result.weights, ZERO) == 1
+            else:
+                f = result.functional
+                assert local_bound_by_enumeration(f) == 0 < f.evaluate(box) == result.violation
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("sc", SUPPORT_SCENARIOS, ids=str)
+    def test_one_column_per_class_that_fires_no_zero_entry(self, sc):
+        for box in zero_entry_boxes(sc) + fold_boxes(sc):
+            form = decided_form(box)
+            table, group = form[0], form[-1]
+            members = locality._membership_rows(sc, group)[0]
+            # per class, whether each strategy's box, built entry by entry,
+            # is 1 at a zero entry of the table in the form's frame
+            fires_zero = [{any(q and not p for p, q in zip(table, polytope.DeterministicStrategy(sc, t).box().table))
+                           for t in tables} for tables in members]
+            # all of a class or none, since the group fixes the table
+            assert all(len(f) == 1 for f in fires_zero)
+            kept = sum(f == {False} for f in fires_zero)
+            assert locality.membership_lp(box, form).num_vars == kept
+            assert (kept < len(members)) == (ZERO in box.table)
+
+    def test_the_i3322_vertex_takes_the_reduced_infeasible_path(self):
+        box, _ = i3322_vertex()
+        sc = box.scenario
+        assert sorted(set(box.table)) == [0, F(1, 3), F(2, 3)]
+        table, alice, bob, group = form = decided_form(box)
+        prog = locality.membership_lp(box, form)
+        assert len(group) > 1 and 0 < prog.num_vars < len(locality._membership_rows(sc, group)[0])
+        out = lp.solve(prog)
+        assert out.status == lp.INFEASIBLE
+        # the functional before the average over G: on the spanning entries,
+        # positive on the table, at most 0 on every strategy left out
+        den, nums = locality._pinned(sc, table, group, out.certificate.y_eq)
+        spanning = set(polytope.spanning_entries(sc))
+        assert any(nums) and all(n == 0 for k, n in enumerate(nums) if k not in spanning)
+        assert sum(n * p for n, p in zip(nums, table)) > 0
+        for strategy in polytope.deterministic_strategies(sc):
+            t = strategy.box().table
+            if any(q and not p for p, q in zip(table, t)):
+                assert sum(n * q for n, q in zip(nums, t)) <= 0
+        # the certificate: local bound 0 by enumeration, G-invariant in the canonical frame
+        result = is_local(box)
+        f = result.functional
+        assert pickle.dumps(result) == pickle.dumps(membership_verdict(box))
+        assert local_bound_by_enumeration(f) == 0 < f.evaluate(box) == result.violation
+        h = canonical_frame(sc, alice, bob, f.coefficients)
+        for pa, pb in group:
+            assert canonical_frame(sc, pa, pb, h) == h
+
+    def test_the_polygamy_box_fits_no_strategy(self):
+        # 222/444: no strategy fires only positive entries, so the program
+        # has no column and its Farkas vector is a combination of the pins
+        box = polygamy_example()
+        prog = locality.membership_lp(box, own_form(box))
+        assert prog.num_vars == 0 and len(prog.eqs) == len(polytope.spanning_entries(box.scenario))
+        result = is_local(box)
+        assert isinstance(result, NonlocalityCertificate)
+        assert lp.solve(full_membership_lp(box)).status == lp.INFEASIBLE
+        f = result.functional
+        assert bell.normalization_bounds(f) == (0, 1) and f.evaluate(box) == result.violation > 0
 
 
 class TestReconstructs:

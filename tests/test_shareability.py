@@ -1297,6 +1297,21 @@ class TestBellLift:
         outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=witness.certificate)
         assert not witness.feasible and lp.verify_certificate(folded_extension_lp(problem)[0], outcome)
 
+    @pytest.mark.parametrize("party", "AB")
+    def test_one_canonical_search(self, party, monkeypatch):
+        # the membership LP of is_local searched for the base's canonical
+        # form; the orbit program and the lift are stated on that one
+        searched, search = [], polytope.canonical_form
+
+        def counted(box):
+            searched.append(box)
+            return search(box)
+
+        monkeypatch.setattr(polytope, "canonical_form", counted)
+        problem = ExtensionProblem(generalized_isotropic(3, F(27, 50)), party, 2)
+        witness = is_m_shareable(problem)
+        assert not witness.feasible and searched == [_oriented(problem)]
+
     @pytest.mark.parametrize("seed", [1001, 1002, 1003, 1010])
     def test_seeded_3322_boxes_at_three_and_four_copies(self, seed):
         # 410 x 336 and 985 x 756 folded programs, whose solve takes up to
@@ -1335,7 +1350,11 @@ class TestFoldedMembership:
             verdicts.add(local)
             prog = locality.membership_lp(box, canonical)
             strategies = polytope.strategy_count(box.scenario)
-            assert prog.num_vars <= strategies and (prog.num_vars < strategies) == (len(canonical[3]) > 1)
+            # one class per strategy exactly when the stabilizer is trivial;
+            # a column only for the classes over the table's support
+            classes = len(locality._membership_rows(box.scenario, canonical[3])[0])
+            assert classes <= strategies and (classes < strategies) == (len(canonical[3]) > 1)
+            assert prog.num_vars == len(locality._support(box.scenario, canonical[3], canonical[0])) <= classes
             if local:
                 # spread over every strategy of a class, in the box's own labels
                 assert folded.scenario == box.scenario and folded.reconstructs(box)
