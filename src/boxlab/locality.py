@@ -24,14 +24,15 @@ Before any LP, a bipartite box is checked against the CHSH-type rows
 (_violated_facet), in integers off the numerators of its table: CHSH on
 each pair of inputs of each party, output-lifted by every binary
 coarse-graining of each party's outputs at each input, a set of outputs
-against the rest (bell.lifted_chsh; Collins & Gisin, J. Phys. A 37,
-1775, 2004; Pironio, J. Math. Phys. 46, 062112, 2005).  Each has local
-bound 0 and nonsignaling maximum 1, so a box that violates one is
-certified by the row it violates most, a normalized Bell functional,
-and solves no LP: every nonlocal box of the CHSH scenario does, and so
-do generalized isotropic boxes at C = 3/5 with three, four and five
-outputs, the last two by setting two outputs against the rest.  A box
-that violates only other facets, such as those of I3322 or CGLMP
+against the rest, or by one output against the rest for a party with
+more than five outputs (_stars; bell.lifted_chsh; Collins & Gisin,
+J. Phys. A 37, 1775, 2004; Pironio, J. Math. Phys. 46, 062112, 2005).
+Each has local bound 0 and nonsignaling maximum 1, so a box that
+violates one is certified by the row it violates most, a normalized Bell
+functional, and solves no LP: every nonlocal box of the CHSH scenario
+does, and so do generalized isotropic boxes at C = 3/5 with three, four
+and five outputs, the last two by setting two outputs against the rest.
+A box that violates only other facets, such as those of I3322 or CGLMP
 (generalized isotropic A=3 at C = 27/50, just above its locality
 threshold), still solves the membership LP below.
 A 2222 box never reaches the LP: both halves of Fine's theorem (PRL 48,
@@ -84,7 +85,6 @@ from .core import (
     Box,
     BoxlabError,
     Frozen,
-    InternalError,
     Scenario,
     SignalingBox,
     ZERO,
@@ -242,17 +242,22 @@ def _membership_rows(scenario: Scenario, group: tuple) -> tuple:
     return tuple(map(tuple, members)), rows, fires
 
 
-def _support(scenario: Scenario, group: tuple, table: tuple) -> list:
+def _support(scenario: Scenario, group: tuple, table: tuple):
     """The classes of _membership_rows(scenario, group), ascending, that
-    fire no zero entry of `table`."""
+    fire no zero entry of `table`: a range of all of them when it has
+    none."""
     members, _, fires = _membership_rows(scenario, group)
-    dropped = set().union(*(f for f, p in zip(fires, table) if not p))
+    zero = [f for f, p in zip(fires, table) if not p]
+    if not zero:
+        return range(len(members))
+    dropped = set().union(*zero)
     return [k for k in range(len(members)) if k not in dropped]
 
 
-def membership_lp(box: Box, canonical) -> lp.LinearProgram:
+def membership_lp(box: Box, canonical) -> tuple:
     """Weights over classes of deterministic strategies that match a
-    canonical form of the box on its spanning entries.  The form is
+    canonical form of the box on its spanning entries: the program, and
+    the classes its columns weigh, in column order.  The form is
     (table, one map of label numbers per party, group): `canonical`, the
     box's canonical relabeling and its stabilizer as
     polytope.canonical_form returns them, or the box's own labels
@@ -285,11 +290,12 @@ def membership_lp(box: Box, canonical) -> lp.LinearProgram:
     column at all."""
     table, *_, group = canonical
     rows = _membership_rows(box.scenario, group)[1]
-    column = {k: j for j, k in enumerate(_support(box.scenario, group, table))}
+    support = _support(box.scenario, group, table)
+    column = {k: j for j, k in enumerate(support)}
     prog = lp.LinearProgram(len(column))
     prog.eqs.extend((tuple((column[k], c) for k, c in coeffs if k in column), rhs)
                     for coeffs, rhs in polytope.pin_rows(rows, table))
-    return prog
+    return prog, support
 
 
 def _solved_model(box: Box, canonical) -> LocalModel | lp.LpOutcome:
@@ -302,12 +308,13 @@ def _solved_model(box: Box, canonical) -> LocalModel | lp.LpOutcome:
     and listed in the box's own deterministic_strategies order, so the
     model does not depend on which relabeling was canonical."""
     sc = box.scenario
-    out = lp.solve(membership_lp(box, canonical))
+    prog, support = membership_lp(box, canonical)
+    out = lp.solve(prog)
     if out.status == lp.OPTIMAL:
         back = [sorted(range(len(to)), key=to.__getitem__) for to in canonical[1:-1]]
         members = _membership_rows(sc, canonical[-1])[0]
         pairs = sorted((tuple(map(_moved, tables, back)), w)
-                       for k, w in zip(_support(sc, canonical[-1], canonical[0]), out.primal) if w
+                       for k, w in zip(support, out.primal) if w
                        for tables in members[k])
         strategies = tuple(DeterministicStrategy(sc, tables) for tables, _ in pairs)
         return LocalModel(sc, strategies, tuple(w for _, w in pairs))
@@ -363,13 +370,21 @@ def _bell_coefficients(box: Box, canonical, farkas) -> list:
 
 @functools.lru_cache(maxsize=16)
 def _stars(outputs: int) -> tuple:
-    """Every split of the outputs into two nonempty sets, up to
-    complement, as the set that a CHSH-type row sets against the rest at
-    one input: by size up to half the outputs, each size in
-    lexicographic order, a set of exactly half only when it holds output
-    0.  1, 3, 7 and 15 sets for 2, 3, 4 and 5 outputs; for two, output 0
-    alone, since setting output 1 against output 0 only flips a sign
-    pattern, and for three, each output alone."""
+    """The sets that a CHSH-type row sets against the rest at one input.
+    For at most five outputs, every split of the outputs into two
+    nonempty sets, up to complement: by size up to half the outputs,
+    each size in lexicographic order, a set of exactly half only when it
+    holds output 0.  1, 3, 7 and 15 sets for 2, 3, 4 and 5 outputs; for
+    two, output 0 alone, since setting output 1 against output 0 only
+    flips a sign pattern, and for three, each output alone.  For more,
+    each output alone, as many sets as outputs: the splits number
+    2^(A-1) - 1, and the layout (_chsh_layout) grows with the square of
+    Bob's count of sets times Alice's.  Within STRATEGY_CAP the largest
+    layout is then that of two inputs each and 5 and 20 outputs, 12,000
+    pairs and 1,200 correlators, where every split of the 20 would give
+    524,287 sets."""
+    if outputs > 5:
+        return tuple((a,) for a in range(outputs))
     return tuple(S for size in range(1, outputs // 2 + 1) for S in itertools.combinations(range(outputs), size)
                  if 2 * size < outputs or S[0] == 0)
 
@@ -421,17 +436,6 @@ def _chsh_layout(sc: Scenario) -> tuple:
     return first, agree, pairs, bob, rows, nb * nb
 
 
-def _row_certificate(sc: Scenario, den: int, best: int, e, alice: tuple, bob: tuple) -> NonlocalityCertificate:
-    """The certificate of the CHSH-type row on Alice's inputs and sets
-    `alice` and Bob's `bob` whose sign pattern, the first of chsh_signs
-    that does, takes the correlators e = (e00, e01, e10, e11), numerators
-    over den, to s.e = best."""
-    sums = [s00 * e[0] + s01 * e[1] + s10 * e[2] + s11 * e[3] for s00, s01, s10, s11 in chsh_signs()]
-    ensure(best in sums, "no sign pattern attains the largest value of its block")
-    functional = lifted_chsh(sc, chsh_signs()[sums.index(best)], alice, bob)
-    return NonlocalityCertificate(functional, Fraction(best - 2 * den, 2 * den))
-
-
 def _violated_facet(sc: Scenario, den: int, nums) -> NonlocalityCertificate | None:
     """The certificate of the CHSH-type row (bell.lifted_chsh) that a
     nonsignaling bipartite table, read into its numerators over `den`
@@ -451,21 +455,20 @@ def _violated_facet(sc: Scenario, den: int, nums) -> NonlocalityCertificate | No
     the better sigma.  The first term depends on Alice's coarse-graining
     at x0 only and the second on hers at x1, so each is maximized over it
     by itself, per pair of Bob's inputs, his coarse-grainings there and
-    sigma.  Only when that maximum passes 2 den is the row that attains
-    it found, from the same sums: per pair of Alice's inputs and of
-    Bob's, the first set at x0 with which the best at x1 attains it, then
-    the first set at x1 and the first column of Bob's.  A 2222 table, one
-    block, takes its largest s.e directly."""
+    sigma, and the best is kept per pair of Alice's inputs.  Only when
+    it passes 2 den is the row that attains it read off the same sums.
+    Its pair of Alice's inputs is the first whose best attains it.  There
+    a block attains it when, at its column of Bob's and some sigma, both
+    terms are at their best over Alice's sets; so the first block in the
+    ranking is the least (pair of Bob's inputs, set at x0, set at x1,
+    column) over the columns and sigmas whose best terms add up to it,
+    each set the first at its term's best."""
     (X, Y), (A, B) = sc.inputs, sc.outputs
     if min(X, Y, A, B) < 2:
         return None
     first, agree, pairs, bob, rows, group = _chsh_layout(sc)
     total = sum(first(nums))
     corr = [2 * sum(entries(nums)) - total for entries in agree]
-    if len(corr) == 4:
-        # one block (2222), read without the screen; Alice's inputs and sets are Bob's column
-        best = max(abs(corr[0] + corr[1]) + abs(corr[2] - corr[3]), abs(corr[0] - corr[1]) + abs(corr[2] + corr[3]))
-        return _row_certificate(sc, den, best, corr, bob[0], bob[0]) if best > 2 * den else None
     plus = [abs(corr[p] + corr[q]) for p, q in pairs]
     minus = [abs(corr[p] - corr[q]) for p, q in pairs]
     stars, width = _stars(A), len(bob)
@@ -475,27 +478,28 @@ def _violated_facet(sc: Scenario, den: int, nums) -> NonlocalityCertificate | No
         # the largest over Alice's coarse-grainings at each input, which run innermost
         top_plus = list(map(max, zip(*[iter(plus)] * na)))
         top_minus = list(map(max, zip(*[iter(minus)] * na)))
-    best = max(max(*map(operator.add, top_plus[i:i + width], top_minus[j:j + width]),
-                   *map(operator.add, top_minus[i:i + width], top_plus[j:j + width]))
-               for i, j in rows)
+    tops = [max(*map(operator.add, top_plus[i:i + width], top_minus[j:j + width]),
+                *map(operator.add, top_minus[i:i + width], top_plus[j:j + width]))
+            for i, j in rows]
+    best = max(tops)
     if best <= 2 * den:
         return None
-    for i, j in rows:
-        for g in range(0, width, group):
-            ks = range(g, g + group)
-            for a0 in range(na):
-                # skip a set at x0 with which not even the best at x1 attains the maximum
-                if na > 1 and not any(best in (plus[(i + k) * na + a0] + top_minus[j + k],
-                                               minus[(i + k) * na + a0] + top_plus[j + k]) for k in ks):
-                    continue
-                for a1 in range(na):
-                    for k in ks:
-                        (p0, q0), (p1, q1) = pairs[(i + k) * na + a0], pairs[(j + k) * na + a1]
-                        e = corr[p0], corr[q0], corr[p1], corr[q1]
-                        if best == abs(e[0] + e[1]) + abs(e[2] - e[3]) or best == abs(e[0] - e[1]) + abs(e[2] + e[3]):
-                            alice = ((i // width, stars[a0]), (j // width, stars[a1]))
-                            return _row_certificate(sc, den, best, e, alice, bob[k])
-    raise InternalError("no CHSH-type row attains the largest value over the rows")
+    i, j = rows[tops.index(best)]
+
+    def argbest(values, top, n):
+        # the first of Alice's sets whose value at her column n is the best there
+        return values.index(top[n], n * na) - n * na
+
+    _, a0, a1, k = min((k // group, argbest(P, top_p, i + k), argbest(M, top_m, j + k), k)
+                       for P, M, top_p, top_m in ((plus, minus, top_plus, top_minus), (minus, plus, top_minus, top_plus))
+                       for k in range(width) if top_p[i + k] + top_m[j + k] == best)
+    (p0, q0), (p1, q1) = pairs[(i + k) * na + a0], pairs[(j + k) * na + a1]
+    e00, e01, e10, e11 = corr[p0], corr[q0], corr[p1], corr[q1]
+    sums = [s00 * e00 + s01 * e01 + s10 * e10 + s11 * e11 for s00, s01, s10, s11 in chsh_signs()]
+    ensure(best in sums, "no sign pattern attains the largest value of its block")
+    alice = ((i // width, stars[a0]), (j // width, stars[a1]))
+    functional = lifted_chsh(sc, chsh_signs()[sums.index(best)], alice, bob[k])
+    return NonlocalityCertificate(functional, Fraction(best - 2 * den, 2 * den))
 
 
 def _fine_model(sc: Scenario, den: int, nums) -> LocalModel | None:
@@ -588,7 +592,8 @@ def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
     functional that the box violates (_decided).
 
     A bipartite box that violates a CHSH-type row, on any binary
-    coarse-graining of each party's outputs, is certified by the row it
+    coarse-graining of each party's outputs (one output against the rest
+    beyond five outputs), is certified by the row it
     violates most (_violated_facet), with no LP.  Any other 2222 box is
     local by Fine's theorem, with the model _fine_model glues, checked
     here to exist, to have positive weights and to reconstruct the box.

@@ -202,10 +202,13 @@ def local_bound_by_enumeration(functional) -> Fraction:
 
 
 def output_splits(outputs: int) -> list:
-    """Every split of the outputs into two nonempty sets, up to
-    complement, each named by its smaller set, or by the one holding
-    output 0 when both have as many outputs; ordered by size, then
-    lexicographically.  Found by walking every bitmask."""
+    """For at most five outputs, every split of the outputs into two
+    nonempty sets, up to complement, each named by its smaller set, or by
+    the one holding output 0 when both have as many outputs; ordered by
+    size, then lexicographically.  Found by walking every bitmask.  For
+    more, each output alone, in order."""
+    if outputs > 5:
+        return [(a,) for a in range(outputs)]
     named = set()
     for mask in range(1, 2**outputs - 1):
         sets = [tuple(a for a in range(outputs) if (mask >> a & 1) == bit) for bit in (1, 0)]

@@ -83,20 +83,20 @@ class TestStrategyColumns:
         box = mix(strategies, [F(2 * e + 1, n * n) for e in range(n)])
         full = full_membership_lp(box).eqs
         expected = [full[k] for k in polytope.spanning_entries(sc)]
-        assert locality.membership_lp(box, own_form(box)).eqs == expected
+        assert locality.membership_lp(box, own_form(box))[0].eqs == expected
 
     def test_membership_lp_calls_do_not_share_rows(self):
         # a box of full support, so that every strategy keeps its column
         box = make_isotropic(F(3, 5))
-        first = locality.membership_lp(box, own_form(box))
+        first = locality.membership_lp(box, own_form(box))[0]
         expected = list(first.eqs)
         first.eqs[0] = ((), F(1))
         first.add_eq([(0, 1)], 1)
         first.add_ineq([(1, 1)], 0)
-        second = locality.membership_lp(box, own_form(box))
+        second = locality.membership_lp(box, own_form(box))[0]
         assert second.eqs == expected and second.ineqs == []
         noise = uniform_box(SC22)
-        assert locality.membership_lp(noise, own_form(noise)).eqs[0][0] == expected[0][0]
+        assert locality.membership_lp(noise, own_form(noise))[0].eqs[0][0] == expected[0][0]
 
 
 def pr_like(sc):
@@ -455,9 +455,39 @@ class TestChshTypeRows:
         before = [(a,) for a in (range(1) if outputs == 2 else range(outputs))]
         assert list(locality._stars(outputs)) == output_splits(outputs) == before
 
-    @pytest.mark.parametrize("outputs, count", [(2, 1), (3, 3), (4, 7), (5, 15), (6, 31)])
+    @pytest.mark.parametrize("outputs, count", [(2, 1), (3, 3), (4, 7), (5, 15)])
     def test_every_binary_coarse_graining(self, outputs, count):
         assert list(locality._stars(outputs)) == output_splits(outputs) and len(output_splits(outputs)) == count
+
+    @pytest.mark.parametrize("outputs", [6, 8, 20, 50])
+    def test_more_than_five_outputs_keep_one_output_against_the_rest(self, outputs):
+        # every split would be 2^(A-1) - 1 sets: 2^49 - 1 for 50 outputs
+        assert locality._stars(outputs) == tuple((a,) for a in range(outputs)) == tuple(output_splits(outputs))
+
+    @pytest.mark.parametrize("sc, pairs", [
+        (Scenario((2, 2), (2, 50)), 5_000), (Scenario((2, 2), (8, 8)), 1_024), (Scenario((2, 2), (5, 20)), 12_000),
+    ], ids=str)
+    def test_many_outputs_give_a_small_layout(self, sc, pairs):
+        # within STRATEGY_CAP the layout holds at most 12,000 pairs, at 2 2 5 20
+        locality.check_strategy_space(sc)
+        assert len(locality._chsh_layout(sc)[2]) == pairs
+
+    @pytest.mark.parametrize("sc", [Scenario((2, 2), (2, 50)), Scenario((2, 2), (8, 8))], ids=str)
+    def test_many_outputs_are_decided(self, sc):
+        # a PR box on outputs 0 and 1 mixed with three strategies: local
+        # with none of it, else certified by the most violated row
+        rng = random.Random(f"many outputs {sc.outputs}")
+        picks = [s.box() for s in rng.sample(list(polytope.deterministic_strategies(sc)), 3)]
+        pr = box_from_function(sc, lambda o, x: F(1, 2) if max(o) < 2 and (o[0] + o[1]) % 2 == x[0] * x[1] else 0)
+        for t in (F(0), F(1, 2), F(1)):
+            box = mix([pr, mix(picks, [F(1, 3)] * 3)], [t, 1 - t])
+            result = is_local(box)
+            if not t:
+                assert isinstance(result, LocalModel) and result.reconstructs(box)
+                continue
+            values = chsh_type_values(box)
+            assert result.functional == chsh_type_row(sc, values.index(max(values)))
+            assert result.violation == max(values) > 0
 
     def test_2244_row_count_and_a_seeded_sample(self):
         # 19,208 rows, not built here: the count from the layout, and a
@@ -874,16 +904,17 @@ class TestSupportPresolve:
                            for t in tables} for tables in members]
             # all of a class or none, since the group fixes the table
             assert all(len(f) == 1 for f in fires_zero)
-            kept = sum(f == {False} for f in fires_zero)
-            assert locality.membership_lp(box, form).num_vars == kept
-            assert (kept < len(members)) == (ZERO in box.table)
+            kept = [k for k, f in enumerate(fires_zero) if f == {False}]
+            prog, classes = locality.membership_lp(box, form)
+            assert list(classes) == kept and prog.num_vars == len(kept)
+            assert (len(kept) < len(members)) == (ZERO in box.table)
 
     def test_the_i3322_vertex_takes_the_reduced_infeasible_path(self):
         box, _ = i3322_vertex()
         sc = box.scenario
         assert sorted(set(box.table)) == [0, F(1, 3), F(2, 3)]
         table, alice, bob, group = form = decided_form(box)
-        prog = locality.membership_lp(box, form)
+        prog = locality.membership_lp(box, form)[0]
         assert len(group) > 1 and 0 < prog.num_vars < len(locality._membership_rows(sc, group)[0])
         out = lp.solve(prog)
         assert out.status == lp.INFEASIBLE
@@ -910,7 +941,7 @@ class TestSupportPresolve:
         # 222/444: no strategy fires only positive entries, so the program
         # has no column and its Farkas vector is a combination of the pins
         box = polygamy_example()
-        prog = locality.membership_lp(box, own_form(box))
+        prog = locality.membership_lp(box, own_form(box))[0]
         assert prog.num_vars == 0 and len(prog.eqs) == len(polytope.spanning_entries(box.scenario))
         result = is_local(box)
         assert isinstance(result, NonlocalityCertificate)

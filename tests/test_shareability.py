@@ -1292,7 +1292,7 @@ class TestBellLift:
         witness = is_m_shareable(problem)
         oriented = _oriented(problem)
         membership, ns_maximum = calls.solved
-        assert membership.eqs == locality.membership_lp(oriented, canonical_form(oriented)).eqs
+        assert membership.eqs == locality.membership_lp(oriented, canonical_form(oriented))[0].eqs
         assert ns_maximum.eqs == polytope.ns_lp(sc).eqs
         outcome = lp.LpOutcome(lp.INFEASIBLE, certificate=witness.certificate)
         assert not witness.feasible and lp.verify_certificate(folded_extension_lp(problem)[0], outcome)
@@ -1348,7 +1348,7 @@ class TestFoldedMembership:
             local = isinstance(folded, LocalModel)
             assert local == isinstance(plain, LocalModel)
             verdicts.add(local)
-            prog = locality.membership_lp(box, canonical)
+            prog = locality.membership_lp(box, canonical)[0]
             strategies = polytope.strategy_count(box.scenario)
             # one class per strategy exactly when the stabilizer is trivial;
             # a column only for the classes over the table's support
@@ -1373,7 +1373,7 @@ class TestFoldedMembership:
     def test_relabelings_share_one_small_program(self, box, sizes):
         # (columns, rows) unfolded and folded, the same for every relabeling
         relabeled = [relabel(box, *random_relabeling(random.Random(s), box.scenario)) for s in range(3)]
-        progs = [locality.membership_lp(labeled, canonical_form(labeled)) for labeled in [box, *relabeled]]
-        unfolded = locality.membership_lp(box, own_form(box))
+        progs = [locality.membership_lp(labeled, canonical_form(labeled))[0] for labeled in [box, *relabeled]]
+        unfolded = locality.membership_lp(box, own_form(box))[0]
         assert ((unfolded.num_vars, len(unfolded.eqs)), (progs[0].num_vars, len(progs[0].eqs))) == sizes
         assert all(prog.eqs == progs[0].eqs for prog in progs)
