@@ -19,7 +19,8 @@ An entry's position is found only through `label_offsets` and the index
 maps built here on the same layout, or by walking the table in its
 order; no other module works one out from the alphabet sizes.  The
 offsets are read by `restrict_bob_inputs`, the strategy columns,
-`labels_told_apart` and canonical-form reads of `polytope`,
+`labels_told_apart` and the numbered relabelings `canonical_form`
+reads its table through in `polytope`,
 `locality.LocalModel`, the CHSH-type rows `locality` reads and
 `bell.lifted_chsh` builds, the lift rows and `local_model_from_extension`
 of `shareability`, `bell.cglmp_raw`, and the slice rows and
@@ -29,7 +30,7 @@ of `shareability`, `bell.cglmp_raw`, and the slice rows and
 `marginal_rows`, `shareability.validate_extension` and `incompat`'s
 joint rows; `party_order_indices` serves `permute_parties` and
 `swap_indices`.  `relabeled_indices` reads a table through one map per
-party: `relabel`, `canonical_form`'s table, a stabilizer element moving
+party: `relabel`, a stabilizer element moving
 the entries of a table (`locality`), a table of the canonical frame
 read back in the box's labels through the canonical maps (`locality`'s
 Bell functional).  `bell`'s unbiased 2222 boxes and correlators walk

@@ -13,7 +13,9 @@ and `canonical_form` read here; `core` lists every reader of the
 layout), the table entries each strategy fires at (`strategy_columns`),
 the entries that fix a nonsignaling table (`spanning_entries`, which
 like `normalization_rows` walks the table in its order), the cells
-`canonical_form` walks, and the nonsignaling rows in LinearProgram's
+`canonical_form` walks with each party's partial relabelings numbered
+as the search reaches them (`_Relabelings`, at most `_STATES_CAP` per
+party between searches), and the nonsignaling rows in LinearProgram's
 canonical form, on which `max_over_ns` solves every objective.  The
 membership rows of `locality` (per scenario and stabilizer) and the
 orbit rows of `shareability` (per scenario, m and stabilizer, toward B
@@ -65,11 +67,13 @@ import itertools
 from fractions import Fraction
 from math import prod
 
-from .core import (Box, Frozen, Scenario, ZERO, ONE, label_offsets, marginal_indices, numerators,
-                   relabeled_indices, trace_indices)
+from .core import Box, Frozen, Scenario, ZERO, ONE, label_offsets, marginal_indices, numerators, trace_indices
 from . import lp
 
 CANONICAL_SEARCH_CAP = 10_000
+# partial relabelings a party's table keeps between searches: all 3,201
+# of a 2244 party fit, in about 0.7 MB; 2255 has 78,651
+_STATES_CAP = 4096
 
 
 class DeterministicStrategy(Frozen):
@@ -277,11 +281,14 @@ def labels_told_apart(scenario: Scenario, nums) -> bool:
     (core.numerators), which is_local reads once for this test and its
     nonsignaling check.
 
-    Most boxes are settled by the sorted rows alone.  On 2222 boxes the
-    test takes 25-45 us and the search 130-200 us (Python 3.11, 2
-    vCPUs).  In one locality-scan pass at seed 1 the sorted rows clear
-    105 of the 160 2222 boxes, and the refinement clears the other 38
-    of the 143 whose stabilizer is trivial."""
+    No 2222 box reaches the test: Fine's model or a CHSH facet decides
+    it first.  In one locality-scan pass at seed 1 it runs on 12 3322
+    boxes, 12 generalized isotropic A=3 boxes and one A=4 (Python 3.11,
+    2 vCPUs, best of 5).  The sorted rows clear 8 of the 3322 boxes in
+    about 10 us, where the search takes about 38 us.  On the other 4,
+    and on every generalized isotropic box, whose stabilizer is not
+    trivial, the test answers False in 10-28 us and the search follows
+    (A=3: 28 us, then about 174 us)."""
     at_a, at_b = label_offsets(scenario)
     # per Alice label, its entries in Bob label order
     grid = [[nums[i + j] for j in at_b] for i in at_a]
@@ -291,23 +298,6 @@ def labels_told_apart(scenario: Scenario, nums) -> bool:
         alice = _colors(sorted(zip(row, bob)) for row in grid)
         bob = _colors(sorted(zip(col, alice)) for col in cols)
     return max(alice) + 1 == len(at_a) and max(bob) + 1 == len(at_b)
-
-
-def _grown(state: tuple, inputs: int, outputs: int) -> list:
-    """Every extension of one party's partial relabeling by its next
-    canonical label.  `state` holds the original label (numbered input *
-    outputs + output) of each canonical label so far, in canonical order
-    (input-major, like the table), so a new canonical input takes any
-    original input not yet taken, with any output, and a further output of
-    the same input any output of that original input not yet taken."""
-    k = len(state)
-    start = k - k % outputs
-    if start == k:
-        taken = {n // outputs for n in state}
-        return [state + (n,) for n in range(inputs * outputs) if n // outputs not in taken]
-    first = state[start] - state[start] % outputs
-    taken = set(state[start:])
-    return [state + (n,) for n in range(first, first + outputs) if n not in taken]
 
 
 @functools.lru_cache(maxsize=16)
@@ -351,6 +341,19 @@ def canonical_form(box: Box):
     T(phi_best(c)) = T'(c), so the group of such psi is its stabilizer,
     which the box's labels do not change.
 
+    A frontier state is a pair of state numbers, one per party, into the
+    scenario's tables of partial relabelings (_Relabelings, cached with
+    the cells by _canonical_plan).  A state holds what its canonical
+    labels add to the flat index, in canonical order, so a cell reads
+    ranked[offs_a[i] + offs_b[j]]; its children, numbered when first
+    reached; and, once full, its tie-break key.  The table, the maps and
+    the group are read off the final states (the oracle
+    tests.oracles.walked_canonical_form walks tuples of label numbers
+    instead).  A cell adds at most CANONICAL_SEARCH_CAP states to a
+    table, and a table that holds more than _STATES_CAP states after a
+    search is cleared, so between searches each holds at most that many.
+    Only the states' labels, never their numbers, reach the form.
+
     CANONICAL_SEARCH_CAP bounds the frontier: when a cell would extend it
     to more states than that, the search gives up before building them
     and returns the box's table with own_labels, the identity maps and
@@ -361,37 +364,107 @@ def canonical_form(box: Box):
     within their first two blocks, in under 0.1 s, while generalized
     isotropic boxes with 4 outputs per party are searched to their
     16-element stabilizers, their frontier never above 576 states."""
-    sc = box.scenario
-    (X, Y), (A, B) = sc.inputs, sc.outputs
     table = box.table
+    cells, alice, bob = _canonical_plan(box.scenario)
+    form = _search(table, cells, alice, bob)
+    for party in alice, bob:
+        if len(party.offs) > _STATES_CAP:
+            party.clear()
+    return form or (table, *own_labels(box.scenario))
+
+
+def _search(table, cells, alice, bob):
+    """canonical_form's search over the state tables alice and bob; None
+    when it gives up."""
     # numerators over a common denominator order the cells as the table does
     ranked = numerators(table)[1]
-    cells, at_a, at_b = _canonical_plan(sc)
-    frontier = [((), ())]
+    offs_a, offs_b = alice.offs, bob.offs
+    frontier = [(0, 0)]
     for i, j, grow_a, grow_b in cells:
-        if grow_a or grow_b:
-            more_a = {fa: _grown(fa, X, A) if grow_a else (fa,) for fa in {fa for fa, _ in frontier}}
-            more_b = {fb: _grown(fb, Y, B) if grow_b else (fb,) for fb in {fb for _, fb in frontier}}
-            if sum(len(more_a[fa]) * len(more_b[fb]) for fa, fb in frontier) > CANONICAL_SEARCH_CAP:
-                return (table, *own_labels(sc))
-            frontier = [(na, nb) for fa, fb in frontier for na in more_a[fa] for nb in more_b[fb]]
-        values = [ranked[at_a[fa[i]] + at_b[fb[j]]] for fa, fb in frontier]
-        best = max(values)
-        frontier = [f for f, v in zip(frontier, values) if v == best]
+        # every state of a party holds as many labels as the others, so
+        # has as many children; growing Alice, then Bob, at the first cell
+        # reaches the same count
+        if grow_a:
+            if len(frontier) * alice.widths[i] > CANONICAL_SEARCH_CAP:
+                return None
+            frontier = [(na, sb) for sa, sb in frontier for na in alice[sa]]
+        if grow_b:
+            if len(frontier) * bob.widths[j] > CANONICAL_SEARCH_CAP:
+                return None
+            frontier = [(sa, nb) for sa, sb in frontier for nb in bob[sb]]
+        if len(frontier) > 1:
+            values = [ranked[offs_a[sa][i] + offs_b[sb][j]] for sa, sb in frontier]
+            best = max(values)
+            if values.count(best) < len(values):
+                frontier = [f for f, v in zip(frontier, values) if v == best]
+    best_a, best_b = min(frontier, key=lambda f: (alice.key(f[0]), bob.key(f[1])))
+    at_a, at_b = offs_a[best_a], offs_b[best_b]
+    relabeled = tuple([table[at_a[i] + at_b[j]] for i, j, _, _ in cells])
+    # the best state lists each canonical label's original one, by what it
+    # adds to the flat index; read back, each original label's canonical one
+    to_a = dict(zip(at_a, range(len(at_a)))).__getitem__
+    to_b = dict(zip(at_b, range(len(at_b)))).__getitem__
+    # psi: canonical label k reads the original label of state[k], which
+    # the best relabeling maps to to(state[k])
+    group = tuple(sorted((tuple(map(to_a, offs_a[sa])), tuple(map(to_b, offs_b[sb]))) for sa, sb in frontier))
+    return relabeled, tuple(map(to_a, alice.offsets)), tuple(map(to_b, bob.offsets)), group
 
-    def order(state, outputs):
-        # the input permutation, then the output permutation at each input
-        return tuple(n // outputs for n in state[::outputs]), tuple(n % outputs for n in state)
 
-    best_a, best_b = min(frontier, key=lambda f: order(f[0], A) + order(f[1], B))
-    table = tuple(map(table.__getitem__, relabeled_indices(sc, (best_a, best_b))))
-    # each map is the inverse of the best state, which lists the original
-    # label of each canonical one
-    alice, bob = (tuple(sorted(range(len(s)), key=s.__getitem__)) for s in (best_a, best_b))
-    # psi: canonical label k reads the original label state[k], which the
-    # best relabeling maps to alice[state[k]]
-    group = tuple(sorted((tuple(map(alice.__getitem__, fa)), tuple(map(bob.__getitem__, fb))) for fa, fb in frontier))
-    return table, alice, bob, group
+class _Relabelings(dict):
+    """One party's partial relabelings in one scenario, numbered as
+    canonical_form first reaches them, state 0 the empty one, and mapped
+    to their children.  A state lists, per canonical label so far in
+    canonical order (input-major, like the table), what its original
+    label adds to the flat index (core.label_offsets); its children, as
+    a range of state numbers, are numbered when first looked up, and a
+    full state's tie-break key when first asked for.  The search grows
+    the table in place, so it serves one thread."""
+
+    __slots__ = ("outputs", "offsets", "widths", "blocks", "number", "offs", "keys")
+
+    def __init__(self, inputs: int, outputs: int, offsets: tuple):
+        self.outputs, self.offsets = outputs, offsets
+        # children per state of k labels: a new input with any output, or
+        # one of the outputs its input has left
+        self.widths = [(inputs - k // outputs) * outputs if k % outputs == 0 else outputs - k % outputs
+                       for k in range(inputs * outputs)]
+        self.blocks = [offsets[x * outputs:(x + 1) * outputs] for x in range(inputs)]
+        self.number = {o: n for n, o in enumerate(offsets)}
+        self.clear()
+
+    def clear(self):
+        super().clear()
+        self.offs, self.keys = [()], {}
+
+    def __missing__(self, s: int) -> range:
+        """State s's children, numbered now: each extension by the next
+        canonical label, where a new canonical input takes any original
+        input not yet taken, with any output, and a further output of the
+        same input any output of that original input not yet taken.  The
+        children are numbered before they are named s's, so a search cut
+        short leaves the table whole."""
+        A, offs = self.outputs, self.offs
+        state = offs[s]
+        k = len(state) % A
+        if k:
+            here = state[-k:]
+            new = [o for o in self.blocks[self.number[here[0]] // A] if o not in here]
+        else:
+            taken = {self.number[o] // A for o in state[::A]}
+            new = [o for x, block in enumerate(self.blocks) if x not in taken for o in block]
+        first = len(offs)
+        offs += [state + (o,) for o in new]
+        kids = self[s] = range(first, first + len(new))
+        return kids
+
+    def key(self, s: int) -> tuple:
+        """A full state's tie-break key: the input permutation, then the
+        output permutation at each input."""
+        key = self.keys.get(s)
+        if key is None:
+            state, A = [self.number[o] for o in self.offs[s]], self.outputs
+            key = self.keys[s] = (tuple(n // A for n in state[::A]), tuple(n % A for n in state))
+        return key
 
 
 @functools.lru_cache(maxsize=16)
@@ -399,12 +472,12 @@ def _canonical_plan(scenario: Scenario) -> tuple:
     """What canonical_form reads of a bipartite shape, built once and
     cached: per cell (x, y, a, b) in table order, Alice's label number
     x*A + a, Bob's y*B + b, and whether each shows first there, where
-    the frontier grows; then per party what each label number adds to
-    the flat index (core.label_offsets)."""
+    the frontier grows; then per party its table of partial relabelings
+    (_Relabelings)."""
     (X, Y), (A, B) = scenario.inputs, scenario.outputs
     cells = tuple((x * A + a, y * B + b, y == b == 0, x == a == 0)
                   for x, y, a, b in itertools.product(range(X), range(Y), range(A), range(B)))
-    return (cells, *label_offsets(scenario))
+    return (cells, *map(_Relabelings, scenario.inputs, scenario.outputs, label_offsets(scenario)))
 
 
 def normalization_rows(scenario: Scenario) -> list[tuple[list[tuple[int, Fraction]], Fraction]]:

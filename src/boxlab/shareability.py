@@ -474,7 +474,7 @@ def _bell_lift(scenario: Scenario, copies: int, canonical, functional: BellFunct
     beta is that functional made linear, its offset added to every
     coefficient of the block at (x, y) = (0, 0), which every box sums to
     1, read into the canonical frame through the form's inverted maps
-    (core.relabeled_indices, as canonical_form reads the table), as
+    (core.relabeled_indices, as canonical_form's table reads the box), as
     integer numerators over their common denominator: at most 0 on every
     deterministic strategy and positive on the canonical table T.  It is
     then moved onto the spanning entries (polytope.collins_gisin).  With

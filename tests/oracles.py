@@ -24,8 +24,9 @@ observables as feasibility of a joint table, parties reordered
 coordinate by coordinate, and the canonical relabeling of an extension
 problem and its stabilizer found by trying every relabeling, each read
 entry by entry (relabel_walk, core.relabel's reference), with its
-witness unfolded through that walk too.  None of it shares
-code with the package paths it cross-checks.
+witness unfolded through that walk too, and canonical_form's frontier
+walk over tuples of label numbers (walked_canonical_form).  None of it
+shares code with the package paths it cross-checks.
 
 Entries are read by their labels only through `_flat_of`, the flat
 position by plain mixed-radix arithmetic, and `prob`, the entry there;
@@ -1266,6 +1267,68 @@ def brute_canonical_form(box: Box):
 
     group = tuple(sorted((psi(ga, number[0], of_a), psi(hb, number[1], of_b)) for ga, hb in ties))
     return table, tuple(of_a), tuple(of_b), group
+
+
+def _walk_grown(state: tuple, inputs: int, outputs: int) -> list:
+    """Every extension of one party's partial relabeling by its next
+    canonical label.  `state` holds the original label number of each
+    canonical label so far, in canonical order (input-major, like the
+    table), so a new canonical input takes any original input not yet
+    taken, with any output, and a further output of the same input any
+    output of that original input not yet taken."""
+    k = len(state)
+    start = k - k % outputs
+    if start == k:
+        taken = {n // outputs for n in state}
+        return [state + (n,) for n in range(inputs * outputs) if n // outputs not in taken]
+    first = state[start] - state[start] % outputs
+    taken = set(state[start:])
+    return [state + (n,) for n in range(first, first + outputs) if n not in taken]
+
+
+def walked_canonical_form(box: Box):
+    """polytope.canonical_form by its cell-by-cell frontier walk, each
+    partial relabeling held as a tuple of original label numbers
+    (label_numbers) per canonical label and grown afresh at every cell
+    where a label first shows, each cell read at the flat position of
+    its labels (_flat_of).  When a cell would grow the frontier past
+    polytope.CANONICAL_SEARCH_CAP states it gives up with the
+    box's table, the identity maps and the one-element group.  Else the
+    least relabeling that reaches the greatest table, in the order of
+    (Alice's input permutation, her output permutation at each input,
+    Bob's likewise), gives the maps, and every relabeling that reaches
+    it the group, as brute_canonical_form states them."""
+    from boxlab import polytope
+
+    sc = box.scenario
+    (X, Y), (A, B) = sc.inputs, sc.outputs
+    table = box.table
+    rank = {v: i for i, v in enumerate(sorted(set(table)))}
+    at_a = [_flat_of(sc, (n % A, 0), (n // A, 0)) for n in range(X * A)]
+    at_b = [_flat_of(sc, (0, n % B), (0, n // B)) for n in range(Y * B)]
+    cells = [(x * A + a, y * B + b, y == b == 0, x == a == 0)
+             for x, y, a, b in itertools.product(range(X), range(Y), range(A), range(B))]
+    frontier = [((), ())]
+    for i, j, grow_a, grow_b in cells:
+        if grow_a or grow_b:
+            more_a = {fa: _walk_grown(fa, X, A) if grow_a else (fa,) for fa in {fa for fa, _ in frontier}}
+            more_b = {fb: _walk_grown(fb, Y, B) if grow_b else (fb,) for fb in {fb for _, fb in frontier}}
+            if sum(len(more_a[fa]) * len(more_b[fb]) for fa, fb in frontier) > polytope.CANONICAL_SEARCH_CAP:
+                identity = (tuple(range(X * A)), tuple(range(Y * B)))
+                return (table, *identity, (identity,))
+            frontier = [(na, nb) for fa, fb in frontier for na in more_a[fa] for nb in more_b[fb]]
+        values = [rank[table[at_a[fa[i]] + at_b[fb[j]]]] for fa, fb in frontier]
+        best = max(values)
+        frontier = [f for f, v in zip(frontier, values) if v == best]
+
+    def order(state, outputs):
+        return tuple(n // outputs for n in state[::outputs]), tuple(n % outputs for n in state)
+
+    best_a, best_b = min(frontier, key=lambda f: order(f[0], A) + order(f[1], B))
+    relabeled = tuple(table[at_a[best_a[i]] + at_b[best_b[j]]] for i, j, _, _ in cells)
+    alice, bob = (tuple(sorted(range(len(s)), key=s.__getitem__)) for s in (best_a, best_b))
+    group = tuple(sorted((tuple(alice[n] for n in fa), tuple(bob[n] for n in fb)) for fa, fb in frontier))
+    return relabeled, alice, bob, group
 
 
 def unfold_by_relabeling(problem, relabeling, values) -> tuple:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import random
 import timeit
 from fractions import Fraction as F
@@ -73,6 +74,7 @@ from oracles import (
     unfolded_extension_feasible,
     unfolded_extension_lp,
     uniform_box,
+    walked_canonical_form,
     walked_orbit_rows,
 )
 
@@ -362,7 +364,8 @@ class TestCanonicalRelabeling:
     @pytest.mark.parametrize("sc", SMALL_SCENARIOS, ids=str)
     def test_search_is_the_brute_force(self, sc, ns_vertices):
         # within CANONICAL_SEARCH_CAP relabelings, the frontier search
-        # returns the table, maps and group of comparing every pair
+        # returns the table, maps and group of comparing every pair, and
+        # of the walk over tuples of label numbers
         rng = random.Random(f"search {sc.inputs} {sc.outputs}")
         strategies = [s.box() for s in deterministic_strategies(sc)]
         boxes = [
@@ -383,7 +386,9 @@ class TestCanonicalRelabeling:
             for labeled in (box, relabel(box, *random_relabeling(rng, sc))):
                 # the box toward B and, party-swapped, toward A
                 for oriented in (labeled, permute_parties(labeled, (1, 0))):
-                    assert canonical_form(oriented) == brute_canonical_form(oriented)
+                    form = canonical_form(oriented)
+                    assert form == brute_canonical_form(oriented)
+                    assert form == walked_canonical_form(oriented)
 
     @pytest.mark.parametrize("party", "AB")
     def test_four_outputs_are_searched_to_their_stabilizer(self, party):
@@ -399,6 +404,55 @@ class TestCanonicalRelabeling:
         witness = is_m_shareable(problem)
         assert witness.feasible and witness.extension == relabeled
 
+    @pytest.mark.parametrize("c", [F(1, 2), F(3, 5)])
+    def test_four_outputs_are_the_walk(self, c):
+        # beyond the brute force: the numbered states give the walk's
+        # table, maps and group on seeded relabelings, either way round
+        box = generalized_isotropic(4, c)
+        rng = random.Random(f"walk {c}")
+        for labeled in [box] + [relabel(box, *random_relabeling(rng, box.scenario)) for _ in range(3)]:
+            for oriented in (labeled, permute_parties(labeled, (1, 0))):
+                assert canonical_form(oriented) == walked_canonical_form(oriented)
+
+    def test_the_numbering_does_not_show(self):
+        # the same boxes searched in two orders, each from empty tables,
+        # number their states apart and give the same forms, pickled alike
+        rng = random.Random("numbering")
+        boxes = []
+        for sc in (SC22, Scenario((3, 3), (2, 2)), Scenario((2, 2), (3, 3)), Scenario((2, 2), (4, 4))):
+            for _ in range(3):
+                boxes.append(relabel(_skewed_local_box(sc, rng), *random_relabeling(rng, sc)))
+        boxes += [relabel(generalized_isotropic(A, F(3, 5)), *random_relabeling(rng, Scenario((2, 2), (A, A))))
+                  for A in (3, 4)]
+        polytope._canonical_plan.cache_clear()
+        forward = [canonical_form(box) for box in boxes]
+        polytope._canonical_plan.cache_clear()
+        backward = [canonical_form(box) for box in reversed(boxes)][::-1]
+        assert pickle.dumps(forward) == pickle.dumps(backward)
+        assert forward == [walked_canonical_form(box) for box in boxes]
+
+    def test_the_tables_stay_bounded(self, monkeypatch):
+        # 2255 has 78,651 partial relabelings per party; between searches
+        # a table holds at most _STATES_CAP of them, dropped only when a
+        # search leaves more, and the forms stay the walk's
+        sc = Scenario((2, 2), (5, 5))
+        rng = random.Random("bounded")
+        boxes = [relabel(generalized_isotropic(5, c), *random_relabeling(rng, sc)) for c in (F(1, 2), F(3, 5))]
+        boxes += [relabel(_skewed_local_box(sc, rng, k), *random_relabeling(rng, sc)) for k in (2, 3, 3, 4)]
+        polytope._canonical_plan.cache_clear()
+        _, alice, bob = polytope._canonical_plan(sc)
+        dropped, clear = [], polytope._Relabelings.clear
+
+        def counted(party):
+            dropped.append(len(party.offs))
+            clear(party)
+
+        monkeypatch.setattr(polytope._Relabelings, "clear", counted)
+        for box in boxes:
+            assert canonical_form(box) == walked_canonical_form(box)
+            assert max(len(alice.offs), len(bob.offs)) <= polytope._STATES_CAP == 4096
+        assert dropped and min(dropped) > polytope._STATES_CAP
+
     @pytest.mark.parametrize("sc, box", [
         (Scenario((2, 2), (4, 4)), None),
         (Scenario((2, 2), (5, 5)), None),
@@ -412,6 +466,7 @@ class TestCanonicalRelabeling:
         box = box or uniform_box(sc)
         assert min(timeit.repeat(lambda: canonical_form(box), number=1, repeat=3)) < 0.1
         table, alice, bob, group = form = canonical_form(box)
+        assert form == walked_canonical_form(box)
         assert table == box.table
         assert alice == bob == _identity_labels(*sc.inputs[:1], *sc.outputs[:1])
         assert group == ((alice, bob),)
