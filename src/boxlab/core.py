@@ -18,9 +18,9 @@ stabilizer, one map per party on canonical labels; the orbit keys of
 An entry's position is found only through `label_offsets` and the index
 maps built here on the same layout, or by walking the table in its
 order; no other module works one out from the alphabet sizes.  The
-offsets are read by `restrict_bob_inputs`, the strategy columns,
-`labels_told_apart` and the numbered relabelings `canonical_form`
-reads its table through in `polytope`,
+offsets are read by `restrict_bob_inputs`, the strategy columns and
+the numbered relabelings `canonical_form` reads its table through in
+`polytope` (the one place that picks the frame of every box's LPs),
 `locality.LocalModel`, the CHSH-type rows `locality` reads and
 `bell.lifted_chsh` builds, the lift rows and `local_model_from_extension`
 of `shareability`, `bell.cglmp_raw`, and the slice rows and

@@ -7,12 +7,12 @@ nonsignaling table, so weights that match a nonsignaling box there match
 all of it.  The program is stated on a canonical form of the box, a
 relabeling whose table a group G of local relabelings fixes, and folded
 by G: one weight per class of strategies that G maps onto each other.
-A bipartite box gets its canonical relabeling and stabilizer from
-`polytope.canonical_form`, unless `polytope.labels_told_apart` already
-shows that only the identity fixes the table; such a box, and a box of
-any other number of parties, keeps its own labels (`polytope.own_labels`),
-the trivial fold, whose classes are the single strategies and whose rows
-are the spanning entries themselves.  The form's maps and the elements
+`polytope.canonical_form` picks the form for every box, with no
+pre-test: a bipartite box gets its canonical relabeling and stabilizer,
+and a box of any other number of parties, or one whose search gives up,
+keeps its own labels (`polytope.own_labels`), the trivial fold, whose
+classes are the single strategies and whose rows are the spanning
+entries themselves.  The form's maps and the elements
 of G name labels by their numbers (`core`), one tuple per party, so
 `core.relabeled_indices` applies either to a table.  Only the classes
 that fire no zero entry of the table get a weight (membership_lp): in
@@ -258,13 +258,13 @@ def membership_lp(box: Box, canonical) -> tuple:
     """Weights over classes of deterministic strategies that match a
     canonical form of the box on its spanning entries: the program, and
     the classes its columns weigh, in column order.  The form is
-    (table, one map of label numbers per party, group): `canonical`, the
-    box's canonical relabeling and its stabilizer as
-    polytope.canonical_form returns them, or the box's own labels
-    (polytope.own_labels), the trivial fold for any number of parties,
-    whose classes are the single strategies in deterministic_strategies
-    order and whose rows are the spanning entries themselves:
-    prod_k (X_k(A_k-1)+1) rows, 9 of 16 in 2222, 16 of 36 in 3322.
+    (table, one map of label numbers per party, group), as
+    polytope.canonical_form returns it, which picks every box's: a
+    bipartite box's canonical relabeling and its stabilizer, or the box's
+    own labels (polytope.own_labels), the trivial fold, whose classes are
+    the single strategies in deterministic_strategies order and whose
+    rows are the spanning entries themselves: prod_k (X_k(A_k-1)+1) rows,
+    9 of 16 in 2222, 16 of 36 in 3322.
 
     That decides a nonsignaling box: the spanning entries fix every
     nonsignaling table, mixtures of strategy boxes included, so weights
@@ -539,35 +539,30 @@ def _fine_model(sc: Scenario, den: int, nums) -> LocalModel | None:
 
 def _membership_verdict(box: Box, den: int, nums) -> tuple:
     """is_local's membership-LP path for a checked box, its table read
-    into numerators `nums` over `den`: the LP's model (_solved_model),
-    checked against them to reconstruct the box, or its Farkas vector
-    made into a Bell functional (_bell_coefficients) and normalized.
-    Returns that verdict and the form it was decided on when
-    polytope.canonical_form searched for it, else None."""
-    sc = box.scenario
-    searched = None
-    if sc.parties == 2 and not polytope.labels_told_apart(sc, nums):
-        canonical = searched = polytope.canonical_form(box)
-    else:
-        canonical = (box.table, *polytope.own_labels(sc))
+    into numerators `nums` over `den`: the LP stated on the form
+    polytope.canonical_form picks, its model (_solved_model) checked
+    against them to reconstruct the box, or its Farkas vector made into
+    a Bell functional (_bell_coefficients) and normalized.  Returns that
+    verdict and the form."""
+    canonical = polytope.canonical_form(box)
     found = _solved_model(box, canonical)
     if isinstance(found, LocalModel):
         ensure(found._reproduces(den, nums), "local model does not reconstruct the box")
-        return found, searched
+        return found, canonical
     coefficients = _bell_coefficients(box, canonical, found.certificate.y_eq)
-    functional = normalize(BellFunctional(sc, tuple(coefficients), ZERO))
+    functional = normalize(BellFunctional(box.scenario, tuple(coefficients), ZERO))
     violation = functional.evaluate(box)
     ensure(violation > 0, "Bell functional from the Farkas vector is not violated")
-    return NonlocalityCertificate(functional, violation), searched
+    return NonlocalityCertificate(functional, violation), canonical
 
 
 def _decided(box: Box) -> tuple:
-    """is_local's verdict and the canonical form (polytope.canonical_form)
-    that its membership LP was stated on, or None when it searched for
-    none, so that shareability.is_m_shareable states its orbit program
-    on that form without a second search."""
+    """is_local's verdict and the form (polytope.canonical_form) that its
+    membership LP was stated on, or None when no membership LP ran, so
+    that shareability.is_m_shareable states its orbit program on that
+    form without a second search."""
     sc = box.scenario
-    # the table read once into numerators, for the NS check, the rows, the pre-test and both models' checks
+    # the table read once into numerators, for the NS check, the rows and both models' checks
     den, nums = numerators(box.table)
     w = _trace_violation(sc, den, nums)
     if w is not None:
@@ -601,14 +596,12 @@ def is_local(box: Box) -> LocalModel | NonlocalityCertificate:
     such as one that violates only an I3322- or CGLMP-type facet, over
     the strategies that fire no zero entry of its table; its model is
     checked against the numerators read here, as Fine's is
-    (LocalModel._reproduces).  A bipartite one is decided on its
-    canonical form, the LP folded by its stabilizer G
-    (polytope.canonical_form): 81 x 25 becomes 9 x 3 on generalized
-    isotropic boxes with 3 outputs.  The search is skipped when
-    polytope.labels_told_apart shows that only the identity fixes the
-    table, as it does for most boxes without symmetry; such a box is
-    decided on its own labels (polytope.own_labels, the trivial form),
-    as is any box of another number of parties."""
+    (LocalModel._reproduces).  Every box is decided on the form
+    polytope.canonical_form picks, with no pre-test: a bipartite one on
+    its canonical form, the LP folded by its stabilizer G, 81 x 25
+    becoming 9 x 3 on generalized isotropic boxes with 3 outputs; any
+    box of another number of parties, and one whose search gives up, on
+    its own labels (polytope.own_labels, the trivial form)."""
     return _decided(box)[0]
 
 

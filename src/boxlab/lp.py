@@ -53,18 +53,20 @@ int allowed for a Fraction coefficient, may append (row, rhs) pairs to
 `eqs` or `ineqs` directly.  Three do, each from rows cached per shape:
 `polytope.ns_lp` the nonsignaling rows, with Fraction coefficients;
 `locality.membership_lp` the local-membership rows at the spanning
-entries, folded by the box's stabilizer or by the trivial group (once
-per scenario and stabilizer), each box's columns renumbered to the
-classes of strategies that fire no zero entry of its table; and `shareability.folded_extension_lp`
-the orbit rows, folded by the box's stabilizer (once per scenario, m
-and stabilizer; toward A is toward B on the party-swapped box).  The
-last two hold int coefficients, summed per class by
-`polytope.fold_row`, and pin the box through `polytope.pin_rows`.  Each
-`solve` runs its own phase one (standardization, the crash, phase 1 and
-pivoting the artificials out) on the rows it is given: no question asks
-more than two LPs of one feasible region, and a whole solve of the
-nonsignaling LP with no objective takes 0.3-1.1 ms from 2222 to 2255
-(Python 3.11, 2 vCPUs), so a phase one kept for reuse would save little.
+entries, folded by the stabilizer of the frame `polytope.canonical_form`
+picks for every box, with no pre-test (the trivial group on a box's own
+labels; once per scenario and stabilizer), each box's columns renumbered
+to the classes of strategies that fire no zero entry of its table; and
+`shareability.folded_extension_lp` the orbit rows, folded by the box's
+stabilizer (once per scenario, m and stabilizer; toward A is toward B on
+the party-swapped box).  The last two hold int coefficients, summed per
+class by `polytope.fold_row`, and pin the box through
+`polytope.pin_rows`.  Each `solve` runs its own phase one
+(standardization, the crash, phase 1 and pivoting the artificials out)
+on the rows it is given: no question asks more than two LPs of one
+feasible region, and a whole solve of the nonsignaling LP with no
+objective takes 0.3-1.1 ms from 2222 to 2255 (Python 3.11, 2 vCPUs), so
+a phase one kept for reuse would save little.
 """
 
 from __future__ import annotations

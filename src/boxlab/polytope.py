@@ -6,23 +6,23 @@ nonsignaling polytope is cut out by normalization plus the single-party
 trace equalities.  Constraint rows are indexed to match Box.table order.
 
 What depends only on the scenario is built once per scenario and held in
-a small least-recently-used cache: the index maps of `core.trace_indices`
-and `core.marginal_indices`, what each label adds to the flat index
-(`core.label_offsets`, which `strategy_columns`, `labels_told_apart`
-and `canonical_form` read here; `core` lists every reader of the
-layout), the table entries each strategy fires at (`strategy_columns`),
-the entries that fix a nonsignaling table (`spanning_entries`, which
-like `normalization_rows` walks the table in its order), the cells
-`canonical_form` walks with each party's partial relabelings numbered
-as the search reaches them (`_Relabelings`, at most `_STATES_CAP` per
-party between searches), and the nonsignaling rows in LinearProgram's
+a small least-recently-used cache: the index maps of
+`core.trace_indices` and `core.marginal_indices`, what each label adds
+to the flat index (`core.label_offsets`, which `strategy_columns` and
+`canonical_form` read here; `core` lists every reader of the layout),
+the table entries each strategy fires at (`strategy_columns`), the
+entries that fix a nonsignaling table (`spanning_entries`, which like
+`normalization_rows` walks the table in its order), the cells
+`canonical_form` walks with each party's partial relabelings numbered as
+the search reaches them (`_Relabelings`, at most `_STATES_CAP` per party
+between searches), and the nonsignaling rows in LinearProgram's
 canonical form, on which `max_over_ns` solves every objective.  The
 membership rows of `locality` (per scenario and stabilizer) and the
 orbit rows of `shareability` (per scenario, m and stabilizer, toward B
 only, since toward A is toward B on the party-swapped box) are cached
 alike: three row sets built once, to which a box adds only right-hand
-sides.  The rows are tuples, which `lp.solve` reads into a tableau of
-its own.
+sides.  The rows are tuples, which `lp.solve` reads into a tableau of its
+own.
 
 A functional of the table is known on nonsignaling tables by its
 values at the spanning entries: `collins_gisin` moves every coefficient
@@ -51,13 +51,12 @@ and `pin_rows` gives it one right-hand side per distinct table value
 over those entries (`pinned_entries`, the one walk that groups them by
 value, which `locality` and `shareability`'s lift read too).
 
-The canonical form and its stabilizer come from one search,
-`canonical_form`, which both `shareability.is_m_shareable` and
-`locality.is_local` run on a bipartite box.  `is_local` first runs
-`labels_told_apart`, one round of color refinement on the labels, from
-each label's sorted row of the table: when the colors tell every label
-apart, only the identity fixes the table, and the box keeps its own
-labels without a search.
+The canonical form and its stabilizer come from `canonical_form`, the
+one place that picks the frame a box's LPs are stated in, for
+`locality.is_local` and `shareability.is_m_shareable` alike: a bipartite
+box is searched, with no pre-test before the search, and a box of any
+other number of parties, or one whose search gives up, keeps its own
+labels.
 """
 
 from __future__ import annotations
@@ -260,59 +259,21 @@ def pin_rows(rows, table):
         yield coeffs, table[es[0]]
 
 
-def _colors(keys) -> list:
-    """One number per key, equal keys alike, numbered in order of first
-    appearance."""
-    number: dict = {}
-    return [number.setdefault(tuple(k), len(number)) for k in keys]
-
-
-def labels_told_apart(scenario: Scenario, nums) -> bool:
-    """True when a bipartite box's table alone shows that only the
-    identity relabeling fixes it, by one round of color refinement.  A
-    relabeling pair that fixes the table maps each of Alice's labels
-    (a, x) onto one whose row of table numerators over Bob's labels
-    (b, y) is its own row permuted by Bob's map, and each of Bob's labels
-    likewise.  So the pair keeps a label's color, first its sorted row,
-    then, refined, its sorted (entry, other party's color) pairs; and
-    when the colors tell every label apart, it maps each label onto
-    itself.  False proves nothing: only canonical_form tells.  The
-    table comes as its numerators over their common denominator
-    (core.numerators), which is_local reads once for this test and its
-    nonsignaling check.
-
-    No 2222 box reaches the test: Fine's model or a CHSH facet decides
-    it first.  In one locality-scan pass at seed 1 it runs on 12 3322
-    boxes, 12 generalized isotropic A=3 boxes and one A=4 (Python 3.11,
-    2 vCPUs, best of 5).  The sorted rows clear 8 of the 3322 boxes in
-    about 10 us, where the search takes about 38 us.  On the other 4,
-    and on every generalized isotropic box, whose stabilizer is not
-    trivial, the test answers False in 10-28 us and the search follows
-    (A=3: 28 us, then about 174 us)."""
-    at_a, at_b = label_offsets(scenario)
-    # per Alice label, its entries in Bob label order
-    grid = [[nums[i + j] for j in at_b] for i in at_a]
-    cols = list(zip(*grid))
-    alice, bob = _colors(map(sorted, grid)), _colors(map(sorted, cols))
-    if max(alice) + 1 < len(at_a) or max(bob) + 1 < len(at_b):
-        alice = _colors(sorted(zip(row, bob)) for row in grid)
-        bob = _colors(sorted(zip(col, alice)) for col in cols)
-    return max(alice) + 1 == len(at_a) and max(bob) + 1 == len(at_b)
-
-
 @functools.lru_cache(maxsize=16)
 def own_labels(scenario: Scenario) -> tuple:
     """A box's own labels as the rest of a canonical form, the trivial
     form: per party the identity map of its label numbers, then the
     trivial group, whose one element is those maps.  canonical_form
-    gives it when its search gives up, and is_local when it skips the
-    search, for any number of parties."""
+    gives it for a box that is not bipartite and when its search gives
+    up."""
     maps = tuple(tuple(range(X * A)) for X, A in zip(scenario.inputs, scenario.outputs))
     return (*maps, (maps,))
 
 
 def canonical_form(box: Box):
-    """The bipartite box's local relabeling with the lexicographically
+    """The frame a box's LPs are stated in: for a box of any number of
+    parties but two, its own labels, (table, *own_labels(scenario)).  For
+    a bipartite box, its local relabeling with the lexicographically
     greatest table, and that table's stabilizer, as (table, alice, bob,
     group): the relabeled table; for Alice and for Bob a map of label
     numbers (core.label_offsets), a tuple whose entry n is the relabeled
@@ -364,13 +325,15 @@ def canonical_form(box: Box):
     within their first two blocks, in under 0.1 s, while generalized
     isotropic boxes with 4 outputs per party are searched to their
     16-element stabilizers, their frontier never above 576 states."""
-    table = box.table
-    cells, alice, bob = _canonical_plan(box.scenario)
+    table, sc = box.table, box.scenario
+    if sc.parties != 2:
+        return (table, *own_labels(sc))
+    cells, alice, bob = _canonical_plan(sc)
     form = _search(table, cells, alice, bob)
     for party in alice, bob:
         if len(party.offs) > _STATES_CAP:
             party.clear()
-    return form or (table, *own_labels(box.scenario))
+    return form or (table, *own_labels(sc))
 
 
 def _search(table, cells, alice, bob):

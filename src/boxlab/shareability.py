@@ -603,7 +603,7 @@ def is_m_shareable(problem: ExtensionProblem) -> ExtensionWitness:
     the party-swapped box, toward B).  A base box within
     locality.STRATEGY_CAP strategies is first decided by
     locality.is_local (locality._decided, which also hands back the
-    canonical form its membership LP searched for, if any).  A model gives the extension, every copy replaying
+    canonical form its membership LP was stated on, when one ran).  A model gives the extension, every copy replaying
     Bob's table of the oriented box (LocalModel.adjoin).  A nonlocal base
     at m >= Y, Y its second party's inputs, is not shareable by the
     paper's theorem: is_local's Bell functional is lifted into a Farkas

@@ -49,8 +49,8 @@ def tensor(box1: Box, box2: Box) -> Box:
 
 def own_form(box: Box) -> tuple:
     """The trivial canonical form of a box, its table in its own labels
-    (polytope.own_labels), which is_local decides a box on when it skips
-    the search."""
+    (polytope.own_labels), which polytope.canonical_form gives for a box
+    that is not bipartite or whose search gives up."""
     return (box.table, *polytope.own_labels(box.scenario))
 
 

@@ -236,9 +236,11 @@ def test_committed_report_verifies(name, tmp_path, monkeypatch, capsys):
 
 
 # committed reports that the current code writes again field for field.
-# All but local-seed1003-local, whose labels polytope.labels_told_apart
-# tells apart, run polytope.canonical_form, whose table, maps and group
-# order the folded programs, so a changed form shows here
+# Each runs polytope.canonical_form, which picks the frame of every
+# membership and orbit program: its table, maps and group order the
+# folded programs, so a changed form shows here.  local-seed1003-local's
+# model comes from the searched frame of a box that only the identity
+# fixes
 REPRODUCED_REPORTS = [
     "local-giso3-2-5.json", "local-seed1003-local.json",
     "shareable-iso-3-4-m2-A.json", "shareable-iso-3-4-m2-B.json",

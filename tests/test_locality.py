@@ -3,6 +3,7 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +30,6 @@ from boxlab.locality import (
 from boxlab.shareability import generalized_isotropic, polygamy_example
 from conftest import asymmetric_giso, is_deterministic, own_form, random_local_box, random_ns_box, random_relabeling
 from oracles import (
-    brute_canonical_form,
     chsh_type_row,
     chsh_type_rows,
     chsh_type_values,
@@ -159,9 +159,9 @@ class TestSpanningEntries:
             assert local_membership_alternative(box) == local
             if not local:
                 f = result.functional
-                if sc.parties > 2 or polytope.labels_told_apart(box.scenario, core.numerators(box.table)[1]):
+                if sc.parties > 2:
                     # decided on its own labels: one multiplier per spanning entry;
-                    # on a canonical form the functional is averaged over G
+                    # on a bipartite box's canonical form it is averaged over G
                     assert all(c == 0 for k, c in enumerate(f.coefficients) if k not in entries)
                 assert local_bound_by_enumeration(f) <= 0 < f.evaluate(box) == result.violation
         assert seen == {True, False}
@@ -175,13 +175,13 @@ class TestIsLocal:
         assert sum(model.weights, ZERO) == 1
 
     def test_reads_the_table_once_before_the_membership_lp(self, ns_vertices, monkeypatch):
-        # the NS check, the CHSH-type rows, Fine's model and its check, and
-        # labels_told_apart share one read of the table into numerators;
-        # only the canonical search, when it runs, reads it again, and the
-        # check of Fine's model reads the model's weights.  A 2222
-        # box takes a row or Fine's model, a 3322 box that violates a row
-        # takes that row, and other 3322 boxes, with and without symmetry,
-        # reach the membership LP
+        # the NS check, the CHSH-type rows, Fine's model and its check
+        # share one read of the table into numerators; only the canonical
+        # search reads it again, and the check of Fine's model reads the
+        # model's weights.  A 2222 box takes a row or Fine's model, a 3322
+        # box that violates a row takes that row, and other 3322 boxes,
+        # with and without symmetry, reach the membership LP through the
+        # search
         reads = []
 
         def counting(values, real=core.numerators):
@@ -207,18 +207,17 @@ class TestIsLocal:
         boxes.append(mix(picks, [F(w, 21) for w in range(1, 7)]))
         paths = set()
         for box in boxes:
-            apart = polytope.labels_told_apart(box.scenario, core.numerators(box.table)[1])
             reads.clear()
             try:
                 result = is_local(box)
                 path = "row" if isinstance(result, NonlocalityCertificate) else "fine"
                 assert path == "row" or box.scenario == SC22
             except Stop:
-                path = "told apart" if apart else "searched"
+                path = "searched"
             expected = [box.table] * (2 if path == "searched" else 1)
             assert reads == expected + ([result.weights] if path == "fine" else [])
             paths.add((path, box.scenario == SC22))
-        assert paths == {("row", True), ("row", False), ("fine", True), ("told apart", False), ("searched", False)}
+        assert paths == {("row", True), ("row", False), ("fine", True), ("searched", False)}
 
     def test_models_are_checked_against_the_numerators_held(self, ns_vertices, monkeypatch):
         # Fine's model and the membership LP's are checked against the
@@ -754,9 +753,21 @@ def check_is_local(box, lp_outcome):
     return best > 0
 
 
+def strategy_mixture(k):
+    """A seeded mixture of k 3322 strategies weighted 1..k, whose table
+    only the identity fixes for k = 3, 5 and 8."""
+    sc = Scenario((3, 3), (2, 2))
+    rng = random.Random(f"strategies {k}")
+    picks = rng.sample([s.box() for s in polytope.deterministic_strategies(sc)], k)
+    return mix(picks, [F(n + 1, k * (k + 1) // 2) for n in range(k)])
+
+
+SEED1003_LOCAL = boxio.read_box(str(Path(__file__).parent / "data" / "reports" / "seed1003-local.txt")).box
+
+
 class TestFoldedIsLocal:
     """A bipartite box is decided on its canonical form, folded by its
-    stabilizer G, unless the pre-test shows that G is trivial."""
+    stabilizer G (polytope.canonical_form), whatever G is."""
 
     @pytest.mark.parametrize("sc", FOLD_SCENARIOS + [Scenario((2, 2), (4, 4))], ids=str)
     def test_verdicts_and_certificates(self, sc):
@@ -785,12 +796,18 @@ class TestFoldedIsLocal:
                 assert canonical_frame(sc, pa, pb, h) == h
         assert verdicts == {True, False} and symmetric_nonlocal and True in by_row
 
+    # the 3322 boxes have a trivial stabilizer, so `size` is the count of
+    # strategies that fire no zero entry of the table
     @pytest.mark.parametrize("box, size", [
         (make_isotropic(F(3, 5)), 2),
         (generalized_isotropic(3, F(2, 5)), 9),
         (generalized_isotropic(3, F(7, 10)), 9),
         (generalized_isotropic(4, F(1, 2)), 16),
-    ], ids=["iso-3/5", "giso3-2/5", "giso3-7/10", "giso4-1/2"])
+        (SEED1003_LOCAL, 6),
+        (strategy_mixture(3), 4),
+        (strategy_mixture(5), 11),
+        (strategy_mixture(8), 48),
+    ], ids=["iso-3/5", "giso3-2/5", "giso3-7/10", "giso4-1/2", "seed1003-local", "3322-mix3", "3322-mix5", "3322-mix8"])
     def test_relabelings_share_one_folded_program(self, box, size, monkeypatch):
         solve, programs = lp.solve, []
 
@@ -808,43 +825,26 @@ class TestFoldedIsLocal:
         assert {prog.num_vars for prog in firsts} == {size}
         assert all(prog.eqs == firsts[0].eqs for prog in firsts)
 
-    def test_a_cleared_box_keeps_its_own_labels_outcome(self, ns_vertices):
+    def test_a_tripartite_box_keeps_its_own_labels_outcome(self):
+        # canonical_form searches bipartite boxes only: a box of three
+        # parties is decided on its own labels, pr_like on Alice and Bob
+        # mixed with four strategies, from local to nonlocal
         rng = random.Random(25)
-        boxes = [random_ns_box(rng, ns_vertices, nonlocal_bias=(i % 3) * 30) for i in range(30)]
-        sc = Scenario((3, 3), (2, 2))
+        sc = Scenario((2, 2, 2), (2, 2, 2))
         strategies = [s.box() for s in polytope.deterministic_strategies(sc)]
+        seen = set()
         for i in range(8):
             picks = rng.sample(strategies, 4)
             local = mix(picks, [F(w, 10) for w in (1, 2, 3, 4)])
-            boxes.append(mix([pr_like(sc), local], [F(i, 8), 1 - F(i, 8)]))
-        seen = set()
-        for box in boxes:
-            if polytope.labels_told_apart(box.scenario, core.numerators(box.table)[1]):
-                result = membership_verdict(box)
-                seen.add(type(result))
-                assert pickle.dumps(result) == pickle.dumps(own_labels_outcome(box))
-                # is_local's own outcome is the LP's for every box that
-                # violates no CHSH-type row, except a 2222 box, which is
-                # local by Fine's model
-                check_is_local(box, result)
+            box = mix([pr_like(sc), local], [F(i, 8), 1 - F(i, 8)])
+            assert polytope.canonical_form(box) == own_form(box)
+            result = membership_verdict(box)
+            seen.add(type(result))
+            assert pickle.dumps(result) == pickle.dumps(own_labels_outcome(box))
+            # is_local's own outcome is the LP's: no CHSH-type row is read
+            # on a box of three parties
+            check_is_local(box, result)
         assert seen == {LocalModel, NonlocalityCertificate}
-
-    @pytest.mark.parametrize("sc", FOLD_SCENARIOS, ids=str)
-    def test_the_pre_test_never_clears_a_symmetric_box(self, sc, ns_vertices):
-        rng = random.Random(f"pre-test {sc.inputs} {sc.outputs}")
-        strategies = [s.box() for s in polytope.deterministic_strategies(sc)]
-        boxes = fold_boxes(sc) + [uniform_box(sc)]
-        boxes += [mix(rng.sample(strategies, k), [F(n + 1, k * (k + 1) // 2) for n in range(k)]) for k in (2, 3, 4, 5)]
-        if sc == SC22:
-            boxes += [random_ns_box(rng, ns_vertices, nonlocal_bias=b) for b in (0, 30, 60)]
-        cleared, symmetric = 0, 0
-        for box in boxes:
-            group = brute_canonical_form(box)[3]
-            if polytope.labels_told_apart(box.scenario, core.numerators(box.table)[1]):
-                cleared += 1
-                assert len(group) == 1
-            symmetric += len(group) > 1
-        assert cleared and symmetric
 
 
 def zero_entry_boxes(sc):
@@ -857,15 +857,6 @@ def zero_entry_boxes(sc):
     for t in (F(3, 4), F(1, 2), F(1, 4)):
         boxes.append(mix([pr_like(sc), *rng.sample(strategies, 2)], [t, (1 - t) / 3, 2 * (1 - t) / 3]))
     return [relabel(box, *random_relabeling(rng, sc)) for box in boxes]
-
-
-def decided_form(box):
-    """The form is_local states a box's membership LP on: its canonical
-    form, unless the pre-test clears a bipartite box or the box is not
-    bipartite, when its own labels."""
-    if box.scenario.parties == 2 and not polytope.labels_told_apart(box.scenario, core.numerators(box.table)[1]):
-        return polytope.canonical_form(box)
-    return own_form(box)
 
 
 SUPPORT_SCENARIOS = [Scenario((2, 3), (2, 2)), Scenario((3, 3), (2, 2)), Scenario((2, 2), (3, 3))]
@@ -895,7 +886,7 @@ class TestSupportPresolve:
     @pytest.mark.parametrize("sc", SUPPORT_SCENARIOS, ids=str)
     def test_one_column_per_class_that_fires_no_zero_entry(self, sc):
         for box in zero_entry_boxes(sc) + fold_boxes(sc):
-            form = decided_form(box)
+            form = polytope.canonical_form(box)
             table, group = form[0], form[-1]
             members = locality._membership_rows(sc, group)[0]
             # per class, whether each strategy's box, built entry by entry,
@@ -913,7 +904,7 @@ class TestSupportPresolve:
         box, _ = i3322_vertex()
         sc = box.scenario
         assert sorted(set(box.table)) == [0, F(1, 3), F(2, 3)]
-        table, alice, bob, group = form = decided_form(box)
+        table, alice, bob, group = form = polytope.canonical_form(box)
         prog = locality.membership_lp(box, form)[0]
         assert len(group) > 1 and 0 < prog.num_vars < len(locality._membership_rows(sc, group)[0])
         out = lp.solve(prog)
